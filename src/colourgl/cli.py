@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -63,7 +62,7 @@ def parse_weight(text, dim):
         raise InputError(f"weight needs {dim} coordinates, got {len(parts)}")
     try:
         return tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad weight coordinate: {exc}") from exc
 
 
@@ -359,7 +358,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.time()
-    args._jobs = os.environ.get("COLOURGL_JOBS", "1")
     try:
         return args.func(args)
     except (InputError, UnsupportedFactor, UnsupportedSpace,

@@ -4,6 +4,13 @@ A Scalar is stored in the canonical form  q^shift * num(q) / den(q)  where
 num and den are polynomials over Q with nonzero constant term, den is monic
 and gcd(num, den) = 1.  Equality is therefore syntactic.  q is never
 specialised: identities proved here hold at every q != 0.
+
+Arithmetic reaches the canonical form without a polynomial gcd whenever the
+shapes of the operands guarantee it: a monomial factor c*q^s only scales and
+shifts the other factor, products and sums of Laurent polynomials (den = 1)
+are already in lowest terms, an inverse swaps num and den, and a product of
+two fractions cancels only the cross gcds.  The general normalisation in
+Scalar() serves parsing, sums of fractions and raw constructor input.
 """
 
 from __future__ import annotations
@@ -11,7 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_ZERO_POLY = (Fraction(0),)
+_F0 = Fraction(0)
+_ZERO_POLY = (_F0,)
 _ONE_POLY = (Fraction(1),)
 
 
@@ -27,12 +35,14 @@ def _is_zero_poly(p):
     return len(p) == 1 and p[0] == 0
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim([
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ])
+def _padd(a, b, k):
+    """a + q^k * b for k >= 0."""
+    out = list(a)
+    if len(out) < k + len(b):
+        out.extend([_F0] * (k + len(b) - len(out)))
+    for i, c in enumerate(b, k):
+        out[i] += c
+    return _trim(out)
 
 
 def _pneg(a):
@@ -42,7 +52,7 @@ def _pneg(a):
 def _pmul(a, b):
     if _is_zero_poly(a) or _is_zero_poly(b):
         return _ZERO_POLY
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [_F0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -55,18 +65,15 @@ def _pdivmod(a, b):
     if _is_zero_poly(b):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and not (len(r) == 1 and r[0] == 0):
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for j in range(len(b)):
-            r[k + j] -= c * b[j]
-        r = list(_trim(r))
-        if len(r) - 1 < db:
-            break
-    return _trim(q), _trim(r)
+    q = [_F0] * max(len(a) - db, 1)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db]
+        if c:
+            c = q[k] = c / lb
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return _trim(q), _trim(r[:db] or _ZERO_POLY)
 
 
 def _pgcd(a, b):
@@ -77,6 +84,14 @@ def _pgcd(a, b):
         return _ONE_POLY
     lead = a[-1]
     return tuple(c / lead for c in a)
+
+
+def _cancel(a, b):
+    """a / g and b / g for g = gcd(a, b); b monic stays monic."""
+    g = _pgcd(a, b)
+    if len(g) == 1:
+        return a, b
+    return _pdivmod(a, g)[0], _pdivmod(b, g)[0]
 
 
 class Scalar:
@@ -121,16 +136,16 @@ class Scalar:
         value = Fraction(value)
         if value == 0:
             return ZERO
-        return cls(0, (value,), _ONE_POLY)
+        return cls(0, (value,), _ONE_POLY, _normalized=True)
 
     @classmethod
     def q_power(cls, k):
-        return cls(int(k), _ONE_POLY, _ONE_POLY)
+        return cls(int(k), _ONE_POLY, _ONE_POLY, _normalized=True)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return _is_zero_poly(self.num)
+        return not self.num[0]
 
     def is_one(self):
         return self.shift == 0 and self.num == _ONE_POLY and self.den == _ONE_POLY
@@ -155,21 +170,20 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
+        if not self.num[0]:
             return other
-        if other.is_zero():
+        if not other.num[0]:
             return self
-        shift = min(self.shift, other.shift)
-        a = self.num
-        if self.shift > shift:
-            a = (Fraction(0),) * (self.shift - shift) + a
-        b = other.num
-        if other.shift > shift:
-            b = (Fraction(0),) * (other.shift - shift) + b
-        if self.den == other.den:
-            return Scalar(shift, _padd(a, b), self.den)
-        num = _padd(_pmul(a, other.den), _pmul(b, self.den))
-        return Scalar(shift, num, _pmul(self.den, other.den))
+        lo, hi = (self, other) if self.shift <= other.shift else (other, self)
+        k = hi.shift - lo.shift
+        if len(lo.den) == 1 and len(hi.den) == 1:
+            # Laurent polynomials: the sum is canonical once its low zero
+            # coefficients (possible only when k == 0) move into the shift.
+            return _laurent(lo.shift, _padd(lo.num, hi.num, k))
+        if lo.den == hi.den:
+            return Scalar(lo.shift, _padd(lo.num, hi.num, k), lo.den)
+        num = _padd(_pmul(lo.num, hi.den), _pmul(hi.num, lo.den), k)
+        return Scalar(lo.shift, num, _pmul(lo.den, hi.den))
 
     __radd__ = __add__
 
@@ -192,18 +206,39 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a[0] or not c[0]:
             return ZERO
-        return Scalar(self.shift + other.shift,
-                      _pmul(self.num, other.num),
-                      _pmul(self.den, other.den))
+        shift = self.shift + other.shift
+        # a monomial factor c*q^s keeps the other factor in lowest terms
+        if len(c) == 1 and len(d) == 1:
+            return _scaled(shift, a, b, c[0])
+        if len(a) == 1 and len(b) == 1:
+            return _scaled(shift, c, d, a[0])
+        if len(b) == 1 and len(d) == 1:
+            # Laurent polynomials: the product is in lowest terms
+            return Scalar(shift, _pmul(a, c), _ONE_POLY, _normalized=True)
+        # a/b * c/d: gcd(a, b) = gcd(c, d) = 1, so only the cross gcds
+        # gcd(a, d) and gcd(c, b) can be common factors; the quotients of
+        # the monic b and d by monic gcds stay monic, and so does b*d.
+        if len(a) > 1 and len(d) > 1:
+            a, d = _cancel(a, d)
+        if len(c) > 1 and len(b) > 1:
+            c, b = _cancel(c, b)
+        return Scalar(shift, _pmul(a, c), _pmul(b, d), _normalized=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        num, den = self.num, self.den
+        if not num[0]:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(-self.shift, self.den, self.num)
+        # gcd(den, num) = 1 still holds; only the new den must be made monic
+        lead = num[-1]
+        if lead != 1:
+            num = tuple(x / lead for x in num)
+            den = tuple(x / lead for x in den)
+        return Scalar(-self.shift, den, num, _normalized=True)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -244,7 +279,7 @@ class Scalar:
         return hash((self.shift, self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num[0])
 
     # -- serialization -----------------------------------------------------
 
@@ -295,6 +330,23 @@ class Scalar:
         num = _parse_poly(num_s)
         den = _parse_poly(den_s) if den_s is not None else {0: Fraction(1)}
         return _from_exp_map(num) / _from_exp_map(den)
+
+
+def _scaled(shift, num, den, c):
+    """q^shift * c * num / den for canonical num / den and rational c != 0."""
+    if c != 1:
+        num = tuple(x * c for x in num)
+    return Scalar(shift, num, den, _normalized=True)
+
+
+def _laurent(shift, coeffs):
+    """The canonical q^shift * coeffs, for trimmed Laurent coefficients."""
+    if not coeffs[-1]:
+        return ZERO
+    t = 0
+    while not coeffs[t]:
+        t += 1
+    return Scalar(shift + t, coeffs[t:], _ONE_POLY, _normalized=True)
 
 
 def _gcd_int(a, b):

@@ -63,6 +63,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "kac-dim", "--space", "super(2|0)",
                          "--weight", "0,1")
     assert code == 2
+    code, doc = run_json(capsys, "typicality", "--space", "super(1|1)",
+                         "--weight", "1/0,2")
+    assert code == 2 and "bad weight coordinate" in doc["error"]
 
 
 def test_unsupported_factor_exit_2(capsys):

@@ -1,7 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from colourgl.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
@@ -77,3 +80,134 @@ def test_integer_coefficient_serialisation():
     text = str(s)
     assert text == "q/2"
     assert Scalar.parse(text) == s
+
+
+# -- canonical form against an independent oracle (sympy.cancel) -----------
+
+QS = sympy.Symbol("q")
+# small factors, so that generated fractions share factors with each other
+FACTORS = ((1, 1), (-1, 1), (2, 1), (-1, 2), (1, 0, 1), (1, 1, 1))
+COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+SHIFT = st.integers(-3, 3)
+
+
+def _poly_product(factors, scale):
+    out = (Fraction(scale),)
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return out
+
+
+def _coeff_list(min_size, max_size):
+    return st.lists(COEFF, min_size=min_size, max_size=max_size).filter(any)
+
+
+# raw (shift, num, den) constructor input of each shape
+RAW_ZERO = st.builds(lambda s: (s, (Fraction(0),), (Fraction(1),)), SHIFT)
+RAW_MONOMIAL = st.builds(lambda s, c: (s, (c,), (Fraction(1),)),
+                         SHIFT, COEFF.filter(bool))
+RAW_LAURENT = st.builds(lambda s, n: (s, tuple(n), (Fraction(1),)),
+                        SHIFT, _coeff_list(2, 4))
+RAW_FRACTION = st.builds(lambda s, n, d: (s, tuple(n), tuple(d)),
+                         SHIFT, _coeff_list(1, 4),
+                         _coeff_list(2, 3).filter(lambda d: any(d[1:])))
+RAW_FACTORED = st.builds(
+    lambda s, c, n, d, k: (s, _poly_product(n, c), _poly_product(d, k)),
+    SHIFT, COEFF.filter(bool),
+    st.lists(st.sampled_from(FACTORS), max_size=3),
+    st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2),
+    st.sampled_from((1, -2, Fraction(1, 3))))
+RAW = st.one_of(RAW_ZERO, RAW_MONOMIAL, RAW_LAURENT, RAW_FRACTION,
+                RAW_FACTORED)
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _sym_poly(coeffs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * QS ** i
+               for i, c in enumerate(coeffs))
+
+
+def _sym(raw):
+    shift, num, den = raw
+    return QS ** shift * _sym_poly(num) / _sym_poly(den)
+
+
+def _fractions(expr):
+    """Ascending Fraction coefficients of a sympy polynomial in q."""
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(sympy.Poly(expr, QS).all_coeffs())]
+
+
+def _canonical(expr):
+    """(shift, num, den) of expr in the canonical form, from sympy.cancel."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num, den = _fractions(num), _fractions(den)
+    if not any(num):
+        return 0, (Fraction(0),), (Fraction(1),)
+    shift = 0
+    while not num[0]:
+        num.pop(0)
+        shift += 1
+    while not den[0]:
+        den.pop(0)
+        shift -= 1
+    lead = den[-1]
+    return (shift, tuple(c / lead for c in num),
+            tuple(c / lead for c in den))
+
+
+def _check(result, expr):
+    form = (result.shift, result.num, result.den)
+    assert form == _canonical(expr)
+    again = Scalar(*form)
+    assert (again.shift, again.num, again.den) == form
+    assert all(type(c) is Fraction for c in result.num + result.den)
+    assert result.den[-1] == 1 and result.den[0] != 0
+    if result.is_zero():
+        assert form == (0, (Fraction(0),), (Fraction(1),))
+    else:
+        assert result.num[0] != 0 and result.num[-1] != 0
+        num, den = (sympy.Poly(list(reversed(p)), QS, domain=sympy.QQ)
+                    for p in (result.num, result.den))
+        assert num.gcd(den).degree() == 0
+
+
+@ORACLE
+@given(RAW)
+def test_constructor_matches_sympy_cancel(raw):
+    _check(Scalar(*raw), _sym(raw))
+
+
+@ORACLE
+@given(RAW, RAW)
+def test_field_operations_match_sympy_cancel(rx, ry):
+    x, y = Scalar(*rx), Scalar(*ry)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        _check(op(x, y), op(_sym(rx), _sym(ry)))
+    # cancellation: the low coefficients of y drop out of the sum
+    _check((x + y) - y, _sym(rx))
+    if not y.is_zero():
+        _check((x * y) / y, _sym(rx))
+
+
+@ORACLE
+@given(RAW, st.integers(-3, 3))
+def test_inverse_and_powers_match_sympy_cancel(rx, k):
+    x = Scalar(*rx)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        if k >= 0:
+            _check(x ** k, _sym(rx) ** k if k else sympy.Integer(1))
+        return
+    _check(x.inverse(), 1 / _sym(rx))
+    _check(x ** k, _sym(rx) ** k)
