@@ -2,8 +2,10 @@
 
 Every subcommand emits one JSON report (sorted keys) or, for tables, TSV.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
-unsupported/over-budget request.  Output is byte-deterministic for a given
-job; timing is opt-in via --timing so the default report stays stable.
+unsupported/over-budget request, 3 an internal error (any other exception,
+reported as JSON rather than a traceback).  Output is byte-deterministic
+for a given job; timing is opt-in via --timing so the default report stays
+stable.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def cmd_verify(args):
     space = load_space(args.space)
     rng = random.Random(args.seed)
     suites = run_verification(space, level=args.level, rng=rng)
-    ok = all(s["passed"] for s in suites)
+    ok = all(s["passed"] for s in suites if not s.get("skipped"))
     report = make_report("verify", args, {"suites": suites}, ok=ok)
     emit(report, args)
     return 0 if ok else 1
@@ -371,6 +373,11 @@ def main(argv=None):
         print(json.dumps({"kind": "verification-failure", "ok": False,
                           "error": str(exc)}, sort_keys=True, indent=2))
         return 1
+    except Exception as exc:  # the CLI boundary: a defect, not bad input
+        print(json.dumps({"kind": "internal-error", "ok": False,
+                          "error": f"{type(exc).__name__}: {exc}"},
+                         sort_keys=True, indent=2))
+        return 3
 
 
 if __name__ == "__main__":

@@ -107,36 +107,50 @@ def dim_glN(lam, n):
     return int(value)
 
 
-@lru_cache(maxsize=None)
 def count_hook_tableaux(lam, m_plus, m_minus):
     """k(lambda): the number of semistandard (M+, M-)-tableaux of shape
-    lambda, by exhaustive row-by-row enumeration with pruning."""
+    lambda.  The cells holding letters <= t form a partition, each unprimed
+    letter adds a horizontal strip and each primed letter a vertical strip,
+    so k(lambda) counts the strip chains from () to lambda; the counts are
+    read from the exhaustive transfer table of all shapes of that size,
+    which holds no shape outside the hook."""
     lam = check_partition(lam)
-    if not in_hook(lam, m_plus, m_minus):
-        return 0
-    if not lam:
-        return 1
-    letters = m_plus + m_minus  # x <= m_plus unprimed, x > m_plus primed
-    rows = len(lam)
+    return _strip_table(sum(lam), m_plus, m_minus).get(lam, 0)
 
-    def fill_row(i, prev_row, row, j, count):
-        if j == lam[i]:
-            return count + fill(i + 1, tuple(row))
-        above = prev_row[j] if prev_row is not None else 0
-        left = row[j - 1] if j > 0 else 0
-        for x in range(max(above, left, 1), letters + 1):
-            if x == left and x > m_plus:
-                continue  # primed letters strict along rows
-            if x == above and above <= m_plus:
-                continue  # unprimed letters strict down columns
-            row.append(x)
-            count = fill_row(i, prev_row, row, j + 1, count)
-            row.pop()
-        return count
 
-    def fill(i, prev_row):
-        if i == rows:
-            return 1
-        return fill_row(i, prev_row, [], 0, 0)
+@lru_cache(maxsize=None)
+def _strip_table(size, m_plus, m_minus):
+    """Shape -> number of strip chains, for every shape of `size` cells
+    reached by the m_plus unprimed and m_minus primed letters."""
+    counts = {(): 1}
+    for vertical in (False,) * m_plus + (True,) * m_minus:
+        step = {}
+        for shape, count in counts.items():
+            grown = []
+            _grow_strip(shape, vertical, 0, (), size - sum(shape), grown)
+            for new in grown:
+                step[new] = step.get(new, 0) + count
+        counts = step
+    return {shape: count for shape, count in counts.items()
+            if sum(shape) == size}
 
-    return fill(0, None)
+
+def _grow_strip(shape, vertical, i, rows, budget, out):
+    """Append to out every partition shape + strip with at most `budget`
+    more cells: a horizontal strip adds at most one cell per column, a
+    vertical strip at most one per row.  rows holds the new rows < i."""
+    old = shape[i] if i < len(shape) else 0
+    if vertical:
+        top = old + 1 if not i or rows[-1] > old else old
+    elif i:
+        top = shape[i - 1] if i <= len(shape) else 0
+    else:
+        top = old + budget
+    for new in range(old, min(top, old + budget) + 1):
+        left = budget - new + old
+        if not new:
+            out.append(rows)
+        elif left:
+            _grow_strip(shape, vertical, i + 1, rows + (new,), left, out)
+        else:
+            out.append(rows + (new,) + shape[i + 1:])

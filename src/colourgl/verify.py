@@ -1,7 +1,8 @@
 """Batch verification suites behind the `verify` subcommand.
 
-Each suite returns {"name", "passed", "detail"}; seeded randomness makes a
-job reproducible from its inputs alone.
+Each suite returns {"name", "passed", "detail"}; a suite that did not run
+returns "passed": null and "skipped": true instead of a verdict.  Seeded
+randomness makes a job reproducible from its inputs alone.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def suite_forms(space, rng, samples):
 
 def suite_fock(space, rng, copies):
     if space.dim > 4:
-        return True, "skipped (dim V too big)"
+        return None, "skipped (dim V too big)"
     gens = [WeylElement.x_gen(space, copies, a, r)
             for a in range(space.dim) for r in range(copies)]
     gens += [WeylElement.d_gen(space, copies, a, r)
@@ -175,7 +176,7 @@ def suite_fock(space, rng, copies):
 
 def suite_dual_pair(space, rng, copies):
     if space.dim > 3:
-        return True, "skipped (dim V too big)"
+        return None, "skipped (dim V too big)"
     ok = verify_dual_pair(space, copies)
     return ok, f"N = {copies} exhaustive brackets"
 
@@ -196,6 +197,10 @@ def run_verification(space, level="full", rng=None):
     results = []
     for name, fn, arg in plan:
         passed, detail = fn(space, rng, arg)
-        results.append({"name": name, "passed": bool(passed),
-                        "detail": detail})
+        if passed is None:
+            results.append({"name": name, "passed": None, "skipped": True,
+                            "detail": detail})
+        else:
+            results.append({"name": name, "passed": bool(passed),
+                            "detail": detail})
     return results

@@ -19,6 +19,9 @@ from .partitions import (count_hook_tableaux, dim_glN, lambda_sharp,
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
+MONOMIAL_CAP = 10 ** 6
+
+
 class ResourceBoundExceeded(RuntimeError):
     """An exact computation was refused because the state space is too big."""
 
@@ -370,24 +373,21 @@ class OmegaPolyAlgebra:
         self.parities = [factor.parity(d) for d in self.degrees]
 
     def monomials(self, total):
-        """Sorted degree-`total` monomials, odd generators square-free."""
+        """Sorted degree-`total` monomials, odd generators square-free, in
+        lexicographic order."""
+        n = len(self.parities)
+        room = [0] * (n + 1)  # most generators the suffix g.. can supply
+        for g in range(n - 1, -1, -1):
+            room[g] = total if self.parities[g] == 1 else room[g + 1] + 1
         out = []
-        for combo in itertools.combinations_with_replacement(
-                range(len(self.degrees)), total):
-            ok = True
-            for g, grp in itertools.groupby(combo):
-                if self.parities[g] == -1 and len(list(grp)) > 1:
-                    ok = False
-                    break
-            if ok:
-                out.append(combo)
+        _grow_monomials(self.parities, room, 0, total, (), out)
         return out
 
     def count_monomials(self, total):
         even = sum(1 for p in self.parities if p == 1)
         odd = len(self.parities) - even
-        return sum(_multichoose(even, i) * comb(odd, total - i)
-                   for i in range(total + 1)) if total >= 0 else 0
+        return sum(_multichoose(even, total - j) * comb(odd, j)
+                   for j in range(min(odd, total) + 1))
 
     def omega(self, g, h):
         return self.factor.omega(self.degrees[g], self.degrees[h])
@@ -433,6 +433,30 @@ class OmegaPolyAlgebra:
         return out
 
 
+def _grow_monomials(parities, room, start, left, prefix, out):
+    """Append to out every sorted completion of prefix by `left` generators
+    >= start: each next generator g comes with a multiplicity k >= 1, at
+    most 1 for an odd g, and at least what the generators after g cannot
+    supply.  Larger k first keeps the lexicographic order."""
+    if not left:
+        out.append(prefix)
+        return
+    n = len(parities)
+    for g in range(start, n):
+        if room[g] < left:
+            break
+        low = left - room[g + 1]
+        for k in range(left if parities[g] == 1 else 1,
+                       low - 1 if low > 0 else 0, -1):
+            run = prefix + (g,) * k
+            if k == left:
+                out.append(run)
+            elif k == left - 1:  # any one later generator completes it
+                out.extend([run + (h,) for h in range(g + 1, n)])
+            else:
+                _grow_monomials(parities, room, g + 1, left - k, run, out)
+
+
 # -- Howe duality dimension sweeps -------------------------------------------
 
 def fock_algebra(space, copies, dual=False):
@@ -445,20 +469,26 @@ def fock_algebra(space, copies, dual=False):
     return OmegaPolyAlgebra(space.factor, degrees)
 
 
-def _fock_dimension_closed_form(space, copies, total):
-    mp, mm = space.m_plus * copies, space.m_minus * copies
-    return sum(_multichoose(mp, i) * comb(mm, total - i)
-               for i in range(total + 1))
+def _guard_monomials(alg, max_degree):
+    """Refuse, before enumerating anything, a sweep whose monomials of
+    degree <= max_degree number more than MONOMIAL_CAP."""
+    size = 0
+    for d in range(max_degree + 1):
+        size += alg.count_monomials(d)
+        if size > MONOMIAL_CAP:
+            raise ResourceBoundExceeded(f"the sweep to degree {d}", size,
+                                        MONOMIAL_CAP)
 
 
 def howe_dimension_sweep(space, copies, max_degree, dual=False):
-    """Per degree d: dim S^d (monomial count, cross-checked against the
-    closed form) against sum_lambda k(lambda) dim L_lambda(gl_N)."""
+    """Per degree d: dim S^d (monomial count, cross-checked against
+    count_monomials) against sum_lambda k(lambda) dim L_lambda(gl_N)."""
     alg = fock_algebra(space, copies, dual=dual)
+    _guard_monomials(alg, max_degree)
     rows = []
     for d in range(max_degree + 1):
         count = len(alg.monomials(d))
-        closed = _fock_dimension_closed_form(space, copies, d)
+        closed = alg.count_monomials(d)
         if count != closed:
             raise AssertionError(
                 f"monomial count {count} != closed form {closed} at d={d}")
@@ -483,6 +513,7 @@ def glvv_decomposition(space_v, space_w, max_degree, pair_size=None):
     degrees = [dw - dv
                for dv in space_v.degrees for dw in space_w.degrees]
     alg = OmegaPolyAlgebra(space_v.factor, degrees)
+    _guard_monomials(alg, max_degree)
     rows = []
     for d in range(max_degree + 1):
         count = len(alg.monomials(d))

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from colourgl import cli
 from colourgl.cli import main
 
 
@@ -87,6 +89,38 @@ def test_resource_guard_exit_2(capsys):
                          "--power", "12")
     assert code == 2
     assert "bound" in doc["error"]
+
+
+def test_monomial_guard_exit_2_fast(capsys):
+    # 2.68e9 monomials at d = 16 alone: refused before any enumeration
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "howe-sweep", "--space", "super(3|3)",
+                         "--copies", "4", "--max-degree", "16")
+    assert code == 2 and "bound" in doc["error"]
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_reports_skipped_suites(capsys):
+    code, doc = run_json(capsys, "verify", "--space", "super(3|3)",
+                         "--level", "quick")
+    assert code == 0 and doc["ok"] is True
+    suites = {s["name"]: s for s in doc["results"]["suites"]}
+    for name in ("fock-module", "dual-pair"):
+        assert suites[name]["skipped"] is True
+        assert suites[name]["passed"] is None
+    ran = [s for s in suites.values() if "skipped" not in s]
+    assert len(ran) == 6 and all(s["passed"] is True for s in ran)
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_presets", broken)
+    code, doc = run_json(capsys, "presets")
+    assert code == 3
+    assert doc == {"kind": "internal-error", "ok": False,
+                   "error": "RuntimeError: boom"}
 
 
 def test_space_file_input(capsys, tmp_path):

@@ -7,6 +7,30 @@ from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
                                  lambda_sharp, partitions_of, transpose)
 
 
+def leaf_by_leaf_hook_tableaux(lam, m_plus, m_minus):
+    """Independent k(lambda): fill the tableau cell by cell, row by row,
+    and count every completed filling."""
+    letters = m_plus + m_minus  # x <= m_plus unprimed, x > m_plus primed
+
+    def fill_row(i, prev_row, row, j):
+        if i == len(lam):
+            return 1
+        if j == lam[i]:
+            return fill_row(i + 1, row, [], 0)
+        above = prev_row[j] if prev_row is not None else 0
+        left = row[j - 1] if j > 0 else 0
+        count = 0
+        for x in range(max(above, left, 1), letters + 1):
+            if x == left and x > m_plus:
+                continue  # primed letters strict along rows
+            if x == above and above <= m_plus:
+                continue  # unprimed letters strict down columns
+            count += fill_row(i, prev_row, row + [x], j + 1)
+        return count
+
+    return fill_row(0, None, [], 0)
+
+
 def brute_force_standard_tableaux(lam):
     """Independent SYT count: place 1..n one at a time."""
     if not lam:
@@ -114,6 +138,36 @@ def test_hook_tableaux_examples():
         for size in range(1, 5):
             for lam in partitions_of(size):
                 assert count_hook_tableaux(lam, m, 0) == dim_glN(lam, m)
+
+
+def test_hook_tableaux_against_leaf_by_leaf_oracle():
+    for size in range(9):
+        for lam in partitions_of(size):
+            for m_plus in range(4):
+                for m_minus in range(4):
+                    assert count_hook_tableaux(lam, m_plus, m_minus) == \
+                        leaf_by_leaf_hook_tableaux(lam, m_plus, m_minus), \
+                        (lam, m_plus, m_minus)
+
+
+def test_hook_tableaux_conjugation_symmetry():
+    # swapping the roles of unprimed and primed letters transposes the shape
+    for size in range(11):
+        for lam in partitions_of(size):
+            for m_plus in range(4):
+                for m_minus in range(4):
+                    assert count_hook_tableaux(lam, m_plus, m_minus) == \
+                        count_hook_tableaux(transpose(lam), m_minus, m_plus)
+
+
+def test_hook_tableaux_edge_cases():
+    for m_plus, m_minus in [(0, 0), (1, 0), (0, 1), (3, 3)]:
+        assert count_hook_tableaux((), m_plus, m_minus) == 1
+    assert count_hook_tableaux((1,), 0, 0) == 0
+    assert count_hook_tableaux((3, 3, 3), 1, 1) == 0  # outside the hook
+    for bad in [(1, 2), (2, -1)]:
+        with pytest.raises(ValueError):
+            count_hook_tableaux(bad, 2, 2)
 
 
 def test_dimension_identity_pins_the_convention():

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colourgl.presets import glq_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
@@ -204,3 +206,32 @@ def test_weyl_bracket_requires_homogeneous(glq11):
     assert mixed.degree() is None
     with pytest.raises(ValueError):
         weyl_bracket(mixed, x)
+
+
+def filtered_monomials(parities, total):
+    """Reference enumeration: every sorted multiset of generators, minus
+    those that repeat an odd generator."""
+    return [combo for combo in itertools.combinations_with_replacement(
+                range(len(parities)), total)
+            if all(parities[g] == 1 or len(list(run)) == 1
+                   for g, run in itertools.groupby(combo))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from((1, -1)), max_size=7), st.integers(0, 6))
+def test_monomials_match_filtered_enumeration(parities, total):
+    space = super_space(1, 1)
+    even, odd = space.degrees
+    alg = OmegaPolyAlgebra(space.factor,
+                           [even if p == 1 else odd for p in parities])
+    monos = alg.monomials(total)
+    assert monos == filtered_monomials(parities, total)
+    assert len(monos) == alg.count_monomials(total)
+
+
+def test_sweeps_refuse_over_cap_before_enumerating():
+    big = super_space(3, 3)
+    with pytest.raises(ResourceBoundExceeded):
+        howe_dimension_sweep(big, 4, 16)
+    with pytest.raises(ResourceBoundExceeded):
+        glvv_decomposition(big, big, 12)
