@@ -21,7 +21,7 @@ from pathlib import Path
 from . import presets
 from .gl import GradedSpace
 from .partitions import (count_hook_tableaux, count_standard_tableaux,
-                         dim_glN, lambda_sharp, partitions_of, in_hook)
+                         dim_glN, hook_partitions, lambda_sharp)
 from .reps import (DualWeightUnsupported, UnsupportedFactor, UnsupportedSpace,
                    casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
@@ -238,9 +238,7 @@ def cmd_tableaux(args):
     space = load_space(args.space)
     mp, mm = space.m_plus, space.m_minus
     rows = []
-    for lam in partitions_of(args.size):
-        if not in_hook(lam, mp, mm):
-            continue
+    for lam in hook_partitions(mp, mm, args.size, args.size):
         row = {"partition": list(lam),
                "k": count_hook_tableaux(lam, mp, mm),
                "f": count_standard_tableaux(lam),

@@ -9,6 +9,12 @@ Matrix units E_ab relative to this basis span gl(V), with bracket
 
 where g_a is the degree of the a-th basis vector.  Weights live in the
 basis eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
+
+Every sparse container of the package (GlElement here; TensorVector,
+SymGroupElement, WeylElement and FockVector elsewhere) is a
+LinearCombination: a dict of nonzero coefficients plus its shape, with
+one addition, negation, scaling and equality.  Every algorithm that sums
+into such a dict does so through _add_into.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class GradedSpace:
         self.degrees = tuple(degrees)       # flat index -> Degree
         self.labels = tuple(labels)         # flat index -> (Degree, i)
         self.parities = tuple(factor.parity(d) for d in self.degrees)
+        self._copy_tables = {}
 
     def flat_index(self, degree, i):
         base = 0
@@ -77,6 +84,19 @@ class GradedSpace:
         return tuple(
             tuple(self.factor.omega(ga, gb) for gb in self.degrees)
             for ga in self.degrees)
+
+    def copy_tables(self, copies):
+        """(odd, om) for the basis (a, r), r < copies, of V x C^copies: the
+        set of odd pairs and om[g][h] = omega(gamma_a, gamma_b), built once
+        per number of copies."""
+        tables = self._copy_tables.get(copies)
+        if tables is None:
+            pairs = [(a, r) for a in range(self.dim) for r in range(copies)]
+            rows = self._omega_table
+            tables = self._copy_tables[copies] = (
+                frozenset(g for g in pairs if self.parities[g[0]] == -1),
+                {g: {h: rows[g[0]][h[0]] for h in pairs} for g in pairs})
+        return tables
 
     def word_degree(self, word):
         total = self.factor.group.zero()
@@ -114,48 +134,77 @@ class GradedSpace:
         return cls(factor, comps)
 
 
-class GlElement:
-    """A Scalar-linear combination of matrix units E_ab."""
+def _add_into(terms, key, coef):
+    """terms[key] += coef, dropping the key when the sum is zero."""
+    old = terms.get(key)
+    new = coef if old is None else old + coef
+    if new:
+        terms[key] = new
+    elif old is not None:
+        del terms[key]
 
-    __slots__ = ("space", "terms")
 
-    def __init__(self, space, terms=None):
-        self.space = space
-        self.terms = {}
-        if terms:
-            for key, coef in terms.items():
-                if coef:
-                    self.terms[key] = coef
+class LinearCombination:
+    """A sparse linear combination: terms maps keys to nonzero coefficients.
 
-    @classmethod
-    def matrix_unit(cls, space, a, b, coef=ONE):
-        return cls(space, {(a, b): coef})
+    A subclass keeps its shape attributes, names them in _shape() in the
+    order of its constructor's leading arguments, and takes the terms
+    last; operands of one type and shape combine, anything else raises
+    SpaceMismatch."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     def _check(self, other):
-        if self.space != other.space:
-            raise SpaceMismatch("elements live over different spaces")
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise SpaceMismatch(f"{type(self).__name__} operands of "
+                                "different shape")
 
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for key, coef in other.terms.items():
-            new = terms.get(key, ZERO) + coef
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return GlElement(self.space, terms)
+            _add_into(terms, key, coef)
+        return type(self)(*self._shape(), terms)
+
+    def __neg__(self):
+        return type(self)(*self._shape(),
+                          {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self):
-        return GlElement(self.space, {k: -c for k, c in self.terms.items()})
-
     def scale(self, coef):
         if not coef:
-            return GlElement(self.space)
-        return GlElement(self.space, {k: coef * c for k, c in self.terms.items()})
+            return type(self)(*self._shape())
+        return type(self)(*self._shape(),
+                          {k: coef * c for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._shape() == self._shape()
+                and self.terms == other.terms)
+
+
+class GlElement(LinearCombination):
+    """A Scalar-linear combination of matrix units E_ab."""
+
+    __slots__ = ("space",)
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        super().__init__(terms)
+
+    def _shape(self):
+        return (self.space,)
+
+    @classmethod
+    def matrix_unit(cls, space, a, b, coef=ONE):
+        return cls(space, {(a, b): coef})
 
     def compose(self, other):
         """Composition of endomorphisms (matrix product, no omega twist)."""
@@ -164,16 +213,8 @@ class GlElement:
         for (a, b), x in self.terms.items():
             for (c, d), y in other.terms.items():
                 if b == c:
-                    key = (a, d)
-                    new = terms.get(key, ZERO) + x * y
-                    if new:
-                        terms[key] = new
-                    else:
-                        terms.pop(key, None)
+                    _add_into(terms, (a, d), x * y)
         return GlElement(self.space, terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def degree(self):
         """The Gamma-degree if homogeneous, else None.  Zero has any degree."""
@@ -195,10 +236,6 @@ class GlElement:
             d = self.space.degrees[a] - self.space.degrees[b]
             parts.setdefault(d, {})[(a, b)] = coef
         return {d: GlElement(self.space, t) for d, t in parts.items()}
-
-    def __eq__(self, other):
-        return (isinstance(other, GlElement) and self.space == other.space
-                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -224,23 +261,15 @@ def bracket(x, y):
     space = x.space
     degrees = space.degrees
     terms = {}
-
-    def _acc(key, coef):
-        new = terms.get(key, ZERO) + coef
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-
     for (a, b), cx in x.terms.items():
         for (c, d), cy in y.terms.items():
             coef = cx * cy
             if b == c:
-                _acc((a, d), coef)
+                _add_into(terms, (a, d), coef)
             if d == a:
                 om = space.omega(degrees[a] - degrees[b],
                                  degrees[c] - degrees[d])
-                _acc((c, b), -om * coef)
+                _add_into(terms, (c, b), -om * coef)
     return GlElement(space, terms)
 
 

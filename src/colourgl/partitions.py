@@ -54,10 +54,12 @@ def in_hook(lam, m_plus, m_minus):
 
 
 def hook_partitions(m_plus, m_minus, depth_bound, size):
-    """All lambda of the given size in P_{M+|M-} with depth <= depth_bound."""
-    return [lam for lam in partitions_of(size)
-            if in_hook(lam, m_plus, m_minus)
-            and len(lam) <= depth_bound]
+    """All lambda of the given size in P_{M+|M-} with depth <= depth_bound,
+    in the order of partitions_of.  They are the shapes of the strip table
+    of that size, which holds every hook shape and no other."""
+    return [lam for lam in sorted(_strip_table(size, m_plus, m_minus),
+                                  reverse=True)
+            if len(lam) <= depth_bound]
 
 
 def lambda_sharp(lam, m_plus, m_minus):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gl import GlElement, basis_weight, rho, weight_inner
+from .gl import GlElement, _add_into, basis_weight, rho, weight_inner
 from .partitions import (check_partition, dim_glN, lambda_sharp, transpose,
                          in_hook)
 from .scalars import ONE, Scalar
@@ -406,12 +406,7 @@ class KacModule:
             while pos < len(S) and S[pos] < sid:
                 sign *= self._sign(deg, self.pair_degree[S[pos]])
                 pos += 1
-            key = (S[:pos] + (sid,) + S[pos:], kp, km)
-            new = out.get(key, Fraction(0)) + sign * coef
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            _add_into(out, (S[:pos] + (sid,) + S[pos:], kp, km), sign * coef)
         return out
 
     def _act_l0(self, a, b, kp, km):
@@ -468,35 +463,24 @@ class KacModule:
         #   - omega(deg_x, deg_F) delta_{i,a} E_{rb,b}
         if b == rb:
             for key, coef in self.act(a, i, rest).items():
-                new = out.get(key, Fraction(0)) + coef
-                out[key] = new
+                _add_into(out, key, coef)
         if a == i:
             om = self._sign(deg_x, self.pair_degree[sid])
             for key, coef in self.act(rb, b, rest).items():
-                new = out.get(key, Fraction(0)) - om * coef
-                out[key] = new
-        out = {k: v for k, v in out.items() if v}
+                _add_into(out, key, -om * coef)
         # pass-through term omega(deg_x, deg_F) F_{sid} (E_ab rest)
         om = self._sign(deg_x, self.pair_degree[sid])
         inner = self.act(a, b, rest)
         for key, coef in self._prepend_pair(
                 sid, {k: om * c for k, c in inner.items()}).items():
-            new = out.get(key, Fraction(0)) + coef
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            _add_into(out, key, coef)
         return out
 
     def act_vector(self, a, b, vec):
         out = {}
         for el, coef in vec.items():
             for key, c in self.act(a, b, el).items():
-                new = out.get(key, Fraction(0)) + coef * c
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                _add_into(out, key, coef * c)
         return out
 
     def _l0_norm(self, kp, km):

@@ -11,26 +11,26 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .gl import GlElement, SpaceMismatch, basis_weight
+from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
+                 basis_weight)
 from .partitions import (check_partition, count_hook_tableaux,
-                         count_standard_tableaux, in_hook, lambda_sharp,
-                         partitions_of, transpose)
+                         count_standard_tableaux, hook_partitions, in_hook,
+                         lambda_sharp, transpose)
 from .scalars import ONE, Scalar, ZERO
 
 
-class TensorVector:
+class TensorVector(LinearCombination):
     """A Scalar-linear combination of basis words of V^(tensor r)."""
 
-    __slots__ = ("space", "power", "terms")
+    __slots__ = ("space", "power")
 
     def __init__(self, space, power, terms=None):
         self.space = space
         self.power = power
-        self.terms = {}
-        if terms:
-            for word, coef in terms.items():
-                if coef:
-                    self.terms[word] = coef
+        super().__init__(terms)
+
+    def _shape(self):
+        return (self.space, self.power)
 
     @classmethod
     def basis_word(cls, space, word, coef=ONE):
@@ -38,33 +38,6 @@ class TensorVector:
         if any(not 0 <= a < space.dim for a in word):
             raise IndexError("word letter out of range")
         return cls(space, len(word), {word: coef})
-
-    def _check(self, other):
-        if self.space != other.space or self.power != other.power:
-            raise SpaceMismatch("tensor vectors of different type")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for word, coef in other.terms.items():
-            new = terms.get(word, ZERO) + coef
-            if new:
-                terms[word] = new
-            else:
-                terms.pop(word, None)
-        return TensorVector(self.space, self.power, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, coef):
-        if not coef:
-            return TensorVector(self.space, self.power)
-        return TensorVector(self.space, self.power,
-                            {w: coef * c for w, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def weight(self):
         """The h*-weight if all words share one, else None."""
@@ -86,10 +59,6 @@ class TensorVector:
             elif deg != d:
                 return None
         return deg
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorVector) and self.space == other.space
-                and self.power == other.power and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -116,11 +85,7 @@ def braiding_apply(i, v):
     for word, coef in v.terms.items():
         om = space.omega_flat(word[i], word[i + 1])
         swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        new = terms.get(swapped, ZERO) + om * coef
-        if new:
-            terms[swapped] = new
-        else:
-            terms.pop(swapped, None)
+        _add_into(terms, swapped, om * coef)
     return TensorVector(space, v.power, terms)
 
 
@@ -150,57 +115,35 @@ def apply_permutation(perm, v):
     return v
 
 
-class SymGroupElement:
+class SymGroupElement(LinearCombination):
     """A formal Scalar-linear combination of permutations of r slots."""
 
-    __slots__ = ("power", "terms")
+    __slots__ = ("power",)
 
     def __init__(self, power, terms=None):
         self.power = power
-        self.terms = {}
-        if terms:
-            for perm, coef in terms.items():
-                if coef:
-                    self.terms[perm] = coef
+        super().__init__(terms)
 
-    def __add__(self, other):
-        if self.power != other.power:
-            raise ValueError("group algebra elements of different degree")
-        terms = dict(self.terms)
-        for perm, coef in other.terms.items():
-            new = terms.get(perm, ZERO) + coef
-            if new:
-                terms[perm] = new
-            else:
-                terms.pop(perm, None)
-        return SymGroupElement(self.power, terms)
+    def _shape(self):
+        return (self.power,)
 
     def __mul__(self, other):
         """Product in the group algebra: (p*q) acts as p after q."""
-        if self.power != other.power:
-            raise ValueError("group algebra elements of different degree")
+        self._check(other)
         terms = {}
         for p, cp in self.terms.items():
             for q, cq in other.terms.items():
-                comp = tuple(p[q[i]] for i in range(self.power))
-                new = terms.get(comp, ZERO) + cp * cq
-                if new:
-                    terms[comp] = new
-                else:
-                    terms.pop(comp, None)
+                _add_into(terms, tuple(p[i] for i in q), cp * cq)
         return SymGroupElement(self.power, terms)
 
     def apply(self, v):
         if v.power != self.power:
-            raise ValueError("group algebra element does not match power")
-        out = TensorVector(v.space, v.power)
+            raise SpaceMismatch("group algebra element does not match power")
+        terms = {}
         for perm, coef in self.terms.items():
-            out = out + apply_permutation(perm, v).scale(coef)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, SymGroupElement)
-                and self.power == other.power and self.terms == other.terms)
+            for word, c in apply_permutation(perm, v).terms.items():
+                _add_into(terms, word, coef * c)
+        return TensorVector(v.space, v.power, terms)
 
     def __repr__(self):
         return f"SymGroupElement({self.terms})"
@@ -291,9 +234,8 @@ def gl_act_tensor(x, v):
         raise SpaceMismatch("operator and vector over different spaces")
     space = v.space
     parts = x.homogeneous_parts() if x.degree() is None else {x.degree(): x}
-    out = TensorVector(space, v.power)
+    terms = {}
     for deg, part in parts.items():
-        terms = {}
         for word, coef in v.terms.items():
             prefix = ONE
             for j, letter in enumerate(word):
@@ -301,15 +243,9 @@ def gl_act_tensor(x, v):
                     prefix = prefix * space.omega(deg, space.degrees[word[j - 1]])
                 for (a, b), xc in part.terms.items():
                     if b == letter:
-                        new_word = word[:j] + (a,) + word[j + 1:]
-                        add = prefix * xc * coef
-                        cur = terms.get(new_word, ZERO) + add
-                        if cur:
-                            terms[new_word] = cur
-                        else:
-                            terms.pop(new_word, None)
-        out = out + TensorVector(space, v.power, terms)
-    return out
+                        _add_into(terms, word[:j] + (a,) + word[j + 1:],
+                                  prefix * xc * coef)
+    return TensorVector(space, v.power, terms)
 
 
 def seed_word(space, lam):
@@ -356,9 +292,7 @@ def schur_weyl_table(space, r, verify=True):
     mp, mm = space.m_plus, space.m_minus
     rows = []
     total = 0
-    for lam in partitions_of(r):
-        if not in_hook(lam, mp, mm):
-            continue
+    for lam in hook_partitions(mp, mm, r, r):
         k = count_hook_tableaux(lam, mp, mm)
         f = count_standard_tableaux(lam)
         sharp = lambda_sharp(lam, mp, mm)
@@ -396,12 +330,7 @@ def dual_act(x, wbar):
             c = wbar.get(a)
             if c:
                 om = space.omega(deg, -space.degrees[a])
-                add = -om * coef * c
-                cur = out.get(b, ZERO) + add
-                if cur:
-                    out[b] = cur
-                else:
-                    out.pop(b, None)
+                _add_into(out, b, -om * coef * c)
     return out
 
 

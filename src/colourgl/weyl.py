@@ -6,17 +6,32 @@ are normal ordered: all x's left of all d's, each block sorted by (a, r),
 odd generators square-free.  The straightening rule is the graded CCR
 
     d(a,r) x(b,s) = omega(-gamma_a, gamma_b) x(b,s) d(a,r) + delta_ab delta_rs.
+
+Graded-commutative straightening is one routine, _merge: the product of
+two sorted words, each letter of the right word entering from the right
+and passing the larger letters before it.  It multiplies x-words, Fock
+monomials and OmegaPolyAlgebra monomials, and merges a d into a d-word
+from the left as _merge((d,), ds).  One walk, _derive, gives d_g's
+contractions against an x-monomial and the factor for d_g passing all of
+it.  Both read omega from a table om[g][h] = omega(gamma_g, gamma_h),
+built once per (space, copies) by GradedSpace.copy_tables and once per
+OmegaPolyAlgebra.  As omega is a commutative factor (Scheunert 1979),
+omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
+omega(gamma_h, gamma_g), so that one table serves x's, d's and
+contractions.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import comb
 
-from .gl import GlElement, SpaceMismatch, bracket
-from .partitions import (count_hook_tableaux, dim_glN, lambda_sharp,
-                         partitions_of, in_hook)
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
+                 bracket)
+from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
+                         in_hook, lambda_sharp)
+from .scalars import MINUS_ONE, ONE
 
 
 MONOMIAL_CAP = 10 ** 6
@@ -32,14 +47,6 @@ class ResourceBoundExceeded(RuntimeError):
         self.bound = bound
 
 
-def _accumulate(store, key, coef):
-    new = store.get(key, ZERO) + coef
-    if new:
-        store[key] = new
-    else:
-        store.pop(key, None)
-
-
 def _multichoose(n, k):
     """Multisets of size k from n symbols; 1 for k = 0 even when n = 0."""
     if k == 0:
@@ -47,19 +54,18 @@ def _multichoose(n, k):
     return comb(n + k - 1, k) if n > 0 else 0
 
 
-class WeylElement:
+class WeylElement(LinearCombination):
     """A Scalar-linear combination of normal-ordered words (xs, ds)."""
 
-    __slots__ = ("space", "copies", "terms")
+    __slots__ = ("space", "copies")
 
     def __init__(self, space, copies, terms=None):
         self.space = space
         self.copies = copies
-        self.terms = {}
-        if terms:
-            for key, coef in terms.items():
-                if coef:
-                    self.terms[key] = coef
+        super().__init__(terms)
+
+    def _shape(self):
+        return (self.space, self.copies)
 
     @classmethod
     def one(cls, space, copies):
@@ -80,29 +86,6 @@ class WeylElement:
         if not (0 <= a < space.dim and 0 <= r < copies):
             raise IndexError(f"generator ({a},{r}) out of range")
 
-    def _check(self, other):
-        if self.space != other.space or self.copies != other.copies:
-            raise SpaceMismatch("Weyl elements with different parameters")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            _accumulate(terms, key, coef)
-        return WeylElement(self.space, self.copies, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, coef):
-        if not coef:
-            return WeylElement(self.space, self.copies)
-        return WeylElement(self.space, self.copies,
-                           {k: coef * c for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         """Gamma-degree when homogeneous, else None."""
         deg = None
@@ -119,10 +102,6 @@ class WeylElement:
                 return None
         return deg if deg is not None else space.factor.group.zero()
 
-    def __eq__(self, other):
-        return (isinstance(other, WeylElement) and self.space == other.space
-                and self.copies == other.copies and self.terms == other.terms)
-
     def __repr__(self):
         if not self.terms:
             return "WeylElement(0)"
@@ -135,71 +114,56 @@ class WeylElement:
         return f"WeylElement({body})"
 
 
-def _merge_gen(space, word, g):
-    """Insert generator g (arriving from the right) into the sorted word.
-
-    Returns (coefficient, new word); None when an odd generator repeats."""
-    a = g[0]
-    if space.parities[a] == -1 and g in word:
-        return None
-    coef = ONE
-    pos = len(word)
-    while pos > 0 and word[pos - 1] > g:
-        coef = coef * space.omega_flat(word[pos - 1][0], a)
-        pos -= 1
-    return coef, word[:pos] + (g,) + word[pos:]
-
-
-def _merge_gen_left(space, word, g):
-    """Insert generator g (arriving from the left) into the sorted word."""
-    a = g[0]
-    if space.parities[a] == -1 and g in word:
-        return None
-    coef = ONE
-    pos = 0
-    while pos < len(word) and word[pos] < g:
-        coef = coef * space.omega_flat(a, word[pos][0])
-        pos += 1
-    return coef, word[:pos] + (g,) + word[pos:]
-
-
-def _merge_words(space, w1, w2):
-    """Product w1 * w2 of sorted graded-commutative words."""
+def _merge(w1, w2, odd, om):
+    """The product w1 * w2 of sorted graded-commutative words.  Each
+    generator g of w2 enters from the right and passes the larger letters
+    h before it, each pass giving om[h][g].  Returns (coefficient, sorted
+    word), or None when an odd generator repeats."""
     coef, word = ONE, w1
     for g in w2:
-        step = _merge_gen(space, word, g)
-        if step is None:
+        if g in odd and g in word:
             return None
-        c, word = step
-        coef = coef * c
+        pos = len(word)
+        while pos and word[pos - 1] > g:
+            pos -= 1
+            coef = coef * om[word[pos]][g]
+        word = word[:pos] + (g,) + word[pos:]
     return coef, word
+
+
+def _derive(g, mono, om):
+    """d_g on an x-monomial as a graded derivation of degree -gamma_g:
+    ([(coefficient, monomial)], the factor of d_g passing all of mono).
+    d_g passes x_h with omega(-gamma_g, gamma_h) = om[h][g]."""
+    out = []
+    passing = ONE
+    for j, h in enumerate(mono):
+        if h == g:
+            out.append((passing, mono[:j] + mono[j + 1:]))
+        passing = passing * om[h][g]
+    return out, passing
 
 
 def weyl_multiply(u, v):
     """Normal-ordered product in the Weyl algebra."""
     u._check(v)
-    space = u.space
+    odd, om = u.space.copy_tables(u.copies)
     out = {}
 
     def reduce_term(xs1, ds1, xs2, ds2, coef):
         if not ds1:
-            merged = _merge_words(space, xs1, xs2)
+            merged = _merge(xs1, xs2, odd, om)
             if merged is not None:
                 c, xs = merged
-                _accumulate(out, (xs, ds2), coef * c)
+                _add_into(out, (xs, ds2), coef * c)
             return
         d = ds1[-1]
         rest = ds1[:-1]
-        neg = -space.degrees[d[0]]
-        # contraction of d against each matching x in xs2
-        passing = ONE
-        for k, h in enumerate(xs2):
-            if h == d:
-                reduce_term(xs1, rest, xs2[:k] + xs2[k + 1:], ds2,
-                            coef * passing)
-            passing = passing * space.omega(neg, space.degrees[h[0]])
+        contractions, passing = _derive(d, xs2, om)
+        for c, xs in contractions:
+            reduce_term(xs1, rest, xs, ds2, coef * c)
         # d passes the whole x block and merges into ds2 from the left
-        merged = _merge_gen_left(space, ds2, d)
+        merged = _merge((d,), ds2, odd, om)
         if merged is not None:
             c, new_ds = merged
             reduce_term(xs1, rest, xs2, new_ds, coef * passing * c)
@@ -219,48 +183,23 @@ def weyl_bracket(u, v):
     return weyl_multiply(u, v) - weyl_multiply(v, u).scale(om)
 
 
-class FockVector:
+class FockVector(LinearCombination):
     """An element of the Fock space C_omega[x]: a combination of sorted
     x-monomials (tuples of (a, r) pairs)."""
 
-    __slots__ = ("space", "copies", "terms")
+    __slots__ = ("space", "copies")
 
     def __init__(self, space, copies, terms=None):
         self.space = space
         self.copies = copies
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                if coef:
-                    self.terms[mono] = coef
+        super().__init__(terms)
+
+    def _shape(self):
+        return (self.space, self.copies)
 
     @classmethod
     def vacuum(cls, space, copies):
         return cls(space, copies, {(): ONE})
-
-    def __add__(self, other):
-        if self.space != other.space or self.copies != other.copies:
-            raise SpaceMismatch("Fock vectors with different parameters")
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            _accumulate(terms, mono, coef)
-        return FockVector(self.space, self.copies, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, coef):
-        if not coef:
-            return FockVector(self.space, self.copies)
-        return FockVector(self.space, self.copies,
-                          {m: coef * c for m, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, FockVector) and self.space == other.space
-                and self.copies == other.copies and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -271,25 +210,12 @@ class FockVector:
         return f"FockVector({body})"
 
 
-def _derive(space, g, mono):
-    """d_g applied to an x-monomial as a graded derivation of degree
-    -gamma_g: yields [(coefficient, monomial)]."""
-    neg = -space.degrees[g[0]]
-    out = []
-    passing = ONE
-    for j, h in enumerate(mono):
-        if h == g:
-            out.append((passing, mono[:j] + mono[j + 1:]))
-        passing = passing * space.omega(neg, space.degrees[h[0]])
-    return out
-
-
 def fock_apply(u, f):
     """Apply a Weyl element to a Fock vector: d's act as derivations,
     x's by multiplication."""
     if u.space != f.space or u.copies != f.copies:
         raise SpaceMismatch("operator and Fock vector mismatch")
-    space = u.space
+    odd, om = u.space.copy_tables(u.copies)
     out = {}
     for (xs, ds), cu in u.terms.items():
         for mono, cf in f.terms.items():
@@ -297,14 +223,14 @@ def fock_apply(u, f):
             for g in reversed(ds):
                 nxt = {}
                 for m, c in stage.items():
-                    for dc, dm in _derive(space, g, m):
-                        _accumulate(nxt, dm, c * dc)
+                    for dc, dm in _derive(g, m, om)[0]:
+                        _add_into(nxt, dm, c * dc)
                 stage = nxt
             for m, c in stage.items():
-                merged = _merge_words(space, xs, m)
+                merged = _merge(xs, m, odd, om)
                 if merged is not None:
                     mc, mm = merged
-                    _accumulate(out, mm, c * mc)
+                    _add_into(out, mm, c * mc)
     return FockVector(f.space, f.copies, out)
 
 
@@ -389,25 +315,25 @@ class OmegaPolyAlgebra:
         return sum(_multichoose(even, total - j) * comb(odd, j)
                    for j in range(min(odd, total) + 1))
 
-    def omega(self, g, h):
-        return self.factor.omega(self.degrees[g], self.degrees[h])
+    @cached_property
+    def _tables(self):
+        """(odd, om) for _merge: the odd generators and om[g][h] =
+        omega(degree of g, degree of h), built on the first product."""
+        n = len(self.degrees)
+        return (frozenset(g for g in range(n) if self.parities[g] == -1),
+                tuple(tuple(self.factor.omega(self.degrees[g],
+                                              self.degrees[h])
+                            for h in range(n)) for g in range(n)))
 
     def multiply(self, m1, m2):
         """(coefficient, sorted monomial) or None when a square vanishes."""
-        coef, word = ONE, m1
-        for g in m2:
-            if self.parities[g] == -1 and g in word:
-                return None
-            pos = len(word)
-            while pos > 0 and word[pos - 1] > g:
-                coef = coef * self.omega(word[pos - 1], g)
-                pos -= 1
-            word = word[:pos] + (g,) + word[pos:]
-        return coef, word
+        odd, om = self._tables
+        return _merge(m1, m2, odd, om)
 
     def derivation_apply(self, action, x_degree, mono):
         """Extend a degree-x_degree action on generators to the monomial by
         the graded Leibniz rule.  action maps g -> [(g', Scalar)]."""
+        odd, om = self._tables
         out = {}
         prefix = ONE
         for j, g in enumerate(mono):
@@ -415,21 +341,10 @@ class OmegaPolyAlgebra:
                 prefix = prefix * self.factor.omega(
                     x_degree, self.degrees[mono[j - 1]])
             for g2, coef in action.get(g, ()):
-                total = prefix * coef
-                # place g2 at slot j, then restore sorted order
-                rest = mono[:j] + mono[j + 1:]
-                if self.parities[g2] == -1 and g2 in rest:
-                    continue
-                c2 = total
-                # g2 passes left over larger predecessors and right over
-                # smaller successors to restore sorted order
-                for l, h in enumerate(rest):
-                    if l < j and h > g2:
-                        c2 = c2 * self.omega(h, g2)
-                    elif l >= j and h < g2:
-                        c2 = c2 * self.omega(g2, h)
-                new = tuple(sorted(rest + (g2,)))
-                _accumulate(out, new, c2)
+                # g2 replaces g at slot j and straightens into place
+                merged = _merge(mono[:j], (g2,) + mono[j + 1:], odd, om)
+                if merged is not None:
+                    _add_into(out, merged[1], prefix * coef * merged[0])
         return out
 
 
@@ -494,7 +409,8 @@ def howe_dimension_sweep(space, copies, max_degree, dual=False):
                 f"monomial count {count} != closed form {closed} at d={d}")
         total = sum(count_hook_tableaux(lam, space.m_plus, space.m_minus)
                     * dim_glN(lam, copies)
-                    for lam in partitions_of(d))
+                    for lam in hook_partitions(space.m_plus, space.m_minus,
+                                               copies, d))
         rows.append({"degree": d, "fock_dimension": count,
                      "module_sum": total, "equal": count == total})
     return rows
@@ -520,15 +436,14 @@ def glvv_decomposition(space_v, space_w, max_degree, pair_size=None):
         total = sum(
             count_hook_tableaux(lam, space_v.m_plus, space_v.m_minus)
             * count_hook_tableaux(lam, space_w.m_plus, space_w.m_minus)
-            for lam in partitions_of(d))
+            for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d))
         rows.append({"degree": d, "algebra_dimension": count,
                      "module_sum": total, "equal": count == total})
     pairs = []
     for d in range(0 if pair_size is None else pair_size,
                    (max_degree if pair_size is None else pair_size) + 1):
-        for lam in partitions_of(d):
-            if in_hook(lam, space_v.m_plus, space_v.m_minus) and \
-                    in_hook(lam, space_w.m_plus, space_w.m_minus):
+        for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d):
+            if in_hook(lam, space_w.m_plus, space_w.m_minus):
                 pairs.append({
                     "partition": lam,
                     "sharp_v": lambda_sharp(lam, space_v.m_plus,
@@ -559,7 +474,7 @@ def rank_of_rows(rows):
             if coef:
                 new = dict(r)
                 for c, v in pivot_row.items():
-                    _accumulate(new, c, -coef * v)
+                    _add_into(new, c, -coef * v)
                 if new:
                     reduced.append(new)
             else:
@@ -660,8 +575,8 @@ def invariant_dimension(space, copies, dual_copies, degree,
     nullity = len(basis) - rank_of_rows(rows)
 
     expected = sum(dim_glN(lam, copies) * dim_glN(lam, dual_copies)
-                   for lam in partitions_of(degree)
-                   if in_hook(lam, space.m_plus, space.m_minus))
+                   for lam in hook_partitions(space.m_plus, space.m_minus,
+                                              degree, degree))
     if nullity != expected:
         raise AssertionError(
             f"invariant dimension {nullity} != structure sum {expected}")
@@ -685,7 +600,7 @@ def invariant_dimension(space, copies, dual_copies, degree,
                     for m2, c2 in z_elems[key].items():
                         merged = alg.multiply(m1, m2)
                         if merged is not None:
-                            _accumulate(nxt, merged[1], c1 * c2 * merged[0])
+                            _add_into(nxt, merged[1], c1 * c2 * merged[0])
                 vec = nxt
             if vec:
                 products.append(vec)
@@ -695,7 +610,7 @@ def invariant_dimension(space, copies, dual_copies, degree,
                 defect = {}
                 for mono, coef in vec.items():
                     for tgt, c in alg.derivation_apply(act, deg, mono).items():
-                        _accumulate(defect, tgt, coef * c)
+                        _add_into(defect, tgt, coef * c)
                 if defect:
                     raise AssertionError(
                         f"z-monomial not invariant under E[{a},{b}]")

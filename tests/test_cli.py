@@ -100,6 +100,19 @@ def test_monomial_guard_exit_2_fast(capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_large_tableaux_table_is_fast(capsys):
+    # rows come from the hook shapes, not from all p(60) ~ 10**6 partitions
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "tableaux", "--space", "super(2|1)",
+                         "--size", "60")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    rows = doc["results"]["rows"]
+    # the (60) row and (a, b, 1^k) with a >= b >= 1: sum_{m=2}^{60} m // 2
+    assert len(rows) == 1 + sum(m // 2 for m in range(2, 61)) == 901
+    assert rows[0]["partition"] == [60]
+
+
 def test_verify_reports_skipped_suites(capsys):
     code, doc = run_json(capsys, "verify", "--space", "super(3|3)",
                          "--level", "quick")

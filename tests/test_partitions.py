@@ -220,3 +220,15 @@ def test_hook_partitions_list():
     assert hook_partitions(1, 1, 1, 2) == [(2,)]
     assert hook_partitions(2, 2, 4, 0) == [()]
     assert hook_partitions(2, 0, 3, 3) == [(3,), (2, 1)]
+
+
+def test_hook_partitions_match_the_filter():
+    # the strip table's shapes, sorted, are the old filter of partitions_of
+    for size in range(13):
+        for m_plus in range(4):
+            for m_minus in range(4):
+                for depth in {0, 1, 2, 3, size}:
+                    assert hook_partitions(m_plus, m_minus, depth, size) == \
+                        [lam for lam in partitions_of(size)
+                         if in_hook(lam, m_plus, m_minus)
+                         and len(lam) <= depth], (size, m_plus, m_minus)

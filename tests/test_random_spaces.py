@@ -12,9 +12,12 @@ from colourgl.gl import (GlElement, GradedSpace, bilinear_form, bracket,
 from colourgl.grading import CommutativeFactor, GradingGroup
 from colourgl.scalars import ONE
 from colourgl.tensor import TensorVector, braiding_apply, gl_act_tensor
-from colourgl.weyl import (FockVector, WeylElement, fock_apply,
+from colourgl.weyl import (FockVector, WeylElement, _merge, fock_apply,
                            howe_dimension_sweep, invariant_dimension,
-                           verify_dual_pair, weyl_multiply)
+                           mixed_algebra, verify_dual_pair, weyl_multiply)
+from test_weyl import (COEFS, oracle_derivation_apply, oracle_fock_apply,
+                       oracle_merge_gen_left, oracle_merge_words,
+                       oracle_multiply, oracle_weyl_multiply)
 
 
 def random_factor(rng, free_rank, torsion_rank):
@@ -121,6 +124,54 @@ def test_random_spaces_invariant_dimensions():
             # raises internally on any mismatch with the structure sum or
             # a z-span failure
             invariant_dimension(space, 1, 1, d)
+
+
+def random_word(rng, space, copies, max_len=4):
+    word = sorted((rng.randrange(space.dim), rng.randrange(copies))
+                  for _ in range(rng.randint(0, max_len)))
+    return tuple(g for k, g in enumerate(word)
+                 if space.parities[g[0]] == 1 or g not in word[:k])
+
+
+def test_random_spaces_straightening_matches_oracles():
+    # the table-driven _merge and _derive against the old omega_flat and
+    # factor.omega walks, on sign-valued and q-valued factors alike
+    rng = random.Random(4242)
+    q_valued = 0
+    for trial in range(12):
+        space = random_space(rng)
+        q_valued += not space.factor.is_sign_valued()
+        copies = rng.randint(1, 2)
+        odd, om = space.copy_tables(copies)
+        for _ in range(20):
+            w1, w2 = (random_word(rng, space, copies) for _ in range(2))
+            g = (rng.randrange(space.dim), rng.randrange(copies))
+            assert _merge(w1, w2, odd, om) == \
+                oracle_merge_words(space, w1, w2), (trial, w1, w2)
+            assert _merge((g,), w2, odd, om) == \
+                oracle_merge_gen_left(space, w2, g), (trial, g, w2)
+
+            def element():
+                return WeylElement(space, copies, {
+                    (random_word(rng, space, copies),
+                     random_word(rng, space, copies)): rng.choice(COEFS)
+                    for _ in range(rng.randint(1, 3))})
+            u, v = element(), element()
+            assert weyl_multiply(u, v) == oracle_weyl_multiply(u, v), trial
+            f = FockVector(space, copies, {w1: ONE, w2: rng.choice(COEFS)})
+            assert fock_apply(u, f) == oracle_fock_apply(u, f), trial
+        alg = mixed_algebra(space, copies, rng.randint(0, 2))
+        n = len(alg.degrees)
+        monos = [m for d in range(4) for m in alg.monomials(d)]
+        for _ in range(20):
+            m1, m2 = rng.choice(monos), rng.choice(monos)
+            assert alg.multiply(m1, m2) == oracle_multiply(alg, m1, m2)
+            action = {g: [(rng.randrange(n), rng.choice(COEFS))]
+                      for g in range(n) if rng.random() < 0.5}
+            x_degree = rng.choice(alg.degrees)
+            assert alg.derivation_apply(action, x_degree, m1) == \
+                oracle_derivation_apply(alg, action, x_degree, m1), trial
+    assert q_valued >= 3
 
 
 def test_random_spaces_rho_contract():

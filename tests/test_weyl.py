@@ -1,19 +1,20 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colourgl.presets import glq_space, super_space, z2z2_space
+from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
 from colourgl.weyl import (FockVector, OmegaPolyAlgebra, ResourceBoundExceeded,
-                           WeylElement, dual_pair_generators, fock_apply,
-                           glq_relations_check, glvv_decomposition,
+                           WeylElement, _merge, dual_pair_generators,
+                           fock_apply, glq_relations_check, glvv_decomposition,
                            howe_dimension_sweep, howe_dual_sweep,
                            invariant_dimension, invariant_generators_check,
-                           rank_of_rows, verify_dual_pair, weyl_bracket,
-                           weyl_multiply)
+                           mixed_algebra, rank_of_rows, verify_dual_pair,
+                           weyl_bracket, weyl_multiply)
 
 
 def test_ccr_contraction(super11):
@@ -235,3 +236,232 @@ def test_sweeps_refuse_over_cap_before_enumerating():
         howe_dimension_sweep(big, 4, 16)
     with pytest.raises(ResourceBoundExceeded):
         glvv_decomposition(big, big, 12)
+
+
+def test_long_all_odd_sweep_is_fast():
+    # only the hook partitions of each degree are visited, not all p(d)
+    start = time.perf_counter()
+    rows = howe_dimension_sweep(green_space(2), 1, 40)
+    assert time.perf_counter() - start < 2
+    assert [r["fock_dimension"] for r in rows] == [1, 2, 1] + [0] * 38
+    assert all(r["equal"] for r in rows)
+
+
+# -- the straightening routines the single _merge and _derive replaced -------
+# They are kept verbatim as oracles: word insertion from the right and from
+# the left over space.omega_flat, the contraction walk over space.omega, and
+# the OmegaPolyAlgebra product and Leibniz rule over factor.omega.
+
+def oracle_merge_gen(space, word, g):
+    a = g[0]
+    if space.parities[a] == -1 and g in word:
+        return None
+    coef = ONE
+    pos = len(word)
+    while pos > 0 and word[pos - 1] > g:
+        coef = coef * space.omega_flat(word[pos - 1][0], a)
+        pos -= 1
+    return coef, word[:pos] + (g,) + word[pos:]
+
+
+def oracle_merge_gen_left(space, word, g):
+    a = g[0]
+    if space.parities[a] == -1 and g in word:
+        return None
+    coef = ONE
+    pos = 0
+    while pos < len(word) and word[pos] < g:
+        coef = coef * space.omega_flat(a, word[pos][0])
+        pos += 1
+    return coef, word[:pos] + (g,) + word[pos:]
+
+
+def oracle_merge_words(space, w1, w2):
+    coef, word = ONE, w1
+    for g in w2:
+        step = oracle_merge_gen(space, word, g)
+        if step is None:
+            return None
+        c, word = step
+        coef = coef * c
+    return coef, word
+
+
+def oracle_derive(space, g, mono):
+    neg = -space.degrees[g[0]]
+    out = []
+    passing = ONE
+    for j, h in enumerate(mono):
+        if h == g:
+            out.append((passing, mono[:j] + mono[j + 1:]))
+        passing = passing * space.omega(neg, space.degrees[h[0]])
+    return out
+
+
+def _add(store, key, coef):
+    new = store.get(key, Scalar(0)) + coef
+    if new:
+        store[key] = new
+    else:
+        store.pop(key, None)
+
+
+def oracle_weyl_multiply(u, v):
+    space = u.space
+    out = {}
+
+    def reduce_term(xs1, ds1, xs2, ds2, coef):
+        if not ds1:
+            merged = oracle_merge_words(space, xs1, xs2)
+            if merged is not None:
+                c, xs = merged
+                _add(out, (xs, ds2), coef * c)
+            return
+        d = ds1[-1]
+        rest = ds1[:-1]
+        neg = -space.degrees[d[0]]
+        passing = ONE
+        for k, h in enumerate(xs2):
+            if h == d:
+                reduce_term(xs1, rest, xs2[:k] + xs2[k + 1:], ds2,
+                            coef * passing)
+            passing = passing * space.omega(neg, space.degrees[h[0]])
+        merged = oracle_merge_gen_left(space, ds2, d)
+        if merged is not None:
+            c, new_ds = merged
+            reduce_term(xs1, rest, xs2, new_ds, coef * passing * c)
+
+    for (xs1, ds1), cu in u.terms.items():
+        for (xs2, ds2), cv in v.terms.items():
+            reduce_term(xs1, ds1, xs2, ds2, cu * cv)
+    return WeylElement(u.space, u.copies, out)
+
+
+def oracle_fock_apply(u, f):
+    space = u.space
+    out = {}
+    for (xs, ds), cu in u.terms.items():
+        for mono, cf in f.terms.items():
+            stage = {mono: cu * cf}
+            for g in reversed(ds):
+                nxt = {}
+                for m, c in stage.items():
+                    for dc, dm in oracle_derive(space, g, m):
+                        _add(nxt, dm, c * dc)
+                stage = nxt
+            for m, c in stage.items():
+                merged = oracle_merge_words(space, xs, m)
+                if merged is not None:
+                    mc, mm = merged
+                    _add(out, mm, c * mc)
+    return FockVector(f.space, f.copies, out)
+
+
+def oracle_multiply(alg, m1, m2):
+    coef, word = ONE, m1
+    for g in m2:
+        if alg.parities[g] == -1 and g in word:
+            return None
+        pos = len(word)
+        while pos > 0 and word[pos - 1] > g:
+            coef = coef * alg.factor.omega(alg.degrees[word[pos - 1]],
+                                           alg.degrees[g])
+            pos -= 1
+        word = word[:pos] + (g,) + word[pos:]
+    return coef, word
+
+
+def oracle_derivation_apply(alg, action, x_degree, mono):
+    def omega(g, h):
+        return alg.factor.omega(alg.degrees[g], alg.degrees[h])
+
+    out = {}
+    prefix = ONE
+    for j, g in enumerate(mono):
+        if j:
+            prefix = prefix * alg.factor.omega(
+                x_degree, alg.degrees[mono[j - 1]])
+        for g2, coef in action.get(g, ()):
+            total = prefix * coef
+            rest = mono[:j] + mono[j + 1:]
+            if alg.parities[g2] == -1 and g2 in rest:
+                continue
+            c2 = total
+            for l, h in enumerate(rest):
+                if l < j and h > g2:
+                    c2 = c2 * omega(h, g2)
+                elif l >= j and h < g2:
+                    c2 = c2 * omega(g2, h)
+            _add(out, tuple(sorted(rest + (g2,))), c2)
+    return out
+
+
+SPACES = [super_space(1, 1), super_space(2, 1), super_space(0, 2),
+          z2z2_space((1, 1, 1, 1)), glq_space(1, 1), glq_space(2, 1),
+          green_space(2)]
+COEFS = [ONE, MINUS_ONE, Q, Q.inverse() + ONE, Scalar.parse("(q+2)/(q-1)")]
+
+
+def draw_word(draw, space, copies, max_len=4):
+    """A sorted generator word with no odd generator repeated."""
+    gens = st.tuples(st.integers(0, space.dim - 1),
+                     st.integers(0, copies - 1))
+    word = sorted(draw(st.lists(gens, max_size=max_len)))
+    return tuple(g for k, g in enumerate(word)
+                 if space.parities[g[0]] == 1 or g not in word[:k])
+
+
+def draw_weyl(draw, space, copies):
+    return WeylElement(space, copies, {
+        (draw_word(draw, space, copies), draw_word(draw, space, copies)):
+            draw(st.sampled_from(COEFS))
+        for _ in range(draw(st.integers(1, 3)))})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_merge_matches_the_old_insertions(data):
+    space = data.draw(st.sampled_from(SPACES))
+    copies = data.draw(st.integers(1, 2))
+    odd, om = space.copy_tables(copies)
+    w1 = draw_word(data.draw, space, copies)
+    w2 = draw_word(data.draw, space, copies)
+    assert _merge(w1, w2, odd, om) == oracle_merge_words(space, w1, w2)
+    g = data.draw(st.tuples(st.integers(0, space.dim - 1),
+                            st.integers(0, copies - 1)))
+    assert _merge((g,), w2, odd, om) == oracle_merge_gen_left(space, w2, g)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_weyl_multiply_and_fock_apply_match_the_old_walks(data):
+    space = data.draw(st.sampled_from(SPACES))
+    copies = data.draw(st.integers(1, 2))
+    u = draw_weyl(data.draw, space, copies)
+    v = draw_weyl(data.draw, space, copies)
+    assert weyl_multiply(u, v) == oracle_weyl_multiply(u, v)
+    f = FockVector(space, copies, {draw_word(data.draw, space, copies): ONE})
+    assert fock_apply(u, f) == oracle_fock_apply(u, f)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_omega_poly_algebra_matches_factor_omega(data):
+    space = data.draw(st.sampled_from(SPACES))
+    copies, dual_copies = data.draw(st.integers(1, 2)), data.draw(
+        st.integers(0, 2))
+    alg = mixed_algebra(space, copies, dual_copies)
+    n = len(alg.degrees)
+
+    def draw_mono():
+        degree = data.draw(st.integers(0, 3))
+        return data.draw(st.sampled_from(alg.monomials(degree) or [()]))
+
+    m1, m2 = draw_mono(), draw_mono()
+    assert alg.multiply(m1, m2) == oracle_multiply(alg, m1, m2)
+    action = {g: [(data.draw(st.integers(0, n - 1)),
+                   data.draw(st.sampled_from(COEFS)))]
+              for g in range(n) if data.draw(st.booleans())}
+    x_degree = data.draw(st.sampled_from(alg.degrees))
+    assert alg.derivation_apply(action, x_degree, m1) == \
+        oracle_derivation_apply(alg, action, x_degree, m1)
