@@ -1,9 +1,10 @@
 """Exact scalars: the field Q(q) of rational functions in one formal parameter.
 
 A Scalar is stored in the canonical form  q^shift * num(q) / den(q)  where
-num and den are polynomials over Q with nonzero constant term, den is monic
-and gcd(num, den) = 1.  Equality is therefore syntactic.  q is never
-specialised: identities proved here hold at every q != 0.
+num and den are tuples of Fraction coefficients in ascending powers of q,
+both with nonzero constant term, den is monic and gcd(num, den) = 1.
+Equality is therefore syntactic.  q is never specialised: identities proved
+here hold at every q != 0.
 
 Arithmetic reaches the canonical form without a polynomial gcd whenever the
 shapes of the operands guarantee it: a monomial factor c*q^s only scales and
@@ -11,12 +12,20 @@ shifts the other factor, products and sums of Laurent polynomials (den = 1)
 are already in lowest terms, an inverse swaps num and den, and a product of
 two fractions cancels only the cross gcds.  The general normalisation in
 Scalar() serves parsing, sums of fractions and raw constructor input.
+
+The polynomial work itself runs over Z[q]: a coefficient tuple is cleared
+into a primitive integer list and one rational content (Knuth, TAOCP vol. 2,
+4.6.1), products convolve the integer lists, and a gcd is taken by a
+primitive pseudo-remainder sequence, whose cofactors divide exactly in Z[q]
+by Gauss's lemma.  Fractions are built only for the stored result, once per
+coefficient.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 _ZERO_POLY = (_F0,)
@@ -29,10 +38,6 @@ def _trim(coeffs):
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _is_zero_poly(p):
-    return len(p) == 1 and p[0] == 0
 
 
 def _padd(a, b, k):
@@ -49,49 +54,105 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _pmul(a, b):
-    if _is_zero_poly(a) or _is_zero_poly(b):
-        return _ZERO_POLY
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
+def _clear(p):
+    """p as content * ints for nonzero int or Fraction coefficients p: ints
+    is an integer list with gcd 1 (signs kept), content a positive Fraction."""
+    m = lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (m // c.denominator) for c in p]
+    g = gcd(*ints)
+    if g != 1:
+        ints = [x // g for x in ints]
+    return ints, Fraction(g, m)
 
 
-def _pdivmod(a, b):
-    """Polynomial division over Q; b must be nonzero."""
-    if _is_zero_poly(b):
-        raise ZeroDivisionError("polynomial division by zero")
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b in Q[q], for
+    integer lists with len(a) >= len(b) > 1; untrimmed, of length len(b)-1."""
     r = list(a)
     db, lb = len(b) - 1, b[-1]
-    q = [_F0] * max(len(a) - db, 1)
     for k in range(len(a) - 1 - db, -1, -1):
         c = r[k + db]
         if c:
-            c = q[k] = c / lb
+            g = gcd(c, lb)
+            m, c = lb // g, c // g
+            if m != 1:
+                for i in range(k + db):
+                    r[i] *= m
             for j in range(db):
                 r[k + j] -= c * b[j]
-    return _trim(q), _trim(r[:db] or _ZERO_POLY)
+    return r[:db]
 
 
-def _pgcd(a, b):
-    """Monic gcd over Q[q]."""
-    while not _is_zero_poly(b):
-        a, b = b, _pdivmod(a, b)[1]
-    if _is_zero_poly(a):
-        return _ONE_POLY
-    lead = a[-1]
-    return tuple(c / lead for c in a)
+def _gcd(a, b):
+    """gcd(a, b) in Z[q] for primitive nonzero integer lists: primitive,
+    with a positive leading coefficient.  A primitive polynomial remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided
+    by its content, so the coefficients stay small."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        n = len(r)
+        while n and not r[n - 1]:
+            n -= 1
+        if not n:
+            return b if b[-1] > 0 else [-x for x in b]
+        g = gcd(*r[:n])
+        a, b = b, [x // g for x in r[:n]]
+    return [1]
+
+
+def _exquo(a, b):
+    """a / b for integer lists when b divides a in Z[q]."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    out = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db] // lb
+        if c:
+            out[k] = c
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return out
+
+
+def _times(k, ints):
+    """The rational k times an integer list, as a Fraction tuple."""
+    n, d = k.numerator, k.denominator
+    if d == 1:
+        return tuple(Fraction(n * x) for x in ints)
+    return tuple(Fraction(n * x, d) for x in ints)
+
+
+def _monic(num, den, k):
+    """k * num / den over a monic den, for coprime integer lists and a
+    rational k, as Fraction tuples."""
+    lead = den[-1]
+    if lead == 1:
+        return _times(k, num), tuple(map(Fraction, den))
+    return _times(k / lead, num), tuple(Fraction(x, lead) for x in den)
+
+
+def _pmul(a, b):
+    """The product of two nonzero Fraction polynomials: an integer
+    convolution, scaled once."""
+    (pa, ka), (pb, kb) = _clear(a), _clear(b)
+    out = [0] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        if x:
+            for j, y in enumerate(pb, i):
+                out[j] += x * y
+    return _times(ka * kb, out)
 
 
 def _cancel(a, b):
-    """a / g and b / g for g = gcd(a, b); b monic stays monic."""
-    g = _pgcd(a, b)
+    """a / g and b / g for g = gcd(a, b) over nonzero Fraction polynomials;
+    b monic stays monic."""
+    (pa, ka), (pb, kb) = _clear(a), _clear(b)
+    g = _gcd(pa, pb)
     if len(g) == 1:
         return a, b
-    return _pdivmod(a, g)[0], _pdivmod(b, g)[0]
+    return _monic(_exquo(pa, g), _exquo(pb, g), ka / kb)
 
 
 class Scalar:
@@ -103,31 +164,21 @@ class Scalar:
         if _normalized:
             self.shift, self.num, self.den = shift, num, den
             return
-        num = _trim(tuple(Fraction(c) for c in num))
-        den = _trim(tuple(Fraction(c) for c in den))
-        if _is_zero_poly(den):
+        num, den = _trim(num), _trim(den)
+        if not any(den):
             raise ZeroDivisionError("scalar with zero denominator")
-        if _is_zero_poly(num):
+        if not any(num):
             self.shift, self.num, self.den = 0, _ZERO_POLY, _ONE_POLY
             return
         # factor plain q powers out of num and den into the shift
         t = next(i for i, c in enumerate(num) if c != 0)
-        if t:
-            shift += t
-            num = num[t:]
-        t = next(i for i, c in enumerate(den) if c != 0)
-        if t:
-            shift -= t
-            den = den[t:]
-        g = _pgcd(num, den)
-        if g != _ONE_POLY:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            den = tuple(c / lead for c in den)
-            num = tuple(c / lead for c in num)
-        self.shift, self.num, self.den = shift, num, den
+        u = next(i for i, c in enumerate(den) if c != 0)
+        (num, kn), (den, kd) = _clear(num[t:]), _clear(den[u:])
+        g = _gcd(num, den)
+        if len(g) > 1:
+            num, den = _exquo(num, g), _exquo(den, g)
+        self.num, self.den = _monic(num, den, kn / kd)
+        self.shift = shift + t - u
 
     # -- constructors ------------------------------------------------------
 
@@ -225,6 +276,12 @@ class Scalar:
             a, d = _cancel(a, d)
         if len(c) > 1 and len(b) > 1:
             c, b = _cancel(c, b)
+        # a constant over a constant den only scales the other factor
+        # (the shapes of x / y and x * y.inverse() for a Laurent x)
+        if len(c) == 1 and len(b) == 1:
+            return _scaled(shift, a, d, c[0])
+        if len(a) == 1 and len(d) == 1:
+            return _scaled(shift, c, b, a[0])
         return Scalar(shift, _pmul(a, c), _pmul(b, d), _normalized=True)
 
     __rmul__ = __mul__
@@ -303,33 +360,23 @@ class Scalar:
         coefficient vectors and positive leading coefficient on R."""
         num, den = self.num, self.den
         if self.shift >= 0:
-            num = (Fraction(0),) * self.shift + num
+            num = (0,) * self.shift + num
         else:
-            den = (Fraction(0),) * (-self.shift) + den
-        mult = 1
-        for c in num + den:
-            mult = mult * c.denominator // _gcd_int(mult, c.denominator)
-        n = [int(c * mult) for c in num]
-        d = [int(c * mult) for c in den]
-        content = 0
-        for c in n + d:
-            content = _gcd_int(content, abs(c))
-        if content > 1:
-            n = [c // content for c in n]
-            d = [c // content for c in d]
-        if d[-1] < 0:
-            n = [-c for c in n]
-            d = [-c for c in d]
-        return tuple(n), tuple(d)
+            den = (0,) * (-self.shift) + den
+        # den is monic, so its cleared leading coefficient is positive
+        ints = _clear(num + den)[0]
+        return tuple(ints[:len(num)]), tuple(ints[len(num):])
 
     @classmethod
     def parse(cls, text):
-        """Parse strings of the form "p(q)" or "p(q)/r(q)"."""
-        text = text.strip()
-        num_s, den_s = _split_fraction(text)
-        num = _parse_poly(num_s)
-        den = _parse_poly(den_s) if den_s is not None else {0: Fraction(1)}
-        return _from_exp_map(num) / _from_exp_map(den)
+        """Parse strings of the form "p(q)" or "p(q)/r(q)": one top-level
+        slash at most, and a sign before every term after the first."""
+        num_s, den_s = _split_fraction(text.strip())
+        lo_n, num = _coeffs(_parse_poly(num_s))
+        lo_d, den = 0, _ONE_POLY
+        if den_s is not None:
+            lo_d, den = _coeffs(_parse_poly(den_s))
+        return cls(lo_n - lo_d, num, den)
 
 
 def _scaled(shift, num, den, c):
@@ -347,12 +394,6 @@ def _laurent(shift, coeffs):
     while not coeffs[t]:
         t += 1
     return Scalar(shift + t, coeffs[t:], _ONE_POLY, _normalized=True)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _coerce(value):
@@ -388,15 +429,19 @@ def _poly_str(coeffs):
 
 def _split_fraction(text):
     """Split "a/b" at the top-level slash, honouring parentheses."""
-    depth = 0
+    depth, cut = 0, None
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0:
-            return text[:i], text[i + 1:]
-    return text, None
+            if cut is not None:
+                raise ValueError(f"more than one top-level '/' in {text!r}")
+            cut = i
+    if cut is None:
+        return text, None
+    return text[:cut], text[cut + 1:]
 
 
 _TERM_RE = re.compile(
@@ -421,29 +466,28 @@ def _parse_poly(text):
     text = text.strip()
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m or m.end() == pos or (pos and not m.group(1)):
             raise ValueError(f"cannot parse scalar near {text[pos:]!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group("coef") is not None:
-            coef = Fraction(m.group("coef"))
-            has_q = "q" in m.group(2)
-            exp = int(m.group("exp1") or (1 if has_q else 0)) if has_q else 0
+        coef = m.group("coef")
+        if coef is None:
+            coef, exp = 1, int(m.group("exp2") or 1)
         else:
-            coef = Fraction(1)
-            exp = int(m.group("exp2") or 1)
-        out[exp] = out.get(exp, Fraction(0)) + sign * coef
+            coef = Fraction(coef) if "/" in coef else int(coef)
+            exp = int(m.group("exp1") or 1) if "q" in m.group(2) else 0
+        out[exp] = out.get(exp, 0) + (-coef if m.group(1) == "-" else coef)
         pos = m.end()
     if not out:
         raise ValueError(f"empty scalar expression {text!r}")
     return out
 
 
-def _from_exp_map(exps):
+def _coeffs(exps):
+    """{exponent: coefficient} as (lowest exponent, coefficient tuple)."""
     lo = min(exps)
-    coeffs = [Fraction(0)] * (max(exps) - lo + 1)
+    coeffs = [0] * (max(exps) - lo + 1)
     for e, c in exps.items():
         coeffs[e - lo] = c
-    return Scalar(lo, tuple(coeffs))
+    return lo, tuple(coeffs)
 
 
 ZERO = Scalar(0, _ZERO_POLY, _ONE_POLY, _normalized=True)

@@ -1,12 +1,15 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from colourgl.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
+from colourgl import scalars
+from colourgl.scalars import (MINUS_ONE, ONE, Q, ZERO, Scalar, _ONE_POLY,
+                              _ZERO_POLY, _trim)
 
 
 def random_scalar(rng):
@@ -18,6 +21,18 @@ def random_scalar(rng):
     if all(c == 0 for c in den):
         den[0] = Fraction(1)
     return Scalar(rng.randint(-3, 3), tuple(num), tuple(den))
+
+
+def test_malformed_text_is_rejected():
+    # every term after the first needs a sign; one top-level slash at most
+    for text in ("2 3", "q q", "q2", "1/2/3", "3/2/q", "q/(q+1)/2", "", "/"):
+        with pytest.raises(ValueError):
+            Scalar.parse(text)
+    for text in ("1/0", "0/0", "q/(q-q)"):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.parse(text)
+    assert Scalar.parse("2 + 3") == Scalar.parse("5")
+    assert Scalar.parse("(1/2*q+1)/3") == Scalar.parse("(q+2)/6")
 
 
 def test_canonical_equality():
@@ -211,3 +226,110 @@ def test_inverse_and_powers_match_sympy_cancel(rx, k):
         return
     _check(x.inverse(), 1 / _sym(rx))
     _check(x ** k, _sym(rx) ** k)
+
+
+@ORACLE
+@given(RAW)
+def test_parse_inverts_str(raw):
+    x = Scalar(*raw)
+    text = str(x)
+    assert Scalar.parse(text) == x
+    assert str(Scalar.parse(text)) == text
+
+
+# -- the Fraction kernel the integer kernel replaced -------------------------
+# Polynomial division, monic gcd and cancellation over Q[q], kept verbatim as
+# oracles for the kernel over Z[q].
+
+_F0 = Fraction(0)
+
+
+def _is_zero_poly(p):
+    return len(p) == 1 and p[0] == 0
+
+
+def oracle_pdivmod(a, b):
+    """Polynomial division over Q; b must be nonzero."""
+    if _is_zero_poly(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [_F0] * max(len(a) - db, 1)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db]
+        if c:
+            c = q[k] = c / lb
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return _trim(q), _trim(r[:db] or _ZERO_POLY)
+
+
+def oracle_pgcd(a, b):
+    """Monic gcd over Q[q]."""
+    while not _is_zero_poly(b):
+        a, b = b, oracle_pdivmod(a, b)[1]
+    if _is_zero_poly(a):
+        return _ONE_POLY
+    lead = a[-1]
+    return tuple(c / lead for c in a)
+
+
+def oracle_cancel(a, b):
+    """a / g and b / g for g = gcd(a, b); b monic stays monic."""
+    g = oracle_pgcd(a, b)
+    if len(g) == 1:
+        return a, b
+    return oracle_pdivmod(a, g)[0], oracle_pdivmod(b, g)[0]
+
+
+# integer factors of degree 1 or 2, signs of either kind, q itself included
+INT_FACTOR = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(
+    lambda f: f[-1] != 0)
+KERNEL = settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+
+
+@st.composite
+def int_pairs(draw):
+    """Two integer polynomials of degree <= 8 with coefficients in [-50, 50]
+    that share the factors in common: often a nonconstant gcd, sometimes a
+    constant one, and sometimes one side a constant."""
+    common = draw(st.lists(INT_FACTOR, max_size=2))
+    sides = []
+    for _ in range(2):
+        scale = draw(st.integers(-3, 3).filter(bool))
+        sides.append(_poly_product(
+            common + draw(st.lists(INT_FACTOR, min_size=1, max_size=2)),
+            scale))
+    constant = draw(st.sampled_from((None,) * 6 + (0, 1)))
+    if constant is not None:
+        sides[constant] = (Fraction(draw(st.integers(-50, 50).filter(bool))),)
+    a, b = (tuple(int(c) for c in _trim(side)) for side in sides)
+    assume(len(a) <= 9 and len(b) <= 9 and max(map(abs, a + b)) <= 50)
+    return a, b
+
+
+def _int_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), QS, domain=sympy.ZZ)
+
+
+@KERNEL
+@given(int_pairs(), COEFF.filter(bool))
+def test_integer_kernel_matches_fraction_kernel(pair, scale):
+    a_int, b_int = pair
+    a = tuple(scale * c for c in a_int)
+    b = tuple(Fraction(c, b_int[-1]) for c in b_int)
+    # clearing: a primitive integer list and a positive content
+    (pa, ka), (pb, kb) = scalars._clear(a), scalars._clear(b)
+    assert tuple(ka * c for c in pa) == a and tuple(kb * c for c in pb) == b
+    assert ka > 0 and kb > 0 and math.gcd(*pa) == 1 == math.gcd(*pb)
+    # the gcd over Z[q] is sympy's up to a unit, with a positive lead
+    g = scalars._gcd(pa, pb)
+    expect = [int(c) for c in reversed(
+        _int_poly(a_int).gcd(_int_poly(b_int)).primitive()[1].all_coeffs())]
+    assert g[-1] > 0 and g in (expect, [-c for c in expect])
+    # cross cancellation, b monic, equals the Fraction kernel's
+    assert scalars._cancel(a, b) == oracle_cancel(a, b)
+    # the general constructor on a den that is not monic
+    raw = (0, a, tuple(Fraction(c) for c in b_int))
+    _check(Scalar(*raw), _sym(raw))
