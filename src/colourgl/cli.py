@@ -26,7 +26,6 @@ from .reps import (DualWeightUnsupported, UnsupportedFactor, UnsupportedSpace,
                    casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
-from .scalars import Scalar
 from .tensor import schur_weyl_table
 from .weyl import (ResourceBoundExceeded, glq_relations_check,
                    glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,
@@ -35,6 +34,9 @@ from .weyl import (ResourceBoundExceeded, glq_relations_check,
 from .verify import run_verification
 
 WORD_CAP = 10 ** 6
+# integer options that count something: negative values are bad input
+COUNT_OPTIONS = ("power", "size", "copies", "dual_copies", "max_degree", "m",
+                 "n")
 
 
 class InputError(ValueError):
@@ -99,6 +101,16 @@ def make_report(kind, args, results, ok=True):
     return {"kind": kind, "inputs": inputs, "ok": ok, "results": results}
 
 
+def check_counts(args):
+    """Refuse a negative count, and fft-check without a copy of V."""
+    for name in COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        least = 1 if (args.command, name) == ("fft-check", "copies") else 0
+        if value is not None and value < least:
+            raise InputError(f"--{name.replace('_', '-')} must be at least "
+                             f"{least}, got {value}")
+
+
 def guard_words(space, power):
     size = space.dim ** power
     if size > WORD_CAP:
@@ -149,15 +161,17 @@ def cmd_fft_check(args):
     for d in range(args.max_degree + 1):
         dims[str(d)] = invariant_dimension(space, args.copies,
                                            args.dual_copies, d)
-    report = make_report("fft-check", args, {
+    results = {
         "invariant_dimensions": dims,
         "z_span_verified": True,
         "dual_pair_ok": verify_dual_pair(space, min(args.copies, 2)),
         "filtration_level_1_ok": invariant_generators_check(
             space, min(args.copies, 2)),
-    })
+    }
+    ok = results["dual_pair_ok"] and results["filtration_level_1_ok"]
+    report = make_report("fft-check", args, results, ok=ok)
     emit(report, args)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_glq_check(args):
@@ -359,6 +373,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args._t0 = time.time()
     try:
+        check_counts(args)
         return args.func(args)
     except (InputError, UnsupportedFactor, UnsupportedSpace,
             DualWeightUnsupported, ResourceBoundExceeded, KeyError,

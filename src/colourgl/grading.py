@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import ONE, Scalar
 
 
 class ShapeError(ValueError):

@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gl import GlElement, _add_into, basis_weight, rho, weight_inner
-from .partitions import (check_partition, dim_glN, lambda_sharp, transpose,
-                         in_hook)
+from .gl import GlElement, _add_into, rho, weight_inner
+from .partitions import check_partition, dim_glN, in_hook, lambda_sharp
 from .scalars import ONE, Scalar
 from .tensor import TensorVector, gl_act_tensor, highest_weight_vector
-from .weyl import rank_of_rows
+from .weyl import _reduce, rank_of_rows
 
 
 class UnsupportedFactor(ValueError):
@@ -245,7 +244,11 @@ def classify_unitarisable(space, lam, star_type="I"):
 
 # -- dual weights -------------------------------------------------------------
 
-def dual_weight(space, lam, tensor_size_bound=6):
+# largest |mu| whose L_{mu#} dual_weight realises inside V^(tensor |mu|)
+TENSOR_SIZE_BOUND = 6
+
+
+def dual_weight(space, lam):
     """The highest weight of the dual module L_lambda^*.
 
     Typical lambda: exact through the Kac-module lowest weight.  Otherwise
@@ -268,28 +271,12 @@ def dual_weight(space, lam, tensor_size_bound=6):
     if mu is None:
         raise DualWeightUnsupported(
             f"{lam} is atypical and not of the form a*E + mu#")
-    if sum(mu) > tensor_size_bound:
+    if sum(mu) > TENSOR_SIZE_BOUND:
         raise DualWeightUnsupported(
             f"hook partition {mu} too large for the tensor realisation")
     # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#)
     low = _tensor_module_lowest_weight(space, mu)
     return tuple(t * e - x for e, x in zip(escript, low))
-
-
-def _echelon_insert(rows, vec):
-    """Reduce a TensorVector against an echelon list of (pivot, vector);
-    insert when independent.  Returns the reduced vector or None."""
-    for pivot, basis_vec in rows:
-        coef = vec.terms.get(pivot)
-        if coef:
-            vec = vec - basis_vec.scale(coef)
-    if vec.is_zero():
-        return None
-    pivot = min(vec.terms)
-    vec = vec.scale(vec.terms[pivot].inverse())
-    rows.append((pivot, vec))
-    rows.sort(key=lambda item: item[0])
-    return vec
 
 
 def _tensor_module_lowest_weight(space, mu):
@@ -299,7 +286,7 @@ def _tensor_module_lowest_weight(space, mu):
     start = highest_weight_vector(space, mu)
     by_weight = {}
     queue = [start]
-    _echelon_insert(by_weight.setdefault(start.weight(), []), start)
+    _reduce(by_weight.setdefault(start.weight(), {}), start.terms)
     gens = [GlElement.matrix_unit(space, a, b)
             for a in range(space.dim) for b in range(space.dim) if a != b]
     while queue:
@@ -308,22 +295,22 @@ def _tensor_module_lowest_weight(space, mu):
             image = gl_act_tensor(gen, current)
             if image.is_zero():
                 continue
-            reduced = _echelon_insert(
-                by_weight.setdefault(image.weight(), []), image)
+            reduced = _reduce(by_weight.setdefault(image.weight(), {}),
+                              image.terms)
             if reduced is not None:
-                queue.append(reduced)
+                queue.append(TensorVector(space, start.power, reduced))
     lowering = [GlElement.matrix_unit(space, a, b)
                 for a in range(space.dim) for b in range(space.dim) if a > b]
     lowest = []
-    for weight, rows in by_weight.items():
-        vectors = [vec for _, vec in rows]
+    for weight, echelon in by_weight.items():
         columns = {}
-        for j, vec in enumerate(vectors):
+        for j, row in enumerate(echelon.values()):
+            vec = TensorVector(space, start.power, row)
             for gen in lowering:
                 image = gl_act_tensor(gen, vec)
                 for word, coef in image.terms.items():
                     columns.setdefault((id(gen), word), {})[j] = coef
-        if len(vectors) - rank_of_rows(columns.values()) > 0:
+        if len(echelon) - rank_of_rows(columns.values()) > 0:
             lowest.append(weight)
     if len(lowest) != 1:
         raise AssertionError(f"lowest weight not unique: {lowest}")

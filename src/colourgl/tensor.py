@@ -15,8 +15,8 @@ from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  basis_weight)
 from .partitions import (check_partition, count_hook_tableaux,
                          count_standard_tableaux, hook_partitions, in_hook,
-                         lambda_sharp, transpose)
-from .scalars import ONE, Scalar, ZERO
+                         lambda_sharp)
+from .scalars import ONE, ZERO
 
 
 class TensorVector(LinearCombination):
@@ -285,10 +285,10 @@ def is_highest_weight(space, v):
     return True
 
 
-def schur_weyl_table(space, r, verify=True):
+def schur_weyl_table(space, r):
     """Rows (lambda, lambda#, k(lambda), f^lambda) over all lambda of r in
-    the hook class; checks sum k*f = (dim V)^r and, when verify is set,
-    witnesses each lambda# by an explicit highest weight vector."""
+    the hook class; checks sum k*f = (dim V)^r and witnesses each lambda#
+    by an explicit highest weight vector."""
     mp, mm = space.m_plus, space.m_minus
     rows = []
     total = 0
@@ -297,17 +297,16 @@ def schur_weyl_table(space, r, verify=True):
         f = count_standard_tableaux(lam)
         sharp = lambda_sharp(lam, mp, mm)
         total += k * f
-        if verify:
-            v = highest_weight_vector(space, lam)
-            if v.is_zero():
-                raise AssertionError(f"highest weight vector vanished: {lam}")
-            wt = v.weight()
-            expected = tuple(Fraction(c) for c in sharp)
-            if wt != expected:
-                raise AssertionError(
-                    f"weight of hwv({lam}) is {wt}, expected {expected}")
-            if not is_highest_weight(space, v):
-                raise AssertionError(f"hwv({lam}) is not annihilated by n+")
+        v = highest_weight_vector(space, lam)
+        if v.is_zero():
+            raise AssertionError(f"highest weight vector vanished: {lam}")
+        wt = v.weight()
+        expected = tuple(Fraction(c) for c in sharp)
+        if wt != expected:
+            raise AssertionError(
+                f"weight of hwv({lam}) is {wt}, expected {expected}")
+        if not is_highest_weight(space, v):
+            raise AssertionError(f"hwv({lam}) is not annihilated by n+")
         rows.append({"partition": lam, "sharp": sharp, "k": k, "f": f})
     if total != space.dim ** r:
         raise AssertionError(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .gl import (GlElement, bilinear_form, bracket, jacobi_defect,
                  positive_roots, rho, skew_defect, supertrace,
-                 pbw_dimension_nilradical, weight_inner, basis_weight)
+                 pbw_dimension_nilradical, weight_inner)
 from .scalars import ONE, Scalar
 from .tensor import TensorVector, braiding_apply, gl_act_tensor
 from .weyl import FockVector, WeylElement, fock_apply, verify_dual_pair, \

@@ -19,6 +19,10 @@ OmegaPolyAlgebra.  As omega is a commutative factor (Scheunert 1979),
 omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
 omega(gamma_h, gamma_g), so that one table serves x's, d's and
 contractions.
+
+Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
+row into an echelon dict keyed by pivot column; rank_of_rows and the
+lowest-weight search of reps both run on it.
 """
 
 from __future__ import annotations
@@ -420,10 +424,10 @@ def howe_dual_sweep(space, copies, max_degree):
     return howe_dimension_sweep(space, copies, max_degree, dual=True)
 
 
-def glvv_decomposition(space_v, space_w, max_degree, pair_size=None):
+def glvv_decomposition(space_v, space_w, max_degree):
     """Howe duality for a pair of graded spaces: per-degree dimension of
     S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
-    paired-weight table for lambda up to pair_size."""
+    paired-weight table for |lambda| <= max_degree."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
     degrees = [dw - dv
@@ -440,8 +444,7 @@ def glvv_decomposition(space_v, space_w, max_degree, pair_size=None):
         rows.append({"degree": d, "algebra_dimension": count,
                      "module_sum": total, "equal": count == total})
     pairs = []
-    for d in range(0 if pair_size is None else pair_size,
-                   (max_degree if pair_size is None else pair_size) + 1):
+    for d in range(max_degree + 1):
         for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d):
             if in_hook(lam, space_w.m_plus, space_w.m_minus):
                 pairs.append({
@@ -456,31 +459,29 @@ def glvv_decomposition(space_v, space_w, max_degree, pair_size=None):
 
 # -- exact linear algebra over Q(q) ------------------------------------------
 
+def _reduce(echelon, row):
+    """Reduce a sparse row (dict column -> Scalar) against echelon, which
+    maps each pivot column to a row whose least column it is, with entry
+    ONE.  An independent remainder is normalised the same way, inserted
+    and returned; a dependent row gives None and leaves echelon as it is."""
+    row = dict(row)
+    while row:
+        col = min(row)
+        pivot = echelon.get(col)
+        if pivot is None:
+            inv = row[col].inverse()
+            row = echelon[col] = {c: v * inv for c, v in row.items()}
+            return row
+        coef = row[col]
+        for c, v in pivot.items():
+            _add_into(row, c, -coef * v)
+    return None
+
+
 def rank_of_rows(rows):
-    """Row rank of sparse rows (dicts column -> Scalar) by Gaussian
-    elimination over the field Q(q)."""
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        pivot_col = min(min(r) for r in rows)
-        pivot_row = next(r for r in rows if pivot_col in r)
-        rows.remove(pivot_row)
-        rank += 1
-        inv = pivot_row[pivot_col].inverse()
-        pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        reduced = []
-        for r in rows:
-            coef = r.get(pivot_col)
-            if coef:
-                new = dict(r)
-                for c, v in pivot_row.items():
-                    _add_into(new, c, -coef * v)
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(r)
-        rows = reduced
-    return rank
+    """Row rank of sparse rows (dicts column -> Scalar) over Q(q)."""
+    echelon = {}
+    return sum(_reduce(echelon, row) is not None for row in rows)
 
 
 def _gl_action_on_generators(space_v, copies, dual_copies):
@@ -518,14 +519,13 @@ def mixed_algebra(space, copies, dual_copies):
 
 
 def invariant_dimension(space, copies, dual_copies, degree,
-                        basis_bound=20000, check_z_span=True):
+                        basis_bound=20000):
     """Dimension of the gl(V)-invariants in the bidegree (d, d) component
     of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
 
     Verifies the count against the second fundamental theorem sum
-    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and, when
-    check_z_span is set, that degree-d products of the quadratic
-    invariants z_rs span the kernel."""
+    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
+    products of the quadratic invariants z_rs span the kernel."""
     n = space.dim
     alg = mixed_algebra(space, copies, dual_copies)
     x_monos = fock_algebra(space, copies).monomials(degree)
@@ -546,10 +546,7 @@ def invariant_dimension(space, copies, dual_copies, degree,
         by_type.setdefault(flat_count(mono, 0, copies), []).append(mono)
     basis = []
     xbar_monos = {}
-    dual_alg = OmegaPolyAlgebra(
-        space.factor, [-space.degrees[a] for a in range(space.dim)
-                       for _ in range(dual_copies)])
-    for mono in dual_alg.monomials(degree):
+    for mono in fock_algebra(space, dual_copies, dual=True).monomials(degree):
         shifted = tuple(g + n * copies for g in mono)
         xbar_monos.setdefault(flat_count(shifted, n * copies, dual_copies),
                               []).append(shifted)
@@ -581,42 +578,41 @@ def invariant_dimension(space, copies, dual_copies, degree,
         raise AssertionError(
             f"invariant dimension {nullity} != structure sum {expected}")
 
-    if check_z_span:
-        z_elems = {}
-        for r in range(copies):
-            for s in range(dual_copies):
-                vec = {}
-                for a in range(n):
-                    mono = (a * copies + r, n * copies + a * dual_copies + s)
-                    vec[mono] = ONE
-                z_elems[(r, s)] = vec
-        products = []
-        for combo in itertools.combinations_with_replacement(
-                sorted(z_elems), degree):
-            vec = {(): ONE}
-            for key in combo:
-                nxt = {}
-                for m1, c1 in vec.items():
-                    for m2, c2 in z_elems[key].items():
-                        merged = alg.multiply(m1, m2)
-                        if merged is not None:
-                            _add_into(nxt, merged[1], c1 * c2 * merged[0])
-                vec = nxt
-            if vec:
-                products.append(vec)
-        # each product must be killed by every generator
-        for vec in products:
-            for (a, b), (deg, act) in actions.items():
-                defect = {}
-                for mono, coef in vec.items():
-                    for tgt, c in alg.derivation_apply(act, deg, mono).items():
-                        _add_into(defect, tgt, coef * c)
-                if defect:
-                    raise AssertionError(
-                        f"z-monomial not invariant under E[{a},{b}]")
-        span_rows = [{index[m]: c for m, c in vec.items()} for vec in products]
-        if rank_of_rows(span_rows) != nullity:
-            raise AssertionError("z-monomials do not span the invariants")
+    z_elems = {}
+    for r in range(copies):
+        for s in range(dual_copies):
+            vec = {}
+            for a in range(n):
+                mono = (a * copies + r, n * copies + a * dual_copies + s)
+                vec[mono] = ONE
+            z_elems[(r, s)] = vec
+    products = []
+    for combo in itertools.combinations_with_replacement(
+            sorted(z_elems), degree):
+        vec = {(): ONE}
+        for key in combo:
+            nxt = {}
+            for m1, c1 in vec.items():
+                for m2, c2 in z_elems[key].items():
+                    merged = alg.multiply(m1, m2)
+                    if merged is not None:
+                        _add_into(nxt, merged[1], c1 * c2 * merged[0])
+            vec = nxt
+        if vec:
+            products.append(vec)
+    # each product must be killed by every generator
+    for vec in products:
+        for (a, b), (deg, act) in actions.items():
+            defect = {}
+            for mono, coef in vec.items():
+                for tgt, c in alg.derivation_apply(act, deg, mono).items():
+                    _add_into(defect, tgt, coef * c)
+            if defect:
+                raise AssertionError(
+                    f"z-monomial not invariant under E[{a},{b}]")
+    span_rows = [{index[m]: c for m, c in vec.items()} for vec in products]
+    if rank_of_rows(span_rows) != nullity:
+        raise AssertionError("z-monomials do not span the invariants")
     return nullity
 
 

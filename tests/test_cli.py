@@ -68,6 +68,33 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "typicality", "--space", "super(1|1)",
                          "--weight", "1/0,2")
     assert code == 2 and "bad weight coordinate" in doc["error"]
+    # negative counts, and fft-check without a copy, are bad input
+    for argv in (
+            ("schur-weyl", "--space", "super(1|1)", "--power", "-1"),
+            ("tableaux", "--space", "super(1|1)", "--size", "-1"),
+            ("tableaux", "--space", "super(1|1)", "--size", "2",
+             "--copies", "-1"),
+            ("howe-sweep", "--space", "super(1|1)", "--copies", "-1",
+             "--max-degree", "2"),
+            ("howe-sweep", "--space", "super(1|1)", "--copies", "1",
+             "--max-degree", "-1"),
+            ("fft-check", "--space", "super(1|1)", "--copies", "-1",
+             "--dual-copies", "1"),
+            ("fft-check", "--space", "super(1|1)", "--copies", "0",
+             "--dual-copies", "1"),
+            ("fft-check", "--space", "super(1|1)", "--copies", "1",
+             "--dual-copies", "-1"),
+            ("glq-check", "--m", "-1", "--n", "1"),
+            ("glq-check", "--m", "1", "--n", "-1"),
+            ("glvv", "--space", "super(1|1)", "--other-space", "super(1|1)",
+             "--max-degree", "-1")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["kind"] == "error", argv
+        assert "must be at least" in doc["error"], argv
+    # --copies 0 is the tableaux default: no dim_glN column
+    code, doc = run_json(capsys, "tableaux", "--space", "super(1|1)",
+                         "--size", "2", "--copies", "0")
+    assert code == 0 and "dim_glN" not in doc["results"]["rows"][0]
 
 
 def test_unsupported_factor_exit_2(capsys):
@@ -188,6 +215,18 @@ def test_fft_check_subcommand(capsys):
     assert code == 0
     assert doc["results"]["invariant_dimensions"] == {"0": 1, "1": 1, "2": 1}
     assert doc["results"]["dual_pair_ok"] is True
+    assert doc["ok"] is True
+
+
+def test_fft_check_failed_flag_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "invariant_generators_check",
+                        lambda space, copies: False)
+    code, doc = run_json(capsys, "fft-check", "--space", "super(1|1)",
+                         "--copies", "1", "--dual-copies", "1",
+                         "--max-degree", "1")
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["results"]["filtration_level_1_ok"] is False
 
 
 def test_glq_check_subcommand(capsys):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colourgl.gl import _add_into
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
 from colourgl.weyl import (FockVector, OmegaPolyAlgebra, ResourceBoundExceeded,
-                           WeylElement, _merge, dual_pair_generators,
+                           WeylElement, _merge, _reduce, dual_pair_generators,
                            fock_apply, glq_relations_check, glvv_decomposition,
                            howe_dimension_sweep, howe_dual_sweep,
                            invariant_dimension, invariant_generators_check,
@@ -465,3 +466,96 @@ def test_omega_poly_algebra_matches_factor_omega(data):
     x_degree = data.draw(st.sampled_from(alg.degrees))
     assert alg.derivation_apply(action, x_degree, m1) == \
         oracle_derivation_apply(alg, action, x_degree, m1)
+
+
+# -- the column-pivot elimination the single _reduce replaced ---------------
+# Kept verbatim as an oracle for rank_of_rows.
+
+def oracle_rank_of_rows(rows):
+    """Row rank of sparse rows (dicts column -> Scalar) by Gaussian
+    elimination over the field Q(q)."""
+    rows = [dict(r) for r in rows if r]
+    rank = 0
+    while rows:
+        pivot_col = min(min(r) for r in rows)
+        pivot_row = next(r for r in rows if pivot_col in r)
+        rows.remove(pivot_row)
+        rank += 1
+        inv = pivot_row[pivot_col].inverse()
+        pivot_row = {c: v * inv for c, v in pivot_row.items()}
+        reduced = []
+        for r in rows:
+            coef = r.get(pivot_col)
+            if coef:
+                new = dict(r)
+                for c, v in pivot_row.items():
+                    _add_into(new, c, -coef * v)
+                if new:
+                    reduced.append(new)
+            else:
+                reduced.append(r)
+        rows = reduced
+    return rank
+
+
+NONZERO = st.integers(-3, 3).filter(bool)
+LAURENT = st.builds(lambda shift, coeffs: Scalar(shift, tuple(coeffs)),
+                    st.integers(-2, 2),
+                    st.lists(st.integers(-3, 3), min_size=2, max_size=3)
+                    ).filter(bool)
+ENTRY = st.one_of(
+    st.builds(lambda c, e: Scalar.from_rational(c) * Scalar.q_power(e),
+              NONZERO, st.integers(-3, 3)),
+    LAURENT,
+    st.builds(lambda a, b: a / b, LAURENT, LAURENT))
+
+
+@st.composite
+def ranked_rows(draw):
+    """(rows, rank): `rank` base rows, each alone at a private column and
+    sharing the other columns, then combinations of them, shuffled."""
+    rank = draw(st.integers(0, 4))
+    width = rank + draw(st.integers(0, 4))
+    private = draw(st.permutations(range(width)))[:rank]
+    shared = [c for c in range(width) if c not in private]
+    bases = []
+    for col in private:
+        row = {col: draw(ENTRY)}
+        for c in draw(st.lists(st.sampled_from(shared), unique=True)
+                      if shared else st.just([])):
+            row[c] = draw(ENTRY)
+        bases.append(row)
+    combos = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = {}
+        for base in draw(st.lists(st.sampled_from(bases), max_size=3)
+                         if bases else st.just([])):
+            coef = draw(ENTRY)
+            for c, v in base.items():
+                _add_into(row, c, coef * v)
+        combos.append(row)
+    return draw(st.permutations(bases + combos)), rank
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(ranked_rows())
+def test_rank_of_rows_matches_the_column_pivot_oracle(case):
+    rows, rank = case
+    snapshot = [dict(row) for row in rows]
+    assert rank_of_rows(rows) == oracle_rank_of_rows(rows) == rank
+    assert rows == snapshot
+    echelon = {}
+    for row in rows:
+        before = {c: dict(r) for c, r in echelon.items()}
+        reduced = _reduce(echelon, row)
+        if reduced is None:
+            assert echelon == before
+            continue
+        col = min(reduced)
+        assert col not in before and reduced[col] == ONE
+        assert echelon == {**before, col: reduced}
+    assert len(echelon) == rank
+    assert all(min(r) == c for c, r in echelon.items())
+    for row in rows:
+        assert _reduce(echelon, row) is None
+    assert len(echelon) == rank and rows == snapshot
