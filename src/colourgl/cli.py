@@ -1,6 +1,8 @@
 """Command line front end.
 
 Every subcommand emits one JSON report (sorted keys) or, for tables, TSV.
+Each handler `cmd_*` returns (results, ok); only `main` builds the report,
+with `kind` the subcommand name, and it exits 1 when ok is false.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  Output is byte-deterministic
@@ -79,8 +81,6 @@ def parse_partition(text):
 
 
 def emit(report, args):
-    if getattr(args, "timing", False):
-        report["timing"] = {"seconds": round(time.time() - args._t0, 3)}
     if getattr(args, "format", "json") == "tsv" and "rows" in report.get(
             "results", {}):
         rows = report["results"]["rows"]
@@ -93,12 +93,11 @@ def emit(report, args):
     print(json.dumps(report, sort_keys=True, indent=2, default=str))
 
 
-def make_report(kind, args, results, ok=True):
+def make_report(args, results, ok):
     inputs = {k: v for k, v in sorted(vars(args).items())
-              if not k.startswith("_") and k not in ("func", "timing",
-                                                     "format") and
-              v is not None}
-    return {"kind": kind, "inputs": inputs, "ok": ok, "results": results}
+              if k not in ("func", "timing", "format") and v is not None}
+    return {"kind": args.command, "inputs": inputs, "ok": ok,
+            "results": results}
 
 
 def check_counts(args):
@@ -117,16 +116,14 @@ def guard_words(space, power):
         raise ResourceBoundExceeded("tensor power", size, WORD_CAP)
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (results, ok) ---------------------------
 
 def cmd_verify(args):
     space = load_space(args.space)
     rng = random.Random(args.seed)
     suites = run_verification(space, level=args.level, rng=rng)
     ok = all(s["passed"] for s in suites if not s.get("skipped"))
-    report = make_report("verify", args, {"suites": suites}, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return {"suites": suites}, ok
 
 
 def cmd_schur_weyl(args):
@@ -137,11 +134,8 @@ def cmd_schur_weyl(args):
               "sharp": [str(c) for c in r["sharp"]],
               "k": r["k"], "f": r["f"]} for r in rows]
     checksum = sum(r["k"] * r["f"] for r in rows)
-    report = make_report("schur-weyl", args, {
-        "rows": table, "checksum": checksum,
-        "dimension": space.dim ** args.power})
-    emit(report, args)
-    return 0
+    return {"rows": table, "checksum": checksum,
+            "dimension": space.dim ** args.power}, True
 
 
 def cmd_howe_sweep(args):
@@ -149,18 +143,14 @@ def cmd_howe_sweep(args):
     rows = howe_dimension_sweep(space, args.copies, args.max_degree)
     dual_rows = howe_dual_sweep(space, args.copies, args.max_degree)
     ok = all(r["equal"] for r in rows) and all(r["equal"] for r in dual_rows)
-    report = make_report("howe-sweep", args, {
-        "rows": rows, "dual_rows": dual_rows}, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return {"rows": rows, "dual_rows": dual_rows}, ok
 
 
 def cmd_fft_check(args):
     space = load_space(args.space)
-    dims = {}
-    for d in range(args.max_degree + 1):
-        dims[str(d)] = invariant_dimension(space, args.copies,
-                                           args.dual_copies, d)
+    dims = {str(d): invariant_dimension(space, args.copies,
+                                        args.dual_copies, d)
+            for d in range(args.max_degree + 1)}
     results = {
         "invariant_dimensions": dims,
         "z_span_verified": True,
@@ -169,30 +159,22 @@ def cmd_fft_check(args):
             space, min(args.copies, 2)),
     }
     ok = results["dual_pair_ok"] and results["filtration_level_1_ok"]
-    report = make_report("fft-check", args, results, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return results, ok
 
 
 def cmd_glq_check(args):
     result = glq_relations_check(args.m, args.n, args.copies,
                                  args.max_degree)
-    ok = result["relations_hold"] and result["sweep_ok"]
-    report = make_report("glq-check", args, result, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return result, result["relations_hold"] and result["sweep_ok"]
 
 
 def cmd_typicality(args):
     space = load_space(args.space)
     lam = parse_weight(args.weight, space.dim)
     typical, chi = typicality(space, lam)
-    report = make_report("typicality", args, {
-        "weight": [str(x) for x in lam],
-        "typical": typical, "chi": str(chi),
-        "finite_dimensional": is_finite_dimensional(space, lam)})
-    emit(report, args)
-    return 0
+    return {"weight": [str(x) for x in lam],
+            "typical": typical, "chi": str(chi),
+            "finite_dimensional": is_finite_dimensional(space, lam)}, True
 
 
 def cmd_kac_dim(args):
@@ -200,11 +182,8 @@ def cmd_kac_dim(args):
     lam = parse_weight(args.weight, space.dim)
     if not is_finite_dimensional(space, lam):
         raise InputError(f"weight {args.weight} is not dominant")
-    report = make_report("kac-dim", args, {
-        "weight": [str(x) for x in lam],
-        "kac_dimension": kac_dimension(space, lam)})
-    emit(report, args)
-    return 0
+    return {"weight": [str(x) for x in lam],
+            "kac_dimension": kac_dimension(space, lam)}, True
 
 
 def cmd_casimir(args):
@@ -222,19 +201,13 @@ def cmd_casimir(args):
         results["defect_zero"] = defect.is_zero()
     if not results:
         raise InputError("casimir needs --weight and/or --partition")
-    ok = results.get("defect_zero", True)
-    report = make_report("casimir", args, results, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return results, results.get("defect_zero", True)
 
 
 def cmd_unitarisable(args):
     space = load_space(args.space)
     lam = parse_weight(args.weight, space.dim)
-    verdict = classify_unitarisable(space, lam, args.type)
-    report = make_report("unitarisable", args, verdict.to_json())
-    emit(report, args)
-    return 0
+    return classify_unitarisable(space, lam, args.type).to_json(), True
 
 
 def cmd_gram(args):
@@ -242,10 +215,7 @@ def cmd_gram(args):
     lam = parse_weight(args.weight, space.dim)
     if not is_finite_dimensional(space, lam):
         raise InputError(f"weight {args.weight} is not dominant")
-    rep = gram_report(space, lam, args.depth)
-    report = make_report("gram", args, rep.to_json())
-    emit(report, args)
-    return 0
+    return gram_report(space, lam, args.depth).to_json(), True
 
 
 def cmd_tableaux(args):
@@ -260,9 +230,7 @@ def cmd_tableaux(args):
         if args.copies:
             row["dim_glN"] = dim_glN(lam, args.copies)
         rows.append(row)
-    report = make_report("tableaux", args, {"rows": rows})
-    emit(report, args)
-    return 0
+    return {"rows": rows}, True
 
 
 def cmd_glvv(args):
@@ -270,20 +238,15 @@ def cmd_glvv(args):
     space_w = load_space(args.other_space)
     rows, pairs = glvv_decomposition(space_v, space_w, args.max_degree)
     ok = all(r["equal"] for r in rows)
-    report = make_report("glvv", args, {
-        "rows": rows,
-        "pairs": [{"partition": list(p["partition"]),
-                   "sharp_v": [str(x) for x in p["sharp_v"]],
-                   "sharp_w": [str(x) for x in p["sharp_w"]]}
-                  for p in pairs]}, ok=ok)
-    emit(report, args)
-    return 0 if ok else 1
+    return {"rows": rows,
+            "pairs": [{"partition": list(p["partition"]),
+                       "sharp_v": [str(x) for x in p["sharp_v"]],
+                       "sharp_w": [str(x) for x in p["sharp_w"]]}
+                      for p in pairs]}, ok
 
 
 def cmd_presets(args):
-    report = make_report("presets", args, {"catalog": presets.builtin_spaces()})
-    emit(report, args)
-    return 0
+    return {"catalog": presets.builtin_spaces()}, True
 
 
 def build_parser():
@@ -369,12 +332,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.time()
+    args = build_parser().parse_args(argv)
+    start = time.time()
     try:
         check_counts(args)
-        return args.func(args)
+        results, ok = args.func(args)
+        report = make_report(args, results, ok)
+        if args.timing:
+            report["timing"] = {"seconds": round(time.time() - start, 3)}
+        emit(report, args)
+        return 0 if ok else 1
     except (InputError, UnsupportedFactor, UnsupportedSpace,
             DualWeightUnsupported, ResourceBoundExceeded, KeyError,
             ValueError) as exc:

@@ -52,25 +52,10 @@ class GradedSpace:
         self.m_plus = sum(m for _, m in even)
         self.m_minus = sum(m for _, m in odd)
         self.dim = self.m_plus + self.m_minus
-        degrees, labels = [], []
-        for degree, mult in self.components:
-            for i in range(mult):
-                degrees.append(degree)
-                labels.append((degree, i))
-        self.degrees = tuple(degrees)       # flat index -> Degree
-        self.labels = tuple(labels)         # flat index -> (Degree, i)
+        self.degrees = tuple(degree for degree, mult in self.components
+                             for _ in range(mult))  # flat index -> Degree
         self.parities = tuple(factor.parity(d) for d in self.degrees)
         self._copy_tables = {}
-
-    def flat_index(self, degree, i):
-        base = 0
-        for d, m in self.components:
-            if d == degree:
-                if not 0 <= i < m:
-                    raise IndexError(f"index {i} out of range for {degree}")
-                return base + i
-            base += m
-        raise KeyError(f"{degree} is not a component of this space")
 
     def omega(self, a, b):
         return self.factor.omega(a, b)
@@ -226,9 +211,6 @@ class GlElement(LinearCombination):
             elif deg != d:
                 return None
         return deg if deg is not None else self.space.factor.group.zero()
-
-    def is_homogeneous(self):
-        return self.degree() is not None
 
     def homogeneous_parts(self):
         parts = {}

@@ -62,14 +62,6 @@ class Degree:
     group: GradingGroup
     coords: tuple
 
-    @property
-    def free_part(self):
-        return self.coords[:self.group.free_rank]
-
-    @property
-    def torsion_part(self):
-        return self.coords[self.group.free_rank:]
-
     def _check(self, other):
         if not isinstance(other, Degree) or other.group != self.group:
             raise ShapeError("degrees belong to different grading groups")

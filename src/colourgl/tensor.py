@@ -202,17 +202,13 @@ def _block_group(blocks, r):
 
 def young_symmetrizer(lam):
     """C_lambda = B_lambda A_lambda for the canonical tableau: A the row
-    sum, B the signed column sum."""
+    sum over P_lambda, B the signed column sum over Q_lambda."""
     lam = check_partition(lam)
     r = sum(lam)
-    rows = canonical_tableau(lam)
-    cols = []
-    for j in range(lam[0] if lam else 0):
-        cols.append([row[j] for row in rows if j < len(row)])
-    a_elt = SymGroupElement(r, {p: ONE for p in _block_group(rows, r)})
+    row_group, col_group = row_column_groups(lam)
+    a_elt = SymGroupElement(r, {p: ONE for p in row_group})
     b_elt = SymGroupElement(
-        r, {p: ONE if perm_sign(p) == 1 else -ONE
-            for p in _block_group(cols, r)})
+        r, {p: ONE if perm_sign(p) == 1 else -ONE for p in col_group})
     return b_elt * a_elt
 
 

@@ -16,8 +16,8 @@ from .gl import (GlElement, bilinear_form, bracket, jacobi_defect,
                  pbw_dimension_nilradical, weight_inner)
 from .scalars import ONE, Scalar
 from .tensor import TensorVector, braiding_apply, gl_act_tensor
-from .weyl import FockVector, WeylElement, fock_apply, verify_dual_pair, \
-    weyl_multiply
+from .weyl import (FockVector, WeylElement, fock_algebra, fock_apply,
+                   verify_dual_pair, weyl_multiply)
 
 
 def _random_degree(group, rng, span=5):
@@ -155,13 +155,11 @@ def suite_fock(space, rng, copies):
             for a in range(space.dim) for r in range(copies)]
     gens += [WeylElement.d_gen(space, copies, a, r)
              for a in range(space.dim) for r in range(copies)]
-    x_ids = [(a, r) for a in range(space.dim) for r in range(copies)]
-    monos = [()]
-    for d in range(1, 4):
-        monos += [m for m in itertools.combinations_with_replacement(
-            x_ids, d)
-            if all(space.parities[g[0]] == 1 or m.count(g) <= 1
-                   for g in set(m))]
+    # flat generator g of the Fock algebra is x_(a, r) with (a, r) =
+    # divmod(g, copies)
+    alg = fock_algebra(space, copies)
+    monos = [tuple(divmod(g, copies) for g in m)
+             for d in range(4) for m in alg.monomials(d)]
     for u in gens:
         for v in gens:
             prod = weyl_multiply(u, v)
@@ -182,6 +180,9 @@ def suite_dual_pair(space, rng, copies):
 
 
 def run_verification(space, level="full", rng=None):
+    if space.dim == 0:
+        raise ValueError("verify needs a space of dimension at least 1; "
+                         "this one has dim V = 0")
     rng = rng or random.Random(0)
     full = level == "full"
     plan = [

@@ -39,6 +39,8 @@ from .scalars import MINUS_ONE, ONE
 
 
 MONOMIAL_CAP = 10 ** 6
+# most (x-monomials of degree d) ** 2 that invariant_dimension will reduce
+INVARIANT_BASIS_CAP = 20000
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -518,8 +520,7 @@ def mixed_algebra(space, copies, dual_copies):
     return OmegaPolyAlgebra(space.factor, degrees)
 
 
-def invariant_dimension(space, copies, dual_copies, degree,
-                        basis_bound=20000):
+def invariant_dimension(space, copies, dual_copies, degree):
     """Dimension of the gl(V)-invariants in the bidegree (d, d) component
     of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
 
@@ -530,9 +531,9 @@ def invariant_dimension(space, copies, dual_copies, degree,
     alg = mixed_algebra(space, copies, dual_copies)
     x_monos = fock_algebra(space, copies).monomials(degree)
     size_estimate = len(x_monos) ** 2
-    if size_estimate > basis_bound:
+    if size_estimate > INVARIANT_BASIS_CAP:
         raise ResourceBoundExceeded("invariant_dimension", size_estimate,
-                                    basis_bound)
+                                    INVARIANT_BASIS_CAP)
 
     def flat_count(mono, offset, copies_):
         counts = [0] * n

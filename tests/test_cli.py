@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -91,6 +92,18 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and doc["kind"] == "error", argv
         assert "must be at least" in doc["error"], argv
+    # a 0-dimensional space is refused before any suite runs
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "factor": {"free_rank": 0, "torsion2_rank": 1,
+                   "sign_form": [[1]], "exp_form": [[0]]},
+        "components": []}))
+    for space in ("super(0|0)", str(empty)):
+        for level in ("quick", "full"):
+            code, doc = run_json(capsys, "verify", "--space", space,
+                                 "--level", level)
+            assert code == 2 and doc["kind"] == "error", (space, level)
+            assert "dimension at least 1" in doc["error"], (space, level)
     # --copies 0 is the tableaux default: no dim_glN column
     code, doc = run_json(capsys, "tableaux", "--space", "super(1|1)",
                          "--size", "2", "--copies", "0")
@@ -150,6 +163,44 @@ def test_verify_reports_skipped_suites(capsys):
         assert suites[name]["passed"] is None
     ran = [s for s in suites.values() if "skipped" not in s]
     assert len(ran) == 6 and all(s["passed"] is True for s in ran)
+
+
+# one small job per subcommand, for the report contract below
+CONTRACT_JOBS = {
+    "verify": ("--space", "super(1|1)", "--level", "quick"),
+    "schur-weyl": ("--space", "super(1|1)", "--power", "2"),
+    "howe-sweep": ("--space", "super(1|1)", "--copies", "1",
+                   "--max-degree", "2"),
+    "fft-check": ("--space", "super(1|1)", "--copies", "1",
+                  "--dual-copies", "1", "--max-degree", "1"),
+    "glq-check": ("--m", "1", "--n", "1", "--max-degree", "2"),
+    "typicality": ("--space", "super(1|1)", "--weight", "1,0"),
+    "kac-dim": ("--space", "super(2|1)", "--weight", "2,1,0"),
+    "casimir": ("--space", "super(1|1)", "--weight", "1,0"),
+    "unitarisable": ("--space", "super(1|1)", "--weight=-1,0"),
+    "gram": ("--space", "super(1|1)", "--weight=-1,0"),
+    "tableaux": ("--space", "super(1|1)", "--size", "2"),
+    "glvv": ("--space", "super(1|1)", "--other-space", "super(1|1)",
+             "--max-degree", "1"),
+    "presets": (),
+}
+
+
+def test_every_subcommand_keeps_the_report_contract(capsys, monkeypatch):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    # a subcommand added without a job here fails the test
+    assert set(subparsers.choices) == set(CONTRACT_JOBS)
+    for name, argv in CONTRACT_JOBS.items():
+        code, doc = run_json(capsys, name, *argv)
+        assert doc["kind"] == name, name
+        assert code == (0 if doc["ok"] else 1), name
+    # a handler's ok = False reaches the exit code through main alone
+    monkeypatch.setattr(cli, "cmd_presets", lambda args: ({}, False))
+    code, doc = run_json(capsys, "presets")
+    assert code == 1
+    assert doc == {"kind": "presets", "inputs": {"command": "presets"},
+                   "ok": False, "results": {}}
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):

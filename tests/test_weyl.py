@@ -146,8 +146,10 @@ def test_invariant_dimension_basics(super11, super21):
 
 
 def test_invariant_dimension_resource_guard(super21):
-    with pytest.raises(ResourceBoundExceeded):
-        invariant_dimension(super21, 3, 3, 4, basis_bound=10)
+    # 363 x-monomials of degree 4: the estimate 363 ** 2 is over the cap
+    with pytest.raises(ResourceBoundExceeded) as exc:
+        invariant_dimension(super21, 3, 3, 4)
+    assert exc.value.size == 363 ** 2 > exc.value.bound
 
 
 def test_invariant_generators_filtration(super11, super21):
