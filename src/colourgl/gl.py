@@ -70,6 +70,13 @@ class GradedSpace:
             tuple(self.factor.omega(ga, gb) for gb in self.degrees)
             for ga in self.degrees)
 
+    @cached_property
+    def _omega_pairs(self):
+        """The integers (s, e) with omega_flat(a, b) = (-1)^s q^e."""
+        return tuple(
+            tuple(self.factor._pairings(ga, gb) for gb in self.degrees)
+            for ga in self.degrees)
+
     def copy_tables(self, copies):
         """(odd, om) for the basis (a, r), r < copies, of V x C^copies: the
         set of odd pairs and om[g][h] = omega(gamma_a, gamma_b), built once

@@ -2,8 +2,11 @@
 
 Basis words of V^(tensor r) are tuples of flat indices.  The adjacent
 transposition s_i acts by swapping slots i, i+1 with the braiding factor
-omega(d(v_i), d(v_{i+1})); general permutations act through reduced words
-(well defined since the sigma_i satisfy the Coxeter relations exactly).
+omega(d(v_i), d(v_{i+1})).  A general permutation sends a basis word to one
+word times the product of omega(d(v_i), d(v_j)) over its inversions i < j.
+That product is the one every reduced word of the permutation multiplies
+out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
+relations exactly and the action is well defined.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
 from .partitions import (check_partition, count_hook_tableaux,
                          count_standard_tableaux, hook_partitions, in_hook,
                          lambda_sharp)
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Scalar
 
 
 class TensorVector(LinearCombination):
@@ -89,30 +92,35 @@ def braiding_apply(i, v):
     return TensorVector(space, v.power, terms)
 
 
-def _bubble_word(perm):
-    """Adjacent transposition indices whose left-to-right application
-    realises perm as an action on words (apply s_j for j in the list)."""
-    line = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(line) - 1):
-            if line[j] > line[j + 1]:
-                line[j], line[j + 1] = line[j + 1], line[j]
-                word.append(j)
-                changed = True
-    return word
-
-
 def apply_permutation(perm, v):
     """nu_r(perm): the braided action of a permutation on a tensor vector.
 
     perm is a tuple with perm[i] the image of slot i: the letter in
-    slot i moves to slot perm[i]."""
-    for j in _bubble_word(perm):
-        v = braiding_apply(j, v)
-    return v
+    slot i moves to slot perm[i].  Each word picks up omega(d(w_i), d(w_j))
+    over the inversions i < j, perm[i] > perm[j], summed as integer
+    (sign, exponent) pairs into one factor (-1)^s q^e."""
+    r = v.power
+    if sorted(perm) != list(range(r)):
+        raise ValueError(f"{perm} is not a permutation of {r} slots")
+    inversions = [(i, j) for i in range(r) for j in range(i + 1, r)
+                  if perm[i] > perm[j]]
+    pairs = v.space._omega_pairs
+    terms = {}
+    for word, coef in v.terms.items():
+        out = [0] * r
+        for i, a in enumerate(word):
+            out[perm[i]] = a
+        s = e = 0
+        for i, j in inversions:
+            si, ei = pairs[word[i]][word[j]]
+            s ^= si
+            e += ei
+        if e:
+            coef = coef * Scalar.q_power(e)
+        if s:
+            coef = -coef
+        _add_into(terms, tuple(out), coef)
+    return TensorVector(v.space, r, terms)
 
 
 class SymGroupElement(LinearCombination):
@@ -200,15 +208,21 @@ def _block_group(blocks, r):
     return perms
 
 
-def young_symmetrizer(lam):
-    """C_lambda = B_lambda A_lambda for the canonical tableau: A the row
-    sum over P_lambda, B the signed column sum over Q_lambda."""
+def _row_column_sums(lam):
+    """(A_lambda, B_lambda) for the canonical tableau: A the row sum over
+    P_lambda, B the signed column sum over Q_lambda."""
     lam = check_partition(lam)
     r = sum(lam)
     row_group, col_group = row_column_groups(lam)
     a_elt = SymGroupElement(r, {p: ONE for p in row_group})
     b_elt = SymGroupElement(
         r, {p: ONE if perm_sign(p) == 1 else -ONE for p in col_group})
+    return a_elt, b_elt
+
+
+def young_symmetrizer(lam):
+    """C_lambda = B_lambda A_lambda in the group algebra."""
+    a_elt, b_elt = _row_column_sums(lam)
     return b_elt * a_elt
 
 
@@ -262,13 +276,16 @@ def seed_word(space, lam):
 
 def highest_weight_vector(space, lam):
     """C_lambda applied to the seed word: a nonzero gl(V)-highest weight
-    vector of weight lambda# in V^(tensor |lambda|)."""
+    vector of weight lambda# in V^(tensor |lambda|).  The row sum A acts
+    first and the column sum B on its result, so the product B A with its
+    |Q_lambda| |P_lambda| terms is never formed."""
     lam = check_partition(lam)
     if not in_hook(lam, space.m_plus, space.m_minus):
         raise ValueError(
             f"{lam} is not in the {space.m_plus}|{space.m_minus} hook class")
+    a_elt, b_elt = _row_column_sums(lam)
     v = TensorVector.basis_word(space, seed_word(space, lam))
-    return young_symmetrizer(lam).apply(v)
+    return b_elt.apply(a_elt.apply(v))
 
 
 def is_highest_weight(space, v):

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colourgl.gl import GlElement
 from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
-                                 dim_glN, partitions_of)
-from colourgl.presets import super_space
-from colourgl.scalars import MINUS_ONE, ONE
+                                 dim_glN, hook_partitions, partitions_of)
+from colourgl.presets import glq_space, green_space, super_space, z2z2_space
+from colourgl.scalars import MINUS_ONE, ONE, Scalar
 from colourgl.tensor import (SymGroupElement, TensorVector, apply_permutation,
                              braiding_apply, dual_act, dual_pairing,
                              dual_weight_vector, gl_act_tensor,
@@ -17,6 +18,41 @@ from colourgl.tensor import (SymGroupElement, TensorVector, apply_permutation,
                              total_symmetrizers, word_weight,
                              young_symmetrizer)
 from colourgl.weyl import rank_of_rows
+from test_random_spaces import random_space
+
+
+def oracle_bubble_word(perm):
+    """Adjacent transposition indices whose left-to-right application
+    realises perm as an action on words (apply s_j for j in the list)."""
+    line = list(perm)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(line) - 1):
+            if line[j] > line[j + 1]:
+                line[j], line[j + 1] = line[j + 1], line[j]
+                word.append(j)
+                changed = True
+    return word
+
+
+def oracle_apply_permutation(perm, v):
+    """nu_r(perm): the braided action of a permutation on a tensor vector.
+
+    perm is a tuple with perm[i] the image of slot i: the letter in
+    slot i moves to slot perm[i]."""
+    for j in oracle_bubble_word(perm):
+        v = braiding_apply(j, v)
+    return v
+
+
+def oracle_apply(elt, v):
+    """SymGroupElement.apply through the chain of adjacent braidings."""
+    total = TensorVector(v.space, v.power)
+    for perm, coef in elt.terms.items():
+        total = total + oracle_apply_permutation(perm, v).scale(coef)
+    return total
 
 
 def test_braiding_on_odd_vector():
@@ -75,6 +111,52 @@ def test_permutation_action_is_homomorphism(super21):
         comp = tuple(p[q[i]] for i in range(3))
         assert apply_permutation(comp, v) == \
             apply_permutation(p, apply_permutation(q, v))
+
+
+Q = Scalar.q_power(1)
+LAURENT = [ONE, MINUS_ONE, Q, -Q.inverse(), Q.inverse() + ONE,
+           Scalar.parse("2 - q^2"), Scalar.parse("q^3 - 1/2")]
+PERM_SPACES = [super_space(2, 1), super_space(1, 2), z2z2_space((1, 1, 1, 1)),
+               glq_space(2, 1), glq_space(1, 2), green_space(3),
+               *(random_space(random.Random(seed)) for seed in range(6))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_apply_permutation_matches_the_braiding_chain(data):
+    space = data.draw(st.sampled_from(PERM_SPACES))
+    r = data.draw(st.integers(1, 6))
+    perm = tuple(data.draw(st.permutations(range(r))))
+    word = st.tuples(*[st.integers(0, space.dim - 1)] * r)
+    v = TensorVector(space, r, {
+        data.draw(word): data.draw(st.sampled_from(LAURENT))
+        for _ in range(data.draw(st.integers(1, 4)))})
+    assert apply_permutation(perm, v) == oracle_apply_permutation(perm, v)
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 0), (1, 0), (0, 1, 2, 3),
+                                 (0, 1, 3), [2, 0, 0]])
+def test_apply_permutation_rejects_non_permutations(super21, bad):
+    v = TensorVector.basis_word(super21, (0, 2, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        apply_permutation(bad, v)
+
+
+def test_group_element_rejects_non_permutations(super11):
+    v = TensorVector.basis_word(super11, (0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        SymGroupElement(2, {(5, 0): ONE}).apply(v)
+
+
+@pytest.mark.parametrize("space", [super_space(2, 1), glq_space(2, 1),
+                                   z2z2_space((1, 1, 1, 1)), green_space(3)],
+                         ids=["super21", "glq21", "z2z2", "green3"])
+def test_highest_weight_vector_matches_the_old_symmetrizer(space):
+    for r in range(1, 6):
+        for lam in hook_partitions(space.m_plus, space.m_minus, r, r):
+            seed = TensorVector.basis_word(space, seed_word(space, lam))
+            expected = oracle_apply(young_symmetrizer(lam), seed)
+            assert highest_weight_vector(space, lam) == expected, lam
 
 
 def test_diagonal_action_counts_occurrences(super11):
