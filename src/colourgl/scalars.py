@@ -1,24 +1,21 @@
 """Exact scalars: the field Q(q) of rational functions in one formal parameter.
 
-A Scalar is stored in the canonical form  q^shift * num(q) / den(q)  where
-num and den are tuples of Fraction coefficients in ascending powers of q,
-both with nonzero constant term, den is monic and gcd(num, den) = 1.
-Equality is therefore syntactic.  q is never specialised: identities proved
-here hold at every q != 0.
+A Scalar is stored as  q^shift * n(q) / d(q)  for tuples n, d of ints in
+ascending powers of q with nonzero constant terms, gcd(n, d) = 1 in Z[q]
+(content included: the gcd of all coefficients of n and d together is 1)
+and a positive leading coefficient of d; zero is (0, (0,), (1,)).  The form
+is unique, so equality is syntactic.  q is never specialised: identities
+proved here hold at every q != 0.
 
-Arithmetic reaches the canonical form without a polynomial gcd whenever the
-shapes of the operands guarantee it: a monomial factor c*q^s only scales and
-shifts the other factor, products and sums of Laurent polynomials (den = 1)
-are already in lowest terms, an inverse swaps num and den, and a product of
-two fractions cancels only the cross gcds.  The general normalisation in
-Scalar() serves parsing, sums of fractions and raw constructor input.
-
-The polynomial work itself runs over Z[q]: a coefficient tuple is cleared
-into a primitive integer list and one rational content (Knuth, TAOCP vol. 2,
-4.6.1), products convolve the integer lists, and a gcd is taken by a
-primitive pseudo-remainder sequence, whose cofactors divide exactly in Z[q]
-by Gauss's lemma.  Fractions are built only for the stored result, once per
-coefficient.
+All arithmetic runs on ints.  A monomial factor (p/r) q^s rescales the other
+factor after two small integer gcds, Laurent polynomials over constant dens
+add and multiply with one lcm or gcd over ints, an inverse swaps n and d, and
+a product of fractions cancels only its two cross gcds.  The general path
+(sums of fractions, raw constructor input) takes a polynomial gcd by a
+primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).  Fraction appears
+only where rationals enter or leave: from_rational, as_fraction, raw input
+with Fraction coefficients (parsed a/b among them) and the read-only num and
+den views, which give the value over a monic denominator.
 """
 
 from __future__ import annotations
@@ -26,10 +23,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
-_F0 = Fraction(0)
-_ZERO_POLY = (_F0,)
-_ONE_POLY = (Fraction(1),)
+_ZERO_POLY = (0,)
+_ONE_POLY = (1,)
 
 
 def _trim(coeffs):
@@ -37,14 +34,14 @@ def _trim(coeffs):
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(coeffs[:n]) or _ZERO_POLY
 
 
 def _padd(a, b, k):
-    """a + q^k * b for k >= 0."""
+    """a + q^k * b for integer tuples and k >= 0, trimmed."""
     out = list(a)
     if len(out) < k + len(b):
-        out.extend([_F0] * (k + len(b) - len(out)))
+        out.extend([0] * (k + len(b) - len(out)))
     for i, c in enumerate(b, k):
         out[i] += c
     return _trim(out)
@@ -54,15 +51,31 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
+def _pmul(a, b):
+    """The product of two nonzero integer tuples."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
 def _clear(p):
-    """p as content * ints for nonzero int or Fraction coefficients p: ints
-    is an integer list with gcd 1 (signs kept), content a positive Fraction."""
+    """p as content * ints for int or Fraction coefficients p, not all zero:
+    ints is an integer list with gcd 1 (signs kept), content a positive
+    rational, an int when every coefficient is an int."""
     m = lcm(*[c.denominator for c in p])
     ints = [c.numerator * (m // c.denominator) for c in p]
     g = gcd(*ints)
     if g != 1:
         ints = [x // g for x in ints]
-    return ints, Fraction(g, m)
+    return ints, (g if m == 1 else Fraction(g, m))
 
 
 def _prem(a, b):
@@ -116,104 +129,82 @@ def _exquo(a, b):
     return out
 
 
-def _times(k, ints):
-    """The rational k times an integer list, as a Fraction tuple."""
-    n, d = k.numerator, k.denominator
-    if d == 1:
-        return tuple(Fraction(n * x) for x in ints)
-    return tuple(Fraction(n * x, d) for x in ints)
-
-
-def _monic(num, den, k):
-    """k * num / den over a monic den, for coprime integer lists and a
-    rational k, as Fraction tuples."""
-    lead = den[-1]
-    if lead == 1:
-        return _times(k, num), tuple(map(Fraction, den))
-    return _times(k / lead, num), tuple(Fraction(x, lead) for x in den)
-
-
-def _pmul(a, b):
-    """The product of two nonzero Fraction polynomials: an integer
-    convolution, scaled once."""
-    (pa, ka), (pb, kb) = _clear(a), _clear(b)
-    out = [0] * (len(pa) + len(pb) - 1)
-    for i, x in enumerate(pa):
-        if x:
-            for j, y in enumerate(pb, i):
-                out[j] += x * y
-    return _times(ka * kb, out)
-
-
 def _cancel(a, b):
-    """a / g and b / g for g = gcd(a, b) over nonzero Fraction polynomials;
-    b monic stays monic."""
-    (pa, ka), (pb, kb) = _clear(a), _clear(b)
-    g = _gcd(pa, pb)
-    if len(g) == 1:
-        return a, b
-    return _monic(_exquo(pa, g), _exquo(pb, g), ka / kb)
+    """a / g and b / g as integer tuples, for g = gcd(a, b) in Z[q] with the
+    content included and a positive lead, and nonzero integer tuples a, b."""
+    if len(a) > 1 and len(b) > 1:
+        ca, cb = gcd(*a), gcd(*b)
+        g = _gcd([x // ca for x in a] if ca != 1 else a,
+                 [x // cb for x in b] if cb != 1 else b)
+        if len(g) > 1:
+            a, b = _exquo(a, g), _exquo(b, g)
+        c = gcd(ca, cb)
+    else:
+        c = gcd(*a, *b)
+    if c != 1:
+        return tuple(x // c for x in a), tuple(x // c for x in b)
+    return tuple(a), tuple(b)
 
 
 class Scalar:
-    """An element of Q(q) in canonical Laurent form."""
+    """An element of Q(q) in canonical Laurent form over Z."""
 
-    __slots__ = ("shift", "num", "den")
+    __slots__ = ("shift", "n", "d")
 
-    def __init__(self, shift=0, num=_ZERO_POLY, den=_ONE_POLY, _normalized=False):
-        if _normalized:
-            self.shift, self.num, self.den = shift, num, den
-            return
-        num, den = _trim(num), _trim(den)
+    def __init__(self, shift=0, num=_ZERO_POLY, den=_ONE_POLY):
         if not any(den):
             raise ZeroDivisionError("scalar with zero denominator")
-        if not any(num):
-            self.shift, self.num, self.den = 0, _ZERO_POLY, _ONE_POLY
-            return
-        # factor plain q powers out of num and den into the shift
-        t = next(i for i, c in enumerate(num) if c != 0)
-        u = next(i for i, c in enumerate(den) if c != 0)
-        (num, kn), (den, kd) = _clear(num[t:]), _clear(den[u:])
-        g = _gcd(num, den)
-        if len(g) > 1:
-            num, den = _exquo(num, g), _exquo(den, g)
-        self.num, self.den = _monic(num, den, kn / kd)
-        self.shift = shift + t - u
+        ints = _clear((*num, *den))[0]
+        n, d = _trim(ints[:len(num)]), _trim(ints[len(num):])
+        u = next(i for i, c in enumerate(d) if c)
+        x = _lowest(index(shift) - u, n, d[u:])
+        self.shift, self.n, self.d = x.shift, x.n, x.d
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value):
-        value = Fraction(value)
-        if value == 0:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an int or a Fraction: {value!r}")
+        if not value:
             return ZERO
-        return cls(0, (value,), _ONE_POLY, _normalized=True)
+        d = value.denominator
+        return _make(0, (value.numerator,), (d,) if d != 1 else _ONE_POLY)
 
     @classmethod
     def q_power(cls, k):
-        return cls(int(k), _ONE_POLY, _ONE_POLY, _normalized=True)
+        return _make(index(k), _ONE_POLY, _ONE_POLY)
 
-    # -- predicates --------------------------------------------------------
+    # -- predicates and views ----------------------------------------------
 
     def is_zero(self):
-        return not self.num[0]
+        return not self.n[0]
 
     def is_one(self):
-        return self.shift == 0 and self.num == _ONE_POLY and self.den == _ONE_POLY
+        return self.shift == 0 and self.n == _ONE_POLY and self.d == _ONE_POLY
 
     def is_sign(self):
         """True iff the scalar equals +1 or -1."""
-        return self.den == _ONE_POLY and self.shift == 0 and self.num in (
-            _ONE_POLY, (Fraction(-1),))
+        return self.d == _ONE_POLY and self.shift == 0 and self.n in (
+            _ONE_POLY, (-1,))
 
     def is_rational(self):
-        return len(self.num) == 1 and self.den == _ONE_POLY and (
-            self.shift == 0 or self.is_zero())
+        return self.shift == 0 and len(self.n) == 1 and len(self.d) == 1
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not a plain rational")
-        return self.num[0]
+        return Fraction(self.n[0], self.d[0])
+
+    @property
+    def num(self):
+        """The numerator over the monic den, as Fractions (read-only)."""
+        return tuple(Fraction(x, self.d[-1]) for x in self.n)
+
+    @property
+    def den(self):
+        """The monic denominator, as Fractions (read-only)."""
+        return tuple(Fraction(x, self.d[-1]) for x in self.d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -221,25 +212,26 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num[0]:
+        if not self.n[0]:
             return other
-        if not other.num[0]:
+        if not other.n[0]:
             return self
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)
         k = hi.shift - lo.shift
-        if len(lo.den) == 1 and len(hi.den) == 1:
-            # Laurent polynomials: the sum is canonical once its low zero
-            # coefficients (possible only when k == 0) move into the shift.
-            return _laurent(lo.shift, _padd(lo.num, hi.num, k))
-        if lo.den == hi.den:
-            return Scalar(lo.shift, _padd(lo.num, hi.num, k), lo.den)
-        num = _padd(_pmul(lo.num, hi.den), _pmul(hi.num, lo.den), k)
-        return Scalar(lo.shift, num, _pmul(lo.den, hi.den))
+        a, b, c, d = lo.n, lo.d, hi.n, hi.d
+        if b != d:
+            if len(b) == 1 and len(d) == 1:
+                # Laurent polynomials over constants: one lcm, then one gcd
+                m = lcm(b[0], d[0])
+                a, c, b = _pmul(a, (m // b[0],)), _pmul(c, (m // d[0],)), (m,)
+            else:
+                a, c, b = _pmul(a, d), _pmul(c, b), _pmul(b, d)
+        return _lowest(lo.shift, _padd(a, c, k), b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.shift, _pneg(self.num), self.den, _normalized=True)
+        return _make(self.shift, _pneg(self.n), self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -257,45 +249,34 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, b, c, d = self.n, self.d, other.n, other.d
         if not a[0] or not c[0]:
             return ZERO
         shift = self.shift + other.shift
-        # a monomial factor c*q^s keeps the other factor in lowest terms
+        # a monomial factor (p/r) q^s keeps the other factor in lowest terms
         if len(c) == 1 and len(d) == 1:
-            return _scaled(shift, a, b, c[0])
+            return _scaled(shift, a, b, c[0], d[0])
         if len(a) == 1 and len(b) == 1:
-            return _scaled(shift, c, d, a[0])
+            return _scaled(shift, c, d, a[0], b[0])
         if len(b) == 1 and len(d) == 1:
-            # Laurent polynomials: the product is in lowest terms
-            return Scalar(shift, _pmul(a, c), _ONE_POLY, _normalized=True)
-        # a/b * c/d: gcd(a, b) = gcd(c, d) = 1, so only the cross gcds
-        # gcd(a, d) and gcd(c, b) can be common factors; the quotients of
-        # the monic b and d by monic gcds stay monic, and so does b*d.
-        if len(a) > 1 and len(d) > 1:
-            a, d = _cancel(a, d)
-        if len(c) > 1 and len(b) > 1:
-            c, b = _cancel(c, b)
-        # a constant over a constant den only scales the other factor
-        # (the shapes of x / y and x * y.inverse() for a Laurent x)
-        if len(c) == 1 and len(b) == 1:
-            return _scaled(shift, a, d, c[0])
-        if len(a) == 1 and len(d) == 1:
-            return _scaled(shift, c, b, a[0])
-        return Scalar(shift, _pmul(a, c), _pmul(b, d), _normalized=True)
+            # Laurent polynomials over constants: only a content cancels
+            return _lowest(shift, _pmul(a, c), (b[0] * d[0],))
+        # a/b * c/d: gcd(a, b) = gcd(c, d) = 1, so only the cross gcds can
+        # cancel; they have positive leads, and so keep b's and d's.
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _make(shift, _pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        num, den = self.num, self.den
-        if not num[0]:
+        n, d = self.n, self.d
+        if not n[0]:
             raise ZeroDivisionError("inverse of zero scalar")
-        # gcd(den, num) = 1 still holds; only the new den must be made monic
-        lead = num[-1]
-        if lead != 1:
-            num = tuple(x / lead for x in num)
-            den = tuple(x / lead for x in den)
-        return Scalar(-self.shift, den, num, _normalized=True)
+        # gcd(d, n) = 1 still holds; only the new den's sign may need fixing
+        if n[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return _make(-self.shift, d, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -310,7 +291,7 @@ class Scalar:
         return other * self.inverse()
 
     def __pow__(self, k):
-        k = int(k)
+        k = index(k)
         if k < 0:
             return self.inverse() ** (-k)
         out = ONE
@@ -328,44 +309,27 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.shift, self.num, self.den) == (other.shift, other.num, other.den)
+        return (self.shift, self.n, self.d) == (other.shift, other.n, other.d)
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.num[0])
-        return hash((self.shift, self.num, self.den))
+            return hash(self.as_fraction())
+        return hash((self.shift, self.n, self.d))
 
     def __bool__(self):
-        return bool(self.num[0])
+        return bool(self.n[0])
 
     # -- serialization -----------------------------------------------------
 
     def __str__(self):
-        num, den = self._integer_pair()
-        s = _poly_str(num)
-        if den == (1,):
+        shift = self.shift
+        s = _poly_str(self.n, max(shift, 0))
+        if shift >= 0 and self.d == _ONE_POLY:
             return s
-        if _is_multiterm(s):
-            s = f"({s})"
-        d = _poly_str(den)
-        if _is_multiterm(d):
-            d = f"({d})"
-        return f"{s}/{d}"
+        return f"{_paren(s)}/{_paren(_poly_str(self.d, max(-shift, 0)))}"
 
     def __repr__(self):
         return f"Scalar({self})"
-
-    def _integer_pair(self):
-        """Clear denominators: the value as P(q)/R(q) with coprime integer
-        coefficient vectors and positive leading coefficient on R."""
-        num, den = self.num, self.den
-        if self.shift >= 0:
-            num = (0,) * self.shift + num
-        else:
-            den = (0,) * (-self.shift) + den
-        # den is monic, so its cleared leading coefficient is positive
-        ints = _clear(num + den)[0]
-        return tuple(ints[:len(num)]), tuple(ints[len(num):])
 
     @classmethod
     def parse(cls, text):
@@ -379,21 +343,52 @@ class Scalar:
         return cls(lo_n - lo_d, num, den)
 
 
-def _scaled(shift, num, den, c):
-    """q^shift * c * num / den for canonical num / den and rational c != 0."""
-    if c != 1:
-        num = tuple(x * c for x in num)
-    return Scalar(shift, num, den, _normalized=True)
+_new = object.__new__
 
 
-def _laurent(shift, coeffs):
-    """The canonical q^shift * coeffs, for trimmed Laurent coefficients."""
-    if not coeffs[-1]:
+def _make(shift, n, d):
+    """The Scalar with the canonical fields (shift, n, d), unchecked."""
+    x = _new(Scalar)
+    x.shift, x.n, x.d = shift, n, d
+    return x
+
+
+def _lowest(shift, n, d):
+    """The canonical q^shift * n / d for trimmed integer tuples n and d with
+    d[0] != 0; a constant d costs one integer gcd, and d == 1 none."""
+    if not n[-1]:
         return ZERO
     t = 0
-    while not coeffs[t]:
+    while not n[t]:
         t += 1
-    return Scalar(shift + t, coeffs[t:], _ONE_POLY, _normalized=True)
+    if t:
+        n = n[t:]
+    if d == _ONE_POLY:
+        d = _ONE_POLY   # one shared tuple for the den of every polynomial
+    else:
+        n, d = _cancel(n, d)
+        if d[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+    return _make(shift + t, n, d)
+
+
+def _scaled(shift, n, d, p, r):
+    """q^shift * (p/r) * n/d for canonical n/d and a nonzero rational p/r in
+    lowest terms with r > 0: gcd(p, content d) and gcd(r, content n) are
+    the only common factors, so no polynomial gcd is taken."""
+    if p != 1:
+        g = gcd(p, *d)
+        if g != 1:
+            p, d = p // g, tuple(x // g for x in d)
+        if p != 1:
+            n = tuple(p * x for x in n)
+    if r != 1:
+        g = gcd(r, *n)
+        if g != 1:
+            r, n = r // g, tuple(x // g for x in n)
+        if r != 1:
+            d = tuple(r * x for x in d)
+    return _make(shift, n, d)
 
 
 def _coerce(value):
@@ -404,25 +399,29 @@ def _coerce(value):
     return NotImplemented
 
 
-def _is_multiterm(rendered):
-    return any(ch in rendered[1:] for ch in "+-")
+def _paren(rendered):
+    """A rendered polynomial of more than one term, in parentheses."""
+    if any(ch in rendered[1:] for ch in "+-"):
+        return f"({rendered})"
+    return rendered
 
 
-def _poly_str(coeffs):
-    """Render an integer coefficient vector, descending powers of q."""
+def _poly_str(coeffs, offset=0):
+    """Render q^offset times an integer coefficient vector, descending
+    powers of q; the work is linear in the number of coefficients."""
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if k == 0:
+        mag, e = abs(c), k + offset
+        if e == 0:
             body = str(mag)
-        elif k == 1:
+        elif e == 1:
             body = "q" if mag == 1 else f"{mag}*q"
         else:
-            body = f"q^{k}" if mag == 1 else f"{mag}*q^{k}"
+            body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
         parts.append(sign + body)
     return "".join(parts) if parts else "0"
 
@@ -490,7 +489,7 @@ def _coeffs(exps):
     return lo, tuple(coeffs)
 
 
-ZERO = Scalar(0, _ZERO_POLY, _ONE_POLY, _normalized=True)
-ONE = Scalar(0, _ONE_POLY, _ONE_POLY, _normalized=True)
-MINUS_ONE = Scalar(0, (Fraction(-1),), _ONE_POLY, _normalized=True)
-Q = Scalar(1, _ONE_POLY, _ONE_POLY, _normalized=True)
+ZERO = _make(0, _ZERO_POLY, _ONE_POLY)
+ONE = _make(0, _ONE_POLY, _ONE_POLY)
+MINUS_ONE = _make(0, (-1,), _ONE_POLY)
+Q = _make(1, _ONE_POLY, _ONE_POLY)

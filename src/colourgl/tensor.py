@@ -98,8 +98,9 @@ def apply_permutation(perm, v):
     perm is a tuple with perm[i] the image of slot i: the letter in
     slot i moves to slot perm[i].  Each word picks up omega(d(w_i), d(w_j))
     over the inversions i < j, perm[i] > perm[j], summed as integer
-    (sign, exponent) pairs into one factor (-1)^s q^e."""
-    r = v.power
+    (sign, exponent) pairs into one factor (-1)^s q^e.  A word that is not
+    r letters of range(dim V) raises ValueError."""
+    r, dim = v.power, v.space.dim
     if sorted(perm) != list(range(r)):
         raise ValueError(f"{perm} is not a permutation of {r} slots")
     inversions = [(i, j) for i in range(r) for j in range(i + 1, r)
@@ -107,6 +108,9 @@ def apply_permutation(perm, v):
     pairs = v.space._omega_pairs
     terms = {}
     for word, coef in v.terms.items():
+        if len(word) != r or (r and (min(word) < 0 or max(word) >= dim)):
+            raise ValueError(f"{word} is not a word of {r} letters in "
+                             f"range({dim})")
         out = [0] * r
         for i, a in enumerate(word):
             out[perm[i]] = a

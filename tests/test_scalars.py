@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -328,8 +329,92 @@ def test_integer_kernel_matches_fraction_kernel(pair, scale):
     expect = [int(c) for c in reversed(
         _int_poly(a_int).gcd(_int_poly(b_int)).primitive()[1].all_coeffs())]
     assert g[-1] > 0 and g in (expect, [-c for c in expect])
-    # cross cancellation, b monic, equals the Fraction kernel's
-    assert scalars._cancel(a, b) == oracle_cancel(a, b)
+    # cross cancellation over Z[q], content included, equals the Fraction
+    # kernel's up to one positive integer factor
+    x, y = scalars._cancel(a_int, b_int)
+    ox, oy = oracle_cancel(tuple(map(Fraction, a_int)),
+                           tuple(map(Fraction, b_int)))
+    k = oy[-1] / y[-1]
+    assert k.denominator == 1 and k > 0 and math.gcd(*x, *y) == 1
+    assert ox == tuple(k * c for c in x) and oy == tuple(k * c for c in y)
     # the general constructor on a den that is not monic
     raw = (0, a, tuple(Fraction(c) for c in b_int))
     _check(Scalar(*raw), _sym(raw))
+
+
+# -- the stored integer form --------------------------------------------------
+
+def _assert_stored_form(x):
+    """The invariants of the stored (shift, n, d): int tuples, nonzero
+    constant terms, trimmed, gcd(n, d) = 1 in Z[q] content included, and a
+    positive leading coefficient of d; zero is (0, (0,), (1,))."""
+    n, d = x.n, x.d
+    assert type(n) is tuple and type(d) is tuple and type(x.shift) is int
+    assert all(type(c) is int for c in n + d)
+    if not n[0]:
+        assert (x.shift, n, d) == (0, (0,), (1,))
+        return
+    assert n[-1] != 0 and d[0] != 0 and d[-1] > 0
+    assert math.gcd(*n, *d) == 1
+    assert _int_poly(n).gcd(_int_poly(d)).degree() == 0
+
+
+@ORACLE
+@given(RAW, RAW, st.integers(-3, 3))
+def test_every_operation_keeps_the_stored_form(rx, ry, k):
+    x, y = Scalar(*rx), Scalar(*ry)
+    results = [x, y, -x, x + y, x - y, x * y, Scalar.parse(str(x)),
+               x + 1, 2 - x, x * Fraction(-2, 3), Fraction(3, 2) / (y or ONE)]
+    if not y.is_zero():
+        results += [x / y, y.inverse(), y ** k, (x * y) / y]
+    for result in results:
+        _assert_stored_form(result)
+
+
+@given(st.one_of(st.integers(-10**20, 10**20),
+                 st.fractions(max_denominator=10**6)))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_rationals_hash_and_compare_as_themselves(value):
+    x = Scalar.from_rational(value)
+    _assert_stored_form(x)
+    assert x == value and value == x and hash(x) == hash(value)
+    assert x.as_fraction() == value and x.is_rational()
+    assert Scalar.parse(str(x)) == x
+
+
+def test_num_and_den_read_the_monic_fraction_form():
+    x = Scalar.parse("(2*q^2-2)/(4*q+6)")
+    assert (x.shift, x.n, x.d) == (0, (-1, 0, 1), (3, 2))
+    assert x.num == (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+    assert x.den == (Fraction(3, 2), Fraction(1))
+    assert all(type(c) is Fraction for c in x.num + x.den)
+    half = Scalar.from_rational(Fraction(-1, 2))
+    assert (half.n, half.d, half.num, half.den) == (
+        (-1,), (2,), (Fraction(-1, 2),), (Fraction(1),))
+    assert (ZERO.num, ZERO.den) == ((Fraction(0),), (Fraction(1),))
+
+
+def test_only_ints_and_fractions_enter_as_rationals():
+    for value in (0.1, 1.0, "1", complex(1, 0), None):
+        with pytest.raises(TypeError):
+            Scalar.from_rational(value)
+    with pytest.raises(TypeError):
+        Q + 0.5
+    # a q-exponent or shift is an int too; int() made q^2 of 2.5 and q^3 of "3"
+    for exponent in (2.5, "3"):
+        with pytest.raises(TypeError):
+            Scalar.q_power(exponent)
+        with pytest.raises(TypeError):
+            Q ** exponent
+        with pytest.raises(TypeError):
+            Scalar(exponent, (1,))
+    assert Scalar.from_rational(True) == ONE
+
+
+def test_str_of_a_high_power_does_not_pad_the_shift():
+    start = time.perf_counter()
+    text = str(Scalar.q_power(10 ** 7))
+    assert time.perf_counter() - start < 0.1
+    assert text == "q^10000000"
+    assert str(Scalar.q_power(-10 ** 7) * (Q + 2)) == "(q+2)/q^10000000"
+    assert str(Scalar.q_power(10 ** 7) / (Q - 1)) == "q^10000000/(q-1)"

@@ -142,6 +142,15 @@ def test_apply_permutation_rejects_non_permutations(super21, bad):
         apply_permutation(bad, v)
 
 
+@pytest.mark.parametrize("word", [(0, 1), (0, 1, 0, 1), (1, -1, 0),
+                                  (0, 2, 1)])
+def test_apply_permutation_rejects_malformed_words(super11, word):
+    # super(1|1) has the letters 0 and 1; a power-3 vector needs 3 of them
+    v = TensorVector(super11, 3, {word: ONE})
+    with pytest.raises(ValueError, match="not a word of 3 letters"):
+        apply_permutation((1, 0, 2), v)
+
+
 def test_group_element_rejects_non_permutations(super11):
     v = TensorVector.basis_word(super11, (0, 1))
     with pytest.raises(ValueError, match="not a permutation"):
