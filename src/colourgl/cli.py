@@ -24,8 +24,7 @@ from . import presets
 from .gl import GradedSpace
 from .partitions import (count_hook_tableaux, count_standard_tableaux,
                          dim_glN, hook_partitions, lambda_sharp)
-from .reps import (DualWeightUnsupported, UnsupportedFactor, UnsupportedSpace,
-                   casimir_defect, casimir_eigenvalue, classify_unitarisable,
+from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
 from .tensor import schur_weyl_table
@@ -342,9 +341,7 @@ def main(argv=None):
             report["timing"] = {"seconds": round(time.time() - start, 3)}
         emit(report, args)
         return 0 if ok else 1
-    except (InputError, UnsupportedFactor, UnsupportedSpace,
-            DualWeightUnsupported, ResourceBoundExceeded, KeyError,
-            ValueError) as exc:
+    except (ValueError, KeyError, ResourceBoundExceeded) as exc:
         print(json.dumps({"kind": "error", "ok": False,
                           "error": str(exc)}, sort_keys=True, indent=2))
         return 2

@@ -7,7 +7,11 @@ Matrix units E_ab relative to this basis span gl(V), with bracket
 
     [E_ab, E_cd] = delta_bc E_ad - omega(g_a - g_b, g_c - g_d) delta_da E_cb
 
-where g_a is the degree of the a-th basis vector.  Weights live in the
+where g_a is the degree of the a-th basis vector.  omega between basis
+indices is stored once per space as integer pairs, _omega_pairs[a][b] =
+(s, e) with omega(g_a, g_b) = (-1)^s q^e; omega between sums and
+differences of g's is the XOR of the signs and the sum of the exponents,
+applied to a coefficient by grading.omega_scalar.  Weights live in the
 basis eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
 
 Every sparse container of the package (GlElement here; TensorVector,
@@ -23,6 +27,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
+from .grading import CommutativeFactor, omega_scalar
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -62,13 +67,7 @@ class GradedSpace:
 
     def omega_flat(self, a, b):
         """omega between the degrees of two flat basis indices."""
-        return self._omega_table[a][b]
-
-    @cached_property
-    def _omega_table(self):
-        return tuple(
-            tuple(self.factor.omega(ga, gb) for gb in self.degrees)
-            for ga in self.degrees)
+        return omega_scalar(*self._omega_pairs[a][b])
 
     @cached_property
     def _omega_pairs(self):
@@ -79,22 +78,16 @@ class GradedSpace:
 
     def copy_tables(self, copies):
         """(odd, om) for the basis (a, r), r < copies, of V x C^copies: the
-        set of odd pairs and om[g][h] = omega(gamma_a, gamma_b), built once
-        per number of copies."""
+        set of odd pairs and om[g][h] = (s, e) of omega(gamma_a, gamma_b),
+        built once per number of copies."""
         tables = self._copy_tables.get(copies)
         if tables is None:
             pairs = [(a, r) for a in range(self.dim) for r in range(copies)]
-            rows = self._omega_table
+            rows = self._omega_pairs
             tables = self._copy_tables[copies] = (
                 frozenset(g for g in pairs if self.parities[g[0]] == -1),
                 {g: {h: rows[g[0]][h[0]] for h in pairs} for g in pairs})
         return tables
-
-    def word_degree(self, word):
-        total = self.factor.group.zero()
-        for a in word:
-            total = total + self.degrees[a]
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, GradedSpace)
@@ -119,7 +112,6 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, doc):
-        from .grading import CommutativeFactor
         factor = CommutativeFactor.from_json(doc["factor"])
         comps = [(factor.group.degree(*c["degree"]), c["dim"])
                  for c in doc["components"]]
@@ -239,27 +231,30 @@ class GlElement(LinearCombination):
 
     @classmethod
     def from_json(cls, space, doc):
-        from .scalars import Scalar
         return cls(space, {(int(a), int(b)): Scalar.parse(s)
                            for a, b, s in doc})
 
 
 def bracket(x, y):
-    """The graded commutator, extended bilinearly over matrix units."""
+    """The graded commutator, extended bilinearly over matrix units.  The
+    factor omega(g_a - g_b, g_c - g_a) of the second term is the pair
+    (s, e) of omega(g_a, g_c) omega(g_b, g_a) / (omega(g_a, g_a)
+    omega(g_b, g_c)); its minus sign is folded into s."""
     x._check(y)
-    space = x.space
-    degrees = space.degrees
+    pairs = x.space._omega_pairs
     terms = {}
     for (a, b), cx in x.terms.items():
+        row_a, row_b = pairs[a], pairs[b]
         for (c, d), cy in y.terms.items():
             coef = cx * cy
             if b == c:
                 _add_into(terms, (a, d), coef)
             if d == a:
-                om = space.omega(degrees[a] - degrees[b],
-                                 degrees[c] - degrees[d])
-                _add_into(terms, (c, b), -om * coef)
-    return GlElement(space, terms)
+                (s1, e1), (s2, e2) = row_a[c], row_b[a]
+                (s3, e3), (s4, e4) = row_a[a], row_b[c]
+                _add_into(terms, (c, b), omega_scalar(
+                    1 ^ s1 ^ s2 ^ s3 ^ s4, e1 + e2 - e3 - e4, coef))
+    return GlElement(x.space, terms)
 
 
 def jacobi_defect(x, y, z):

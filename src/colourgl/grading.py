@@ -9,6 +9,12 @@ with S symmetric mod 2 and B integer skew-symmetric, B vanishing on the
 torsion coordinates (so q-exponents are well defined on Z_2 summands).
 This covers every grading used downstream: Z_2 superalgebras, Z_2 x Z_2
 colour algebras, Z^n sign gradings and the Z^(m+n) q-deformed factor.
+
+omega(a, b) is read as the integer pair (s, e) = (a^T S b mod 2, a^T B b).
+As omega is a bicharacter, omega between sums and differences of degrees
+is the pair of XOR-ed signs and summed (or subtracted) exponents, so the
+graded space keeps one pair per two basis indices and the algorithms sum
+pairs.  omega_scalar is the one place a pair becomes a Scalar factor.
 """
 
 from __future__ import annotations
@@ -17,6 +23,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import ONE, Scalar
+
+
+def omega_scalar(s, e, coef=ONE):
+    """coef * (-1)^s q^e, with no multiplication when (s, e) = (0, 0)."""
+    if e:
+        q_e = Scalar.q_power(e)
+        coef = q_e if coef is ONE else coef * q_e
+    return -coef if s else coef
 
 
 class ShapeError(ValueError):
@@ -150,9 +164,7 @@ class CommutativeFactor:
 
     def omega(self, a, b):
         """omega(a, b) as an exact Scalar."""
-        s, e = self._pairings(a, b)
-        value = Scalar.q_power(e) if e else ONE
-        return -value if s else value
+        return omega_scalar(*self._pairings(a, b))
 
     def parity(self, a):
         """omega(a, a) as an integer sign, +1 or -1."""

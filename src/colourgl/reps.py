@@ -353,8 +353,7 @@ class KacModule:
                                   if mm == 2 else None)
 
     def _sign(self, d1, d2):
-        om = self.space.omega(d1, d2)
-        return 1 if om.is_one() else -1
+        return -1 if self.space.factor._pairings(d1, d2)[0] else 1
 
     def basis(self, max_level=None):
         top = len(self.pairs) if max_level is None else max_level
@@ -508,10 +507,6 @@ class GramReport:
     @property
     def unitarisable(self):
         return self.verdict != "indefinite"
-
-    @property
-    def singular(self):
-        return self.verdict == "positive-semidefinite"
 
     @property
     def degenerate(self):

@@ -6,7 +6,8 @@ omega(d(v_i), d(v_{i+1})).  A general permutation sends a basis word to one
 word times the product of omega(d(v_i), d(v_j)) over its inversions i < j.
 That product is the one every reduced word of the permutation multiplies
 out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
-relations exactly and the action is well defined.
+relations exactly and the action is well defined.  These products and the
+coproduct factors of the gl(V)-action are sums of omega pairs (s, e).
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from fractions import Fraction
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  basis_weight)
+from .grading import omega_scalar
 from .partitions import (check_partition, count_hook_tableaux,
                          count_standard_tableaux, hook_partitions, in_hook,
                          lambda_sharp)
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 
 
 class TensorVector(LinearCombination):
@@ -52,16 +54,6 @@ class TensorVector(LinearCombination):
             elif wt != w:
                 return None
         return wt
-
-    def degree(self):
-        deg = None
-        for word in self.terms:
-            d = self.space.word_degree(word)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg
 
     def __repr__(self):
         if not self.terms:
@@ -119,11 +111,7 @@ def apply_permutation(perm, v):
             si, ei = pairs[word[i]][word[j]]
             s ^= si
             e += ei
-        if e:
-            coef = coef * Scalar.q_power(e)
-        if s:
-            coef = -coef
-        _add_into(terms, tuple(out), coef)
+        _add_into(terms, tuple(out), omega_scalar(s, e, coef))
     return TensorVector(v.space, r, terms)
 
 
@@ -243,23 +231,28 @@ def row_column_groups(lam):
 def gl_act_tensor(x, v):
     """The gl(V)-action through the iterated coproduct:
     X(v_1 ... v_r) = sum_j omega(d(X), d(v_1..v_{j-1})) v_1..X(v_j)..v_r.
-    Inhomogeneous X is split into homogeneous parts first."""
+    For E_ab that factor multiplies omega(g_a, g_c) / omega(g_b, g_c) over
+    the prefix letters c, summed as pairs from the rows pairs[a], pairs[b]."""
     if x.space != v.space:
         raise SpaceMismatch("operator and vector over different spaces")
-    space = v.space
-    parts = x.homogeneous_parts() if x.degree() is None else {x.degree(): x}
+    pairs = v.space._omega_pairs
     terms = {}
-    for deg, part in parts.items():
+    for (a, b), xc in x.terms.items():
+        row_a, row_b = pairs[a], pairs[b]
         for word, coef in v.terms.items():
-            prefix = ONE
+            if b not in word:
+                continue
+            c = xc * coef
+            s = e = 0
             for j, letter in enumerate(word):
-                if j:
-                    prefix = prefix * space.omega(deg, space.degrees[word[j - 1]])
-                for (a, b), xc in part.terms.items():
-                    if b == letter:
-                        _add_into(terms, word[:j] + (a,) + word[j + 1:],
-                                  prefix * xc * coef)
-    return TensorVector(space, v.power, terms)
+                if letter == b:
+                    _add_into(terms, word[:j] + (a,) + word[j + 1:],
+                              omega_scalar(s, e, c))
+                sa, ea = row_a[letter]
+                sb, eb = row_b[letter]
+                s ^= sa ^ sb
+                e += ea - eb
+    return TensorVector(v.space, v.power, terms)
 
 
 def seed_word(space, lam):
@@ -336,17 +329,16 @@ def schur_weyl_table(space, r):
 def dual_act(x, wbar):
     """Action on V*: for homogeneous X, <X.wbar, v> = omega(d(X), d(wbar))
     <wbar, S(X).v> with S(X) = -X.  wbar maps flat indices to Scalars,
-    ebar_a having weight -eps_a and degree -gamma_a."""
-    space = x.space
-    parts = x.homogeneous_parts() if x.degree() is None else {x.degree(): x}
+    ebar_a having weight -eps_a and degree -gamma_a.  E_ab sends ebar_a to
+    -omega(g_a - g_b, -g_a) ebar_b, whose pair is that of
+    omega(g_b, g_a) / omega(g_a, g_a) with the minus sign folded into s."""
+    pairs = x.space._omega_pairs
     out = {}
-    for deg, part in parts.items():
-        for (a, b), coef in part.terms.items():
-            # E_ab . ebar_a = -omega(d(X), -gamma_a) ebar_b
-            c = wbar.get(a)
-            if c:
-                om = space.omega(deg, -space.degrees[a])
-                _add_into(out, b, -om * coef * c)
+    for (a, b), coef in x.terms.items():
+        c = wbar.get(a)
+        if c:
+            (s1, e1), (s2, e2) = pairs[b][a], pairs[a][a]
+            _add_into(out, b, omega_scalar(1 ^ s1 ^ s2, e1 - e2, coef * c))
     return out
 
 

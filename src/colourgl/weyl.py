@@ -12,13 +12,14 @@ two sorted words, each letter of the right word entering from the right
 and passing the larger letters before it.  It multiplies x-words, Fock
 monomials and OmegaPolyAlgebra monomials, and merges a d into a d-word
 from the left as _merge((d,), ds).  One walk, _derive, gives d_g's
-contractions against an x-monomial and the factor for d_g passing all of
-it.  Both read omega from a table om[g][h] = omega(gamma_g, gamma_h),
-built once per (space, copies) by GradedSpace.copy_tables and once per
-OmegaPolyAlgebra.  As omega is a commutative factor (Scheunert 1979),
-omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
-omega(gamma_h, gamma_g), so that one table serves x's, d's and
-contractions.
+contractions against an x-monomial and the pair for d_g passing all of
+it.  Both sum integer pairs om[g][h] = (s, e) with omega(gamma_g,
+gamma_h) = (-1)^s q^e, built once per (space, copies) by
+GradedSpace.copy_tables and once per OmegaPolyAlgebra, and apply the sum
+to the coefficient once, by grading.omega_scalar.  As omega is a
+commutative factor (Scheunert 1979), omega(-a, -b) = omega(a, b) and
+omega(-gamma_g, gamma_h) = omega(gamma_h, gamma_g), so that one table
+serves x's, d's and contractions.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows and the
@@ -33,9 +34,11 @@ from math import comb
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  bracket)
+from .grading import omega_scalar
 from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
                          in_hook, lambda_sharp)
 from .scalars import MINUS_ONE, ONE
+from .tensor import dual_act
 
 
 MONOMIAL_CAP = 10 ** 6
@@ -120,34 +123,39 @@ class WeylElement(LinearCombination):
         return f"WeylElement({body})"
 
 
-def _merge(w1, w2, odd, om):
-    """The product w1 * w2 of sorted graded-commutative words.  Each
+def _merge(w1, w2, odd, om, coef=ONE):
+    """The product coef * w1 * w2 of sorted graded-commutative words.  Each
     generator g of w2 enters from the right and passes the larger letters
-    h before it, each pass giving om[h][g].  Returns (coefficient, sorted
-    word), or None when an odd generator repeats."""
-    coef, word = ONE, w1
+    h before it, each pass adding the pair om[h][g].  Returns (coefficient,
+    sorted word), or None when an odd generator repeats."""
+    s, e, word = 0, 0, w1
     for g in w2:
         if g in odd and g in word:
             return None
         pos = len(word)
         while pos and word[pos - 1] > g:
             pos -= 1
-            coef = coef * om[word[pos]][g]
+            sh, eh = om[word[pos]][g]
+            s ^= sh
+            e += eh
         word = word[:pos] + (g,) + word[pos:]
-    return coef, word
+    return omega_scalar(s, e, coef), word
 
 
-def _derive(g, mono, om):
-    """d_g on an x-monomial as a graded derivation of degree -gamma_g:
-    ([(coefficient, monomial)], the factor of d_g passing all of mono).
-    d_g passes x_h with omega(-gamma_g, gamma_h) = om[h][g]."""
+def _derive(g, mono, om, coef=ONE):
+    """coef * d_g on an x-monomial, d_g a graded derivation of degree
+    -gamma_g: ([(coefficient, monomial)], the pair (s, e) of d_g passing
+    all of mono).  d_g passes x_h with omega(-gamma_g, gamma_h), the pair
+    om[h][g]."""
     out = []
-    passing = ONE
+    s = e = 0
     for j, h in enumerate(mono):
         if h == g:
-            out.append((passing, mono[:j] + mono[j + 1:]))
-        passing = passing * om[h][g]
-    return out, passing
+            out.append((omega_scalar(s, e, coef), mono[:j] + mono[j + 1:]))
+        sh, eh = om[h][g]
+        s ^= sh
+        e += eh
+    return out, (s, e)
 
 
 def weyl_multiply(u, v):
@@ -158,21 +166,19 @@ def weyl_multiply(u, v):
 
     def reduce_term(xs1, ds1, xs2, ds2, coef):
         if not ds1:
-            merged = _merge(xs1, xs2, odd, om)
+            merged = _merge(xs1, xs2, odd, om, coef)
             if merged is not None:
-                c, xs = merged
-                _add_into(out, (xs, ds2), coef * c)
+                _add_into(out, (merged[1], ds2), merged[0])
             return
         d = ds1[-1]
         rest = ds1[:-1]
-        contractions, passing = _derive(d, xs2, om)
+        contractions, passing = _derive(d, xs2, om, coef)
         for c, xs in contractions:
-            reduce_term(xs1, rest, xs, ds2, coef * c)
+            reduce_term(xs1, rest, xs, ds2, c)
         # d passes the whole x block and merges into ds2 from the left
-        merged = _merge((d,), ds2, odd, om)
+        merged = _merge((d,), ds2, odd, om, omega_scalar(*passing, coef))
         if merged is not None:
-            c, new_ds = merged
-            reduce_term(xs1, rest, xs2, new_ds, coef * passing * c)
+            reduce_term(xs1, rest, xs2, merged[1], merged[0])
 
     for (xs1, ds1), cu in u.terms.items():
         for (xs2, ds2), cv in v.terms.items():
@@ -229,14 +235,13 @@ def fock_apply(u, f):
             for g in reversed(ds):
                 nxt = {}
                 for m, c in stage.items():
-                    for dc, dm in _derive(g, m, om)[0]:
-                        _add_into(nxt, dm, c * dc)
+                    for dc, dm in _derive(g, m, om, c)[0]:
+                        _add_into(nxt, dm, dc)
                 stage = nxt
             for m, c in stage.items():
-                merged = _merge(xs, m, odd, om)
+                merged = _merge(xs, m, odd, om, c)
                 if merged is not None:
-                    mc, mm = merged
-                    _add_into(out, mm, c * mc)
+                    _add_into(out, merged[1], merged[0])
     return FockVector(f.space, f.copies, out)
 
 
@@ -323,12 +328,13 @@ class OmegaPolyAlgebra:
 
     @cached_property
     def _tables(self):
-        """(odd, om) for _merge: the odd generators and om[g][h] =
-        omega(degree of g, degree of h), built on the first product."""
+        """(odd, om) for _merge: the odd generators and om[g][h] = the
+        pair (s, e) of omega(degree of g, degree of h), built on the first
+        product."""
         n = len(self.degrees)
         return (frozenset(g for g in range(n) if self.parities[g] == -1),
-                tuple(tuple(self.factor.omega(self.degrees[g],
-                                              self.degrees[h])
+                tuple(tuple(self.factor._pairings(self.degrees[g],
+                                                  self.degrees[h])
                             for h in range(n)) for g in range(n)))
 
     def multiply(self, m1, m2):
@@ -348,9 +354,10 @@ class OmegaPolyAlgebra:
                     x_degree, self.degrees[mono[j - 1]])
             for g2, coef in action.get(g, ()):
                 # g2 replaces g at slot j and straightens into place
-                merged = _merge(mono[:j], (g2,) + mono[j + 1:], odd, om)
+                merged = _merge(mono[:j], (g2,) + mono[j + 1:], odd, om,
+                                prefix * coef)
                 if merged is not None:
-                    _add_into(out, merged[1], prefix * coef * merged[0])
+                    _add_into(out, merged[1], merged[0])
         return out
 
 
@@ -489,7 +496,7 @@ def rank_of_rows(rows):
 def _gl_action_on_generators(space_v, copies, dual_copies):
     """Generator-level action of each E_ab on the combined algebra
     S_omega(V^N + Vbar^N'): x(c,r) -> delta x(a,r), xbar(c,s) ->
-    -omega(d(X), -gamma_c) delta xbar(b,s)."""
+    -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*."""
     n = space_v.dim
 
     def x_id(a, r):
@@ -505,9 +512,9 @@ def _gl_action_on_generators(space_v, copies, dual_copies):
             act = {}
             for r in range(copies):
                 act[x_id(b, r)] = [(x_id(a, r), ONE)]
+            om = dual_act(GlElement.matrix_unit(space_v, a, b), {a: ONE})[b]
             for s in range(dual_copies):
-                om = space_v.omega(deg, -space_v.degrees[a])
-                act[xbar_id(a, s)] = [(xbar_id(b, s), -om)]
+                act[xbar_id(a, s)] = [(xbar_id(b, s), om)]
             actions[(a, b)] = (deg, act)
     return actions
 
