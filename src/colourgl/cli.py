@@ -2,7 +2,9 @@
 
 Every subcommand emits one JSON report (sorted keys) or, for tables, TSV.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
-with `kind` the subcommand name, and it exits 1 when ok is false.
+with `kind` the subcommand name, and it exits 1 when ok is false.  `main`
+parses with one parser per process and calls the handler by its name,
+`cmd_` plus the subcommand, at call time.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  Output is byte-deterministic
@@ -13,6 +15,7 @@ stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -94,7 +97,7 @@ def emit(report, args):
 
 def make_report(args, results, ok):
     inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "timing", "format") and v is not None}
+              if k not in ("timing", "format") and v is not None}
     return {"kind": args.command, "inputs": inputs, "ok": ok,
             "results": results}
 
@@ -257,85 +260,90 @@ def build_parser():
                         help="include wall-clock timing in the report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         return p
 
-    p = add("verify", cmd_verify, help="run the invariant suites")
+    p = add("verify", help="run the invariant suites")
     p.add_argument("--space", required=True)
     p.add_argument("--level", choices=("quick", "full"), default="full")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("schur-weyl", cmd_schur_weyl, help="decomposition of V^r")
+    p = add("schur-weyl", help="decomposition of V^r")
     p.add_argument("--space", required=True)
     p.add_argument("--power", type=int, required=True)
 
-    p = add("howe-sweep", cmd_howe_sweep,
+    p = add("howe-sweep",
             help="Fock space dimension sweep against the module sum")
     p.add_argument("--space", required=True)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
 
-    p = add("fft-check", cmd_fft_check,
-            help="invariant dimensions and z-span verification")
+    p = add("fft-check", help="invariant dimensions and z-span verification")
     p.add_argument("--space", required=True)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--dual-copies", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=2)
 
-    p = add("glq-check", cmd_glq_check, help="gl_q(m|n) relation families")
+    p = add("glq-check", help="gl_q(m|n) relation families")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=4)
 
-    p = add("typicality", cmd_typicality, help="chi(lambda) and typicality")
+    p = add("typicality", help="chi(lambda) and typicality")
     p.add_argument("--space", required=True)
     p.add_argument("--weight", required=True)
 
-    p = add("kac-dim", cmd_kac_dim, help="dimension of the Kac module")
+    p = add("kac-dim", help="dimension of the Kac module")
     p.add_argument("--space", required=True)
     p.add_argument("--weight", required=True)
 
-    p = add("casimir", cmd_casimir,
-            help="Casimir eigenvalue / tensor-action defect")
+    p = add("casimir", help="Casimir eigenvalue / tensor-action defect")
     p.add_argument("--space", required=True)
     p.add_argument("--weight")
     p.add_argument("--partition")
 
-    p = add("unitarisable", cmd_unitarisable,
-            help="classify against a compact *-structure")
+    p = add("unitarisable", help="classify against a compact *-structure")
     p.add_argument("--space", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--type", choices=("I", "II"), default="I")
 
-    p = add("gram", cmd_gram, help="contravariant Gram matrices")
+    p = add("gram", help="contravariant Gram matrices")
     p.add_argument("--space", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--depth", type=int, default=None)
 
-    p = add("tableaux", cmd_tableaux, help="hook tableaux table")
+    p = add("tableaux", help="hook tableaux table")
     p.add_argument("--space", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--copies", type=int, default=0)
 
-    p = add("glvv", cmd_glvv, help="Howe duality for a pair of spaces")
+    p = add("glvv", help="Howe duality for a pair of spaces")
     p.add_argument("--space", required=True)
     p.add_argument("--other-space", required=True)
     p.add_argument("--max-degree", type=int, default=2)
 
-    add("presets", cmd_presets, help="list built-in spaces")
+    add("presets", help="list built-in spaces")
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on the first call to main: every
+    parse_args starts from a fresh namespace, so it is reused as is."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.time()
     try:
         check_counts(args)
-        results, ok = args.func(args)
+        # looked up at call time, so a replaced handler is the one called
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        results, ok = handler(args)
         report = make_report(args, results, ok)
         if args.timing:
             report["timing"] = {"seconds": round(time.time() - start, 3)}

@@ -212,6 +212,10 @@ class GlElement(LinearCombination):
         return deg if deg is not None else self.space.factor.group.zero()
 
     def homogeneous_parts(self):
+        """The homogeneous decomposition {degree: part}, X = sum of its
+        parts with every E_ab of a part of degree g_a - g_b.  The library
+        walks X by matrix units and reads omega from integer pairs instead;
+        the tests split X with this as an omega oracle."""
         parts = {}
         for (a, b), coef in self.terms.items():
             d = self.space.degrees[a] - self.space.degrees[b]

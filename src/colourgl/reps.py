@@ -343,17 +343,19 @@ class KacModule:
         self.mp, self.mm = mp, mm
         self.pairs = [(i, rb) for i in range(mp)
                       for rb in range(mp, space.dim)]
-        self.pair_degree = [space.degrees[rb] - space.degrees[i]
-                            for i, rb in self.pairs]
         self.n_plus = int(lam[0] - lam[1]) + 1 if mp == 2 else 1
         self.n_minus = int(lam[mp] - lam[mp + 1]) + 1 if mm == 2 else 1
-        self.plus_root_degree = (space.degrees[1] - space.degrees[0]
-                                 if mp == 2 else None)
-        self.minus_root_degree = (space.degrees[mp + 1] - space.degrees[mp]
-                                  if mm == 2 else None)
-
-    def _sign(self, d1, d2):
-        return -1 if self.space.factor._pairings(d1, d2)[0] else 1
+        # the sign bit of omega(g_a, g_b); omega is a bicharacter, so the
+        # sign of omega(g_a - g_b, g_c - g_d) is the XOR of four such bits
+        bits = [[s for s, _ in row] for row in space._omega_pairs]
+        self._bits = bits
+        # _pair_sign[s][t] = sign of omega(deg F_s, deg F_t)
+        self._pair_sign = [
+            [-1 if bits[rb][rb2] ^ bits[rb][i2] ^ bits[i][rb2] ^ bits[i][i2]
+             else 1 for i2, rb2 in self.pairs] for i, rb in self.pairs]
+        # act and _l0_norm results by argument; callers never mutate them
+        self._act_memo = {}
+        self._norm_memo = {}
 
     def basis(self, max_level=None):
         top = len(self.pairs) if max_level is None else max_level
@@ -383,14 +385,14 @@ class KacModule:
     def _prepend_pair(self, sid, vec):
         """Left multiplication by F_{sid} on a coefficient vector."""
         out = {}
-        deg = self.pair_degree[sid]
+        signs = self._pair_sign[sid]
         for (S, kp, km), coef in vec.items():
             if sid in S:
                 continue
             sign = 1
             pos = 0
             while pos < len(S) and S[pos] < sid:
-                sign *= self._sign(deg, self.pair_degree[S[pos]])
+                sign *= signs[S[pos]]
                 pos += 1
             _add_into(out, (S[:pos] + (sid,) + S[pos:], kp, km), sign * coef)
         return out
@@ -414,10 +416,12 @@ class KacModule:
                     out[((), kp + 1, km)] = Fraction(1)
             return out
         if a >= mp and b >= mp:
-            deg = (self.space.degrees[a] - self.space.degrees[b])
             phi = 1
-            if kp and self.plus_root_degree is not None:
-                phi = self._sign(deg, self.plus_root_degree) ** kp
+            if kp % 2:  # kp > 0 only when mp == 2
+                # omega(g_a - g_b, g_1 - g_0) ** kp
+                bits = self._bits
+                if bits[a][1] ^ bits[a][0] ^ bits[b][1] ^ bits[b][0]:
+                    phi = -1
             if (a, b) == (mp, mp + 1):
                 if km:
                     out[((), kp, km - 1)] = phi * km * (
@@ -429,37 +433,46 @@ class KacModule:
         raise AssertionError("mixed-parity generator reached the L0 action")
 
     def act(self, a, b, el):
-        """E_ab applied to a basis element; returns {element: Fraction}."""
-        space = self.space
+        """E_ab applied to a basis element; returns {element: Fraction},
+        computed once per module and shared, so it must not be mutated."""
+        key = (a, b, el)
+        out = self._act_memo.get(key)
+        if out is not None:
+            return out
         S, kp, km = el
         mp = self.mp
         if not S:
             if a < mp <= b:
-                return {}
-            if b < mp <= a:
+                out = {}
+            elif b < mp <= a:
                 sid = self.pairs.index((b, a))
-                return self._prepend_pair(sid, {((), kp, km): Fraction(1)})
-            return self._act_l0(a, b, kp, km)
+                out = self._prepend_pair(sid, {((), kp, km): Fraction(1)})
+            else:
+                out = self._act_l0(a, b, kp, km)
+            self._act_memo[key] = out
+            return out
         sid = S[0]
         rest = (S[1:], kp, km)
         i, rb = self.pairs[sid]
-        deg_x = space.degrees[a] - space.degrees[b]
+        bits = self._bits
+        # om = omega(deg E_ab, deg F_sid) = omega(g_a - g_b, g_rb - g_i)
+        om = -1 if (bits[a][rb] ^ bits[a][i] ^ bits[b][rb]
+                    ^ bits[b][i]) else 1
         out = {}
         # bracket term [E_ab, E_{rb,i}] = delta_{b,rb} E_{a,i}
-        #   - omega(deg_x, deg_F) delta_{i,a} E_{rb,b}
+        #   - om delta_{i,a} E_{rb,b}
         if b == rb:
-            for key, coef in self.act(a, i, rest).items():
-                _add_into(out, key, coef)
+            for k, coef in self.act(a, i, rest).items():
+                _add_into(out, k, coef)
         if a == i:
-            om = self._sign(deg_x, self.pair_degree[sid])
-            for key, coef in self.act(rb, b, rest).items():
-                _add_into(out, key, -om * coef)
-        # pass-through term omega(deg_x, deg_F) F_{sid} (E_ab rest)
-        om = self._sign(deg_x, self.pair_degree[sid])
+            for k, coef in self.act(rb, b, rest).items():
+                _add_into(out, k, -om * coef)
+        # pass-through term om F_{sid} (E_ab rest)
         inner = self.act(a, b, rest)
-        for key, coef in self._prepend_pair(
+        for k, coef in self._prepend_pair(
                 sid, {k: om * c for k, c in inner.items()}).items():
-            _add_into(out, key, coef)
+            _add_into(out, k, coef)
+        self._act_memo[key] = out
         return out
 
     def act_vector(self, a, b, vec):
@@ -470,6 +483,9 @@ class KacModule:
         return out
 
     def _l0_norm(self, kp, km):
+        value = self._norm_memo.get((kp, km))
+        if value is not None:
+            return value
         value = Fraction(1)
         if self.mp == 2:
             for t in range(1, kp + 1):
@@ -478,6 +494,7 @@ class KacModule:
             for t in range(1, km + 1):
                 value *= t * (self.lam[self.mp] - self.lam[self.mp + 1]
                               - t + 1)
+        self._norm_memo[(kp, km)] = value
         return value
 
     def form(self, el1, el2):

@@ -160,14 +160,14 @@ def suite_fock(space, rng, copies):
     alg = fock_algebra(space, copies)
     monos = [tuple(divmod(g, copies) for g in m)
              for d in range(4) for m in alg.monomials(d)]
+    vectors = [FockVector(space, copies, {mono: ONE}) for mono in monos]
+    # v.f once per (generator, monomial), reused for every u
+    images = [[fock_apply(v, f) for f in vectors] for v in gens]
     for u in gens:
-        for v in gens:
+        for v, v_images in zip(gens, images):
             prod = weyl_multiply(u, v)
-            for mono in monos:
-                f = FockVector(space, copies, {mono: ONE})
-                lhs = fock_apply(prod, f)
-                rhs = fock_apply(u, fock_apply(v, f))
-                if lhs != rhs:
+            for f, vf in zip(vectors, v_images):
+                if fock_apply(prod, f) != fock_apply(u, vf):
                     return False, "module axiom failed"
     return True, f"all generator pairs on {len(monos)} monomials"
 

@@ -326,6 +326,20 @@ class OmegaPolyAlgebra:
         return sum(_multichoose(even, total - j) * comb(odd, j)
                    for j in range(min(odd, total) + 1))
 
+    def _series_counts(self, max_degree):
+        """[dim S^d for d = 0..max_degree]: the coefficients of t^d in
+        prod_even (1 - t)^-1 * prod_odd (1 + t), by O(n * max_degree)
+        integer additions and without listing a monomial."""
+        coeffs = [1] + [0] * max_degree
+        for p in self.parities:
+            if p == 1:  # times (1 - t)^-1: running sums
+                for d in range(1, max_degree + 1):
+                    coeffs[d] += coeffs[d - 1]
+            else:  # times (1 + t)
+                for d in range(max_degree, 0, -1):
+                    coeffs[d] += coeffs[d - 1]
+        return coeffs
+
     @cached_property
     def _tables(self):
         """(odd, om) for _merge: the odd generators and om[g][h] = the
@@ -408,18 +422,27 @@ def _guard_monomials(alg, max_degree):
                                         MONOMIAL_CAP)
 
 
-def howe_dimension_sweep(space, copies, max_degree, dual=False):
-    """Per degree d: dim S^d (monomial count, cross-checked against
-    count_monomials) against sum_lambda k(lambda) dim L_lambda(gl_N)."""
-    alg = fock_algebra(space, copies, dual=dual)
-    _guard_monomials(alg, max_degree)
-    rows = []
-    for d in range(max_degree + 1):
-        count = len(alg.monomials(d))
+def _checked_counts(alg, max_degree):
+    """[dim S^d for d <= max_degree] from the generating series, each
+    cross-checked against the closed form count_monomials."""
+    counts = alg._series_counts(max_degree)
+    for d, count in enumerate(counts):
         closed = alg.count_monomials(d)
         if count != closed:
             raise AssertionError(
                 f"monomial count {count} != closed form {closed} at d={d}")
+    return counts
+
+
+def howe_dimension_sweep(space, copies, max_degree, dual=False):
+    """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
+    dim S^d is counted, not listed: the coefficient of t^d in the
+    generating series of the Fock algebra, cross-checked against the
+    closed form count_monomials."""
+    alg = fock_algebra(space, copies, dual=dual)
+    _guard_monomials(alg, max_degree)
+    rows = []
+    for d, count in enumerate(_checked_counts(alg, max_degree)):
         total = sum(count_hook_tableaux(lam, space.m_plus, space.m_minus)
                     * dim_glN(lam, copies)
                     for lam in hook_partitions(space.m_plus, space.m_minus,
@@ -436,7 +459,9 @@ def howe_dual_sweep(space, copies, max_degree):
 def glvv_decomposition(space_v, space_w, max_degree):
     """Howe duality for a pair of graded spaces: per-degree dimension of
     S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
-    paired-weight table for |lambda| <= max_degree."""
+    paired-weight table for |lambda| <= max_degree.  The dimension is
+    counted from the generating series, cross-checked against the closed
+    form count_monomials, without listing a monomial."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
     degrees = [dw - dv
@@ -444,8 +469,7 @@ def glvv_decomposition(space_v, space_w, max_degree):
     alg = OmegaPolyAlgebra(space_v.factor, degrees)
     _guard_monomials(alg, max_degree)
     rows = []
-    for d in range(max_degree + 1):
-        count = len(alg.monomials(d))
+    for d, count in enumerate(_checked_counts(alg, max_degree)):
         total = sum(
             count_hook_tableaux(lam, space_v.m_plus, space_v.m_minus)
             * count_hook_tableaux(lam, space_w.m_plus, space_w.m_minus)

@@ -1,11 +1,17 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from colourgl import cli
 from colourgl.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +48,22 @@ def test_deterministic_output(capsys):
     _, out2 = run_cli(capsys, "howe-sweep", "--space", "super(1|1)",
                       "--copies", "2", "--max-degree", "3")
     assert out1 == out2
+
+
+def test_one_parser_serves_successive_jobs(capsys):
+    # the parser is built once per process; a second job must not see the
+    # options of the first (tableaux's --copies defaults to 0)
+    jobs = (["howe-sweep", "--space", "super(1|1)", "--copies", "2",
+             "--max-degree", "3"],
+            ["tableaux", "--space", "super(2|1)", "--size", "3"])
+    in_process = [run_cli(capsys, *argv) for argv in jobs]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, (code, out) in zip(jobs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "colourgl", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert json.loads(in_process[1][1])["inputs"]["copies"] == 0
 
 
 def test_inputs_round_trip(capsys):

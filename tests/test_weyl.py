@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colourgl import verify
 from colourgl.gl import _add_into
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
@@ -97,6 +98,24 @@ def test_fock_module_axiom(super21):
         f = FockVector(space, 2, {rng.choice(monos): ONE})
         assert fock_apply(weyl_multiply(u, v), f) == \
             fock_apply(u, fock_apply(v, f))
+
+
+def test_fock_suite_catches_an_action_wrong_on_one_monomial(super11,
+                                                             monkeypatch):
+    # the last monomial the suite visits, x_0^2 x_1 (copies = 1)
+    target = ((0, 0), (0, 0), (1, 0))
+    assert verify.suite_fock(super11, random.Random(0), 1)[0] is True
+    right = verify.fock_apply
+
+    def wrong(u, f):
+        out = right(u, f)
+        if f.terms == {target: ONE}:
+            out = out + FockVector.vacuum(f.space, f.copies)
+        return out
+
+    monkeypatch.setattr(verify, "fock_apply", wrong)
+    assert verify.suite_fock(super11, random.Random(0), 1) == \
+        (False, "module axiom failed")
 
 
 def test_dual_pair_relations(super11, super21, glq11):
@@ -231,6 +250,7 @@ def test_monomials_match_filtered_enumeration(parities, total):
     monos = alg.monomials(total)
     assert monos == filtered_monomials(parities, total)
     assert len(monos) == alg.count_monomials(total)
+    assert alg._series_counts(total)[total] == len(monos)
 
 
 def test_sweeps_refuse_over_cap_before_enumerating():
