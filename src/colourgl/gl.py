@@ -66,7 +66,9 @@ class GradedSpace:
         return self.factor.omega(a, b)
 
     def omega_flat(self, a, b):
-        """omega between the degrees of two flat basis indices."""
+        """omega between the degrees of two flat basis indices, as a Scalar.
+        The package reads the pairs of _omega_pairs instead; this stays as
+        the tests' omega oracle."""
         return omega_scalar(*self._omega_pairs[a][b])
 
     @cached_property

@@ -8,11 +8,22 @@ That product is the one every reduced word of the permutation multiplies
 out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
 relations exactly and the action is well defined.  These products and the
 coproduct factors of the gl(V)-action are sums of omega pairs (s, e).
+
+The Young symmetriser C_lambda = B_lambda A_lambda is applied to a word
+block by block: A_lambda row by row, then B_lambda column by column.  The
+stabiliser of a word in a block's symmetric group acts on it by the
+character sending a swap of equal letters a to omega(a, a) = +-1.  So a
+block sum is zero when a repeated letter has the wrong parity (omega(a, a)
+= -1 in a row, +1 in a column), and otherwise prod_a m_a! times a sum over
+the distinct arrangements of the block's letters, each taken by one
+permutation acting with the omega product over the inversions of the whole
+slot permutation (young_symmetrize).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
@@ -21,7 +32,7 @@ from .grading import omega_scalar
 from .partitions import (check_partition, count_hook_tableaux,
                          count_standard_tableaux, hook_partitions, in_hook,
                          lambda_sharp)
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Scalar
 
 
 class TensorVector(LinearCombination):
@@ -75,13 +86,13 @@ def braiding_apply(i, v):
     braiding factor omega(d(v_i), d(v_{i+1}))."""
     if not 0 <= i < v.power - 1:
         raise IndexError(f"sigma_{i} undefined on {v.power} tensor factors")
-    space = v.space
+    pairs = v.space._omega_pairs
     terms = {}
     for word, coef in v.terms.items():
-        om = space.omega_flat(word[i], word[i + 1])
         swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        _add_into(terms, swapped, om * coef)
-    return TensorVector(space, v.power, terms)
+        _add_into(terms, swapped,
+                  omega_scalar(*pairs[word[i]][word[i + 1]], coef))
+    return TensorVector(v.space, v.power, terms)
 
 
 def apply_permutation(perm, v):
@@ -200,32 +211,32 @@ def _block_group(blocks, r):
     return perms
 
 
-def _row_column_sums(lam):
-    """(A_lambda, B_lambda) for the canonical tableau: A the row sum over
-    P_lambda, B the signed column sum over Q_lambda."""
+def young_symmetrizer(lam):
+    """C_lambda = B_lambda A_lambda in the group algebra, for the canonical
+    tableau: A the row sum over P_lambda, B the signed column sum over
+    Q_lambda."""
     lam = check_partition(lam)
     r = sum(lam)
     row_group, col_group = row_column_groups(lam)
     a_elt = SymGroupElement(r, {p: ONE for p in row_group})
     b_elt = SymGroupElement(
         r, {p: ONE if perm_sign(p) == 1 else -ONE for p in col_group})
-    return a_elt, b_elt
-
-
-def young_symmetrizer(lam):
-    """C_lambda = B_lambda A_lambda in the group algebra."""
-    a_elt, b_elt = _row_column_sums(lam)
     return b_elt * a_elt
+
+
+def _rows_and_columns(lam):
+    """The rows and the columns of the canonical tableau."""
+    rows = canonical_tableau(lam)
+    cols = [[row[j] for row in rows if j < len(row)]
+            for j in range(lam[0] if lam else 0)]
+    return rows, cols
 
 
 def row_column_groups(lam):
     """(P_lambda, Q_lambda) as lists of permutation tuples."""
     lam = check_partition(lam)
-    r = sum(lam)
-    rows = canonical_tableau(lam)
-    cols = [[row[j] for row in rows if j < len(row)]
-            for j in range(lam[0] if lam else 0)]
-    return _block_group(rows, r), _block_group(cols, r)
+    rows, cols = _rows_and_columns(lam)
+    return _block_group(rows, sum(lam)), _block_group(cols, sum(lam))
 
 
 def gl_act_tensor(x, v):
@@ -271,18 +282,145 @@ def seed_word(space, lam):
     return tuple(word)
 
 
+def _inversion_pair(pairs, word):
+    """Psi(word): the omega pairs (s, e) of its letter inversions, summed
+    over the slots i < j with word[i] > word[j]."""
+    s = e = 0
+    for j in range(1, len(word)):
+        b = word[j]
+        for a in word[:j]:
+            if a > b:
+                sa, ea = pairs[a][b]
+                s ^= sa
+                e += ea
+    return s, e
+
+
+def _arrangements(letters, memo):
+    """The distinct arrangements of a sorted tuple of letters, each with
+    the parity of its number of inversions."""
+    found = memo.get(letters)
+    if found is None:
+        found = [((), 0)] if not letters else [
+            ((x,) + tail, k & 1 ^ par)
+            for k, x in enumerate(letters) if not k or letters[k - 1] != x
+            for tail, par in _arrangements(letters[:k] + letters[k + 1:],
+                                           memo)]
+        memo[letters] = found
+    return found
+
+
+def _block_sums(pairs, blocks, terms, column, memo):
+    """The row sums (column False) or the signed column sums (column True)
+    of the blocks, one block after the other, on the integer coefficients
+    of Psi-normalised words (see young_symmetrize)."""
+    odd = [row[a][0] for a, row in enumerate(pairs)]
+    column = int(column)
+    factors = {}
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        inside = set(block)
+        out = {}
+        for word, coef in terms.items():
+            letters = tuple(word[s] for s in block)
+            key = tuple(sorted(letters))
+            mult = factors.get(key)
+            if mult is None:
+                mult = 1
+                for a, run in itertools.groupby(key):
+                    m = len(tuple(run))
+                    if m > 1:
+                        mult *= math.factorial(m) if odd[a] == column else 0
+                factors[key] = mult
+            if not mult:
+                continue
+            # crossing[t][a]: the parity of the odd letters a outside the
+            # block before its t-th slot.  The block's a's jump the outside
+            # a's between their slots in w and in w', each jump a factor
+            # omega(a, a) = -1, so the sign of w -> w' is the sign bits of
+            # w (flip: crossings, and inversions in a column) XOR those of
+            # w'.
+            crossing, seen = [], [0] * len(odd)
+            for i, a in enumerate(word):
+                if i in inside:
+                    crossing.append(tuple(seen))
+                elif odd[a]:
+                    seen[a] ^= 1
+            flip = column & sum(a > b for p, b in enumerate(letters)
+                                for a in letters[:p])
+            for c, x in zip(crossing, letters):
+                flip ^= c[x]
+            base = list(word)
+            for u, par in _arrangements(key, memo):
+                sign = flip ^ par & column
+                for s, x, c in zip(block, u, crossing):
+                    base[s] = x
+                    sign ^= c[x]
+                w = tuple(base)
+                out[w] = out.get(w, 0) + (-mult * coef if sign & 1
+                                          else mult * coef)
+        terms = {w: c for w, c in out.items() if c}
+    return terms
+
+
+def young_symmetrize(space, lam, word):
+    """C_lambda = B_lambda A_lambda applied to one basis word of
+    V^(tensor |lambda|), summed block by block over distinct arrangements.
+
+    P_lambda and Q_lambda are the direct products of the symmetric groups
+    of the rows and of the columns of the canonical tableau, and nu is a
+    representation of S_r: so A_lambda acts one row at a time and B_lambda
+    one column at a time.  On a word w, the stabiliser of w in a block's
+    group permutes equal letters, and nu restricts to it as the character
+    sending a swap of two letters a to omega(a, a) = +-1 (its q-exponent
+    vanishes, the exponent form being skew-symmetric).  So a block sum on
+    w is zero when a repeated letter a has omega(a, a) = -1 in a row or +1
+    in a column, and otherwise prod_a m_a! times the sum, over the distinct
+    arrangements w' of the block's letters, of one coset representative:
+    the one that keeps equal letters in their order, times its sign in a
+    column.
+
+    The representative acts by the omega product over the inversions of
+    the whole slot permutation, the slots outside the block that a moved
+    letter jumps over included.  Distinct letters are inverted exactly when
+    they change order, which gives Psi(w) / Psi(w'), Psi being the omega
+    product over the letter inversions i < j, w_i > w_j, of the whole word;
+    an odd letter a jumping an equal letter outside the block adds
+    omega(a, a) = -1.  The Psi's telescope: the block sums run on integer
+    coefficients, with those jumps and the column signs as signs, and each
+    word w of the result takes the one factor Psi(word) / Psi(w)."""
+    lam = check_partition(lam)
+    word = tuple(word)
+    if len(word) != sum(lam) or any(not 0 <= a < space.dim for a in word):
+        raise ValueError(f"{word} is not a word of {sum(lam)} letters in "
+                         f"range({space.dim})")
+    pairs = space._omega_pairs
+    rows, cols = _rows_and_columns(lam)
+    memo = {}
+    terms = _block_sums(pairs, rows, {word: 1}, False, memo)
+    terms = _block_sums(pairs, cols, terms, True, memo)
+    s0, e0 = _inversion_pair(pairs, word)
+    out = {}
+    for w, n in terms.items():
+        s, e = _inversion_pair(pairs, w)
+        out[w] = omega_scalar(s0 ^ s, e0 - e, Scalar.from_rational(n))
+    return TensorVector(space, len(word), out)
+
+
 def highest_weight_vector(space, lam):
     """C_lambda applied to the seed word: a nonzero gl(V)-highest weight
-    vector of weight lambda# in V^(tensor |lambda|).  The row sum A acts
-    first and the column sum B on its result, so the product B A with its
-    |Q_lambda| |P_lambda| terms is never formed."""
+    vector of weight lambda# in V^(tensor |lambda|).  young_symmetrize
+    applies A_lambda row by row and then B_lambda column by column, each
+    block sum over the distinct arrangements of its letters: zero when a
+    repeated letter has the wrong parity, else prod m_a! times one
+    representative per arrangement, acting by the omega product over the
+    inversions of its whole slot permutation."""
     lam = check_partition(lam)
     if not in_hook(lam, space.m_plus, space.m_minus):
         raise ValueError(
             f"{lam} is not in the {space.m_plus}|{space.m_minus} hook class")
-    a_elt, b_elt = _row_column_sums(lam)
-    v = TensorVector.basis_word(space, seed_word(space, lam))
-    return b_elt.apply(a_elt.apply(v))
+    return young_symmetrize(space, lam, seed_word(space, lam))
 
 
 def is_highest_weight(space, v):

@@ -175,6 +175,19 @@ def test_large_tableaux_table_is_fast(capsys):
     assert rows[0]["partition"] == [60]
 
 
+@pytest.mark.parametrize("space, power", [("super(1|1)", 10),
+                                          ("super(2|2)", 8)])
+def test_large_schur_weyl_table_is_fast(capsys, space, power):
+    # the highest weight vectors come from block sums over distinct
+    # arrangements, not from all |P_lambda| |Q_lambda| permutations
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "schur-weyl", "--space", space,
+                         "--power", str(power))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert doc["results"]["checksum"] == doc["results"]["dimension"]
+
+
 def test_verify_reports_skipped_suites(capsys):
     code, doc = run_json(capsys, "verify", "--space", "super(3|3)",
                          "--level", "quick")

@@ -11,12 +11,12 @@ from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Scalar
 from colourgl.tensor import (SymGroupElement, TensorVector, apply_permutation,
-                             braiding_apply, dual_act, dual_pairing,
-                             dual_weight_vector, gl_act_tensor,
+                             braiding_apply, canonical_tableau, dual_act,
+                             dual_pairing, dual_weight_vector, gl_act_tensor,
                              highest_weight_vector, is_highest_weight,
                              row_column_groups, schur_weyl_table, seed_word,
                              total_symmetrizers, word_weight,
-                             young_symmetrizer)
+                             young_symmetrize, young_symmetrizer)
 from colourgl.weyl import rank_of_rows
 from test_random_spaces import random_space
 
@@ -157,15 +157,63 @@ def test_group_element_rejects_non_permutations(super11):
         SymGroupElement(2, {(5, 0): ONE}).apply(v)
 
 
-@pytest.mark.parametrize("space", [super_space(2, 1), glq_space(2, 1),
-                                   z2z2_space((1, 1, 1, 1)), green_space(3)],
-                         ids=["super21", "glq21", "z2z2", "green3"])
+@pytest.mark.parametrize("space", [super_space(1, 1), super_space(2, 1),
+                                   super_space(1, 2), super_space(2, 2),
+                                   glq_space(2, 1), z2z2_space((1, 1, 1, 1)),
+                                   green_space(3)],
+                         ids=["super11", "super21", "super12", "super22",
+                              "glq21", "z2z2", "green3"])
 def test_highest_weight_vector_matches_the_old_symmetrizer(space):
     for r in range(1, 6):
         for lam in hook_partitions(space.m_plus, space.m_minus, r, r):
             seed = TensorVector.basis_word(space, seed_word(space, lam))
             expected = oracle_apply(young_symmetrizer(lam), seed)
             assert highest_weight_vector(space, lam) == expected, lam
+
+
+def repeated_parities(space, blocks, word):
+    """The parities omega(a, a) of the letters a repeated in some block."""
+    return {space.parities[word[i]] for block in blocks for i in block
+            if sum(word[j] == word[i] for j in block) > 1}
+
+
+def test_young_symmetrize_matches_the_oracle_on_random_factors():
+    # the block sums against the sum over every permutation of C_lambda, on
+    # the seed word and on random words, so that rows and columns repeat
+    # even and odd letters
+    rng = random.Random(2025)
+    spaces = [random_space(rng) for _ in range(8)]
+    assert sum(not s.factor.is_sign_valued() for s in spaces) >= 3
+    symmetrizers = {}
+    seen = set()
+    for space in spaces:
+        for r in range(1, 6):
+            for lam in hook_partitions(space.m_plus, space.m_minus, r, r):
+                c = symmetrizers.get(lam)
+                if c is None:
+                    c = symmetrizers[lam] = young_symmetrizer(lam)
+                rows = canonical_tableau(lam)
+                cols = [[row[j] for row in rows if j < len(row)]
+                        for j in range(lam[0])]
+                words = [seed_word(space, lam)] + [
+                    tuple(rng.randrange(space.dim) for _ in range(r))
+                    for _ in range(3)]
+                for word in words:
+                    expected = oracle_apply(
+                        c, TensorVector.basis_word(space, word))
+                    assert young_symmetrize(space, lam, word) == expected, \
+                        (space, lam, word)
+                    seen |= {("row", p) for p in
+                             repeated_parities(space, rows, word)}
+                    seen |= {("column", p) for p in
+                             repeated_parities(space, cols, word)}
+    assert seen == {("row", 1), ("row", -1), ("column", 1), ("column", -1)}
+
+
+def test_young_symmetrize_rejects_malformed_words(super11):
+    for word in [(0, 1), (0, 1, 2), (0, -1, 1)]:
+        with pytest.raises(ValueError, match="not a word of 3 letters"):
+            young_symmetrize(super11, (2, 1), word)
 
 
 def test_diagonal_action_counts_occurrences(super11):
