@@ -4,7 +4,9 @@ Everything here works with exact rational weights in the flat eps-basis.
 The contravariant-form machinery realises the parabolically induced module
 U(vbar) x L0 concretely (odd lowering words over explicit sl2 strings per
 parity block) and computes Gram matrices by moving *-conjugated operators
-across with the graded commutation relations.
+across with the graded commutation relations.  Gram blocks and their
+inertia run on ints after one positive rescaling; Fractions enter only
+where lambda has a non-integral coordinate.
 """
 
 from __future__ import annotations
@@ -338,7 +340,10 @@ class KacModule:
         if not is_finite_dimensional(space, lam):
             raise ValueError(f"{lam} is not dominant")
         self.space = space
-        self.lam = lam
+        # integral coordinates as ints, so that the action and the form
+        # stay on ints wherever lambda allows it
+        self.lam = tuple(x.numerator if x.denominator == 1 else x
+                         for x in lam)
         mp, mm = space.m_plus, space.m_minus
         self.mp, self.mm = mp, mm
         self.pairs = [(i, rb) for i in range(mp)
@@ -413,7 +418,7 @@ class KacModule:
                     out[((), kp - 1, km)] = kp * (lam[0] - lam[1] - kp + 1)
             else:  # lowering
                 if kp + 1 < self.n_plus:
-                    out[((), kp + 1, km)] = Fraction(1)
+                    out[((), kp + 1, km)] = 1
             return out
         if a >= mp and b >= mp:
             phi = 1
@@ -428,13 +433,15 @@ class KacModule:
                         lam[mp] - lam[mp + 1] - km + 1)
             else:
                 if km + 1 < self.n_minus:
-                    out[((), kp, km + 1)] = Fraction(phi)
+                    out[((), kp, km + 1)] = phi
             return out
         raise AssertionError("mixed-parity generator reached the L0 action")
 
     def act(self, a, b, el):
-        """E_ab applied to a basis element; returns {element: Fraction},
-        computed once per module and shared, so it must not be mutated."""
+        """E_ab applied to a basis element; returns {element: coefficient},
+        each coefficient an int, or a Fraction where lambda has a
+        non-integral coordinate.  Computed once per module and shared, so
+        it must not be mutated."""
         key = (a, b, el)
         out = self._act_memo.get(key)
         if out is not None:
@@ -446,7 +453,7 @@ class KacModule:
                 out = {}
             elif b < mp <= a:
                 sid = self.pairs.index((b, a))
-                out = self._prepend_pair(sid, {((), kp, km): Fraction(1)})
+                out = self._prepend_pair(sid, {((), kp, km): 1})
             else:
                 out = self._act_l0(a, b, kp, km)
             self._act_memo[key] = out
@@ -486,7 +493,7 @@ class KacModule:
         value = self._norm_memo.get((kp, km))
         if value is not None:
             return value
-        value = Fraction(1)
+        value = 1
         if self.mp == 2:
             for t in range(1, kp + 1):
                 value *= t * (self.lam[0] - self.lam[1] - t + 1)
@@ -501,13 +508,13 @@ class KacModule:
         """The contravariant form <F_S w, F_T w'> for the type I compact
         *-structure, by applying *(F_S) = E_{s_k}..E_{s_1} to el2."""
         S, kp, km = el1
-        vec = {el2: Fraction(1)}
+        vec = {el2: 1}
         for sid in S:  # rightmost factor of the E-chain acts first
             i, rb = self.pairs[sid]
             vec = self.act_vector(i, rb, vec)
             if not vec:
-                return Fraction(0)
-        total = Fraction(0)
+                return 0
+        total = 0
         for (T, lp, lm), coef in vec.items():
             if not T and (lp, lm) == (kp, km):
                 total += coef * self._l0_norm(kp, km)
@@ -547,11 +554,17 @@ class GramReport:
 
 def symmetric_inertia(mat):
     """(positive, negative, zero) eigenvalue counts of an exact symmetric
-    matrix, by congruence diagonalisation (Sylvester's law)."""
+    matrix, by congruence diagonalisation (Sylvester's law) on ints.  The
+    matrix is scaled once by the lcm of its denominators; a pivot d turns
+    the alive block into |d| times its Schur complement, which keeps the
+    inertia, dividing exactly by the previous |d| (Bareiss)."""
     n = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    work = [[x.numerator * (scale // x.denominator) for x in row]
+            for row in mat]
     alive = list(range(n))
     pos = neg = zero = 0
+    prev = 1
     while alive:
         pivot = next((i for i in alive if work[i][i] != 0), None)
         if pivot is None:
@@ -578,13 +591,15 @@ def symmetric_inertia(mat):
         else:
             neg += 1
         alive.remove(pivot)
+        sign = 1 if d > 0 else -1
+        d = abs(d)
+        pivot_row = work[pivot]
         for i in alive:
-            factor = work[i][pivot] / d
-            if factor:
-                for k in range(n):
-                    work[i][k] -= factor * work[pivot][k]
-                for k in range(n):
-                    work[k][i] -= factor * work[k][pivot]
+            row = work[i]
+            f = sign * pivot_row[i]
+            for k in alive:
+                row[k] = (d * row[k] - f * pivot_row[k]) // prev
+        prev = d
     return pos, neg, zero
 
 

@@ -215,6 +215,18 @@ def test_colour_modules_twist_the_even_string():
     assert twisted
 
 
+def test_colour_modules_keep_half_integral_coordinates():
+    # KacModule stores the integral coordinates of lambda as ints and the
+    # others as Fractions; OracleAction reads module.lam, so the oracle
+    # comparisons below cover both kinds
+    kinds = set()
+    for module in COLOUR_MODULES:
+        for x in module.lam:
+            assert type(x) is int or x.denominator != 1, module.lam
+            kinds.add(type(x))
+    assert kinds == {int, Fraction}
+
+
 @pytest.mark.parametrize("spec,weight", CASES)
 def test_memoised_act_matches_the_unmemoised_oracle(spec, weight):
     module = _module(spec, weight)

@@ -14,6 +14,7 @@ from colourgl.reps import (DualWeightUnsupported, KacModule, UnsupportedFactor,
                            dual_weight, gram_report, is_finite_dimensional,
                            kac_dimension, symmetric_inertia, typicality)
 from colourgl.tensor import TensorVector
+from test_kac_memo import CASES, OracleAction, _module
 
 
 F = Fraction
@@ -211,6 +212,185 @@ def test_symmetric_inertia():
     assert symmetric_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     assert symmetric_inertia([[1, 2], [2, 1]]) == (1, 1, 0)
     assert symmetric_inertia([]) == (0, 0, 0)
+
+
+# symmetric_inertia as it was on Fractions, kept verbatim as the oracle
+def oracle_symmetric_inertia(mat):
+    """(positive, negative, zero) eigenvalue counts of an exact symmetric
+    matrix, by congruence diagonalisation (Sylvester's law)."""
+    n = len(mat)
+    work = [[Fraction(x) for x in row] for row in mat]
+    alive = list(range(n))
+    pos = neg = zero = 0
+    while alive:
+        pivot = next((i for i in alive if work[i][i] != 0), None)
+        if pivot is None:
+            hyper = None
+            for i in alive:
+                for j in alive:
+                    if i != j and work[i][j] != 0:
+                        hyper = (i, j)
+                        break
+                if hyper:
+                    break
+            if hyper is None:
+                zero += len(alive)
+                break
+            i, j = hyper
+            for k in range(n):
+                work[i][k] += work[j][k]
+            for k in range(n):
+                work[k][i] += work[k][j]
+            continue
+        d = work[pivot][pivot]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        alive.remove(pivot)
+        for i in alive:
+            factor = work[i][pivot] / d
+            if factor:
+                for k in range(n):
+                    work[i][k] -= factor * work[pivot][k]
+                for k in range(n):
+                    work[k][i] -= factor * work[k][pivot]
+    return pos, neg, zero
+
+
+def _random_symmetric(rng, n, kind):
+    """A seeded symmetric n x n matrix of ints and Fractions: "dense",
+    "zero-diagonal" (forces the hyperbolic step), "sparse" (few nonzero
+    entries, so some pivots are skipped) or "singular" (B D B^T with B of
+    rank below n and D of mixed signs)."""
+    entries = [0, 0, -3, -2, -1, 1, 2, 5, F(1, 2), F(-2, 3), F(7, 6)]
+    if kind == "singular":
+        rank = rng.randint(0, max(n - 1, 0))
+        cols = [[rng.choice(entries) for _ in range(rank)]
+                for _ in range(n)]
+        diag = [rng.choice((-2, -1, F(1, 3), 1, 4)) for _ in range(rank)]
+        return [[sum(cols[i][k] * diag[k] * cols[j][k]
+                     for k in range(rank)) for j in range(n)]
+                for i in range(n)]
+    if kind == "sparse":
+        entries = [0] * 8 + [-1, 1, F(3, 2)]
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = rng.choice(entries)
+    if kind == "zero-diagonal":
+        for i in range(n):
+            mat[i][i] = 0
+    return mat
+
+
+def test_symmetric_inertia_matches_the_fraction_oracle_on_random_matrices():
+    rng = random.Random(2718)
+    seen = set()
+    for n in range(8):
+        for kind in ("dense", "zero-diagonal", "sparse", "singular"):
+            for _ in range(40):
+                mat = _random_symmetric(rng, n, kind)
+                expected = oracle_symmetric_inertia(mat)
+                assert symmetric_inertia(mat) == expected, mat
+                if expected[1]:
+                    seen.add("negative pivot")
+                if expected[2]:
+                    seen.add(f"singular {kind}")
+                if n and kind == "zero-diagonal" and expected[2] < n:
+                    seen.add("hyperbolic step")
+    assert seen >= {"negative pivot", "hyperbolic step", "singular singular",
+                    "singular dense", "singular zero-diagonal"}
+
+
+@pytest.mark.parametrize("spec,weight", CASES)
+def test_symmetric_inertia_matches_the_oracle_on_pool_gram_blocks(spec,
+                                                                   weight):
+    module = _module(spec, weight)
+    rep = gram_report(module.space, tuple(F(x) for x in weight.split(",")))
+    assert rep.blocks
+    for level, wt, mat, inertia in rep.blocks:
+        assert inertia == oracle_symmetric_inertia(mat), (level, wt)
+
+
+def test_gram_entries_are_ints_for_integral_weights():
+    # the gram-d4 pool modules have integral weights: every entry of every
+    # block, and each form value behind it, is an int, never a Fraction
+    d4 = CASES[:5]
+    assert all(_module(*case).space.dim == 4 for case in d4)
+    for spec, weight in d4:
+        module = _module(spec, weight)
+        assert all(type(x) is int for x in module.lam)
+        basis = module.basis()
+        assert type(module.form(basis[-1], basis[-1])) is int
+        rep = gram_report(module.space, tuple(F(x) for x in weight.split(",")))
+        assert all(type(x) is int
+                   for _, _, mat, _ in rep.blocks for row in mat for x in row)
+
+
+def _fraction_oracle(module):
+    """The un-memoised oracle action with lambda as Fractions."""
+    oracle = OracleAction(module)
+    oracle.lam = tuple(Fraction(x) for x in module.lam)
+    return oracle
+
+
+def _oracle_form(oracle, el1, el2):
+    """The contravariant form as computed before it ran on ints, through
+    the Fraction oracle action, with Fraction(1) seeds and a Fraction L0
+    norm."""
+    module, lam = oracle.module, oracle.lam
+    S, kp, km = el1
+    vec = {el2: Fraction(1)}
+    for sid in S:
+        i, rb = module.pairs[sid]
+        out = {}
+        for el, coef in vec.items():
+            for key, c in oracle.act(i, rb, el).items():
+                out[key] = out.get(key, Fraction(0)) + coef * c
+        vec = {key: c for key, c in out.items() if c}
+        if not vec:
+            return Fraction(0)
+    norm = Fraction(1)
+    if module.mp == 2:
+        for t in range(1, kp + 1):
+            norm *= t * (lam[0] - lam[1] - t + 1)
+    if module.mm == 2:
+        for t in range(1, km + 1):
+            norm *= t * (lam[module.mp] - lam[module.mp + 1] - t + 1)
+    total = Fraction(0)
+    for (T, lp, lm), coef in vec.items():
+        if not T and (lp, lm) == (kp, km):
+            total += coef * norm
+    return total
+
+
+# (1/2, -1/2, 3/2) has integral Gram entries built from Fraction
+# coordinates; (5/2, 1/2, -1/3) has entries that are not integers
+@pytest.mark.parametrize("lam,fractional", [
+    ((F(1, 2), F(-1, 2), F(3, 2)), False),
+    ((F(5, 2), F(1, 2), F(-1, 3)), True)])
+def test_half_integral_gram_matches_the_fraction_oracles(super21, lam,
+                                                         fractional):
+    module = KacModule(super21, lam)
+    assert any(isinstance(x, Fraction) for x in module.lam)
+    oracle = _fraction_oracle(module)
+    rep = gram_report(super21, lam)
+    groups = {}
+    for el in module.basis():
+        groups.setdefault((len(el[0]), module.weight(el)), []).append(el)
+    assert [(level, wt) for level, wt, _, _ in rep.blocks] == sorted(groups)
+    seen = False
+    for level, wt, mat, inertia in rep.blocks:
+        els = groups[(level, wt)]
+        expected = [[_oracle_form(oracle, e1, e2) for e2 in els]
+                    for e1 in els]
+        assert mat == expected, (level, wt)
+        assert [[str(x) for x in row] for row in mat] == \
+            [[str(x) for x in row] for row in expected]
+        assert inertia == oracle_symmetric_inertia(expected), (level, wt)
+        seen |= any(x.denominator != 1 for row in mat for x in row)
+    assert seen == fractional
 
 
 def test_gram_gl11_examples(super11):
