@@ -6,7 +6,9 @@ U(vbar) x L0 concretely (odd lowering words over explicit sl2 strings per
 parity block) and computes Gram matrices by moving *-conjugated operators
 across with the graded commutation relations.  Gram blocks and their
 inertia run on ints after one positive rescaling; Fractions enter only
-where lambda has a non-integral coordinate.
+where lambda has a non-integral coordinate.  Dual weights are closed form:
+the Kac-module lowest weight for a typical lambda, the Berele-Regev
+transpose for an atypical a*E + mu#; no module is built for either.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gl import GlElement, _add_into, rho, weight_inner
-from .partitions import check_partition, dim_glN, in_hook, lambda_sharp
+from .partitions import (check_partition, dim_glN, in_hook, lambda_sharp,
+                         transpose)
 from .scalars import ONE, Scalar
 from .tensor import TensorVector, gl_act_tensor, highest_weight_vector
-from .weyl import _reduce, rank_of_rows
 
 
 class UnsupportedFactor(ValueError):
@@ -246,17 +248,16 @@ def classify_unitarisable(space, lam, star_type="I"):
 
 # -- dual weights -------------------------------------------------------------
 
-# largest |mu| whose L_{mu#} dual_weight realises inside V^(tensor |mu|)
-TENSOR_SIZE_BOUND = 6
-
-
 def dual_weight(space, lam):
-    """The highest weight of the dual module L_lambda^*.
+    """The highest weight of the dual module L_lambda^*: minus the lowest
+    weight of L_lambda.
 
     Typical lambda: exact through the Kac-module lowest weight.  Otherwise
-    lambda must be a*E + mu# for a hook partition mu with |mu| small enough
-    to realise L_{mu#} inside a tensor power; anything else raises
-    DualWeightUnsupported."""
+    lambda must be a*E + mu# for a hook partition mu, and the lowest weight
+    of L_{mu#} is closed form: L_{mu#} has the hook Schur character
+    hs_mu(x/y) = hs_mu'(y/x) (Berele-Regev), so its lowest weight is mu'#
+    for the Borel with the odd block first, reversed within each block.
+    Anything else raises DualWeightUnsupported."""
     lam = _as_weight(space, lam)
     if not is_finite_dimensional(space, lam):
         raise DualWeightUnsupported(f"{lam} is not dominant")
@@ -273,50 +274,10 @@ def dual_weight(space, lam):
     if mu is None:
         raise DualWeightUnsupported(
             f"{lam} is atypical and not of the form a*E + mu#")
-    if sum(mu) > TENSOR_SIZE_BOUND:
-        raise DualWeightUnsupported(
-            f"hook partition {mu} too large for the tensor realisation")
     # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#)
-    low = _tensor_module_lowest_weight(space, mu)
+    s = lambda_sharp(transpose(mu), mm, mp)
+    low = s[mm:][::-1] + s[:mm][::-1]
     return tuple(t * e - x for e, x in zip(escript, low))
-
-
-def _tensor_module_lowest_weight(space, mu):
-    """Lowest weight of the simple tensor module generated by the highest
-    weight vector of the hook partition mu inside V^(tensor |mu|)."""
-    mu = check_partition(mu)
-    start = highest_weight_vector(space, mu)
-    by_weight = {}
-    queue = [start]
-    _reduce(by_weight.setdefault(start.weight(), {}), start.terms)
-    gens = [GlElement.matrix_unit(space, a, b)
-            for a in range(space.dim) for b in range(space.dim) if a != b]
-    while queue:
-        current = queue.pop()
-        for gen in gens:
-            image = gl_act_tensor(gen, current)
-            if image.is_zero():
-                continue
-            reduced = _reduce(by_weight.setdefault(image.weight(), {}),
-                              image.terms)
-            if reduced is not None:
-                queue.append(TensorVector(space, start.power, reduced))
-    lowering = [GlElement.matrix_unit(space, a, b)
-                for a in range(space.dim) for b in range(space.dim) if a > b]
-    lowest = []
-    for weight, echelon in by_weight.items():
-        columns = {}
-        for j, row in enumerate(echelon.values()):
-            vec = TensorVector(space, start.power, row)
-            for gen in lowering:
-                image = gl_act_tensor(gen, vec)
-                for word, coef in image.terms.items():
-                    columns.setdefault((id(gen), word), {})[j] = coef
-        if len(echelon) - rank_of_rows(columns.values()) > 0:
-            lowest.append(weight)
-    if len(lowest) != 1:
-        raise AssertionError(f"lowest weight not unique: {lowest}")
-    return lowest[0]
 
 
 # -- the contravariant form on parabolically induced modules ------------------

@@ -22,8 +22,7 @@ omega(-gamma_g, gamma_h) = omega(gamma_h, gamma_g), so that one table
 serves x's, d's and contractions.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
-row into an echelon dict keyed by pivot column; rank_of_rows and the
-lowest-weight search of reps both run on it.
+row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
 """
 
 from __future__ import annotations
@@ -312,13 +311,10 @@ class OmegaPolyAlgebra:
     def monomials(self, total):
         """Sorted degree-`total` monomials, odd generators square-free, in
         lexicographic order."""
-        n = len(self.parities)
-        room = [0] * (n + 1)  # most generators the suffix g.. can supply
-        for g in range(n - 1, -1, -1):
-            room[g] = total if self.parities[g] == 1 else room[g + 1] + 1
-        out = []
-        _grow_monomials(self.parities, room, 0, total, (), out)
-        return out
+        odd = [p == -1 for p in self.parities]
+        return [m for m in itertools.combinations_with_replacement(
+                    range(len(odd)), total)
+                if not any(odd[g] and g == h for g, h in zip(m, m[1:]))]
 
     def count_monomials(self, total):
         even = sum(1 for p in self.parities if p == 1)
@@ -373,30 +369,6 @@ class OmegaPolyAlgebra:
                 if merged is not None:
                     _add_into(out, merged[1], merged[0])
         return out
-
-
-def _grow_monomials(parities, room, start, left, prefix, out):
-    """Append to out every sorted completion of prefix by `left` generators
-    >= start: each next generator g comes with a multiplicity k >= 1, at
-    most 1 for an odd g, and at least what the generators after g cannot
-    supply.  Larger k first keeps the lexicographic order."""
-    if not left:
-        out.append(prefix)
-        return
-    n = len(parities)
-    for g in range(start, n):
-        if room[g] < left:
-            break
-        low = left - room[g + 1]
-        for k in range(left if parities[g] == 1 else 1,
-                       low - 1 if low > 0 else 0, -1):
-            run = prefix + (g,) * k
-            if k == left:
-                out.append(run)
-            elif k == left - 1:  # any one later generator completes it
-                out.extend([run + (h,) for h in range(g + 1, n)])
-            else:
-                _grow_monomials(parities, room, g + 1, left - k, run, out)
 
 
 # -- Howe duality dimension sweeps -------------------------------------------

@@ -146,6 +146,14 @@ def test_dual_weight_unsupported_exit_2(capsys):
     assert "atypical" in doc["error"]
 
 
+def test_type_two_on_a_large_tensor_weight(capsys):
+    # mu = (7,): the dual weight needs no tensor power
+    code, doc = run_json(capsys, "unitarisable", "--space", "super(2|1)",
+                         "--weight=7,0,0", "--type", "II")
+    assert code == 0
+    assert doc["results"]["certificate"]["dual_weight"] == ["0", "-6", "-1"]
+
+
 def test_resource_guard_exit_2(capsys):
     code, doc = run_json(capsys, "schur-weyl", "--space", "super(2|2)",
                          "--power", "12")

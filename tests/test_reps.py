@@ -1,19 +1,22 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from colourgl.gl import GlElement
-from colourgl.partitions import (count_hook_tableaux, in_hook, lambda_sharp,
-                                 partitions_of)
-from colourgl.presets import glq_space, super_space, z2z2_space
+from colourgl.gl import GlElement, GradedSpace
+from colourgl.partitions import (check_partition, count_hook_tableaux, in_hook,
+                                 lambda_sharp, partitions_of)
+from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.reps import (DualWeightUnsupported, KacModule, UnsupportedFactor,
                            UnsupportedSpace, casimir_apply, casimir_defect,
                            casimir_eigenvalue, classify_unitarisable,
                            dual_weight, gram_report, is_finite_dimensional,
                            kac_dimension, symmetric_inertia, typicality)
-from colourgl.tensor import TensorVector
+from colourgl.tensor import TensorVector, gl_act_tensor, highest_weight_vector
+from colourgl.weyl import _reduce, rank_of_rows
 from test_kac_memo import CASES, OracleAction, _module
 
 
@@ -186,11 +189,16 @@ def test_dual_weights(super11, super21):
     for lam in [(F(3), F(1)), (F(5, 2), F(-1, 2))]:
         if typicality(super11, lam)[0]:
             assert dual_weight(super11, dual_weight(super11, lam)) == lam
-    # atypical tensor weight: realised inside a tensor power
+    # the tensor weight of V is typical: the Kac-module formula
     sharp = tuple(F(c) for c in lambda_sharp((1,), 1, 1))
-    assert typicality(super11, sharp)[0] is False or True
-    dw = dual_weight(super11, sharp)
-    assert dw == (F(0), F(-1))
+    assert typicality(super11, sharp) == (True, F(1))
+    assert dual_weight(super11, sharp) == (F(0), F(-1))
+    # an atypical tensor weight: the Berele-Regev transpose
+    sharp = (F(6), F(0), F(0))
+    assert typicality(super21, sharp)[0] is False
+    assert dual_weight(super21, sharp) == (F(0), F(-5), F(-1))
+    # twisted by 2*E, the dual twists by -2*E
+    assert dual_weight(super21, (F(8), F(2), F(-2))) == (F(-2), F(-7), F(1))
     # unsupported atypical weight
     with pytest.raises(DualWeightUnsupported):
         dual_weight(super21, (F(1, 2), F(-1, 2), F(-3, 2)))
@@ -511,9 +519,10 @@ def test_gram_rank_equals_tableau_count(super11, super21, super12):
                     mu, space.m_plus, space.m_minus), (space, mu)
 
 
-def test_dual_weight_involution(super11, super21):
-    for space in (super11, super21):
-        for size in range(1, 5):
+def test_dual_weight_involution(super11, super21, super12):
+    flagged = 0
+    for space in (super11, super21, super12):
+        for size in range(1, 10):
             for mu in partitions_of(size):
                 if not in_hook(mu, space.m_plus, space.m_minus):
                     continue
@@ -526,6 +535,76 @@ def test_dual_weight_involution(super11, super21):
                     # duals of atypical tensor modules are flagged, not
                     # guessed
                     assert not typicality(space, dw)[0]
+                    flagged += 1
+    assert flagged == 18
+
+
+# -- the lowest-weight search that dual_weight's closed form replaced --------
+
+def _tensor_module_lowest_weight(space, mu):
+    """Lowest weight of the simple tensor module generated by the highest
+    weight vector of the hook partition mu inside V^(tensor |mu|)."""
+    mu = check_partition(mu)
+    start = highest_weight_vector(space, mu)
+    by_weight = {}
+    queue = [start]
+    _reduce(by_weight.setdefault(start.weight(), {}), start.terms)
+    gens = [GlElement.matrix_unit(space, a, b)
+            for a in range(space.dim) for b in range(space.dim) if a != b]
+    while queue:
+        current = queue.pop()
+        for gen in gens:
+            image = gl_act_tensor(gen, current)
+            if image.is_zero():
+                continue
+            reduced = _reduce(by_weight.setdefault(image.weight(), {}),
+                              image.terms)
+            if reduced is not None:
+                queue.append(TensorVector(space, start.power, reduced))
+    lowering = [GlElement.matrix_unit(space, a, b)
+                for a in range(space.dim) for b in range(space.dim) if a > b]
+    lowest = []
+    for weight, echelon in by_weight.items():
+        columns = {}
+        for j, row in enumerate(echelon.values()):
+            vec = TensorVector(space, start.power, row)
+            for gen in lowering:
+                image = gl_act_tensor(gen, vec)
+                for word, coef in image.terms.items():
+                    columns.setdefault((id(gen), word), {})[j] = coef
+        if len(echelon) - rank_of_rows(columns.values()) > 0:
+            lowest.append(weight)
+    if len(lowest) != 1:
+        raise AssertionError(f"lowest weight not unique: {lowest}")
+    return lowest[0]
+
+
+def _pool_spaces():
+    pool = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "pool.json").read_text())
+    return [GradedSpace.from_json(doc) for doc in pool["spaces"].values()]
+
+
+def test_dual_weight_matches_lowest_weight_search():
+    # the dual of L_{mu#} is minus its lowest weight, typical or not
+    cases = [(space, 5) for space in (
+        super_space(1, 1), super_space(2, 1), super_space(1, 2),
+        super_space(2, 2), super_space(3, 1), z2z2_space((1, 1, 1, 0)),
+        green_space(2), glq_space(1, 1), glq_space(2, 1))]
+    cases += [(space, 4) for space in _pool_spaces()]
+    pairs = 0
+    for space, top in cases:
+        mp, mm = space.m_plus, space.m_minus
+        for size in range(top + 1 if space.dim < 4 else top):
+            for mu in partitions_of(size):
+                if not in_hook(mu, mp, mm):
+                    continue
+                sharp = tuple(F(c) for c in lambda_sharp(mu, mp, mm))
+                low = _tensor_module_lowest_weight(space, mu)
+                assert dual_weight(space, sharp) == tuple(-x for x in low), \
+                    (space.parities, mu)
+                pairs += 1
+    assert pairs == 328
 
 
 def colour22_space():
