@@ -60,7 +60,7 @@ class GradedSpace:
         self.degrees = tuple(degree for degree, mult in self.components
                              for _ in range(mult))  # flat index -> Degree
         self.parities = tuple(factor.parity(d) for d in self.degrees)
-        self._copy_tables = {}
+        self._fock_algebras = {}  # weyl.fock_algebra's cache
 
     def omega(self, a, b):
         return self.factor.omega(a, b)
@@ -77,19 +77,6 @@ class GradedSpace:
         return tuple(
             tuple(self.factor._pairings(ga, gb) for gb in self.degrees)
             for ga in self.degrees)
-
-    def copy_tables(self, copies):
-        """(odd, om) for the basis (a, r), r < copies, of V x C^copies: the
-        set of odd pairs and om[g][h] = (s, e) of omega(gamma_a, gamma_b),
-        built once per number of copies."""
-        tables = self._copy_tables.get(copies)
-        if tables is None:
-            pairs = [(a, r) for a in range(self.dim) for r in range(copies)]
-            rows = self._omega_pairs
-            tables = self._copy_tables[copies] = (
-                frozenset(g for g in pairs if self.parities[g[0]] == -1),
-                {g: {h: rows[g[0]][h[0]] for h in pairs} for g in pairs})
-        return tables
 
     def __eq__(self, other):
         return (isinstance(other, GradedSpace)

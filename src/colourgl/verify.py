@@ -155,11 +155,8 @@ def suite_fock(space, rng, copies):
             for a in range(space.dim) for r in range(copies)]
     gens += [WeylElement.d_gen(space, copies, a, r)
              for a in range(space.dim) for r in range(copies)]
-    # flat generator g of the Fock algebra is x_(a, r) with (a, r) =
-    # divmod(g, copies)
     alg = fock_algebra(space, copies)
-    monos = [tuple(divmod(g, copies) for g in m)
-             for d in range(4) for m in alg.monomials(d)]
+    monos = [m for d in range(4) for m in alg.monomials(d)]
     vectors = [FockVector(space, copies, {mono: ONE}) for mono in monos]
     # v.f once per (generator, monomial), reused for every u
     images = [[fock_apply(v, f) for f in vectors] for v in gens]

@@ -1,9 +1,9 @@
 """The Weyl algebra on N copies of V, Fock modules and dual pairs.
 
-Generators x(a,r) and d(a,r) are indexed by a flat basis index a and a copy
-index r < N; x(a,r) has degree gamma_a and d(a,r) degree -gamma_a.  Words
-are normal ordered: all x's left of all d's, each block sorted by (a, r),
-odd generators square-free.  The straightening rule is the graded CCR
+Generators x(a,r) and d(a,r), a a basis index and r < N, are the flat
+ids a*N + r of fock_algebra, of degrees gamma_a and -gamma_a.  Words are
+normal ordered: all x's left of all d's, each block sorted, odd
+generators square-free.  The straightening rule is the graded CCR
 
     d(a,r) x(b,s) = omega(-gamma_a, gamma_b) x(b,s) d(a,r) + delta_ab delta_rs.
 
@@ -14,12 +14,11 @@ monomials and OmegaPolyAlgebra monomials, and merges a d into a d-word
 from the left as _merge((d,), ds).  One walk, _derive, gives d_g's
 contractions against an x-monomial and the pair for d_g passing all of
 it.  Both sum integer pairs om[g][h] = (s, e) with omega(gamma_g,
-gamma_h) = (-1)^s q^e, built once per (space, copies) by
-GradedSpace.copy_tables and once per OmegaPolyAlgebra, and apply the sum
-to the coefficient once, by grading.omega_scalar.  As omega is a
-commutative factor (Scheunert 1979), omega(-a, -b) = omega(a, b) and
-omega(-gamma_g, gamma_h) = omega(gamma_h, gamma_g), so that one table
-serves x's, d's and contractions.
+gamma_h) = (-1)^s q^e from OmegaPolyAlgebra._tables and apply the sum to
+the coefficient once, by grading.omega_scalar.  As omega is a commutative
+factor (Scheunert 1979), omega(-a, -b) = omega(a, b) and omega(-gamma_g,
+gamma_h) = omega(gamma_h, gamma_g), so that one table serves x's, d's
+and contractions.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -41,7 +40,7 @@ from .tensor import dual_act
 
 
 MONOMIAL_CAP = 10 ** 6
-# most (x-monomials of degree d) ** 2 that invariant_dimension will reduce
+# most x- times xbar-monomials of degree d that invariant_dimension reduces
 INVARIANT_BASIS_CAP = 20000
 
 
@@ -63,7 +62,8 @@ def _multichoose(n, k):
 
 
 class WeylElement(LinearCombination):
-    """A Scalar-linear combination of normal-ordered words (xs, ds)."""
+    """A Scalar-linear combination of normal-ordered words (xs, ds) of
+    flat generator ids."""
 
     __slots__ = ("space", "copies")
 
@@ -82,12 +82,12 @@ class WeylElement(LinearCombination):
     @classmethod
     def x_gen(cls, space, copies, a, r):
         cls._check_gen(space, copies, a, r)
-        return cls(space, copies, {(((a, r),), ()): ONE})
+        return cls(space, copies, {((a * copies + r,), ()): ONE})
 
     @classmethod
     def d_gen(cls, space, copies, a, r):
         cls._check_gen(space, copies, a, r)
-        return cls(space, copies, {((), ((a, r),)): ONE})
+        return cls(space, copies, {((), (a * copies + r,)): ONE})
 
     @staticmethod
     def _check_gen(space, copies, a, r):
@@ -97,13 +97,13 @@ class WeylElement(LinearCombination):
     def degree(self):
         """Gamma-degree when homogeneous, else None."""
         deg = None
-        space = self.space
+        space, copies = self.space, self.copies
         for xs, ds in self.terms:
             d = space.factor.group.zero()
-            for a, _ in xs:
-                d = d + space.degrees[a]
-            for a, _ in ds:
-                d = d - space.degrees[a]
+            for g in xs:
+                d = d + space.degrees[g // copies]
+            for g in ds:
+                d = d - space.degrees[g // copies]
             if deg is None:
                 deg = d
             elif deg != d:
@@ -114,7 +114,7 @@ class WeylElement(LinearCombination):
         if not self.terms:
             return "WeylElement(0)"
         def gen(s, g):
-            return f"{s}[{g[0]},{g[1]}]"
+            return "{}[{},{}]".format(s, *divmod(g, self.copies))
         body = " + ".join(
             "({})*{}".format(c, " ".join(
                 [gen("x", g) for g in xs] + [gen("d", g) for g in ds]) or "1")
@@ -160,7 +160,7 @@ def _derive(g, mono, om, coef=ONE):
 def weyl_multiply(u, v):
     """Normal-ordered product in the Weyl algebra."""
     u._check(v)
-    odd, om = u.space.copy_tables(u.copies)
+    odd, om = _fock_algebra(u.space, u.copies)._tables
     out = {}
 
     def reduce_term(xs1, ds1, xs2, ds2, coef):
@@ -196,7 +196,7 @@ def weyl_bracket(u, v):
 
 class FockVector(LinearCombination):
     """An element of the Fock space C_omega[x]: a combination of sorted
-    x-monomials (tuples of (a, r) pairs)."""
+    x-monomials of flat generator ids."""
 
     __slots__ = ("space", "copies")
 
@@ -216,7 +216,9 @@ class FockVector(LinearCombination):
         if not self.terms:
             return "FockVector(0)"
         body = " + ".join(
-            "({})*{}".format(c, " ".join(f"x[{a},{r}]" for a, r in m) or "1")
+            "({})*{}".format(c, " ".join(
+                "x[{},{}]".format(*divmod(g, self.copies)) for g in m)
+                or "1")
             for m, c in sorted(self.terms.items()))
         return f"FockVector({body})"
 
@@ -226,7 +228,7 @@ def fock_apply(u, f):
     x's by multiplication."""
     if u.space != f.space or u.copies != f.copies:
         raise SpaceMismatch("operator and Fock vector mismatch")
-    odd, om = u.space.copy_tables(u.copies)
+    odd, om = _fock_algebra(u.space, u.copies)._tables
     out = {}
     for (xs, ds), cu in u.terms.items():
         for mono, cf in f.terms.items():
@@ -248,10 +250,11 @@ def dual_pair_generators(space, copies):
     """(E, Ecal): E[r][s] = sum_a x(a,r) d(a,s) spanning gl_N, and
     Ecal[(a,b)] = sum_r x(a,r) d(b,r) spanning a copy of gl(V)."""
     E = [[WeylElement(space, copies,
-                      {(((a, r),), ((a, s),)): ONE for a in range(space.dim)})
+                      {((a * copies + r,), (a * copies + s,)): ONE
+                       for a in range(space.dim)})
           for s in range(copies)] for r in range(copies)]
     Ecal = {(a, b): WeylElement(space, copies,
-                                {(((a, r),), ((b, r),)): ONE
+                                {((a * copies + r,), (b * copies + r,)): ONE
                                  for r in range(copies)})
             for a in range(space.dim) for b in range(space.dim)}
     return E, Ecal
@@ -339,13 +342,15 @@ class OmegaPolyAlgebra:
     @cached_property
     def _tables(self):
         """(odd, om) for _merge: the odd generators and om[g][h] = the
-        pair (s, e) of omega(degree of g, degree of h), built on the first
-        product."""
-        n = len(self.degrees)
-        return (frozenset(g for g in range(n) if self.parities[g] == -1),
-                tuple(tuple(self.factor._pairings(self.degrees[g],
-                                                  self.degrees[h])
-                            for h in range(n)) for g in range(n)))
+        pair (s, e) of omega(degree of g, degree of h), one row per
+        distinct degree, built on the first product."""
+        index = {}
+        kinds = [index.setdefault(d, len(index)) for d in self.degrees]
+        pairs = [[self.factor._pairings(d, e) for e in index]
+                 for d in index]
+        rows = [tuple(row[k] for k in kinds) for row in pairs]
+        return (frozenset(g for g, p in enumerate(self.parities) if p == -1),
+                tuple(rows[k] for k in kinds))
 
     def multiply(self, m1, m2):
         """(coefficient, sorted monomial) or None when a square vanishes."""
@@ -373,14 +378,24 @@ class OmegaPolyAlgebra:
 
 # -- Howe duality dimension sweeps -------------------------------------------
 
-def fock_algebra(space, copies, dual=False):
-    sign = -1 if dual else 1
-    degrees = []
-    for a in range(space.dim):
-        for _ in range(copies):
-            degrees.append(space.degrees[a] if sign == 1
-                           else -space.degrees[a])
-    return OmegaPolyAlgebra(space.factor, degrees)
+def fock_algebra(space, copies, dual_copies=0):
+    """S_omega(V^N + Vbar^N'), N = copies, N' = dual_copies, cached on the
+    space.  Its generators are x(a, r) = a*N + r of degree gamma_a, which
+    sorts like (a, r), then xbar(a, s) = dim*N + a*N' + s of degree
+    -gamma_a.  Weyl words number x(a, r) and d(a, r) alike."""
+    return _fock_algebra(space, copies, dual_copies)
+
+
+def _fock_algebra(space, copies, dual_copies=0):
+    # fock_algebra for weyl_multiply and fock_apply, which a tracer that
+    # wraps the public function would give a span per product
+    alg = space._fock_algebras.get((copies, dual_copies))
+    if alg is None:
+        degrees = [g for g in space.degrees for _ in range(copies)] + [
+            -g for g in space.degrees for _ in range(dual_copies)]
+        alg = space._fock_algebras[copies, dual_copies] = OmegaPolyAlgebra(
+            space.factor, degrees)
+    return alg
 
 
 def _guard_monomials(alg, max_degree):
@@ -406,12 +421,19 @@ def _checked_counts(alg, max_degree):
     return counts
 
 
-def howe_dimension_sweep(space, copies, max_degree, dual=False):
+def howe_dimension_sweep(space, copies, max_degree):
     """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
     dim S^d is counted, not listed: the coefficient of t^d in the
     generating series of the Fock algebra, cross-checked against the
     closed form count_monomials."""
-    alg = fock_algebra(space, copies, dual=dual)
+    return _sweep(space, copies, fock_algebra(space, copies), max_degree)
+
+
+def howe_dual_sweep(space, copies, max_degree):
+    return _sweep(space, copies, fock_algebra(space, 0, copies), max_degree)
+
+
+def _sweep(space, copies, alg, max_degree):
     _guard_monomials(alg, max_degree)
     rows = []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
@@ -424,16 +446,11 @@ def howe_dimension_sweep(space, copies, max_degree, dual=False):
     return rows
 
 
-def howe_dual_sweep(space, copies, max_degree):
-    return howe_dimension_sweep(space, copies, max_degree, dual=True)
-
-
 def glvv_decomposition(space_v, space_w, max_degree):
     """Howe duality for a pair of graded spaces: per-degree dimension of
     S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
     paired-weight table for |lambda| <= max_degree.  The dimension is
-    counted from the generating series, cross-checked against the closed
-    form count_monomials, without listing a monomial."""
+    counted as in howe_dimension_sweep."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
     degrees = [dw - dv
@@ -490,37 +507,23 @@ def rank_of_rows(rows):
 
 
 def _gl_action_on_generators(space_v, copies, dual_copies):
-    """Generator-level action of each E_ab on the combined algebra
-    S_omega(V^N + Vbar^N'): x(c,r) -> delta x(a,r), xbar(c,s) ->
+    """Generator-level action of each E_ab on fock_algebra(space_v,
+    copies, dual_copies): x(c,r) -> delta x(a,r), xbar(c,s) ->
     -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*."""
     n = space_v.dim
-
-    def x_id(a, r):
-        return a * copies + r
-
-    def xbar_id(a, s):
-        return n * copies + a * dual_copies + s
-
     actions = {}
     for a in range(n):
         for b in range(n):
             deg = space_v.degrees[a] - space_v.degrees[b]
             act = {}
             for r in range(copies):
-                act[x_id(b, r)] = [(x_id(a, r), ONE)]
+                act[b * copies + r] = [(a * copies + r, ONE)]
             om = dual_act(GlElement.matrix_unit(space_v, a, b), {a: ONE})[b]
             for s in range(dual_copies):
-                act[xbar_id(a, s)] = [(xbar_id(b, s), om)]
+                act[n * copies + a * dual_copies + s] = [
+                    (n * copies + b * dual_copies + s, om)]
             actions[(a, b)] = (deg, act)
     return actions
-
-
-def mixed_algebra(space, copies, dual_copies):
-    degrees = [space.degrees[a] for a in range(space.dim)
-               for _ in range(copies)]
-    degrees += [-space.degrees[a] for a in range(space.dim)
-                for _ in range(dual_copies)]
-    return OmegaPolyAlgebra(space.factor, degrees)
 
 
 def invariant_dimension(space, copies, dual_copies, degree):
@@ -531,29 +534,30 @@ def invariant_dimension(space, copies, dual_copies, degree):
     sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
     products of the quadratic invariants z_rs span the kernel."""
     n = space.dim
-    alg = mixed_algebra(space, copies, dual_copies)
-    x_monos = fock_algebra(space, copies).monomials(degree)
-    size_estimate = len(x_monos) ** 2
-    if size_estimate > INVARIANT_BASIS_CAP:
-        raise ResourceBoundExceeded("invariant_dimension", size_estimate,
+    x_alg = fock_algebra(space, copies)
+    xbar_alg = fock_algebra(space, 0, dual_copies)
+    # the zero-weight basis pairs an x- with an xbar-monomial
+    size = x_alg.count_monomials(degree) * xbar_alg.count_monomials(degree)
+    if size > INVARIANT_BASIS_CAP:
+        raise ResourceBoundExceeded("invariant_dimension", size,
                                     INVARIANT_BASIS_CAP)
+    alg = fock_algebra(space, copies, dual_copies)
 
-    def flat_count(mono, offset, copies_):
+    def flat_count(mono, copies_):
         counts = [0] * n
         for g in mono:
-            counts[(g - offset) // copies_] += 1
+            counts[g // copies_] += 1
         return tuple(counts)
 
     # zero-weight basis: x-part and dual-part use each flat index equally
     by_type = {}
-    for mono in x_monos:
-        by_type.setdefault(flat_count(mono, 0, copies), []).append(mono)
+    for mono in x_alg.monomials(degree):
+        by_type.setdefault(flat_count(mono, copies), []).append(mono)
     basis = []
     xbar_monos = {}
-    for mono in fock_algebra(space, dual_copies, dual=True).monomials(degree):
-        shifted = tuple(g + n * copies for g in mono)
-        xbar_monos.setdefault(flat_count(shifted, n * copies, dual_copies),
-                              []).append(shifted)
+    for mono in xbar_alg.monomials(degree):
+        xbar_monos.setdefault(flat_count(mono, dual_copies), []).append(
+            tuple(g + n * copies for g in mono))
     for typ, xs in sorted(by_type.items()):
         for xb in xbar_monos.get(typ, ()):
             for xm in xs:
@@ -624,7 +628,7 @@ def invariant_generators_check(space, copies):
     """Filtration-level-1 check: the ad(gl_N)-invariants in the (1,1)
     component of the Weyl algebra are exactly span{Ecal} + C."""
     E, Ecal = dual_pair_generators(space, copies)
-    gens = [(a, r) for a in range(space.dim) for r in range(copies)]
+    gens = range(space.dim * copies)
     words = [((g,), (h,)) for g in gens for h in gens]
     windex = {w: i for i, w in enumerate(words)}
     rows = []

@@ -170,6 +170,18 @@ def test_monomial_guard_exit_2_fast(capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_fft_guard_exit_2_fast_on_many_dual_copies(capsys):
+    # 20000 x-monomials of degree 2 on the dual side, 2 on the other:
+    # refused before either side is listed, as with the copies swapped
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "fft-check", "--space", "super(1|1)",
+                         "--copies", "1", "--dual-copies", "100",
+                         "--max-degree", "2")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and doc["kind"] == "error"
+    assert "40000" in doc["error"] and "bound 20000" in doc["error"]
+
+
 def test_large_tableaux_table_is_fast(capsys):
     # rows come from the hook shapes, not from all p(60) ~ 10**6 partitions
     start = time.perf_counter()

@@ -23,11 +23,10 @@ CASES = {
     "SymGroupElement": (SymGroupElement(2, {(0, 1): ONE, (1, 0): C}),
                         SymGroupElement(2),
                         SymGroupElement(3, {(0, 1, 2): ONE})),
-    "WeylElement": (WeylElement(GLQ, 2, {(((0, 1),), ((1, 0),)): Q,
-                                         ((), ()): C}),
+    "WeylElement": (WeylElement(GLQ, 2, {((1,), (2,)): Q, ((), ()): C}),
                     WeylElement(GLQ, 2),
-                    WeylElement(GLQ, 1, {(((0, 0),), ()): Q})),
-    "FockVector": (FockVector(GLQ, 1, {((0, 0), (1, 0)): Q, (): C}),
+                    WeylElement(GLQ, 1, {((0,), ()): Q})),
+    "FockVector": (FockVector(GLQ, 1, {(0, 1): Q, (): C}),
                    FockVector(GLQ, 1),
                    FockVector(S11, 1, {(): Q})),
 }

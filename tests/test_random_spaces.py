@@ -12,12 +12,13 @@ from colourgl.gl import (GlElement, GradedSpace, bilinear_form, bracket,
 from colourgl.grading import CommutativeFactor, GradingGroup
 from colourgl.scalars import ONE
 from colourgl.tensor import TensorVector, braiding_apply, gl_act_tensor
-from colourgl.weyl import (FockVector, WeylElement, _merge, fock_apply,
-                           howe_dimension_sweep, invariant_dimension,
-                           mixed_algebra, verify_dual_pair, weyl_multiply)
+from colourgl.weyl import (FockVector, WeylElement, _merge, fock_algebra,
+                           fock_apply, howe_dimension_sweep,
+                           invariant_dimension, verify_dual_pair,
+                           weyl_multiply)
 from test_weyl import (COEFS, oracle_derivation_apply, oracle_fock_apply,
                        oracle_merge_gen_left, oracle_merge_words,
-                       oracle_multiply, oracle_weyl_multiply)
+                       oracle_multiply, oracle_weyl_multiply, recode)
 
 
 def random_factor(rng, free_rank, torsion_rank):
@@ -98,6 +99,7 @@ def test_random_spaces_weyl_module_axiom():
         monos += [m for m in itertools.combinations_with_replacement(
             x_ids, 2) if all(space.parities[g[0]] == 1 or m.count(g) <= 1
                              for g in m)]
+        monos = [recode(m, copies, True) for m in monos]
         for _ in range(60):
             u, v = rng.choice(gens), rng.choice(gens)
             f = FockVector(space, copies, {rng.choice(monos): ONE})
@@ -142,13 +144,19 @@ def test_random_spaces_straightening_matches_oracles():
         space = random_space(rng)
         q_valued += not space.factor.is_sign_valued()
         copies = rng.randint(1, 2)
-        odd, om = space.copy_tables(copies)
+        odd, om = fock_algebra(space, copies)._tables
+
+        def flat(x):
+            return recode(x, copies, True)
+
+        def pairs(x):
+            return recode(x, copies, False)
         for _ in range(20):
             w1, w2 = (random_word(rng, space, copies) for _ in range(2))
             g = (rng.randrange(space.dim), rng.randrange(copies))
-            assert _merge(w1, w2, odd, om) == \
+            assert pairs(_merge(flat(w1), flat(w2), odd, om)) == \
                 oracle_merge_words(space, w1, w2), (trial, w1, w2)
-            assert _merge((g,), w2, odd, om) == \
+            assert pairs(_merge(flat((g,)), flat(w2), odd, om)) == \
                 oracle_merge_gen_left(space, w2, g), (trial, g, w2)
 
             def element():
@@ -157,10 +165,12 @@ def test_random_spaces_straightening_matches_oracles():
                      random_word(rng, space, copies)): rng.choice(COEFS)
                     for _ in range(rng.randint(1, 3))})
             u, v = element(), element()
-            assert weyl_multiply(u, v) == oracle_weyl_multiply(u, v), trial
+            assert pairs(weyl_multiply(flat(u), flat(v))) == \
+                oracle_weyl_multiply(u, v), trial
             f = FockVector(space, copies, {w1: ONE, w2: rng.choice(COEFS)})
-            assert fock_apply(u, f) == oracle_fock_apply(u, f), trial
-        alg = mixed_algebra(space, copies, rng.randint(0, 2))
+            assert pairs(fock_apply(flat(u), flat(f))) == \
+                oracle_fock_apply(u, f), trial
+        alg = fock_algebra(space, copies, rng.randint(0, 2))
         n = len(alg.degrees)
         monos = [m for d in range(4) for m in alg.monomials(d)]
         for _ in range(20):

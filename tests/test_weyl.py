@@ -8,15 +8,38 @@ from hypothesis import given, settings, strategies as st
 
 from colourgl import verify
 from colourgl.gl import _add_into
+from colourgl.grading import CommutativeFactor
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
 from colourgl.weyl import (FockVector, OmegaPolyAlgebra, ResourceBoundExceeded,
                            WeylElement, _merge, _reduce, dual_pair_generators,
-                           fock_apply, glq_relations_check, glvv_decomposition,
-                           howe_dimension_sweep, howe_dual_sweep,
-                           invariant_dimension, invariant_generators_check,
-                           mixed_algebra, rank_of_rows, verify_dual_pair,
-                           weyl_bracket, weyl_multiply)
+                           fock_algebra, fock_apply, glq_relations_check,
+                           glvv_decomposition, howe_dimension_sweep,
+                           howe_dual_sweep, invariant_dimension,
+                           invariant_generators_check, rank_of_rows,
+                           verify_dual_pair, weyl_bracket, weyl_multiply)
+
+
+def recode(x, copies, flat):
+    """x with its generators renumbered: each pair (a, r) becomes the flat
+    id a * copies + r of fock_algebra when flat is true, and each flat id g
+    becomes the pair divmod(g, copies) otherwise.  x is a word, a
+    (coefficient, word) result of _merge or None, a WeylElement or a
+    FockVector.  The oracles below read (a, r) pairs; the package reads
+    flat ids."""
+    def word(w):
+        return tuple(g[0] * copies + g[1] if flat else divmod(g, copies)
+                     for g in w)
+
+    if isinstance(x, WeylElement):
+        return WeylElement(x.space, x.copies, {
+            (word(xs), word(ds)): c for (xs, ds), c in x.terms.items()})
+    if isinstance(x, FockVector):
+        return FockVector(x.space, x.copies,
+                          {word(m): c for m, c in x.terms.items()})
+    if x and isinstance(x[0], Scalar):
+        return x[0], word(x[1])
+    return x if x is None else word(x)
 
 
 def test_ccr_contraction(super11):
@@ -26,8 +49,8 @@ def test_ccr_contraction(super11):
         x = WeylElement.x_gen(space, 1, a, 0)
         prod = weyl_multiply(d, x)
         om = space.omega(-space.degrees[a], space.degrees[a])
-        expected = WeylElement(space, 1, {
-            ((((a, 0),)), (((a, 0),))): om, ((), ()): ONE})
+        expected = recode(WeylElement(space, 1, {
+            ((((a, 0),)), (((a, 0),))): om, ((), ()): ONE}), 1, True)
         assert prod == expected
 
 
@@ -75,13 +98,13 @@ def test_fock_leibniz_twist(glq11):
     # d_a(x_b x_c) = d(x_b) x_c + omega(-g_a, g_b) x_b d(x_c)
     space = glq11
     d0 = WeylElement.d_gen(space, 1, 0, 0)
-    f = FockVector(space, 1, {((0, 0), (1, 0)): ONE})
+    f = recode(FockVector(space, 1, {((0, 0), (1, 0)): ONE}), 1, True)
     image = fock_apply(d0, f)
-    assert image == FockVector(space, 1, {((1, 0),): ONE})
+    assert image == recode(FockVector(space, 1, {((1, 0),): ONE}), 1, True)
     d1 = WeylElement.d_gen(space, 1, 1, 0)
     image = fock_apply(d1, f)
     om = space.omega(-space.degrees[1], space.degrees[0])
-    assert image == FockVector(space, 1, {((0, 0),): om})
+    assert image == recode(FockVector(space, 1, {((0, 0),): om}), 1, True)
 
 
 def test_fock_module_axiom(super21):
@@ -91,8 +114,9 @@ def test_fock_module_axiom(super21):
             for r in range(2)]
     gens += [WeylElement.d_gen(space, 2, a, r) for a in range(3)
              for r in range(2)]
-    monos = [(), ((0, 0),), ((0, 0), (1, 1)), ((2, 0), (2, 1)),
-             ((0, 0), (0, 0), (2, 1))]
+    monos = [recode(m, 2, True)
+             for m in [(), ((0, 0),), ((0, 0), (1, 1)), ((2, 0), (2, 1)),
+                       ((0, 0), (0, 0), (2, 1))]]
     for _ in range(80):
         u, v = rng.choice(gens), rng.choice(gens)
         f = FockVector(space, 2, {rng.choice(monos): ONE})
@@ -103,7 +127,7 @@ def test_fock_module_axiom(super21):
 def test_fock_suite_catches_an_action_wrong_on_one_monomial(super11,
                                                              monkeypatch):
     # the last monomial the suite visits, x_0^2 x_1 (copies = 1)
-    target = ((0, 0), (0, 0), (1, 0))
+    target = recode(((0, 0), (0, 0), (1, 0)), 1, True)
     assert verify.suite_fock(super11, random.Random(0), 1)[0] is True
     right = verify.fock_apply
 
@@ -165,10 +189,59 @@ def test_invariant_dimension_basics(super11, super21):
 
 
 def test_invariant_dimension_resource_guard(super21):
-    # 363 x-monomials of degree 4: the estimate 363 ** 2 is over the cap
+    # 363 x- and 363 xbar-monomials of degree 4: 363 ** 2 is over the cap
     with pytest.raises(ResourceBoundExceeded) as exc:
         invariant_dimension(super21, 3, 3, 4)
     assert exc.value.size == 363 ** 2 > exc.value.bound
+    # x- times xbar-monomials of degree 2, 20000 * 2 either way: refused
+    # before either side is listed
+    for copies, dual_copies in ((100, 1), (1, 100)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBoundExceeded) as exc:
+            invariant_dimension(super_space(1, 1), copies, dual_copies, 2)
+        assert exc.value.size == 40000 > exc.value.bound
+        assert time.perf_counter() - start < 2
+
+
+def test_fock_tables_take_one_pairing_per_pair_of_degrees(monkeypatch):
+    space = super_space(1, 1)
+    alg = fock_algebra(space, 20, 20)
+    calls = []
+    right = CommutativeFactor._pairings
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return right(self, a, b)
+
+    monkeypatch.setattr(CommutativeFactor, "_pairings", counted)
+    odd, om = alg._tables
+    distinct = len(set(alg.degrees))
+    assert len(calls) <= distinct ** 2
+    monkeypatch.undo()
+    assert len(om) == len(alg.degrees) == 80
+    assert om == tuple(tuple(space.factor._pairings(g, h)
+                             for h in alg.degrees) for g in alg.degrees)
+    assert odd == {g for g, p in enumerate(alg.parities) if p == -1}
+
+
+@pytest.mark.parametrize("space", [super_space(2, 1), glq_space(2, 1)],
+                         ids=["super21", "glq21"])
+def test_x_generators_act_as_the_fock_algebra_product(space):
+    # one numbering across layers: x_g on the Fock vector m is the
+    # OmegaPolyAlgebra product g * m of fock_algebra
+    copies = 2
+    alg = fock_algebra(space, copies)
+    monos = [m for d in range(3) for m in alg.monomials(d)]
+    for a in range(space.dim):
+        for r in range(copies):
+            x = WeylElement.x_gen(space, copies, a, r)
+            (g,), _ = next(iter(x.terms))
+            for m in monos:
+                merged = alg.multiply((g,), m)
+                expected = FockVector(space, copies, {} if merged is None
+                                      else {merged[1]: merged[0]})
+                image = fock_apply(x, FockVector(space, copies, {m: ONE}))
+                assert image == expected, (a, r, m)
 
 
 def test_invariant_generators_filtration(super11, super21):
@@ -446,13 +519,16 @@ def draw_weyl(draw, space, copies):
 def test_merge_matches_the_old_insertions(data):
     space = data.draw(st.sampled_from(SPACES))
     copies = data.draw(st.integers(1, 2))
-    odd, om = space.copy_tables(copies)
+    odd, om = fock_algebra(space, copies)._tables
     w1 = draw_word(data.draw, space, copies)
     w2 = draw_word(data.draw, space, copies)
-    assert _merge(w1, w2, odd, om) == oracle_merge_words(space, w1, w2)
+    f1, f2 = recode(w1, copies, True), recode(w2, copies, True)
+    assert recode(_merge(f1, f2, odd, om), copies, False) == \
+        oracle_merge_words(space, w1, w2)
     g = data.draw(st.tuples(st.integers(0, space.dim - 1),
                             st.integers(0, copies - 1)))
-    assert _merge((g,), w2, odd, om) == oracle_merge_gen_left(space, w2, g)
+    assert recode(_merge(recode((g,), copies, True), f2, odd, om), copies,
+                  False) == oracle_merge_gen_left(space, w2, g)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -462,9 +538,12 @@ def test_weyl_multiply_and_fock_apply_match_the_old_walks(data):
     copies = data.draw(st.integers(1, 2))
     u = draw_weyl(data.draw, space, copies)
     v = draw_weyl(data.draw, space, copies)
-    assert weyl_multiply(u, v) == oracle_weyl_multiply(u, v)
+    fu, fv = recode(u, copies, True), recode(v, copies, True)
+    assert recode(weyl_multiply(fu, fv), copies, False) == \
+        oracle_weyl_multiply(u, v)
     f = FockVector(space, copies, {draw_word(data.draw, space, copies): ONE})
-    assert fock_apply(u, f) == oracle_fock_apply(u, f)
+    assert recode(fock_apply(fu, recode(f, copies, True)), copies, False) \
+        == oracle_fock_apply(u, f)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -473,7 +552,7 @@ def test_omega_poly_algebra_matches_factor_omega(data):
     space = data.draw(st.sampled_from(SPACES))
     copies, dual_copies = data.draw(st.integers(1, 2)), data.draw(
         st.integers(0, 2))
-    alg = mixed_algebra(space, copies, dual_copies)
+    alg = fock_algebra(space, copies, dual_copies)
     n = len(alg.degrees)
 
     def draw_mono():
