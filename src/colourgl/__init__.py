@@ -1,7 +1,6 @@
 """Exact computations with graded general linear Lie colour (super)algebras."""
 
-from .grading import (CommutativeFactor, Degree, GradingGroup, ShapeError,
-                      has_unit_modulus_property, omega_eval, omega_parity)
+from .grading import CommutativeFactor, Degree, GradingGroup, ShapeError
 from .gl import (GlElement, GradedSpace, SpaceMismatch, bilinear_form,
                  bracket, jacobi_defect, pbw_dimension_nilradical,
                  positive_roots, rho, skew_defect, supertrace, weight_inner,

@@ -24,6 +24,7 @@ into such a dict does so through _add_into.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -341,11 +342,11 @@ def bilinear_form(x, y):
 
 
 def pbw_dimension_nilradical(space):
-    """dim U(v) = 2^(M+ M-), cross-checked by enumerating the square-free
-    ordered words in the odd generators E_{rbar,i}."""
+    """dim U(v) = 2^(M+ M-), cross-checked by counting the square-free
+    ordered words in the odd generators E_{rbar,i}, comb(M+ M-, k) of
+    each length k."""
     gens = [(r, i) for r in range(space.m_plus, space.dim)
             for i in range(space.m_plus)]
-    count = sum(1 for k in range(len(gens) + 1)
-                for _ in itertools.combinations(gens, k))
+    count = sum(math.comb(len(gens), k) for k in range(len(gens) + 1))
     assert count == 2 ** (space.m_plus * space.m_minus)
     return count

@@ -14,7 +14,8 @@ omega(a, b) is read as the integer pair (s, e) = (a^T S b mod 2, a^T B b).
 As omega is a bicharacter, omega between sums and differences of degrees
 is the pair of XOR-ed signs and summed (or subtracted) exponents, so the
 graded space keeps one pair per two basis indices and the algorithms sum
-pairs.  omega_scalar is the one place a pair becomes a Scalar factor.
+pairs.  omega_scalar is the one place a pair becomes a Scalar factor, and
+_merge the one place a reordering of a graded word becomes a pair.
 """
 
 from __future__ import annotations
@@ -31,6 +32,26 @@ def omega_scalar(s, e, coef=ONE):
         q_e = Scalar.q_power(e)
         coef = q_e if coef is ONE else coef * q_e
     return -coef if s else coef
+
+
+def _merge(w1, w2, odd, om):
+    """The product w1 * w2 of sorted graded-commutative words, as the pair
+    (s, e) of its factor (-1)^s q^e and the sorted word: (s, e, word), or
+    None when a letter of odd repeats.  Each letter g of w2 enters from
+    the right and passes the larger letters h before it, each pass adding
+    the pair om[h][g]."""
+    s, e, word = 0, 0, w1
+    for g in w2:
+        if g in odd and g in word:
+            return None
+        pos = len(word)
+        while pos and word[pos - 1] > g:
+            pos -= 1
+            sh, eh = om[word[pos]][g]
+            s ^= sh
+            e += eh
+        word = word[:pos] + (g,) + word[pos:]
+    return s, e, word
 
 
 class ShapeError(ValueError):
@@ -172,16 +193,10 @@ class CommutativeFactor:
         return -1 if s else 1
 
     def is_sign_valued(self):
+        """True iff the q-exponent form vanishes, the factors for which
+        omega(a,b)* = omega(a,b)^(-1) holds identically in q: |q| = 1 is
+        not expressible for an indeterminate."""
         return all(all(x == 0 for x in row) for row in self.exp_form)
-
-    def has_unit_modulus_property(self):
-        """True iff omega(a,b)* = omega(a,b)^(-1) holds identically in q.
-
-        Formally this forces the q-exponent form to vanish: |q| = 1 is not
-        expressible for an indeterminate, so only sign-valued factors
-        qualify.
-        """
-        return self.is_sign_valued()
 
     # -- JSON interface ------------------------------------------------------
 
@@ -209,14 +224,3 @@ def superalgebra_factor():
     group = GradingGroup(0, 1)
     return CommutativeFactor(group, ((1,),), ((0,),))
 
-
-def omega_eval(factor, a, b):
-    return factor.omega(a, b)
-
-
-def omega_parity(factor, a):
-    return factor.parity(a)
-
-
-def has_unit_modulus_property(factor):
-    return factor.has_unit_modulus_property()

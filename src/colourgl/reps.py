@@ -2,13 +2,14 @@
 
 Everything here works with exact rational weights in the flat eps-basis.
 The contravariant-form machinery realises the parabolically induced module
-U(vbar) x L0 concretely (odd lowering words over explicit sl2 strings per
-parity block) and computes Gram matrices by moving *-conjugated operators
-across with the graded commutation relations.  Gram blocks and their
-inertia run on ints after one positive rescaling; Fractions enter only
-where lambda has a non-integral coordinate.  Dual weights are closed form:
-the Kac-module lowest weight for a typical lambda, the Berele-Regev
-transpose for an atypical a*E + mu#; no module is built for either.
+U(vbar) x L0 concretely (odd lowering words, sorted by grading._merge on
+sign pairs, over explicit sl2 strings per parity block) and computes Gram
+matrices by moving *-conjugated operators across with the graded
+commutation relations.  Gram blocks and their inertia run on ints after
+one positive rescaling; Fractions enter only where lambda has a
+non-integral coordinate.  Dual weights are closed form: the Kac-module
+lowest weight for a typical lambda, the Berele-Regev transpose for an
+atypical a*E + mu#; no module is built for either.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gl import GlElement, _add_into, rho, weight_inner
+from .grading import _merge
 from .partitions import (check_partition, dim_glN, in_hook, lambda_sharp,
                          transpose)
 from .scalars import ONE, Scalar
@@ -185,7 +187,7 @@ def classify_unitarisable(space, lam, star_type="I"):
     a*E + mu# - b*E+ decomposition when unitarisable.
 
     Type II: holds iff the dual weight lambda* passes type I."""
-    if not space.factor.has_unit_modulus_property():
+    if not space.factor.is_sign_valued():
         raise UnsupportedFactor(
             "unitarisability needs a sign-valued commutative factor")
     if star_type not in ("I", "II"):
@@ -291,7 +293,7 @@ class KacModule:
     across and pairs in L0."""
 
     def __init__(self, space, lam):
-        if not space.factor.has_unit_modulus_property():
+        if not space.factor.is_sign_valued():
             raise UnsupportedFactor(
                 "the contravariant form needs a sign-valued factor")
         if space.m_plus > 2 or space.m_minus > 2:
@@ -315,10 +317,10 @@ class KacModule:
         # sign of omega(g_a - g_b, g_c - g_d) is the XOR of four such bits
         bits = [[s for s, _ in row] for row in space._omega_pairs]
         self._bits = bits
-        # _pair_sign[s][t] = sign of omega(deg F_s, deg F_t)
-        self._pair_sign = [
-            [-1 if bits[rb][rb2] ^ bits[rb][i2] ^ bits[i][rb2] ^ bits[i][i2]
-             else 1 for i2, rb2 in self.pairs] for i, rb in self.pairs]
+        # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
+        self._pair_om = [
+            [(bits[rb][rb2] ^ bits[rb][i2] ^ bits[i][rb2] ^ bits[i][i2], 0)
+             for i2, rb2 in self.pairs] for i, rb in self.pairs]
         # act and _l0_norm results by argument; callers never mutate them
         self._act_memo = {}
         self._norm_memo = {}
@@ -351,16 +353,12 @@ class KacModule:
     def _prepend_pair(self, sid, vec):
         """Left multiplication by F_{sid} on a coefficient vector."""
         out = {}
-        signs = self._pair_sign[sid]
+        odd = range(len(self.pairs))  # F_sid F_S = 0 when sid is in S
         for (S, kp, km), coef in vec.items():
-            if sid in S:
-                continue
-            sign = 1
-            pos = 0
-            while pos < len(S) and S[pos] < sid:
-                sign *= signs[S[pos]]
-                pos += 1
-            _add_into(out, (S[:pos] + (sid,) + S[pos:], kp, km), sign * coef)
+            merged = _merge((sid,), S, odd, self._pair_om)
+            if merged is not None:
+                s, _, word = merged
+                _add_into(out, (word, kp, km), -coef if s else coef)
         return out
 
     def _act_l0(self, a, b, kp, km):

@@ -7,7 +7,8 @@ word times the product of omega(d(v_i), d(v_j)) over its inversions i < j.
 That product is the one every reduced word of the permutation multiplies
 out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
 relations exactly and the action is well defined.  These products and the
-coproduct factors of the gl(V)-action are sums of omega pairs (s, e).
+coproduct factors of the gl(V)-action are sums of omega pairs (s, e); the
+pair over the inversions of a word is that of sorting it by grading._merge.
 
 The Young symmetriser C_lambda = B_lambda A_lambda is applied to a word
 block by block: A_lambda row by row, then B_lambda column by column.  The
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  basis_weight)
-from .grading import omega_scalar
+from .grading import _merge, omega_scalar
 from .partitions import (check_partition, count_hook_tableaux,
                          count_standard_tableaux, hook_partitions, in_hook,
                          lambda_sharp)
@@ -282,20 +283,6 @@ def seed_word(space, lam):
     return tuple(word)
 
 
-def _inversion_pair(pairs, word):
-    """Psi(word): the omega pairs (s, e) of its letter inversions, summed
-    over the slots i < j with word[i] > word[j]."""
-    s = e = 0
-    for j in range(1, len(word)):
-        b = word[j]
-        for a in word[:j]:
-            if a > b:
-                sa, ea = pairs[a][b]
-                s ^= sa
-                e += ea
-    return s, e
-
-
 def _arrangements(letters, memo):
     """The distinct arrangements of a sorted tuple of letters, each with
     the parity of its number of inversions."""
@@ -400,10 +387,12 @@ def young_symmetrize(space, lam, word):
     memo = {}
     terms = _block_sums(pairs, rows, {word: 1}, False, memo)
     terms = _block_sums(pairs, cols, terms, True, memo)
-    s0, e0 = _inversion_pair(pairs, word)
+    # Psi(w) is the pair of sorting w, with no letter odd to _merge: words
+    # of V^(tensor r) may repeat odd letters
+    s0, e0, _ = _merge((), word, (), pairs)
     out = {}
     for w, n in terms.items():
-        s, e = _inversion_pair(pairs, w)
+        s, e, _ = _merge((), w, (), pairs)
         out[w] = omega_scalar(s0 ^ s, e0 - e, Scalar.from_rational(n))
     return TensorVector(space, len(word), out)
 

@@ -7,18 +7,16 @@ generators square-free.  The straightening rule is the graded CCR
 
     d(a,r) x(b,s) = omega(-gamma_a, gamma_b) x(b,s) d(a,r) + delta_ab delta_rs.
 
-Graded-commutative straightening is one routine, _merge: the product of
-two sorted words, each letter of the right word entering from the right
-and passing the larger letters before it.  It multiplies x-words, Fock
-monomials and OmegaPolyAlgebra monomials, and merges a d into a d-word
-from the left as _merge((d,), ds).  One walk, _derive, gives d_g's
-contractions against an x-monomial and the pair for d_g passing all of
-it.  Both sum integer pairs om[g][h] = (s, e) with omega(gamma_g,
-gamma_h) = (-1)^s q^e from OmegaPolyAlgebra._tables and apply the sum to
-the coefficient once, by grading.omega_scalar.  As omega is a commutative
-factor (Scheunert 1979), omega(-a, -b) = omega(a, b) and omega(-gamma_g,
-gamma_h) = omega(gamma_h, gamma_g), so that one table serves x's, d's
-and contractions.
+grading._merge multiplies x-words, Fock monomials and OmegaPolyAlgebra
+monomials, and merges a d into a d-word from the left as _merge((d,), ds).
+One walk, _derive, gives d_g's contractions against an x-monomial and
+the pair for d_g passing all of it.  Both return sums of the integer
+pairs om[g][h] = (s, e), omega(gamma_g, gamma_h) = (-1)^s q^e, of
+OmegaPolyAlgebra._tables, which reach a coefficient once per term, by
+grading.omega_scalar.  As omega is a commutative factor (Scheunert 1979),
+omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
+omega(gamma_h, gamma_g), so that one table serves x's, d's and
+contractions.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -32,7 +30,7 @@ from math import comb
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  bracket)
-from .grading import omega_scalar
+from .grading import _merge, omega_scalar
 from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
                          in_hook, lambda_sharp)
 from .scalars import MINUS_ONE, ONE
@@ -122,35 +120,16 @@ class WeylElement(LinearCombination):
         return f"WeylElement({body})"
 
 
-def _merge(w1, w2, odd, om, coef=ONE):
-    """The product coef * w1 * w2 of sorted graded-commutative words.  Each
-    generator g of w2 enters from the right and passes the larger letters
-    h before it, each pass adding the pair om[h][g].  Returns (coefficient,
-    sorted word), or None when an odd generator repeats."""
-    s, e, word = 0, 0, w1
-    for g in w2:
-        if g in odd and g in word:
-            return None
-        pos = len(word)
-        while pos and word[pos - 1] > g:
-            pos -= 1
-            sh, eh = om[word[pos]][g]
-            s ^= sh
-            e += eh
-        word = word[:pos] + (g,) + word[pos:]
-    return omega_scalar(s, e, coef), word
-
-
-def _derive(g, mono, om, coef=ONE):
-    """coef * d_g on an x-monomial, d_g a graded derivation of degree
-    -gamma_g: ([(coefficient, monomial)], the pair (s, e) of d_g passing
-    all of mono).  d_g passes x_h with omega(-gamma_g, gamma_h), the pair
-    om[h][g]."""
+def _derive(g, mono, om):
+    """d_g on an x-monomial, d_g a graded derivation of degree -gamma_g:
+    ([(s, e, monomial)], the pair (s, e) of d_g passing all of mono), each
+    contraction with the pair of d_g passing the letters before it.  d_g
+    passes x_h with omega(-gamma_g, gamma_h), the pair om[h][g]."""
     out = []
     s = e = 0
     for j, h in enumerate(mono):
         if h == g:
-            out.append((omega_scalar(s, e, coef), mono[:j] + mono[j + 1:]))
+            out.append((s, e, mono[:j] + mono[j + 1:]))
         sh, eh = om[h][g]
         s ^= sh
         e += eh
@@ -163,25 +142,28 @@ def weyl_multiply(u, v):
     odd, om = _fock_algebra(u.space, u.copies)._tables
     out = {}
 
-    def reduce_term(xs1, ds1, xs2, ds2, coef):
+    def reduce_term(xs1, ds1, xs2, ds2, s, e, coef):
+        # the term coef * (-1)^s q^e * xs1 ds1 xs2 ds2
         if not ds1:
-            merged = _merge(xs1, xs2, odd, om, coef)
+            merged = _merge(xs1, xs2, odd, om)
             if merged is not None:
-                _add_into(out, (merged[1], ds2), merged[0])
+                s2, e2, xs = merged
+                _add_into(out, (xs, ds2), omega_scalar(s ^ s2, e + e2, coef))
             return
         d = ds1[-1]
         rest = ds1[:-1]
-        contractions, passing = _derive(d, xs2, om, coef)
-        for c, xs in contractions:
-            reduce_term(xs1, rest, xs, ds2, c)
+        contractions, (sp, ep) = _derive(d, xs2, om)
+        for s2, e2, xs in contractions:
+            reduce_term(xs1, rest, xs, ds2, s ^ s2, e + e2, coef)
         # d passes the whole x block and merges into ds2 from the left
-        merged = _merge((d,), ds2, odd, om, omega_scalar(*passing, coef))
+        merged = _merge((d,), ds2, odd, om)
         if merged is not None:
-            reduce_term(xs1, rest, xs2, merged[1], merged[0])
+            s2, e2, ds = merged
+            reduce_term(xs1, rest, xs2, ds, s ^ sp ^ s2, e + ep + e2, coef)
 
     for (xs1, ds1), cu in u.terms.items():
         for (xs2, ds2), cv in v.terms.items():
-            reduce_term(xs1, ds1, xs2, ds2, cu * cv)
+            reduce_term(xs1, ds1, xs2, ds2, 0, 0, cu * cv)
     return WeylElement(u.space, u.copies, out)
 
 
@@ -236,13 +218,14 @@ def fock_apply(u, f):
             for g in reversed(ds):
                 nxt = {}
                 for m, c in stage.items():
-                    for dc, dm in _derive(g, m, om, c)[0]:
-                        _add_into(nxt, dm, dc)
+                    for s, e, dm in _derive(g, m, om)[0]:
+                        _add_into(nxt, dm, omega_scalar(s, e, c))
                 stage = nxt
             for m, c in stage.items():
-                merged = _merge(xs, m, odd, om, c)
+                merged = _merge(xs, m, odd, om)
                 if merged is not None:
-                    _add_into(out, merged[1], merged[0])
+                    s, e, word = merged
+                    _add_into(out, word, omega_scalar(s, e, c))
     return FockVector(f.space, f.copies, out)
 
 
@@ -355,24 +338,30 @@ class OmegaPolyAlgebra:
     def multiply(self, m1, m2):
         """(coefficient, sorted monomial) or None when a square vanishes."""
         odd, om = self._tables
-        return _merge(m1, m2, odd, om)
+        merged = _merge(m1, m2, odd, om)
+        if merged is None:
+            return None
+        s, e, word = merged
+        return omega_scalar(s, e), word
 
-    def derivation_apply(self, action, x_degree, mono):
-        """Extend a degree-x_degree action on generators to the monomial by
-        the graded Leibniz rule.  action maps g -> [(g', Scalar)]."""
+    def derivation_apply(self, action, x_row, mono):
+        """Extend an action X on generators to the monomial by the graded
+        Leibniz rule.  action maps g -> [(g', Scalar)], and x_row[g] is the
+        pair (s, e) of omega(deg X, deg g)."""
         odd, om = self._tables
         out = {}
-        prefix = ONE
+        ps = pe = 0  # the pair of X passing mono[:j]
         for j, g in enumerate(mono):
             if j:
-                prefix = prefix * self.factor.omega(
-                    x_degree, self.degrees[mono[j - 1]])
+                sh, eh = x_row[mono[j - 1]]
+                ps ^= sh
+                pe += eh
             for g2, coef in action.get(g, ()):
                 # g2 replaces g at slot j and straightens into place
-                merged = _merge(mono[:j], (g2,) + mono[j + 1:], odd, om,
-                                prefix * coef)
+                merged = _merge(mono[:j], (g2,) + mono[j + 1:], odd, om)
                 if merged is not None:
-                    _add_into(out, merged[1], merged[0])
+                    s, e, word = merged
+                    _add_into(out, word, omega_scalar(ps ^ s, pe + e, coef))
         return out
 
 
@@ -507,14 +496,21 @@ def rank_of_rows(rows):
 
 
 def _gl_action_on_generators(space_v, copies, dual_copies):
-    """Generator-level action of each E_ab on fock_algebra(space_v,
-    copies, dual_copies): x(c,r) -> delta x(a,r), xbar(c,s) ->
-    -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*."""
+    """(x_row, action) of each E_ab on fock_algebra(space_v, copies,
+    dual_copies), for derivation_apply: x(c,r) -> delta x(a,r), xbar(c,s)
+    -> -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*.
+    x_row holds the pair of omega(g_a - g_b, gamma_c) on x(c,r) and, as
+    omega(X, -gamma) = omega(X, gamma)^-1, the same pair with its exponent
+    negated on xbar(c,s)."""
     n = space_v.dim
+    pairs = space_v._omega_pairs
     actions = {}
     for a in range(n):
         for b in range(n):
-            deg = space_v.degrees[a] - space_v.degrees[b]
+            row = [(sa ^ sb, ea - eb)
+                   for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
+            x_row = tuple(p for p in row for _ in range(copies)) + tuple(
+                (s, -e) for s, e in row for _ in range(dual_copies))
             act = {}
             for r in range(copies):
                 act[b * copies + r] = [(a * copies + r, ONE)]
@@ -522,7 +518,7 @@ def _gl_action_on_generators(space_v, copies, dual_copies):
             for s in range(dual_copies):
                 act[n * copies + a * dual_copies + s] = [
                     (n * copies + b * dual_copies + s, om)]
-            actions[(a, b)] = (deg, act)
+            actions[(a, b)] = (x_row, act)
     return actions
 
 
@@ -549,34 +545,36 @@ def invariant_dimension(space, copies, dual_copies, degree):
             counts[g // copies_] += 1
         return tuple(counts)
 
-    # zero-weight basis: x-part and dual-part use each flat index equally
+    # zero-weight basis: x-part and dual-part use each flat index equally.
+    # Every x id is below every xbar id, so xm + xb is sorted as it stands.
     by_type = {}
     for mono in x_alg.monomials(degree):
         by_type.setdefault(flat_count(mono, copies), []).append(mono)
     basis = []
-    xbar_monos = {}
     for mono in xbar_alg.monomials(degree):
-        xbar_monos.setdefault(flat_count(mono, dual_copies), []).append(
-            tuple(g + n * copies for g in mono))
-    for typ, xs in sorted(by_type.items()):
-        for xb in xbar_monos.get(typ, ()):
-            for xm in xs:
-                merged = alg.multiply(xm, xb)
-                assert merged is not None and merged[0].is_one()
-                basis.append(merged[1])
+        xb = tuple(g + n * copies for g in mono)
+        basis.extend(xm + xb
+                     for xm in by_type.get(flat_count(mono, dual_copies), ()))
     basis.sort()
     index = {mono: i for i, mono in enumerate(basis)}
 
-    actions = _gl_action_on_generators(space, copies, dual_copies)
+    # the image of every E_ab on every basis element, computed once
+    images = {(a, b): [alg.derivation_apply(act, x_row, mono)
+                       for mono in basis]
+              for (a, b), (x_row, act) in _gl_action_on_generators(
+                  space, copies, dual_copies).items()}
     rows = []
-    for (a, b), (deg, act) in sorted(actions.items()):
+    for (a, b), imgs in images.items():
         if a == b:
-            continue  # Cartan generators vanish on the zero-weight basis
-        images = {}
-        for i, mono in enumerate(basis):
-            for target, coef in alg.derivation_apply(act, deg, mono).items():
-                images.setdefault(target, {})[i] = coef
-        rows.extend(images.values())
+            if any(imgs):
+                raise AssertionError(
+                    f"E[{a},{a}] does not vanish on the zero-weight basis")
+            continue
+        columns = {}
+        for i, img in enumerate(imgs):
+            for target, coef in img.items():
+                columns.setdefault(target, {})[i] = coef
+        rows.extend(columns.values())
     nullity = len(basis) - rank_of_rows(rows)
 
     expected = sum(dim_glN(lam, copies) * dim_glN(lam, dual_copies)
@@ -594,7 +592,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
                 mono = (a * copies + r, n * copies + a * dual_copies + s)
                 vec[mono] = ONE
             z_elems[(r, s)] = vec
-    products = []
+    span_rows = []
     for combo in itertools.combinations_with_replacement(
             sorted(z_elems), degree):
         vec = {(): ONE}
@@ -606,19 +604,22 @@ def invariant_dimension(space, copies, dual_copies, degree):
                     if merged is not None:
                         _add_into(nxt, merged[1], c1 * c2 * merged[0])
             vec = nxt
-        if vec:
-            products.append(vec)
-    # each product must be killed by every generator
-    for vec in products:
-        for (a, b), (deg, act) in actions.items():
+        if not vec:
+            continue
+        if not vec.keys() <= index.keys():
+            raise AssertionError(
+                f"a product of z's leaves the zero-weight basis: {combo}")
+        row = {index[m]: c for m, c in vec.items()}
+        # each product must be killed by every generator
+        for (a, b), imgs in images.items():
             defect = {}
-            for mono, coef in vec.items():
-                for tgt, c in alg.derivation_apply(act, deg, mono).items():
+            for i, coef in row.items():
+                for tgt, c in imgs[i].items():
                     _add_into(defect, tgt, coef * c)
             if defect:
                 raise AssertionError(
                     f"z-monomial not invariant under E[{a},{b}]")
-    span_rows = [{index[m]: c for m, c in vec.items()} for vec in products]
+        span_rows.append(row)
     if rank_of_rows(span_rows) != nullity:
         raise AssertionError("z-monomials do not span the invariants")
     return nullity

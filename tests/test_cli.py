@@ -220,6 +220,16 @@ def test_verify_reports_skipped_suites(capsys):
     assert len(ran) == 6 and all(s["passed"] is True for s in ran)
 
 
+def test_verify_quick_on_a_large_space_is_fast(capsys):
+    # the PBW cross-check counts the 2^36 odd words of super(6|6) by
+    # binomials per length instead of listing them
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "verify", "--space", "super(6|6)",
+                         "--level", "quick")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and doc["ok"] is True
+
+
 # one small job per subcommand, for the report contract below
 CONTRACT_JOBS = {
     "verify": ("--space", "super(1|1)", "--level", "quick"),

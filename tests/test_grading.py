@@ -3,8 +3,7 @@ import random
 import pytest
 
 from colourgl.grading import (CommutativeFactor, GradingGroup, ShapeError,
-                              has_unit_modulus_property, omega_eval,
-                              omega_parity, superalgebra_factor)
+                              superalgebra_factor)
 from colourgl.scalars import MINUS_ONE, ONE, Q
 
 
@@ -18,30 +17,30 @@ def test_superalgebra_factor_values():
     factor = superalgebra_factor()
     g = factor.group
     one = g.degree(1)
-    assert omega_eval(factor, one, one) == MINUS_ONE
-    assert omega_eval(factor, g.zero(), one) == ONE
-    assert omega_parity(factor, one) == -1
-    assert omega_parity(factor, g.zero()) == 1
+    assert factor.omega(one, one) == MINUS_ONE
+    assert factor.omega(g.zero(), one) == ONE
+    assert factor.parity(one) == -1
+    assert factor.parity(g.zero()) == 1
 
 
 def test_q_form_example():
     group = GradingGroup(2, 0)
     factor = CommutativeFactor(group, ((0, 0), (0, 0)), ((0, 1), (-1, 0)))
     a, b = group.degree(1, 0), group.degree(0, 1)
-    assert omega_eval(factor, a, b) == Q
-    assert omega_eval(factor, b, a) == Q.inverse()
-    assert omega_parity(factor, a) == 1
+    assert factor.omega(a, b) == Q
+    assert factor.omega(b, a) == Q.inverse()
+    assert factor.parity(a) == 1
 
 
 def test_unit_modulus_property():
     group = GradingGroup(2, 0)
     zero = ((0, 0), (0, 0))
     signs = ((1, 1), (1, 0))
-    assert has_unit_modulus_property(CommutativeFactor(group, signs, zero))
+    assert CommutativeFactor(group, signs, zero).is_sign_valued()
     skew = ((0, 1), (-1, 0))
-    assert not has_unit_modulus_property(CommutativeFactor(group, zero, skew))
+    assert not CommutativeFactor(group, zero, skew).is_sign_valued()
     trivial = CommutativeFactor.trivial(GradingGroup(0, 0))
-    assert has_unit_modulus_property(trivial)
+    assert trivial.is_sign_valued()
 
 
 def test_bicharacter_axioms_random():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colourgl.gl import GlElement
+from colourgl.grading import _merge
 from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
                                  dim_glN, hook_partitions, partitions_of)
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
@@ -425,3 +426,38 @@ def test_dual_action_is_representation(super21, glq11):
                             lhs = {k: v for k, v in lhs.items() if v}
                             rhs = {k: v for k, v in rhs.items() if v}
                             assert lhs == rhs, (a, b, c, d, e)
+
+
+# -- the inversion sum that _merge((), w, (), pairs) replaced ---------------
+# Kept verbatim as an oracle for Psi(w) in young_symmetrize.
+
+def oracle_inversion_pair(pairs, word):
+    """Psi(word): the omega pairs (s, e) of its letter inversions, summed
+    over the slots i < j with word[i] > word[j]."""
+    s = e = 0
+    for j in range(1, len(word)):
+        b = word[j]
+        for a in word[:j]:
+            if a > b:
+                sa, ea = pairs[a][b]
+                s ^= sa
+                e += ea
+    return s, e
+
+
+def test_sorting_pair_matches_the_inversion_sum():
+    # the empty odd set lets words repeat odd letters, as tensor words do
+    rng = random.Random(1979)
+    repeated_odd = 0
+    for space in (super_space(2, 2), glq_space(2, 1), z2z2_space((1, 1, 1, 1)),
+                  green_space(3)):
+        pairs = space._omega_pairs
+        for _ in range(200):
+            word = tuple(rng.randrange(space.dim)
+                         for _ in range(rng.randint(0, 8)))
+            repeated_odd += any(space.parities[a] == -1 and word.count(a) > 1
+                                for a in word)
+            s, e, ordered = _merge((), word, (), pairs)
+            assert (s, e) == oracle_inversion_pair(pairs, word), (space, word)
+            assert ordered == tuple(sorted(word))
+    assert repeated_odd > 100

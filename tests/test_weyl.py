@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from colourgl import verify
 from colourgl.gl import _add_into
-from colourgl.grading import CommutativeFactor
+from colourgl.grading import CommutativeFactor, _merge, omega_scalar
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
 from colourgl.weyl import (FockVector, OmegaPolyAlgebra, ResourceBoundExceeded,
-                           WeylElement, _merge, _reduce, dual_pair_generators,
+                           WeylElement, _reduce, dual_pair_generators,
                            fock_algebra, fock_apply, glq_relations_check,
                            glvv_decomposition, howe_dimension_sweep,
                            howe_dual_sweep, invariant_dimension,
@@ -40,6 +40,19 @@ def recode(x, copies, flat):
     if x and isinstance(x[0], Scalar):
         return x[0], word(x[1])
     return x if x is None else word(x)
+
+
+def as_coefficient(merged):
+    """A _merge result (s, e, word) as (omega_scalar(s, e), word), the
+    format of the oracles below; None stays None."""
+    return None if merged is None else (omega_scalar(*merged[:2]),
+                                        merged[2])
+
+
+def degree_row(alg, degree):
+    """What derivation_apply takes for an action of the given degree: the
+    pair of omega(degree, deg g) for each generator g of alg."""
+    return tuple(alg.factor._pairings(degree, d) for d in alg.degrees)
 
 
 def test_ccr_contraction(super11):
@@ -523,12 +536,13 @@ def test_merge_matches_the_old_insertions(data):
     w1 = draw_word(data.draw, space, copies)
     w2 = draw_word(data.draw, space, copies)
     f1, f2 = recode(w1, copies, True), recode(w2, copies, True)
-    assert recode(_merge(f1, f2, odd, om), copies, False) == \
-        oracle_merge_words(space, w1, w2)
+    assert recode(as_coefficient(_merge(f1, f2, odd, om)), copies,
+                  False) == oracle_merge_words(space, w1, w2)
     g = data.draw(st.tuples(st.integers(0, space.dim - 1),
                             st.integers(0, copies - 1)))
-    assert recode(_merge(recode((g,), copies, True), f2, odd, om), copies,
-                  False) == oracle_merge_gen_left(space, w2, g)
+    merged = _merge(recode((g,), copies, True), f2, odd, om)
+    assert recode(as_coefficient(merged), copies, False) == \
+        oracle_merge_gen_left(space, w2, g)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -565,7 +579,7 @@ def test_omega_poly_algebra_matches_factor_omega(data):
                    data.draw(st.sampled_from(COEFS)))]
               for g in range(n) if data.draw(st.booleans())}
     x_degree = data.draw(st.sampled_from(alg.degrees))
-    assert alg.derivation_apply(action, x_degree, m1) == \
+    assert alg.derivation_apply(action, degree_row(alg, x_degree), m1) == \
         oracle_derivation_apply(alg, action, x_degree, m1)
 
 
