@@ -80,6 +80,8 @@ class GradedSpace:
             for ga in self.degrees)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, GradedSpace)
                 and self.factor == other.factor
                 and self.components == other.components)

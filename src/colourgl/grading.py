@@ -23,15 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, _make, _pneg
 
 
 def omega_scalar(s, e, coef=ONE):
-    """coef * (-1)^s q^e, with no multiplication when (s, e) = (0, 0)."""
-    if e:
-        q_e = Scalar.q_power(e)
-        coef = q_e if coef is ONE else coef * q_e
-    return -coef if s else coef
+    """coef * (-1)^s q^e: coef's stored form shifted by e, its numerator
+    negated when s is set, with no multiplication."""
+    if not (s or e) or not coef.n[0]:
+        return coef
+    return _make(coef.shift + e, _pneg(coef.n) if s else coef.n, coef.d)
 
 
 def _merge(w1, w2, odd, om):

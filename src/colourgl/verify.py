@@ -14,10 +14,10 @@ from fractions import Fraction
 from .gl import (GlElement, bilinear_form, bracket, jacobi_defect,
                  positive_roots, rho, skew_defect, supertrace,
                  pbw_dimension_nilradical, weight_inner)
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 from .tensor import TensorVector, braiding_apply, gl_act_tensor
-from .weyl import (FockVector, WeylElement, fock_algebra, fock_apply,
-                   verify_dual_pair, weyl_multiply)
+from .weyl import (_add_ints, _word_on_monomial, _word_product, fock_algebra,
+                   verify_dual_pair)
 
 
 def _random_degree(group, rng, span=5):
@@ -151,21 +151,29 @@ def suite_forms(space, rng, samples):
 def suite_fock(space, rng, copies):
     if space.dim > 4:
         return None, "skipped (dim V too big)"
-    gens = [WeylElement.x_gen(space, copies, a, r)
-            for a in range(space.dim) for r in range(copies)]
-    gens += [WeylElement.d_gen(space, copies, a, r)
-             for a in range(space.dim) for r in range(copies)]
     alg = fock_algebra(space, copies)
+    n = space.dim * copies
+    gens = [((g,), ()) for g in range(n)] + [((), (g,)) for g in range(n)]
     monos = [m for d in range(4) for m in alg.monomials(d)]
-    vectors = [FockVector(space, copies, {mono: ONE}) for mono in monos]
-    # v.f once per (generator, monomial), reused for every u
-    images = [[fock_apply(v, f) for f in vectors] for v in gens]
-    for u in gens:
-        for v, v_images in zip(gens, images):
-            prod = weyl_multiply(u, v)
-            for f, vf in zip(vectors, v_images):
-                if fock_apply(prod, f) != fock_apply(u, vf):
-                    return False, "module axiom failed"
+    images = {}  # (word, monomial) -> its image, for this call only
+
+    def image(word, mono):
+        img = images.get((word, mono))
+        if img is None:
+            img = images[word, mono] = _word_on_monomial(alg, *word, mono)
+        return img
+
+    for u, v in itertools.product(gens, repeat=2):
+        prod = _word_product(alg, *u, *v)
+        for mono in monos:
+            # u (v f) - (u v) f for f = mono
+            defect = {}
+            for (m, e), c in image(v, mono).items():
+                _add_ints(defect, image(u, m), c, e)
+            for (w, e), c in prod.items():
+                _add_ints(defect, image(w, mono), -c, e)
+            if any(defect.values()):
+                return False, "module axiom failed"
     return True, f"all generator pairs on {len(monos)} monomials"
 
 

@@ -12,11 +12,18 @@ monomials, and merges a d into a d-word from the left as _merge((d,), ds).
 One walk, _derive, gives d_g's contractions against an x-monomial and
 the pair for d_g passing all of it.  Both return sums of the integer
 pairs om[g][h] = (s, e), omega(gamma_g, gamma_h) = (-1)^s q^e, of
-OmegaPolyAlgebra._tables, which reach a coefficient once per term, by
-grading.omega_scalar.  As omega is a commutative factor (Scheunert 1979),
-omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
+OmegaPolyAlgebra._tables.  As omega is a commutative factor (Scheunert
+1979), omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
 omega(gamma_h, gamma_g), so that one table serves x's, d's and
 contractions.
+
+So words straighten over Z[q, q^-1], in two integer kernels:
+_word_product multiplies two words and _word_on_monomial applies a word
+to a Fock monomial, each as {(word, e): int}, the Laurent polynomial of
+every output word.  verify_dual_pair and the fock-module suite compare
+such dicts and build no Scalar.  A Scalar enters in weyl_multiply and
+fock_apply, one product per pair of input terms and output word, and in
+OmegaPolyAlgebra, once per term by grading.omega_scalar.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -33,7 +40,7 @@ from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
 from .grading import _merge, omega_scalar
 from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
                          in_hook, lambda_sharp)
-from .scalars import MINUS_ONE, ONE
+from .scalars import MINUS_ONE, ONE, ZERO, _ONE_POLY, _make
 from .tensor import dual_act
 
 
@@ -136,35 +143,89 @@ def _derive(g, mono, om):
     return out, (s, e)
 
 
-def weyl_multiply(u, v):
-    """Normal-ordered product in the Weyl algebra."""
-    u._check(v)
-    odd, om = _fock_algebra(u.space, u.copies)._tables
+def _word_product(alg, xs1, ds1, xs2, ds2):
+    """The normal-ordered product of the words (xs1, ds1) and (xs2, ds2)
+    of alg's generators, as {((xs, ds), e): int}: the Laurent polynomial
+    over Z of each output word, its signs folded into the ints."""
+    odd, om = alg._tables
     out = {}
 
-    def reduce_term(xs1, ds1, xs2, ds2, s, e, coef):
-        # the term coef * (-1)^s q^e * xs1 ds1 xs2 ds2
+    def reduce_term(xs1, ds1, xs2, ds2, s, e):
+        # the term (-1)^s q^e * xs1 ds1 xs2 ds2
         if not ds1:
             merged = _merge(xs1, xs2, odd, om)
             if merged is not None:
                 s2, e2, xs = merged
-                _add_into(out, (xs, ds2), omega_scalar(s ^ s2, e + e2, coef))
+                key = ((xs, ds2), e + e2)
+                out[key] = out.get(key, 0) + (-1 if s ^ s2 else 1)
             return
         d = ds1[-1]
         rest = ds1[:-1]
         contractions, (sp, ep) = _derive(d, xs2, om)
         for s2, e2, xs in contractions:
-            reduce_term(xs1, rest, xs, ds2, s ^ s2, e + e2, coef)
+            reduce_term(xs1, rest, xs, ds2, s ^ s2, e + e2)
         # d passes the whole x block and merges into ds2 from the left
         merged = _merge((d,), ds2, odd, om)
         if merged is not None:
             s2, e2, ds = merged
-            reduce_term(xs1, rest, xs2, ds, s ^ sp ^ s2, e + ep + e2, coef)
+            reduce_term(xs1, rest, xs2, ds, s ^ sp ^ s2, e + ep + e2)
 
-    for (xs1, ds1), cu in u.terms.items():
-        for (xs2, ds2), cv in v.terms.items():
-            reduce_term(xs1, ds1, xs2, ds2, 0, 0, cu * cv)
-    return WeylElement(u.space, u.copies, out)
+    reduce_term(xs1, ds1, xs2, ds2, 0, 0)
+    return {key: c for key, c in out.items() if c}
+
+
+def _word_on_monomial(alg, xs, ds, mono):
+    """The word (xs, ds) applied to the x-monomial mono, d's as
+    derivations and x's by multiplication, as {(monomial, e): int}."""
+    odd, om = alg._tables
+    stage = {(mono, 0): 1}
+    for g in reversed(ds):
+        nxt = {}
+        for (m, e), c in stage.items():
+            for s2, e2, dm in _derive(g, m, om)[0]:
+                key = (dm, e + e2)
+                nxt[key] = nxt.get(key, 0) + (-c if s2 else c)
+        stage = nxt
+    out = {}
+    for (m, e), c in stage.items():
+        merged = _merge(xs, m, odd, om)
+        if merged is not None:
+            s, e2, word = merged
+            key = (word, e + e2)
+            out[key] = out.get(key, 0) + (-c if s else c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _add_ints(out, poly, coef=1, shift=0):
+    """out += coef q^shift poly, for {(word, e): int} dicts."""
+    for (word, e), c in poly.items():
+        key = (word, e + shift)
+        out[key] = out.get(key, 0) + coef * c
+
+
+def _to_scalars(products):
+    """{word: Scalar} from (coef, {(word, e): int}) pairs: coef times the
+    Laurent polynomial p of each word, one Scalar product per word."""
+    out = {}
+    for coef, poly in products:
+        by_word = {}
+        for (word, e), c in poly.items():
+            by_word.setdefault(word, {})[e] = c
+        for word, p in by_word.items():
+            # nonzero ints at both ends over the den 1: the canonical form
+            lo = min(p)
+            _add_into(out, word, coef * _make(lo, tuple(
+                p.get(e, 0) for e in range(lo, max(p) + 1)), _ONE_POLY))
+    return out
+
+
+def weyl_multiply(u, v):
+    """Normal-ordered product in the Weyl algebra."""
+    u._check(v)
+    alg = _fock_algebra(u.space, u.copies)
+    return WeylElement(u.space, u.copies, _to_scalars(
+        (cu * cv, _word_product(alg, *w1, *w2))
+        for w1, cu in u.terms.items() for w2, cv in v.terms.items()))
 
 
 def weyl_bracket(u, v):
@@ -210,23 +271,10 @@ def fock_apply(u, f):
     x's by multiplication."""
     if u.space != f.space or u.copies != f.copies:
         raise SpaceMismatch("operator and Fock vector mismatch")
-    odd, om = _fock_algebra(u.space, u.copies)._tables
-    out = {}
-    for (xs, ds), cu in u.terms.items():
-        for mono, cf in f.terms.items():
-            stage = {mono: cu * cf}
-            for g in reversed(ds):
-                nxt = {}
-                for m, c in stage.items():
-                    for s, e, dm in _derive(g, m, om)[0]:
-                        _add_into(nxt, dm, omega_scalar(s, e, c))
-                stage = nxt
-            for m, c in stage.items():
-                merged = _merge(xs, m, odd, om)
-                if merged is not None:
-                    s, e, word = merged
-                    _add_into(out, word, omega_scalar(s, e, c))
-    return FockVector(f.space, f.copies, out)
+    alg = _fock_algebra(u.space, u.copies)
+    return FockVector(f.space, f.copies, _to_scalars(
+        (cu * cf, _word_on_monomial(alg, *w, mono))
+        for w, cu in u.terms.items() for mono, cf in f.terms.items()))
 
 
 def dual_pair_generators(space, copies):
@@ -243,44 +291,49 @@ def dual_pair_generators(space, copies):
     return E, Ecal
 
 
+def _bracket_pair(pairs, a, b, c, d):
+    """The pair (s, e) of omega(gamma_a - gamma_b, gamma_c - gamma_d)."""
+    (s1, e1), (s2, e2) = pairs[a][c], pairs[a][d]
+    (s3, e3), (s4, e4) = pairs[b][c], pairs[b][d]
+    return s1 ^ s2 ^ s3 ^ s4, e1 - e2 - e3 + e4
+
+
 def verify_dual_pair(space, copies):
-    """Exhaustively check eq. families for the dual pair: gl_N relations,
-    gl(V) relations matching the abstract bracket, and [E, Ecal] = 0."""
+    """Exhaustively check eq. families for the dual pair: the E's and the
+    Ecal's satisfy the abstract brackets of gl_N = gl(N|0) and of gl(V),
+    and [E, Ecal] = 0, on {(word, e): int} dicts."""
+    from .presets import super_space
+
+    alg = _fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
-    n = space.dim
-    for r in range(copies):
-        for s in range(copies):
-            for t in range(copies):
-                for u in range(copies):
-                    lhs = weyl_bracket(E[r][s], E[t][u])
-                    rhs = WeylElement(space, copies)
-                    if s == t:
-                        rhs = rhs + E[r][u]
-                    if r == u:
-                        rhs = rhs - E[t][s]
-                    if not (lhs - rhs).is_zero():
-                        return False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    abstract = bracket(GlElement.matrix_unit(space, a, b),
-                                       GlElement.matrix_unit(space, c, d))
-                    lhs = weyl_bracket(Ecal[(a, b)], Ecal[(c, d)])
-                    rhs = WeylElement(space, copies)
-                    for (p, q), coef in abstract.terms.items():
-                        rhs = rhs + Ecal[(p, q)].scale(coef)
-                    if not (lhs - rhs).is_zero():
-                        return False
-    for r in range(copies):
-        for s in range(copies):
-            for a in range(n):
-                for b in range(n):
-                    lhs = weyl_multiply(E[r][s], Ecal[(a, b)])
-                    rhs = weyl_multiply(Ecal[(a, b)], E[r][s])
-                    if not (lhs - rhs).is_zero():
-                        return False
-    return True
+    E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
+    products = {}  # (word, word) -> their product, for this call only
+
+    def bracket_is(u, v, rhs, s=0, e=0):
+        # u v - (-1)^s q^e v u == rhs; every coefficient of u, v is ONE
+        out = {}
+        _add_ints(out, rhs, -1)
+        for x, y, coef, shift in ((u, v, 1, 0), (v, u, 1 if s else -1, e)):
+            for w in itertools.product(x.terms, y.terms):
+                if w not in products:
+                    products[w] = _word_product(alg, *w[0], *w[1])
+                _add_ints(out, products[w], coef, shift)
+        return not any(out.values())
+
+    for gl, gens in ((super_space(copies, 0), E), (space, Ecal)):
+        for a, b, c, d in itertools.product(range(gl.dim), repeat=4):
+            abstract = bracket(GlElement.matrix_unit(gl, a, b),
+                               GlElement.matrix_unit(gl, c, d))
+            rhs = {}
+            for k, coef in abstract.terms.items():
+                assert coef.d == (1,)
+                for i, x in enumerate(coef.n):
+                    _add_ints(rhs, {(w, coef.shift + i): x
+                                    for w in gens[k].terms})
+            if not bracket_is(gens[a, b], gens[c, d], rhs,
+                              *_bracket_pair(gl._omega_pairs, a, b, c, d)):
+                return False
+    return all(bracket_is(x, y, {}) for x in E.values() for y in Ecal.values())
 
 
 # -- graded commutative algebras on explicit generator lists ----------------
@@ -633,28 +686,23 @@ def invariant_generators_check(space, copies):
     words = [((g,), (h,)) for g in gens for h in gens]
     windex = {w: i for i, w in enumerate(words)}
     rows = []
-    for r in range(copies):
-        for s in range(copies):
-            images = {}
-            for i, (xs, ds) in enumerate(words):
-                u = WeylElement(space, copies, {(xs, ds): ONE})
-                br = weyl_multiply(E[r][s], u) - weyl_multiply(u, E[r][s])
-                for key, coef in br.terms.items():
-                    images.setdefault(key, {})[i] = coef
-            rows.extend(images.values())
-    nullity = len(words) - rank_of_rows(rows)
-    if nullity != space.dim ** 2:
+    for x in itertools.chain.from_iterable(E):
+        images = {}
+        for i, w in enumerate(words):
+            u = WeylElement(space, copies, {w: ONE})
+            br = weyl_multiply(x, u) - weyl_multiply(u, x)
+            for key, coef in br.terms.items():
+                images.setdefault(key, {})[i] = coef
+        rows.extend(images.values())
+    if len(words) - rank_of_rows(rows) != space.dim ** 2:
         return False
-    # the Ecal's must be independent members of the kernel
-    ecal_rows = []
-    for (a, b), elt in Ecal.items():
-        for r in range(copies):
-            for s in range(copies):
-                if not (weyl_multiply(E[r][s], elt)
-                        - weyl_multiply(elt, E[r][s])).is_zero():
-                    return False
-        ecal_rows.append({windex[key]: coef
-                          for key, coef in elt.terms.items()})
+    # the Ecal's must be independent members of the kernel: each row of
+    # an ad(E[r][s]) kills each of them
+    ecal_rows = [{windex[w]: coef for w, coef in elt.terms.items()}
+                 for elt in Ecal.values()]
+    if any(sum((row[i] * c for i, c in v.items() if i in row), ZERO)
+           for row in rows for v in ecal_rows):
+        return False
     return rank_of_rows(ecal_rows) == space.dim ** 2
 
 
@@ -666,7 +714,7 @@ def glq_relations_check(m, n, copies, max_degree=4):
     from .scalars import Q
 
     space = glq_space(m, n)
-    total = m + n
+    zero = WeylElement(space, copies)
     relations_ok = True
 
     def xg(i, r):
@@ -675,41 +723,23 @@ def glq_relations_check(m, n, copies, max_degree=4):
     def dg(i, r):
         return WeylElement.d_gen(space, copies, i, r)
 
-    def sign(i, j):
-        return MINUS_ONE if (i >= m and j >= m) else ONE
+    def holds(u, v, coef, rhs=zero):
+        # u v - coef v u == rhs
+        return (weyl_multiply(u, v) - weyl_multiply(v, u).scale(coef)
+                - rhs).is_zero()
 
-    for i in range(total):
-        for r in range(copies):
-            for s in range(copies):
-                # x_i^r x_i^s = (-1)^[i] x_i^s x_i^r and the d analogue
-                lhs = weyl_multiply(xg(i, r), xg(i, s))
-                rhs = weyl_multiply(xg(i, s), xg(i, r)).scale(sign(i, i))
-                relations_ok &= (lhs - rhs).is_zero()
-                lhs = weyl_multiply(dg(i, r), dg(i, s))
-                rhs = weyl_multiply(dg(i, s), dg(i, r)).scale(sign(i, i))
-                relations_ok &= (lhs - rhs).is_zero()
-                # d_i^r x_i^s - (-1)^[i] x_i^s d_i^r = delta_rs
-                lhs = weyl_multiply(dg(i, r), xg(i, s)) \
-                    - weyl_multiply(xg(i, s), dg(i, r)).scale(sign(i, i))
-                rhs = WeylElement.one(space, copies) if r == s \
-                    else WeylElement(space, copies)
-                relations_ok &= (lhs - rhs).is_zero()
-            for j in range(i + 1, total):
-                for s in range(copies):
-                    q = Q
-                    lhs = weyl_multiply(xg(i, r), xg(j, s))
-                    rhs = weyl_multiply(xg(j, s), xg(i, r)).scale(
-                        sign(i, j) * q)
-                    relations_ok &= (lhs - rhs).is_zero()
-                    lhs = weyl_multiply(dg(i, r), dg(j, s))
-                    rhs = weyl_multiply(dg(j, s), dg(i, r)).scale(
-                        sign(i, j) * q)
-                    relations_ok &= (lhs - rhs).is_zero()
-                    # d_i^r x_j^s = (-1)^[i][j] q^(-1) x_j^s d_i^r for i < j
-                    lhs = weyl_multiply(dg(i, r), xg(j, s))
-                    rhs = weyl_multiply(xg(j, s), dg(i, r)).scale(
-                        sign(i, j) * q.inverse())
-                    relations_ok &= (lhs - rhs).is_zero()
+    for i, j in itertools.combinations_with_replacement(range(m + n), 2):
+        sign = MINUS_ONE if (i >= m and j >= m) else ONE
+        q, q_inv = (ONE, ONE) if i == j else (Q, Q.inverse())
+        for r, s in itertools.product(range(copies), repeat=2):
+            # x_i^r x_j^s = (-1)^[i][j] q x_j^s x_i^r for i < j, without
+            # the q for i = j, the d analogue, and d_i^r x_j^s
+            # - (-1)^[i][j] q^-1 x_j^s d_i^r = delta_ij delta_rs
+            delta = WeylElement.one(space, copies) if (i, r) == (j, s) \
+                else zero
+            relations_ok &= holds(xg(i, r), xg(j, s), sign * q)
+            relations_ok &= holds(dg(i, r), dg(j, s), sign * q)
+            relations_ok &= holds(dg(i, r), xg(j, s), sign * q_inv, delta)
     sweep = howe_dimension_sweep(space, copies, max_degree)
     return {
         "m": m, "n": n, "copies": copies,

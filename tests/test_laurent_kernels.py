@@ -1,0 +1,107 @@
+"""The integer Laurent kernels of weyl against the routines they replaced,
+which parent_weyl keeps verbatim: weyl_multiply, fock_apply, the
+fock-module suite and verify_dual_pair agree with them on seeded random
+elements with fraction coefficients, and on every preset of dim V <= 3."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import parent_weyl as parent
+from colourgl.presets import glq_space, green_space, super_space, z2z2_space
+from colourgl.scalars import Scalar
+from colourgl.verify import suite_fock
+from colourgl.weyl import (FockVector, WeylElement, _word_on_monomial,
+                           _word_product, fock_algebra, fock_apply,
+                           verify_dual_pair, weyl_multiply)
+
+SPACES = {"super(1|1)": super_space(1, 1), "glq(1|1)": glq_space(1, 1),
+          "super(1|2)": super_space(1, 2), "glq(2|1)": glq_space(2, 1),
+          "green(2)": green_space(2),
+          "z2z2(1,1,1,0)": z2z2_space((1, 1, 1, 0))}
+
+
+def small_presets():
+    """Every preset space of dimension 1 to 3, by name."""
+    out = {}
+    for m, n in itertools.product(range(4), repeat=2):
+        if 1 <= m + n <= 3:
+            out[f"super({m}|{n})"] = super_space(m, n)
+            out[f"glq({m}|{n})"] = glq_space(m, n)
+    for n in range(1, 4):
+        out[f"green({n})"] = green_space(n)
+    for dims in itertools.product(range(4), repeat=4):
+        if 1 <= sum(dims) <= 3:
+            out["z2z2({},{},{},{})".format(*dims)] = z2z2_space(dims)
+    return out
+
+
+def random_scalar(rng):
+    """A nonzero Laurent polynomial with Fraction coefficients, over a
+    second one half the time."""
+    def poly():
+        while True:
+            coeffs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 3)))
+            if any(coeffs):
+                return Scalar(rng.randint(-2, 2), coeffs)
+
+    return poly() / poly() if rng.random() < 0.5 else poly()
+
+
+def random_word(rng, alg):
+    """A sorted word of alg's generators, no odd generator repeated."""
+    odd = alg._tables[0]
+    word = sorted(rng.randrange(len(alg.degrees))
+                  for _ in range(rng.randint(0, 3)))
+    return tuple(g for k, g in enumerate(word)
+                 if g not in odd or g not in word[:k])
+
+
+def random_weyl(rng, space, copies):
+    alg = fock_algebra(space, copies)
+    return WeylElement(space, copies, {
+        (random_word(rng, alg), random_word(rng, alg)): random_scalar(rng)
+        for _ in range(rng.randint(1, 3))})
+
+
+def random_fock(rng, space, copies):
+    alg = fock_algebra(space, copies)
+    return FockVector(space, copies, {
+        random_word(rng, alg): random_scalar(rng)
+        for _ in range(rng.randint(1, 3))})
+
+
+def is_laurent(poly):
+    """True iff poly is {(word, e): int} with int exponents and nonzero
+    int coefficients."""
+    return all(type(e) is int and type(c) is int and c
+               for (_, e), c in poly.items())
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_weyl_multiply_and_fock_apply_match_the_parent(name):
+    space = SPACES[name]
+    rng = random.Random(name)
+    for copies in (1, 2):
+        alg = fock_algebra(space, copies)
+        for _ in range(150):
+            u, v = (random_weyl(rng, space, copies) for _ in range(2))
+            f = random_fock(rng, space, copies)
+            assert weyl_multiply(u, v) == parent.weyl_multiply(u, v)
+            assert fock_apply(u, f) == parent.fock_apply(u, f)
+            for (w1, w2), mono in zip(itertools.product(u.terms, v.terms),
+                                      f.terms):
+                assert is_laurent(_word_product(alg, *w1, *w2))
+                assert is_laurent(_word_on_monomial(alg, *w1, mono))
+
+
+@pytest.mark.parametrize("copies", (1, 2))
+def test_suites_match_the_parent_on_every_small_preset(copies):
+    for name, space in small_presets().items():
+        assert suite_fock(space, random.Random(0), copies) == \
+            parent.suite_fock(space, random.Random(0), copies), name
+        assert verify_dual_pair(space, copies) == \
+            parent.verify_dual_pair(space, copies), name

@@ -9,6 +9,7 @@ preset and on seeded random factors, q-valued ones included, for
 inhomogeneous operators and vectors of several words."""
 
 import random
+from fractions import Fraction
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
 from colourgl.grading import omega_scalar
@@ -164,3 +165,22 @@ def test_omega_scalar_applies_a_pair():
     assert omega_scalar(1, 0) == MINUS_ONE
     assert omega_scalar(0, 2, coef) == coef * Q * Q
     assert omega_scalar(1, -1, coef) == -coef * Q.inverse()
+
+
+def test_omega_scalar_matches_a_q_power_product():
+    # omega_scalar shifts the stored form; the oracle multiplies by q^e
+    rng = random.Random(1979)
+    for _ in range(300):
+        num = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3)))
+        coef = Scalar(rng.randint(-3, 3), num)
+        if rng.random() < 0.4:
+            coef = coef / Scalar(rng.randint(-2, 2), (rng.randint(1, 3), 1))
+        s, e = rng.randint(0, 1), rng.randint(-4, 4)
+        expected = coef * Scalar.q_power(e)
+        # Scalar equality compares the canonical (shift, n, d)
+        assert omega_scalar(s, e, coef) == (-expected if s else expected), \
+            (s, e, coef)
+    zero = Scalar(0)
+    for s, e in ((0, 0), (1, 0), (0, 3), (1, -2)):
+        assert omega_scalar(s, e, zero) is zero

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colourgl import verify
+from colourgl import verify, weyl
 from colourgl.gl import _add_into
 from colourgl.grading import CommutativeFactor, _merge, omega_scalar
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
@@ -142,17 +142,55 @@ def test_fock_suite_catches_an_action_wrong_on_one_monomial(super11,
     # the last monomial the suite visits, x_0^2 x_1 (copies = 1)
     target = recode(((0, 0), (0, 0), (1, 0)), 1, True)
     assert verify.suite_fock(super11, random.Random(0), 1)[0] is True
-    right = verify.fock_apply
+    right = verify._word_on_monomial
 
-    def wrong(u, f):
-        out = right(u, f)
-        if f.terms == {target: ONE}:
-            out = out + FockVector.vacuum(f.space, f.copies)
+    def wrong(alg, xs, ds, mono):
+        out = right(alg, xs, ds, mono)
+        if mono == target:
+            out[((), 0)] = out.get(((), 0), 0) + 1
         return out
 
-    monkeypatch.setattr(verify, "fock_apply", wrong)
+    monkeypatch.setattr(verify, "_word_on_monomial", wrong)
     assert verify.suite_fock(super11, random.Random(0), 1) == \
         (False, "module axiom failed")
+
+
+def test_dual_pair_catches_an_omega_pair_wrong_for_one_quadruple(
+        super11, glq11, monkeypatch):
+    # Ecal[0,1] Ecal[1,0] != 0, so a wrong sign or exponent of omega for
+    # one ordered pair breaks that bracket
+    right = weyl._bracket_pair
+    cases = itertools.product((super11, glq11), ((0, 1, 1, 0), (1, 0, 0, 1)),
+                              ((1, 0), (0, 1)))
+    for space, bad, (ds, de) in cases:
+        def wrong(pairs, a, b, c, d, space=space, bad=bad, ds=ds, de=de):
+            s, e = right(pairs, a, b, c, d)
+            if pairs is space._omega_pairs and (a, b, c, d) == bad:
+                return s ^ ds, e + de
+            return s, e
+
+        monkeypatch.setattr(weyl, "_bracket_pair", wrong)
+        assert verify_dual_pair(space, 2) is False, (space, bad, ds, de)
+    monkeypatch.undo()
+    assert verify_dual_pair(super11, 2) and verify_dual_pair(glq11, 2)
+
+
+def test_dual_pair_catches_an_e_and_an_ecal_that_do_not_commute(
+        super11, monkeypatch):
+    # x(0,0) d(0,1) is a word of E[0][1] only and x(0,0) d(1,0) one of
+    # Ecal[0,1] only, so a product of the two in this order enters only
+    # [E, Ecal] = 0
+    e_word, ecal_word = ((0,), (1,)), ((0,), (2,))
+    right = weyl._word_product
+
+    def wrong(alg, xs1, ds1, xs2, ds2):
+        out = right(alg, xs1, ds1, xs2, ds2)
+        if ((xs1, ds1), (xs2, ds2)) == (e_word, ecal_word):
+            out[(((), ()), 0)] = out.get((((), ()), 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(weyl, "_word_product", wrong)
+    assert verify_dual_pair(super11, 2) is False
 
 
 def test_dual_pair_relations(super11, super21, glq11):
