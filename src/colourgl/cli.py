@@ -103,13 +103,19 @@ def make_report(args, results, ok):
 
 
 def check_counts(args):
-    """Refuse a negative count, and fft-check without a copy of V."""
+    """Refuse a negative count, and fft-check or glq-check without a copy
+    of V or, for glq-check, without a basis vector: each would report a
+    check that tested no relation."""
     for name in COUNT_OPTIONS:
         value = getattr(args, name, None)
-        least = 1 if (args.command, name) == ("fft-check", "copies") else 0
+        least = 1 if (args.command in ("fft-check", "glq-check")
+                      and name == "copies") else 0
         if value is not None and value < least:
             raise InputError(f"--{name.replace('_', '-')} must be at least "
                              f"{least}, got {value}")
+    if args.command == "glq-check" and args.m + args.n < 1:
+        raise InputError(f"--m + --n must be at least 1, got "
+                         f"{args.m + args.n}")
 
 
 def guard_words(space, power):

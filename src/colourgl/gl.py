@@ -110,6 +110,15 @@ class GradedSpace:
         return cls(factor, comps)
 
 
+def _bracket_pair(pairs, a, b, c, d):
+    """The pair (s, e) of omega(g_a - g_b, g_c - g_d), from a space's
+    _omega_pairs: omega is a bicharacter, so the XOR of four sign bits and
+    a signed sum of four exponents."""
+    (s1, e1), (s2, e2) = pairs[a][c], pairs[a][d]
+    (s3, e3), (s4, e4) = pairs[b][c], pairs[b][d]
+    return s1 ^ s2 ^ s3 ^ s4, e1 - e2 - e3 + e4
+
+
 def _add_into(terms, key, coef):
     """terms[key] += coef, dropping the key when the sum is zero."""
     old = terms.get(key)
@@ -246,6 +255,9 @@ def bracket(x, y):
             if b == c:
                 _add_into(terms, (a, d), coef)
             if d == a:
+                # _bracket_pair(pairs, a, b, c, a) written out: bracket is
+                # the inner loop of the Jacobi and form suites, and this
+                # saves a call per term
                 (s1, e1), (s2, e2) = row_a[c], row_b[a]
                 (s3, e3), (s4, e4) = row_a[a], row_b[c]
                 _add_into(terms, (c, b), omega_scalar(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gl import GlElement, _add_into, rho, weight_inner
+from .gl import GlElement, _add_into, _bracket_pair, rho, weight_inner
 from .grading import _merge
 from .partitions import (check_partition, dim_glN, in_hook, lambda_sharp,
                          transpose)
@@ -313,13 +313,9 @@ class KacModule:
                       for rb in range(mp, space.dim)]
         self.n_plus = int(lam[0] - lam[1]) + 1 if mp == 2 else 1
         self.n_minus = int(lam[mp] - lam[mp + 1]) + 1 if mm == 2 else 1
-        # the sign bit of omega(g_a, g_b); omega is a bicharacter, so the
-        # sign of omega(g_a - g_b, g_c - g_d) is the XOR of four such bits
-        bits = [[s for s, _ in row] for row in space._omega_pairs]
-        self._bits = bits
         # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
         self._pair_om = [
-            [(bits[rb][rb2] ^ bits[rb][i2] ^ bits[i][rb2] ^ bits[i][i2], 0)
+            [(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)
              for i2, rb2 in self.pairs] for i, rb in self.pairs]
         # act and _l0_norm results by argument; callers never mutate them
         self._act_memo = {}
@@ -383,8 +379,7 @@ class KacModule:
             phi = 1
             if kp % 2:  # kp > 0 only when mp == 2
                 # omega(g_a - g_b, g_1 - g_0) ** kp
-                bits = self._bits
-                if bits[a][1] ^ bits[a][0] ^ bits[b][1] ^ bits[b][0]:
+                if _bracket_pair(self.space._omega_pairs, a, b, 1, 0)[0]:
                     phi = -1
             if (a, b) == (mp, mp + 1):
                 if km:
@@ -420,10 +415,8 @@ class KacModule:
         sid = S[0]
         rest = (S[1:], kp, km)
         i, rb = self.pairs[sid]
-        bits = self._bits
         # om = omega(deg E_ab, deg F_sid) = omega(g_a - g_b, g_rb - g_i)
-        om = -1 if (bits[a][rb] ^ bits[a][i] ^ bits[b][rb]
-                    ^ bits[b][i]) else 1
+        om = (-1) ** _bracket_pair(self.space._omega_pairs, a, b, rb, i)[0]
         out = {}
         # bracket term [E_ab, E_{rb,i}] = delta_{b,rb} E_{a,i}
         #   - om delta_{i,a} E_{rb,b}

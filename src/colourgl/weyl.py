@@ -20,8 +20,12 @@ contractions.
 So words straighten over Z[q, q^-1], in two integer kernels:
 _word_product multiplies two words and _word_on_monomial applies a word
 to a Fock monomial, each as {(word, e): int}, the Laurent polynomial of
-every output word.  verify_dual_pair and the fock-module suite compare
-such dicts and build no Scalar.  A Scalar enters in weyl_multiply and
+every output word.  Every relation check goes through one helper on
+them, _commutator, the sum of u v - (-1)^s q^e v u over lists of words:
+verify_dual_pair and glq_relations_check compare its dicts and build no
+Scalar, and invariant_generators_check turns each into Scalars by
+_to_scalars only for rank_of_rows.  The fock-module suite compares
+_word_on_monomial dicts.  Otherwise a Scalar enters in weyl_multiply and
 fock_apply, one product per pair of input terms and output word, and in
 OmegaPolyAlgebra, once per term by grading.omega_scalar.
 
@@ -36,11 +40,11 @@ from functools import cached_property
 from math import comb
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
-                 bracket)
+                 _bracket_pair, bracket)
 from .grading import _merge, omega_scalar
 from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
                          in_hook, lambda_sharp)
-from .scalars import MINUS_ONE, ONE, ZERO, _ONE_POLY, _make
+from .scalars import ONE, ZERO, _ONE_POLY, _make
 from .tensor import dual_act
 
 
@@ -203,6 +207,20 @@ def _add_ints(out, poly, coef=1, shift=0):
         out[key] = out.get(key, 0) + coef * c
 
 
+def _commutator(alg, us, vs, products, s=0, e=0):
+    """The sum of u v - (-1)^s q^e v u over the words u of us and v of vs,
+    as {(word, e): int} with zero entries dropped.  products memoises
+    _word_product by its pair of words for the caller."""
+    out = {}
+    for xs, ys, coef, shift in ((us, vs, 1, 0), (vs, us, 1 if s else -1, e)):
+        for w in itertools.product(xs, ys):
+            poly = products.get(w)
+            if poly is None:
+                poly = products[w] = _word_product(alg, *w[0], *w[1])
+            _add_ints(out, poly, coef, shift)
+    return {key: c for key, c in out.items() if c}
+
+
 def _to_scalars(products):
     """{word: Scalar} from (coef, {(word, e): int}) pairs: coef times the
     Laurent polynomial p of each word, one Scalar product per word."""
@@ -291,35 +309,17 @@ def dual_pair_generators(space, copies):
     return E, Ecal
 
 
-def _bracket_pair(pairs, a, b, c, d):
-    """The pair (s, e) of omega(gamma_a - gamma_b, gamma_c - gamma_d)."""
-    (s1, e1), (s2, e2) = pairs[a][c], pairs[a][d]
-    (s3, e3), (s4, e4) = pairs[b][c], pairs[b][d]
-    return s1 ^ s2 ^ s3 ^ s4, e1 - e2 - e3 + e4
-
-
 def verify_dual_pair(space, copies):
     """Exhaustively check eq. families for the dual pair: the E's and the
     Ecal's satisfy the abstract brackets of gl_N = gl(N|0) and of gl(V),
-    and [E, Ecal] = 0, on {(word, e): int} dicts."""
+    and [E, Ecal] = 0, as _commutator dicts.  Every coefficient of an E or
+    an Ecal is ONE, so their words are all that enters."""
     from .presets import super_space
 
     alg = _fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
     products = {}  # (word, word) -> their product, for this call only
-
-    def bracket_is(u, v, rhs, s=0, e=0):
-        # u v - (-1)^s q^e v u == rhs; every coefficient of u, v is ONE
-        out = {}
-        _add_ints(out, rhs, -1)
-        for x, y, coef, shift in ((u, v, 1, 0), (v, u, 1 if s else -1, e)):
-            for w in itertools.product(x.terms, y.terms):
-                if w not in products:
-                    products[w] = _word_product(alg, *w[0], *w[1])
-                _add_ints(out, products[w], coef, shift)
-        return not any(out.values())
-
     for gl, gens in ((super_space(copies, 0), E), (space, Ecal)):
         for a, b, c, d in itertools.product(range(gl.dim), repeat=4):
             abstract = bracket(GlElement.matrix_unit(gl, a, b),
@@ -330,10 +330,12 @@ def verify_dual_pair(space, copies):
                 for i, x in enumerate(coef.n):
                     _add_ints(rhs, {(w, coef.shift + i): x
                                     for w in gens[k].terms})
-            if not bracket_is(gens[a, b], gens[c, d], rhs,
-                              *_bracket_pair(gl._omega_pairs, a, b, c, d)):
+            rhs = {key: c for key, c in rhs.items() if c}
+            if _commutator(alg, gens[a, b].terms, gens[c, d].terms, products,
+                           *_bracket_pair(gl._omega_pairs, a, b, c, d)) != rhs:
                 return False
-    return all(bracket_is(x, y, {}) for x in E.values() for y in Ecal.values())
+    return not any(_commutator(alg, x.terms, y.terms, products)
+                   for x in E.values() for y in Ecal.values())
 
 
 # -- graded commutative algebras on explicit generator lists ----------------
@@ -681,17 +683,20 @@ def invariant_dimension(space, copies, dual_copies, degree):
 def invariant_generators_check(space, copies):
     """Filtration-level-1 check: the ad(gl_N)-invariants in the (1,1)
     component of the Weyl algebra are exactly span{Ecal} + C."""
+    alg = _fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     gens = range(space.dim * copies)
     words = [((g,), (h,)) for g in gens for h in gens]
     windex = {w: i for i, w in enumerate(words)}
+    products = {}
     rows = []
     for x in itertools.chain.from_iterable(E):
         images = {}
         for i, w in enumerate(words):
-            u = WeylElement(space, copies, {w: ONE})
-            br = weyl_multiply(x, u) - weyl_multiply(u, x)
-            for key, coef in br.terms.items():
+            # every coefficient of an E is ONE: its words are all it brings
+            br = _to_scalars([(ONE, _commutator(alg, x.terms, (w,),
+                                                products))])
+            for key, coef in br.items():
                 images.setdefault(key, {})[i] = coef
         rows.extend(images.values())
     if len(words) - rank_of_rows(rows) != space.dim ** 2:
@@ -709,37 +714,28 @@ def invariant_generators_check(space, copies):
 def glq_relations_check(m, n, copies, max_degree=4):
     """Instantiate gl_q(m|n) on Z^(m+n) and verify the four defining
     relation families of its Weyl algebra as Laurent-polynomial identities,
-    then run the Howe dimension sweep."""
+    then run the Howe dimension sweep.  The sign and q-power of each
+    relation come from the gl_q(m|n) presentation, not from the space's
+    omega table, so the check does not take the table it tests on trust."""
     from .presets import glq_space
-    from .scalars import Q
 
     space = glq_space(m, n)
-    zero = WeylElement(space, copies)
+    alg = _fock_algebra(space, copies)
+    products = {}
     relations_ok = True
-
-    def xg(i, r):
-        return WeylElement.x_gen(space, copies, i, r)
-
-    def dg(i, r):
-        return WeylElement.d_gen(space, copies, i, r)
-
-    def holds(u, v, coef, rhs=zero):
-        # u v - coef v u == rhs
-        return (weyl_multiply(u, v) - weyl_multiply(v, u).scale(coef)
-                - rhs).is_zero()
-
     for i, j in itertools.combinations_with_replacement(range(m + n), 2):
-        sign = MINUS_ONE if (i >= m and j >= m) else ONE
-        q, q_inv = (ONE, ONE) if i == j else (Q, Q.inverse())
-        for r, s in itertools.product(range(copies), repeat=2):
-            # x_i^r x_j^s = (-1)^[i][j] q x_j^s x_i^r for i < j, without
-            # the q for i = j, the d analogue, and d_i^r x_j^s
-            # - (-1)^[i][j] q^-1 x_j^s d_i^r = delta_ij delta_rs
-            delta = WeylElement.one(space, copies) if (i, r) == (j, s) \
-                else zero
-            relations_ok &= holds(xg(i, r), xg(j, s), sign * q)
-            relations_ok &= holds(dg(i, r), dg(j, s), sign * q)
-            relations_ok &= holds(dg(i, r), xg(j, s), sign * q_inv, delta)
+        s, e = int(i >= m and j >= m), int(i != j)
+        for r, t in itertools.product(range(copies), repeat=2):
+            # x_i^r x_j^t = (-1)^[i][j] q x_j^t x_i^r for i < j, without
+            # the q for i = j, the d analogue, and d_i^r x_j^t
+            # - (-1)^[i][j] q^-1 x_j^t d_i^r = delta_ij delta_rt
+            xi, xj = ((i * copies + r,), ()), ((j * copies + t,), ())
+            di, dj = ((), (i * copies + r,)), ((), (j * copies + t,))
+            relations_ok &= (
+                not _commutator(alg, (xi,), (xj,), products, s, e)
+                and not _commutator(alg, (di,), (dj,), products, s, e)
+                and _commutator(alg, (di,), (xj,), products, s, -e)
+                == ({(((), ()), 0): 1} if (i, r) == (j, t) else {}))
     sweep = howe_dimension_sweep(space, copies, max_degree)
     return {
         "m": m, "n": n, "copies": copies,

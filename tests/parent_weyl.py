@@ -1,18 +1,24 @@
 """The Weyl-algebra routines as they were before the integer Laurent
-kernels, kept verbatim as oracles for tests/test_laurent_kernels.py.
+kernels and the one commutator check, kept verbatim as oracles for
+tests/test_laurent_kernels.py.
 
 weyl_multiply and fock_apply straighten with one Scalar per leaf,
-verify_dual_pair brackets WeylElements, and suite_fock compares
-FockVectors; omega_scalar multiplies by a q_power Scalar.  Each name here
-calls the others of this module, never the package's new code, except
-for the unchanged helpers imported below.
+verify_dual_pair brackets WeylElements, suite_fock compares FockVectors,
+and invariant_generators_check and glq_relations_check multiply one
+WeylElement per word; omega_scalar multiplies by a q_power Scalar.  Each
+name here calls the others of this module, never the package's new code,
+except for the unchanged helpers imported below (the package-relative
+imports of glq_relations_check read from colourgl).
 """
+
+import itertools
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
 from colourgl.grading import _merge
-from colourgl.scalars import ONE, Scalar
+from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from colourgl.weyl import (FockVector, WeylElement, _derive, _fock_algebra,
-                           dual_pair_generators, fock_algebra)
+                           dual_pair_generators, fock_algebra,
+                           howe_dimension_sweep, rank_of_rows)
 
 
 def omega_scalar(s, e, coef=ONE):
@@ -146,3 +152,74 @@ def suite_fock(space, rng, copies):
                 if fock_apply(prod, f) != fock_apply(u, vf):
                     return False, "module axiom failed"
     return True, f"all generator pairs on {len(monos)} monomials"
+
+
+def invariant_generators_check(space, copies):
+    """Filtration-level-1 check: the ad(gl_N)-invariants in the (1,1)
+    component of the Weyl algebra are exactly span{Ecal} + C."""
+    E, Ecal = dual_pair_generators(space, copies)
+    gens = range(space.dim * copies)
+    words = [((g,), (h,)) for g in gens for h in gens]
+    windex = {w: i for i, w in enumerate(words)}
+    rows = []
+    for x in itertools.chain.from_iterable(E):
+        images = {}
+        for i, w in enumerate(words):
+            u = WeylElement(space, copies, {w: ONE})
+            br = weyl_multiply(x, u) - weyl_multiply(u, x)
+            for key, coef in br.terms.items():
+                images.setdefault(key, {})[i] = coef
+        rows.extend(images.values())
+    if len(words) - rank_of_rows(rows) != space.dim ** 2:
+        return False
+    # the Ecal's must be independent members of the kernel: each row of
+    # an ad(E[r][s]) kills each of them
+    ecal_rows = [{windex[w]: coef for w, coef in elt.terms.items()}
+                 for elt in Ecal.values()]
+    if any(sum((row[i] * c for i, c in v.items() if i in row), ZERO)
+           for row in rows for v in ecal_rows):
+        return False
+    return rank_of_rows(ecal_rows) == space.dim ** 2
+
+
+def glq_relations_check(m, n, copies, max_degree=4):
+    """Instantiate gl_q(m|n) on Z^(m+n) and verify the four defining
+    relation families of its Weyl algebra as Laurent-polynomial identities,
+    then run the Howe dimension sweep."""
+    from colourgl.presets import glq_space
+    from colourgl.scalars import Q
+
+    space = glq_space(m, n)
+    zero = WeylElement(space, copies)
+    relations_ok = True
+
+    def xg(i, r):
+        return WeylElement.x_gen(space, copies, i, r)
+
+    def dg(i, r):
+        return WeylElement.d_gen(space, copies, i, r)
+
+    def holds(u, v, coef, rhs=zero):
+        # u v - coef v u == rhs
+        return (weyl_multiply(u, v) - weyl_multiply(v, u).scale(coef)
+                - rhs).is_zero()
+
+    for i, j in itertools.combinations_with_replacement(range(m + n), 2):
+        sign = MINUS_ONE if (i >= m and j >= m) else ONE
+        q, q_inv = (ONE, ONE) if i == j else (Q, Q.inverse())
+        for r, s in itertools.product(range(copies), repeat=2):
+            # x_i^r x_j^s = (-1)^[i][j] q x_j^s x_i^r for i < j, without
+            # the q for i = j, the d analogue, and d_i^r x_j^s
+            # - (-1)^[i][j] q^-1 x_j^s d_i^r = delta_ij delta_rs
+            delta = WeylElement.one(space, copies) if (i, r) == (j, s) \
+                else zero
+            relations_ok &= holds(xg(i, r), xg(j, s), sign * q)
+            relations_ok &= holds(dg(i, r), dg(j, s), sign * q)
+            relations_ok &= holds(dg(i, r), xg(j, s), sign * q_inv, delta)
+    sweep = howe_dimension_sweep(space, copies, max_degree)
+    return {
+        "m": m, "n": n, "copies": copies,
+        "relations_hold": bool(relations_ok),
+        "sweep": sweep,
+        "sweep_ok": all(row["equal"] for row in sweep),
+    }

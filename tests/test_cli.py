@@ -91,7 +91,8 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "typicality", "--space", "super(1|1)",
                          "--weight", "1/0,2")
     assert code == 2 and "bad weight coordinate" in doc["error"]
-    # negative counts, and fft-check without a copy, are bad input
+    # negative counts, fft-check or glq-check without a copy, and glq-check
+    # on an empty space are bad input
     for argv in (
             ("schur-weyl", "--space", "super(1|1)", "--power", "-1"),
             ("tableaux", "--space", "super(1|1)", "--size", "-1"),
@@ -109,6 +110,8 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
              "--dual-copies", "-1"),
             ("glq-check", "--m", "-1", "--n", "1"),
             ("glq-check", "--m", "1", "--n", "-1"),
+            ("glq-check", "--m", "1", "--n", "1", "--copies", "0"),
+            ("glq-check", "--m", "0", "--n", "0"),
             ("glvv", "--space", "super(1|1)", "--other-space", "super(1|1)",
              "--max-degree", "-1")):
         code, doc = run_json(capsys, *argv)

@@ -1,8 +1,11 @@
 """The integer Laurent kernels of weyl against the routines they replaced,
 which parent_weyl keeps verbatim: weyl_multiply, fock_apply, the
-fock-module suite and verify_dual_pair agree with them on seeded random
-elements with fraction coefficients, and on every preset of dim V <= 3."""
+fock-module suite, verify_dual_pair and the two relation checks agree
+with them on seeded random elements with fraction coefficients, on every
+preset of dim V <= 3, and on wrong Ecal's and wrong gl_q(m|n) factors,
+which both relation checks must refuse."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,11 +13,14 @@ from fractions import Fraction
 import pytest
 
 import parent_weyl as parent
+from colourgl import presets, weyl
+from colourgl.gl import GradedSpace
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
-from colourgl.scalars import Scalar
+from colourgl.scalars import ONE, Scalar
 from colourgl.verify import suite_fock
 from colourgl.weyl import (FockVector, WeylElement, _word_on_monomial,
                            _word_product, fock_algebra, fock_apply,
+                           glq_relations_check, invariant_generators_check,
                            verify_dual_pair, weyl_multiply)
 
 SPACES = {"super(1|1)": super_space(1, 1), "glq(1|1)": glq_space(1, 1),
@@ -105,3 +111,68 @@ def test_suites_match_the_parent_on_every_small_preset(copies):
             parent.suite_fock(space, random.Random(0), copies), name
         assert verify_dual_pair(space, copies) == \
             parent.verify_dual_pair(space, copies), name
+
+
+def small_glq():
+    """(m, n) of every gl_q(m|n) with 1 <= m + n <= 3."""
+    return [(m, n) for m, n in itertools.product(range(4), repeat=2)
+            if 1 <= m + n <= 3]
+
+
+@pytest.mark.parametrize("copies", (1, 2))
+def test_relation_checks_match_the_parent_on_every_small_preset(copies):
+    for name, space in small_presets().items():
+        assert invariant_generators_check(space, copies) is \
+            parent.invariant_generators_check(space, copies), name
+    for m, n in small_glq():
+        report = glq_relations_check(m, n, copies, max_degree=2)
+        assert report["relations_hold"] is True
+        assert report == parent.glq_relations_check(m, n, copies,
+                                                    max_degree=2)
+
+
+def test_invariant_generators_check_refuses_an_ecal_outside_the_kernel(
+        monkeypatch):
+    # Ecal[(0, 1)] becomes x(0,0) d(1,1): still independent of the other
+    # Ecal's, so only the kernel-membership test can refuse it
+    real = weyl.dual_pair_generators
+
+    def wrong(space, copies):
+        E, Ecal = real(space, copies)
+        Ecal[(0, 1)] = WeylElement(space, copies, {((0,), (3,)): ONE})
+        return E, Ecal
+
+    monkeypatch.setattr(weyl, "dual_pair_generators", wrong)
+    monkeypatch.setattr(parent, "dual_pair_generators", wrong)
+    space = super_space(1, 1)
+    assert invariant_generators_check(space, 2) is False
+    assert parent.invariant_generators_check(space, 2) is False
+
+
+def wrong_glq_space(form):
+    """glq_space with its exponent form negated ("exp") or its sign form
+    dropped ("sign")."""
+    def build(m, n):
+        space = glq_space(m, n)
+        factor = space.factor
+        if form == "exp":
+            factor = dataclasses.replace(factor, exp_form=tuple(
+                tuple(-x for x in row) for row in factor.exp_form))
+        else:
+            factor = dataclasses.replace(factor, sign_form=tuple(
+                (0,) * len(row) for row in factor.sign_form))
+        return GradedSpace(factor, space.components)
+    return build
+
+
+@pytest.mark.parametrize("form, cases", [
+    ("exp", [(1, 1, 1), (2, 1, 2), (0, 2, 1), (2, 0, 1)]),
+    ("sign", [(1, 1, 1), (2, 1, 2), (0, 2, 1)])])
+def test_glq_relations_check_refuses_a_wrong_factor(monkeypatch, form,
+                                                    cases):
+    monkeypatch.setattr(presets, "glq_space", wrong_glq_space(form))
+    for m, n, copies in cases:
+        report = glq_relations_check(m, n, copies, max_degree=1)
+        assert report["relations_hold"] is False, (m, n, copies)
+        assert report == parent.glq_relations_check(m, n, copies,
+                                                    max_degree=1)
