@@ -240,29 +240,46 @@ class GlElement(LinearCombination):
                            for a, b, s in doc})
 
 
+def _unit_bracket(pairs, a, b, c, d):
+    """[E_ab, E_cd] = delta_bc E_ad - omega(g_a - g_b, g_c - g_d) delta_da
+    E_cb, as its terms (i, j, s, e), each E_ij times (-1)^s q^e, with the
+    minus sign folded into s and omega read from a space's _omega_pairs.
+    This is the one statement of the rule: bracket applies it to Scalar
+    coefficients and _bracket_ints to integer ones."""
+    terms = []
+    if b == c:
+        terms.append((a, d, 0, 0))
+    if d == a:
+        s, e = _bracket_pair(pairs, a, b, c, a)
+        terms.append((c, b, 1 ^ s, e))
+    return terms
+
+
 def bracket(x, y):
-    """The graded commutator, extended bilinearly over matrix units.  The
-    factor omega(g_a - g_b, g_c - g_a) of the second term is the pair
-    (s, e) of omega(g_a, g_c) omega(g_b, g_a) / (omega(g_a, g_a)
-    omega(g_b, g_c)); its minus sign is folded into s."""
+    """The graded commutator, extended bilinearly over matrix units."""
     x._check(y)
     pairs = x.space._omega_pairs
     terms = {}
     for (a, b), cx in x.terms.items():
-        row_a, row_b = pairs[a], pairs[b]
         for (c, d), cy in y.terms.items():
-            coef = cx * cy
-            if b == c:
-                _add_into(terms, (a, d), coef)
-            if d == a:
-                # _bracket_pair(pairs, a, b, c, a) written out: bracket is
-                # the inner loop of the Jacobi and form suites, and this
-                # saves a call per term
-                (s1, e1), (s2, e2) = row_a[c], row_b[a]
-                (s3, e3), (s4, e4) = row_a[a], row_b[c]
-                _add_into(terms, (c, b), omega_scalar(
-                    1 ^ s1 ^ s2 ^ s3 ^ s4, e1 + e2 - e3 - e4, coef))
+            for i, j, s, e in _unit_bracket(pairs, a, b, c, d):
+                _add_into(terms, (i, j), omega_scalar(s, e, cx * cy))
     return GlElement(x.space, terms)
+
+
+def _bracket_ints(pairs, x, y):
+    """The bracket of two matrix-unit combinations whose coefficients are
+    Laurent polynomials over Z, each a dict {((a, b), e): int} for the sum
+    of n q^e E_ab (weyl's {(word, e): int} with the unit (a, b) for the
+    word), with zero entries dropped: the rule of _unit_bracket on
+    integers."""
+    out = {}
+    for ((a, b), ex), nx in x.items():
+        for ((c, d), ey), ny in y.items():
+            for i, j, s, e in _unit_bracket(pairs, a, b, c, d):
+                _add_into(out, ((i, j), ex + ey + e),
+                          -nx * ny if s else nx * ny)
+    return out
 
 
 def jacobi_defect(x, y, z):

@@ -82,6 +82,18 @@ def word_weight(space, word):
     return tuple(Fraction(c) for c in coords)
 
 
+def _swap(pairs, i, term):
+    """sigma_i on the term (s, e, word), the basis word times (-1)^s q^e:
+    slots i, i+1 swapped and the pair of omega(d(w_i), d(w_{i+1})) from a
+    space's _omega_pairs added on.  This is the one swap rule:
+    braiding_apply applies it to Scalar coefficients, and the
+    coxeter-braid suite follows one term through a sigma word with it."""
+    s, e, word = term
+    a, b = word[i], word[i + 1]
+    sab, eab = pairs[a][b]
+    return s ^ sab, e + eab, word[:i] + (b, a) + word[i + 2:]
+
+
 def braiding_apply(i, v):
     """sigma_i on V^(tensor r): swap slots i, i+1 (0-based) with the
     braiding factor omega(d(v_i), d(v_{i+1}))."""
@@ -90,9 +102,8 @@ def braiding_apply(i, v):
     pairs = v.space._omega_pairs
     terms = {}
     for word, coef in v.terms.items():
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        _add_into(terms, swapped,
-                  omega_scalar(*pairs[word[i]][word[i + 1]], coef))
+        s, e, swapped = _swap(pairs, i, (0, 0, word))
+        _add_into(terms, swapped, omega_scalar(s, e, coef))
     return TensorVector(v.space, v.power, terms)
 
 

@@ -11,11 +11,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from .gl import (GlElement, bilinear_form, bracket, jacobi_defect,
-                 positive_roots, rho, skew_defect, supertrace,
-                 pbw_dimension_nilradical, weight_inner)
+from .gl import (GlElement, _bracket_ints, bilinear_form, bracket,
+                 positive_roots, rho, supertrace, pbw_dimension_nilradical,
+                 weight_inner)
 from .scalars import Scalar
-from .tensor import TensorVector, braiding_apply, gl_act_tensor
+from .tensor import TensorVector, _swap, braiding_apply, gl_act_tensor
 from .weyl import (_add_ints, _word_on_monomial, _word_product, fock_algebra,
                    verify_dual_pair)
 
@@ -34,17 +34,24 @@ def _random_scalar(rng):
 
 
 def suite_bicharacter(space, rng, samples):
+    # omega(a, b) = (-1)^s q^e is the pair (s, e) of _pairings, s in {0, 1}:
+    # a product of omegas is the XOR of the signs and the sum of the
+    # exponents, and omega(a, a)^2 = q^(2e) is one exactly when e = 0
     factor = space.factor
     group = factor.group
+    pair = factor._pairings
     for _ in range(samples):
         a, b, c = (_random_degree(group, rng) for _ in range(3))
-        if factor.omega(a, b + c) != factor.omega(a, b) * factor.omega(a, c):
+        (s_ab, e_ab), (s_ac, e_ac) = pair(a, b), pair(a, c)
+        if pair(a, b + c) != (s_ab ^ s_ac, e_ab + e_ac):
             return False, f"additivity failed at {a}, {b}, {c}"
-        if factor.omega(a + b, c) != factor.omega(a, c) * factor.omega(b, c):
+        s_bc, e_bc = pair(b, c)
+        if pair(a + b, c) != (s_ac ^ s_bc, e_ac + e_bc):
             return False, f"additivity failed at {a}, {b}, {c}"
-        if not (factor.omega(a, b) * factor.omega(b, a)).is_one():
+        s_ba, e_ba = pair(b, a)
+        if s_ab ^ s_ba or e_ab + e_ba:
             return False, f"inversion failed at {a}, {b}"
-        if not (factor.omega(a, a) ** 2).is_one():
+        if pair(a, a)[1]:
             return False, f"parity not a sign at {a}"
     return True, f"{samples} random triples"
 
@@ -60,8 +67,7 @@ def suite_scalar_field(space, rng, samples):
 
 
 def suite_jacobi(space, rng, exhaustive):
-    units = [GlElement.matrix_unit(space, a, b)
-             for a in range(space.dim) for b in range(space.dim)]
+    units = [(a, b) for a in range(space.dim) for b in range(space.dim)]
     if exhaustive and space.dim <= 4:
         triples = itertools.product(units, repeat=3)
         label = f"all {len(units)}^3 basis triples"
@@ -69,18 +75,57 @@ def suite_jacobi(space, rng, exhaustive):
         triples = [tuple(rng.choice(units) for _ in range(3))
                    for _ in range(60)]
         label = "60 random basis triples"
-    count = 0
+    pairs, degrees = space._omega_pairs, space.degrees
+    pairing = space.factor._pairings
+    brackets, omegas = {}, {}  # by pair of units, for this call only
+
+    def ints(x):
+        return {(x, 0): 1}
+
+    def unit_bracket(x, y):
+        found = brackets.get((x, y))
+        if found is None:
+            found = brackets[x, y] = _bracket_ints(pairs, ints(x), ints(y))
+        return found
+
+    def omega(x, y):
+        # omega(d(E_x), d(E_y)) from the factor, not from _omega_pairs,
+        # which the brackets read: the check stays independent of the table
+        found = omegas.get((x, y))
+        if found is None:
+            (a, b), (c, d) = x, y
+            found = omegas[x, y] = pairing(degrees[a] - degrees[b],
+                                           degrees[c] - degrees[d])
+        return found
+
     for x, y, z in triples:
-        if not jacobi_defect(x, y, z).is_zero():
+        # [X,[Y,Z]] - [[X,Y],Z] - omega(d(X),d(Y)) [Y,[X,Z]]
+        s, e = omega(x, y)
+        defect = _bracket_ints(pairs, ints(x), unit_bracket(y, z))
+        _add_ints(defect, _bracket_ints(pairs, unit_bracket(x, y), ints(z)),
+                  -1)
+        _add_ints(defect, _bracket_ints(pairs, ints(y), unit_bracket(x, z)),
+                  1 if s else -1, e)
+        if any(defect.values()):
             return False, "jacobi defect nonzero"
-        count += 1
     for x, y in itertools.product(units, repeat=2):
-        if not skew_defect(x, y).is_zero():
+        # [X,Y] + omega(d(X),d(Y)) [Y,X]
+        s, e = omega(x, y)
+        defect = dict(unit_bracket(x, y))
+        _add_ints(defect, unit_bracket(y, x), -1 if s else 1, e)
+        if any(defect.values()):
             return False, "skew defect nonzero"
     return True, label
 
 
 def suite_coxeter(space, rng, r_max):
+    # sigma_i sends the term (s, e, word), word times (-1)^s q^e, to one
+    # term, so a sigma word is followed on integer pairs by tensor._swap
+    pairs = space._omega_pairs
+
+    def sigma(i, term):
+        return _swap(pairs, i, term)
+
     for r in range(2, r_max + 1):
         if space.dim ** r <= 1024:
             words = itertools.product(range(space.dim), repeat=r)
@@ -88,20 +133,17 @@ def suite_coxeter(space, rng, r_max):
             words = [tuple(rng.randrange(space.dim) for _ in range(r))
                      for _ in range(50)]
         for word in words:
-            v = TensorVector.basis_word(space, word)
+            v = (0, 0, word)
             for i in range(r - 1):
-                if braiding_apply(i, braiding_apply(i, v)) != v:
+                if sigma(i, sigma(i, v)) != v:
                     return False, f"sigma_{i}^2 != id on {word}"
                 for j in range(i + 2, r - 1):
-                    lhs = braiding_apply(i, braiding_apply(j, v))
-                    rhs = braiding_apply(j, braiding_apply(i, v))
-                    if lhs != rhs:
-                        return False, f"distant sigmas do not commute"
+                    if sigma(i, sigma(j, v)) != sigma(j, sigma(i, v)):
+                        return False, (f"sigma_{i} and sigma_{j} do not "
+                                       f"commute on {word}")
             for i in range(r - 2):
-                lhs = braiding_apply(
-                    i, braiding_apply(i + 1, braiding_apply(i, v)))
-                rhs = braiding_apply(
-                    i + 1, braiding_apply(i, braiding_apply(i + 1, v)))
+                lhs = sigma(i, sigma(i + 1, sigma(i, v)))
+                rhs = sigma(i + 1, sigma(i, sigma(i + 1, v)))
                 if lhs != rhs:
                     return False, f"braid relation failed at {i} on {word}"
     return True, f"Coxeter presentation up to r = {r_max}"

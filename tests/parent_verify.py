@@ -1,0 +1,79 @@
+"""The bicharacter, jacobi-skew and coxeter-braid suites of verify as
+they were before they ran on integer omega pairs, kept verbatim as oracles
+for tests/test_integer_suites.py.
+
+suite_bicharacter multiplies factor.omega Scalars, suite_jacobi takes
+jacobi_defect and skew_defect of GlElements, and suite_coxeter compares
+braiding_apply images of TensorVectors.  They draw from their rng through
+verify's unchanged _random_degree, as the package's suites do.
+"""
+
+import itertools
+
+from colourgl.gl import GlElement, jacobi_defect, skew_defect
+from colourgl.tensor import TensorVector, braiding_apply
+from colourgl.verify import _random_degree
+
+
+def suite_bicharacter(space, rng, samples):
+    factor = space.factor
+    group = factor.group
+    for _ in range(samples):
+        a, b, c = (_random_degree(group, rng) for _ in range(3))
+        if factor.omega(a, b + c) != factor.omega(a, b) * factor.omega(a, c):
+            return False, f"additivity failed at {a}, {b}, {c}"
+        if factor.omega(a + b, c) != factor.omega(a, c) * factor.omega(b, c):
+            return False, f"additivity failed at {a}, {b}, {c}"
+        if not (factor.omega(a, b) * factor.omega(b, a)).is_one():
+            return False, f"inversion failed at {a}, {b}"
+        if not (factor.omega(a, a) ** 2).is_one():
+            return False, f"parity not a sign at {a}"
+    return True, f"{samples} random triples"
+
+
+def suite_jacobi(space, rng, exhaustive):
+    units = [GlElement.matrix_unit(space, a, b)
+             for a in range(space.dim) for b in range(space.dim)]
+    if exhaustive and space.dim <= 4:
+        triples = itertools.product(units, repeat=3)
+        label = f"all {len(units)}^3 basis triples"
+    else:
+        triples = [tuple(rng.choice(units) for _ in range(3))
+                   for _ in range(60)]
+        label = "60 random basis triples"
+    count = 0
+    for x, y, z in triples:
+        if not jacobi_defect(x, y, z).is_zero():
+            return False, "jacobi defect nonzero"
+        count += 1
+    for x, y in itertools.product(units, repeat=2):
+        if not skew_defect(x, y).is_zero():
+            return False, "skew defect nonzero"
+    return True, label
+
+
+def suite_coxeter(space, rng, r_max):
+    for r in range(2, r_max + 1):
+        if space.dim ** r <= 1024:
+            words = itertools.product(range(space.dim), repeat=r)
+        else:
+            words = [tuple(rng.randrange(space.dim) for _ in range(r))
+                     for _ in range(50)]
+        for word in words:
+            v = TensorVector.basis_word(space, word)
+            for i in range(r - 1):
+                if braiding_apply(i, braiding_apply(i, v)) != v:
+                    return False, f"sigma_{i}^2 != id on {word}"
+                for j in range(i + 2, r - 1):
+                    lhs = braiding_apply(i, braiding_apply(j, v))
+                    rhs = braiding_apply(j, braiding_apply(i, v))
+                    if lhs != rhs:
+                        return False, f"distant sigmas do not commute"
+            for i in range(r - 2):
+                lhs = braiding_apply(
+                    i, braiding_apply(i + 1, braiding_apply(i, v)))
+                rhs = braiding_apply(
+                    i + 1, braiding_apply(i, braiding_apply(i + 1, v)))
+                if lhs != rhs:
+                    return False, f"braid relation failed at {i} on {word}"
+    return True, f"Coxeter presentation up to r = {r_max}"

@@ -1,5 +1,7 @@
 """No module of colourgl imports a name it never uses: a refactor that
-moves work elsewhere must take the imports it left behind with it."""
+moves work elsewhere must take the imports it left behind with it.  No
+module writes an f-string without a placeholder: a message meant to name
+its inputs that names none of them."""
 
 import ast
 from pathlib import Path
@@ -30,3 +32,18 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used:
                 unused.append(f"{path.name}: {name}")
     assert not unused
+
+
+def test_no_f_string_lacks_a_placeholder():
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # a format spec, as in f"{x:>5}", parses as an f-string of its own
+        specs = {id(node.format_spec) for node in ast.walk(tree)
+                 if isinstance(node, ast.FormattedValue) and node.format_spec}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and id(node) not in specs \
+                    and not any(isinstance(value, ast.FormattedValue)
+                                for value in node.values):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare
