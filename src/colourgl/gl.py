@@ -11,7 +11,9 @@ where g_a is the degree of the a-th basis vector.  omega between basis
 indices is stored once per space as integer pairs, _omega_pairs[a][b] =
 (s, e) with omega(g_a, g_b) = (-1)^s q^e; omega between sums and
 differences of g's is the XOR of the signs and the sum of the exponents,
-applied to a coefficient by grading.omega_scalar.  Weights live in the
+applied to a coefficient by grading.omega_scalar.  _unit_bracket states
+the bracket of two matrix units once, as terms with such pairs; bracket
+applies it to Scalar coefficients and _bracket_ints to integer ones.  Weights live in the
 basis eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
 
 Every sparse container of the package (GlElement here; TensorVector,

@@ -3,6 +3,19 @@
 Each suite returns {"name", "passed", "detail"}; a suite that did not run
 returns "passed": null and "skipped": true instead of a verdict.  Seeded
 randomness makes a job reproducible from its inputs alone.
+
+On matrix units and basis words every structure constant is some
+(-1)^s q^e, so most suites check their identities on exact integers:
+bicharacter compares the pairs (s, e) of CommutativeFactor._pairings,
+jacobi-skew brackets matrix units with integer Laurent coefficients
+(gl._bracket_ints) and takes omega(d(X), d(Y)) from the factor rather
+than from the _omega_pairs table the brackets read, coxeter-braid follows
+one term (s, e, word) through each sigma word (tensor._swap), and
+fock-module and dual-pair compare the integer kernels of weyl.  A Scalar
+still enters in scalar-field, which tests Scalar arithmetic itself, in
+gl-equivariance (braiding_apply and gl_act_tensor on TensorVectors), in
+forms-roots (bracket, the supertrace form and Fraction root data) and in
+dual-pair, which reads gl.bracket's +-q^e.
 """
 
 from __future__ import annotations
