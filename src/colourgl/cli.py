@@ -103,13 +103,14 @@ def make_report(args, results, ok):
 
 
 def check_counts(args):
-    """Refuse a negative count, and fft-check or glq-check without a copy
-    of V or, for glq-check, without a basis vector: each would report a
-    check that tested no relation."""
+    """Refuse a negative count, a count of copies of V or of its dual
+    below 1 (except tableaux's --copies, where 0 leaves out dim_glN), and
+    glq-check without a basis vector: each would report a check that
+    tested no relation."""
     for name in COUNT_OPTIONS:
         value = getattr(args, name, None)
-        least = 1 if (args.command in ("fft-check", "glq-check")
-                      and name == "copies") else 0
+        least = int(name in ("copies", "dual_copies")
+                    and args.command != "tableaux")
         if value is not None and value < least:
             raise InputError(f"--{name.replace('_', '-')} must be at least "
                              f"{least}, got {value}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 
 
@@ -123,36 +124,39 @@ def count_hook_tableaux(lam, m_plus, m_minus):
 @lru_cache(maxsize=None)
 def _strip_table(size, m_plus, m_minus):
     """Shape -> number of strip chains, for every shape of `size` cells
-    reached by the m_plus unprimed and m_minus primed letters."""
+    reached by the m_plus unprimed and m_minus primed letters; the last
+    letter's strip fills the shape to `size` cells."""
+    letters = (False,) * m_plus + (True,) * m_minus
     counts = {(): 1}
-    for vertical in (False,) * m_plus + (True,) * m_minus:
+    for t, vertical in enumerate(letters, 1):
         step = {}
         for shape, count in counts.items():
-            grown = []
-            _grow_strip(shape, vertical, 0, (), size - sum(shape), grown)
-            for new in grown:
+            for new in _grow_strip(shape, vertical, size - sum(shape),
+                                   t == len(letters)):
                 step[new] = step.get(new, 0) + count
         counts = step
     return {shape: count for shape, count in counts.items()
             if sum(shape) == size}
 
 
-def _grow_strip(shape, vertical, i, rows, budget, out):
-    """Append to out every partition shape + strip with at most `budget`
-    more cells: a horizontal strip adds at most one cell per column, a
-    vertical strip at most one per row.  rows holds the new rows < i."""
-    old = shape[i] if i < len(shape) else 0
-    if vertical:
-        top = old + 1 if not i or rows[-1] > old else old
-    elif i:
-        top = shape[i - 1] if i <= len(shape) else 0
-    else:
-        top = old + budget
-    for new in range(old, min(top, old + budget) + 1):
-        left = budget - new + old
-        if not new:
-            out.append(rows)
-        elif left:
-            _grow_strip(shape, vertical, i + 1, rows + (new,), left, out)
-        else:
-            out.append(rows + (new,) + shape[i + 1:])
+def _grow_strip(shape, vertical, budget, fill):
+    """Every partition shape + strip with at most `budget` more cells,
+    exactly `budget` when fill.  A vertical strip adds at most one cell per
+    row: it lengthens the top t rows of each run of equal rows by one, and
+    adds rows of length 1 below.  A horizontal strip adds at most one cell
+    per column: it lengthens the top row of each run up to the part above
+    it (the first without bound), and adds one row, no longer than the
+    last, below.  The choices are made run by run, so a strip costs no
+    call per row."""
+    grown, above = [((), budget)], None  # (new rows so far, cells left)
+    for p, run in groupby(shape):
+        m = len(tuple(run))
+        limit = m if vertical else budget if above is None else above - p
+        grown = [(done + ((p + 1,) * c + (p,) * (m - c) if vertical
+                          else (p + c,) + (p,) * (m - 1)), left - c)
+                 for done, left in grown for c in range(min(limit, left) + 1)]
+        above = p
+    last = shape[-1] if shape and not vertical else budget
+    return [done + ((1,) * c if vertical else (c,) if c else ())
+            for done, left in grown
+            for c in ((left,) if fill else range(left + 1)) if c <= last]

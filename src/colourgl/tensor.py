@@ -296,15 +296,18 @@ def seed_word(space, lam):
 
 def _arrangements(letters, memo):
     """The distinct arrangements of a sorted tuple of letters, each with
-    the parity of its number of inversions."""
+    the parity of its number of inversions, memoised in memo.  They grow
+    one position at a time, in lexicographic order: each distinct letter
+    x left adds the parity of the k letters left below it, so that no
+    call recurses."""
     found = memo.get(letters)
     if found is None:
-        found = [((), 0)] if not letters else [
-            ((x,) + tail, k & 1 ^ par)
-            for k, x in enumerate(letters) if not k or letters[k - 1] != x
-            for tail, par in _arrangements(letters[:k] + letters[k + 1:],
-                                           memo)]
-        memo[letters] = found
+        grown = [((), letters, 0)]  # (word so far, letters left, parity)
+        for _ in letters:
+            grown = [(word + (x,), left[:k] + left[k + 1:], k & 1 ^ par)
+                     for word, left, par in grown
+                     for k, x in enumerate(left) if not k or left[k - 1] != x]
+        found = memo[letters] = [(word, par) for word, _, par in grown]
     return found
 
 

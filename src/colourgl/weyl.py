@@ -25,9 +25,14 @@ them, _commutator, the sum of u v - (-1)^s q^e v u over lists of words:
 verify_dual_pair and glq_relations_check compare its dicts and build no
 Scalar, and invariant_generators_check turns each into Scalars by
 _to_scalars only for rank_of_rows.  The fock-module suite compares
-_word_on_monomial dicts.  Otherwise a Scalar enters in weyl_multiply and
+_word_on_monomial dicts.  invariant_dimension (fft-check) applies each
+E_ab of gl(V) by its dual-pair words, x(a,r) d(b,r) and xbar(b,s)
+dbar(a,s), through _derive and _merge as _word_on_monomial does, and
+multiplies the z_rs by _merge, all on ints; a Scalar enters only in the
+rows it passes to rank_of_rows.  Otherwise a Scalar enters in weyl_multiply and
 fock_apply, one product per pair of input terms and output word, and in
-OmegaPolyAlgebra, once per term by grading.omega_scalar.
+OmegaPolyAlgebra.multiply and derivation_apply, once per term by
+grading.omega_scalar; no routine of the package calls those two.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -45,7 +50,6 @@ from .grading import _merge, omega_scalar
 from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
                          in_hook, lambda_sharp)
 from .scalars import ONE, ZERO, _ONE_POLY, _make
-from .tensor import dual_act
 
 
 MONOMIAL_CAP = 10 ** 6
@@ -223,7 +227,8 @@ def _commutator(alg, us, vs, products, s=0, e=0):
 
 def _to_scalars(products):
     """{word: Scalar} from (coef, {(word, e): int}) pairs: coef times the
-    Laurent polynomial p of each word, one Scalar product per word."""
+    Laurent polynomial p of each word, one Scalar product per word unless
+    coef is ONE, as in the rows of every rank computation."""
     out = {}
     for coef, poly in products:
         by_word = {}
@@ -232,8 +237,9 @@ def _to_scalars(products):
         for word, p in by_word.items():
             # nonzero ints at both ends over the den 1: the canonical form
             lo = min(p)
-            _add_into(out, word, coef * _make(lo, tuple(
-                p.get(e, 0) for e in range(lo, max(p) + 1)), _ONE_POLY))
+            p = _make(lo, tuple(p.get(e, 0) for e in range(lo, max(p) + 1)),
+                      _ONE_POLY)
+            _add_into(out, word, p if coef is ONE else coef * p)
     return out
 
 
@@ -442,23 +448,20 @@ def _fock_algebra(space, copies, dual_copies=0):
     return alg
 
 
-def _guard_monomials(alg, max_degree):
-    """Refuse, before enumerating anything, a sweep whose monomials of
-    degree <= max_degree number more than MONOMIAL_CAP."""
-    size = 0
+def _checked_counts(alg, max_degree):
+    """[dim S^d for d <= max_degree] from the generating series, each
+    cross-checked against the closed form count_monomials.  A sweep whose
+    monomials of degree <= max_degree number more than MONOMIAL_CAP is
+    refused, by the closed forms, before the series is built."""
+    forms, size = [], 0
     for d in range(max_degree + 1):
-        size += alg.count_monomials(d)
+        forms.append(alg.count_monomials(d))
+        size += forms[-1]
         if size > MONOMIAL_CAP:
             raise ResourceBoundExceeded(f"the sweep to degree {d}", size,
                                         MONOMIAL_CAP)
-
-
-def _checked_counts(alg, max_degree):
-    """[dim S^d for d <= max_degree] from the generating series, each
-    cross-checked against the closed form count_monomials."""
     counts = alg._series_counts(max_degree)
-    for d, count in enumerate(counts):
-        closed = alg.count_monomials(d)
+    for d, (count, closed) in enumerate(zip(counts, forms)):
         if count != closed:
             raise AssertionError(
                 f"monomial count {count} != closed form {closed} at d={d}")
@@ -478,7 +481,6 @@ def howe_dual_sweep(space, copies, max_degree):
 
 
 def _sweep(space, copies, alg, max_degree):
-    _guard_monomials(alg, max_degree)
     rows = []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
         total = sum(count_hook_tableaux(lam, space.m_plus, space.m_minus)
@@ -500,7 +502,6 @@ def glvv_decomposition(space_v, space_w, max_degree):
     degrees = [dw - dv
                for dv in space_v.degrees for dw in space_w.degrees]
     alg = OmegaPolyAlgebra(space_v.factor, degrees)
-    _guard_monomials(alg, max_degree)
     rows = []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
         total = sum(
@@ -550,31 +551,50 @@ def rank_of_rows(rows):
     return sum(_reduce(echelon, row) is not None for row in rows)
 
 
-def _gl_action_on_generators(space_v, copies, dual_copies):
-    """(x_row, action) of each E_ab on fock_algebra(space_v, copies,
-    dual_copies), for derivation_apply: x(c,r) -> delta x(a,r), xbar(c,s)
-    -> -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*.
-    x_row holds the pair of omega(g_a - g_b, gamma_c) on x(c,r) and, as
-    omega(X, -gamma) = omega(X, gamma)^-1, the same pair with its exponent
-    negated on xbar(c,s)."""
-    n = space_v.dim
-    pairs = space_v._omega_pairs
-    actions = {}
-    for a in range(n):
-        for b in range(n):
-            row = [(sa ^ sb, ea - eb)
-                   for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
-            x_row = tuple(p for p in row for _ in range(copies)) + tuple(
-                (s, -e) for s, e in row for _ in range(dual_copies))
-            act = {}
-            for r in range(copies):
-                act[b * copies + r] = [(a * copies + r, ONE)]
-            om = dual_act(GlElement.matrix_unit(space_v, a, b), {a: ONE})[b]
-            for s in range(dual_copies):
-                act[n * copies + a * dual_copies + s] = [
-                    (n * copies + b * dual_copies + s, om)]
-            actions[(a, b)] = (x_row, act)
-    return actions
+def _gl_images(space, copies, dual_copies, monos):
+    """E_ab on each monomial of fock_algebra(space, copies, dual_copies)
+    in monos, as {(a, b): {i: {(monomial, e): int}}} with zero images left
+    out.  E_ab acts by its words x(a,r) d(b,r), r < copies, as in
+    dual_pair_generators, and xbar(b,s) dbar(a,s), s < dual_copies, times
+    dual_act's factor -omega(g_a - g_b, -g_a) = (-1)^s q^e with (s, e) =
+    (1 ^ s_ba ^ s_aa, e_ba - e_aa).  Each word is applied as
+    _word_on_monomial does, but a monomial's contractions are taken once
+    per distinct letter and shared by every word that derives it."""
+    n = space.dim
+    odd, om = fock_algebra(space, copies, dual_copies)._tables
+    pairs = space._omega_pairs
+    units = list(itertools.product(range(n), repeat=2))
+    words = {}  # derived letter -> [((a, b), multiplied letter, s, e)]
+    for a, b in units:
+        for r in range(copies):
+            words.setdefault(b * copies + r, []).append(
+                ((a, b), a * copies + r, 0, 0))
+        (s_ba, e_ba), (s_aa, e_aa) = pairs[b][a], pairs[a][a]
+        for s in range(dual_copies):
+            bar = n * copies + s
+            words.setdefault(bar + a * dual_copies, []).append(
+                ((a, b), bar + b * dual_copies, 1 ^ s_ba ^ s_aa, e_ba - e_aa))
+    images = {unit: {} for unit in units}
+    for i, mono in enumerate(monos):
+        acc = {}
+        for g in dict.fromkeys(mono):
+            # the copies of g are adjacent: each contraction leaves one rest
+            contractions = _derive(g, mono, om)[0]
+            rest = contractions[0][2]
+            for unit, x, s, e in words[g]:
+                merged = _merge((x,), rest, odd, om)
+                if merged is not None:
+                    s3, e3, word = merged
+                    img = acc.setdefault(unit, {})
+                    for s2, e2, _ in contractions:
+                        key = (word, e + e2 + e3)
+                        img[key] = img.get(key, 0) + (
+                            -1 if s ^ s2 ^ s3 else 1)
+        for unit, img in acc.items():
+            img = {key: c for key, c in img.items() if c}
+            if img:
+                images[unit][i] = img
+    return images
 
 
 def invariant_dimension(space, copies, dual_copies, degree):
@@ -583,7 +603,9 @@ def invariant_dimension(space, copies, dual_copies, degree):
 
     Verifies the count against the second fundamental theorem sum
     sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
-    products of the quadratic invariants z_rs span the kernel."""
+    products of the quadratic invariants z_rs span the kernel.  The E_ab
+    images, the z-products and their invariance defects are integer
+    Laurent dicts; a Scalar is built only in the rows for rank_of_rows."""
     n = space.dim
     x_alg = fock_algebra(space, copies)
     xbar_alg = fock_algebra(space, 0, dual_copies)
@@ -594,42 +616,32 @@ def invariant_dimension(space, copies, dual_copies, degree):
                                     INVARIANT_BASIS_CAP)
     alg = fock_algebra(space, copies, dual_copies)
 
-    def flat_count(mono, copies_):
-        counts = [0] * n
-        for g in mono:
-            counts[g // copies_] += 1
-        return tuple(counts)
-
-    # zero-weight basis: x-part and dual-part use each flat index equally.
-    # Every x id is below every xbar id, so xm + xb is sorted as it stands.
+    # zero-weight basis: x-part and dual-part use each basis index equally,
+    # and g // copies lists a monomial's indices in order.  Every x id is
+    # below every xbar id, so xm + xb is sorted as it stands.
     by_type = {}
     for mono in x_alg.monomials(degree):
-        by_type.setdefault(flat_count(mono, copies), []).append(mono)
-    basis = []
-    for mono in xbar_alg.monomials(degree):
-        xb = tuple(g + n * copies for g in mono)
-        basis.extend(xm + xb
-                     for xm in by_type.get(flat_count(mono, dual_copies), ()))
-    basis.sort()
+        by_type.setdefault(tuple(g // copies for g in mono), []).append(mono)
+    basis = sorted(xm + tuple(g + n * copies for g in mono)
+                   for mono in xbar_alg.monomials(degree)
+                   for xm in by_type.get(
+                       tuple(g // dual_copies for g in mono), ()))
     index = {mono: i for i, mono in enumerate(basis)}
 
     # the image of every E_ab on every basis element, computed once
-    images = {(a, b): [alg.derivation_apply(act, x_row, mono)
-                       for mono in basis]
-              for (a, b), (x_row, act) in _gl_action_on_generators(
-                  space, copies, dual_copies).items()}
+    images = _gl_images(space, copies, dual_copies, basis)
     rows = []
     for (a, b), imgs in images.items():
         if a == b:
-            if any(imgs):
+            if imgs:
                 raise AssertionError(
                     f"E[{a},{a}] does not vanish on the zero-weight basis")
             continue
         columns = {}
-        for i, img in enumerate(imgs):
-            for target, coef in img.items():
-                columns.setdefault(target, {})[i] = coef
-        rows.extend(columns.values())
+        for i, img in imgs.items():
+            for (target, e), c in img.items():
+                columns.setdefault(target, {})[i, e] = c
+        rows.extend(_to_scalars([(ONE, col)]) for col in columns.values())
     nullity = len(basis) - rank_of_rows(rows)
 
     expected = sum(dim_glN(lam, copies) * dim_glN(lam, dual_copies)
@@ -639,42 +651,41 @@ def invariant_dimension(space, copies, dual_copies, degree):
         raise AssertionError(
             f"invariant dimension {nullity} != structure sum {expected}")
 
-    z_elems = {}
-    for r in range(copies):
-        for s in range(dual_copies):
-            vec = {}
-            for a in range(n):
-                mono = (a * copies + r, n * copies + a * dual_copies + s)
-                vec[mono] = ONE
-            z_elems[(r, s)] = vec
+    # z_rs = sum_a x(a,r) xbar(a,s); each term has degree 0, so a product
+    # takes it on the right, where _merge inserts two letters
+    odd, om = alg._tables
+    z_words = {(r, s): [(a * copies + r, n * copies + a * dual_copies + s)
+                        for a in range(n)]
+               for r in range(copies) for s in range(dual_copies)}
     span_rows = []
     for combo in itertools.combinations_with_replacement(
-            sorted(z_elems), degree):
-        vec = {(): ONE}
+            sorted(z_words), degree):
+        vec = {((), 0): 1}
         for key in combo:
             nxt = {}
-            for m1, c1 in vec.items():
-                for m2, c2 in z_elems[key].items():
-                    merged = alg.multiply(m1, m2)
+            for (mono, e), c in vec.items():
+                for xs in z_words[key]:
+                    merged = _merge(mono, xs, odd, om)
                     if merged is not None:
-                        _add_into(nxt, merged[1], c1 * c2 * merged[0])
-            vec = nxt
+                        s, e2, word = merged
+                        k = (word, e + e2)
+                        nxt[k] = nxt.get(k, 0) + (-c if s else c)
+            vec = {k: c for k, c in nxt.items() if c}
         if not vec:
             continue
-        if not vec.keys() <= index.keys():
+        if not {mono for mono, _ in vec} <= index.keys():
             raise AssertionError(
                 f"a product of z's leaves the zero-weight basis: {combo}")
-        row = {index[m]: c for m, c in vec.items()}
+        row = {(index[mono], e): c for (mono, e), c in vec.items()}
         # each product must be killed by every generator
         for (a, b), imgs in images.items():
             defect = {}
-            for i, coef in row.items():
-                for tgt, c in imgs[i].items():
-                    _add_into(defect, tgt, coef * c)
-            if defect:
+            for (i, e), c in row.items():
+                _add_ints(defect, imgs.get(i, {}), c, e)
+            if any(defect.values()):
                 raise AssertionError(
                     f"z-monomial not invariant under E[{a},{b}]")
-        span_rows.append(row)
+        span_rows.append(_to_scalars([(ONE, row)]))
     if rank_of_rows(span_rows) != nullity:
         raise AssertionError("z-monomials do not span the invariants")
     return nullity

@@ -5,20 +5,26 @@ tests/test_laurent_kernels.py.
 weyl_multiply and fock_apply straighten with one Scalar per leaf,
 verify_dual_pair brackets WeylElements, suite_fock compares FockVectors,
 and invariant_generators_check and glq_relations_check multiply one
-WeylElement per word; omega_scalar multiplies by a q_power Scalar.  Each
-name here calls the others of this module, never the package's new code,
-except for the unchanged helpers imported below (the package-relative
-imports of glq_relations_check read from colourgl).
+WeylElement per word; omega_scalar multiplies by a q_power Scalar;
+invariant_dimension applies each E_ab through _gl_action_on_generators
+and OmegaPolyAlgebra.derivation_apply, and multiplies z-products by
+OmegaPolyAlgebra.multiply, one Scalar per term.  Each name here calls the
+others of this module, never the package's new code, except for the
+unchanged helpers imported below (the package-relative imports of
+glq_relations_check read from colourgl).
 """
 
 import itertools
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
 from colourgl.grading import _merge
+from colourgl.partitions import dim_glN, hook_partitions
 from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
-from colourgl.weyl import (FockVector, WeylElement, _derive, _fock_algebra,
-                           dual_pair_generators, fock_algebra,
-                           howe_dimension_sweep, rank_of_rows)
+from colourgl.tensor import dual_act
+from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
+                           ResourceBoundExceeded, WeylElement, _derive,
+                           _fock_algebra, dual_pair_generators,
+                           fock_algebra, howe_dimension_sweep, rank_of_rows)
 
 
 def omega_scalar(s, e, coef=ONE):
@@ -223,3 +229,133 @@ def glq_relations_check(m, n, copies, max_degree=4):
         "sweep": sweep,
         "sweep_ok": all(row["equal"] for row in sweep),
     }
+
+
+def _gl_action_on_generators(space_v, copies, dual_copies):
+    """(x_row, action) of each E_ab on fock_algebra(space_v, copies,
+    dual_copies), for derivation_apply: x(c,r) -> delta x(a,r), xbar(c,s)
+    -> -omega(d(X), -gamma_c) delta xbar(b,s), as dual_act acts on V*.
+    x_row holds the pair of omega(g_a - g_b, gamma_c) on x(c,r) and, as
+    omega(X, -gamma) = omega(X, gamma)^-1, the same pair with its exponent
+    negated on xbar(c,s)."""
+    n = space_v.dim
+    pairs = space_v._omega_pairs
+    actions = {}
+    for a in range(n):
+        for b in range(n):
+            row = [(sa ^ sb, ea - eb)
+                   for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
+            x_row = tuple(p for p in row for _ in range(copies)) + tuple(
+                (s, -e) for s, e in row for _ in range(dual_copies))
+            act = {}
+            for r in range(copies):
+                act[b * copies + r] = [(a * copies + r, ONE)]
+            om = dual_act(GlElement.matrix_unit(space_v, a, b), {a: ONE})[b]
+            for s in range(dual_copies):
+                act[n * copies + a * dual_copies + s] = [
+                    (n * copies + b * dual_copies + s, om)]
+            actions[(a, b)] = (x_row, act)
+    return actions
+
+
+def invariant_dimension(space, copies, dual_copies, degree):
+    """Dimension of the gl(V)-invariants in the bidegree (d, d) component
+    of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
+
+    Verifies the count against the second fundamental theorem sum
+    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
+    products of the quadratic invariants z_rs span the kernel."""
+    n = space.dim
+    x_alg = fock_algebra(space, copies)
+    xbar_alg = fock_algebra(space, 0, dual_copies)
+    # the zero-weight basis pairs an x- with an xbar-monomial
+    size = x_alg.count_monomials(degree) * xbar_alg.count_monomials(degree)
+    if size > INVARIANT_BASIS_CAP:
+        raise ResourceBoundExceeded("invariant_dimension", size,
+                                    INVARIANT_BASIS_CAP)
+    alg = fock_algebra(space, copies, dual_copies)
+
+    def flat_count(mono, copies_):
+        counts = [0] * n
+        for g in mono:
+            counts[g // copies_] += 1
+        return tuple(counts)
+
+    # zero-weight basis: x-part and dual-part use each flat index equally.
+    # Every x id is below every xbar id, so xm + xb is sorted as it stands.
+    by_type = {}
+    for mono in x_alg.monomials(degree):
+        by_type.setdefault(flat_count(mono, copies), []).append(mono)
+    basis = []
+    for mono in xbar_alg.monomials(degree):
+        xb = tuple(g + n * copies for g in mono)
+        basis.extend(xm + xb
+                     for xm in by_type.get(flat_count(mono, dual_copies), ()))
+    basis.sort()
+    index = {mono: i for i, mono in enumerate(basis)}
+
+    # the image of every E_ab on every basis element, computed once
+    images = {(a, b): [alg.derivation_apply(act, x_row, mono)
+                       for mono in basis]
+              for (a, b), (x_row, act) in _gl_action_on_generators(
+                  space, copies, dual_copies).items()}
+    rows = []
+    for (a, b), imgs in images.items():
+        if a == b:
+            if any(imgs):
+                raise AssertionError(
+                    f"E[{a},{a}] does not vanish on the zero-weight basis")
+            continue
+        columns = {}
+        for i, img in enumerate(imgs):
+            for target, coef in img.items():
+                columns.setdefault(target, {})[i] = coef
+        rows.extend(columns.values())
+    nullity = len(basis) - rank_of_rows(rows)
+
+    expected = sum(dim_glN(lam, copies) * dim_glN(lam, dual_copies)
+                   for lam in hook_partitions(space.m_plus, space.m_minus,
+                                              degree, degree))
+    if nullity != expected:
+        raise AssertionError(
+            f"invariant dimension {nullity} != structure sum {expected}")
+
+    z_elems = {}
+    for r in range(copies):
+        for s in range(dual_copies):
+            vec = {}
+            for a in range(n):
+                mono = (a * copies + r, n * copies + a * dual_copies + s)
+                vec[mono] = ONE
+            z_elems[(r, s)] = vec
+    span_rows = []
+    for combo in itertools.combinations_with_replacement(
+            sorted(z_elems), degree):
+        vec = {(): ONE}
+        for key in combo:
+            nxt = {}
+            for m1, c1 in vec.items():
+                for m2, c2 in z_elems[key].items():
+                    merged = alg.multiply(m1, m2)
+                    if merged is not None:
+                        _add_into(nxt, merged[1], c1 * c2 * merged[0])
+            vec = nxt
+        if not vec:
+            continue
+        if not vec.keys() <= index.keys():
+            raise AssertionError(
+                f"a product of z's leaves the zero-weight basis: {combo}")
+        row = {index[m]: c for m, c in vec.items()}
+        # each product must be killed by every generator
+        for (a, b), imgs in images.items():
+            defect = {}
+            for i, coef in row.items():
+                for tgt, c in imgs[i].items():
+                    _add_into(defect, tgt, coef * c)
+            if defect:
+                raise AssertionError(
+                    f"z-monomial not invariant under E[{a},{b}]")
+        span_rows.append(row)
+    if rank_of_rows(span_rows) != nullity:
+        raise AssertionError("z-monomials do not span the invariants")
+    return nullity

@@ -91,8 +91,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "typicality", "--space", "super(1|1)",
                          "--weight", "1/0,2")
     assert code == 2 and "bad weight coordinate" in doc["error"]
-    # negative counts, fft-check or glq-check without a copy, and glq-check
-    # on an empty space are bad input
+    # negative counts, fft-check, glq-check or howe-sweep without a copy,
+    # fft-check without a dual copy, and glq-check on an empty space are
+    # bad input
     for argv in (
             ("schur-weyl", "--space", "super(1|1)", "--power", "-1"),
             ("tableaux", "--space", "super(1|1)", "--size", "-1"),
@@ -108,6 +109,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
              "--dual-copies", "1"),
             ("fft-check", "--space", "super(1|1)", "--copies", "1",
              "--dual-copies", "-1"),
+            ("fft-check", "--space", "super(1|1)", "--copies", "1",
+             "--dual-copies", "0"),
+            ("howe-sweep", "--space", "super(1|1)", "--copies", "0",
+             "--max-degree", "2"),
             ("glq-check", "--m", "-1", "--n", "1"),
             ("glq-check", "--m", "1", "--n", "-1"),
             ("glq-check", "--m", "1", "--n", "1", "--copies", "0"),
@@ -209,6 +214,30 @@ def test_large_schur_weyl_table_is_fast(capsys, space, power):
     assert time.perf_counter() - start < 2
     assert code == 0
     assert doc["results"]["checksum"] == doc["results"]["dimension"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tableaux", "--space", "super(0|1)", "--size", "2000"),
+    ("schur-weyl", "--space", "super(1|0)", "--power", "2000")])
+def test_one_row_tables_take_no_recursion_per_row(capsys, argv):
+    # the one shape is a column or a row of 2000 boxes: strips and
+    # arrangements are grown without a call per row or per letter
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    rows = doc["results"]["rows"]
+    assert len(rows) == 1 and rows[0]["k"] == 1 and rows[0]["f"] == 1
+    assert sum(rows[0]["partition"]) == 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ("tableaux", "--space", "super(0|1)", "--size", "1000"),
+    ("howe-sweep", "--space", "super(0|1)", "--copies", "1",
+     "--max-degree", "990"),
+    ("glvv", "--space", "super(0|1)", "--other-space", "super(0|1)",
+     "--max-degree", "1000")])
+def test_strip_tables_of_a_thousand_rows_exit_0(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["ok"] is True
 
 
 def test_verify_reports_skipped_suites(capsys):

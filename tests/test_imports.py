@@ -1,7 +1,9 @@
 """No module of colourgl imports a name it never uses: a refactor that
 moves work elsewhere must take the imports it left behind with it.  No
-module writes an f-string without a placeholder: a message meant to name
-its inputs that names none of them."""
+private module-level function goes unreferenced in the package: a helper
+whose last caller moved away goes with it.  No module writes an f-string
+without a placeholder: a message meant to name its inputs that names none
+of them."""
 
 import ast
 from pathlib import Path
@@ -32,6 +34,40 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used:
                 unused.append(f"{path.name}: {name}")
     assert not unused
+
+
+def referenced_names(tree, skip=None):
+    """Every name tree reads, as a name, an attribute or an import, outside
+    the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name.startswith("_") and \
+                    not node.name.startswith("__"):
+                # a reference from its own body, a recursion, does not count
+                if not any(node.name in referenced_names(
+                        other, node if other is tree else None)
+                        for other in trees.values()):
+                    unreferenced.append(f"{name}: {node.name}")
+    assert not unreferenced
 
 
 def test_no_f_string_lacks_a_placeholder():

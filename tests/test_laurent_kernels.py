@@ -1,9 +1,11 @@
 """The integer Laurent kernels of weyl against the routines they replaced,
 which parent_weyl keeps verbatim: weyl_multiply, fock_apply, the
-fock-module suite, verify_dual_pair and the two relation checks agree
-with them on seeded random elements with fraction coefficients, on every
-preset of dim V <= 3, and on wrong Ecal's and wrong gl_q(m|n) factors,
-which both relation checks must refuse."""
+fock-module suite, verify_dual_pair, the two relation checks and
+invariant_dimension agree with them on seeded random elements with
+fraction coefficients, on every preset of dim V <= 3, and on wrong
+Ecal's and wrong gl_q(m|n) factors, which both relation checks must
+refuse.  The words of E_ab give derivation_apply's images, and a wrong
+factor on an xbar word is refused by invariant_dimension."""
 
 import dataclasses
 import itertools
@@ -15,13 +17,16 @@ import pytest
 import parent_weyl as parent
 from colourgl import presets, weyl
 from colourgl.gl import GradedSpace
-from colourgl.presets import glq_space, green_space, super_space, z2z2_space
+from colourgl.presets import (glq_space, green_space, preset_space,
+                              super_space, z2z2_space)
 from colourgl.scalars import ONE, Scalar
 from colourgl.verify import suite_fock
-from colourgl.weyl import (FockVector, WeylElement, _word_on_monomial,
+from colourgl.weyl import (FockVector, ResourceBoundExceeded, WeylElement,
+                           _gl_images, _to_scalars, _word_on_monomial,
                            _word_product, fock_algebra, fock_apply,
-                           glq_relations_check, invariant_generators_check,
-                           verify_dual_pair, weyl_multiply)
+                           glq_relations_check, invariant_dimension,
+                           invariant_generators_check, verify_dual_pair,
+                           weyl_multiply)
 
 SPACES = {"super(1|1)": super_space(1, 1), "glq(1|1)": glq_space(1, 1),
           "super(1|2)": super_space(1, 2), "glq(2|1)": glq_space(2, 1),
@@ -176,3 +181,67 @@ def test_glq_relations_check_refuses_a_wrong_factor(monkeypatch, form,
         assert report["relations_hold"] is False, (m, n, copies)
         assert report == parent.glq_relations_check(m, n, copies,
                                                     max_degree=1)
+
+
+# (copies, dual_copies) of the fft checks below
+COPY_PAIRS = ((1, 1), (2, 1), (1, 2), (2, 2))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except (AssertionError, ResourceBoundExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_invariant_dimension_matches_the_parent_on_every_small_preset():
+    for name, space in small_presets().items():
+        for copies, dual_copies in COPY_PAIRS:
+            for degree in range(3):
+                args = (space, copies, dual_copies, degree)
+                assert outcome(invariant_dimension, *args) == \
+                    outcome(parent.invariant_dimension, *args), (name, args)
+    # over the basis cap, both refuse with the same message
+    args = (super_space(2, 1), 3, 3, 4)
+    assert outcome(invariant_dimension, *args)[0] == "ResourceBoundExceeded"
+    assert outcome(invariant_dimension, *args) == \
+        outcome(parent.invariant_dimension, *args)
+
+
+def test_word_images_match_derivation_apply():
+    # every E_ab on every monomial of degree <= 2, both sides included
+    for name, space in small_presets().items():
+        for copies, dual_copies in COPY_PAIRS:
+            alg = fock_algebra(space, copies, dual_copies)
+            monos = [m for d in range(3) for m in alg.monomials(d)]
+            images = _gl_images(space, copies, dual_copies, monos)
+            # zero images are left out, and no stored one has a zero entry
+            assert all(img and is_laurent(img)
+                       for imgs in images.values() for img in imgs.values())
+            for unit, (x_row, act) in parent._gl_action_on_generators(
+                    space, copies, dual_copies).items():
+                for i, mono in enumerate(monos):
+                    img = images[unit].get(i, {})
+                    assert _to_scalars([(ONE, img)]) == \
+                        alg.derivation_apply(act, x_row, mono), \
+                        (name, copies, dual_copies, unit, mono)
+
+
+@pytest.mark.parametrize("unit", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("flip_sign,shift", [(1, 0), (0, 1)])
+@pytest.mark.parametrize("name", ["super(1|1)", "glq(1|1)", "green(2)",
+                                  "super(2|1)"])
+def test_a_wrong_factor_on_an_xbar_word_is_refused(unit, flip_sign, shift,
+                                                   name):
+    # the xbar word of E_ab takes its factor from _omega_pairs[b][a], which
+    # nothing else in invariant_dimension reads: made wrong, the sign bit
+    # flipped or the exponent off by one, for E_01 or E_10 alone
+    space = preset_space(name)
+    a, b = unit
+    rows = [list(row) for row in space._omega_pairs]
+    s, e = rows[b][a]
+    rows[b][a] = (s ^ flip_sign, e + shift)
+    space.__dict__["_omega_pairs"] = tuple(tuple(row) for row in rows)
+    with pytest.raises(AssertionError):
+        invariant_dimension(space, 1, 1, 1)
