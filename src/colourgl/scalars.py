@@ -9,13 +9,17 @@ proved here hold at every q != 0.
 
 All arithmetic runs on ints.  A monomial factor (p/r) q^s rescales the other
 factor after two small integer gcds, Laurent polynomials over constant dens
-add and multiply with one lcm or gcd over ints, an inverse swaps n and d, and
-a product of fractions cancels only its two cross gcds.  The general path
-(sums of fractions, raw constructor input) takes a polynomial gcd by a
-primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).  Fraction appears
-only where rationals enter or leave: from_rational, as_fraction, raw input
-with Fraction coefficients (parsed a/b among them) and the read-only num and
-den views, which give the value over a monic denominator.
+multiply with one gcd over ints, an inverse swaps n and d, and a product of
+fractions cancels only its two cross gcds.  A sum over two different dens b
+and d follows Henrici (J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): with
+g = gcd(b, d), only gcd(numerator, g) can cancel, so coprime dens cost one
+gcd of b and d and none of the sum.  Raw constructor input of ints goes
+straight to that cancellation; only Fraction coefficients are cleared to
+ints first.  Polynomial gcds are primitive remainder sequences (Knuth,
+4.6.1).  Fraction appears only where rationals enter or leave: from_rational,
+as_fraction, raw input with Fraction coefficients (parsed a/b among them)
+and the read-only num and den views, which give the value over a monic
+denominator.
 """
 
 from __future__ import annotations
@@ -116,9 +120,12 @@ def _gcd(a, b):
 
 
 def _exquo(a, b):
-    """a / b for integer lists when b divides a in Z[q]."""
-    r = list(a)
+    """a / b as a tuple, for integer sequences a and b when b divides a in
+    Z[q]."""
     db, lb = len(b) - 1, b[-1]
+    if not db:
+        return tuple(x // lb for x in a)
+    r = list(a)
     out = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
         c = r[k + db] // lb
@@ -126,24 +133,28 @@ def _exquo(a, b):
             out[k] = c
             for j in range(db):
                 r[k + j] -= c * b[j]
-    return out
+    return tuple(out)
 
 
-def _cancel(a, b):
-    """a / g and b / g as integer tuples, for g = gcd(a, b) in Z[q] with the
-    content included and a positive lead, and nonzero integer tuples a, b."""
+def _common(a, b):
+    """gcd(a, b) in Z[q] for nonzero integer tuples a and b, content
+    included and with a positive lead, as a tuple; an integer gcd when
+    either is a constant."""
     if len(a) > 1 and len(b) > 1:
         ca, cb = gcd(*a), gcd(*b)
         g = _gcd([x // ca for x in a] if ca != 1 else a,
                  [x // cb for x in b] if cb != 1 else b)
-        if len(g) > 1:
-            a, b = _exquo(a, g), _exquo(b, g)
         c = gcd(ca, cb)
-    else:
-        c = gcd(*a, *b)
-    if c != 1:
-        return tuple(x // c for x in a), tuple(x // c for x in b)
-    return tuple(a), tuple(b)
+        return tuple(c * x for x in g) if c != 1 else tuple(g)
+    return (gcd(*a, *b),)
+
+
+def _cancel(a, b):
+    """a / g and b / g as integer tuples, for g = _common(a, b)."""
+    g = _common(a, b)
+    if g == _ONE_POLY:
+        return tuple(a), tuple(b)
+    return _exquo(a, g), _exquo(b, g)
 
 
 class Scalar:
@@ -154,9 +165,13 @@ class Scalar:
     def __init__(self, shift=0, num=_ZERO_POLY, den=_ONE_POLY):
         if not any(den):
             raise ZeroDivisionError("scalar with zero denominator")
-        ints = _clear((*num, *den))[0]
-        n, d = _trim(ints[:len(num)]), _trim(ints[len(num):])
-        u = next(i for i, c in enumerate(d) if c)
+        if not all(type(c) is int for c in (*num, *den)):
+            ints = _clear((*num, *den))[0]
+            num, den = ints[:len(num)], ints[len(num):]
+        n, d = _trim(num), _trim(den)
+        u = 0
+        while not d[u]:
+            u += 1
         x = _lowest(index(shift) - u, n, d[u:])
         self.shift, self.n, self.d = x.shift, x.n, x.d
 
@@ -209,6 +224,11 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        """Henrici's sum: for dens b != d with g = gcd(b, d), b = g b' and
+        d = g d', the sum is (a d' + q^k c b') / (g b' d').  A prime p | b'
+        that divides the numerator divides a d', against gcd(a, b) =
+        gcd(b', d') = 1; for p | d' likewise, and p does not divide q since
+        d[0] != 0.  So only gcd(numerator, g) can cancel; g = 1 takes none."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -219,14 +239,15 @@ class Scalar:
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)
         k = hi.shift - lo.shift
         a, b, c, d = lo.n, lo.d, hi.n, hi.d
-        if b != d:
-            if len(b) == 1 and len(d) == 1:
-                # Laurent polynomials over constants: one lcm, then one gcd
-                m = lcm(b[0], d[0])
-                a, c, b = _pmul(a, (m // b[0],)), _pmul(c, (m // d[0],)), (m,)
-            else:
-                a, c, b = _pmul(a, d), _pmul(c, b), _pmul(b, d)
-        return _lowest(lo.shift, _padd(a, c, k), b)
+        if b == d:
+            return _lowest(lo.shift, _padd(a, c, k), b)
+        g = _common(b, d)
+        if g != _ONE_POLY:
+            b, d = _exquo(b, g), _exquo(d, g)
+        x = _lowest(lo.shift, _padd(_pmul(a, d), _pmul(c, b), k), g)
+        if not x.n[0]:
+            return x
+        return _make(x.shift, x.n, _pmul(x.d, _pmul(b, d)))
 
     __radd__ = __add__
 
@@ -427,53 +448,48 @@ def _poly_str(coeffs, offset=0):
 
 
 def _split_fraction(text):
-    """Split "a/b" at the top-level slash, honouring parentheses."""
-    depth, cut = 0, None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
+    """Split "a/b" at the top-level slash: one with as many "(" as ")"
+    before it."""
+    cut = None
+    i = text.find("/")
+    while i >= 0:
+        if text.count("(", 0, i) == text.count(")", 0, i):
             if cut is not None:
                 raise ValueError(f"more than one top-level '/' in {text!r}")
             cut = i
+        i = text.find("/", i + 1)
     if cut is None:
         return text, None
     return text[:cut], text[cut + 1:]
 
 
+# a term: a sign, then c, c*q^e, q^e, c*q or q; "*" only between c and q
 _TERM_RE = re.compile(
     r"([+-]?)\s*("
-    r"(?P<coef>\d+(?:/\d+)?)\s*\*?\s*(?:q(?:\^(?P<exp1>-?\d+))?)?"
+    r"(?P<coef>\d+(?:/\d+)?)(?:\s*\*?\s*q(?:\^(?P<exp1>-?\d+))?)?"
     r"|q(?:\^(?P<exp2>-?\d+))?"
     r")\s*")
 
 
 def _parse_poly(text):
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner, depth = text[1:-1], 0
-        for ch in inner:
-            depth += {"(": 1, ")": -1}.get(ch, 0)
-            if depth < 0:
-                break
-        else:
-            text = inner
+    # a parenthesis left inside fails the term match below, so one outer
+    # pair can be dropped without checking that it is a matching pair
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1].strip()
     out = {}
     pos = 0
-    text = text.strip()
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos or (pos and not m.group(1)):
             raise ValueError(f"cannot parse scalar near {text[pos:]!r}")
-        coef = m.group("coef")
+        sign, body, coef, exp1, exp2 = m.groups()
         if coef is None:
-            coef, exp = 1, int(m.group("exp2") or 1)
+            coef, exp = 1, int(exp2 or 1)
         else:
             coef = Fraction(coef) if "/" in coef else int(coef)
-            exp = int(m.group("exp1") or 1) if "q" in m.group(2) else 0
-        out[exp] = out.get(exp, 0) + (-coef if m.group(1) == "-" else coef)
+            exp = int(exp1 or 1) if "q" in body else 0
+        out[exp] = out.get(exp, 0) + (-coef if sign == "-" else coef)
         pos = m.end()
     if not out:
         raise ValueError(f"empty scalar expression {text!r}")

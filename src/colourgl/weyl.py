@@ -36,6 +36,8 @@ grading.omega_scalar; no routine of the package calls those two.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
+Each step negates the row's pivot-column entry once and skips the pivot
+column, whose sum is exactly zero.
 """
 
 from __future__ import annotations
@@ -530,7 +532,10 @@ def _reduce(echelon, row):
     """Reduce a sparse row (dict column -> Scalar) against echelon, which
     maps each pivot column to a row whose least column it is, with entry
     ONE.  An independent remainder is normalised the same way, inserted
-    and returned; a dependent row gives None and leaves echelon as it is."""
+    and returned; a dependent row gives None and leaves echelon as it is.
+    A step pops the row's entry in the pivot column, whose sum would be
+    exactly zero, negates it once and adds its multiple of the pivot row's
+    other entries."""
     row = dict(row)
     while row:
         col = min(row)
@@ -539,9 +544,10 @@ def _reduce(echelon, row):
             inv = row[col].inverse()
             row = echelon[col] = {c: v * inv for c, v in row.items()}
             return row
-        coef = row[col]
+        coef = -row.pop(col)
         for c, v in pivot.items():
-            _add_into(row, c, -coef * v)
+            if c != col:
+                _add_into(row, c, coef * v)
     return None
 
 

@@ -1,6 +1,7 @@
 """The Weyl-algebra routines as they were before the integer Laurent
-kernels and the one commutator check, kept verbatim as oracles for
-tests/test_laurent_kernels.py.
+kernels, the one commutator check and the pivot-once elimination, kept
+verbatim as oracles for tests/test_laurent_kernels.py and
+tests/test_scalar_general_path.py.
 
 weyl_multiply and fock_apply straighten with one Scalar per leaf,
 verify_dual_pair brackets WeylElements, suite_fock compares FockVectors,
@@ -8,7 +9,9 @@ and invariant_generators_check and glq_relations_check multiply one
 WeylElement per word; omega_scalar multiplies by a q_power Scalar;
 invariant_dimension applies each E_ab through _gl_action_on_generators
 and OmegaPolyAlgebra.derivation_apply, and multiplies z-products by
-OmegaPolyAlgebra.multiply, one Scalar per term.  Each name here calls the
+OmegaPolyAlgebra.multiply, one Scalar per term; _reduce, under
+rank_of_rows, negates the pivot coefficient once per product and adds a
+zero sum in the pivot column.  Each name here calls the
 others of this module, never the package's new code, except for the
 unchanged helpers imported below (the package-relative imports of
 glq_relations_check read from colourgl).
@@ -24,7 +27,7 @@ from colourgl.tensor import dual_act
 from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
                            ResourceBoundExceeded, WeylElement, _derive,
                            _fock_algebra, dual_pair_generators,
-                           fock_algebra, howe_dimension_sweep, rank_of_rows)
+                           fock_algebra, howe_dimension_sweep)
 
 
 def omega_scalar(s, e, coef=ONE):
@@ -359,3 +362,28 @@ def invariant_dimension(space, copies, dual_copies, degree):
     if rank_of_rows(span_rows) != nullity:
         raise AssertionError("z-monomials do not span the invariants")
     return nullity
+
+
+def _reduce(echelon, row):
+    """Reduce a sparse row (dict column -> Scalar) against echelon, which
+    maps each pivot column to a row whose least column it is, with entry
+    ONE.  An independent remainder is normalised the same way, inserted
+    and returned; a dependent row gives None and leaves echelon as it is."""
+    row = dict(row)
+    while row:
+        col = min(row)
+        pivot = echelon.get(col)
+        if pivot is None:
+            inv = row[col].inverse()
+            row = echelon[col] = {c: v * inv for c, v in row.items()}
+            return row
+        coef = row[col]
+        for c, v in pivot.items():
+            _add_into(row, c, -coef * v)
+    return None
+
+
+def rank_of_rows(rows):
+    """Row rank of sparse rows (dicts column -> Scalar) over Q(q)."""
+    echelon = {}
+    return sum(_reduce(echelon, row) is not None for row in rows)

@@ -1,7 +1,9 @@
 """Replay every CLI job of the benchmark pool (perfbench/pool.json) in
 process and compare its exit code and report SHA-256 with the values
 stored beside it when the pool was built.  A change that alters any
-report of a pool job, by a byte, fails here."""
+report of a pool job, by a byte, fails here.  One round of the qfield
+library jobs runs too, each checking the identities and ranks built into
+its inputs."""
 
 import importlib.util
 import json
@@ -36,3 +38,11 @@ def test_pool_jobs_replay_byte_identical(tmp_path):
         if (code, digest) != (job["rc"], job["sha"]):
             mismatches.append((job["argv"], code, err))
     assert not mismatches, mismatches
+
+
+def test_qfield_round_checks_its_identities_and_ranks():
+    workloads = _load_workloads()
+    jobs = workloads.qfield_jobs(0, 0)
+    assert len(jobs) == 18
+    failed = [job["slot"] for job in jobs if not workloads.run_qfield_job(job)]
+    assert not failed, failed

@@ -26,7 +26,9 @@ def random_scalar(rng):
 
 def test_malformed_text_is_rejected():
     # every term after the first needs a sign; one top-level slash at most
-    for text in ("2 3", "q q", "q2", "1/2/3", "3/2/q", "q/(q+1)/2", "", "/"):
+    # and a "*" needs a q after it
+    for text in ("2 3", "q q", "q2", "1/2/3", "3/2/q", "q/(q+1)/2", "", "/",
+                 "2*", "2 *"):
         with pytest.raises(ValueError):
             Scalar.parse(text)
     for text in ("1/0", "0/0", "q/(q-q)"):
