@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import presets
 from .gl import GradedSpace
-from .partitions import (count_hook_tableaux, count_standard_tableaux,
-                         dim_glN, hook_partitions, lambda_sharp)
+from .partitions import (_count_hook, _count_standard, _dim_glN, _sharp,
+                         hook_partitions)
 from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
@@ -233,11 +233,11 @@ def cmd_tableaux(args):
     rows = []
     for lam in hook_partitions(mp, mm, args.size, args.size):
         row = {"partition": list(lam),
-               "k": count_hook_tableaux(lam, mp, mm),
-               "f": count_standard_tableaux(lam),
-               "sharp": [str(c) for c in lambda_sharp(lam, mp, mm)]}
+               "k": _count_hook(lam, mp, mm),
+               "f": _count_standard(lam),
+               "sharp": [str(c) for c in _sharp(lam, mp, mm)]}
         if args.copies:
-            row["dim_glN"] = dim_glN(lam, args.copies)
+            row["dim_glN"] = _dim_glN(lam, args.copies)
         rows.append(row)
     return {"rows": rows}, True
 

@@ -20,8 +20,8 @@ _merge the one place a reordering of a graded word becomes a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .scalars import ONE, _make, _pneg
 
@@ -58,15 +58,56 @@ class ShapeError(ValueError):
     """Dimension mismatch between degrees and bilinear forms."""
 
 
-@dataclass(frozen=True)
-class GradingGroup:
+class _Record:
+    """A record whose fields are its __slots__: equal to a record of its
+    own class with equal fields, and shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            # the tuple of the fields (every record has two or more)
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A _Record that is hashed by its fields and refuses assignment; its
+    __init__ sets the fields through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GradingGroup(_FrozenRecord):
     """The abelian group Z^free_rank + Z_2^torsion2_rank."""
 
-    free_rank: int
-    torsion2_rank: int
+    __slots__ = ("free_rank", "torsion2_rank")
 
-    def __post_init__(self):
-        if self.free_rank < 0 or self.torsion2_rank < 0:
+    def __init__(self, free_rank, torsion2_rank):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion2_rank", torsion2_rank)
+        if free_rank < 0 or torsion2_rank < 0:
             raise ValueError("ranks must be non-negative")
 
     @property
@@ -90,12 +131,14 @@ class GradingGroup:
                      for i, c in enumerate(coords))
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(_FrozenRecord):
     """An element of a grading group; torsion coordinates live mod 2."""
 
-    group: GradingGroup
-    coords: tuple
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group, coords):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
 
     def _check(self, other):
         if not isinstance(other, Degree) or other.group != self.group:
@@ -129,8 +172,7 @@ def _as_matrix(rows, rank, name):
     return mat
 
 
-@dataclass(frozen=True)
-class CommutativeFactor:
+class CommutativeFactor(_FrozenRecord):
     """The bicharacter (-1)^(a^T S b) q^(a^T B b) on a grading group.
 
     S is read mod 2 and must be symmetric mod 2; B must be skew-symmetric
@@ -139,24 +181,22 @@ class CommutativeFactor:
     omega(a,a) in {+1,-1} by construction.
     """
 
-    group: GradingGroup
-    sign_form: tuple
-    exp_form: tuple
+    __slots__ = ("group", "sign_form", "exp_form")
 
-    def __post_init__(self):
-        r = self.group.rank
-        object.__setattr__(self, "sign_form",
-                           _as_matrix(self.sign_form, r, "sign_form"))
-        object.__setattr__(self, "exp_form",
-                           _as_matrix(self.exp_form, r, "exp_form"))
-        S, B = self.sign_form, self.exp_form
+    def __init__(self, group, sign_form, exp_form):
+        r = group.rank
+        S = _as_matrix(sign_form, r, "sign_form")
+        B = _as_matrix(exp_form, r, "exp_form")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "sign_form", S)
+        object.__setattr__(self, "exp_form", B)
         for i in range(r):
             for j in range(r):
                 if (S[i][j] - S[j][i]) % 2:
                     raise ValueError("sign_form must be symmetric mod 2")
                 if B[i][j] != -B[j][i]:
                     raise ValueError("exp_form must be skew-symmetric")
-        k = self.group.free_rank
+        k = group.free_rank
         for i in range(r):
             for j in range(k, r):
                 if B[i][j] or B[j][i]:

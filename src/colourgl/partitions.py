@@ -6,14 +6,19 @@ letters 1 < ... < M+ < 1' < ... < M-', rows and columns weakly increasing,
 unprimed letters strictly increasing down columns, primed letters strictly
 increasing along rows.  The convention is pinned by the dimension identity
 sum_lambda k(lambda) f^lambda = (M+ + M-)^r, which the tests enforce.
+
+Each public function checks its shape once, by check_partition, and runs
+a private kernel on the canonical tuple: _transpose, _in_hook, _sharp,
+_hooks, _count_standard, _dim_glN and _count_hook.  Kernels check nothing
+and call only kernels.  A caller that already holds canonical shapes, as
+the shapes of hook_partitions are, calls the kernels.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
+from math import factorial, prod
 
 
 def is_partition(parts):
@@ -23,17 +28,34 @@ def is_partition(parts):
 
 
 def check_partition(parts):
-    parts = tuple(int(p) for p in parts if p)
-    if not is_partition(parts):
+    """The canonical tuple of a partition given as ints, trailing zeros
+    dropped; any other input, an interior zero or a part that is not an
+    int included, is a ValueError."""
+    parts = tuple(parts)
+    if not all(isinstance(p, int) for p in parts):
         raise ValueError(f"{parts} is not a partition")
-    return parts
+    end = len(parts)
+    while end and not parts[end - 1]:
+        end -= 1
+    lam = tuple(map(int, parts[:end]))
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    return lam
 
 
 def transpose(lam):
-    lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    return _transpose(check_partition(lam))
+
+
+def _transpose(lam):
+    """Column j holds the rows longer than j; the rows are read bottom up
+    once, so a tall shape costs its rows plus its columns."""
+    cols, depth = [], len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[depth - 1] <= j:
+            depth -= 1
+        cols.append(depth)
+    return tuple(cols)
 
 
 def partitions_of(n, max_part=None):
@@ -50,7 +72,10 @@ def partitions_of(n, max_part=None):
 
 def in_hook(lam, m_plus, m_minus):
     """Membership in P_{M+|M-}: lambda_{M+ + 1} <= M-."""
-    lam = check_partition(lam)
+    return _in_hook(check_partition(lam), m_plus, m_minus)
+
+
+def _in_hook(lam, m_plus, m_minus):
     return len(lam) <= m_plus or lam[m_plus] <= m_minus
 
 
@@ -67,9 +92,13 @@ def lambda_sharp(lam, m_plus, m_minus):
     """The highest weight (lambda_1..lambda_{M+}, theta(lambda'_j - M+))
     attached to a hook partition."""
     lam = check_partition(lam)
-    if not in_hook(lam, m_plus, m_minus):
+    if not _in_hook(lam, m_plus, m_minus):
         raise ValueError(f"{lam} is not in the {m_plus}|{m_minus} hook class")
-    lamt = transpose(lam)
+    return _sharp(lam, m_plus, m_minus)
+
+
+def _sharp(lam, m_plus, m_minus):
+    lamt = _transpose(lam)
     plus = tuple(lam[i] if i < len(lam) else 0 for i in range(m_plus))
     minus = tuple(max((lamt[j] if j < len(lamt) else 0) - m_plus, 0)
                   for j in range(m_minus))
@@ -77,21 +106,22 @@ def lambda_sharp(lam, m_plus, m_minus):
 
 
 def hooks(lam):
-    lam = check_partition(lam)
-    lamt = transpose(lam)
+    return _hooks(check_partition(lam))
+
+
+def _hooks(lam):
+    lamt = _transpose(lam)
     return [[lam[i] - j + lamt[j] - i - 1 for j in range(lam[i])]
             for i in range(len(lam))]
 
 
 def count_standard_tableaux(lam):
     """f^lambda by the hook length formula."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    denom = 1
-    for row in hooks(lam):
-        for h in row:
-            denom *= h
-    value, rem = divmod(factorial(n), denom)
+    return _count_standard(check_partition(lam))
+
+
+def _count_standard(lam):
+    value, rem = divmod(factorial(sum(lam)), prod(map(prod, _hooks(lam))))
     assert rem == 0
     return value
 
@@ -99,15 +129,19 @@ def count_standard_tableaux(lam):
 def dim_glN(lam, n):
     """Dimension of the simple polynomial gl_N module:
     prod (N + j - i)/hook(i, j); zero when depth(lambda) > N."""
-    lam = check_partition(lam)
+    return _dim_glN(check_partition(lam), n)
+
+
+def _dim_glN(lam, n):
+    """The contents' product over the hooks' product, as two ints and one
+    exact division: row i contributes N - i, ..., N - i + lambda_i - 1,
+    all positive once depth(lambda) <= N."""
     if len(lam) > n:
         return 0
-    value = Fraction(1)
-    for i, row in enumerate(hooks(lam)):
-        for j, h in enumerate(row):
-            value *= Fraction(n + j - i, h)
-    assert value.denominator == 1
-    return int(value)
+    contents = prod(prod(range(n - i, n - i + p)) for i, p in enumerate(lam))
+    value, rem = divmod(contents, prod(map(prod, _hooks(lam))))
+    assert rem == 0
+    return value
 
 
 def count_hook_tableaux(lam, m_plus, m_minus):
@@ -117,7 +151,10 @@ def count_hook_tableaux(lam, m_plus, m_minus):
     so k(lambda) counts the strip chains from () to lambda; the counts are
     read from the exhaustive transfer table of all shapes of that size,
     which holds no shape outside the hook."""
-    lam = check_partition(lam)
+    return _count_hook(check_partition(lam), m_plus, m_minus)
+
+
+def _count_hook(lam, m_plus, m_minus):
     return _strip_table(sum(lam), m_plus, m_minus).get(lam, 0)
 
 

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gl import GlElement, _add_into, _bracket_pair, rho, weight_inner
-from .grading import _merge
-from .partitions import (check_partition, dim_glN, in_hook, lambda_sharp,
-                         transpose)
+from .grading import _Record, _merge
+from .partitions import _sharp, dim_glN, in_hook, lambda_sharp, transpose
 from .scalars import ONE, Scalar
-from .tensor import TensorVector, gl_act_tensor, highest_weight_vector
+from .tensor import (TensorVector, _highest_weight_vector, _hook_shape,
+                     gl_act_tensor)
 
 
 class UnsupportedFactor(ValueError):
@@ -119,21 +118,23 @@ def casimir_defect(space, lam):
     """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
     of a hook partition; zero because the central element Omega acts on a
     highest weight module by exactly that scalar."""
-    lam = check_partition(lam)
-    v = highest_weight_vector(space, lam)
-    sharp = lambda_sharp(lam, space.m_plus, space.m_minus)
+    lam = _hook_shape(space, lam)
+    v = _highest_weight_vector(space, lam)
+    sharp = _sharp(lam, space.m_plus, space.m_minus)
     scalar = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
     return casimir_apply(space, v) - v.scale(Scalar.from_rational(scalar))
 
 
 # -- unitarisability classification ------------------------------------------
 
-@dataclass
-class UnitarisableVerdict:
-    unitarisable: bool
-    star_type: str
-    reason: str
-    certificate: dict = field(default_factory=dict)
+class UnitarisableVerdict(_Record):
+    __slots__ = ("unitarisable", "star_type", "reason", "certificate")
+
+    def __init__(self, unitarisable, star_type, reason, certificate=None):
+        self.unitarisable = unitarisable
+        self.star_type = star_type
+        self.reason = reason
+        self.certificate = {} if certificate is None else certificate
 
     def to_json(self):
         cert = {}
@@ -473,12 +474,14 @@ class KacModule:
         return total
 
 
-@dataclass
-class GramReport:
-    weight: tuple
-    depth: int
-    blocks: list
-    verdict: str
+class GramReport(_Record):
+    __slots__ = ("weight", "depth", "blocks", "verdict")
+
+    def __init__(self, weight, depth, blocks, verdict):
+        self.weight = weight
+        self.depth = depth
+        self.blocks = blocks
+        self.verdict = verdict
 
     @property
     def unitarisable(self):

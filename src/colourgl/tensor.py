@@ -30,9 +30,8 @@ from fractions import Fraction
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  basis_weight)
 from .grading import _merge, omega_scalar
-from .partitions import (check_partition, count_hook_tableaux,
-                         count_standard_tableaux, hook_partitions, in_hook,
-                         lambda_sharp)
+from .partitions import (_count_hook, _count_standard, _in_hook, _sharp,
+                         check_partition, hook_partitions)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -229,7 +228,7 @@ def young_symmetrizer(lam):
     Q_lambda."""
     lam = check_partition(lam)
     r = sum(lam)
-    row_group, col_group = row_column_groups(lam)
+    row_group, col_group = _row_column_groups(lam)
     a_elt = SymGroupElement(r, {p: ONE for p in row_group})
     b_elt = SymGroupElement(
         r, {p: ONE if perm_sign(p) == 1 else -ONE for p in col_group})
@@ -246,7 +245,10 @@ def _rows_and_columns(lam):
 
 def row_column_groups(lam):
     """(P_lambda, Q_lambda) as lists of permutation tuples."""
-    lam = check_partition(lam)
+    return _row_column_groups(check_partition(lam))
+
+
+def _row_column_groups(lam):
     rows, cols = _rows_and_columns(lam)
     return _block_group(rows, sum(lam)), _block_group(cols, sum(lam))
 
@@ -281,7 +283,10 @@ def gl_act_tensor(x, v):
 def seed_word(space, lam):
     """The canonical filling: row i <= M+ gets b_i repeated lambda_i times,
     each lower row gets the leading odd vectors b_1bar, b_2bar, ..."""
-    lam = check_partition(lam)
+    return _seed_word(space, check_partition(lam))
+
+
+def _seed_word(space, lam):
     mp = space.m_plus
     word = []
     for i, part in enumerate(lam):
@@ -396,6 +401,10 @@ def young_symmetrize(space, lam, word):
     if len(word) != sum(lam) or any(not 0 <= a < space.dim for a in word):
         raise ValueError(f"{word} is not a word of {sum(lam)} letters in "
                          f"range({space.dim})")
+    return _young_symmetrize(space, lam, word)
+
+
+def _young_symmetrize(space, lam, word):
     pairs = space._omega_pairs
     rows, cols = _rows_and_columns(lam)
     memo = {}
@@ -419,11 +428,20 @@ def highest_weight_vector(space, lam):
     repeated letter has the wrong parity, else prod m_a! times one
     representative per arrangement, acting by the omega product over the
     inversions of its whole slot permutation."""
+    return _highest_weight_vector(space, _hook_shape(space, lam))
+
+
+def _hook_shape(space, lam):
+    """The canonical tuple of a partition in the hook class of space."""
     lam = check_partition(lam)
-    if not in_hook(lam, space.m_plus, space.m_minus):
+    if not _in_hook(lam, space.m_plus, space.m_minus):
         raise ValueError(
             f"{lam} is not in the {space.m_plus}|{space.m_minus} hook class")
-    return young_symmetrize(space, lam, seed_word(space, lam))
+    return lam
+
+
+def _highest_weight_vector(space, lam):
+    return _young_symmetrize(space, lam, _seed_word(space, lam))
 
 
 def is_highest_weight(space, v):
@@ -444,11 +462,11 @@ def schur_weyl_table(space, r):
     rows = []
     total = 0
     for lam in hook_partitions(mp, mm, r, r):
-        k = count_hook_tableaux(lam, mp, mm)
-        f = count_standard_tableaux(lam)
-        sharp = lambda_sharp(lam, mp, mm)
+        k = _count_hook(lam, mp, mm)
+        f = _count_standard(lam)
+        sharp = _sharp(lam, mp, mm)
         total += k * f
-        v = highest_weight_vector(space, lam)
+        v = _highest_weight_vector(space, lam)
         if v.is_zero():
             raise AssertionError(f"highest weight vector vanished: {lam}")
         wt = v.weight()

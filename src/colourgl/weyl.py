@@ -49,21 +49,24 @@ from math import comb
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
                  _bracket_pair, bracket)
 from .grading import _merge, omega_scalar
-from .partitions import (count_hook_tableaux, dim_glN, hook_partitions,
-                         in_hook, lambda_sharp)
+from .partitions import (_count_hook, _dim_glN, _in_hook, _sharp,
+                         hook_partitions)
 from .scalars import ONE, ZERO, _ONE_POLY, _make
 
 
 MONOMIAL_CAP = 10 ** 6
 # most x- times xbar-monomials of degree d that invariant_dimension reduces
 INVARIANT_BASIS_CAP = 20000
+# most commutators glq_relations_check forms: about 0.5 s and 50 MB on a
+# 2-vCPU machine, where the largest benchmark job forms 36
+GLQ_COMMUTATOR_CAP = 30000
 
 
 class ResourceBoundExceeded(RuntimeError):
     """An exact computation was refused because the state space is too big."""
 
-    def __init__(self, what, size, bound):
-        super().__init__(f"{what} needs {size} basis elements, above the "
+    def __init__(self, what, size, bound, unit="basis elements"):
+        super().__init__(f"{what} needs {size} {unit}, above the "
                          f"bound {bound}")
         self.size = size
         self.bound = bound
@@ -485,8 +488,8 @@ def howe_dual_sweep(space, copies, max_degree):
 def _sweep(space, copies, alg, max_degree):
     rows = []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
-        total = sum(count_hook_tableaux(lam, space.m_plus, space.m_minus)
-                    * dim_glN(lam, copies)
+        total = sum(_count_hook(lam, space.m_plus, space.m_minus)
+                    * _dim_glN(lam, copies)
                     for lam in hook_partitions(space.m_plus, space.m_minus,
                                                copies, d))
         rows.append({"degree": d, "fock_dimension": count,
@@ -507,21 +510,19 @@ def glvv_decomposition(space_v, space_w, max_degree):
     rows = []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
         total = sum(
-            count_hook_tableaux(lam, space_v.m_plus, space_v.m_minus)
-            * count_hook_tableaux(lam, space_w.m_plus, space_w.m_minus)
+            _count_hook(lam, space_v.m_plus, space_v.m_minus)
+            * _count_hook(lam, space_w.m_plus, space_w.m_minus)
             for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d))
         rows.append({"degree": d, "algebra_dimension": count,
                      "module_sum": total, "equal": count == total})
     pairs = []
     for d in range(max_degree + 1):
         for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d):
-            if in_hook(lam, space_w.m_plus, space_w.m_minus):
+            if _in_hook(lam, space_w.m_plus, space_w.m_minus):
                 pairs.append({
                     "partition": lam,
-                    "sharp_v": lambda_sharp(lam, space_v.m_plus,
-                                            space_v.m_minus),
-                    "sharp_w": lambda_sharp(lam, space_w.m_plus,
-                                            space_w.m_minus),
+                    "sharp_v": _sharp(lam, space_v.m_plus, space_v.m_minus),
+                    "sharp_w": _sharp(lam, space_w.m_plus, space_w.m_minus),
                 })
     return rows, pairs
 
@@ -650,7 +651,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
         rows.extend(_to_scalars([(ONE, col)]) for col in columns.values())
     nullity = len(basis) - rank_of_rows(rows)
 
-    expected = sum(dim_glN(lam, copies) * dim_glN(lam, dual_copies)
+    expected = sum(_dim_glN(lam, copies) * _dim_glN(lam, dual_copies)
                    for lam in hook_partitions(space.m_plus, space.m_minus,
                                               degree, degree))
     if nullity != expected:
@@ -733,9 +734,15 @@ def glq_relations_check(m, n, copies, max_degree=4):
     relation families of its Weyl algebra as Laurent-polynomial identities,
     then run the Howe dimension sweep.  The sign and q-power of each
     relation come from the gl_q(m|n) presentation, not from the space's
-    omega table, so the check does not take the table it tests on trust."""
+    omega table, so the check does not take the table it tests on trust.
+    It forms 3 commutators per pair i <= j of the m + n indices and pair
+    of copies, and is refused before it starts past GLQ_COMMUTATOR_CAP."""
     from .presets import glq_space
 
+    size = comb(m + n + 1, 2) * copies ** 2 * 3
+    if size > GLQ_COMMUTATOR_CAP:
+        raise ResourceBoundExceeded("glq-check", size, GLQ_COMMUTATOR_CAP,
+                                    "commutators")
     space = glq_space(m, n)
     alg = _fock_algebra(space, copies)
     products = {}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from colourgl import cli
+from colourgl import cli, weyl
 from colourgl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +188,31 @@ def test_fft_guard_exit_2_fast_on_many_dual_copies(capsys):
     assert time.perf_counter() - start < 2
     assert code == 2 and doc["kind"] == "error"
     assert "40000" in doc["error"] and "bound 20000" in doc["error"]
+
+
+@pytest.mark.parametrize("m, n, copies", [(5, 5, 20), (0, 15, 26),
+                                          (10, 10, 30)])
+def test_glq_guard_exit_2_fast(capsys, m, n, copies):
+    # 3 C(m + n + 1, 2) copies^2 commutators, refused before any is formed;
+    # unguarded these took 1.1 s / 88 MB up to 14.2 s / 648 MB
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "glq-check", "--m", str(m), "--n", str(n),
+                         "--copies", str(copies))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and doc["kind"] == "error"
+    size = 3 * (m + n + 1) * (m + n) // 2 * copies ** 2
+    assert f"{size} commutators" in doc["error"]
+    assert "bound 30000" in doc["error"]
+
+
+def test_glq_guard_counts_the_commutators_it_forms(monkeypatch):
+    # gl_q(0|2) on 2 copies: 3 index pairs, 4 copy pairs, 3 relations
+    monkeypatch.setattr(weyl, "GLQ_COMMUTATOR_CAP", 36)
+    result = weyl.glq_relations_check(0, 2, 2, 1)
+    assert result["relations_hold"] and result["sweep_ok"]
+    monkeypatch.setattr(weyl, "GLQ_COMMUTATOR_CAP", 35)
+    with pytest.raises(weyl.ResourceBoundExceeded, match="36 commutators"):
+        weyl.glq_relations_check(0, 2, 2, 1)
 
 
 def test_large_tableaux_table_is_fast(capsys):

@@ -98,3 +98,45 @@ def test_json_round_trip():
     assert CommutativeFactor.from_json(doc) == factor
     with pytest.raises(ValueError):
         CommutativeFactor.from_json({"free_rank": 1})
+
+
+def test_records_compare_hash_and_print_by_their_fields():
+    group = GradingGroup(1, 1)
+    factor = CommutativeFactor(group, ((0, 0), (0, 1)), [[0, 0], [0, 0]])
+    assert repr(group) == "GradingGroup(free_rank=1, torsion2_rank=1)"
+    assert repr(group.degree(1, 3)) == "Degree(1, 1)"
+    assert repr(factor) == (
+        "CommutativeFactor(group=GradingGroup(free_rank=1, torsion2_rank=1),"
+        " sign_form=((0, 0), (0, 1)), exp_form=((0, 0), (0, 0)))")
+    assert group == GradingGroup(free_rank=1, torsion2_rank=1) != \
+        GradingGroup(1, 0)
+    assert group != (1, 1)
+    assert hash(group) == hash((1, 1))
+    assert hash(factor) == hash((group, factor.sign_form, factor.exp_form))
+    assert factor == CommutativeFactor(group, [[0, 0], [0, 1]],
+                                       ((0, 0), (0, 0)))
+    assert len({group.degree(1, 1), group.degree(1, 3)}) == 1
+    for record, name in [(group, "free_rank"), (factor, "exp_form"),
+                         (group.degree(0, 0), "coords")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(ValueError):
+        GradingGroup(-1, 0)
+
+
+def test_report_records_compare_by_fields_and_are_unhashable():
+    from colourgl.reps import GramReport, UnitarisableVerdict
+
+    verdict = UnitarisableVerdict(True, "I", "r")
+    assert repr(verdict) == ("UnitarisableVerdict(unitarisable=True, "
+                             "star_type='I', reason='r', certificate={})")
+    assert verdict == UnitarisableVerdict(True, "I", "r", {})
+    assert verdict.certificate is not UnitarisableVerdict(
+        True, "I", "r").certificate
+    report = GramReport((1,), 2, [], "x")
+    assert repr(report) == \
+        "GramReport(weight=(1,), depth=2, blocks=[], verdict='x')"
+    assert report == GramReport(weight=(1,), depth=2, blocks=[], verdict="x")
+    for record in (verdict, report):
+        with pytest.raises(TypeError):
+            hash(record)

@@ -3,9 +3,13 @@ moves work elsewhere must take the imports it left behind with it.  No
 private module-level function goes unreferenced in the package: a helper
 whose last caller moved away goes with it.  No module writes an f-string
 without a placeholder: a message meant to name its inputs that names none
-of them."""
+of them.  Importing the CLI loads neither dataclasses nor inspect, which
+with ast, dis and tokenize are most of a cold start's import time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "colourgl"
@@ -83,3 +87,12 @@ def test_no_f_string_lacks_a_placeholder():
                                 for value in node.values):
                 bare.append(f"{path.name}:{node.lineno}")
     assert not bare
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    probe = ("import sys, colourgl.cli; print(' '.join(sorted("
+             "{'dataclasses', 'inspect'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert out.stdout.split() == []

@@ -7,7 +7,6 @@ Ecal's and wrong gl_q(m|n) factors, which both relation checks must
 refuse.  The words of E_ab give derivation_apply's images, and a wrong
 factor on an xbar word is refused by invariant_dimension."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +16,7 @@ import pytest
 import parent_weyl as parent
 from colourgl import presets, weyl
 from colourgl.gl import GradedSpace
+from colourgl.grading import CommutativeFactor
 from colourgl.presets import (glq_space, green_space, preset_space,
                               super_space, z2z2_space)
 from colourgl.scalars import ONE, Scalar
@@ -161,11 +161,14 @@ def wrong_glq_space(form):
         space = glq_space(m, n)
         factor = space.factor
         if form == "exp":
-            factor = dataclasses.replace(factor, exp_form=tuple(
-                tuple(-x for x in row) for row in factor.exp_form))
+            factor = CommutativeFactor(
+                factor.group, factor.sign_form,
+                tuple(tuple(-x for x in row) for row in factor.exp_form))
         else:
-            factor = dataclasses.replace(factor, sign_form=tuple(
-                (0,) * len(row) for row in factor.sign_form))
+            factor = CommutativeFactor(
+                factor.group, tuple((0,) * len(row)
+                                    for row in factor.sign_form),
+                factor.exp_form)
         return GradedSpace(factor, space.components)
     return build
 

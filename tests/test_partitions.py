@@ -1,10 +1,12 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
-                                 dim_glN, hook_partitions, in_hook,
-                                 lambda_sharp, partitions_of, transpose)
+from colourgl.partitions import (check_partition, count_hook_tableaux,
+                                 count_standard_tableaux, dim_glN, hooks,
+                                 hook_partitions, in_hook, lambda_sharp,
+                                 partitions_of, transpose)
 
 
 def leaf_by_leaf_hook_tableaux(lam, m_plus, m_minus):
@@ -232,3 +234,28 @@ def test_hook_partitions_match_the_filter():
                         [lam for lam in partitions_of(size)
                          if in_hook(lam, m_plus, m_minus)
                          and len(lam) <= depth], (size, m_plus, m_minus)
+
+
+PUBLIC_CALLS = [check_partition, transpose, hooks, count_standard_tableaux,
+                lambda lam: in_hook(lam, 2, 1),
+                lambda lam: lambda_sharp(lam, 2, 1),
+                lambda lam: dim_glN(lam, 3),
+                lambda lam: count_hook_tableaux(lam, 2, 1)]
+
+
+@pytest.mark.parametrize("bad", [
+    (1, 2), (2, -1), (0, 1), (2.5, 1), (Fraction(5, 2), 1), (2, 1.0),
+    ("2", "1"), (3, 0, 1), (2, 1, 0.0)])
+def test_every_public_function_refuses_a_non_partition(bad):
+    # a non-int part is refused, not truncated, and only trailing zeros
+    # are dropped, so no input is answered for another shape
+    for call in PUBLIC_CALLS:
+        with pytest.raises(ValueError, match="is not a partition"):
+            call(bad)
+
+
+def test_trailing_zeros_are_dropped():
+    assert check_partition((3, 1, 0, 0)) == (3, 1)
+    assert check_partition([2, 2]) == (2, 2)
+    assert check_partition((0, 0)) == check_partition(()) == ()
+    assert dim_glN((2, 1, 0), 3) == dim_glN((2, 1), 3) == 8
