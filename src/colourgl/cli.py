@@ -1,6 +1,8 @@
 """Command line front end.
 
-Every subcommand emits one JSON report (sorted keys) or, for tables, TSV.
+Every subcommand emits one JSON report (sorted keys); the four whose
+report holds table rows (schur-weyl, howe-sweep, tableaux and glvv) take
+--format tsv to write the rows as TSV instead.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  `main`
 parses with one parser per process and calls the handler by its name,
@@ -72,6 +74,16 @@ def parse_weight(text, dim):
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad weight coordinate: {exc}") from exc
+
+
+def _dominant_input(args):
+    """The space and weight of args, or InputError when the weight is not
+    dominant."""
+    space = load_space(args.space)
+    lam = parse_weight(args.weight, space.dim)
+    if not is_finite_dimensional(space, lam):
+        raise InputError(f"weight {args.weight} is not dominant")
+    return space, lam
 
 
 def parse_partition(text):
@@ -187,10 +199,7 @@ def cmd_typicality(args):
 
 
 def cmd_kac_dim(args):
-    space = load_space(args.space)
-    lam = parse_weight(args.weight, space.dim)
-    if not is_finite_dimensional(space, lam):
-        raise InputError(f"weight {args.weight} is not dominant")
+    space, lam = _dominant_input(args)
     return {"weight": [str(x) for x in lam],
             "kac_dimension": kac_dimension(space, lam)}, True
 
@@ -220,10 +229,7 @@ def cmd_unitarisable(args):
 
 
 def cmd_gram(args):
-    space = load_space(args.space)
-    lam = parse_weight(args.weight, space.dim)
-    if not is_finite_dimensional(space, lam):
-        raise InputError(f"weight {args.weight} is not dominant")
+    space, lam = _dominant_input(args)
     return gram_report(space, lam, args.depth).to_json(), True
 
 
@@ -267,9 +273,11 @@ def build_parser():
                         help="include wall-clock timing in the report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, table=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
+        if table:  # the report holds rows, which emit can write as TSV
+            p.add_argument("--format", choices=("json", "tsv"),
+                           default="json")
         return p
 
     p = add("verify", help="run the invariant suites")
@@ -277,11 +285,11 @@ def build_parser():
     p.add_argument("--level", choices=("quick", "full"), default="full")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("schur-weyl", help="decomposition of V^r")
+    p = add("schur-weyl", table=True, help="decomposition of V^r")
     p.add_argument("--space", required=True)
     p.add_argument("--power", type=int, required=True)
 
-    p = add("howe-sweep",
+    p = add("howe-sweep", table=True,
             help="Fock space dimension sweep against the module sum")
     p.add_argument("--space", required=True)
     p.add_argument("--copies", type=int, required=True)
@@ -322,12 +330,12 @@ def build_parser():
     p.add_argument("--weight", required=True)
     p.add_argument("--depth", type=int, default=None)
 
-    p = add("tableaux", help="hook tableaux table")
+    p = add("tableaux", table=True, help="hook tableaux table")
     p.add_argument("--space", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--copies", type=int, default=0)
 
-    p = add("glvv", help="Howe duality for a pair of spaces")
+    p = add("glvv", table=True, help="Howe duality for a pair of spaces")
     p.add_argument("--space", required=True)
     p.add_argument("--other-space", required=True)
     p.add_argument("--max-degree", type=int, default=2)

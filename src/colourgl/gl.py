@@ -11,16 +11,23 @@ where g_a is the degree of the a-th basis vector.  omega between basis
 indices is stored once per space as integer pairs, _omega_pairs[a][b] =
 (s, e) with omega(g_a, g_b) = (-1)^s q^e; omega between sums and
 differences of g's is the XOR of the signs and the sum of the exponents,
-applied to a coefficient by grading.omega_scalar.  _unit_bracket states
+applied to a coefficient by scalars.omega_scalar.  _unit_bracket states
 the bracket of two matrix units once, as terms with such pairs; bracket
-applies it to Scalar coefficients and _bracket_ints to integer ones.  Weights live in the
-basis eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
+applies it to Scalar coefficients and _bracket_ints to integer ones.
+_dual_pair states the factor of E_ab on the dual space V* once, for
+tensor.dual_act and weyl's fft-check.  Weights live in the basis
+eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
 
 Every sparse container of the package (GlElement here; TensorVector,
 SymGroupElement, WeylElement and FockVector elsewhere) is a
 LinearCombination: a dict of nonzero coefficients plus its shape, with
-one addition, negation, scaling and equality.  Every algorithm that sums
-into such a dict does so through _add_into.
+one addition, negation, scaling, equality and common degree or weight.
+Sums taken term by term into a dict that must stay free of zeros go
+through _add_into, which drops a key whose sum is zero: the containers'
+arithmetic, bracket and _bracket_ints here, and the Kac module's action
+on ints.  The integer kernels of tensor (_block_sums) and weyl (the word
+kernels, _commutator, _gl_images and the z-products of fft-check)
+accumulate with dict.get and drop the zero entries once, at the end.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .grading import CommutativeFactor, omega_scalar
-from .scalars import ONE, Scalar, ZERO
+from .grading import CommutativeFactor
+from .scalars import ONE, Scalar, ZERO, omega_scalar
 
 
 class SpaceMismatch(ValueError):
@@ -121,6 +128,14 @@ def _bracket_pair(pairs, a, b, c, d):
     return s1 ^ s2 ^ s3 ^ s4, e1 - e2 - e3 + e4
 
 
+def _dual_pair(pairs, a, b):
+    """The pair (s, e) of -omega(g_a - g_b, -g_a), the factor by which E_ab
+    sends ebar_a to ebar_b on V*: that of omega(g_b, g_a) / omega(g_a, g_a),
+    the minus sign folded into s."""
+    (s1, e1), (s2, e2) = pairs[b][a], pairs[a][a]
+    return 1 ^ s1 ^ s2, e1 - e2
+
+
 def _add_into(terms, key, coef):
     """terms[key] += coef, dropping the key when the sum is zero."""
     old = terms.get(key)
@@ -172,6 +187,14 @@ class LinearCombination:
     def is_zero(self):
         return not self.terms
 
+    def _common(self, value, empty=None):
+        """The value(key) that every key of the terms shares: None when two
+        keys differ, and empty when there are no terms."""
+        found = set(map(value, self.terms))
+        if len(found) > 1:
+            return None
+        return found.pop() if found else empty
+
     def __eq__(self, other):
         return (type(other) is type(self) and other._shape() == self._shape()
                 and self.terms == other.terms)
@@ -205,14 +228,9 @@ class GlElement(LinearCombination):
 
     def degree(self):
         """The Gamma-degree if homogeneous, else None.  Zero has any degree."""
-        deg = None
-        for a, b in self.terms:
-            d = self.space.degrees[a] - self.space.degrees[b]
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg if deg is not None else self.space.factor.group.zero()
+        degrees = self.space.degrees
+        return self._common(lambda ab: degrees[ab[0]] - degrees[ab[1]],
+                            self.space.factor.group.zero())
 
     def homogeneous_parts(self):
         """The homogeneous decomposition {degree: part}, X = sum of its

@@ -14,8 +14,9 @@ omega(a, b) is read as the integer pair (s, e) = (a^T S b mod 2, a^T B b).
 As omega is a bicharacter, omega between sums and differences of degrees
 is the pair of XOR-ed signs and summed (or subtracted) exponents, so the
 graded space keeps one pair per two basis indices and the algorithms sum
-pairs.  omega_scalar is the one place a pair becomes a Scalar factor, and
-_merge the one place a reordering of a graded word becomes a pair.
+pairs.  scalars.omega_scalar is the one place a pair becomes a Scalar
+factor (CommutativeFactor.omega applies it), and _merge the one place a
+reordering of a graded word becomes a pair.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from .scalars import ONE, _make, _pneg
-
-
-def omega_scalar(s, e, coef=ONE):
-    """coef * (-1)^s q^e: coef's stored form shifted by e, its numerator
-    negated when s is set, with no multiplication."""
-    if not (s or e) or not coef.n[0]:
-        return coef
-    return _make(coef.shift + e, _pneg(coef.n) if s else coef.n, coef.d)
+from .scalars import omega_scalar
 
 
 def _merge(w1, w2, odd, om):

@@ -7,9 +7,10 @@ unprimed letters strictly increasing down columns, primed letters strictly
 increasing along rows.  The convention is pinned by the dimension identity
 sum_lambda k(lambda) f^lambda = (M+ + M-)^r, which the tests enforce.
 
-Each public function checks its shape once, by check_partition, and runs
-a private kernel on the canonical tuple: _transpose, _in_hook, _sharp,
-_hooks, _count_standard, _dim_glN and _count_hook.  Kernels check nothing
+Each public function checks its shape once, by check_partition (and
+hook membership once, by _hook_shape), and runs a private kernel on the
+canonical tuple: _transpose, _in_hook, _sharp, _hooks, _count_standard,
+_dim_glN and _count_hook.  Kernels check nothing
 and call only kernels.  A caller that already holds canonical shapes, as
 the shapes of hook_partitions are, calls the kernels.
 """
@@ -88,13 +89,19 @@ def hook_partitions(m_plus, m_minus, depth_bound, size):
             if len(lam) <= depth_bound]
 
 
-def lambda_sharp(lam, m_plus, m_minus):
-    """The highest weight (lambda_1..lambda_{M+}, theta(lambda'_j - M+))
-    attached to a hook partition."""
+def _hook_shape(lam, m_plus, m_minus):
+    """The canonical tuple of a partition in P_{M+|M-}; a ValueError for
+    any other input."""
     lam = check_partition(lam)
     if not _in_hook(lam, m_plus, m_minus):
         raise ValueError(f"{lam} is not in the {m_plus}|{m_minus} hook class")
-    return _sharp(lam, m_plus, m_minus)
+    return lam
+
+
+def lambda_sharp(lam, m_plus, m_minus):
+    """The highest weight (lambda_1..lambda_{M+}, theta(lambda'_j - M+))
+    attached to a hook partition."""
+    return _sharp(_hook_shape(lam, m_plus, m_minus), m_plus, m_minus)
 
 
 def _sharp(lam, m_plus, m_minus):

@@ -14,17 +14,13 @@ from __future__ import annotations
 import re
 
 from .gl import GradedSpace
-from .grading import CommutativeFactor, GradingGroup
+from .grading import CommutativeFactor, GradingGroup, superalgebra_factor
 
 
 def super_space(m, n):
-    group = GradingGroup(0, 1)
-    factor = CommutativeFactor(group, ((1,),), ((0,),))
-    comps = []
-    if m:
-        comps.append((group.degree(0), m))
-    if n:
-        comps.append((group.degree(1), n))
+    factor = superalgebra_factor()
+    degree = factor.group.degree
+    comps = [(degree(g), d) for g, d in ((0, m), (1, n)) if d]
     return GradedSpace(factor, comps)
 
 
@@ -37,28 +33,29 @@ def z2z2_space(dims=(1, 1, 1, 1)):
     return GradedSpace(factor, comps)
 
 
+def _unit_space(sign, exp):
+    """Z^n, n = len(sign), with the factor of the forms sign and exp and one
+    basis vector of each unit degree."""
+    n = len(sign)
+    group = GradingGroup(n, 0)
+    comps = [(group.degree(*(int(j == i) for j in range(n))), 1)
+             for i in range(n)]
+    return GradedSpace(CommutativeFactor(group, sign, exp), comps)
+
+
 def glq_space(m, n):
     total = m + n
-    group = GradingGroup(total, 0)
     sign = tuple(tuple(1 if (i >= m and j >= m) else 0
                        for j in range(total)) for i in range(total))
     exp = tuple(tuple((j > i) - (j < i) for j in range(total))
                 for i in range(total))
-    factor = CommutativeFactor(group, sign, exp)
-    comps = [(group.degree(*(1 if j == i else 0 for j in range(total))), 1)
-             for i in range(total)]
-    return GradedSpace(factor, comps)
+    return _unit_space(sign, exp)
 
 
 def green_space(n):
-    group = GradingGroup(n, 0)
     sign = tuple(tuple(1 if i == j else 0 for j in range(n))
                  for i in range(n))
-    exp = tuple((0,) * n for _ in range(n))
-    factor = CommutativeFactor(group, sign, exp)
-    comps = [(group.degree(*(1 if j == i else 0 for j in range(n))), 1)
-             for i in range(n)]
-    return GradedSpace(factor, comps)
+    return _unit_space(sign, ((0,) * n,) * n)
 
 
 _PRESET_RE = re.compile(

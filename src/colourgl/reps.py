@@ -20,10 +20,17 @@ from fractions import Fraction
 
 from .gl import GlElement, _add_into, _bracket_pair, rho, weight_inner
 from .grading import _Record, _merge
-from .partitions import _sharp, dim_glN, in_hook, lambda_sharp, transpose
+from .partitions import _hook_shape, _in_hook, _sharp, _transpose
 from .scalars import ONE, Scalar
-from .tensor import (TensorVector, _highest_weight_vector, _hook_shape,
-                     gl_act_tensor)
+from .tensor import TensorVector, _highest_weight_vector, gl_act_tensor
+from .weyl import ResourceBoundExceeded
+
+# most basis elements of a Kac module (2^(M+ M-) n+ n-, n+- the lengths of
+# the sl2 strings of L0) that KacModule accepts.  A Gram entry holds a
+# norm of about ((n - 1)!)^2 for a string of length n, which at n = 800
+# has 3954 digits, under the 4300 that Python converts to text by
+# default; the largest benchmark job builds 160
+GRAM_BASIS_CAP = 800
 
 
 class UnsupportedFactor(ValueError):
@@ -48,6 +55,14 @@ def _as_weight(space, lam):
 def _blocks(space, lam):
     mp = space.m_plus
     return lam[:mp], lam[mp:]
+
+
+def _dominant_weight(space, lam):
+    """lam as a weight of space; a ValueError when it is not dominant."""
+    lam = _as_weight(space, lam)
+    if not is_finite_dimensional(space, lam):
+        raise ValueError(f"{lam} is not dominant")
+    return lam
 
 
 def is_finite_dimensional(space, lam):
@@ -77,18 +92,20 @@ def typicality(space, lam):
 
 
 def kac_dimension(space, lam):
-    """2^(M+ M-) * dim L0(k), the L0 factor through the classical Weyl
-    dimension formula per parity block after removing the constant twist."""
-    lam = _as_weight(space, lam)
-    if not is_finite_dimensional(space, lam):
-        raise ValueError(f"{lam} is not dominant")
+    """2^(M+ M-) * dim L0(lambda), the L0 factor of each parity block by the
+    Weyl dimension formula prod_{i<j} (lambda_i - lambda_j + j - i)/(j - i),
+    as two int products and one exact division (the differences are
+    integers on a dominant weight); no factorial of a coordinate is
+    formed."""
+    lam = _dominant_weight(space, lam)
     total = 2 ** (space.m_plus * space.m_minus)
     for block in _blocks(space, lam):
-        if not block:
-            continue
-        shifted = tuple(int(x - block[-1]) for x in block)
-        part = tuple(p for p in shifted if p)
-        total *= dim_glN(part, len(block)) if part else 1
+        ij = list(itertools.combinations(range(len(block)), 2))
+        value, rem = divmod(
+            math.prod(int(block[i] - block[j]) + j - i for i, j in ij),
+            math.prod(j - i for i, j in ij))
+        assert rem == 0
+        total *= value
     return total
 
 
@@ -118,7 +135,7 @@ def casimir_defect(space, lam):
     """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
     of a hook partition; zero because the central element Omega acts on a
     highest weight module by exactly that scalar."""
-    lam = _hook_shape(space, lam)
+    lam = _hook_shape(lam, space.m_plus, space.m_minus)
     v = _highest_weight_vector(space, lam)
     sharp = _sharp(lam, space.m_plus, space.m_minus)
     scalar = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
@@ -168,12 +185,11 @@ def _sharp_to_partition(space, sharp):
         return None
     tail = tuple(sum(1 for x in minus if x >= j)
                  for j in range(1, (minus[0] if minus else 0) + 1))
+    # positive ints: once weakly decreasing, mu is a canonical shape
     mu = tuple(p for p in plus + tail if p)
     if not all(x >= y for x, y in zip(mu, mu[1:])):
         return None
-    if not in_hook(mu, mp, mm):
-        return None
-    if lambda_sharp(mu, mp, mm) != tuple(int(x) for x in plus + minus):
+    if not _in_hook(mu, mp, mm) or _sharp(mu, mp, mm) != plus + minus:
         return None
     return mu
 
@@ -277,8 +293,9 @@ def dual_weight(space, lam):
     if mu is None:
         raise DualWeightUnsupported(
             f"{lam} is atypical and not of the form a*E + mu#")
-    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#)
-    s = lambda_sharp(transpose(mu), mm, mp)
+    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#); mu' is
+    # in the M-|M+ hook as mu is in the M+|M- one
+    s = _sharp(_transpose(mu), mm, mp)
     low = s[mm:][::-1] + s[:mm][::-1]
     return tuple(t * e - x for e, x in zip(escript, low))
 
@@ -300,9 +317,7 @@ class KacModule:
         if space.m_plus > 2 or space.m_minus > 2:
             raise UnsupportedSpace(
                 "gram machinery supports parity blocks of size <= 2")
-        lam = _as_weight(space, lam)
-        if not is_finite_dimensional(space, lam):
-            raise ValueError(f"{lam} is not dominant")
+        lam = _dominant_weight(space, lam)
         self.space = space
         # integral coordinates as ints, so that the action and the form
         # stay on ints wherever lambda allows it
@@ -314,6 +329,10 @@ class KacModule:
                       for rb in range(mp, space.dim)]
         self.n_plus = int(lam[0] - lam[1]) + 1 if mp == 2 else 1
         self.n_minus = int(lam[mp] - lam[mp + 1]) + 1 if mm == 2 else 1
+        size = 2 ** len(self.pairs) * self.n_plus * self.n_minus
+        if size > GRAM_BASIS_CAP:
+            raise ResourceBoundExceeded("the Kac module", size,
+                                        GRAM_BASIS_CAP)
         # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
         self._pair_om = [
             [(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)

@@ -20,6 +20,11 @@ ints first.  Polynomial gcds are primitive remainder sequences (Knuth,
 as_fraction, raw input with Fraction coefficients (parsed a/b among them)
 and the read-only num and den views, which give the value over a monic
 denominator.
+
+No other module reads or builds the stored form.  Two helpers here build
+it without arithmetic: omega_scalar multiplies by an omega pair (s, e),
+meaning (-1)^s q^e, and Scalar.from_laurent turns an integer Laurent
+polynomial {e: c} into a Scalar.
 """
 
 from __future__ import annotations
@@ -189,6 +194,19 @@ class Scalar:
     @classmethod
     def q_power(cls, k):
         return _make(index(k), _ONE_POLY, _ONE_POLY)
+
+    @classmethod
+    def from_laurent(cls, coeffs):
+        """The Laurent polynomial sum c q^e of a dict {e: c} of ints.  With
+        nonzero ints at both ends it is stored as it stands, over the den
+        1; otherwise the constructor trims and cancels it."""
+        if not coeffs:
+            return ZERO
+        lo = min(coeffs)
+        n = tuple(coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1))
+        if n[0] and n[-1]:
+            return _make(lo, n, _ONE_POLY)
+        return cls(lo, n)
 
     # -- predicates and views ----------------------------------------------
 
@@ -509,3 +527,12 @@ ZERO = _make(0, _ZERO_POLY, _ONE_POLY)
 ONE = _make(0, _ONE_POLY, _ONE_POLY)
 MINUS_ONE = _make(0, (-1,), _ONE_POLY)
 Q = _make(1, _ONE_POLY, _ONE_POLY)
+
+
+def omega_scalar(s, e, coef=ONE):
+    """coef * (-1)^s q^e for an omega pair (s, e): coef's stored form
+    shifted by e, its numerator negated when s is set, with no
+    multiplication.  The one place a pair becomes a Scalar factor."""
+    if not (s or e) or not coef.n[0]:
+        return coef
+    return _make(coef.shift + e, _pneg(coef.n) if s else coef.n, coef.d)

@@ -28,11 +28,11 @@ import math
 from fractions import Fraction
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
-                 basis_weight)
-from .grading import _merge, omega_scalar
-from .partitions import (_count_hook, _count_standard, _in_hook, _sharp,
+                 _dual_pair, basis_weight)
+from .grading import _merge
+from .partitions import (_count_hook, _count_standard, _hook_shape, _sharp,
                          check_partition, hook_partitions)
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, omega_scalar
 
 
 class TensorVector(LinearCombination):
@@ -57,14 +57,7 @@ class TensorVector(LinearCombination):
 
     def weight(self):
         """The h*-weight if all words share one, else None."""
-        wt = None
-        for word in self.terms:
-            w = word_weight(self.space, word)
-            if wt is None:
-                wt = w
-            elif wt != w:
-                return None
-        return wt
+        return self._common(lambda word: word_weight(self.space, word))
 
     def __repr__(self):
         if not self.terms:
@@ -428,16 +421,8 @@ def highest_weight_vector(space, lam):
     repeated letter has the wrong parity, else prod m_a! times one
     representative per arrangement, acting by the omega product over the
     inversions of its whole slot permutation."""
-    return _highest_weight_vector(space, _hook_shape(space, lam))
-
-
-def _hook_shape(space, lam):
-    """The canonical tuple of a partition in the hook class of space."""
-    lam = check_partition(lam)
-    if not _in_hook(lam, space.m_plus, space.m_minus):
-        raise ValueError(
-            f"{lam} is not in the {space.m_plus}|{space.m_minus} hook class")
-    return lam
+    return _highest_weight_vector(
+        space, _hook_shape(lam, space.m_plus, space.m_minus))
 
 
 def _highest_weight_vector(space, lam):
@@ -489,15 +474,14 @@ def dual_act(x, wbar):
     """Action on V*: for homogeneous X, <X.wbar, v> = omega(d(X), d(wbar))
     <wbar, S(X).v> with S(X) = -X.  wbar maps flat indices to Scalars,
     ebar_a having weight -eps_a and degree -gamma_a.  E_ab sends ebar_a to
-    -omega(g_a - g_b, -g_a) ebar_b, whose pair is that of
-    omega(g_b, g_a) / omega(g_a, g_a) with the minus sign folded into s."""
+    -omega(g_a - g_b, -g_a) ebar_b, the pair of gl._dual_pair."""
     pairs = x.space._omega_pairs
     out = {}
     for (a, b), coef in x.terms.items():
         c = wbar.get(a)
         if c:
-            (s1, e1), (s2, e2) = pairs[b][a], pairs[a][a]
-            _add_into(out, b, omega_scalar(1 ^ s1 ^ s2, e1 - e2, coef * c))
+            _add_into(out, b, omega_scalar(*_dual_pair(pairs, a, b),
+                                           coef * c))
     return out
 
 

@@ -11,11 +11,11 @@ jacobi-skew brackets matrix units with integer Laurent coefficients
 (gl._bracket_ints) and takes omega(d(X), d(Y)) from the factor rather
 than from the _omega_pairs table the brackets read, coxeter-braid follows
 one term (s, e, word) through each sigma word (tensor._swap), and
-fock-module and dual-pair compare the integer kernels of weyl.  A Scalar
-still enters in scalar-field, which tests Scalar arithmetic itself, in
-gl-equivariance (braiding_apply and gl_act_tensor on TensorVectors), in
-forms-roots (bracket, the supertrace form and Fraction root data) and in
-dual-pair, which reads gl.bracket's +-q^e.
+fock-module and dual-pair compare the integer kernels of weyl, dual-pair
+against the abstract brackets of gl._bracket_ints.  A Scalar still
+enters in scalar-field, which tests Scalar arithmetic itself, in
+gl-equivariance (braiding_apply and gl_act_tensor on TensorVectors) and
+in forms-roots (bracket, the supertrace form and Fraction root data).
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ multiplies the z_rs by _merge, all on ints; a Scalar enters only in the
 rows it passes to rank_of_rows.  Otherwise a Scalar enters in weyl_multiply and
 fock_apply, one product per pair of input terms and output word, and in
 OmegaPolyAlgebra.multiply and derivation_apply, once per term by
-grading.omega_scalar; no routine of the package calls those two.
+scalars.omega_scalar; no routine of the package calls those two.
+_to_scalars builds its Scalars by Scalar.from_laurent, so no routine here
+reads or builds a Scalar's stored form.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -46,12 +48,11 @@ import itertools
 from functools import cached_property
 from math import comb
 
-from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
-                 _bracket_pair, bracket)
-from .grading import _merge, omega_scalar
-from .partitions import (_count_hook, _dim_glN, _in_hook, _sharp,
-                         hook_partitions)
-from .scalars import ONE, ZERO, _ONE_POLY, _make
+from .gl import (LinearCombination, SpaceMismatch, _add_into, _bracket_ints,
+                 _bracket_pair, _dual_pair)
+from .grading import _merge
+from .partitions import _count_hook, _dim_glN, _sharp, hook_partitions
+from .scalars import ONE, ZERO, Scalar, omega_scalar
 
 
 MONOMIAL_CAP = 10 ** 6
@@ -113,20 +114,12 @@ class WeylElement(LinearCombination):
             raise IndexError(f"generator ({a},{r}) out of range")
 
     def degree(self):
-        """Gamma-degree when homogeneous, else None."""
-        deg = None
-        space, copies = self.space, self.copies
-        for xs, ds in self.terms:
-            d = space.factor.group.zero()
-            for g in xs:
-                d = d + space.degrees[g // copies]
-            for g in ds:
-                d = d - space.degrees[g // copies]
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg if deg is not None else space.factor.group.zero()
+        """Gamma-degree when homogeneous, else None.  Zero has any degree."""
+        degrees, copies = self.space.degrees, self.copies
+        zero = self.space.factor.group.zero()
+        return self._common(
+            lambda word: sum((degrees[g // copies] for g in word[0]), zero)
+            - sum((degrees[g // copies] for g in word[1]), zero), zero)
 
     def __repr__(self):
         if not self.terms:
@@ -240,10 +233,7 @@ def _to_scalars(products):
         for (word, e), c in poly.items():
             by_word.setdefault(word, {})[e] = c
         for word, p in by_word.items():
-            # nonzero ints at both ends over the den 1: the canonical form
-            lo = min(p)
-            p = _make(lo, tuple(p.get(e, 0) for e in range(lo, max(p) + 1)),
-                      _ONE_POLY)
+            p = Scalar.from_laurent(p)
             _add_into(out, word, p if coef is ONE else coef * p)
     return out
 
@@ -324,7 +314,10 @@ def verify_dual_pair(space, copies):
     """Exhaustively check eq. families for the dual pair: the E's and the
     Ecal's satisfy the abstract brackets of gl_N = gl(N|0) and of gl(V),
     and [E, Ecal] = 0, as _commutator dicts.  Every coefficient of an E or
-    an Ecal is ONE, so their words are all that enters."""
+    an Ecal is ONE, so their words are all that enters.  The abstract
+    bracket is gl._bracket_ints on the two matrix units, each term n q^e
+    E_ij of it read as n q^e times every word of gens[i, j]; the words of
+    two units differ, so no two terms meet."""
     from .presets import super_space
 
     alg = _fock_algebra(space, copies)
@@ -332,18 +325,14 @@ def verify_dual_pair(space, copies):
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
     products = {}  # (word, word) -> their product, for this call only
     for gl, gens in ((super_space(copies, 0), E), (space, Ecal)):
+        pairs = gl._omega_pairs
         for a, b, c, d in itertools.product(range(gl.dim), repeat=4):
-            abstract = bracket(GlElement.matrix_unit(gl, a, b),
-                               GlElement.matrix_unit(gl, c, d))
-            rhs = {}
-            for k, coef in abstract.terms.items():
-                assert coef.d == (1,)
-                for i, x in enumerate(coef.n):
-                    _add_ints(rhs, {(w, coef.shift + i): x
-                                    for w in gens[k].terms})
-            rhs = {key: c for key, c in rhs.items() if c}
+            abstract = _bracket_ints(pairs, {((a, b), 0): 1},
+                                     {((c, d), 0): 1})
+            rhs = {(w, e): n for (unit, e), n in abstract.items()
+                   for w in gens[unit].terms}
             if _commutator(alg, gens[a, b].terms, gens[c, d].terms, products,
-                           *_bracket_pair(gl._omega_pairs, a, b, c, d)) != rhs:
+                           *_bracket_pair(pairs, a, b, c, d)) != rhs:
                 return False
     return not any(_commutator(alg, x.terms, y.terms, products)
                    for x in E.values() for y in Ecal.values())
@@ -501,29 +490,29 @@ def glvv_decomposition(space_v, space_w, max_degree):
     """Howe duality for a pair of graded spaces: per-degree dimension of
     S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
     paired-weight table for |lambda| <= max_degree.  The dimension is
-    counted as in howe_dimension_sweep."""
+    counted as in howe_dimension_sweep.  One walk over the hook shapes of
+    V per degree gives both: lambda is in the hook of W exactly when
+    k_W(lambda) is nonzero, as the strip table holds every hook shape and
+    no other."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
     degrees = [dw - dv
                for dv in space_v.degrees for dw in space_w.degrees]
     alg = OmegaPolyAlgebra(space_v.factor, degrees)
-    rows = []
+    vp, vm, wp, wm = (space_v.m_plus, space_v.m_minus, space_w.m_plus,
+                      space_w.m_minus)
+    rows, pairs = [], []
     for d, count in enumerate(_checked_counts(alg, max_degree)):
-        total = sum(
-            _count_hook(lam, space_v.m_plus, space_v.m_minus)
-            * _count_hook(lam, space_w.m_plus, space_w.m_minus)
-            for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d))
+        total = 0
+        for lam in hook_partitions(vp, vm, d, d):
+            k_w = _count_hook(lam, wp, wm)
+            total += _count_hook(lam, vp, vm) * k_w
+            if k_w:
+                pairs.append({"partition": lam,
+                              "sharp_v": _sharp(lam, vp, vm),
+                              "sharp_w": _sharp(lam, wp, wm)})
         rows.append({"degree": d, "algebra_dimension": count,
                      "module_sum": total, "equal": count == total})
-    pairs = []
-    for d in range(max_degree + 1):
-        for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d):
-            if _in_hook(lam, space_w.m_plus, space_w.m_minus):
-                pairs.append({
-                    "partition": lam,
-                    "sharp_v": _sharp(lam, space_v.m_plus, space_v.m_minus),
-                    "sharp_w": _sharp(lam, space_w.m_plus, space_w.m_minus),
-                })
     return rows, pairs
 
 
@@ -563,8 +552,8 @@ def _gl_images(space, copies, dual_copies, monos):
     in monos, as {(a, b): {i: {(monomial, e): int}}} with zero images left
     out.  E_ab acts by its words x(a,r) d(b,r), r < copies, as in
     dual_pair_generators, and xbar(b,s) dbar(a,s), s < dual_copies, times
-    dual_act's factor -omega(g_a - g_b, -g_a) = (-1)^s q^e with (s, e) =
-    (1 ^ s_ba ^ s_aa, e_ba - e_aa).  Each word is applied as
+    dual_act's factor -omega(g_a - g_b, -g_a), the pair of
+    gl._dual_pair.  Each word is applied as
     _word_on_monomial does, but a monomial's contractions are taken once
     per distinct letter and shared by every word that derives it."""
     n = space.dim
@@ -576,11 +565,11 @@ def _gl_images(space, copies, dual_copies, monos):
         for r in range(copies):
             words.setdefault(b * copies + r, []).append(
                 ((a, b), a * copies + r, 0, 0))
-        (s_ba, e_ba), (s_aa, e_aa) = pairs[b][a], pairs[a][a]
+        factor = _dual_pair(pairs, a, b)
         for s in range(dual_copies):
             bar = n * copies + s
             words.setdefault(bar + a * dual_copies, []).append(
-                ((a, b), bar + b * dual_copies, 1 ^ s_ba ^ s_aa, e_ba - e_aa))
+                ((a, b), bar + b * dual_copies, *factor))
     images = {unit: {} for unit in units}
     for i, mono in enumerate(monos):
         acc = {}

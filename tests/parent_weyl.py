@@ -11,7 +11,9 @@ invariant_dimension applies each E_ab through _gl_action_on_generators
 and OmegaPolyAlgebra.derivation_apply, and multiplies z-products by
 OmegaPolyAlgebra.multiply, one Scalar per term; _reduce, under
 rank_of_rows, negates the pivot coefficient once per product and adds a
-zero sum in the pivot column.  Each name here calls the
+zero sum in the pivot column; glvv_decomposition walks the hook shapes
+of each degree twice, once for the rows and once for the pairs (the
+oracle of tests/test_rules_once.py).  Each name here calls the
 others of this module, never the package's new code, except for the
 unchanged helpers imported below (the package-relative imports of
 glq_relations_check read from colourgl).
@@ -21,11 +23,13 @@ import itertools
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
 from colourgl.grading import _merge
-from colourgl.partitions import dim_glN, hook_partitions
+from colourgl.partitions import (_count_hook, _in_hook, _sharp, dim_glN,
+                                  hook_partitions)
 from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from colourgl.tensor import dual_act
 from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
-                           ResourceBoundExceeded, WeylElement, _derive,
+                           OmegaPolyAlgebra, ResourceBoundExceeded,
+                           WeylElement, _checked_counts, _derive,
                            _fock_algebra, dual_pair_generators,
                            fock_algebra, howe_dimension_sweep)
 
@@ -387,3 +391,33 @@ def rank_of_rows(rows):
     """Row rank of sparse rows (dicts column -> Scalar) over Q(q)."""
     echelon = {}
     return sum(_reduce(echelon, row) is not None for row in rows)
+
+
+def glvv_decomposition(space_v, space_w, max_degree):
+    """Howe duality for a pair of graded spaces: per-degree dimension of
+    S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
+    paired-weight table for |lambda| <= max_degree.  The dimension is
+    counted as in howe_dimension_sweep."""
+    if space_v.factor != space_w.factor:
+        raise SpaceMismatch("spaces must share one commutative factor")
+    degrees = [dw - dv
+               for dv in space_v.degrees for dw in space_w.degrees]
+    alg = OmegaPolyAlgebra(space_v.factor, degrees)
+    rows = []
+    for d, count in enumerate(_checked_counts(alg, max_degree)):
+        total = sum(
+            _count_hook(lam, space_v.m_plus, space_v.m_minus)
+            * _count_hook(lam, space_w.m_plus, space_w.m_minus)
+            for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d))
+        rows.append({"degree": d, "algebra_dimension": count,
+                     "module_sum": total, "equal": count == total})
+    pairs = []
+    for d in range(max_degree + 1):
+        for lam in hook_partitions(space_v.m_plus, space_v.m_minus, d, d):
+            if _in_hook(lam, space_w.m_plus, space_w.m_minus):
+                pairs.append({
+                    "partition": lam,
+                    "sharp_v": _sharp(lam, space_v.m_plus, space_v.m_minus),
+                    "sharp_w": _sharp(lam, space_w.m_plus, space_w.m_minus),
+                })
+    return rows, pairs

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from colourgl import cli, weyl
+from colourgl import cli, reps, weyl
 from colourgl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -414,3 +415,78 @@ def test_glvv_subcommand(capsys):
                          "--other-space", "super(1|1)", "--max-degree", "2")
     assert code == 0
     assert doc["results"]["rows"][2]["algebra_dimension"] == 8
+
+
+def test_format_belongs_to_the_table_subcommands():
+    # --format acts only where the report has rows; elsewhere it is an
+    # unknown option, which argparse refuses with exit 2
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_format = {name for name, p in sub.choices.items()
+                   if any("--format" in a.option_strings for a in p._actions)}
+    assert with_format == {"schur-weyl", "howe-sweep", "tableaux", "glvv"}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--space", "super(1|1)", "--format", "tsv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("space, weight, expected", [
+    ("super(2|1)", "1000000,0,0", 4000004),
+    ("super(3|0)", "3000000,0,0", 4500004500001)])
+def test_kac_dim_of_a_large_weight_exits_0_fast(capsys, space, weight,
+                                                expected):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "kac-dim", "--space", space,
+                         "--weight", weight)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and doc["results"]["kac_dimension"] == expected
+
+
+@pytest.mark.parametrize("weight", ["1000,0,0", "1500,0,0", "2000,0,0"])
+def test_gram_past_the_basis_cap_exits_2_fast(capsys, weight):
+    # unguarded, these built the module and failed converting a Gram entry
+    # of more than 4300 digits to text, after up to 3.4 s
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "gram", "--space", "super(2|1)",
+                         "--weight", weight)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and doc["kind"] == "error"
+    assert f"bound {reps.GRAM_BASIS_CAP}" in doc["error"]
+
+
+def test_gram_at_the_basis_cap_is_written_out(capsys):
+    # a string of length n as the whole basis: the entries grow fastest
+    n = reps.GRAM_BASIS_CAP
+    for space, weight in (("super(2|0)", f"{n - 1},0"),
+                          ("super(0|2)", f"{n - 1},0")):
+        code, doc = run_json(capsys, "gram", "--space", space,
+                             "--weight", weight)
+        assert code == 0 and len(doc["results"]["blocks"]) == n
+        code, doc = run_json(capsys, "gram", "--space", space,
+                             "--weight", f"{n},0")
+        assert code == 2 and "bound" in doc["error"]
+
+
+def readme_cli_lines():
+    """The argv of every `colourgl ...` line of README's CLI examples."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("`--space` accepts either", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("colourgl ")]
+
+
+def test_every_readme_cli_line_runs(capsys, monkeypatch):
+    lines = readme_cli_lines()
+    assert len(lines) == 13
+    reports = []
+
+    def emit(report, args):
+        reports.append(report)
+        real_emit(report, args)
+
+    real_emit = cli.emit
+    monkeypatch.setattr(cli, "emit", emit)
+    for argv in lines:
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert reports.pop()["kind"] == argv[0], argv

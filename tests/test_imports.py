@@ -4,7 +4,8 @@ private module-level function goes unreferenced in the package: a helper
 whose last caller moved away goes with it.  No module writes an f-string
 without a placeholder: a message meant to name its inputs that names none
 of them.  Importing the CLI loads neither dataclasses nor inspect, which
-with ast, dis and tokenize are most of a cold start's import time."""
+with ast, dis and tokenize are most of a cold start's import time.  No
+module but scalars imports a private name of scalars."""
 
 import ast
 import os
@@ -96,3 +97,20 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
     assert out.stdout.split() == []
+
+
+def test_only_scalars_imports_a_private_name_of_scalars():
+    # the stored form (shift, n, d) of a Scalar is read and built in
+    # scalars alone; other modules use its public constructors,
+    # omega_scalar and the arithmetic
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[-1] == "scalars":
+                private += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private
