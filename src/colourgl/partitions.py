@@ -10,9 +10,9 @@ sum_lambda k(lambda) f^lambda = (M+ + M-)^r, which the tests enforce.
 Each public function checks its shape once, by check_partition (and
 hook membership once, by _hook_shape), and runs a private kernel on the
 canonical tuple: _transpose, _in_hook, _sharp, _hooks, _count_standard,
-_dim_glN and _count_hook.  Kernels check nothing
-and call only kernels.  A caller that already holds canonical shapes, as
-the shapes of hook_partitions are, calls the kernels.
+_dim_glN and _count_hook.  Kernels check nothing and call only kernels.
+A caller that already holds canonical shapes, as the shapes of
+hook_partitions are, calls the kernels.
 """
 
 from __future__ import annotations

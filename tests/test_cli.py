@@ -478,13 +478,13 @@ def readme_cli_lines():
 def test_every_readme_cli_line_runs(capsys, monkeypatch):
     lines = readme_cli_lines()
     assert len(lines) == 13
-    reports = []
+    reports, real_emit = [], cli.emit
 
     def emit(report, args):
+        # the report itself, as a --format tsv line prints no kind
         reports.append(report)
         real_emit(report, args)
 
-    real_emit = cli.emit
     monkeypatch.setattr(cli, "emit", emit)
     for argv in lines:
         code, _ = run_cli(capsys, *argv)
