@@ -435,6 +435,8 @@ def test_format_belongs_to_the_table_subcommands():
     ("super(3|0)", "3000000,0,0", 4500004500001)])
 def test_kac_dim_of_a_large_weight_exits_0_fast(capsys, space, weight,
                                                 expected):
+    # dim L0 is C(k + 2, 2) for gl_3 at (k, 0, 0) and k + 1 for gl_2 at
+    # (k, 0); forming k! instead ran past a minute
     start = time.perf_counter()
     code, doc = run_json(capsys, "kac-dim", "--space", space,
                          "--weight", weight)

@@ -78,14 +78,6 @@ def test_kac_dimension_matches_the_parent(name):
             outcome(parent_reps.kac_dimension, space, lam), lam
 
 
-def test_kac_dimension_of_a_large_coordinate():
-    # dim L0 of gl_3 at (k, 0, 0) is C(k + 2, 2); the parent formed k!
-    assert kac_dimension(preset_space("super(3|0)"),
-                         (3 * 10 ** 6, 0, 0)) == 4500004500001
-    assert kac_dimension(preset_space("super(2|1)"),
-                         (10 ** 6, 0, 0)) == 4 * (10 ** 6 + 1)
-
-
 @pytest.mark.parametrize("name", ["super(2|1)", "glq(2|1)", "green(3)",
                                   "z2z2(1,1,1,1)"])
 def test_dual_act_applies_the_dual_pair(name):
