@@ -16,9 +16,8 @@ from .reps import (DualWeightUnsupported, GramReport, KacModule,
                    kac_dimension, typicality)
 from .scalars import Scalar
 from .tensor import (SymGroupElement, TensorVector, apply_permutation,
-                     braiding_apply, dual_act, dual_pairing, gl_act_tensor,
-                     highest_weight_vector, schur_weyl_table,
-                     total_symmetrizers, young_symmetrizer)
+                     braiding_apply, dual_act, gl_act_tensor,
+                     highest_weight_vector, schur_weyl_table)
 from .weyl import (FockVector, ResourceBoundExceeded, WeylElement,
                    dual_pair_generators, fock_apply, glq_relations_check,
                    glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,

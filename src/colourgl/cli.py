@@ -1,17 +1,18 @@
 """Command line front end.
 
-Every subcommand emits one JSON report (sorted keys); the four whose
-report holds table rows (schur-weyl, howe-sweep, tableaux and glvv) take
---format tsv to write the rows as TSV instead.
+Every subcommand emits one JSON report (sorted keys); tableaux, whose
+report is nothing but its rows, takes --format tsv to write them as TSV
+instead.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  `main`
 parses with one parser per process and calls the handler by its name,
 `cmd_` plus the subcommand, at call time.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
-reported as JSON rather than a traceback).  Output is byte-deterministic
-for a given job; timing is opt-in via --timing so the default report stays
-stable.
+reported as JSON rather than a traceback).  A reader that closes stdout
+early changes no exit code: the job's code stands and nothing goes to
+stderr.  Output is byte-deterministic for a given job; timing is opt-in
+via --timing so the default report stays stable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -37,7 +39,7 @@ from .weyl import (ResourceBoundExceeded, glq_relations_check,
                    glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,
                    invariant_dimension, invariant_generators_check,
                    verify_dual_pair)
-from .verify import run_verification
+from .verify import require_dimension, run_verification
 
 WORD_CAP = 10 ** 6
 # integer options that count something: negative values are bad input
@@ -95,8 +97,7 @@ def parse_partition(text):
 
 
 def emit(report, args):
-    if getattr(args, "format", "json") == "tsv" and "rows" in report.get(
-            "results", {}):
+    if getattr(args, "format", "json") == "tsv":
         rows = report["results"]["rows"]
         if rows:
             cols = sorted(rows[0])
@@ -169,6 +170,7 @@ def cmd_howe_sweep(args):
 
 def cmd_fft_check(args):
     space = load_space(args.space)
+    require_dimension(space, "fft-check")
     dims = {str(d): invariant_dimension(space, args.copies,
                                         args.dual_copies, d)
             for d in range(args.max_degree + 1)}
@@ -272,24 +274,18 @@ def build_parser():
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, table=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if table:  # the report holds rows, which emit can write as TSV
-            p.add_argument("--format", choices=("json", "tsv"),
-                           default="json")
-        return p
+    add = sub.add_parser
 
     p = add("verify", help="run the invariant suites")
     p.add_argument("--space", required=True)
     p.add_argument("--level", choices=("quick", "full"), default="full")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("schur-weyl", table=True, help="decomposition of V^r")
+    p = add("schur-weyl", help="decomposition of V^r")
     p.add_argument("--space", required=True)
     p.add_argument("--power", type=int, required=True)
 
-    p = add("howe-sweep", table=True,
+    p = add("howe-sweep",
             help="Fock space dimension sweep against the module sum")
     p.add_argument("--space", required=True)
     p.add_argument("--copies", type=int, required=True)
@@ -330,12 +326,14 @@ def build_parser():
     p.add_argument("--weight", required=True)
     p.add_argument("--depth", type=int, default=None)
 
-    p = add("tableaux", table=True, help="hook tableaux table")
+    p = add("tableaux", help="hook tableaux table")
     p.add_argument("--space", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--copies", type=int, default=0)
+    # the report is its rows alone, so TSV loses nothing of it
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = add("glvv", table=True, help="Howe duality for a pair of spaces")
+    p = add("glvv", help="Howe duality for a pair of spaces")
     p.add_argument("--space", required=True)
     p.add_argument("--other-space", required=True)
     p.add_argument("--max-degree", type=int, default=2)
@@ -354,30 +352,40 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     start = time.time()
+    code = 3
     try:
-        check_counts(args)
-        # looked up at call time, so a replaced handler is the one called
-        handler = globals()["cmd_" + args.command.replace("-", "_")]
-        results, ok = handler(args)
-        report = make_report(args, results, ok)
-        if args.timing:
-            report["timing"] = {"seconds": round(time.time() - start, 3)}
-        emit(report, args)
-        return 0 if ok else 1
-    except (ValueError, KeyError, ResourceBoundExceeded) as exc:
-        print(json.dumps({"kind": "error", "ok": False,
-                          "error": str(exc)}, sort_keys=True, indent=2))
-        return 2
-    except AssertionError as exc:
-        # an internal invariant defect: the computation disproved itself
-        print(json.dumps({"kind": "verification-failure", "ok": False,
-                          "error": str(exc)}, sort_keys=True, indent=2))
-        return 1
-    except Exception as exc:  # the CLI boundary: a defect, not bad input
-        print(json.dumps({"kind": "internal-error", "ok": False,
-                          "error": f"{type(exc).__name__}: {exc}"},
-                         sort_keys=True, indent=2))
-        return 3
+        try:
+            check_counts(args)
+            # looked up at call time, so a replaced handler is the one called
+            handler = globals()["cmd_" + args.command.replace("-", "_")]
+            results, ok = handler(args)
+            report = make_report(args, results, ok)
+            if args.timing:
+                report["timing"] = {"seconds": round(time.time() - start, 3)}
+            code = 0 if ok else 1
+            emit(report, args)
+        except BrokenPipeError:
+            raise
+        except (ValueError, KeyError, ResourceBoundExceeded) as exc:
+            code = 2
+            print(json.dumps({"kind": "error", "ok": False,
+                              "error": str(exc)}, sort_keys=True, indent=2))
+        except AssertionError as exc:
+            # an internal invariant defect: the computation disproved itself
+            code = 1
+            print(json.dumps({"kind": "verification-failure", "ok": False,
+                              "error": str(exc)}, sort_keys=True, indent=2))
+        except Exception as exc:  # the CLI boundary: a defect, not bad input
+            code = 3
+            print(json.dumps({"kind": "internal-error", "ok": False,
+                              "error": f"{type(exc).__name__}: {exc}"},
+                             sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the job's code stands, and stdout goes
+        # to devnull so that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

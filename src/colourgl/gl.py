@@ -232,17 +232,6 @@ class GlElement(LinearCombination):
         return self._common(lambda ab: degrees[ab[0]] - degrees[ab[1]],
                             self.space.factor.group.zero())
 
-    def homogeneous_parts(self):
-        """The homogeneous decomposition {degree: part}, X = sum of its
-        parts with every E_ab of a part of degree g_a - g_b.  The library
-        walks X by matrix units and reads omega from integer pairs instead;
-        the tests split X with this as an omega oracle."""
-        parts = {}
-        for (a, b), coef in self.terms.items():
-            d = self.space.degrees[a] - self.space.degrees[b]
-            parts.setdefault(d, {})[(a, b)] = coef
-        return {d: GlElement(self.space, t) for d, t in parts.items()}
-
     def __repr__(self):
         if not self.terms:
             return "GlElement(0)"

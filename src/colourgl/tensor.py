@@ -28,11 +28,11 @@ import math
 from fractions import Fraction
 
 from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
-                 _dual_pair, basis_weight)
+                 _dual_pair)
 from .grading import _merge
 from .partitions import (_count_hook, _count_standard, _hook_shape, _sharp,
                          check_partition, hook_partitions)
-from .scalars import ONE, ZERO, Scalar, omega_scalar
+from .scalars import ONE, Scalar, omega_scalar
 
 
 class TensorVector(LinearCombination):
@@ -164,35 +164,6 @@ class SymGroupElement(LinearCombination):
         return f"SymGroupElement({self.terms})"
 
 
-def perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def total_symmetrizers(r):
-    """(Sigma+(r), Sigma-(r)) = (sum (-1)^|s| s, sum s): the skew and total
-    symmetrisers.  Sigma+ kills words with a repeated even letter and
-    Sigma- kills words with a repeated odd letter."""
-    plus, minus = {}, {}
-    for perm in itertools.permutations(range(r)):
-        sign = perm_sign(perm)
-        plus[perm] = ONE if sign == 1 else -ONE
-        minus[perm] = ONE
-    return SymGroupElement(r, plus), SymGroupElement(r, minus)
-
-
 def canonical_tableau(lam):
     """Rows of box positions 0..r-1, filled row by row."""
     rows, pos = [], 0
@@ -202,48 +173,12 @@ def canonical_tableau(lam):
     return rows
 
 
-def _block_group(blocks, r):
-    """All permutations preserving each block of positions setwise."""
-    perms = []
-    for images in itertools.product(
-            *(itertools.permutations(b) for b in blocks)):
-        perm = list(range(r))
-        for block, image in zip(blocks, images):
-            for src, dst in zip(block, image):
-                perm[src] = dst
-        perms.append(tuple(perm))
-    return perms
-
-
-def young_symmetrizer(lam):
-    """C_lambda = B_lambda A_lambda in the group algebra, for the canonical
-    tableau: A the row sum over P_lambda, B the signed column sum over
-    Q_lambda."""
-    lam = check_partition(lam)
-    r = sum(lam)
-    row_group, col_group = _row_column_groups(lam)
-    a_elt = SymGroupElement(r, {p: ONE for p in row_group})
-    b_elt = SymGroupElement(
-        r, {p: ONE if perm_sign(p) == 1 else -ONE for p in col_group})
-    return b_elt * a_elt
-
-
 def _rows_and_columns(lam):
     """The rows and the columns of the canonical tableau."""
     rows = canonical_tableau(lam)
     cols = [[row[j] for row in rows if j < len(row)]
             for j in range(lam[0] if lam else 0)]
     return rows, cols
-
-
-def row_column_groups(lam):
-    """(P_lambda, Q_lambda) as lists of permutation tuples."""
-    return _row_column_groups(check_partition(lam))
-
-
-def _row_column_groups(lam):
-    rows, cols = _rows_and_columns(lam)
-    return _block_group(rows, sum(lam)), _block_group(cols, sum(lam))
 
 
 def gl_act_tensor(x, v):
@@ -483,18 +418,3 @@ def dual_act(x, wbar):
             _add_into(out, b, omega_scalar(*_dual_pair(pairs, a, b),
                                            coef * c))
     return out
-
-
-def dual_pairing(wbar, v):
-    """<wbar, v> for v a rank-1 tensor vector (power 1)."""
-    total = ZERO
-    for (a,), coef in v.terms.items():
-        c = wbar.get(a)
-        if c:
-            total = total + c * coef
-    return total
-
-
-def dual_weight_vector(space, a):
-    """The weight of ebar_a, namely -eps_a."""
-    return tuple(-x for x in basis_weight(space, a))

@@ -239,10 +239,17 @@ def suite_dual_pair(space, rng, copies):
     return ok, f"N = {copies} exhaustive brackets"
 
 
-def run_verification(space, level="full", rng=None):
+def require_dimension(space, job):
+    """Refuse dim V = 0 for a job that checks relations on V (verify and
+    fft-check): with no basis vector, each of its checks passes on
+    nothing."""
     if space.dim == 0:
-        raise ValueError("verify needs a space of dimension at least 1; "
+        raise ValueError(f"{job} needs a space of dimension at least 1; "
                          "this one has dim V = 0")
+
+
+def run_verification(space, level="full", rng=None):
+    require_dimension(space, "verify")
     rng = rng or random.Random(0)
     full = level == "full"
     plan = [

@@ -241,7 +241,7 @@ def _to_scalars(products):
 def weyl_multiply(u, v):
     """Normal-ordered product in the Weyl algebra."""
     u._check(v)
-    alg = _fock_algebra(u.space, u.copies)
+    alg = fock_algebra(u.space, u.copies)
     return WeylElement(u.space, u.copies, _to_scalars(
         (cu * cv, _word_product(alg, *w1, *w2))
         for w1, cu in u.terms.items() for w2, cv in v.terms.items()))
@@ -290,7 +290,7 @@ def fock_apply(u, f):
     x's by multiplication."""
     if u.space != f.space or u.copies != f.copies:
         raise SpaceMismatch("operator and Fock vector mismatch")
-    alg = _fock_algebra(u.space, u.copies)
+    alg = fock_algebra(u.space, u.copies)
     return FockVector(f.space, f.copies, _to_scalars(
         (cu * cf, _word_on_monomial(alg, *w, mono))
         for w, cu in u.terms.items() for mono, cf in f.terms.items()))
@@ -320,7 +320,7 @@ def verify_dual_pair(space, copies):
     two units differ, so no two terms meet."""
     from .presets import super_space
 
-    alg = _fock_algebra(space, copies)
+    alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
     products = {}  # (word, word) -> their product, for this call only
@@ -427,12 +427,6 @@ def fock_algebra(space, copies, dual_copies=0):
     space.  Its generators are x(a, r) = a*N + r of degree gamma_a, which
     sorts like (a, r), then xbar(a, s) = dim*N + a*N' + s of degree
     -gamma_a.  Weyl words number x(a, r) and d(a, r) alike."""
-    return _fock_algebra(space, copies, dual_copies)
-
-
-def _fock_algebra(space, copies, dual_copies=0):
-    # fock_algebra for weyl_multiply and fock_apply, which a tracer that
-    # wraps the public function would give a span per product
     alg = space._fock_algebras.get((copies, dual_copies))
     if alg is None:
         degrees = [g for g in space.degrees for _ in range(copies)] + [
@@ -690,7 +684,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
 def invariant_generators_check(space, copies):
     """Filtration-level-1 check: the ad(gl_N)-invariants in the (1,1)
     component of the Weyl algebra are exactly span{Ecal} + C."""
-    alg = _fock_algebra(space, copies)
+    alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     gens = range(space.dim * copies)
     words = [((g,), (h,)) for g in gens for h in gens]
@@ -733,7 +727,7 @@ def glq_relations_check(m, n, copies, max_degree=4):
         raise ResourceBoundExceeded("glq-check", size, GLQ_COMMUTATOR_CAP,
                                     "commutators")
     space = glq_space(m, n)
-    alg = _fock_algebra(space, copies)
+    alg = fock_algebra(space, copies)
     products = {}
     relations_ok = True
     for i, j in itertools.combinations_with_replacement(range(m + n), 2):

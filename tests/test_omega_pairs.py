@@ -16,6 +16,7 @@ from colourgl.grading import omega_scalar
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.scalars import MINUS_ONE, ONE, Q, Scalar
 from colourgl.tensor import TensorVector, dual_act, gl_act_tensor
+from oracles import homogeneous_parts
 from test_random_spaces import random_space
 from test_weyl import COEFS
 
@@ -27,7 +28,7 @@ def oracle_gl_act_tensor(x, v):
     if x.space != v.space:
         raise SpaceMismatch("operator and vector over different spaces")
     space = v.space
-    parts = x.homogeneous_parts() if x.degree() is None else {x.degree(): x}
+    parts = homogeneous_parts(x) if x.degree() is None else {x.degree(): x}
     terms = {}
     for deg, part in parts.items():
         for word, coef in v.terms.items():
@@ -47,7 +48,7 @@ def oracle_dual_act(x, wbar):
     <wbar, S(X).v> with S(X) = -X.  wbar maps flat indices to Scalars,
     ebar_a having weight -eps_a and degree -gamma_a."""
     space = x.space
-    parts = x.homogeneous_parts() if x.degree() is None else {x.degree(): x}
+    parts = homogeneous_parts(x) if x.degree() is None else {x.degree(): x}
     out = {}
     for deg, part in parts.items():
         for (a, b), coef in part.terms.items():

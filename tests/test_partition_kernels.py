@@ -104,8 +104,6 @@ def check_calls(monkeypatch):
     lambda lam: tensor.seed_word(SPACE, lam),
     lambda lam: tensor.young_symmetrize(SPACE, lam, WORD),
     lambda lam: tensor.highest_weight_vector(SPACE, lam),
-    lambda lam: tensor.young_symmetrizer(lam),
-    lambda lam: tensor.row_column_groups(lam),
 ])
 def test_a_public_call_checks_its_shape_once(check_calls, call):
     call((3, 2, 1))
