@@ -31,9 +31,9 @@ from . import presets
 from .gl import GradedSpace
 from .partitions import (_count_hook, _count_standard, _dim_glN, _sharp,
                          hook_partitions)
-from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
-                   gram_report, is_finite_dimensional, kac_dimension,
-                   typicality)
+from .reps import (_printable, casimir_defect, casimir_eigenvalue,
+                   classify_unitarisable, gram_report, is_finite_dimensional,
+                   kac_dimension, typicality)
 from .tensor import schur_weyl_table
 from .weyl import (ResourceBoundExceeded, glq_relations_check,
                    glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,
@@ -42,6 +42,9 @@ from .weyl import (ResourceBoundExceeded, glq_relations_check,
 from .verify import require_dimension, run_verification
 
 WORD_CAP = 10 ** 6
+# most digits of a weight coordinate, the value of its exponent counted as
+# digits: Fraction builds 10^k for an exponent k
+WEIGHT_DIGITS_CAP = 1000
 # integer options that count something: negative values are bad input
 COUNT_OPTIONS = ("power", "size", "copies", "dual_copies", "max_degree", "m",
                  "n")
@@ -68,14 +71,30 @@ def load_space(spec):
         raise InputError(f"bad space document {spec}: {exc}") from exc
 
 
+def _coordinate(text):
+    """Fraction(text), refused before it is built when it has more than
+    WEIGHT_DIGITS_CAP digits, the value of its exponent included."""
+    mantissa, _, exponent = text.lower().partition("e")
+    shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    size = sum(c.isdecimal() for c in mantissa)
+    if shift.isdecimal():
+        # an exponent of nine digits is past the bound already
+        size += int(shift[:9])
+    if size > WEIGHT_DIGITS_CAP:
+        raise InputError(f"a weight coordinate has more than "
+                         f"{WEIGHT_DIGITS_CAP} digits, its exponent "
+                         "included")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad weight coordinate: {exc}") from exc
+
+
 def parse_weight(text, dim):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != dim:
         raise InputError(f"weight needs {dim} coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad weight coordinate: {exc}") from exc
+    return tuple(_coordinate(p) for p in parts)
 
 
 def _dominant_input(args):
@@ -196,14 +215,14 @@ def cmd_typicality(args):
     lam = parse_weight(args.weight, space.dim)
     typical, chi = typicality(space, lam)
     return {"weight": [str(x) for x in lam],
-            "typical": typical, "chi": str(chi),
+            "typical": typical, "chi": str(_printable(chi)),
             "finite_dimensional": is_finite_dimensional(space, lam)}, True
 
 
 def cmd_kac_dim(args):
     space, lam = _dominant_input(args)
     return {"weight": [str(x) for x in lam],
-            "kac_dimension": kac_dimension(space, lam)}, True
+            "kac_dimension": _printable(kac_dimension(space, lam))}, True
 
 
 def cmd_casimir(args):
@@ -212,7 +231,8 @@ def cmd_casimir(args):
     if args.weight:
         lam = parse_weight(args.weight, space.dim)
         results["weight"] = [str(x) for x in lam]
-        results["eigenvalue"] = str(casimir_eigenvalue(space, lam))
+        results["eigenvalue"] = str(_printable(
+            casimir_eigenvalue(space, lam)))
     if args.partition:
         lam = parse_partition(args.partition)
         guard_words(space, sum(lam))
@@ -245,7 +265,7 @@ def cmd_tableaux(args):
                "f": _count_standard(lam),
                "sharp": [str(c) for c in _sharp(lam, mp, mm)]}
         if args.copies:
-            row["dim_glN"] = _dim_glN(lam, args.copies)
+            row["dim_glN"] = _printable(_dim_glN(lam, args.copies))
         rows.append(row)
     return {"rows": rows}, True
 

@@ -9,7 +9,8 @@ Matrix units E_ab relative to this basis span gl(V), with bracket
 
 where g_a is the degree of the a-th basis vector.  omega between basis
 indices is stored once per space as integer pairs, _omega_pairs[a][b] =
-(s, e) with omega(g_a, g_b) = (-1)^s q^e; omega between sums and
+(s, e) with omega(g_a, g_b) = (-1)^s q^e, the table that
+CommutativeFactor._table builds over the basis; omega between sums and
 differences of g's is the XOR of the signs and the sum of the exponents,
 applied to a coefficient by scalars.omega_scalar.  _unit_bracket states
 the bracket of two matrix units once, as terms with such pairs; bracket
@@ -21,7 +22,10 @@ eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
 Every sparse container of the package (GlElement here; TensorVector,
 SymGroupElement, WeylElement and FockVector elsewhere) is a
 LinearCombination: a dict of nonzero coefficients plus its shape, with
-one addition, negation, scaling, equality and common degree or weight.
+one addition, negation, scaling and common degree or weight.  It is a
+grading._Record whose fields are the shape, named by a container's own
+__slots__, and then the terms, so that equality and repr are the
+record's, and a container writes only its constructor.
 Sums taken term by term into a dict that must stay free of zeros go
 through _add_into, which drops a key whose sum is zero: the containers'
 arithmetic, bracket and _bracket_ints here, and the Kac module's action
@@ -37,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .grading import CommutativeFactor
+from .grading import CommutativeFactor, _Record, _json_int, _json_list
 from .scalars import ONE, Scalar, ZERO, omega_scalar
 
 
@@ -83,10 +87,9 @@ class GradedSpace:
 
     @cached_property
     def _omega_pairs(self):
-        """The integers (s, e) with omega_flat(a, b) = (-1)^s q^e."""
-        return tuple(
-            tuple(self.factor._pairings(ga, gb) for gb in self.degrees)
-            for ga in self.degrees)
+        """The integers (s, e) with omega_flat(a, b) = (-1)^s q^e: the om
+        of CommutativeFactor._table over the basis."""
+        return self.factor._table(self.degrees)[1]
 
     def __eq__(self, other):
         if other is self:
@@ -113,8 +116,11 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, doc):
+        """The space of a JSON document: each component's degree a list of
+        JSON integers and its dim a JSON integer, none coerced."""
         factor = CommutativeFactor.from_json(doc["factor"])
-        comps = [(factor.group.degree(*c["degree"]), c["dim"])
+        comps = [(factor.group.degree(_json_list(c["degree"], "degree")),
+                  _json_int(c["dim"], "dim"))
                  for c in doc["components"]]
         return cls(factor, comps)
 
@@ -146,18 +152,23 @@ def _add_into(terms, key, coef):
         del terms[key]
 
 
-class LinearCombination:
+class LinearCombination(_Record):
     """A sparse linear combination: terms maps keys to nonzero coefficients.
 
-    A subclass keeps its shape attributes, names them in _shape() in the
-    order of its constructor's leading arguments, and takes the terms
-    last; operands of one type and shape combine, anything else raises
-    SpaceMismatch."""
+    A subclass is a record whose own __slots__ are its shape, in the order
+    of its constructor's leading arguments, which takes the terms last:
+    its fields are the shape and then the terms, and equality and repr
+    come from _Record.  Operands of one type and shape combine, anything
+    else raises SpaceMismatch."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _shape(self):
+        """The shape: every field but the terms, which come last."""
+        return self._fields(self)[:-1]
 
     def _check(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
@@ -195,10 +206,6 @@ class LinearCombination:
             return None
         return found.pop() if found else empty
 
-    def __eq__(self, other):
-        return (type(other) is type(self) and other._shape() == self._shape()
-                and self.terms == other.terms)
-
 
 class GlElement(LinearCombination):
     """A Scalar-linear combination of matrix units E_ab."""
@@ -208,9 +215,6 @@ class GlElement(LinearCombination):
     def __init__(self, space, terms=None):
         self.space = space
         super().__init__(terms)
-
-    def _shape(self):
-        return (self.space,)
 
     @classmethod
     def matrix_unit(cls, space, a, b, coef=ONE):
@@ -231,13 +235,6 @@ class GlElement(LinearCombination):
         degrees = self.space.degrees
         return self._common(lambda ab: degrees[ab[0]] - degrees[ab[1]],
                             self.space.factor.group.zero())
-
-    def __repr__(self):
-        if not self.terms:
-            return "GlElement(0)"
-        body = " + ".join(f"({c})*E[{a},{b}]"
-                          for (a, b), c in sorted(self.terms.items()))
-        return f"GlElement({body})"
 
     def to_json(self):
         """Triples [a, b, "scalar"] over flat indices."""

@@ -14,9 +14,16 @@ omega(a, b) is read as the integer pair (s, e) = (a^T S b mod 2, a^T B b).
 As omega is a bicharacter, omega between sums and differences of degrees
 is the pair of XOR-ed signs and summed (or subtracted) exponents, so the
 graded space keeps one pair per two basis indices and the algorithms sum
-pairs.  scalars.omega_scalar is the one place a pair becomes a Scalar
-factor (CommutativeFactor.omega applies it), and _merge the one place a
+pairs.  CommutativeFactor._table is the one builder of such tables, for
+the basis of a graded space and for the generators of an algebra alike,
+scalars.omega_scalar the one place a pair becomes a Scalar factor
+(CommutativeFactor.omega applies it), and _merge the one place a
 reordering of a graded word becomes a pair.
+
+_Record gives equality and repr by its fields to a class whose fields are
+its __slots__ and then those of its bases: the groups, degrees and
+factors here, the report records of reps and the sparse containers of
+gl.
 """
 
 from __future__ import annotations
@@ -52,16 +59,19 @@ class ShapeError(ValueError):
 
 
 class _Record:
-    """A record whose fields are its __slots__: equal to a record of its
-    own class with equal fields, and shown as Name(field=value, ...)."""
+    """A record whose fields are the __slots__ of its class and then those
+    of its bases: equal to a record of its own class with equal fields,
+    and shown as Name(field=value, ...)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if cls.__slots__:
-            # the tuple of the fields (every record has two or more)
-            cls._fields = attrgetter(*cls.__slots__)
+        names = tuple(name for klass in cls.__mro__
+                      for name in vars(klass).get("__slots__", ()))
+        if names:
+            cls._names = names
+            cls._fields = attrgetter(*names)
 
     def __eq__(self, other):
         if other is self:
@@ -72,7 +82,7 @@ class _Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._names)
         return f"{type(self).__name__}({fields})"
 
 
@@ -158,6 +168,22 @@ class Degree(_FrozenRecord):
         return f"Degree{self.coords}"
 
 
+def _json_int(value, field):
+    """value when it is a JSON integer; a ValueError naming field for a
+    float, a bool, a string or anything else, which int() would coerce."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: {value!r} is not a JSON integer")
+    return value
+
+
+def _json_list(value, field, read=_json_int):
+    """A JSON list as a tuple, each entry read by read(entry, field); a
+    ValueError naming field for anything else."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: {value!r} is not a JSON list")
+    return tuple(read(x, field) for x in value)
+
+
 def _as_matrix(rows, rank, name):
     mat = tuple(tuple(int(x) for x in row) for row in rows)
     if len(mat) != rank or any(len(row) != rank for row in mat):
@@ -216,6 +242,19 @@ class CommutativeFactor(_FrozenRecord):
                     e += ai * Bi[j] * bj
         return s % 2, e
 
+    def _table(self, degrees):
+        """(odd, om) for _merge over generators of the given degrees: the
+        set of odd generators, and om[g][h] = the pair (s, e) of
+        omega(degrees[g], degrees[h]).  It takes one _pairings call per
+        pair of distinct degrees and shares one row per distinct degree;
+        it is the one builder of the omega tables of the package."""
+        index = {}
+        kinds = [index.setdefault(d, len(index)) for d in degrees]
+        pairs = [[self._pairings(d, e) for e in index] for d in index]
+        rows = [tuple(row[k] for k in kinds) for row in pairs]
+        return (frozenset(g for g, k in enumerate(kinds) if pairs[k][k][0]),
+                tuple(rows[k] for k in kinds))
+
     def omega(self, a, b):
         """omega(a, b) as an exact Scalar."""
         return omega_scalar(*self._pairings(a, b))
@@ -243,10 +282,14 @@ class CommutativeFactor(_FrozenRecord):
 
     @classmethod
     def from_json(cls, doc):
+        """The factor of a JSON document, which must hold JSON integers
+        where the constructor takes ints: no value is coerced."""
         try:
-            group = GradingGroup(int(doc["free_rank"]),
-                                 int(doc["torsion2_rank"]))
-            return cls(group, doc["sign_form"], doc["exp_form"])
+            group = GradingGroup(
+                *(_json_int(doc[name], name)
+                  for name in ("free_rank", "torsion2_rank")))
+            return cls(group, *(_json_list(doc[name], name, _json_list)
+                                for name in ("sign_form", "exp_form")))
         except KeyError as exc:
             raise ValueError(f"factor document missing field {exc}") from exc
 

@@ -105,11 +105,13 @@ def lambda_sharp(lam, m_plus, m_minus):
 
 
 def _sharp(lam, m_plus, m_minus):
-    lamt = _transpose(lam)
-    plus = tuple(lam[i] if i < len(lam) else 0 for i in range(m_plus))
-    minus = tuple(max((lamt[j] if j < len(lamt) else 0) - m_plus, 0)
-                  for j in range(m_minus))
-    return plus + minus
+    """The first M+ rows, then the first M- column lengths of the rows
+    below them: those rows lie in the hook's M- columns, so only they are
+    transposed, and a long first row costs nothing."""
+    plus = lam[:m_plus]
+    minus = _transpose(lam[m_plus:])[:m_minus]
+    return (plus + (0,) * (m_plus - len(plus))
+            + minus + (0,) * (m_minus - len(minus)))
 
 
 def hooks(lam):

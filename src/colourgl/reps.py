@@ -31,6 +31,14 @@ from .weyl import ResourceBoundExceeded
 # has 3954 digits, under the 4300 that Python converts to text by
 # default; the largest benchmark job builds 160
 GRAM_BASIS_CAP = 800
+# most parts of the partition mu that a unitarisability certificate or a
+# dual weight builds: mu has a part per unit of the leading odd coordinate,
+# and the report writes each one
+CERTIFICATE_PARTS_CAP = 10 ** 4
+# most digits of a number that a report writes, numerator and denominator
+# each: Python converts at most 4300 digits of an int to text by default
+REPORT_DIGITS_CAP = 4000
+_TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
 
 
 class UnsupportedFactor(ValueError):
@@ -43,6 +51,21 @@ class UnsupportedSpace(ValueError):
 
 class DualWeightUnsupported(ValueError):
     """lambda* is not computable by the implemented rules."""
+
+
+def _printable(x):
+    """x, an int or a Fraction, when its numerator and denominator have at
+    most REPORT_DIGITS_CAP digits each; ResourceBoundExceeded otherwise."""
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ResourceBoundExceeded(
+            "a number of the report", f"more than {REPORT_DIGITS_CAP}",
+            REPORT_DIGITS_CAP, "digits")
+    return x
+
+
+def _weight_text(lam):
+    """A weight as the CLI reads it: 0,0,1,0."""
+    return ",".join(map(str, lam))
 
 
 def _as_weight(space, lam):
@@ -61,7 +84,7 @@ def _dominant_weight(space, lam):
     """lam as a weight of space; a ValueError when it is not dominant."""
     lam = _as_weight(space, lam)
     if not is_finite_dimensional(space, lam):
-        raise ValueError(f"{lam} is not dominant")
+        raise ValueError(f"{_weight_text(lam)} is not dominant")
     return lam
 
 
@@ -157,9 +180,9 @@ class UnitarisableVerdict(_Record):
         cert = {}
         for key, value in self.certificate.items():
             if isinstance(value, Fraction):
-                cert[key] = str(value)
+                cert[key] = str(_printable(value))
             elif isinstance(value, tuple):
-                cert[key] = [str(x) for x in value]
+                cert[key] = [str(_printable(x)) for x in value]
             else:
                 cert[key] = value
         return {"unitarisable": self.unitarisable, "star_type": self.star_type,
@@ -173,16 +196,21 @@ def _script_e(space):
 
 
 def _sharp_to_partition(space, sharp):
-    """Reconstruct the hook partition mu with mu# = sharp, or None."""
+    """Reconstruct the hook partition mu with mu# = sharp, or None.  sharp
+    is a uniform shift of a dominant weight in each parity block, so each
+    block is weakly decreasing.  mu has a part per positive entry of the
+    even block and per unit of the leading odd entry: past
+    CERTIFICATE_PARTS_CAP parts it is refused before it is built."""
     mp, mm = space.m_plus, space.m_minus
     plus, minus = sharp[:mp], sharp[mp:]
     if any(x.denominator != 1 or x < 0 for x in plus + minus):
         return None
     plus = tuple(int(x) for x in plus)
     minus = tuple(int(x) for x in minus)
-    if any(x < y for x, y in zip(plus, plus[1:])) or \
-            any(x < y for x, y in zip(minus, minus[1:])):
-        return None
+    size = sum(1 for p in plus if p) + (minus[0] if minus else 0)
+    if size > CERTIFICATE_PARTS_CAP:
+        raise ResourceBoundExceeded("the partition mu", size,
+                                    CERTIFICATE_PARTS_CAP, "parts")
     tail = tuple(sum(1 for x in minus if x >= j)
                  for j in range(1, (minus[0] if minus else 0) + 1))
     # positive ints: once weakly decreasing, mu is a canonical shape
@@ -243,7 +271,8 @@ def classify_unitarisable(space, lam, star_type="I"):
         mu = _sharp_to_partition(space, sharp)
         if mu is None:
             raise AssertionError(
-                f"typical unitarisable weight {lam} produced no partition")
+                f"typical unitarisable weight {_weight_text(lam)} "
+                "produced no partition")
         return UnitarisableVerdict(
             True, "I", "typical with positive edge product",
             {"branch": "typical", "a": -t, "mu": mu, "b": b, "chi": chi})
@@ -255,7 +284,8 @@ def classify_unitarisable(space, lam, star_type="I"):
             mu = _sharp_to_partition(space, ring)
             if mu is None:
                 raise AssertionError(
-                    f"atypical unitarisable weight {lam} gave no partition")
+                    f"atypical unitarisable weight {_weight_text(lam)} "
+                    "gave no partition")
             return UnitarisableVerdict(
                 True, "I", f"atypical with vanishing root r={ridx + 1}",
                 {"branch": "atypical", "r": ridx + 1, "a": -t, "mu": mu,
@@ -279,7 +309,7 @@ def dual_weight(space, lam):
     Anything else raises DualWeightUnsupported."""
     lam = _as_weight(space, lam)
     if not is_finite_dimensional(space, lam):
-        raise DualWeightUnsupported(f"{lam} is not dominant")
+        raise DualWeightUnsupported(f"{_weight_text(lam)} is not dominant")
     mp, mm = space.m_plus, space.m_minus
     typical, _ = typicality(space, lam)
     if typical:
@@ -292,11 +322,16 @@ def dual_weight(space, lam):
     mu = _sharp_to_partition(space, ring)
     if mu is None:
         raise DualWeightUnsupported(
-            f"{lam} is atypical and not of the form a*E + mu#")
-    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#); mu' is
-    # in the M-|M+ hook as mu is in the M+|M- one
-    s = _sharp(_transpose(mu), mm, mp)
-    low = s[mm:][::-1] + s[:mm][::-1]
+            f"{_weight_text(lam)} is atypical and not of the form "
+            "a*E + mu#")
+    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#).  mu' is
+    # in the M-|M+ hook as mu is in the M+|M- one, and its sharp is the
+    # first M- column lengths of mu, then mu's first M+ rows past column
+    # M-: mu is transposed only within its first M- columns
+    cols = _transpose(tuple(min(p, mm) for p in mu))
+    rows = tuple(max(p - mm, 0) for p in mu[:mp])
+    low = (rows + (0,) * (mp - len(rows)))[::-1] + \
+        (cols + (0,) * (mm - len(cols)))[::-1]
     return tuple(t * e - x for e, x in zip(escript, low))
 
 
@@ -513,14 +548,14 @@ class GramReport(_Record):
 
     def to_json(self):
         return {
-            "weight": [str(x) for x in self.weight],
+            "weight": [str(_printable(x)) for x in self.weight],
             "depth": self.depth,
             "verdict": self.verdict,
             "blocks": [
-                {"level": level, "weight": [str(x) for x in wt],
+                {"level": level, "weight": [str(_printable(x)) for x in wt],
                  "size": len(mat),
                  "inertia": list(inertia),
-                 "gram": [[str(x) for x in row] for row in mat]}
+                 "gram": [[str(_printable(x)) for x in row] for row in mat]}
                 for level, wt, mat, inertia in self.blocks
             ],
         }

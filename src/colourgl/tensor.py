@@ -45,9 +45,6 @@ class TensorVector(LinearCombination):
         self.power = power
         super().__init__(terms)
 
-    def _shape(self):
-        return (self.space, self.power)
-
     @classmethod
     def basis_word(cls, space, word, coef=ONE):
         word = tuple(word)
@@ -58,13 +55,6 @@ class TensorVector(LinearCombination):
     def weight(self):
         """The h*-weight if all words share one, else None."""
         return self._common(lambda word: word_weight(self.space, word))
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorVector(0)"
-        body = " + ".join(f"({c})*b{list(w)}"
-                          for w, c in sorted(self.terms.items()))
-        return f"TensorVector({body})"
 
 
 def word_weight(space, word):
@@ -139,9 +129,6 @@ class SymGroupElement(LinearCombination):
         self.power = power
         super().__init__(terms)
 
-    def _shape(self):
-        return (self.power,)
-
     def __mul__(self, other):
         """Product in the group algebra: (p*q) acts as p after q."""
         self._check(other)
@@ -159,9 +146,6 @@ class SymGroupElement(LinearCombination):
             for word, c in apply_permutation(perm, v).terms.items():
                 _add_into(terms, word, coef * c)
         return TensorVector(v.space, v.power, terms)
-
-    def __repr__(self):
-        return f"SymGroupElement({self.terms})"
 
 
 def canonical_tableau(lam):

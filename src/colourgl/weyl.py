@@ -12,10 +12,11 @@ monomials, and merges a d into a d-word from the left as _merge((d,), ds).
 One walk, _derive, gives d_g's contractions against an x-monomial and
 the pair for d_g passing all of it.  Both return sums of the integer
 pairs om[g][h] = (s, e), omega(gamma_g, gamma_h) = (-1)^s q^e, of
-OmegaPolyAlgebra._tables.  As omega is a commutative factor (Scheunert
-1979), omega(-a, -b) = omega(a, b) and omega(-gamma_g, gamma_h) =
-omega(gamma_h, gamma_g), so that one table serves x's, d's and
-contractions.
+OmegaPolyAlgebra._tables, which CommutativeFactor._table builds, as it
+builds the table of a graded space.  As omega is a commutative factor
+(Scheunert 1979), omega(-a, -b) = omega(a, b) and omega(-gamma_g,
+gamma_h) = omega(gamma_h, gamma_g), so that one table serves x's, d's
+and contractions.
 
 So words straighten over Z[q, q^-1], in two integer kernels:
 _word_product multiplies two words and _word_on_monomial applies a word
@@ -91,9 +92,6 @@ class WeylElement(LinearCombination):
         self.copies = copies
         super().__init__(terms)
 
-    def _shape(self):
-        return (self.space, self.copies)
-
     @classmethod
     def one(cls, space, copies):
         return cls(space, copies, {((), ()): ONE})
@@ -120,17 +118,6 @@ class WeylElement(LinearCombination):
         return self._common(
             lambda word: sum((degrees[g // copies] for g in word[0]), zero)
             - sum((degrees[g // copies] for g in word[1]), zero), zero)
-
-    def __repr__(self):
-        if not self.terms:
-            return "WeylElement(0)"
-        def gen(s, g):
-            return "{}[{},{}]".format(s, *divmod(g, self.copies))
-        body = " + ".join(
-            "({})*{}".format(c, " ".join(
-                [gen("x", g) for g in xs] + [gen("d", g) for g in ds]) or "1")
-            for (xs, ds), c in sorted(self.terms.items()))
-        return f"WeylElement({body})"
 
 
 def _derive(g, mono, om):
@@ -267,22 +254,9 @@ class FockVector(LinearCombination):
         self.copies = copies
         super().__init__(terms)
 
-    def _shape(self):
-        return (self.space, self.copies)
-
     @classmethod
     def vacuum(cls, space, copies):
         return cls(space, copies, {(): ONE})
-
-    def __repr__(self):
-        if not self.terms:
-            return "FockVector(0)"
-        body = " + ".join(
-            "({})*{}".format(c, " ".join(
-                "x[{},{}]".format(*divmod(g, self.copies)) for g in m)
-                or "1")
-            for m, c in sorted(self.terms.items()))
-        return f"FockVector({body})"
 
 
 def fock_apply(u, f):
@@ -379,16 +353,9 @@ class OmegaPolyAlgebra:
 
     @cached_property
     def _tables(self):
-        """(odd, om) for _merge: the odd generators and om[g][h] = the
-        pair (s, e) of omega(degree of g, degree of h), one row per
-        distinct degree, built on the first product."""
-        index = {}
-        kinds = [index.setdefault(d, len(index)) for d in self.degrees]
-        pairs = [[self.factor._pairings(d, e) for e in index]
-                 for d in index]
-        rows = [tuple(row[k] for k in kinds) for row in pairs]
-        return (frozenset(g for g, p in enumerate(self.parities) if p == -1),
-                tuple(rows[k] for k in kinds))
+        """(odd, om) for _merge, CommutativeFactor._table over the
+        generators, built on the first product."""
+        return self.factor._table(self.degrees)
 
     def multiply(self, m1, m2):
         """(coefficient, sorted monomial) or None when a square vanishes."""

@@ -2,10 +2,13 @@
 directly, kept verbatim as the oracle of tests/test_rules_once.py: it
 shifted each parity block to a partition and called dim_glN, which forms
 the factorials of the coordinates, so a coordinate of 10^6 ran for over a minute.
-The helpers it calls are unchanged and imported from the package."""
+The helpers it calls are unchanged and imported from the package.  Only
+its refusal's text changed since, to print the weight as the CLI reads it,
+as the package's refusals do."""
 
 from colourgl.partitions import dim_glN
-from colourgl.reps import _as_weight, _blocks, is_finite_dimensional
+from colourgl.reps import (_as_weight, _blocks, _weight_text,
+                           is_finite_dimensional)
 
 
 def kac_dimension(space, lam):
@@ -13,7 +16,7 @@ def kac_dimension(space, lam):
     dimension formula per parity block after removing the constant twist."""
     lam = _as_weight(space, lam)
     if not is_finite_dimensional(space, lam):
-        raise ValueError(f"{lam} is not dominant")
+        raise ValueError(f"{_weight_text(lam)} is not dominant")
     total = 2 ** (space.m_plus * space.m_minus)
     for block in _blocks(space, lam):
         if not block:

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,158 @@ def test_gram_at_the_basis_cap_is_written_out(capsys):
         code, doc = run_json(capsys, "gram", "--space", space,
                              "--weight", f"{n},0")
         assert code == 2 and "bound" in doc["error"]
+
+
+def run_timed(capsys, *argv):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1, argv
+    return code, doc
+
+
+@pytest.mark.parametrize("coordinate", [
+    "1e30000000", "1e-3000000", "1e5000", "1.5e-1000", "1" * 1001,
+    "1/" + "3" * 1000, "1e" + "9" * 20000])
+@pytest.mark.parametrize("argv", [
+    ("typicality", "--space", "super(1|1)"),
+    ("kac-dim", "--space", "super(1|1)"),
+    ("casimir", "--space", "super(1|1)"),
+    ("gram", "--space", "super(1|1)"),
+    ("unitarisable", "--space", "super(1|1)")])
+def test_a_weight_coordinate_past_the_digit_bound_exits_2_fast(
+        capsys, argv, coordinate):
+    # Fraction builds 10^k for an exponent k: 1e30000000 ran past 30 s
+    code, doc = run_timed(capsys, *argv, "--weight", f"{coordinate},1")
+    assert code == 2 and doc["kind"] == "error"
+    assert doc["error"] == (f"a weight coordinate has more than "
+                            f"{cli.WEIGHT_DIGITS_CAP} digits, its exponent "
+                            "included")
+
+
+def test_a_weight_coordinate_at_the_digit_bound_is_read():
+    assert cli.parse_weight("1e999,-1" + "0" * 999, 2) == (10 ** 999,
+                                                           -10 ** 999)
+    assert cli.parse_weight("1e0_999,1E-9_9_9", 2) == (
+        10 ** 999, Fraction(1, 10 ** 999))
+
+
+@pytest.mark.parametrize("argv", [
+    # chi has 25 factors of about 10^999
+    ("typicality", "--space", "super(5|5)", "--weight",
+     ",".join(["9" * 999] * 5 + ["-1"] * 5)),
+    ("unitarisable", "--space", "super(5|5)", "--weight",
+     ",".join(["9" * 999] * 5 + ["-1"] * 5)),
+    # dim L0 multiplies 15 differences of about 10^999
+    ("kac-dim", "--space", "super(6|0)", "--weight",
+     ",".join(f"{k}e999" for k in range(6, 0, -1))),
+    # Gram entries of the odd level 4 hold products of four coordinates
+    ("gram", "--space", "super(2|2)", "--weight",
+     ",".join(["9" * 1000] * 4)),
+    # dim_glN of (3,) is C(N + 2, 3)
+    ("tableaux", "--space", "super(1|1)", "--size", "3", "--copies",
+     str(10 ** 1500))])
+def test_a_result_too_long_to_print_exits_2_fast(capsys, argv):
+    code, doc = run_timed(capsys, *argv)
+    assert code == 2 and doc["kind"] == "error"
+    assert doc["error"] == (
+        f"a number of the report needs more than {reps.REPORT_DIGITS_CAP} "
+        f"digits, above the bound {reps.REPORT_DIGITS_CAP}")
+
+
+@pytest.mark.parametrize("space, weight, star, certificate", [
+    # mu = (10^8 + 1,): one long row, which _sharp no longer transposes
+    ("super(1|1)", "100000000,1", "I",
+     {"a": "-1", "b": "0", "branch": "typical", "chi": "100000001",
+      "mu": ["100000001"]}),
+    ("super(1|1)", "100000000,1", "II",
+     {"chi": "-100000001", "dual_weight": ["-99999999", "-2"],
+      "edge": "-100000001"}),
+    ("super(2|1)", "100000000,0,0", "I",
+     {"a": "0", "b": "0", "branch": "atypical", "mu": ["100000000"],
+      "r": 1}),
+    ("super(1|2)", "5,1000000,0", "I", None),
+    ("super(1|2)", "5,1000000,0", "II",
+     {"chi": "4000020", "dual_weight": ["-3", "-1", "-1000001"],
+      "edge": "-1000005"}),
+    ("super(1|2)", "5,10000000,0", "I", None),
+    ("super(1|2)", "5,10000000,0", "II",
+     {"chi": "40000020", "dual_weight": ["-3", "-1", "-10000001"],
+      "edge": "-10000005"})])
+def test_unitarisable_ends_fast_on_a_large_coordinate(capsys, space, weight,
+                                                       star, certificate):
+    # mu has a part per unit of the leading odd coordinate: 5,1000000,0
+    # wrote a 13 MB report, and 100000000,1 took 10.8 s to transpose mu
+    code, doc = run_timed(capsys, "unitarisable", "--space", space,
+                          "--weight", weight, "--type", star)
+    if certificate is None:
+        assert code == 2 and doc["kind"] == "error"
+        parts = int(weight.split(",")[1]) + 1
+        assert doc["error"] == (f"the partition mu needs {parts} parts, "
+                                f"above the bound "
+                                f"{reps.CERTIFICATE_PARTS_CAP}")
+    else:
+        assert code == 0
+        assert doc["results"]["certificate"] == certificate
+
+
+def test_the_dual_of_a_long_row_is_read_without_transposing_it(capsys):
+    code, doc = run_timed(capsys, "unitarisable", "--space", "super(2|1)",
+                          "--weight", "100000000,0,0", "--type", "II")
+    assert code == 0
+    assert doc["results"]["certificate"]["dual_weight"] == [
+        "0", "-99999999", "-1"]
+
+
+def test_refusals_print_weights_as_the_cli_reads_them(capsys):
+    code, doc = run_json(capsys, "unitarisable", "--space", "super(2|2)",
+                         "--weight", "0,0,1,0", "--type", "II")
+    assert code == 2
+    assert doc["error"] == "0,0,1,0 is atypical and not of the form a*E + mu#"
+
+
+GOOD_SPACE = {
+    "factor": {"free_rank": 1, "torsion2_rank": 1,
+               "sign_form": [[0, 0], [0, 1]], "exp_form": [[0, 0], [0, 0]]},
+    "components": [{"degree": [0, 0], "dim": 2}, {"degree": [1, 1], "dim": 1}],
+}
+
+
+@pytest.mark.parametrize("field, where, value", [
+    ("dim", ("components", 0, "dim"), 2.9),
+    ("dim", ("components", 0, "dim"), True),
+    ("dim", ("components", 0, "dim"), "2"),
+    ("degree", ("components", 1, "degree", 0), 1.7),
+    ("degree", ("components", 1, "degree"), "11"),
+    ("degree", ("components", 1, "degree"), [[1, 1]]),
+    ("torsion2_rank", ("factor", "torsion2_rank"), 1.9),
+    ("free_rank", ("factor", "free_rank"), False),
+    ("sign_form", ("factor", "sign_form", 1, 1), 1.5),
+    ("sign_form", ("factor", "sign_form", 1, 1), "1"),
+    ("exp_form", ("factor", "exp_form", 0), "00")])
+def test_space_documents_are_checked_not_coerced(capsys, tmp_path, field,
+                                                 where, value):
+    # each of these exited 0 as a space other than the one written
+    doc = json.loads(json.dumps(GOOD_SPACE))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify", "--space", str(path),
+                            "--level", "quick")
+    assert code == 2 and report["kind"] == "error"
+    assert f"{field}: " in report["error"]
+    assert report["error"].endswith(("is not a JSON integer",
+                                     "is not a JSON list"))
+
+
+def test_a_checked_space_document_still_loads(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(GOOD_SPACE))
+    code, report = run_json(capsys, "schur-weyl", "--space", str(path),
+                            "--power", "2")
+    assert code == 0 and report["results"]["checksum"] == 9
 
 
 def readme_cli_lines():

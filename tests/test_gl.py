@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch, basis_weight,
                          bilinear_form, bracket, jacobi_defect,
                          pbw_dimension_nilradical, positive_roots, rho,
                          skew_defect, supertrace, weight_inner, weyl_orbit)
-from colourgl.presets import super_space
+from colourgl.presets import preset_space, super_space
 from colourgl.scalars import ONE, Scalar
 from oracles import homogeneous_parts
 
@@ -197,6 +199,25 @@ def test_gl_element_json_round_trip(super21):
     doc = x.to_json()
     assert doc == [[0, 1, "q+1"], [2, 0, "1"]]
     assert GlElement.from_json(super21, doc) == x
+
+
+@pytest.mark.parametrize("name", ["super(2|1)", "super(0|3)", "glq(2|1)",
+                                  "green(3)", "z2z2(1,2,0,1)"])
+def test_space_json_round_trip(name):
+    space = preset_space(name)
+    doc = json.loads(json.dumps(space.to_json()))
+    assert GradedSpace.from_json(doc) == space
+    assert GradedSpace.from_json(doc).degrees == space.degrees
+
+
+def test_pool_space_json_round_trip():
+    pool = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "pool.json").read_text())
+    assert len(pool["spaces"]) == 19
+    for doc in pool["spaces"].values():
+        space = GradedSpace.from_json(doc)
+        again = GradedSpace.from_json(json.loads(json.dumps(space.to_json())))
+        assert again == space and again.degrees == space.degrees
 
 
 def test_degree_and_homogeneity(glq11):

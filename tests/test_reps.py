@@ -204,6 +204,16 @@ def test_dual_weights(super11, super21):
         dual_weight(super21, (F(1, 2), F(-1, 2), F(-3, 2)))
 
 
+def test_a_sharp_of_no_partition_is_refused(super22):
+    # (0,0,1,0) is atypical with t = 0: mu = (1,) from its odd block, but
+    # mu# = (1,0,0,0), so no mu has this sharp and the weight is refused
+    with pytest.raises(DualWeightUnsupported,
+                       match=r"^0,0,1,0 is atypical and not of the form"):
+        dual_weight(super22, (F(0), F(0), F(1), F(0)))
+    with pytest.raises(ValueError, match=r"^0,1 is not dominant$"):
+        kac_dimension(super_space(2, 0), (F(0), F(1)))
+
+
 def test_type_two_classification(super11):
     # V is type I but not type II; V* is type II but not type I
     natural = (F(1), F(0))

@@ -355,6 +355,24 @@ def test_weyl_bracket_requires_homogeneous(glq11):
         weyl_bracket(mixed, x)
 
 
+@pytest.mark.parametrize("space", [super_space(1, 1), glq_space(1, 1)],
+                         ids=["super11", "glq11"])
+def test_weyl_bracket_is_the_graded_ccr(space):
+    # [d(a,r), x(b,s)] = delta_ab delta_rs, and [x, x'] = [d, d'] = 0
+    copies = 2
+    one = WeylElement.one(space, copies)
+    zero = WeylElement(space, copies)
+    gens = [(a, r) for a in range(space.dim) for r in range(copies)]
+    for (a, r), (b, s) in itertools.product(gens, repeat=2):
+        x = WeylElement.x_gen(space, copies, b, s)
+        d = WeylElement.d_gen(space, copies, a, r)
+        assert weyl_bracket(d, x) == (one if (a, r) == (b, s) else zero)
+        assert weyl_bracket(WeylElement.x_gen(space, copies, a, r),
+                            x) == zero
+        assert weyl_bracket(d, WeylElement.d_gen(space, copies, b, s)) \
+            == zero
+
+
 def filtered_monomials(parities, total):
     """Reference enumeration: every sorted multiset of generators, minus
     those that repeat an odd generator."""
