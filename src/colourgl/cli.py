@@ -35,10 +35,10 @@ from .reps import (_printable, casimir_defect, casimir_eigenvalue,
                    classify_unitarisable, gram_report, is_finite_dimensional,
                    kac_dimension, typicality)
 from .tensor import schur_weyl_table
-from .weyl import (ResourceBoundExceeded, glq_relations_check,
-                   glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,
-                   invariant_dimension, invariant_generators_check,
-                   verify_dual_pair)
+from .weyl import (ResourceBoundExceeded, _guard_invariant_basis,
+                   glq_relations_check, glvv_decomposition,
+                   howe_dimension_sweep, howe_dual_sweep, invariant_dimension,
+                   invariant_generators_check, verify_dual_pair)
 from .verify import require_dimension, run_verification
 
 WORD_CAP = 10 ** 6
@@ -190,6 +190,8 @@ def cmd_howe_sweep(args):
 def cmd_fft_check(args):
     space = load_space(args.space)
     require_dimension(space, "fft-check")
+    _guard_invariant_basis(space, args.copies, args.dual_copies,
+                           range(args.max_degree + 1))
     dims = {str(d): invariant_dimension(space, args.copies,
                                         args.dual_copies, d)
             for d in range(args.max_degree + 1)}

@@ -7,6 +7,17 @@ unprimed letters strictly increasing down columns, primed letters strictly
 increasing along rows.  The convention is pinned by the dimension identity
 sum_lambda k(lambda) f^lambda = (M+ + M-)^r, which the tests enforce.
 
+k(lambda) is the hook Schur function hs_lambda(1^M+ / 1^M-) (Berele and
+Regev, Adv. Math. 64, 1987).  _count_hook takes it by Giambelli's formula
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3), a determinant
+over the Durfee square of lambda, whose entries are hook shapes read off
+the series _series of dim S^n of the M+|M- and M-|M+ spaces; the Howe
+sweeps of weyl count dim S^n by the same series.  A shape in the hook has
+a Durfee square of side at most max(M+, M-), so the determinant, taken
+by Bareiss elimination in _det, stays small however long the arm or leg.
+hook_partitions lists the shapes of one size directly, without recursion;
+partitions_of is its case M+ = 0.
+
 Each public function checks its shape once, by check_partition (and
 hook membership once, by _hook_shape), and runs a private kernel on the
 canonical tuple: _transpose, _in_hook, _sharp, _hooks, _count_standard,
@@ -18,7 +29,6 @@ hook_partitions are, calls the kernels.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from math import factorial, prod
 
 
@@ -62,13 +72,7 @@ def _transpose(lam):
 def partitions_of(n, max_part=None):
     """All partitions of n with parts bounded by max_part, lexicographically
     decreasing."""
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    yield from hook_partitions(0, n if max_part is None else max_part, n, n)
 
 
 def in_hook(lam, m_plus, m_minus):
@@ -82,11 +86,30 @@ def _in_hook(lam, m_plus, m_minus):
 
 def hook_partitions(m_plus, m_minus, depth_bound, size):
     """All lambda of the given size in P_{M+|M-} with depth <= depth_bound,
-    in the order of partitions_of.  They are the shapes of the strip table
-    of that size, which holds every hook shape and no other."""
-    return [lam for lam in sorted(_strip_table(size, m_plus, m_minus),
-                                  reverse=True)
-            if len(lam) <= depth_bound]
+    lexicographically decreasing, as partitions_of lists them.  A shape is
+    filled greedily, each row as long as the row above, M- from row M+ on,
+    and the cells left allow; the next shape cuts the last part that can
+    shrink by one and fills again.  A part may shrink only if the rows
+    below can still hold the cells left, so no prefix is a dead end and
+    nothing recurses."""
+    def room(i, last):  # the most cells rows i.. hold below a part `last`
+        return (max(min(depth_bound, m_plus) - i, 0) * last
+                + max(depth_bound - max(i, m_plus), 0) * min(last, m_minus))
+
+    if size < 0 or depth_bound < 0 or size > room(0, size):
+        return []
+    shapes, lam, left = [], [], size
+    while True:
+        while left:
+            lam.append(min(left, lam[-1] if lam else size,
+                           m_minus if len(lam) >= m_plus else size))
+            left -= lam[-1]
+        shapes.append(tuple(lam))
+        while lam and (lam[-1] == 1 or left >= room(len(lam), lam[-1] - 1)):
+            left += lam.pop()
+        if not lam:
+            return shapes
+        lam[-1], left = lam[-1] - 1, left + 1
 
 
 def _hook_shape(lam, m_plus, m_minus):
@@ -155,54 +178,55 @@ def _dim_glN(lam, n):
 
 def count_hook_tableaux(lam, m_plus, m_minus):
     """k(lambda): the number of semistandard (M+, M-)-tableaux of shape
-    lambda.  The cells holding letters <= t form a partition, each unprimed
-    letter adds a horizontal strip and each primed letter a vertical strip,
-    so k(lambda) counts the strip chains from () to lambda; the counts are
-    read from the exhaustive transfer table of all shapes of that size,
-    which holds no shape outside the hook."""
+    lambda.  It is the hook Schur function hs_lambda(1^M+ / 1^M-)
+    (Berele and Regev 1987), which vanishes off the hook, so every shape
+    has a count and a shape outside P_{M+|M-} counts 0."""
     return _count_hook(check_partition(lam), m_plus, m_minus)
 
 
+@lru_cache(maxsize=None)
 def _count_hook(lam, m_plus, m_minus):
-    return _strip_table(sum(lam), m_plus, m_minus).get(lam, 0)
+    """Giambelli's determinant det[hs_(a_i + 1, 1^b_k)] over the Durfee
+    square of lambda, a_i = lambda_i - i - 1 and b_k = lambda'_k - k - 1
+    (0-based).  A hook value is sum_j (-1)^j h_(a+1+j) e_(b-j), where h_n
+    is dim S^n of the M+|M- space and e_n that of the M-|M+ space; every
+    index is at most |lambda|, and the series run to the next power of two
+    above it, which shapes of nearby sizes share."""
+    n = 1 << sum(lam).bit_length()
+    h, e = _series(m_plus, m_minus, n), _series(m_minus, m_plus, n)
+    arms = [p - i - 1 for i, p in enumerate(lam) if p > i]
+    legs = [c - k - 1 for k, c in enumerate(_transpose(lam)[:len(arms)])]
+    return _det([[sum((-1) ** j * h[a + 1 + j] * e[b - j]
+                      for j in range(b + 1)) for b in legs] for a in arms])
 
 
 @lru_cache(maxsize=None)
-def _strip_table(size, m_plus, m_minus):
-    """Shape -> number of strip chains, for every shape of `size` cells
-    reached by the m_plus unprimed and m_minus primed letters; the last
-    letter's strip fills the shape to `size` cells."""
-    letters = (False,) * m_plus + (True,) * m_minus
-    counts = {(): 1}
-    for t, vertical in enumerate(letters, 1):
-        step = {}
-        for shape, count in counts.items():
-            for new in _grow_strip(shape, vertical, size - sum(shape),
-                                   t == len(letters)):
-                step[new] = step.get(new, 0) + count
-        counts = step
-    return {shape: count for shape, count in counts.items()
-            if sum(shape) == size}
+def _series(even, odd, n):
+    """(dim S^k for k <= n) of a space with `even` even and `odd` odd basis
+    vectors: the coefficients c_k of F = prod_even (1 - t)^-1 prod_odd
+    (1 + t).  As (1 - t^2) F' = ((even + odd) + (even - odd) t) F,
+    (k + 1) c_(k+1) = (even + odd) c_k + (even - odd + k - 1) c_(k-1),
+    whatever the number of basis vectors."""
+    coeffs = [1, even + odd]
+    for k in range(1, n):
+        coeffs.append(((even + odd) * coeffs[k]
+                       + (even - odd + k - 1) * coeffs[k - 1]) // (k + 1))
+    return tuple(coeffs[:n + 1])
 
 
-def _grow_strip(shape, vertical, budget, fill):
-    """Every partition shape + strip with at most `budget` more cells,
-    exactly `budget` when fill.  A vertical strip adds at most one cell per
-    row: it lengthens the top t rows of each run of equal rows by one, and
-    adds rows of length 1 below.  A horizontal strip adds at most one cell
-    per column: it lengthens the top row of each run up to the part above
-    it (the first without bound), and adds one row, no longer than the
-    last, below.  The choices are made run by run, so a strip costs no
-    call per row."""
-    grown, above = [((), budget)], None  # (new rows so far, cells left)
-    for p, run in groupby(shape):
-        m = len(tuple(run))
-        limit = m if vertical else budget if above is None else above - p
-        grown = [(done + ((p + 1,) * c + (p,) * (m - c) if vertical
-                          else (p + c,) + (p,) * (m - 1)), left - c)
-                 for done, left in grown for c in range(min(limit, left) + 1)]
-        above = p
-    last = shape[-1] if shape and not vertical else budget
-    return [done + ((1,) * c if vertical else (c,) if c else ())
-            for done, left in grown
-            for c in ((left,) if fill else range(left + 1)) if c <= last]
+def _det(rows):
+    """The determinant of a square integer matrix by Bareiss's
+    fraction-free elimination, each division by the last pivot exact.  A
+    zero pivot is swapped with a lower row, changing the sign; a column
+    with none gives 0."""
+    m, sign, last = [list(row) for row in rows], 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        m[k], m[p], sign = m[p], m[k], sign if p == k else -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // last
+                    for x, y in zip(m[i], m[k])]
+        last = m[k][k]
+    return sign * last

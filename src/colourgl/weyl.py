@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 from .gl import (LinearCombination, SpaceMismatch, _add_into, _bracket_ints,
                  _bracket_pair, _dual_pair)
 from .grading import _merge
-from .partitions import _count_hook, _dim_glN, _sharp, hook_partitions
+from .partitions import (_count_hook, _dim_glN, _series, _sharp,
+                         hook_partitions)
 from .scalars import ONE, ZERO, Scalar, omega_scalar
 
 
@@ -74,11 +75,13 @@ class ResourceBoundExceeded(RuntimeError):
         self.bound = bound
 
 
-def _multichoose(n, k):
-    """Multisets of size k from n symbols; 1 for k = 0 even when n = 0."""
-    if k == 0:
-        return 1
-    return comb(n + k - 1, k) if n > 0 else 0
+def _count_monomials(even, odd, total):
+    """The closed form of dim S^total on `even` even and `odd` odd
+    generators: j odd ones, square-free, times the multisets of total - j
+    even ones, C(even + total - j - 1, total - j), which is 1 for
+    even = total - j = 0 as max(., 0) makes it."""
+    return sum(comb(odd, j) * comb(max(even + total - j - 1, 0), total - j)
+               for j in range(min(odd, total) + 1))
 
 
 class WeylElement(LinearCombination):
@@ -331,26 +334,6 @@ class OmegaPolyAlgebra:
                     range(len(odd)), total)
                 if not any(odd[g] and g == h for g, h in zip(m, m[1:]))]
 
-    def count_monomials(self, total):
-        even = sum(1 for p in self.parities if p == 1)
-        odd = len(self.parities) - even
-        return sum(_multichoose(even, total - j) * comb(odd, j)
-                   for j in range(min(odd, total) + 1))
-
-    def _series_counts(self, max_degree):
-        """[dim S^d for d = 0..max_degree]: the coefficients of t^d in
-        prod_even (1 - t)^-1 * prod_odd (1 + t), by O(n * max_degree)
-        integer additions and without listing a monomial."""
-        coeffs = [1] + [0] * max_degree
-        for p in self.parities:
-            if p == 1:  # times (1 - t)^-1: running sums
-                for d in range(1, max_degree + 1):
-                    coeffs[d] += coeffs[d - 1]
-            else:  # times (1 + t)
-                for d in range(max_degree, 0, -1):
-                    coeffs[d] += coeffs[d - 1]
-        return coeffs
-
     @cached_property
     def _tables(self):
         """(odd, om) for _merge, CommutativeFactor._table over the
@@ -403,19 +386,24 @@ def fock_algebra(space, copies, dual_copies=0):
     return alg
 
 
-def _checked_counts(alg, max_degree):
-    """[dim S^d for d <= max_degree] from the generating series, each
-    cross-checked against the closed form count_monomials.  A sweep whose
-    monomials of degree <= max_degree number more than MONOMIAL_CAP is
-    refused, by the closed forms, before the series is built."""
+def _checked_counts(factor, degrees, copies, max_degree):
+    """[dim S^d for d <= max_degree] of S_omega on `copies` copies of
+    generators of the given degrees, from the generating series
+    partitions._series, each cross-checked against the closed form
+    _count_monomials.  Both read only the numbers of even and odd
+    generators, so no generator is listed.  A sweep whose monomials of
+    degree <= max_degree number more than MONOMIAL_CAP is refused, by the
+    closed forms, before the series is built."""
+    odd = sum(factor.parity(g) == -1 for g in degrees) * copies
+    even = len(degrees) * copies - odd
     forms, size = [], 0
     for d in range(max_degree + 1):
-        forms.append(alg.count_monomials(d))
+        forms.append(_count_monomials(even, odd, d))
         size += forms[-1]
         if size > MONOMIAL_CAP:
             raise ResourceBoundExceeded(f"the sweep to degree {d}", size,
                                         MONOMIAL_CAP)
-    counts = alg._series_counts(max_degree)
+    counts = _series(even, odd, max_degree)
     for d, (count, closed) in enumerate(zip(counts, forms)):
         if count != closed:
             raise AssertionError(
@@ -426,18 +414,19 @@ def _checked_counts(alg, max_degree):
 def howe_dimension_sweep(space, copies, max_degree):
     """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
     dim S^d is counted, not listed: the coefficient of t^d in the
-    generating series of the Fock algebra, cross-checked against the
-    closed form count_monomials."""
-    return _sweep(space, copies, fock_algebra(space, copies), max_degree)
+    generating series of the Fock algebra S_omega(V^N), cross-checked
+    against the closed form, both from the parities of V."""
+    return _sweep(space, copies, space.degrees, max_degree)
 
 
 def howe_dual_sweep(space, copies, max_degree):
-    return _sweep(space, copies, fock_algebra(space, 0, copies), max_degree)
+    return _sweep(space, copies, [-g for g in space.degrees], max_degree)
 
 
-def _sweep(space, copies, alg, max_degree):
+def _sweep(space, copies, degrees, max_degree):
     rows = []
-    for d, count in enumerate(_checked_counts(alg, max_degree)):
+    for d, count in enumerate(_checked_counts(space.factor, degrees, copies,
+                                              max_degree)):
         total = sum(_count_hook(lam, space.m_plus, space.m_minus)
                     * _dim_glN(lam, copies)
                     for lam in hook_partitions(space.m_plus, space.m_minus,
@@ -453,17 +442,15 @@ def glvv_decomposition(space_v, space_w, max_degree):
     paired-weight table for |lambda| <= max_degree.  The dimension is
     counted as in howe_dimension_sweep.  One walk over the hook shapes of
     V per degree gives both: lambda is in the hook of W exactly when
-    k_W(lambda) is nonzero, as the strip table holds every hook shape and
-    no other."""
+    k_W(lambda) is nonzero, as hs_lambda vanishes off the hook."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
-    degrees = [dw - dv
-               for dv in space_v.degrees for dw in space_w.degrees]
-    alg = OmegaPolyAlgebra(space_v.factor, degrees)
+    degrees = [dw - dv for dv in space_v.degrees for dw in space_w.degrees]
     vp, vm, wp, wm = (space_v.m_plus, space_v.m_minus, space_w.m_plus,
                       space_w.m_minus)
     rows, pairs = [], []
-    for d, count in enumerate(_checked_counts(alg, max_degree)):
+    for d, count in enumerate(_checked_counts(space_v.factor, degrees, 1,
+                                              max_degree)):
         total = 0
         for lam in hook_partitions(vp, vm, d, d):
             k_w = _count_hook(lam, wp, wm)
@@ -554,6 +541,22 @@ def _gl_images(space, copies, dual_copies, monos):
     return images
 
 
+def _guard_invariant_basis(space, copies, dual_copies, degrees):
+    """Refuse invariant_dimension at the first of `degrees` whose
+    zero-weight basis, an x- times an xbar-monomial, is larger than
+    INVARIANT_BASIS_CAP: by the closed forms on the parities of V, before
+    any generator is listed.  xbar(a, s) has degree -gamma_a, whose
+    parity omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
+    x(a, r)."""
+    odd = space.parities.count(-1)
+    for d in degrees:
+        size = prod(_count_monomials((space.dim - odd) * n, odd * n, d)
+                    for n in (copies, dual_copies))
+        if size > INVARIANT_BASIS_CAP:
+            raise ResourceBoundExceeded("invariant_dimension", size,
+                                        INVARIANT_BASIS_CAP)
+
+
 def invariant_dimension(space, copies, dual_copies, degree):
     """Dimension of the gl(V)-invariants in the bidegree (d, d) component
     of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
@@ -563,14 +566,10 @@ def invariant_dimension(space, copies, dual_copies, degree):
     products of the quadratic invariants z_rs span the kernel.  The E_ab
     images, the z-products and their invariance defects are integer
     Laurent dicts; a Scalar is built only in the rows for rank_of_rows."""
+    _guard_invariant_basis(space, copies, dual_copies, (degree,))
     n = space.dim
     x_alg = fock_algebra(space, copies)
     xbar_alg = fock_algebra(space, 0, dual_copies)
-    # the zero-weight basis pairs an x- with an xbar-monomial
-    size = x_alg.count_monomials(degree) * xbar_alg.count_monomials(degree)
-    if size > INVARIANT_BASIS_CAP:
-        raise ResourceBoundExceeded("invariant_dimension", size,
-                                    INVARIANT_BASIS_CAP)
     alg = fock_algebra(space, copies, dual_copies)
 
     # zero-weight basis: x-part and dual-part use each basis index equally,

@@ -6,13 +6,15 @@ Each of them converted and checked its shape, and they called one another,
 so a shape was checked again at every call; dim_glN multiplied one
 Fraction per box.  is_partition and check_partition are here as they were
 too: check_partition truncated non-int parts and dropped every zero.
-The strip table is unchanged and imported from the package.
+k(lambda) was read from the strip table, _strip_table and _grow_strip,
+kept here verbatim as the oracle of the package's Giambelli determinant
+and shape generator in tests/test_partition_kernels.py.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from math import factorial
-
-from colourgl.partitions import _strip_table
 
 
 def is_partition(parts):
@@ -35,6 +37,18 @@ def transpose(lam):
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
+def partitions_of(n, max_part=None):
+    """All partitions of n with parts bounded by max_part, lexicographically
+    decreasing."""
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_part is None else min(max_part, n)
+    for first in range(cap, 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
+
+
 def in_hook(lam, m_plus, m_minus):
     """Membership in P_{M+|M-}: lambda_{M+ + 1} <= M-."""
     lam = check_partition(lam)
@@ -52,6 +66,15 @@ def lambda_sharp(lam, m_plus, m_minus):
     minus = tuple(max((lamt[j] if j < len(lamt) else 0) - m_plus, 0)
                   for j in range(m_minus))
     return plus + minus
+
+
+def hook_partitions(m_plus, m_minus, depth_bound, size):
+    """All lambda of the given size in P_{M+|M-} with depth <= depth_bound,
+    in the order of partitions_of.  They are the shapes of the strip table
+    of that size, which holds every hook shape and no other."""
+    return [lam for lam in sorted(_strip_table(size, m_plus, m_minus),
+                                  reverse=True)
+            if len(lam) <= depth_bound]
 
 
 def hooks(lam):
@@ -97,3 +120,44 @@ def count_hook_tableaux(lam, m_plus, m_minus):
     which holds no shape outside the hook."""
     lam = check_partition(lam)
     return _strip_table(sum(lam), m_plus, m_minus).get(lam, 0)
+
+
+@lru_cache(maxsize=None)
+def _strip_table(size, m_plus, m_minus):
+    """Shape -> number of strip chains, for every shape of `size` cells
+    reached by the m_plus unprimed and m_minus primed letters; the last
+    letter's strip fills the shape to `size` cells."""
+    letters = (False,) * m_plus + (True,) * m_minus
+    counts = {(): 1}
+    for t, vertical in enumerate(letters, 1):
+        step = {}
+        for shape, count in counts.items():
+            for new in _grow_strip(shape, vertical, size - sum(shape),
+                                   t == len(letters)):
+                step[new] = step.get(new, 0) + count
+        counts = step
+    return {shape: count for shape, count in counts.items()
+            if sum(shape) == size}
+
+
+def _grow_strip(shape, vertical, budget, fill):
+    """Every partition shape + strip with at most `budget` more cells,
+    exactly `budget` when fill.  A vertical strip adds at most one cell per
+    row: it lengthens the top t rows of each run of equal rows by one, and
+    adds rows of length 1 below.  A horizontal strip adds at most one cell
+    per column: it lengthens the top row of each run up to the part above
+    it (the first without bound), and adds one row, no longer than the
+    last, below.  The choices are made run by run, so a strip costs no
+    call per row."""
+    grown, above = [((), budget)], None  # (new rows so far, cells left)
+    for p, run in groupby(shape):
+        m = len(tuple(run))
+        limit = m if vertical else budget if above is None else above - p
+        grown = [(done + ((p + 1,) * c + (p,) * (m - c) if vertical
+                          else (p + c,) + (p,) * (m - 1)), left - c)
+                 for done, left in grown for c in range(min(limit, left) + 1)]
+        above = p
+    last = shape[-1] if shape and not vertical else budget
+    return [done + ((1,) * c if vertical else (c,) if c else ())
+            for done, left in grown
+            for c in ((left,) if fill else range(left + 1)) if c <= last]

@@ -13,13 +13,17 @@ OmegaPolyAlgebra.multiply, one Scalar per term; _reduce, under
 rank_of_rows, negates the pivot coefficient once per product and adds a
 zero sum in the pivot column; glvv_decomposition walks the hook shapes
 of each degree twice, once for the rows and once for the pairs (the
-oracle of tests/test_rules_once.py).  Each name here calls the
-others of this module, never the package's new code, except for the
-unchanged helpers imported below (the package-relative imports of
-glq_relations_check read from colourgl).
+oracle of tests/test_rules_once.py), and counts dim S^d by
+_checked_counts over the running sums of _series_counts, one pass per
+generator, against the closed form count_monomials.  Those two were
+methods of OmegaPolyAlgebra and are functions of the algebra here.  Each
+name here calls the others of this module, never the package's new code,
+except for the unchanged helpers imported below (the package-relative
+imports of glq_relations_check read from colourgl).
 """
 
 import itertools
+from math import comb
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
 from colourgl.grading import _merge
@@ -28,8 +32,8 @@ from colourgl.partitions import (_count_hook, _in_hook, _sharp, dim_glN,
 from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from colourgl.tensor import dual_act
 from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
-                           OmegaPolyAlgebra, ResourceBoundExceeded,
-                           WeylElement, _checked_counts, _derive,
+                           MONOMIAL_CAP, OmegaPolyAlgebra,
+                           ResourceBoundExceeded, WeylElement, _derive,
                            dual_pair_generators, fock_algebra,
                            howe_dimension_sweep)
 
@@ -279,7 +283,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
     x_alg = fock_algebra(space, copies)
     xbar_alg = fock_algebra(space, 0, dual_copies)
     # the zero-weight basis pairs an x- with an xbar-monomial
-    size = x_alg.count_monomials(degree) * xbar_alg.count_monomials(degree)
+    size = count_monomials(x_alg, degree) * count_monomials(xbar_alg, degree)
     if size > INVARIANT_BASIS_CAP:
         raise ResourceBoundExceeded("invariant_dimension", size,
                                     INVARIANT_BASIS_CAP)
@@ -394,6 +398,55 @@ def rank_of_rows(rows):
     """Row rank of sparse rows (dicts column -> Scalar) over Q(q)."""
     echelon = {}
     return sum(_reduce(echelon, row) is not None for row in rows)
+
+
+def _multichoose(n, k):
+    """Multisets of size k from n symbols; 1 for k = 0 even when n = 0."""
+    if k == 0:
+        return 1
+    return comb(n + k - 1, k) if n > 0 else 0
+
+
+def count_monomials(self, total):
+    even = sum(1 for p in self.parities if p == 1)
+    odd = len(self.parities) - even
+    return sum(_multichoose(even, total - j) * comb(odd, j)
+               for j in range(min(odd, total) + 1))
+
+
+def _series_counts(self, max_degree):
+    """[dim S^d for d = 0..max_degree]: the coefficients of t^d in
+    prod_even (1 - t)^-1 * prod_odd (1 + t), by O(n * max_degree)
+    integer additions and without listing a monomial."""
+    coeffs = [1] + [0] * max_degree
+    for p in self.parities:
+        if p == 1:  # times (1 - t)^-1: running sums
+            for d in range(1, max_degree + 1):
+                coeffs[d] += coeffs[d - 1]
+        else:  # times (1 + t)
+            for d in range(max_degree, 0, -1):
+                coeffs[d] += coeffs[d - 1]
+    return coeffs
+
+
+def _checked_counts(alg, max_degree):
+    """[dim S^d for d <= max_degree] from the generating series, each
+    cross-checked against the closed form count_monomials.  A sweep whose
+    monomials of degree <= max_degree number more than MONOMIAL_CAP is
+    refused, by the closed forms, before the series is built."""
+    forms, size = [], 0
+    for d in range(max_degree + 1):
+        forms.append(count_monomials(alg, d))
+        size += forms[-1]
+        if size > MONOMIAL_CAP:
+            raise ResourceBoundExceeded(f"the sweep to degree {d}", size,
+                                        MONOMIAL_CAP)
+    counts = _series_counts(alg, max_degree)
+    for d, (count, closed) in enumerate(zip(counts, forms)):
+        if count != closed:
+            raise AssertionError(
+                f"monomial count {count} != closed form {closed} at d={d}")
+    return counts
 
 
 def glvv_decomposition(space_v, space_w, max_degree):

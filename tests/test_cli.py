@@ -269,6 +269,18 @@ def test_strip_tables_of_a_thousand_rows_exit_0(capsys, argv):
     assert code == 0 and doc["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("howe-sweep", "--space", "super(2|2)", "--copies", "1",
+     "--max-degree", "200"),
+    ("tableaux", "--space", "super(0|3)", "--size", "150")])
+def test_long_rows_and_tall_shapes_end_fast(capsys, argv):
+    # each took over a minute or 13 s with the strip table
+    start = time.perf_counter()
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["ok"] is True
+    assert time.perf_counter() - start < 2
+
+
 def test_verify_reports_skipped_suites(capsys):
     code, doc = run_json(capsys, "verify", "--space", "super(3|3)",
                          "--level", "quick")

@@ -1,26 +1,34 @@
 """The partition kernels against the functions they replaced, which
 parent_partitions keeps verbatim: every public function of partitions and
-its kernel agree with the parent on every partition of n <= 12, for
-M+, M- <= 3 and N <= 6.  A public call checks its shape exactly once, and
-the CLI jobs that walk hook_partitions check no shape per report row."""
+its kernel agree with the parent on every partition of n <= 14, for
+M+, M- <= 3 and N <= 6.  So Giambelli's k(lambda) agrees with the strip
+table on all 8128 pairs of a shape and a hook class, shapes off the hook
+included, and the shape generator lists the strip table's shapes.  A
+public call checks its shape exactly once, and the CLI jobs that walk
+hook_partitions check no shape per report row."""
 
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
 import parent_partitions as parent
+import parent_weyl
 from colourgl import cli, partitions, tensor
-from colourgl.partitions import (_count_hook, _count_standard, _dim_glN,
-                                 _hooks, _in_hook, _sharp, _transpose,
-                                 count_hook_tableaux, count_standard_tableaux,
-                                 dim_glN, hooks, in_hook, lambda_sharp,
-                                 partitions_of, transpose)
+from colourgl.partitions import (_count_hook, _count_standard, _det,
+                                 _dim_glN, _hooks, _in_hook, _series, _sharp,
+                                 _transpose, count_hook_tableaux,
+                                 count_standard_tableaux, dim_glN,
+                                 hook_partitions, hooks, in_hook,
+                                 lambda_sharp, partitions_of, transpose)
 from colourgl.presets import super_space
 
-SHAPES = [lam for n in range(13) for lam in partitions_of(n)]
+SHAPES = [lam for n in range(15) for lam in parent.partitions_of(n)]
 HOOK_CLASSES = list(itertools.product(range(4), repeat=2))
 SPACE = super_space(2, 1)
 WORD = tensor.seed_word(SPACE, (3, 2, 1))
@@ -53,6 +61,56 @@ def test_hook_class_sharp_and_hook_counts_match_the_parent():
             assert count_hook_tableaux(lam, mp, mm) == \
                 _count_hook(lam, mp, mm) == \
                 parent.count_hook_tableaux(lam, mp, mm), (lam, mp, mm)
+
+
+def test_shape_generator_matches_the_strip_table():
+    for n in range(15):
+        for mp, mm in HOOK_CLASSES:
+            for depth in (0, 1, 2, 3, 99):
+                assert hook_partitions(mp, mm, depth, n) == \
+                    parent.hook_partitions(mp, mm, depth, n), (mp, mm, n)
+        for max_part in (None, 0, 1, 2, 3):
+            assert list(partitions_of(n, max_part)) == \
+                list(parent.partitions_of(n, max_part)), (n, max_part)
+
+
+def test_the_generator_refuses_what_no_shape_fits():
+    # the strip table answered hook_partitions(1, 0, 1, -2) with (-2,)
+    assert hook_partitions(2, 2, -1, 0) == []
+    assert hook_partitions(1, 0, 1, -2) == list(partitions_of(-2)) == []
+
+
+def leibniz(rows):
+    n = len(rows)
+    return sum(perm_sign(p) * prod(rows[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def perm_sign(p):
+    return (-1) ** sum(p[i] > p[j] for i, j in
+                       itertools.combinations(range(len(p)), 2))
+
+
+def test_bareiss_determinant_matches_leibniz():
+    rng = random.Random(7)
+    for n in range(6):
+        for _ in range(40):
+            # many zeros, so that pivots vanish and rows are swapped
+            rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            assert _det(rows) == leibniz(rows), rows
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 0], [0, 1]]) == 0
+    assert _det([]) == 1
+
+
+def test_series_matches_the_running_sums():
+    # the recurrence of (1 - t^2) F' against one pass per generator
+    for even in range(5):
+        for odd in range(5):
+            alg = SimpleNamespace(parities=[1] * even + [-1] * odd)
+            assert list(_series(even, odd, 30)) == \
+                parent_weyl._series_counts(alg, 30), (even, odd)
 
 
 def test_integer_dim_glN_matches_the_parent_fractions():

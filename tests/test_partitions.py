@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from colourgl.partitions import (check_partition, count_hook_tableaux,
+from colourgl.partitions import (_count_hook, _count_standard, _series,
+                                 check_partition, count_hook_tableaux,
                                  count_standard_tableaux, dim_glN, hooks,
                                  hook_partitions, in_hook, lambda_sharp,
                                  partitions_of, transpose)
@@ -185,6 +187,24 @@ def test_dimension_identity_pins_the_convention():
             assert total == d ** r, (m_plus, m_minus, r)
 
 
+@pytest.mark.parametrize("m_plus, m_minus, r", [(2, 2, 30), (1, 3, 40)])
+def test_dimension_identity_on_long_words(m_plus, m_minus, r):
+    # every hook shape of 30 or 40 cells, tall ones included
+    total = sum(_count_hook(lam, m_plus, m_minus) * _count_standard(lam)
+                for lam in hook_partitions(m_plus, m_minus, r, r))
+    assert total == (m_plus + m_minus) ** r
+
+
+def test_a_shape_of_360_cells_counts_at_once():
+    # three rows of 60 over sixty rows of 3 in the 3|3 hook; the
+    # Jacobi-Trudi determinant of size 63 gives 512 too
+    _count_hook.cache_clear()
+    _series.cache_clear()
+    start = time.perf_counter()
+    assert count_hook_tableaux((60,) * 3 + (3,) * 60, 3, 3) == 512
+    assert time.perf_counter() - start < 0.1
+
+
 def skew_diagram_sharp(lam, m_plus, m_minus):
     """Independent route: lambda+ is the first M+ rows and lambda- is the
     transpose of the skew remainder lambda/lambda+."""
@@ -225,7 +245,7 @@ def test_hook_partitions_list():
 
 
 def test_hook_partitions_match_the_filter():
-    # the strip table's shapes, sorted, are the old filter of partitions_of
+    # the generated shapes are partitions_of filtered by the hook and depth
     for size in range(13):
         for m_plus in range(4):
             for m_minus in range(4):
