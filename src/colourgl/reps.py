@@ -22,7 +22,7 @@ from .gl import GlElement, _add_into, _bracket_pair, rho, weight_inner
 from .grading import _Record, _merge
 from .partitions import _hook_shape, _in_hook, _sharp, _transpose
 from .scalars import ONE, Scalar
-from .tensor import TensorVector, _highest_weight_vector, gl_act_tensor
+from .tensor import TensorVector, _act, _as_vector, _witness, gl_act_tensor
 from .weyl import ResourceBoundExceeded
 
 # most basis elements of a Kac module (2^(M+ M-) n+ n-, n+- the lengths of
@@ -159,10 +159,26 @@ def casimir_defect(space, lam):
     of a hook partition; zero because the central element Omega acts on a
     highest weight module by exactly that scalar."""
     lam = _hook_shape(lam, space.m_plus, space.m_minus)
-    v = _highest_weight_vector(space, lam)
+    return _casimir_defect(space, lam, _witness(space, lam))
+
+
+def _casimir_defect(space, lam, terms):
+    """casimir_defect on the integer witness {(word, e): n} of v: with the
+    eigenvalue N/D, D Omega v - N v on ints, Omega = sum_ab omega(g_b, g_b)
+    E_ab E_ba applied by tensor._act, then divided by D as Scalars."""
     sharp = _sharp(lam, space.m_plus, space.m_minus)
-    scalar = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
-    return casimir_apply(space, v) - v.scale(Scalar.from_rational(scalar))
+    value = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
+    num, den = value.numerator, value.denominator
+    pairs = space._omega_pairs
+    out = {key: -num * n for key, n in terms.items()}
+    for a in range(space.dim):
+        for b in range(space.dim):
+            c = -den if space.parities[b] == -1 else den
+            for key, n in _act(pairs, a, b, _act(pairs, b, a, terms)).items():
+                out[key] = out.get(key, 0) + c * n
+    defect = _as_vector(space, sum(lam),
+                        {key: n for key, n in out.items() if n})
+    return defect.scale(Scalar.from_rational(Fraction(1, den)))
 
 
 # -- unitarisability classification ------------------------------------------

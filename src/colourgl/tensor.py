@@ -19,6 +19,15 @@ block sum is zero when a repeated letter has the wrong parity (omega(a, a)
 the distinct arrangements of the block's letters, each taken by one
 permutation acting with the omega product over the inversions of the whole
 slot permutation (young_symmetrize).
+
+The Schur-Weyl and Casimir checks run on the integer witness of C_lambda,
+{(word, e): n} for the terms n q^e word, the sign folded into n: the block
+sums, each word taking the pair Psi(seed) / Psi(word) (_young_terms).
+_act applies E_ab to such a witness with the prefix pairs that
+gl_act_tensor reads from the rows _omega_pairs[a] and [b], and drops what
+cancels, so a witness is killed exactly when its image is empty.  A
+TensorVector is built only where a public function returns one
+(_as_vector).
 """
 
 from __future__ import annotations
@@ -313,10 +322,13 @@ def young_symmetrize(space, lam, word):
     if len(word) != sum(lam) or any(not 0 <= a < space.dim for a in word):
         raise ValueError(f"{word} is not a word of {sum(lam)} letters in "
                          f"range({space.dim})")
-    return _young_symmetrize(space, lam, word)
+    return _as_vector(space, len(word), _young_terms(space, lam, word))
 
 
-def _young_symmetrize(space, lam, word):
+def _young_terms(space, lam, word):
+    """C_lambda on word as an integer witness {(w, e): n}, the term
+    n q^e w: the block sums, then Psi(word) / Psi(w) on each word w, its
+    sign folded into n."""
     pairs = space._omega_pairs
     rows, cols = _rows_and_columns(lam)
     memo = {}
@@ -328,8 +340,39 @@ def _young_symmetrize(space, lam, word):
     out = {}
     for w, n in terms.items():
         s, e, _ = _merge((), w, (), pairs)
-        out[w] = omega_scalar(s0 ^ s, e0 - e, Scalar.from_rational(n))
-    return TensorVector(space, len(word), out)
+        out[w, e0 - e] = -n if s0 ^ s else n
+    return out
+
+
+def _as_vector(space, power, terms):
+    """The TensorVector of an integer witness {(w, e): n}: each word w
+    takes the Laurent polynomial sum_e n q^e."""
+    laurent = {}
+    for (w, e), n in terms.items():
+        laurent.setdefault(w, {})[e] = n
+    return TensorVector(space, power, {
+        w: Scalar.from_laurent(c) for w, c in laurent.items()})
+
+
+def _act(pairs, a, b, terms):
+    """E_ab on an integer witness {(word, e): n}: gl_act_tensor's prefix
+    pairs, from the rows pairs[a] and pairs[b], with the sign folded into
+    n.  Zero coefficients are dropped, so the image is zero iff empty."""
+    step = [(sa ^ sb, ea - eb)
+            for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
+    out = {}
+    for (word, e), n in terms.items():
+        if b not in word:
+            continue
+        s = 0
+        for j, letter in enumerate(word):
+            if letter == b:
+                key = word[:j] + (a,) + word[j + 1:], e
+                out[key] = out.get(key, 0) + (-n if s else n)
+            ds, de = step[letter]
+            s ^= ds
+            e += de
+    return {key: n for key, n in out.items() if n}
 
 
 def highest_weight_vector(space, lam):
@@ -340,12 +383,14 @@ def highest_weight_vector(space, lam):
     repeated letter has the wrong parity, else prod m_a! times one
     representative per arrangement, acting by the omega product over the
     inversions of its whole slot permutation."""
-    return _highest_weight_vector(
-        space, _hook_shape(lam, space.m_plus, space.m_minus))
+    lam = _hook_shape(lam, space.m_plus, space.m_minus)
+    return _as_vector(space, sum(lam), _witness(space, lam))
 
 
-def _highest_weight_vector(space, lam):
-    return _young_symmetrize(space, lam, _seed_word(space, lam))
+def _witness(space, lam):
+    """The integer witness of the highest weight vector of lam: C_lambda on
+    the seed word."""
+    return _young_terms(space, lam, _seed_word(space, lam))
 
 
 def is_highest_weight(space, v):
@@ -358,10 +403,31 @@ def is_highest_weight(space, v):
     return True
 
 
+def _check_witness(space, lam, sharp, terms):
+    """The checks of schur_weyl_table on the integer witness of lam: it is
+    nonzero, every word has the letters of the seed word, whose letter
+    counts are lambda#, and every strictly upper E_ab kills it."""
+    if not terms:
+        raise AssertionError(f"highest weight vector vanished: {lam}")
+    seed = _seed_word(space, lam)
+    letters = sorted(seed)
+    if any(sorted(w) != letters for w, _ in terms):
+        raise AssertionError(f"hwv({lam}) has words of more than one weight")
+    counts = tuple(map(seed.count, range(space.dim)))
+    if counts != sharp:
+        raise AssertionError(
+            f"weight of hwv({lam}) is {counts}, expected {sharp}")
+    pairs = space._omega_pairs
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            if _act(pairs, a, b, terms):
+                raise AssertionError(f"hwv({lam}) is not annihilated by n+")
+
+
 def schur_weyl_table(space, r):
     """Rows (lambda, lambda#, k(lambda), f^lambda) over all lambda of r in
     the hook class; checks sum k*f = (dim V)^r and witnesses each lambda#
-    by an explicit highest weight vector."""
+    by an explicit highest weight vector, checked on its integer terms."""
     mp, mm = space.m_plus, space.m_minus
     rows = []
     total = 0
@@ -370,16 +436,7 @@ def schur_weyl_table(space, r):
         f = _count_standard(lam)
         sharp = _sharp(lam, mp, mm)
         total += k * f
-        v = _highest_weight_vector(space, lam)
-        if v.is_zero():
-            raise AssertionError(f"highest weight vector vanished: {lam}")
-        wt = v.weight()
-        expected = tuple(Fraction(c) for c in sharp)
-        if wt != expected:
-            raise AssertionError(
-                f"weight of hwv({lam}) is {wt}, expected {expected}")
-        if not is_highest_weight(space, v):
-            raise AssertionError(f"hwv({lam}) is not annihilated by n+")
+        _check_witness(space, lam, sharp, _witness(space, lam))
         rows.append({"partition": lam, "sharp": sharp, "k": k, "f": f})
     if total != space.dim ** r:
         raise AssertionError(

@@ -1,0 +1,106 @@
+"""The Schur-Weyl and Casimir witnesses as they were before they were
+checked on integer omega pairs, kept verbatim as oracles for
+tests/test_tensor_witness.py.
+
+_young_symmetrize turned the integer block sums into one Scalar per word,
+schur_weyl_table checked the Scalar witness by TensorVector.weight and
+is_highest_weight, which applies every upper E_ab through gl_act_tensor,
+and casimir_defect applied casimir_apply, gl_act_tensor twice per (a, b),
+and subtracted the eigenvalue times v as Scalars.  The helpers they call
+are unchanged and imported from the package.
+"""
+
+from fractions import Fraction
+
+from colourgl.gl import GlElement
+from colourgl.grading import _merge
+from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
+                                 _sharp, hook_partitions)
+from colourgl.reps import casimir_eigenvalue
+from colourgl.scalars import ONE, Scalar, omega_scalar
+from colourgl.tensor import (TensorVector, _block_sums, _rows_and_columns,
+                             _seed_word, gl_act_tensor)
+
+
+def _young_symmetrize(space, lam, word):
+    pairs = space._omega_pairs
+    rows, cols = _rows_and_columns(lam)
+    memo = {}
+    terms = _block_sums(pairs, rows, {word: 1}, False, memo)
+    terms = _block_sums(pairs, cols, terms, True, memo)
+    # Psi(w) is the pair of sorting w, with no letter odd to _merge: words
+    # of V^(tensor r) may repeat odd letters
+    s0, e0, _ = _merge((), word, (), pairs)
+    out = {}
+    for w, n in terms.items():
+        s, e, _ = _merge((), w, (), pairs)
+        out[w] = omega_scalar(s0 ^ s, e0 - e, Scalar.from_rational(n))
+    return TensorVector(space, len(word), out)
+
+
+def _highest_weight_vector(space, lam):
+    return _young_symmetrize(space, lam, _seed_word(space, lam))
+
+
+def is_highest_weight(space, v):
+    """True iff every strictly upper matrix unit kills v."""
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            if not gl_act_tensor(
+                    GlElement.matrix_unit(space, a, b), v).is_zero():
+                return False
+    return True
+
+
+def schur_weyl_table(space, r):
+    """Rows (lambda, lambda#, k(lambda), f^lambda) over all lambda of r in
+    the hook class; checks sum k*f = (dim V)^r and witnesses each lambda#
+    by an explicit highest weight vector."""
+    mp, mm = space.m_plus, space.m_minus
+    rows = []
+    total = 0
+    for lam in hook_partitions(mp, mm, r, r):
+        k = _count_hook(lam, mp, mm)
+        f = _count_standard(lam)
+        sharp = _sharp(lam, mp, mm)
+        total += k * f
+        v = _highest_weight_vector(space, lam)
+        if v.is_zero():
+            raise AssertionError(f"highest weight vector vanished: {lam}")
+        wt = v.weight()
+        expected = tuple(Fraction(c) for c in sharp)
+        if wt != expected:
+            raise AssertionError(
+                f"weight of hwv({lam}) is {wt}, expected {expected}")
+        if not is_highest_weight(space, v):
+            raise AssertionError(f"hwv({lam}) is not annihilated by n+")
+        rows.append({"partition": lam, "sharp": sharp, "k": k, "f": f})
+    if total != space.dim ** r:
+        raise AssertionError(
+            f"sum k(lambda) f^lambda = {total} != (dim V)^r = {space.dim**r}")
+    return rows
+
+
+def casimir_apply(space, v):
+    """The quadratic Casimir sum_ab omega(g_b, g_b) E_ab E_ba on a tensor
+    vector."""
+    out = TensorVector(space, v.power)
+    for a in range(space.dim):
+        for b in range(space.dim):
+            inner = gl_act_tensor(GlElement.matrix_unit(space, b, a), v)
+            term = gl_act_tensor(GlElement.matrix_unit(space, a, b), inner)
+            if space.parities[b] == -1:
+                term = term.scale(-ONE)
+            out = out + term
+    return out
+
+
+def casimir_defect(space, lam):
+    """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
+    of a hook partition; zero because the central element Omega acts on a
+    highest weight module by exactly that scalar."""
+    lam = _hook_shape(lam, space.m_plus, space.m_minus)
+    v = _highest_weight_vector(space, lam)
+    sharp = _sharp(lam, space.m_plus, space.m_minus)
+    scalar = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
+    return casimir_apply(space, v) - v.scale(Scalar.from_rational(scalar))
