@@ -20,7 +20,7 @@ from .tensor import (SymGroupElement, TensorVector, apply_permutation,
                      highest_weight_vector, schur_weyl_table)
 from .weyl import (FockVector, ResourceBoundExceeded, WeylElement,
                    dual_pair_generators, fock_apply, glq_relations_check,
-                   glvv_decomposition, howe_dimension_sweep, howe_dual_sweep,
+                   glvv_decomposition, howe_dimension_sweep,
                    invariant_dimension, verify_dual_pair, weyl_bracket,
                    weyl_multiply)
 

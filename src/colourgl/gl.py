@@ -29,9 +29,12 @@ record's, and a container writes only its constructor.
 Sums taken term by term into a dict that must stay free of zeros go
 through _add_into, which drops a key whose sum is zero: the containers'
 arithmetic, bracket and _bracket_ints here, and the Kac module's action
-on ints.  The integer kernels of tensor (_block_sums) and weyl (the word
-kernels, _commutator, _gl_images and the z-products of fft-check)
+on ints.  The integer kernels of tensor (_block_sums, _act) and weyl (the
+word kernels, _commutator, _gl_images and the z-products of fft-check)
 accumulate with dict.get and drop the zero entries once, at the end.
+Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
+summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
+one bridge from them to Scalars, for tensor, reps and weyl.
 """
 
 from __future__ import annotations
@@ -150,6 +153,28 @@ def _add_into(terms, key, coef):
         terms[key] = new
     elif old is not None:
         del terms[key]
+
+
+def _add_ints(out, poly, coef=1, shift=0):
+    """out += coef q^shift poly, for {(word, e): int} dicts."""
+    for (word, e), c in poly.items():
+        key = (word, e + shift)
+        out[key] = out.get(key, 0) + coef * c
+
+
+def _to_scalars(products):
+    """{word: Scalar} from (coef, {(word, e): int}) pairs: coef times the
+    Laurent polynomial p of each word, one Scalar product per word unless
+    coef is ONE, as in the rows of every rank computation."""
+    out = {}
+    for coef, poly in products:
+        by_word = {}
+        for (word, e), c in poly.items():
+            by_word.setdefault(word, {})[e] = c
+        for word, p in by_word.items():
+            p = Scalar.from_laurent(p)
+            _add_into(out, word, p if coef is ONE else coef * p)
+    return out
 
 
 class LinearCombination(_Record):

@@ -9,7 +9,10 @@ commutation relations.  Gram blocks and their inertia run on ints after
 one positive rescaling; Fractions enter only where lambda has a
 non-integral coordinate.  Dual weights are closed form: the Kac-module
 lowest weight for a typical lambda, the Berele-Regev transpose for an
-atypical a*E + mu#; no module is built for either.
+atypical a*E + mu#; no module is built for either.  casimir_defect runs
+on the integer witness of tensor._witness: the Casimir by tensor._act,
+summed by gl._add_ints, and one Scalar per word at the end, by
+gl._to_scalars.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import GlElement, _add_into, _bracket_pair, rho, weight_inner
+from .gl import (_add_ints, _add_into, _bracket_pair, _to_scalars, rho,
+                 weight_inner)
 from .grading import _Record, _merge
 from .partitions import _hook_shape, _in_hook, _sharp, _transpose
-from .scalars import ONE, Scalar
-from .tensor import TensorVector, _act, _as_vector, _witness, gl_act_tensor
+from .scalars import Scalar
+from .tensor import TensorVector, _act, _witness
 from .weyl import ResourceBoundExceeded
 
 # most basis elements of a Kac module (2^(M+ M-) n+ n-, n+- the lengths of
@@ -140,20 +144,6 @@ def casimir_eigenvalue(space, lam):
     return weight_inner(space, shifted, lam)
 
 
-def casimir_apply(space, v):
-    """The quadratic Casimir sum_ab omega(g_b, g_b) E_ab E_ba on a tensor
-    vector."""
-    out = TensorVector(space, v.power)
-    for a in range(space.dim):
-        for b in range(space.dim):
-            inner = gl_act_tensor(GlElement.matrix_unit(space, b, a), v)
-            term = gl_act_tensor(GlElement.matrix_unit(space, a, b), inner)
-            if space.parities[b] == -1:
-                term = term.scale(-ONE)
-            out = out + term
-    return out
-
-
 def casimir_defect(space, lam):
     """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
     of a hook partition; zero because the central element Omega acts on a
@@ -173,12 +163,11 @@ def _casimir_defect(space, lam, terms):
     out = {key: -num * n for key, n in terms.items()}
     for a in range(space.dim):
         for b in range(space.dim):
-            c = -den if space.parities[b] == -1 else den
-            for key, n in _act(pairs, a, b, _act(pairs, b, a, terms)).items():
-                out[key] = out.get(key, 0) + c * n
-    defect = _as_vector(space, sum(lam),
-                        {key: n for key, n in out.items() if n})
-    return defect.scale(Scalar.from_rational(Fraction(1, den)))
+            _add_ints(out, _act(pairs, a, b, _act(pairs, b, a, terms)),
+                      -den if space.parities[b] == -1 else den)
+    return TensorVector(space, sum(lam), _to_scalars(
+        [(Scalar.from_rational(Fraction(1, den)),
+          {key: n for key, n in out.items() if n})]))
 
 
 # -- unitarisability classification ------------------------------------------

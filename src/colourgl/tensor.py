@@ -20,14 +20,15 @@ the distinct arrangements of the block's letters, each taken by one
 permutation acting with the omega product over the inversions of the whole
 slot permutation (young_symmetrize).
 
-The Schur-Weyl and Casimir checks run on the integer witness of C_lambda,
-{(word, e): n} for the terms n q^e word, the sign folded into n: the block
-sums, each word taking the pair Psi(seed) / Psi(word) (_young_terms).
-_act applies E_ab to such a witness with the prefix pairs that
-gl_act_tensor reads from the rows _omega_pairs[a] and [b], and drops what
-cancels, so a witness is killed exactly when its image is empty.  A
-TensorVector is built only where a public function returns one
-(_as_vector).
+The gl(V)-action through the iterated coproduct is stated once, in _act:
+E_ab on {(word, e): n}, the terms n q^e word, with the prefix pairs read
+from the rows _omega_pairs[a] and [b] and the sign folded into n.  The
+Schur-Weyl and Casimir checks run it on the integer witness of C_lambda,
+the block sums, each word taking the pair Psi(seed) / Psi(word)
+(_young_terms); it drops what cancels, so a witness is killed exactly when
+its image is empty.  gl_act_tensor runs it on Scalar coefficients.  A
+TensorVector is built only where a public function returns one, by
+gl._to_scalars.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import (GlElement, LinearCombination, SpaceMismatch, _add_into,
-                 _dual_pair)
+from .gl import (LinearCombination, SpaceMismatch, _add_into, _dual_pair,
+                 _to_scalars)
 from .grading import _merge
 from .partitions import (_count_hook, _count_standard, _hook_shape, _sharp,
                          check_partition, hook_partitions)
-from .scalars import ONE, Scalar, omega_scalar
+from .scalars import ONE, omega_scalar
 
 
 class TensorVector(LinearCombination):
@@ -177,27 +178,18 @@ def _rows_and_columns(lam):
 def gl_act_tensor(x, v):
     """The gl(V)-action through the iterated coproduct:
     X(v_1 ... v_r) = sum_j omega(d(X), d(v_1..v_{j-1})) v_1..X(v_j)..v_r.
-    For E_ab that factor multiplies omega(g_a, g_c) / omega(g_b, g_c) over
-    the prefix letters c, summed as pairs from the rows pairs[a], pairs[b]."""
+    One _act per matrix unit E_ab of X, on the terms (word, 0) with the
+    Scalar coefficients X_ab v_word; the q^e it collects is folded in
+    afterwards."""
     if x.space != v.space:
         raise SpaceMismatch("operator and vector over different spaces")
     pairs = v.space._omega_pairs
     terms = {}
     for (a, b), xc in x.terms.items():
-        row_a, row_b = pairs[a], pairs[b]
-        for word, coef in v.terms.items():
-            if b not in word:
-                continue
-            c = xc * coef
-            s = e = 0
-            for j, letter in enumerate(word):
-                if letter == b:
-                    _add_into(terms, word[:j] + (a,) + word[j + 1:],
-                              omega_scalar(s, e, c))
-                sa, ea = row_a[letter]
-                sb, eb = row_b[letter]
-                s ^= sa ^ sb
-                e += ea - eb
+        for (word, e), c in _act(pairs, a, b, {
+                (word, 0): xc * coef for word, coef in v.terms.items()
+                if b in word}).items():
+            _add_into(terms, word, omega_scalar(0, e, c))
     return TensorVector(v.space, v.power, terms)
 
 
@@ -322,7 +314,8 @@ def young_symmetrize(space, lam, word):
     if len(word) != sum(lam) or any(not 0 <= a < space.dim for a in word):
         raise ValueError(f"{word} is not a word of {sum(lam)} letters in "
                          f"range({space.dim})")
-    return _as_vector(space, len(word), _young_terms(space, lam, word))
+    return TensorVector(space, len(word),
+                        _to_scalars([(ONE, _young_terms(space, lam, word))]))
 
 
 def _young_terms(space, lam, word):
@@ -344,20 +337,13 @@ def _young_terms(space, lam, word):
     return out
 
 
-def _as_vector(space, power, terms):
-    """The TensorVector of an integer witness {(w, e): n}: each word w
-    takes the Laurent polynomial sum_e n q^e."""
-    laurent = {}
-    for (w, e), n in terms.items():
-        laurent.setdefault(w, {})[e] = n
-    return TensorVector(space, power, {
-        w: Scalar.from_laurent(c) for w, c in laurent.items()})
-
-
 def _act(pairs, a, b, terms):
-    """E_ab on an integer witness {(word, e): n}: gl_act_tensor's prefix
-    pairs, from the rows pairs[a] and pairs[b], with the sign folded into
-    n.  Zero coefficients are dropped, so the image is zero iff empty."""
+    """E_ab on {(word, e): n}, the terms n q^e word, through the iterated
+    coproduct: the package's one statement of it.  E_ab replaces a letter
+    b at slot j by a, with the factor omega(g_a - g_b, d(prefix)): over
+    the prefix letters c, the pairs pairs[a][c] - pairs[b][c], the sign
+    folded into n.  n is an int or a Scalar (gl_act_tensor).  Zero
+    coefficients are dropped, so the image is zero iff empty."""
     step = [(sa ^ sb, ea - eb)
             for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
     out = {}
@@ -384,23 +370,14 @@ def highest_weight_vector(space, lam):
     representative per arrangement, acting by the omega product over the
     inversions of its whole slot permutation."""
     lam = _hook_shape(lam, space.m_plus, space.m_minus)
-    return _as_vector(space, sum(lam), _witness(space, lam))
+    return TensorVector(space, sum(lam),
+                        _to_scalars([(ONE, _witness(space, lam))]))
 
 
 def _witness(space, lam):
     """The integer witness of the highest weight vector of lam: C_lambda on
     the seed word."""
     return _young_terms(space, lam, _seed_word(space, lam))
-
-
-def is_highest_weight(space, v):
-    """True iff every strictly upper matrix unit kills v."""
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            if not gl_act_tensor(
-                    GlElement.matrix_unit(space, a, b), v).is_zero():
-                return False
-    return True
 
 
 def _check_witness(space, lam, sharp, terms):

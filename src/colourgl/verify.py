@@ -10,12 +10,13 @@ bicharacter compares the pairs (s, e) of CommutativeFactor._pairings,
 jacobi-skew brackets matrix units with integer Laurent coefficients
 (gl._bracket_ints) and takes omega(d(X), d(Y)) from the factor rather
 than from the _omega_pairs table the brackets read, coxeter-braid follows
-one term (s, e, word) through each sigma word (tensor._swap), and
+one term (s, e, word) through each sigma word (tensor._swap),
+gl-equivariance commutes E_ab (tensor._act, the kernel the schur-weyl and
+casimir jobs run) with sigma_i (tensor._swap) on integer terms, and
 fock-module and dual-pair compare the integer kernels of weyl, dual-pair
 against the abstract brackets of gl._bracket_ints.  A Scalar still
-enters in scalar-field, which tests Scalar arithmetic itself, in
-gl-equivariance (braiding_apply and gl_act_tensor on TensorVectors) and
-in forms-roots (bracket, the supertrace form and Fraction root data).
+enters in scalar-field, which tests Scalar arithmetic itself, and in
+forms-roots (bracket, the supertrace form and Fraction root data).
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from .gl import (GlElement, _bracket_ints, bilinear_form, bracket,
-                 positive_roots, rho, supertrace, pbw_dimension_nilradical,
-                 weight_inner)
+from .gl import (GlElement, _add_ints, _bracket_ints, bilinear_form,
+                 bracket, positive_roots, rho, supertrace,
+                 pbw_dimension_nilradical, weight_inner)
 from .scalars import Scalar
-from .tensor import TensorVector, _swap, braiding_apply, gl_act_tensor
-from .weyl import (_add_ints, _word_on_monomial, _word_product, fock_algebra,
+from .tensor import _act, _swap
+from .weyl import (_word_on_monomial, _word_product, fock_algebra,
                    verify_dual_pair)
 
 
@@ -163,16 +164,25 @@ def suite_coxeter(space, rng, r_max):
 
 
 def suite_equivariance(space, rng, samples):
+    # E_ab by tensor._act, the kernel of schur-weyl and casimir, and
+    # sigma_i by tensor._swap, on the terms {(word, e): n} of n q^e word
+    pairs = space._omega_pairs
     r = 3
+
+    def sigma(i, terms):
+        out = {}  # sigma_i is a bijection on terms: no two keys meet
+        for (word, e), n in terms.items():
+            s, e, word = _swap(pairs, i, (0, e, word))
+            out[word, e] = -n if s else n
+        return out
+
     for _ in range(samples):
         word = tuple(rng.randrange(space.dim) for _ in range(r))
-        v = TensorVector.basis_word(space, word)
+        v = {(word, 0): 1}
         a, b = rng.randrange(space.dim), rng.randrange(space.dim)
-        x = GlElement.matrix_unit(space, a, b)
         for i in range(r - 1):
-            lhs = braiding_apply(i, gl_act_tensor(x, v))
-            rhs = gl_act_tensor(x, braiding_apply(i, v))
-            if lhs != rhs:
+            lhs = sigma(i, _act(pairs, a, b, v))
+            if lhs != _act(pairs, a, b, sigma(i, v)):
                 return False, f"[gl, sigma_{i}] != 0 on {word}"
     return True, f"{samples} random words, r = {r}"
 

@@ -25,7 +25,7 @@ every output word.  Every relation check goes through one helper on
 them, _commutator, the sum of u v - (-1)^s q^e v u over lists of words:
 verify_dual_pair and glq_relations_check compare its dicts and build no
 Scalar, and invariant_generators_check turns each into Scalars by
-_to_scalars only for rank_of_rows.  The fock-module suite compares
+gl._to_scalars only for rank_of_rows.  The fock-module suite compares
 _word_on_monomial dicts.  invariant_dimension (fft-check) applies each
 E_ab of gl(V) by its dual-pair words, x(a,r) d(b,r) and xbar(b,s)
 dbar(a,s), through _derive and _merge as _word_on_monomial does, and
@@ -34,8 +34,10 @@ rows it passes to rank_of_rows.  Otherwise a Scalar enters in weyl_multiply and
 fock_apply, one product per pair of input terms and output word, and in
 OmegaPolyAlgebra.multiply and derivation_apply, once per term by
 scalars.omega_scalar; no routine of the package calls those two.
-_to_scalars builds its Scalars by Scalar.from_laurent, so no routine here
-reads or builds a Scalar's stored form.
+gl._to_scalars builds its Scalars by Scalar.from_laurent, so no routine
+here reads or builds a Scalar's stored form.  The Howe sweep of V* is
+that of V: omega(-g, -g) = omega(g, g), so V* has V's parities, and
+the sweeps read nothing else.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -49,16 +51,17 @@ import itertools
 from functools import cached_property
 from math import comb, prod
 
-from .gl import (LinearCombination, SpaceMismatch, _add_into, _bracket_ints,
-                 _bracket_pair, _dual_pair)
+from .gl import (LinearCombination, SpaceMismatch, _add_ints, _add_into,
+                 _bracket_ints, _bracket_pair, _dual_pair, _to_scalars)
 from .grading import _merge
 from .partitions import (_count_hook, _dim_glN, _series, _sharp,
                          hook_partitions)
-from .scalars import ONE, ZERO, Scalar, omega_scalar
+from .scalars import ONE, ZERO, omega_scalar
 
 
 MONOMIAL_CAP = 10 ** 6
-# most x- times xbar-monomials of degree d that invariant_dimension reduces
+# most x- times xbar-monomials of degree d that invariant_dimension reduces,
+# and most generators x(a, r), xbar(a, s) that it lists
 INVARIANT_BASIS_CAP = 20000
 # most commutators glq_relations_check forms: about 0.5 s and 50 MB on a
 # 2-vCPU machine, where the largest benchmark job forms 36
@@ -192,13 +195,6 @@ def _word_on_monomial(alg, xs, ds, mono):
     return {key: c for key, c in out.items() if c}
 
 
-def _add_ints(out, poly, coef=1, shift=0):
-    """out += coef q^shift poly, for {(word, e): int} dicts."""
-    for (word, e), c in poly.items():
-        key = (word, e + shift)
-        out[key] = out.get(key, 0) + coef * c
-
-
 def _commutator(alg, us, vs, products, s=0, e=0):
     """The sum of u v - (-1)^s q^e v u over the words u of us and v of vs,
     as {(word, e): int} with zero entries dropped.  products memoises
@@ -211,21 +207,6 @@ def _commutator(alg, us, vs, products, s=0, e=0):
                 poly = products[w] = _word_product(alg, *w[0], *w[1])
             _add_ints(out, poly, coef, shift)
     return {key: c for key, c in out.items() if c}
-
-
-def _to_scalars(products):
-    """{word: Scalar} from (coef, {(word, e): int}) pairs: coef times the
-    Laurent polynomial p of each word, one Scalar product per word unless
-    coef is ONE, as in the rows of every rank computation."""
-    out = {}
-    for coef, poly in products:
-        by_word = {}
-        for (word, e), c in poly.items():
-            by_word.setdefault(word, {})[e] = c
-        for word, p in by_word.items():
-            p = Scalar.from_laurent(p)
-            _add_into(out, word, p if coef is ONE else coef * p)
-    return out
 
 
 def weyl_multiply(u, v):
@@ -416,17 +397,9 @@ def howe_dimension_sweep(space, copies, max_degree):
     dim S^d is counted, not listed: the coefficient of t^d in the
     generating series of the Fock algebra S_omega(V^N), cross-checked
     against the closed form, both from the parities of V."""
-    return _sweep(space, copies, space.degrees, max_degree)
-
-
-def howe_dual_sweep(space, copies, max_degree):
-    return _sweep(space, copies, [-g for g in space.degrees], max_degree)
-
-
-def _sweep(space, copies, degrees, max_degree):
     rows = []
-    for d, count in enumerate(_checked_counts(space.factor, degrees, copies,
-                                              max_degree)):
+    for d, count in enumerate(_checked_counts(space.factor, space.degrees,
+                                              copies, max_degree)):
         total = sum(_count_hook(lam, space.m_plus, space.m_minus)
                     * _dim_glN(lam, copies)
                     for lam in hook_partitions(space.m_plus, space.m_minus,
@@ -547,7 +520,13 @@ def _guard_invariant_basis(space, copies, dual_copies, degrees):
     INVARIANT_BASIS_CAP: by the closed forms on the parities of V, before
     any generator is listed.  xbar(a, s) has degree -gamma_a, whose
     parity omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
-    x(a, r)."""
+    x(a, r).  Its dim V (N + N') generators are bounded by the same cap
+    first, as each degree lists them all, degree 0 included; for dim V >=
+    2 that refuses no degree d >= 1 that the basis bound allows."""
+    gens = space.dim * (copies + dual_copies)
+    if gens > INVARIANT_BASIS_CAP:
+        raise ResourceBoundExceeded("invariant_dimension", gens,
+                                    INVARIANT_BASIS_CAP, "generators")
     odd = space.parities.count(-1)
     for d in degrees:
         size = prod(_count_monomials((space.dim - odd) * n, odd * n, d)

@@ -6,20 +6,49 @@ _young_symmetrize turned the integer block sums into one Scalar per word,
 schur_weyl_table checked the Scalar witness by TensorVector.weight and
 is_highest_weight, which applies every upper E_ab through gl_act_tensor,
 and casimir_defect applied casimir_apply, gl_act_tensor twice per (a, b),
-and subtracted the eigenvalue times v as Scalars.  The helpers they call
-are unchanged and imported from the package.
+and subtracted the eigenvalue times v as Scalars.  gl_act_tensor is the
+package's Scalar prefix walk from before it ran through tensor._act, so
+that comparing _act with it stays a comparison of two walks.  The other
+helpers they call are unchanged and imported from the package.
 """
 
 from fractions import Fraction
 
-from colourgl.gl import GlElement
+from colourgl.gl import GlElement, SpaceMismatch, _add_into
 from colourgl.grading import _merge
 from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
                                  _sharp, hook_partitions)
 from colourgl.reps import casimir_eigenvalue
 from colourgl.scalars import ONE, Scalar, omega_scalar
 from colourgl.tensor import (TensorVector, _block_sums, _rows_and_columns,
-                             _seed_word, gl_act_tensor)
+                             _seed_word)
+
+
+def gl_act_tensor(x, v):
+    """The gl(V)-action through the iterated coproduct:
+    X(v_1 ... v_r) = sum_j omega(d(X), d(v_1..v_{j-1})) v_1..X(v_j)..v_r.
+    For E_ab that factor multiplies omega(g_a, g_c) / omega(g_b, g_c) over
+    the prefix letters c, summed as pairs from the rows pairs[a], pairs[b]."""
+    if x.space != v.space:
+        raise SpaceMismatch("operator and vector over different spaces")
+    pairs = v.space._omega_pairs
+    terms = {}
+    for (a, b), xc in x.terms.items():
+        row_a, row_b = pairs[a], pairs[b]
+        for word, coef in v.terms.items():
+            if b not in word:
+                continue
+            c = xc * coef
+            s = e = 0
+            for j, letter in enumerate(word):
+                if letter == b:
+                    _add_into(terms, word[:j] + (a,) + word[j + 1:],
+                              omega_scalar(s, e, c))
+                sa, ea = row_a[letter]
+                sb, eb = row_b[letter]
+                s ^= sa ^ sb
+                e += ea - eb
+    return TensorVector(v.space, v.power, terms)
 
 
 def _young_symmetrize(space, lam, word):

@@ -1,10 +1,12 @@
-"""The bicharacter, jacobi-skew and coxeter-braid suites of verify as
-they were before they ran on integer omega pairs, kept verbatim as oracles
-for tests/test_integer_suites.py.
+"""The bicharacter, jacobi-skew, coxeter-braid and gl-equivariance suites
+of verify as they were before they ran on integer omega pairs, kept
+verbatim as oracles for tests/test_integer_suites.py.
 
 suite_bicharacter multiplies factor.omega Scalars, suite_jacobi takes
-jacobi_defect and skew_defect of GlElements, and suite_coxeter compares
-braiding_apply images of TensorVectors.  They draw from their rng through
+jacobi_defect and skew_defect of GlElements, suite_coxeter compares
+braiding_apply images of TensorVectors, and suite_equivariance commutes
+braiding_apply with gl_act_tensor on TensorVectors, the Scalar prefix
+walk that parent_tensor keeps.  They draw from their rng through
 verify's unchanged _random_degree, as the package's suites do.
 """
 
@@ -13,6 +15,7 @@ import itertools
 from colourgl.gl import GlElement, jacobi_defect, skew_defect
 from colourgl.tensor import TensorVector, braiding_apply
 from colourgl.verify import _random_degree
+from parent_tensor import gl_act_tensor
 
 
 def suite_bicharacter(space, rng, samples):
@@ -77,3 +80,18 @@ def suite_coxeter(space, rng, r_max):
                 if lhs != rhs:
                     return False, f"braid relation failed at {i} on {word}"
     return True, f"Coxeter presentation up to r = {r_max}"
+
+
+def suite_equivariance(space, rng, samples):
+    r = 3
+    for _ in range(samples):
+        word = tuple(rng.randrange(space.dim) for _ in range(r))
+        v = TensorVector.basis_word(space, word)
+        a, b = rng.randrange(space.dim), rng.randrange(space.dim)
+        x = GlElement.matrix_unit(space, a, b)
+        for i in range(r - 1):
+            lhs = braiding_apply(i, gl_act_tensor(x, v))
+            rhs = gl_act_tensor(x, braiding_apply(i, v))
+            if lhs != rhs:
+                return False, f"[gl, sigma_{i}] != 0 on {word}"
+    return True, f"{samples} random words, r = {r}"

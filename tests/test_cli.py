@@ -194,6 +194,27 @@ def test_fft_guard_exit_2_fast_on_many_dual_copies(capsys):
     assert "40000" in doc["error"] and "bound 20000" in doc["error"]
 
 
+@pytest.mark.parametrize("copies, code", [(1000000, 2), (9999, 0)])
+def test_fft_guard_bounds_the_generators_at_degree_0(copies, code):
+    # dim V (N + N') generators: 2000002 are refused before any is listed
+    # (unguarded, 18 s to exit 0), 2 * 10000 = 20000, the bound, are built
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "colourgl", "fft-check",
+                           "--space", "super(1|1)", "--copies", str(copies),
+                           "--dual-copies", "1", "--max-degree", "0"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == code
+    doc = json.loads(proc.stdout)
+    if code:
+        assert time.perf_counter() - start < 2
+        assert "2000002 generators" in doc["error"]
+        assert "bound 20000" in doc["error"]
+    else:
+        assert doc["results"]["invariant_dimensions"] == {"0": 1}
+
+
 @pytest.mark.parametrize("m, n, copies", [(5, 5, 20), (0, 15, 26),
                                           (10, 10, 30)])
 def test_glq_guard_exit_2_fast(capsys, m, n, copies):

@@ -1,9 +1,10 @@
-"""The bicharacter, jacobi-skew and coxeter-braid suites of verify run on
-integer omega pairs.  They agree with the Scalar suites they replaced,
-which parent_verify keeps verbatim: the same verdict and detail, and the
-same rng state after each suite, on every preset of dim V <= 3 at both
-levels and seeds 0-2.  Both versions refuse a space whose omega table or
-whose factor is wrong."""
+"""The bicharacter, jacobi-skew, coxeter-braid and gl-equivariance suites
+of verify run on integer omega pairs.  They agree with the Scalar suites
+they replaced, which parent_verify keeps verbatim: the same verdict and
+detail, and the same rng state after each suite, on every preset of
+dim V <= 3 at both levels and seeds 0-2.  Both versions refuse a space
+whose omega table or whose factor is wrong, and gl-equivariance refuses
+an E_ab kernel that drops its prefix signs."""
 
 import random
 
@@ -18,7 +19,7 @@ from test_laurent_kernels import small_presets
 PRESETS = small_presets()
 # suite name, its argument at level full, at level quick
 SUITES = (("suite_bicharacter", 200, 50), ("suite_jacobi", True, False),
-          ("suite_coxeter", 5, 3))
+          ("suite_coxeter", 5, 3), ("suite_equivariance", 40, 10))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -95,3 +96,19 @@ def test_distant_sigmas_that_do_not_commute_are_named(monkeypatch):
     assert verify.suite_coxeter(preset_space("super(1|1)"),
                                 random.Random(0), 5) == (
         False, "sigma_0 and sigma_2 do not commute on (0, 1, 0, 0)")
+
+
+@pytest.mark.parametrize("name", ["super(1|1)", "green(2)"])
+def test_equivariance_refuses_a_kernel_without_prefix_signs(monkeypatch,
+                                                            name):
+    # tensor._act with the sign bits of its prefix pairs dropped: E_ab no
+    # longer passes an odd letter with a sign, which sigma_i detects
+    def act(pairs, a, b, terms):
+        unsigned = [[(0, e) for _, e in row] for row in pairs]
+        return tensor._act(unsigned, a, b, terms)
+
+    monkeypatch.setattr(verify, "_act", act)
+    passed, detail = verify.suite_equivariance(preset_space(name),
+                                               random.Random(0), 40)
+    assert passed is False
+    assert detail.startswith("[gl, sigma_")

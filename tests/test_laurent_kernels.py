@@ -15,14 +15,14 @@ import pytest
 
 import parent_weyl as parent
 from colourgl import presets, weyl
-from colourgl.gl import GradedSpace
+from colourgl.gl import GradedSpace, _to_scalars
 from colourgl.grading import CommutativeFactor
 from colourgl.presets import (glq_space, green_space, preset_space,
                               super_space, z2z2_space)
 from colourgl.scalars import ONE, Scalar
 from colourgl.verify import suite_fock
 from colourgl.weyl import (FockVector, ResourceBoundExceeded, WeylElement,
-                           _gl_images, _to_scalars, _word_on_monomial,
+                           _gl_images, _word_on_monomial,
                            _word_product, fock_algebra, fock_apply,
                            glq_relations_check, invariant_dimension,
                            invariant_generators_check, verify_dual_pair,

@@ -10,11 +10,13 @@ from colourgl.gl import (GlElement, GradedSpace, bilinear_form, bracket,
                          jacobi_defect, positive_roots, rho, skew_defect,
                          supertrace, weight_inner)
 from colourgl.grading import CommutativeFactor, GradingGroup, _merge
+from colourgl.presets import glq_space, green_space
 from colourgl.scalars import ONE
 from colourgl.tensor import TensorVector, braiding_apply, gl_act_tensor
 from colourgl.weyl import (FockVector, WeylElement, fock_algebra, fock_apply,
                            howe_dimension_sweep, invariant_dimension,
                            verify_dual_pair, weyl_multiply)
+from test_laurent_kernels import small_presets
 from test_weyl import (COEFS, as_coefficient, degree_row,
                        oracle_derivation_apply, oracle_fock_apply,
                        oracle_merge_gen_left, oracle_merge_words,
@@ -107,6 +109,19 @@ def test_random_spaces_weyl_module_axiom():
                 fock_apply(u, fock_apply(v, f)), (trial, u, v, f)
         assert weyl_multiply(weyl_multiply(gens[0], gens[-1]), gens[1]) == \
             weyl_multiply(gens[0], weyl_multiply(gens[-1], gens[1]))
+
+
+def test_dual_degrees_keep_their_parity():
+    # omega(-g, -g) = omega(g, g): V* has the parities of V, so the Howe
+    # sweep of V* is that of V (howe-sweep reports it as its dual_rows)
+    rng = random.Random(4242)
+    spaces = list(small_presets().values()) + [
+        glq_space(m, n) for m in range(5) for n in range(5) if m + n] + [
+        green_space(n) for n in range(1, 7)] + [
+        random_space(rng, max_dim=4) for _ in range(60)]
+    for space in spaces:
+        for g, parity in zip(space.degrees, space.parities):
+            assert space.factor.parity(-g) == parity, (space, g)
 
 
 def test_random_spaces_dual_pair_and_howe():

@@ -11,12 +11,13 @@ from colourgl.partitions import (check_partition, count_hook_tableaux, in_hook,
                                  lambda_sharp, partitions_of)
 from colourgl.presets import glq_space, green_space, super_space, z2z2_space
 from colourgl.reps import (DualWeightUnsupported, KacModule, UnsupportedFactor,
-                           UnsupportedSpace, casimir_apply, casimir_defect,
+                           UnsupportedSpace, casimir_defect,
                            casimir_eigenvalue, classify_unitarisable,
                            dual_weight, gram_report, is_finite_dimensional,
                            kac_dimension, symmetric_inertia, typicality)
 from colourgl.tensor import TensorVector, gl_act_tensor, highest_weight_vector
 from colourgl.weyl import _reduce, rank_of_rows
+from parent_tensor import casimir_apply
 from test_kac_memo import CASES, OracleAction, _module
 
 

@@ -14,11 +14,12 @@ from colourgl.scalars import MINUS_ONE, ONE, Scalar
 from colourgl.tensor import (SymGroupElement, TensorVector, apply_permutation,
                              braiding_apply, canonical_tableau, dual_act,
                              gl_act_tensor, highest_weight_vector,
-                             is_highest_weight, schur_weyl_table, seed_word,
-                             word_weight, young_symmetrize)
+                             schur_weyl_table, seed_word, word_weight,
+                             young_symmetrize)
 from colourgl.weyl import rank_of_rows
 from oracles import (dual_pairing, dual_weight_vector, homogeneous_parts,
                      row_column_groups, total_symmetrizers, young_symmetrizer)
+from parent_tensor import is_highest_weight
 from test_random_spaces import random_space
 
 

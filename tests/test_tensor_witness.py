@@ -2,7 +2,8 @@
 they replaced (tests/parent_tensor.py), on every preset with dim V <= 3
 and every hook shape of r <= 5 boxes.
 
-tensor._act must equal gl_act_tensor on every witness and every E_ab,
+tensor._act must equal the parent's Scalar prefix walk gl_act_tensor on
+every witness and every E_ab,
 the schur_weyl_table rows and the casimir_defect vectors must equal the
 parent's, and a perturbed witness must be refused by both tables and give
 both Casimir routes the same defect."""
@@ -12,12 +13,13 @@ import itertools
 import pytest
 
 import parent_tensor as parent
-from colourgl.gl import GlElement
+from colourgl.gl import GlElement, _to_scalars
 from colourgl.partitions import _sharp, hook_partitions
 from colourgl.presets import preset_space
 from colourgl.reps import _casimir_defect, casimir_defect
-from colourgl.tensor import (_act, _as_vector, _check_witness, _seed_word,
-                             _witness, gl_act_tensor, highest_weight_vector,
+from colourgl.scalars import ONE
+from colourgl.tensor import (TensorVector, _act, _check_witness, _seed_word,
+                             _witness, highest_weight_vector,
                              schur_weyl_table)
 
 PRESETS = ([f"{kind}({m}|{n})" for kind in ("super", "glq")
@@ -26,6 +28,11 @@ PRESETS = ([f"{kind}({m}|{n})" for kind in ("super", "glq")
               for dims in itertools.product(range(4), repeat=4)
               if 0 < sum(dims) <= 3]
            + [f"green({n})" for n in range(1, 4)])
+
+
+def as_vector(space, r, terms):
+    """The TensorVector of an integer witness {(w, e): n}."""
+    return TensorVector(space, r, _to_scalars([(ONE, terms)]))
 
 
 def witnesses(space):
@@ -65,11 +72,11 @@ def test_witnesses_and_the_kernel_match_the_parent(name):
              for a in range(space.dim) for b in range(space.dim)]
     for r, lam, terms in witnesses(space):
         v = parent._highest_weight_vector(space, lam)
-        assert _as_vector(space, r, terms) == v, lam
+        assert as_vector(space, r, terms) == v, lam
         assert highest_weight_vector(space, lam) == v, lam
         for a, b, x in units:
-            assert _as_vector(space, r, _act(pairs, a, b, terms)) == \
-                gl_act_tensor(x, v), (lam, a, b)
+            assert as_vector(space, r, _act(pairs, a, b, terms)) == \
+                parent.gl_act_tensor(x, v), (lam, a, b)
         assert casimir_defect(space, lam) == parent.casimir_defect(
             space, lam), lam
     for r in range(1, 6):
@@ -87,7 +94,7 @@ def test_both_routes_refuse_a_perturbed_witness(name, monkeypatch):
             with pytest.raises(AssertionError,
                                match="hwv|highest weight vector vanished"):
                 _check_witness(space, lam, sharp, bad)
-            v = _as_vector(space, r, bad)
+            v = as_vector(space, r, bad)
             # the parent's table, on this one shape, with v as its witness
             monkeypatch.setattr(parent, "hook_partitions",
                                 lambda *args, lam=lam: iter([lam]))
