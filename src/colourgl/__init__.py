@@ -6,8 +6,8 @@ from .gl import (GlElement, GradedSpace, SpaceMismatch, bilinear_form,
                  positive_roots, rho, skew_defect, supertrace, weight_inner,
                  weyl_orbit)
 from .partitions import (count_hook_tableaux, count_standard_tableaux,
-                         dim_glN, hook_partitions, in_hook, lambda_sharp,
-                         partitions_of, transpose)
+                         dim_glN, hook_partitions, hook_table, in_hook,
+                         lambda_sharp, partitions_of, transpose)
 from .presets import builtin_spaces, preset_space
 from .reps import (DualWeightUnsupported, GramReport, KacModule,
                    UnsupportedFactor, UnsupportedSpace, UnitarisableVerdict,
@@ -21,8 +21,8 @@ from .tensor import (SymGroupElement, TensorVector, apply_permutation,
 from .weyl import (FockVector, ResourceBoundExceeded, WeylElement,
                    dual_pair_generators, fock_apply, glq_relations_check,
                    glvv_decomposition, howe_dimension_sweep,
-                   invariant_dimension, verify_dual_pair, weyl_bracket,
-                   weyl_multiply)
+                   invariant_dimension, invariant_dimensions,
+                   verify_dual_pair, weyl_bracket, weyl_multiply)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,5 +1,14 @@
 """Command line front end.
 
+The CLI is a thin shell: it parses argv text, calls one public library
+function per job and writes the report.  Every rule of the mathematics,
+the refusal of a weight that is not dominant or of a shape that is not a
+partition included, is the library's; what is here is about text alone:
+reading options, weights and partitions, and writing numbers, rows and
+records.  A number of the report is refused past REPORT_DIGITS_CAP
+digits (_printable); the rows of partitions.hook_table, which schur-weyl
+and tableaux both report, are written by _table_rows, and reps'
+UnitarisableVerdict and GramReport by _verdict_json and _gram_json.
 Every subcommand emits one JSON report (sorted keys); tableaux, whose
 report is nothing but its rows, takes --format tsv to write them as TSV
 instead.
@@ -29,22 +38,25 @@ from pathlib import Path
 
 from . import presets
 from .gl import GradedSpace
-from .partitions import (_count_hook, _count_standard, _dim_glN, _sharp,
-                         hook_partitions)
-from .reps import (_printable, casimir_defect, casimir_eigenvalue,
-                   classify_unitarisable, gram_report, is_finite_dimensional,
-                   kac_dimension, typicality)
+from .partitions import check_partition, hook_table
+from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
+                   gram_report, is_finite_dimensional, kac_dimension,
+                   typicality)
 from .tensor import schur_weyl_table
-from .weyl import (ResourceBoundExceeded, _guard_invariant_basis,
-                   glq_relations_check, glvv_decomposition,
-                   howe_dimension_sweep, invariant_dimension,
-                   invariant_generators_check, verify_dual_pair)
+from .weyl import (ResourceBoundExceeded, glq_relations_check,
+                   glvv_decomposition, howe_dimension_sweep,
+                   invariant_dimensions, invariant_generators_check,
+                   verify_dual_pair)
 from .verify import require_dimension, run_verification
 
 WORD_CAP = 10 ** 6
 # most digits of a weight coordinate, the value of its exponent counted as
 # digits: Fraction builds 10^k for an exponent k
 WEIGHT_DIGITS_CAP = 1000
+# most digits of a number that a report writes, numerator and denominator
+# each: Python converts at most 4300 digits of an int to text by default
+REPORT_DIGITS_CAP = 4000
+_TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
 # integer options that count something: negative values are bad input
 COUNT_OPTIONS = ("power", "size", "copies", "dual_copies", "max_degree", "m",
                  "n")
@@ -97,22 +109,49 @@ def parse_weight(text, dim):
     return tuple(_coordinate(p) for p in parts)
 
 
-def _dominant_input(args):
-    """The space and weight of args, or InputError when the weight is not
-    dominant."""
+def _space_and_weight(args):
     space = load_space(args.space)
-    lam = parse_weight(args.weight, space.dim)
-    if not is_finite_dimensional(space, lam):
-        raise InputError(f"weight {args.weight} is not dominant")
-    return space, lam
+    return space, parse_weight(args.weight, space.dim)
 
 
-def parse_partition(text):
-    parts = [int(p) for p in text.replace(",", " ").split() if p]
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or \
-            any(p <= 0 for p in parts):
-        raise InputError(f"{parts} is not a partition")
-    return tuple(parts)
+def _printable(x):
+    """x, an int or a Fraction, when its numerator and denominator have at
+    most REPORT_DIGITS_CAP digits each; ResourceBoundExceeded otherwise."""
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ResourceBoundExceeded(
+            "a number of the report", f"more than {REPORT_DIGITS_CAP}",
+            REPORT_DIGITS_CAP, "digits")
+    return x
+
+
+def _texts(values):
+    return [str(_printable(x)) for x in values]
+
+
+def _table_rows(rows):
+    """Rows of partitions.hook_table as the schur-weyl and tableaux reports
+    write them: lambda# as text, and every count checked by _printable."""
+    return [{key: [str(c) for c in v] if key == "sharp"
+             else list(v) if key == "partition" else _printable(v)
+             for key, v in row.items()} for row in rows]
+
+
+def _verdict_json(verdict):
+    cert = {key: str(_printable(value)) if isinstance(value, Fraction)
+            else _texts(value) if isinstance(value, tuple) else value
+            for key, value in verdict.certificate.items()}
+    return {"unitarisable": verdict.unitarisable,
+            "star_type": verdict.star_type, "reason": verdict.reason,
+            "certificate": cert}
+
+
+def _gram_json(report):
+    return {"weight": _texts(report.weight), "depth": report.depth,
+            "verdict": report.verdict,
+            "blocks": [{"level": level, "weight": _texts(wt),
+                        "size": len(mat), "inertia": list(inertia),
+                        "gram": [_texts(row) for row in mat]}
+                       for level, wt, mat, inertia in report.blocks]}
 
 
 def emit(report, args):
@@ -171,11 +210,8 @@ def cmd_schur_weyl(args):
     space = load_space(args.space)
     guard_words(space, args.power)
     rows = schur_weyl_table(space, args.power)
-    table = [{"partition": list(r["partition"]),
-              "sharp": [str(c) for c in r["sharp"]],
-              "k": r["k"], "f": r["f"]} for r in rows]
-    checksum = sum(r["k"] * r["f"] for r in rows)
-    return {"rows": table, "checksum": checksum,
+    return {"rows": _table_rows(rows),
+            "checksum": sum(r["k"] * r["f"] for r in rows),
             "dimension": space.dim ** args.power}, True
 
 
@@ -190,13 +226,10 @@ def cmd_howe_sweep(args):
 def cmd_fft_check(args):
     space = load_space(args.space)
     require_dimension(space, "fft-check")
-    _guard_invariant_basis(space, args.copies, args.dual_copies,
-                           range(args.max_degree + 1))
-    dims = {str(d): invariant_dimension(space, args.copies,
-                                        args.dual_copies, d)
-            for d in range(args.max_degree + 1)}
+    dims = invariant_dimensions(space, args.copies, args.dual_copies,
+                                args.max_degree)
     results = {
-        "invariant_dimensions": dims,
+        "invariant_dimensions": {str(d): n for d, n in dims.items()},
         "z_span_verified": True,
         "dual_pair_ok": verify_dual_pair(space, min(args.copies, 2)),
         "filtration_level_1_ok": invariant_generators_check(
@@ -213,8 +246,7 @@ def cmd_glq_check(args):
 
 
 def cmd_typicality(args):
-    space = load_space(args.space)
-    lam = parse_weight(args.weight, space.dim)
+    space, lam = _space_and_weight(args)
     typical, chi = typicality(space, lam)
     return {"weight": [str(x) for x in lam],
             "typical": typical, "chi": str(_printable(chi)),
@@ -222,7 +254,7 @@ def cmd_typicality(args):
 
 
 def cmd_kac_dim(args):
-    space, lam = _dominant_input(args)
+    space, lam = _space_and_weight(args)
     return {"weight": [str(x) for x in lam],
             "kac_dimension": _printable(kac_dimension(space, lam))}, True
 
@@ -236,40 +268,30 @@ def cmd_casimir(args):
         results["eigenvalue"] = str(_printable(
             casimir_eigenvalue(space, lam)))
     if args.partition:
-        lam = parse_partition(args.partition)
+        lam = check_partition(
+            int(p) for p in args.partition.replace(",", " ").split())
         guard_words(space, sum(lam))
-        defect = casimir_defect(space, lam)
         results["partition"] = list(lam)
-        results["defect_zero"] = defect.is_zero()
+        results["defect_zero"] = casimir_defect(space, lam).is_zero()
     if not results:
         raise InputError("casimir needs --weight and/or --partition")
     return results, results.get("defect_zero", True)
 
 
 def cmd_unitarisable(args):
-    space = load_space(args.space)
-    lam = parse_weight(args.weight, space.dim)
-    return classify_unitarisable(space, lam, args.type).to_json(), True
+    space, lam = _space_and_weight(args)
+    return _verdict_json(classify_unitarisable(space, lam, args.type)), True
 
 
 def cmd_gram(args):
-    space, lam = _dominant_input(args)
-    return gram_report(space, lam, args.depth).to_json(), True
+    space, lam = _space_and_weight(args)
+    return _gram_json(gram_report(space, lam, args.depth)), True
 
 
 def cmd_tableaux(args):
     space = load_space(args.space)
-    mp, mm = space.m_plus, space.m_minus
-    rows = []
-    for lam in hook_partitions(mp, mm, args.size, args.size):
-        row = {"partition": list(lam),
-               "k": _count_hook(lam, mp, mm),
-               "f": _count_standard(lam),
-               "sharp": [str(c) for c in _sharp(lam, mp, mm)]}
-        if args.copies:
-            row["dim_glN"] = _printable(_dim_glN(lam, args.copies))
-        rows.append(row)
-    return {"rows": rows}, True
+    return {"rows": _table_rows(hook_table(space.m_plus, space.m_minus,
+                                           args.size, args.copies))}, True
 
 
 def cmd_glvv(args):

@@ -14,7 +14,8 @@ CommutativeFactor._table builds over the basis; omega between sums and
 differences of g's is the XOR of the signs and the sum of the exponents,
 applied to a coefficient by scalars.omega_scalar.  _unit_bracket states
 the bracket of two matrix units once, as terms with such pairs; bracket
-applies it to Scalar coefficients and _bracket_ints to integer ones.
+applies it to Scalar coefficients, _bracket_ints to integer ones and
+reps.KacModule.act to a Kac module's basis.
 _dual_pair states the factor of E_ab on the dual space V* once, for
 tensor.dual_act and weyl's fft-check.  Weights live in the basis
 eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
@@ -276,7 +277,8 @@ def _unit_bracket(pairs, a, b, c, d):
     E_cb, as its terms (i, j, s, e), each E_ij times (-1)^s q^e, with the
     minus sign folded into s and omega read from a space's _omega_pairs.
     This is the one statement of the rule: bracket applies it to Scalar
-    coefficients and _bracket_ints to integer ones."""
+    coefficients, _bracket_ints to integer ones and reps.KacModule.act to
+    a Kac module's basis."""
     terms = []
     if b == c:
         terms.append((a, d, 0, 0))

@@ -16,7 +16,9 @@ sweeps of weyl count dim S^n by the same series.  A shape in the hook has
 a Durfee square of side at most max(M+, M-), so the determinant, taken
 by Bareiss elimination in _det, stays small however long the arm or leg.
 hook_partitions lists the shapes of one size directly, without recursion;
-partitions_of is its case M+ = 0.
+partitions_of is its case M+ = 0.  hook_table is the one builder of the
+hook table, a row of (lambda, lambda#, k, f and dim_glN) per shape: the
+Schur-Weyl table of tensor and the CLI's tableaux report both read it.
 
 Each public function checks its shape once, by check_partition (and
 hook membership once, by _hook_shape), and runs a private kernel on the
@@ -110,6 +112,22 @@ def hook_partitions(m_plus, m_minus, depth_bound, size):
         if not lam:
             return shapes
         lam[-1], left = lam[-1] - 1, left + 1
+
+
+def hook_table(m_plus, m_minus, size, copies=0):
+    """Yield one row per lambda of the given size in P_{M+|M-}, in the
+    order of hook_partitions: the partition, lambda#, k(lambda), f^lambda
+    and, when copies > 0, the dimension of the gl_copies module of lambda.
+    The shapes are canonical, so each row is the kernels' alone.  Rows
+    come one at a time, so a reader that refuses a row, as the CLI refuses
+    a number too long to print, computes none after it."""
+    for lam in hook_partitions(m_plus, m_minus, size, size):
+        row = {"partition": lam, "sharp": _sharp(lam, m_plus, m_minus),
+               "k": _count_hook(lam, m_plus, m_minus),
+               "f": _count_standard(lam)}
+        if copies > 0:
+            row["dim_glN"] = _dim_glN(lam, copies)
+        yield row
 
 
 def _hook_shape(lam, m_plus, m_minus):

@@ -12,7 +12,10 @@ lowest weight for a typical lambda, the Berele-Regev transpose for an
 atypical a*E + mu#; no module is built for either.  casimir_defect runs
 on the integer witness of tensor._witness: the Casimir by tensor._act,
 summed by gl._add_ints, and one Scalar per word at the end, by
-gl._to_scalars.
+gl._to_scalars.  KacModule.act takes the bracket of E_ab with a lowering
+pair from gl._unit_bracket.  Nothing here writes a report: the records
+UnitarisableVerdict and GramReport hold exact values, and the CLI turns
+them into text.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import (_add_ints, _add_into, _bracket_pair, _to_scalars, rho,
-                 weight_inner)
+from .gl import (_add_ints, _add_into, _bracket_pair, _to_scalars,
+                 _unit_bracket, rho, weight_inner)
 from .grading import _Record, _merge
 from .partitions import _hook_shape, _in_hook, _sharp, _transpose
 from .scalars import Scalar
@@ -39,10 +42,6 @@ GRAM_BASIS_CAP = 800
 # dual weight builds: mu has a part per unit of the leading odd coordinate,
 # and the report writes each one
 CERTIFICATE_PARTS_CAP = 10 ** 4
-# most digits of a number that a report writes, numerator and denominator
-# each: Python converts at most 4300 digits of an int to text by default
-REPORT_DIGITS_CAP = 4000
-_TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
 
 
 class UnsupportedFactor(ValueError):
@@ -55,16 +54,6 @@ class UnsupportedSpace(ValueError):
 
 class DualWeightUnsupported(ValueError):
     """lambda* is not computable by the implemented rules."""
-
-
-def _printable(x):
-    """x, an int or a Fraction, when its numerator and denominator have at
-    most REPORT_DIGITS_CAP digits each; ResourceBoundExceeded otherwise."""
-    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
-        raise ResourceBoundExceeded(
-            "a number of the report", f"more than {REPORT_DIGITS_CAP}",
-            REPORT_DIGITS_CAP, "digits")
-    return x
 
 
 def _weight_text(lam):
@@ -180,18 +169,6 @@ class UnitarisableVerdict(_Record):
         self.star_type = star_type
         self.reason = reason
         self.certificate = {} if certificate is None else certificate
-
-    def to_json(self):
-        cert = {}
-        for key, value in self.certificate.items():
-            if isinstance(value, Fraction):
-                cert[key] = str(_printable(value))
-            elif isinstance(value, tuple):
-                cert[key] = [str(_printable(x)) for x in value]
-            else:
-                cert[key] = value
-        return {"unitarisable": self.unitarisable, "star_type": self.star_type,
-                "reason": self.reason, "certificate": cert}
 
 
 def _script_e(space):
@@ -475,17 +452,15 @@ class KacModule:
         sid = S[0]
         rest = (S[1:], kp, km)
         i, rb = self.pairs[sid]
+        pairs = self.space._omega_pairs
         # om = omega(deg E_ab, deg F_sid) = omega(g_a - g_b, g_rb - g_i)
-        om = (-1) ** _bracket_pair(self.space._omega_pairs, a, b, rb, i)[0]
+        om = (-1) ** _bracket_pair(pairs, a, b, rb, i)[0]
         out = {}
-        # bracket term [E_ab, E_{rb,i}] = delta_{b,rb} E_{a,i}
-        #   - om delta_{i,a} E_{rb,b}
-        if b == rb:
-            for k, coef in self.act(a, i, rest).items():
-                _add_into(out, k, coef)
-        if a == i:
-            for k, coef in self.act(rb, b, rest).items():
-                _add_into(out, k, -om * coef)
+        # bracket term [E_ab, E_{rb,i}], by gl's rule; a sign-valued factor
+        # has every exponent 0
+        for c, d, s, _ in _unit_bracket(pairs, a, b, rb, i):
+            for k, coef in self.act(c, d, rest).items():
+                _add_into(out, k, -coef if s else coef)
         # pass-through term om F_{sid} (E_ab rest)
         inner = self.act(a, b, rest)
         for k, coef in self._prepend_pair(
@@ -550,20 +525,6 @@ class GramReport(_Record):
     def degenerate(self):
         """True iff some Gram block has a nontrivial radical."""
         return any(inertia[2] for _, _, _, inertia in self.blocks)
-
-    def to_json(self):
-        return {
-            "weight": [str(_printable(x)) for x in self.weight],
-            "depth": self.depth,
-            "verdict": self.verdict,
-            "blocks": [
-                {"level": level, "weight": [str(_printable(x)) for x in wt],
-                 "size": len(mat),
-                 "inertia": list(inertia),
-                 "gram": [[str(_printable(x)) for x in row] for row in mat]}
-                for level, wt, mat, inertia in self.blocks
-            ],
-        }
 
 
 def symmetric_inertia(mat):

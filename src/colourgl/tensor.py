@@ -40,8 +40,7 @@ from fractions import Fraction
 from .gl import (LinearCombination, SpaceMismatch, _add_into, _dual_pair,
                  _to_scalars)
 from .grading import _merge
-from .partitions import (_count_hook, _count_standard, _hook_shape, _sharp,
-                         check_partition, hook_partitions)
+from .partitions import _hook_shape, check_partition, hook_table
 from .scalars import ONE, omega_scalar
 
 
@@ -402,19 +401,14 @@ def _check_witness(space, lam, sharp, terms):
 
 
 def schur_weyl_table(space, r):
-    """Rows (lambda, lambda#, k(lambda), f^lambda) over all lambda of r in
-    the hook class; checks sum k*f = (dim V)^r and witnesses each lambda#
+    """The rows of partitions.hook_table over all lambda of r in the hook
+    class; checks sum k*f = (dim V)^r and witnesses each lambda#
     by an explicit highest weight vector, checked on its integer terms."""
-    mp, mm = space.m_plus, space.m_minus
-    rows = []
-    total = 0
-    for lam in hook_partitions(mp, mm, r, r):
-        k = _count_hook(lam, mp, mm)
-        f = _count_standard(lam)
-        sharp = _sharp(lam, mp, mm)
-        total += k * f
-        _check_witness(space, lam, sharp, _witness(space, lam))
-        rows.append({"partition": lam, "sharp": sharp, "k": k, "f": f})
+    rows = list(hook_table(space.m_plus, space.m_minus, r))
+    for row in rows:
+        lam = row["partition"]
+        _check_witness(space, lam, row["sharp"], _witness(space, lam))
+    total = sum(row["k"] * row["f"] for row in rows)
     if total != space.dim ** r:
         raise AssertionError(
             f"sum k(lambda) f^lambda = {total} != (dim V)^r = {space.dim**r}")

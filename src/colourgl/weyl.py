@@ -30,8 +30,15 @@ _word_on_monomial dicts.  invariant_dimension (fft-check) applies each
 E_ab of gl(V) by its dual-pair words, x(a,r) d(b,r) and xbar(b,s)
 dbar(a,s), through _derive and _merge as _word_on_monomial does, and
 multiplies the z_rs by _merge, all on ints; a Scalar enters only in the
-rows it passes to rank_of_rows.  Otherwise a Scalar enters in weyl_multiply and
-fock_apply, one product per pair of input terms and output word, and in
+rows it passes to rank_of_rows.  A degree where the x- or the
+xbar-monomials are none, by the closed form _count_monomials, lists
+neither side.  _z_products walks the z-products depth first over sorted
+keys, in the order of combinations_with_replacement: each prefix product
+is formed once, and a zero prefix prunes every extension.
+invariant_dimensions, fft-check's one call, refuses every degree by the
+basis bound before it computes any.  Otherwise a Scalar enters in
+weyl_multiply and fock_apply, one product per pair of input terms and
+output word, and in
 OmegaPolyAlgebra.multiply and derivation_apply, once per term by
 scalars.omega_scalar; no routine of the package calls those two.
 gl._to_scalars builds its Scalars by Scalar.from_laurent, so no routine
@@ -514,12 +521,12 @@ def _gl_images(space, copies, dual_copies, monos):
     return images
 
 
-def _guard_invariant_basis(space, copies, dual_copies, degrees):
-    """Refuse invariant_dimension at the first of `degrees` whose
-    zero-weight basis, an x- times an xbar-monomial, is larger than
-    INVARIANT_BASIS_CAP: by the closed forms on the parities of V, before
-    any generator is listed.  xbar(a, s) has degree -gamma_a, whose
-    parity omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
+def _invariant_basis_bounds(space, copies, dual_copies, degrees):
+    """The number of x- times xbar-monomials of each of `degrees`, a bound
+    on its zero-weight basis, by the closed forms on the parities of V
+    before any generator is listed; refused at the first degree past
+    INVARIANT_BASIS_CAP.  xbar(a, s) has degree -gamma_a, whose parity
+    omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
     x(a, r).  Its dim V (N + N') generators are bounded by the same cap
     first, as each degree lists them all, degree 0 included; for dim V >=
     2 that refuses no degree d >= 1 that the basis bound allows."""
@@ -528,12 +535,54 @@ def _guard_invariant_basis(space, copies, dual_copies, degrees):
         raise ResourceBoundExceeded("invariant_dimension", gens,
                                     INVARIANT_BASIS_CAP, "generators")
     odd = space.parities.count(-1)
+    sizes = []
     for d in degrees:
-        size = prod(_count_monomials((space.dim - odd) * n, odd * n, d)
-                    for n in (copies, dual_copies))
-        if size > INVARIANT_BASIS_CAP:
-            raise ResourceBoundExceeded("invariant_dimension", size,
+        sizes.append(prod(_count_monomials((space.dim - odd) * n, odd * n, d)
+                          for n in (copies, dual_copies)))
+        if sizes[-1] > INVARIANT_BASIS_CAP:
+            raise ResourceBoundExceeded("invariant_dimension", sizes[-1],
                                         INVARIANT_BASIS_CAP)
+    return sizes
+
+
+def _z_products(z_words, degree, odd, om):
+    """(keys, {(monomial, e): int}) for each nonzero product z_k1 ... z_kd
+    of d = degree factors, k1 <= ... <= kd in sorted order, in the order
+    of itertools.combinations_with_replacement.  The walk is depth first:
+    each prefix product is formed once and shared by its extensions, and
+    a zero prefix ends them all.  z has degree 0, so a product takes each
+    z on the right, where _merge inserts its two letters."""
+    keys = sorted(z_words)
+    path = [((), {((), 0): 1}, 0)]  # (prefix keys, product, next key)
+    while path:
+        combo, vec, j = path.pop()
+        if len(combo) == degree:
+            yield combo, vec
+            continue
+        if j == len(keys):
+            continue
+        path.append((combo, vec, j + 1))
+        nxt = {}
+        for (mono, e), c in vec.items():
+            for xs in z_words[keys[j]]:
+                merged = _merge(mono, xs, odd, om)
+                if merged is not None:
+                    s, e2, word = merged
+                    k = (word, e + e2)
+                    nxt[k] = nxt.get(k, 0) + (-c if s else c)
+        nxt = {k: c for k, c in nxt.items() if c}
+        if nxt:
+            path.append((combo + (keys[j],), nxt, j))
+
+
+def invariant_dimensions(space, copies, dual_copies, max_degree):
+    """{d: invariant_dimension(space, copies, dual_copies, d)} for d <=
+    max_degree, every degree refused by the basis bound before any is
+    computed."""
+    degrees = range(max_degree + 1)
+    _invariant_basis_bounds(space, copies, dual_copies, degrees)
+    return {d: invariant_dimension(space, copies, dual_copies, d)
+            for d in degrees}
 
 
 def invariant_dimension(space, copies, dual_copies, degree):
@@ -545,22 +594,25 @@ def invariant_dimension(space, copies, dual_copies, degree):
     products of the quadratic invariants z_rs span the kernel.  The E_ab
     images, the z-products and their invariance defects are integer
     Laurent dicts; a Scalar is built only in the rows for rank_of_rows."""
-    _guard_invariant_basis(space, copies, dual_copies, (degree,))
+    bound, = _invariant_basis_bounds(space, copies, dual_copies, (degree,))
     n = space.dim
-    x_alg = fock_algebra(space, copies)
-    xbar_alg = fock_algebra(space, 0, dual_copies)
     alg = fock_algebra(space, copies, dual_copies)
 
     # zero-weight basis: x-part and dual-part use each basis index equally,
     # and g // copies lists a monomial's indices in order.  Every x id is
-    # below every xbar id, so xm + xb is sorted as it stands.
-    by_type = {}
-    for mono in x_alg.monomials(degree):
-        by_type.setdefault(tuple(g // copies for g in mono), []).append(mono)
-    basis = sorted(xm + tuple(g + n * copies for g in mono)
-                   for mono in xbar_alg.monomials(degree)
-                   for xm in by_type.get(
-                       tuple(g // dual_copies for g in mono), ()))
+    # below every xbar id, so xm + xb is sorted as it stands.  When one
+    # side has no monomial of this degree, neither is listed.
+    basis = []
+    if bound:
+        by_type = {}
+        for mono in fock_algebra(space, copies).monomials(degree):
+            by_type.setdefault(tuple(g // copies for g in mono),
+                               []).append(mono)
+        basis = sorted(xm + tuple(g + n * copies for g in mono)
+                       for mono in fock_algebra(
+                           space, 0, dual_copies).monomials(degree)
+                       for xm in by_type.get(
+                           tuple(g // dual_copies for g in mono), ()))
     index = {mono: i for i, mono in enumerate(basis)}
 
     # the image of every E_ab on every basis element, computed once
@@ -586,28 +638,12 @@ def invariant_dimension(space, copies, dual_copies, degree):
         raise AssertionError(
             f"invariant dimension {nullity} != structure sum {expected}")
 
-    # z_rs = sum_a x(a,r) xbar(a,s); each term has degree 0, so a product
-    # takes it on the right, where _merge inserts two letters
-    odd, om = alg._tables
+    # z_rs = sum_a x(a,r) xbar(a,s)
     z_words = {(r, s): [(a * copies + r, n * copies + a * dual_copies + s)
                         for a in range(n)]
                for r in range(copies) for s in range(dual_copies)}
     span_rows = []
-    for combo in itertools.combinations_with_replacement(
-            sorted(z_words), degree):
-        vec = {((), 0): 1}
-        for key in combo:
-            nxt = {}
-            for (mono, e), c in vec.items():
-                for xs in z_words[key]:
-                    merged = _merge(mono, xs, odd, om)
-                    if merged is not None:
-                        s, e2, word = merged
-                        k = (word, e + e2)
-                        nxt[k] = nxt.get(k, 0) + (-c if s else c)
-            vec = {k: c for k, c in nxt.items() if c}
-        if not vec:
-            continue
+    for combo, vec in _z_products(z_words, degree, *alg._tables):
         if not {mono for mono, _ in vec} <= index.keys():
             raise AssertionError(
                 f"a product of z's leaves the zero-weight basis: {combo}")

@@ -20,20 +20,28 @@ methods of OmegaPolyAlgebra and are functions of the algebra here.  Each
 name here calls the others of this module, never the package's new code,
 except for the unchanged helpers imported below (the package-relative
 imports of glq_relations_check read from colourgl).
+
+invariant_dimension_by_combinations is the later, integer-kernel
+invariant_dimension, with its guard _guard_invariant_basis: it lists both
+sides of the zero-weight basis at every degree, even when one side has
+no monomial, and multiplies out each combination of z's from the start,
+so it is the oracle of the basis and of the z-product rows.
 """
 
 import itertools
-from math import comb
+from math import comb, prod
 
-from colourgl.gl import GlElement, SpaceMismatch, _add_into, bracket
+from colourgl.gl import (GlElement, SpaceMismatch, _add_ints, _add_into,
+                         _to_scalars, bracket)
 from colourgl.grading import _merge
-from colourgl.partitions import (_count_hook, _in_hook, _sharp, dim_glN,
-                                  hook_partitions)
+from colourgl.partitions import (_count_hook, _dim_glN, _in_hook, _sharp,
+                                  dim_glN, hook_partitions)
 from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from colourgl.tensor import dual_act
 from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
                            MONOMIAL_CAP, OmegaPolyAlgebra,
-                           ResourceBoundExceeded, WeylElement, _derive,
+                           ResourceBoundExceeded, WeylElement,
+                           _count_monomials, _derive, _gl_images,
                            dual_pair_generators, fock_algebra,
                            howe_dimension_sweep)
 
@@ -477,3 +485,115 @@ def glvv_decomposition(space_v, space_w, max_degree):
                     "sharp_w": _sharp(lam, space_w.m_plus, space_w.m_minus),
                 })
     return rows, pairs
+
+
+def _guard_invariant_basis(space, copies, dual_copies, degrees):
+    """Refuse invariant_dimension at the first of `degrees` whose
+    zero-weight basis, an x- times an xbar-monomial, is larger than
+    INVARIANT_BASIS_CAP: by the closed forms on the parities of V, before
+    any generator is listed.  xbar(a, s) has degree -gamma_a, whose
+    parity omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
+    x(a, r).  Its dim V (N + N') generators are bounded by the same cap
+    first, as each degree lists them all, degree 0 included; for dim V >=
+    2 that refuses no degree d >= 1 that the basis bound allows."""
+    gens = space.dim * (copies + dual_copies)
+    if gens > INVARIANT_BASIS_CAP:
+        raise ResourceBoundExceeded("invariant_dimension", gens,
+                                    INVARIANT_BASIS_CAP, "generators")
+    odd = space.parities.count(-1)
+    for d in degrees:
+        size = prod(_count_monomials((space.dim - odd) * n, odd * n, d)
+                    for n in (copies, dual_copies))
+        if size > INVARIANT_BASIS_CAP:
+            raise ResourceBoundExceeded("invariant_dimension", size,
+                                        INVARIANT_BASIS_CAP)
+
+
+def invariant_dimension_by_combinations(space, copies, dual_copies, degree):
+    """Dimension of the gl(V)-invariants in the bidegree (d, d) component
+    of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
+
+    Verifies the count against the second fundamental theorem sum
+    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
+    products of the quadratic invariants z_rs span the kernel.  The E_ab
+    images, the z-products and their invariance defects are integer
+    Laurent dicts; a Scalar is built only in the rows for rank_of_rows."""
+    _guard_invariant_basis(space, copies, dual_copies, (degree,))
+    n = space.dim
+    x_alg = fock_algebra(space, copies)
+    xbar_alg = fock_algebra(space, 0, dual_copies)
+    alg = fock_algebra(space, copies, dual_copies)
+
+    # zero-weight basis: x-part and dual-part use each basis index equally,
+    # and g // copies lists a monomial's indices in order.  Every x id is
+    # below every xbar id, so xm + xb is sorted as it stands.
+    by_type = {}
+    for mono in x_alg.monomials(degree):
+        by_type.setdefault(tuple(g // copies for g in mono), []).append(mono)
+    basis = sorted(xm + tuple(g + n * copies for g in mono)
+                   for mono in xbar_alg.monomials(degree)
+                   for xm in by_type.get(
+                       tuple(g // dual_copies for g in mono), ()))
+    index = {mono: i for i, mono in enumerate(basis)}
+
+    # the image of every E_ab on every basis element, computed once
+    images = _gl_images(space, copies, dual_copies, basis)
+    rows = []
+    for (a, b), imgs in images.items():
+        if a == b:
+            if imgs:
+                raise AssertionError(
+                    f"E[{a},{a}] does not vanish on the zero-weight basis")
+            continue
+        columns = {}
+        for i, img in imgs.items():
+            for (target, e), c in img.items():
+                columns.setdefault(target, {})[i, e] = c
+        rows.extend(_to_scalars([(ONE, col)]) for col in columns.values())
+    nullity = len(basis) - rank_of_rows(rows)
+
+    expected = sum(_dim_glN(lam, copies) * _dim_glN(lam, dual_copies)
+                   for lam in hook_partitions(space.m_plus, space.m_minus,
+                                              degree, degree))
+    if nullity != expected:
+        raise AssertionError(
+            f"invariant dimension {nullity} != structure sum {expected}")
+
+    # z_rs = sum_a x(a,r) xbar(a,s); each term has degree 0, so a product
+    # takes it on the right, where _merge inserts two letters
+    odd, om = alg._tables
+    z_words = {(r, s): [(a * copies + r, n * copies + a * dual_copies + s)
+                        for a in range(n)]
+               for r in range(copies) for s in range(dual_copies)}
+    span_rows = []
+    for combo in itertools.combinations_with_replacement(
+            sorted(z_words), degree):
+        vec = {((), 0): 1}
+        for key in combo:
+            nxt = {}
+            for (mono, e), c in vec.items():
+                for xs in z_words[key]:
+                    merged = _merge(mono, xs, odd, om)
+                    if merged is not None:
+                        s, e2, word = merged
+                        k = (word, e + e2)
+                        nxt[k] = nxt.get(k, 0) + (-c if s else c)
+            vec = {k: c for k, c in nxt.items() if c}
+        if not vec:
+            continue
+        if not {mono for mono, _ in vec} <= index.keys():
+            raise AssertionError(
+                f"a product of z's leaves the zero-weight basis: {combo}")
+        row = {(index[mono], e): c for (mono, e), c in vec.items()}
+        # each product must be killed by every generator
+        for (a, b), imgs in images.items():
+            defect = {}
+            for (i, e), c in row.items():
+                _add_ints(defect, imgs.get(i, {}), c, e)
+            if any(defect.values()):
+                raise AssertionError(
+                    f"z-monomial not invariant under E[{a},{b}]")
+        span_rows.append(_to_scalars([(ONE, row)]))
+    if rank_of_rows(span_rows) != nullity:
+        raise AssertionError("z-monomials do not span the invariants")
+    return nullity

@@ -418,6 +418,28 @@ def test_casimir_subcommand(capsys):
     assert code == 2
 
 
+def test_casimir_reads_a_partition_as_the_library_does(capsys):
+    # trailing zeros are dropped, as check_partition drops them
+    code, doc = run_json(capsys, "casimir", "--space", "super(2|1)",
+                         "--partition", "2,1,0")
+    assert code == 0 and doc["results"]["partition"] == [2, 1]
+    assert doc["results"]["defect_zero"] is True
+    for text, message in (("2,0,1", "(2, 0, 1) is not a partition"),
+                          ("1,2", "(1, 2) is not a partition"),
+                          ("-1", "(-1,) is not a partition")):
+        code, doc = run_json(capsys, "casimir", "--space", "super(2|1)",
+                             "--partition", text)
+        assert code == 2 and doc["error"] == message, text
+
+
+@pytest.mark.parametrize("job", ["kac-dim", "gram"])
+def test_a_weight_that_is_not_dominant_is_refused_by_reps(capsys, job):
+    code, doc = run_json(capsys, job, "--space", "super(2|0)",
+                         "--weight", "0,1")
+    assert code == 2 and doc["kind"] == "error"
+    assert doc["error"] == "0,1 is not dominant"
+
+
 def test_fft_check_subcommand(capsys):
     code, doc = run_json(capsys, "fft-check", "--space", "super(1|1)",
                          "--copies", "1", "--dual-copies", "1",
@@ -426,6 +448,21 @@ def test_fft_check_subcommand(capsys):
     assert doc["results"]["invariant_dimensions"] == {"0": 1, "1": 1, "2": 1}
     assert doc["results"]["dual_pair_ok"] is True
     assert doc["ok"] is True
+
+
+def test_fft_check_with_an_empty_side_ends_fast():
+    # the xbar side has no monomial past degree 1, so neither side is
+    # listed, and every product of two z's is zero at its first prefix
+    argv = ["fft-check", "--space", "super(0|1)", "--copies", "200",
+            "--dual-copies", "1", "--max-degree", "5"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "colourgl", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 0, out.stdout
+    assert json.loads(out.stdout)["results"]["invariant_dimensions"] == {
+        "0": 1, "1": 200, "2": 0, "3": 0, "4": 0, "5": 0}
 
 
 def test_fft_check_failed_flag_exits_1(capsys, monkeypatch):
@@ -581,8 +618,8 @@ def test_a_result_too_long_to_print_exits_2_fast(capsys, argv):
     code, doc = run_timed(capsys, *argv)
     assert code == 2 and doc["kind"] == "error"
     assert doc["error"] == (
-        f"a number of the report needs more than {reps.REPORT_DIGITS_CAP} "
-        f"digits, above the bound {reps.REPORT_DIGITS_CAP}")
+        f"a number of the report needs more than {cli.REPORT_DIGITS_CAP} "
+        f"digits, above the bound {cli.REPORT_DIGITS_CAP}")
 
 
 @pytest.mark.parametrize("space, weight, star, certificate", [

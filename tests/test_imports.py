@@ -5,7 +5,9 @@ whose last caller moved away goes with it.  No module writes an f-string
 without a placeholder: a message meant to name its inputs that names none
 of them.  Importing the CLI loads neither dataclasses nor inspect, which
 with ast, dis and tokenize are most of a cold start's import time.  No
-module but scalars imports a private name of scalars."""
+module but scalars imports a private name of scalars.  The CLI imports no
+private name of the package: it calls the public library, one call per
+job."""
 
 import ast
 import os
@@ -113,4 +115,14 @@ def test_only_scalars_imports_a_private_name_of_scalars():
                 private += [f"{path.name}: {alias.name}"
                             for alias in node.names
                             if alias.name.startswith("_")]
+    assert not private
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    private = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.level or (node.module or "").startswith("colourgl")):
+            private += [alias.name for alias in node.names
+                        if alias.name.startswith("_")]
     assert not private

@@ -212,6 +212,47 @@ def test_invariant_dimension_matches_the_parent_on_every_small_preset():
         outcome(parent.invariant_dimension, *args)
 
 
+RANKS = {weyl: weyl.rank_of_rows, parent: parent.rank_of_rows}
+
+
+def ranked_rows(monkeypatch, f, *args):
+    """The outcome of f(*args) and every list of rows it ranks, by the
+    package's rank_of_rows or by the oracles'."""
+    seen = []
+    for module, rank in RANKS.items():
+        def recorded(rows, rank=rank):
+            rows = list(rows)
+            seen.append(rows)
+            return rank(rows)
+        monkeypatch.setattr(module, "rank_of_rows", recorded)
+    return outcome(f, *args), seen
+
+
+# spaces with an odd part: one side of the basis is empty past degree N dim
+EMPTY_SIDES = [("super(0|1)", 3, 1, 4), ("super(0|1)", 1, 3, 4),
+               ("super(0|2)", 2, 1, 4), ("z2z2(0,1,0,0)", 2, 1, 3)]
+
+
+def test_basis_and_z_rows_match_the_oracle(monkeypatch):
+    # the E_ab rows index the basis, so equal rows are an equal basis in
+    # the same order; the z rows come in the order of the combinations
+    cases = [(name, space, copies, dual_copies, degree)
+             for name, space in small_presets().items()
+             for copies, dual_copies in COPY_PAIRS for degree in range(3)]
+    cases += [(name, preset_space(name), copies, dual_copies, degree)
+              for name, copies, dual_copies, top in EMPTY_SIDES
+              for degree in range(top + 1)]
+    empty = 0
+    for name, space, *args in cases:
+        ours = ranked_rows(monkeypatch, invariant_dimension, space, *args)
+        oracle = ranked_rows(monkeypatch,
+                             parent.invariant_dimension_by_combinations,
+                             space, *args)
+        assert ours == oracle, (name, args)
+        empty += ours[0] == 0
+    assert empty >= 15
+
+
 def test_word_images_match_derivation_apply():
     # every E_ab on every monomial of degree <= 2, both sides included
     for name, space in small_presets().items():

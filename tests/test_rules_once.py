@@ -6,7 +6,10 @@ that walked them twice.  kac_dimension applies the Weyl dimension formula
 to each parity block; parent_reps keeps the version that went through
 dim_glN.  The factor of E_ab on V* is gl._dual_pair, which dual_act
 applies to Scalars, and the Laurent polynomials of the integer kernels
-become Scalars by Scalar.from_laurent."""
+become Scalars by Scalar.from_laurent.  The hook table is built once, by
+partitions.hook_table: the Schur-Weyl table is its rows, and its counts
+are those of the public functions.  The Kac module takes the bracket of
+two matrix units from gl._unit_bracket."""
 
 import itertools
 import random
@@ -16,11 +19,15 @@ import pytest
 
 import parent_reps
 import parent_weyl
-from colourgl.gl import GlElement, SpaceMismatch, _dual_pair
+from colourgl import reps
+from colourgl.gl import GlElement, SpaceMismatch, _dual_pair, _unit_bracket
+from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
+                                 dim_glN, hook_partitions, hook_table,
+                                 lambda_sharp)
 from colourgl.presets import preset_space
-from colourgl.reps import kac_dimension
+from colourgl.reps import gram_report, kac_dimension
 from colourgl.scalars import ZERO, Scalar, omega_scalar
-from colourgl.tensor import dual_act
+from colourgl.tensor import dual_act, schur_weyl_table
 from colourgl.weyl import glvv_decomposition
 from test_laurent_kernels import small_presets
 
@@ -104,3 +111,42 @@ def test_from_laurent_is_the_sum_of_its_terms():
         assert got == expected, terms
         # the stored form is the canonical one, so str and parse agree
         assert Scalar.parse(str(got)) == got
+
+
+def test_hook_table_rows_are_the_schur_weyl_rows():
+    for name, space in small_presets().items():
+        for r in range(4):
+            assert list(hook_table(space.m_plus, space.m_minus, r)) == \
+                schur_weyl_table(space, r), (name, r)
+
+
+@pytest.mark.parametrize("m_plus, m_minus", [(0, 1), (1, 1), (2, 1), (0, 3)])
+def test_hook_table_counts_are_the_public_ones(m_plus, m_minus):
+    for size in range(7):
+        for copies in range(4):
+            rows = list(hook_table(m_plus, m_minus, size, copies))
+            shapes = hook_partitions(m_plus, m_minus, size, size)
+            assert [row["partition"] for row in rows] == shapes
+            for lam, row in zip(shapes, rows):
+                expected = {
+                    "partition": lam,
+                    "sharp": lambda_sharp(lam, m_plus, m_minus),
+                    "k": count_hook_tableaux(lam, m_plus, m_minus),
+                    "f": count_standard_tableaux(lam)}
+                if copies:
+                    expected["dim_glN"] = dim_glN(lam, copies)
+                assert row == expected, (lam, copies)
+
+
+def test_the_kac_module_takes_its_bracket_from_gl(monkeypatch):
+    space = preset_space("super(2|1)")
+    before = gram_report(space, (2, 1, 0))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _unit_bracket(*args)
+
+    monkeypatch.setattr(reps, "_unit_bracket", counted)
+    assert gram_report(space, (2, 1, 0)) == before
+    assert calls
