@@ -6,8 +6,9 @@ from .gl import (GlElement, GradedSpace, SpaceMismatch, bilinear_form,
                  positive_roots, rho, skew_defect, supertrace, weight_inner,
                  weyl_orbit)
 from .partitions import (count_hook_tableaux, count_standard_tableaux,
-                         dim_glN, hook_partitions, hook_table, in_hook,
-                         lambda_sharp, partitions_of, transpose)
+                         dim_glN, dim_glN_floor_bits, hook_partitions,
+                         hook_table, in_hook, lambda_sharp, partitions_of,
+                         transpose)
 from .presets import builtin_spaces, preset_space
 from .reps import (DualWeightUnsupported, GramReport, KacModule,
                    UnsupportedFactor, UnsupportedSpace, UnitarisableVerdict,

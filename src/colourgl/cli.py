@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import presets
 from .gl import GradedSpace
-from .partitions import check_partition, hook_table
+from .partitions import check_partition, dim_glN_floor_bits, hook_table
 from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
@@ -114,13 +114,17 @@ def _space_and_weight(args):
     return space, parse_weight(args.weight, space.dim)
 
 
+def _too_long():
+    return ResourceBoundExceeded(
+        "a number of the report", f"more than {REPORT_DIGITS_CAP}",
+        REPORT_DIGITS_CAP, "digits")
+
+
 def _printable(x):
     """x, an int or a Fraction, when its numerator and denominator have at
     most REPORT_DIGITS_CAP digits each; ResourceBoundExceeded otherwise."""
     if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
-        raise ResourceBoundExceeded(
-            "a number of the report", f"more than {REPORT_DIGITS_CAP}",
-            REPORT_DIGITS_CAP, "digits")
+        raise _too_long()
     return x
 
 
@@ -290,6 +294,11 @@ def cmd_gram(args):
 
 def cmd_tableaux(args):
     space = load_space(args.space)
+    # a space with a basis vector has a shape of every size, and each
+    # shape's dim_glN is at least 2**bits >= _TOO_LONG: refused unbuilt
+    if space.dim and dim_glN_floor_bits(
+            args.size, args.copies) >= _TOO_LONG.bit_length():
+        raise _too_long()
     return {"rows": _table_rows(hook_table(space.m_plus, space.m_minus,
                                            args.size, args.copies))}, True
 

@@ -31,7 +31,7 @@ Sums taken term by term into a dict that must stay free of zeros go
 through _add_into, which drops a key whose sum is zero: the containers'
 arithmetic, bracket and _bracket_ints here, and the Kac module's action
 on ints.  The integer kernels of tensor (_block_sums, _act) and weyl (the
-word kernels, _commutator, _gl_images and the z-products of fft-check)
+word walk, _commutator, _gl_images and the z-products of fft-check)
 accumulate with dict.get and drop the zero entries once, at the end.
 Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the

@@ -19,6 +19,8 @@ hook_partitions lists the shapes of one size directly, without recursion;
 partitions_of is its case M+ = 0.  hook_table is the one builder of the
 hook table, a row of (lambda, lambda#, k, f and dim_glN) per shape: the
 Schur-Weyl table of tensor and the CLI's tableaux report both read it.
+dim_glN_floor_bits bounds every dim_glN of one size from below by bit
+lengths, so that a count too long to print is refused unbuilt.
 
 Each public function checks its shape once, by check_partition (and
 hook membership once, by _hook_shape), and runs a private kernel on the
@@ -180,6 +182,17 @@ def dim_glN(lam, n):
     """Dimension of the simple polynomial gl_N module:
     prod (N + j - i)/hook(i, j); zero when depth(lambda) > N."""
     return _dim_glN(check_partition(lam), n)
+
+
+def dim_glN_floor_bits(size, n):
+    """A b with dim_glN(lambda, n) >= 2**b for every lambda of the size,
+    from bit lengths alone, with no product: once n >= size each content
+    n + j - i is at least n - size + 1, and the hooks' product is at most
+    size! < 2**(size * bitlen(size)).  0 when n < size."""
+    if n < size:
+        return 0
+    return max(size * ((n - size + 1).bit_length() - 1 - size.bit_length()),
+               0)
 
 
 def _dim_glN(lam, n):

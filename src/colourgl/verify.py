@@ -13,7 +13,7 @@ than from the _omega_pairs table the brackets read, coxeter-braid follows
 one term (s, e, word) through each sigma word (tensor._swap),
 gl-equivariance commutes E_ab (tensor._act, the kernel the schur-weyl and
 casimir jobs run) with sigma_i (tensor._swap) on integer terms, and
-fock-module and dual-pair compare the integer kernels of weyl, dual-pair
+fock-module and dual-pair compare the integer walk of weyl, dual-pair
 against the abstract brackets of gl._bracket_ints.  A Scalar still
 enters in scalar-field, which tests Scalar arithmetic itself, and in
 forms-roots (bracket, the supertrace form and Fraction root data).

@@ -18,14 +18,20 @@ builds the table of a graded space.  As omega is a commutative factor
 gamma_h) = omega(gamma_h, gamma_g), so that one table serves x's, d's
 and contractions.
 
-So words straighten over Z[q, q^-1], in two integer kernels:
-_word_product multiplies two words and _word_on_monomial applies a word
-to a Fock monomial, each as {(word, e): int}, the Laurent polynomial of
-every output word.  Every relation check goes through one helper on
-them, _commutator, the sum of u v - (-1)^s q^e v u over lists of words:
-verify_dual_pair and glq_relations_check compare its dicts and build no
-Scalar, and invariant_generators_check turns each into Scalars by
-gl._to_scalars only for rank_of_rows.  The fock-module suite compares
+So words straighten over Z[q, q^-1], in one staged walk, _word_product,
+as {(word, e): int}, the Laurent polynomial of every output word.  The
+d's of the left word pass the right x-word from the right, one stage per
+d; each leaves its contractions, by _derive, and one that passes every
+letter merges into the right d-word from the left.  Last, the left
+x-word merges in on the left.  The Fock action, _word_on_monomial, is
+the same walk on the vacuum, whose one rule is that a d passing every
+letter kills it, so only its contractions stay.  Every relation check
+goes through one helper on the walk, _commutator, the sum of
+u v - (-1)^s q^e v u over lists of words: verify_dual_pair and
+glq_relations_check compare its dicts and build no Scalar.
+invariant_generators_check turns each into Scalars by gl._to_scalars
+only for rank_of_rows, and finds every Ecal killed by each ad(E[r][s])
+as an empty _commutator dict.  The fock-module suite compares
 _word_on_monomial dicts.  invariant_dimension (fft-check) applies each
 E_ab of gl(V) by its dual-pair words, x(a,r) d(b,r) and xbar(b,s)
 dbar(a,s), through _derive and _merge as _word_on_monomial does, and
@@ -63,7 +69,7 @@ from .gl import (LinearCombination, SpaceMismatch, _add_ints, _add_into,
 from .grading import _merge
 from .partitions import (_count_hook, _dim_glN, _series, _sharp,
                          hook_partitions)
-from .scalars import ONE, ZERO, omega_scalar
+from .scalars import ONE, omega_scalar
 
 
 MONOMIAL_CAP = 10 ** 6
@@ -152,54 +158,44 @@ def _derive(g, mono, om):
 def _word_product(alg, xs1, ds1, xs2, ds2):
     """The normal-ordered product of the words (xs1, ds1) and (xs2, ds2)
     of alg's generators, as {((xs, ds), e): int}: the Laurent polynomial
-    over Z of each output word, its signs folded into the ints."""
+    over Z of each output word, its signs folded into the ints.  With ds2
+    None, the vacuum, it is the action of (xs1, ds1) on the x-monomial
+    xs2, as {(monomial, e): int}.
+
+    One staged walk: the d's of ds1 pass the x-word from the right, one
+    stage per d, each leaving its contractions; a d that passes every
+    letter merges into the d-word from the left, or kills the vacuum.
+    Then xs1 merges in on the left."""
     odd, om = alg._tables
+    stage = {(xs2, ds2, 0): 1}
+    for d in reversed(ds1):
+        nxt = {}
+        for (xs, ds, e), c in stage.items():
+            contractions, (sp, ep) = _derive(d, xs, om)
+            for s2, e2, dxs in contractions:
+                key = (dxs, ds, e + e2)
+                nxt[key] = nxt.get(key, 0) + (-c if s2 else c)
+            # the vacuum rule: a d that passes all of xs kills the vacuum
+            merged = ds is not None and _merge((d,), ds, odd, om)
+            if merged:
+                s2, e2, dds = merged
+                key = (xs, dds, e + ep + e2)
+                nxt[key] = nxt.get(key, 0) + (-c if sp ^ s2 else c)
+        stage = nxt
     out = {}
-
-    def reduce_term(xs1, ds1, xs2, ds2, s, e):
-        # the term (-1)^s q^e * xs1 ds1 xs2 ds2
-        if not ds1:
-            merged = _merge(xs1, xs2, odd, om)
-            if merged is not None:
-                s2, e2, xs = merged
-                key = ((xs, ds2), e + e2)
-                out[key] = out.get(key, 0) + (-1 if s ^ s2 else 1)
-            return
-        d = ds1[-1]
-        rest = ds1[:-1]
-        contractions, (sp, ep) = _derive(d, xs2, om)
-        for s2, e2, xs in contractions:
-            reduce_term(xs1, rest, xs, ds2, s ^ s2, e + e2)
-        # d passes the whole x block and merges into ds2 from the left
-        merged = _merge((d,), ds2, odd, om)
+    for (xs, ds, e), c in stage.items():
+        merged = _merge(xs1, xs, odd, om)
         if merged is not None:
-            s2, e2, ds = merged
-            reduce_term(xs1, rest, xs2, ds, s ^ sp ^ s2, e + ep + e2)
-
-    reduce_term(xs1, ds1, xs2, ds2, 0, 0)
+            s, e2, word = merged
+            key = (word if ds is None else (word, ds), e + e2)
+            out[key] = out.get(key, 0) + (-c if s else c)
     return {key: c for key, c in out.items() if c}
 
 
 def _word_on_monomial(alg, xs, ds, mono):
     """The word (xs, ds) applied to the x-monomial mono, d's as
     derivations and x's by multiplication, as {(monomial, e): int}."""
-    odd, om = alg._tables
-    stage = {(mono, 0): 1}
-    for g in reversed(ds):
-        nxt = {}
-        for (m, e), c in stage.items():
-            for s2, e2, dm in _derive(g, m, om)[0]:
-                key = (dm, e + e2)
-                nxt[key] = nxt.get(key, 0) + (-c if s2 else c)
-        stage = nxt
-    out = {}
-    for (m, e), c in stage.items():
-        merged = _merge(xs, m, odd, om)
-        if merged is not None:
-            s, e2, word = merged
-            key = (word, e + e2)
-            out[key] = out.get(key, 0) + (-c if s else c)
-    return {key: c for key, c in out.items() if c}
+    return _word_product(alg, xs, ds, mono, None)
 
 
 def _commutator(alg, us, vs, products, s=0, e=0):
@@ -683,14 +679,14 @@ def invariant_generators_check(space, copies):
         rows.extend(images.values())
     if len(words) - rank_of_rows(rows) != space.dim ** 2:
         return False
-    # the Ecal's must be independent members of the kernel: each row of
-    # an ad(E[r][s]) kills each of them
-    ecal_rows = [{windex[w]: coef for w, coef in elt.terms.items()}
-                 for elt in Ecal.values()]
-    if any(sum((row[i] * c for i, c in v.items() if i in row), ZERO)
-           for row in rows for v in ecal_rows):
+    # the Ecal's must be independent members of the kernel: each
+    # ad(E[r][s]) kills each of them
+    if any(_commutator(alg, x.terms, elt.terms, products)
+           for x in itertools.chain.from_iterable(E)
+           for elt in Ecal.values()):
         return False
-    return rank_of_rows(ecal_rows) == space.dim ** 2
+    return rank_of_rows([{windex[w]: coef for w, coef in elt.terms.items()}
+                         for elt in Ecal.values()]) == space.dim ** 2
 
 
 def glq_relations_check(m, n, copies, max_degree=4):

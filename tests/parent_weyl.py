@@ -21,6 +21,11 @@ name here calls the others of this module, never the package's new code,
 except for the unchanged helpers imported below (the package-relative
 imports of glq_relations_check read from colourgl).
 
+_word_product and _word_on_monomial are the two integer kernels that one
+staged walk replaced: the product reduces each term depth first, and the
+action runs its own stages of d's on the monomial.  They are the oracles
+of the walk in tests/test_laurent_kernels.py.
+
 invariant_dimension_by_combinations is the later, integer-kernel
 invariant_dimension, with its guard _guard_invariant_basis: it lists both
 sides of the zero-weight basis at every degree, even when one side has
@@ -597,3 +602,56 @@ def invariant_dimension_by_combinations(space, copies, dual_copies, degree):
     if rank_of_rows(span_rows) != nullity:
         raise AssertionError("z-monomials do not span the invariants")
     return nullity
+
+
+def _word_product(alg, xs1, ds1, xs2, ds2):
+    """The normal-ordered product of the words (xs1, ds1) and (xs2, ds2)
+    of alg's generators, as {((xs, ds), e): int}: the Laurent polynomial
+    over Z of each output word, its signs folded into the ints."""
+    odd, om = alg._tables
+    out = {}
+
+    def reduce_term(xs1, ds1, xs2, ds2, s, e):
+        # the term (-1)^s q^e * xs1 ds1 xs2 ds2
+        if not ds1:
+            merged = _merge(xs1, xs2, odd, om)
+            if merged is not None:
+                s2, e2, xs = merged
+                key = ((xs, ds2), e + e2)
+                out[key] = out.get(key, 0) + (-1 if s ^ s2 else 1)
+            return
+        d = ds1[-1]
+        rest = ds1[:-1]
+        contractions, (sp, ep) = _derive(d, xs2, om)
+        for s2, e2, xs in contractions:
+            reduce_term(xs1, rest, xs, ds2, s ^ s2, e + e2)
+        # d passes the whole x block and merges into ds2 from the left
+        merged = _merge((d,), ds2, odd, om)
+        if merged is not None:
+            s2, e2, ds = merged
+            reduce_term(xs1, rest, xs2, ds, s ^ sp ^ s2, e + ep + e2)
+
+    reduce_term(xs1, ds1, xs2, ds2, 0, 0)
+    return {key: c for key, c in out.items() if c}
+
+
+def _word_on_monomial(alg, xs, ds, mono):
+    """The word (xs, ds) applied to the x-monomial mono, d's as
+    derivations and x's by multiplication, as {(monomial, e): int}."""
+    odd, om = alg._tables
+    stage = {(mono, 0): 1}
+    for g in reversed(ds):
+        nxt = {}
+        for (m, e), c in stage.items():
+            for s2, e2, dm in _derive(g, m, om)[0]:
+                key = (dm, e + e2)
+                nxt[key] = nxt.get(key, 0) + (-c if s2 else c)
+        stage = nxt
+    out = {}
+    for (m, e), c in stage.items():
+        merged = _merge(xs, m, odd, om)
+        if merged is not None:
+            s, e2, word = merged
+            key = (word, e + e2)
+            out[key] = out.get(key, 0) + (-c if s else c)
+    return {key: c for key, c in out.items() if c}

@@ -1,0 +1,58 @@
+"""Every Python file that the CI workflow runs exists.  The workflow runs
+only on the hosted runners, so a renamed script or test would otherwise
+first fail there; here it fails in the tier-1 suite.  The run commands
+are read with regular expressions, both the one-line `run: cmd` form and
+the lines of a `run: |` block."""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+RUN = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
+PY_PATH = re.compile(r"[\w./-]+\.py\b")
+
+
+def run_commands(text):
+    """The text of every run: step, a block's lines included."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        match = RUN.match(line)
+        if not match:
+            continue
+        indent, rest = len(match.group(1)), match.group(2)
+        if rest not in ("|", ">"):
+            yield rest
+            continue
+        for body in lines[i + 1:]:
+            if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                break
+            yield body
+
+
+def python_paths(text):
+    return {path for command in run_commands(text)
+            for path in PY_PATH.findall(command)}
+
+
+def test_the_reader_finds_one_line_and_block_commands():
+    text = ("    steps:\n"
+            "      - name: a\n"
+            "        run: python tools/a.py --x\n"
+            "      - name: b\n"
+            "        run: |\n"
+            "          for s in 1 2; do\n"
+            "            python -m pytest tests/test_b.py || exit 1\n"
+            "          done\n"
+            "      - name: c\n"
+            "        with:\n"
+            "          script: not/run.py\n")
+    assert python_paths(text) == {"tools/a.py", "tests/test_b.py"}
+
+
+def test_every_python_file_the_workflow_runs_exists():
+    paths = python_paths(WORKFLOW.read_text())
+    # perfbench/run.py and tests/test_pool_replay.py when this was written
+    assert paths
+    assert [p for p in sorted(paths) if not (ROOT / p).is_file()] == []

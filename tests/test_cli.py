@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -613,13 +614,59 @@ def test_a_weight_coordinate_at_the_digit_bound_is_read():
      ",".join(["9" * 1000] * 4)),
     # dim_glN of (3,) is C(N + 2, 3)
     ("tableaux", "--space", "super(1|1)", "--size", "3", "--copies",
-     str(10 ** 1500))])
+     str(10 ** 1500)),
+    # dim_glN of (size,) has about size * 4000 digits, refused unbuilt: the
+    # first row multiplied 300 numbers of 4001 digits in 6.2 s, and 900
+    # ran past 60 s
+    ("tableaux", "--space", "super(1|1)", "--size", "300", "--copies",
+     str(10 ** 4000)),
+    ("tableaux", "--space", "super(1|1)", "--size", "900", "--copies",
+     str(10 ** 4000))])
 def test_a_result_too_long_to_print_exits_2_fast(capsys, argv):
     code, doc = run_timed(capsys, *argv)
     assert code == 2 and doc["kind"] == "error"
     assert doc["error"] == (
         f"a number of the report needs more than {cli.REPORT_DIGITS_CAP} "
         f"digits, above the bound {cli.REPORT_DIGITS_CAP}")
+
+
+def largest_copies_below_the_cap(size):
+    """The largest N whose dim_glN of (size,), C(N + size - 1, size), has
+    at most REPORT_DIGITS_CAP digits, for size 1 or 2."""
+    cap = 10 ** cli.REPORT_DIGITS_CAP
+    if size == 1:
+        return cap - 1
+    n = isqrt(2 * cap)
+    while n * (n + 1) // 2 >= cap:
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("space, size", [("super(1|0)", 1),
+                                         ("super(1|1)", 2)])
+def test_a_dim_glN_just_under_the_digit_bound_prints(capsys, space, size):
+    copies = largest_copies_below_the_cap(size)
+    code, doc = run_json(capsys, "tableaux", "--space", space, "--size",
+                         str(size), "--copies", str(copies))
+    assert code == 0
+    top = max(row["dim_glN"] for row in doc["results"]["rows"])
+    assert top == comb(copies + size - 1, size)
+    assert len(str(top)) == cli.REPORT_DIGITS_CAP
+    # one more copy and the count passes the bound
+    code, doc = run_json(capsys, "tableaux", "--space", space, "--size",
+                         str(size), "--copies", str(copies + 1))
+    assert code == 2 and doc["kind"] == "error"
+
+
+def test_timing_reports_the_seconds_only_when_asked(capsys):
+    argv = ("tableaux", "--space", "super(1|1)", "--size", "2")
+    code, doc = run_json(capsys, "--timing", *argv)
+    assert code == 0
+    seconds = doc["timing"]["seconds"]
+    assert type(seconds) in (int, float) and seconds >= 0
+    assert "timing" not in doc["inputs"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and "timing" not in doc
 
 
 @pytest.mark.parametrize("space, weight, star, certificate", [

@@ -5,7 +5,10 @@ invariant_dimension agree with them on seeded random elements with
 fraction coefficients, on every preset of dim V <= 3, and on wrong
 Ecal's and wrong gl_q(m|n) factors, which both relation checks must
 refuse.  The words of E_ab give derivation_apply's images, and a wrong
-factor on an xbar word is refused by invariant_dimension."""
+factor on an xbar word is refused by invariant_dimension.  The one
+normal-ordering walk agrees with the product and action kernels it
+replaced on seeded random words, and its Fock action is the product's
+d-free words."""
 
 import itertools
 import random
@@ -107,6 +110,39 @@ def test_weyl_multiply_and_fock_apply_match_the_parent(name):
                                       f.terms):
                 assert is_laurent(_word_product(alg, *w1, *w2))
                 assert is_laurent(_word_on_monomial(alg, *w1, mono))
+
+
+def random_word_cases(name, copies, alg, count=120):
+    """count seeded (left word, right word, x-monomial) triples."""
+    rng = random.Random(f"{name}/{copies}")
+    for _ in range(count):
+        yield ((random_word(rng, alg), random_word(rng, alg)),
+               (random_word(rng, alg), random_word(rng, alg)),
+               random_word(rng, alg))
+
+
+@pytest.mark.parametrize("copies", (1, 2))
+def test_the_walk_matches_both_parent_kernels_on_every_small_preset(copies):
+    for name, space in small_presets().items():
+        alg = fock_algebra(space, copies)
+        for w1, w2, mono in random_word_cases(name, copies, alg):
+            assert _word_product(alg, *w1, *w2) == \
+                parent._word_product(alg, *w1, *w2), (name, w1, w2)
+            assert _word_on_monomial(alg, *w1, mono) == \
+                parent._word_on_monomial(alg, *w1, mono), (name, w1, mono)
+
+
+@pytest.mark.parametrize("copies", (1, 2))
+def test_the_fock_action_is_the_products_d_free_words(copies):
+    # the vacuum rule: a word on a monomial is its product with the word
+    # (monomial, ()) with every output word that keeps a d dropped
+    for name, space in small_presets().items():
+        alg = fock_algebra(space, copies)
+        for w1, _, mono in random_word_cases(name, copies, alg):
+            product = _word_product(alg, *w1, mono, ())
+            assert _word_on_monomial(alg, *w1, mono) == {
+                (xs, e): c for ((xs, ds), e), c in product.items()
+                if not ds}, (name, w1, mono)
 
 
 @pytest.mark.parametrize("copies", (1, 2))

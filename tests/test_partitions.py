@@ -6,9 +6,10 @@ import pytest
 
 from colourgl.partitions import (_count_hook, _count_standard, _series,
                                  check_partition, count_hook_tableaux,
-                                 count_standard_tableaux, dim_glN, hooks,
-                                 hook_partitions, in_hook, lambda_sharp,
-                                 partitions_of, transpose)
+                                 count_standard_tableaux, dim_glN,
+                                 dim_glN_floor_bits, hooks, hook_partitions,
+                                 in_hook, lambda_sharp, partitions_of,
+                                 transpose)
 
 
 def leaf_by_leaf_hook_tableaux(lam, m_plus, m_minus):
@@ -111,6 +112,18 @@ def test_specht_dimension_identity():
     assert total == factorial(4) == 24
     assert sum(count_standard_tableaux(lam) ** 2
                for lam in partitions_of(4)) == 24
+
+
+def test_dim_glN_floor_bits_bounds_every_shape_of_the_size():
+    for size in range(10):
+        for n in [*range(size + 16), 10 ** 6, 2 ** 40 + 3, 10 ** 50]:
+            bits = dim_glN_floor_bits(size, n)
+            assert bits >= 0
+            for lam in partitions_of(size):
+                assert dim_glN(lam, n) >= 2 ** bits or len(lam) > n
+    # it is a bound of use where n is far above the size
+    assert dim_glN_floor_bits(8, 10 ** 50) > 8 * 150
+    assert dim_glN_floor_bits(300, 10 ** 4000) > 10 ** 6
 
 
 def test_dim_glN_examples_and_oracle():
