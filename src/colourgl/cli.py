@@ -5,10 +5,14 @@ function per job and writes the report.  Every rule of the mathematics,
 the refusal of a weight that is not dominant or of a shape that is not a
 partition included, is the library's; what is here is about text alone:
 reading options, weights and partitions, and writing numbers, rows and
-records.  A number of the report is refused past REPORT_DIGITS_CAP
-digits (_printable); the rows of partitions.hook_table, which schur-weyl
-and tableaux both report, are written by _table_rows, and reps'
-UnitarisableVerdict and GramReport by _verdict_json and _gram_json.
+records.  Its only bounds are on text: a weight coordinate is refused
+past WEIGHT_DIGITS_CAP digits (_coordinate), and a number of the report
+past REPORT_DIGITS_CAP digits (_printable, _too_long).  Every bound on a
+computation, the tensor power of schur-weyl and casimir included, is the
+library's, raised by gl.ResourceBoundExceeded.check; both kinds exit 2.
+The rows of partitions.hook_table, which schur-weyl and tableaux both
+report, are written by _table_rows, and reps' UnitarisableVerdict and
+GramReport by _verdict_json and _gram_json.
 Every subcommand emits one JSON report (sorted keys); tableaux, whose
 report is nothing but its rows, takes --format tsv to write them as TSV
 instead.
@@ -37,19 +41,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import presets
-from .gl import GradedSpace
+from .gl import GradedSpace, ResourceBoundExceeded
 from .partitions import check_partition, dim_glN_floor_bits, hook_table
 from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
 from .tensor import schur_weyl_table
-from .weyl import (ResourceBoundExceeded, glq_relations_check,
-                   glvv_decomposition, howe_dimension_sweep,
-                   invariant_dimensions, invariant_generators_check,
-                   verify_dual_pair)
+from .weyl import (glq_relations_check, glvv_decomposition,
+                   howe_dimension_sweep, invariant_dimensions,
+                   invariant_generators_check, verify_dual_pair)
 from .verify import require_dimension, run_verification
 
-WORD_CAP = 10 ** 6
 # most digits of a weight coordinate, the value of its exponent counted as
 # digits: Fraction builds 10^k for an exponent k
 WEIGHT_DIGITS_CAP = 1000
@@ -194,12 +196,6 @@ def check_counts(args):
                          f"{args.m + args.n}")
 
 
-def guard_words(space, power):
-    size = space.dim ** power
-    if size > WORD_CAP:
-        raise ResourceBoundExceeded("tensor power", size, WORD_CAP)
-
-
 # -- subcommand handlers: each returns (results, ok) ---------------------------
 
 def cmd_verify(args):
@@ -212,7 +208,6 @@ def cmd_verify(args):
 
 def cmd_schur_weyl(args):
     space = load_space(args.space)
-    guard_words(space, args.power)
     rows = schur_weyl_table(space, args.power)
     return {"rows": _table_rows(rows),
             "checksum": sum(r["k"] * r["f"] for r in rows),
@@ -274,7 +269,6 @@ def cmd_casimir(args):
     if args.partition:
         lam = check_partition(
             int(p) for p in args.partition.replace(",", " ").split())
-        guard_words(space, sum(lam))
         results["partition"] = list(lam)
         results["defect_zero"] = casimir_defect(space, lam).is_zero()
     if not results:

@@ -36,6 +36,10 @@ accumulate with dict.get and drop the zero entries once, at the end.
 Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
 one bridge from them to Scalars, for tensor, reps and weyl.
+
+ResourceBoundExceeded.check is the package's one refusal rule: every
+bound on the size of a computation, in tensor, weyl and reps, is a call
+to it, made before the work of that size starts.
 """
 
 from __future__ import annotations
@@ -51,6 +55,23 @@ from .scalars import ONE, Scalar, ZERO, omega_scalar
 
 class SpaceMismatch(ValueError):
     """Operands built over different graded spaces."""
+
+
+class ResourceBoundExceeded(RuntimeError):
+    """An exact computation was refused because the state space is too big."""
+
+    def __init__(self, what, size, bound, unit="basis elements"):
+        super().__init__(f"{what} needs {size} {unit}, above the "
+                         f"bound {bound}")
+        self.size = size
+        self.bound = bound
+
+    @classmethod
+    def check(cls, what, size, bound, unit="basis elements"):
+        """The package's one refusal rule: raise when size > bound, before
+        the computation of that size starts."""
+        if size > bound:
+            raise cls(what, size, bound, unit)
 
 
 class GradedSpace:
@@ -244,7 +265,13 @@ class GlElement(LinearCombination):
 
     @classmethod
     def matrix_unit(cls, space, a, b, coef=ONE):
-        return cls(space, {(a, b): coef})
+        return cls(space, {cls._unit(space, a, b): coef})
+
+    @staticmethod
+    def _unit(space, a, b):
+        if not (0 <= a < space.dim and 0 <= b < space.dim):
+            raise IndexError(f"matrix unit E[{a},{b}] out of range")
+        return a, b
 
     def compose(self, other):
         """Composition of endomorphisms (matrix product, no omega twist)."""
@@ -268,7 +295,10 @@ class GlElement(LinearCombination):
 
     @classmethod
     def from_json(cls, space, doc):
-        return cls(space, {(int(a), int(b)): Scalar.parse(s)
+        """The element of triples [a, b, "scalar"], a and b JSON integers
+        in range(dim), none coerced."""
+        return cls(space, {cls._unit(space, _json_int(a, "index"),
+                                     _json_int(b, "index")): Scalar.parse(s)
                            for a, b, s in doc})
 
 

@@ -24,13 +24,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import (_add_ints, _add_into, _bracket_pair, _to_scalars,
-                 _unit_bracket, rho, weight_inner)
+from .gl import (ResourceBoundExceeded, _add_ints, _add_into, _bracket_pair,
+                 _to_scalars, _unit_bracket, rho, weight_inner)
 from .grading import _Record, _merge
-from .partitions import _hook_shape, _in_hook, _sharp, _transpose
+from .partitions import (_hook_shape, _in_hook, _sharp, _transpose,
+                         check_partition)
 from .scalars import Scalar
-from .tensor import TensorVector, _act, _witness
-from .weyl import ResourceBoundExceeded
+from .tensor import WORD_CAP, TensorVector, _act, _witness
 
 # most basis elements of a Kac module (2^(M+ M-) n+ n-, n+- the lengths of
 # the sl2 strings of L0) that KacModule accepts.  A Gram entry holds a
@@ -136,7 +136,11 @@ def casimir_eigenvalue(space, lam):
 def casimir_defect(space, lam):
     """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
     of a hook partition; zero because the central element Omega acts on a
-    highest weight module by exactly that scalar."""
+    highest weight module by exactly that scalar.  V^(tensor |lambda|) is
+    refused past tensor.WORD_CAP words, before the hook class is checked."""
+    lam = check_partition(lam)
+    ResourceBoundExceeded.check("tensor power", space.dim ** sum(lam),
+                                WORD_CAP)
     lam = _hook_shape(lam, space.m_plus, space.m_minus)
     return _casimir_defect(space, lam, _witness(space, lam))
 
@@ -190,9 +194,8 @@ def _sharp_to_partition(space, sharp):
     plus = tuple(int(x) for x in plus)
     minus = tuple(int(x) for x in minus)
     size = sum(1 for p in plus if p) + (minus[0] if minus else 0)
-    if size > CERTIFICATE_PARTS_CAP:
-        raise ResourceBoundExceeded("the partition mu", size,
-                                    CERTIFICATE_PARTS_CAP, "parts")
+    ResourceBoundExceeded.check("the partition mu", size,
+                                CERTIFICATE_PARTS_CAP, "parts")
     tail = tuple(sum(1 for x in minus if x >= j)
                  for j in range(1, (minus[0] if minus else 0) + 1))
     # positive ints: once weakly decreasing, mu is a canonical shape
@@ -347,9 +350,7 @@ class KacModule:
         self.n_plus = int(lam[0] - lam[1]) + 1 if mp == 2 else 1
         self.n_minus = int(lam[mp] - lam[mp + 1]) + 1 if mm == 2 else 1
         size = 2 ** len(self.pairs) * self.n_plus * self.n_minus
-        if size > GRAM_BASIS_CAP:
-            raise ResourceBoundExceeded("the Kac module", size,
-                                        GRAM_BASIS_CAP)
+        ResourceBoundExceeded.check("the Kac module", size, GRAM_BASIS_CAP)
         # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
         self._pair_om = [
             [(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)

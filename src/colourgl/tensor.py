@@ -37,11 +37,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import (LinearCombination, SpaceMismatch, _add_into, _dual_pair,
-                 _to_scalars)
+from .gl import (LinearCombination, ResourceBoundExceeded, SpaceMismatch,
+                 _add_into, _dual_pair, _to_scalars)
 from .grading import _merge
 from .partitions import _hook_shape, check_partition, hook_table
 from .scalars import ONE, omega_scalar
+
+# most basis words of V^(tensor r) that schur_weyl_table and
+# reps.casimir_defect accept, dim V ** r, before any witness is built
+WORD_CAP = 10 ** 6
 
 
 class TensorVector(LinearCombination):
@@ -403,7 +407,9 @@ def _check_witness(space, lam, sharp, terms):
 def schur_weyl_table(space, r):
     """The rows of partitions.hook_table over all lambda of r in the hook
     class; checks sum k*f = (dim V)^r and witnesses each lambda#
-    by an explicit highest weight vector, checked on its integer terms."""
+    by an explicit highest weight vector, checked on its integer terms.
+    V^r is refused past WORD_CAP words before any row is built."""
+    ResourceBoundExceeded.check("tensor power", space.dim ** r, WORD_CAP)
     rows = list(hook_table(space.m_plus, space.m_minus, r))
     for row in rows:
         lam = row["partition"]

@@ -56,6 +56,12 @@ Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
 Each step negates the row's pivot-column entry once and skips the pivot
 column, whose sum is exactly zero.
+
+Three bounds refuse a computation before it starts, each by one call to
+gl.ResourceBoundExceeded.check: MONOMIAL_CAP on the monomials of a Howe
+sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
+and on each degree's zero-weight basis (_invariant_basis_bounds), and
+GLQ_COMMUTATOR_CAP on the commutators of glq_relations_check.
 """
 
 from __future__ import annotations
@@ -64,11 +70,13 @@ import itertools
 from functools import cached_property
 from math import comb, prod
 
-from .gl import (LinearCombination, SpaceMismatch, _add_ints, _add_into,
-                 _bracket_ints, _bracket_pair, _dual_pair, _to_scalars)
+from .gl import (LinearCombination, ResourceBoundExceeded, SpaceMismatch,
+                 _add_ints, _add_into, _bracket_ints, _bracket_pair,
+                 _dual_pair, _to_scalars)
 from .grading import _merge
 from .partitions import (_count_hook, _dim_glN, _series, _sharp,
                          hook_partitions)
+from .presets import glq_space, super_space
 from .scalars import ONE, omega_scalar
 
 
@@ -79,16 +87,6 @@ INVARIANT_BASIS_CAP = 20000
 # most commutators glq_relations_check forms: about 0.5 s and 50 MB on a
 # 2-vCPU machine, where the largest benchmark job forms 36
 GLQ_COMMUTATOR_CAP = 30000
-
-
-class ResourceBoundExceeded(RuntimeError):
-    """An exact computation was refused because the state space is too big."""
-
-    def __init__(self, what, size, bound, unit="basis elements"):
-        super().__init__(f"{what} needs {size} {unit}, above the "
-                         f"bound {bound}")
-        self.size = size
-        self.bound = bound
 
 
 def _count_monomials(even, odd, total):
@@ -279,8 +277,6 @@ def verify_dual_pair(space, copies):
     bracket is gl._bracket_ints on the two matrix units, each term n q^e
     E_ij of it read as n q^e times every word of gens[i, j]; the words of
     two units differ, so no two terms meet."""
-    from .presets import super_space
-
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
@@ -384,9 +380,8 @@ def _checked_counts(factor, degrees, copies, max_degree):
     for d in range(max_degree + 1):
         forms.append(_count_monomials(even, odd, d))
         size += forms[-1]
-        if size > MONOMIAL_CAP:
-            raise ResourceBoundExceeded(f"the sweep to degree {d}", size,
-                                        MONOMIAL_CAP)
+        ResourceBoundExceeded.check(f"the sweep to degree {d}", size,
+                                    MONOMIAL_CAP)
     counts = _series(even, odd, max_degree)
     for d, (count, closed) in enumerate(zip(counts, forms)):
         if count != closed:
@@ -526,18 +521,16 @@ def _invariant_basis_bounds(space, copies, dual_copies, degrees):
     x(a, r).  Its dim V (N + N') generators are bounded by the same cap
     first, as each degree lists them all, degree 0 included; for dim V >=
     2 that refuses no degree d >= 1 that the basis bound allows."""
-    gens = space.dim * (copies + dual_copies)
-    if gens > INVARIANT_BASIS_CAP:
-        raise ResourceBoundExceeded("invariant_dimension", gens,
-                                    INVARIANT_BASIS_CAP, "generators")
+    ResourceBoundExceeded.check(
+        "invariant_dimension", space.dim * (copies + dual_copies),
+        INVARIANT_BASIS_CAP, "generators")
     odd = space.parities.count(-1)
     sizes = []
     for d in degrees:
         sizes.append(prod(_count_monomials((space.dim - odd) * n, odd * n, d)
                           for n in (copies, dual_copies)))
-        if sizes[-1] > INVARIANT_BASIS_CAP:
-            raise ResourceBoundExceeded("invariant_dimension", sizes[-1],
-                                        INVARIANT_BASIS_CAP)
+        ResourceBoundExceeded.check("invariant_dimension", sizes[-1],
+                                    INVARIANT_BASIS_CAP)
     return sizes
 
 
@@ -697,12 +690,9 @@ def glq_relations_check(m, n, copies, max_degree=4):
     omega table, so the check does not take the table it tests on trust.
     It forms 3 commutators per pair i <= j of the m + n indices and pair
     of copies, and is refused before it starts past GLQ_COMMUTATOR_CAP."""
-    from .presets import glq_space
-
-    size = comb(m + n + 1, 2) * copies ** 2 * 3
-    if size > GLQ_COMMUTATOR_CAP:
-        raise ResourceBoundExceeded("glq-check", size, GLQ_COMMUTATOR_CAP,
-                                    "commutators")
+    ResourceBoundExceeded.check(
+        "glq-check", comb(m + n + 1, 2) * copies ** 2 * 3,
+        GLQ_COMMUTATOR_CAP, "commutators")
     space = glq_space(m, n)
     alg = fock_algebra(space, copies)
     products = {}

@@ -1,9 +1,12 @@
-"""Every Python file that the CI workflow runs exists.  The workflow runs
-only on the hosted runners, so a renamed script or test would otherwise
-first fail there; here it fails in the tier-1 suite.  The run commands
-are read with regular expressions, both the one-line `run: cmd` form and
-the lines of a `run: |` block."""
+"""Every Python file that the CI workflow runs exists, and its benchmark
+gate runs every workload of BENCHMARK.json.  The workflow runs only on
+the hosted runners, so a renamed script or test, or a workload left out
+of the gate, would otherwise first show there; here it fails in the
+tier-1 suite.  The run commands are read with regular expressions, both
+the one-line `run: cmd` form and the lines of a `run: |` block."""
 
+import itertools
+import json
 import re
 from pathlib import Path
 
@@ -12,6 +15,7 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 RUN = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
 PY_PATH = re.compile(r"[\w./-]+\.py\b")
+FOR = re.compile(r"^\s*for (\w+) in ([^;]+); do\s*$")
 
 
 def run_commands(text):
@@ -56,3 +60,37 @@ def test_every_python_file_the_workflow_runs_exists():
     # perfbench/run.py and tests/test_pool_replay.py when this was written
     assert paths
     assert [p for p in sorted(paths) if not (ROOT / p).is_file()] == []
+
+
+def gate_loops(text):
+    """The values of every shell loop of a run: block whose body runs
+    perfbench/run.py with --workload set to the loop's variable."""
+    lines = list(run_commands(text))
+    for i, line in enumerate(lines):
+        match = FOR.match(line)
+        if not match:
+            continue
+        body = itertools.takewhile(
+            lambda b: not b.strip().startswith("done"), lines[i + 1:])
+        if any("perfbench/run.py" in b
+               and f'--workload "${match.group(1)}"' in b for b in body):
+            yield match.group(2).split()
+
+
+def test_the_reader_finds_the_benchmark_gate_loop():
+    text = ("      - name: gate\n"
+            "        run: |\n"
+            "          for s in 1 2; do\n"
+            "            python -m pytest tests/test_b.py || exit 1\n"
+            "          done\n"
+            "          for w in a b; do\n"
+            '            python3 perfbench/run.py --workload "$w" || exit 1\n'
+            "          done\n")
+    assert list(gate_loops(text)) == [["a", "b"]]
+
+
+def test_the_benchmark_gate_runs_every_workload():
+    declared = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    loop, = gate_loops(WORKFLOW.read_text())
+    assert sorted(loop) == sorted(declared)

@@ -201,6 +201,28 @@ def test_gl_element_json_round_trip(super21):
     assert GlElement.from_json(super21, doc) == x
 
 
+@pytest.mark.parametrize("doc", [[[1.9, 0, "1"]], [[True, 1, "q"]],
+                                 [[0, "1", "1"]], [[0, None, "1"]]])
+def test_gl_element_from_json_refuses_an_index_that_is_not_an_int(super11,
+                                                                   doc):
+    # a float would be truncated and a bool read as 1
+    with pytest.raises(ValueError, match="not a JSON integer"):
+        GlElement.from_json(super11, doc)
+
+
+@pytest.mark.parametrize("a, b", [(1, 5), (2, 0), (-1, 0), (0, -1)])
+def test_gl_element_from_json_refuses_an_index_out_of_range(super11, a, b):
+    with pytest.raises(IndexError, match="out of range"):
+        GlElement.from_json(super11, [[0, 0, "1"], [a, b, "q"]])
+
+
+@pytest.mark.parametrize("a, b", [(7, 9), (2, 0), (0, 2), (-1, 1)])
+def test_matrix_unit_refuses_an_index_out_of_range(super11, a, b):
+    # E[7,9] on super(1|1) was built, and only its degree() raised
+    with pytest.raises(IndexError, match="out of range"):
+        GlElement.matrix_unit(super11, a, b)
+
+
 @pytest.mark.parametrize("name", ["super(2|1)", "super(0|3)", "glq(2|1)",
                                   "green(3)", "z2z2(1,2,0,1)"])
 def test_space_json_round_trip(name):

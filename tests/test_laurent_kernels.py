@@ -214,6 +214,8 @@ def wrong_glq_space(form):
     ("sign", [(1, 1, 1), (2, 1, 2), (0, 2, 1)])])
 def test_glq_relations_check_refuses_a_wrong_factor(monkeypatch, form,
                                                     cases):
+    # weyl binds glq_space at import; the parent imports it at call time
+    monkeypatch.setattr(weyl, "glq_space", wrong_glq_space(form))
     monkeypatch.setattr(presets, "glq_space", wrong_glq_space(form))
     for m, n, copies in cases:
         report = glq_relations_check(m, n, copies, max_degree=1)
