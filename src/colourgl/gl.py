@@ -39,7 +39,9 @@ one bridge from them to Scalars, for tensor, reps and weyl.
 
 ResourceBoundExceeded.check is the package's one refusal rule: every
 bound on the size of a computation, in tensor, weyl and reps, is a call
-to it, made before the work of that size starts.
+to it, made before the work of that size starts.  Its message writes a
+size too long to print, past SIZE_TEXT_BITS bits, as a bound on its
+digits.
 """
 
 from __future__ import annotations
@@ -57,11 +59,23 @@ class SpaceMismatch(ValueError):
     """Operands built over different graded spaces."""
 
 
+# most bits of a size that ResourceBoundExceeded writes out, at most 3914
+# digits: Python writes no int of more than 4300 digits as text
+SIZE_TEXT_BITS = 13000
+
+
 class ResourceBoundExceeded(RuntimeError):
-    """An exact computation was refused because the state space is too big."""
+    """An exact computation was refused because the state space is too big.
+    A size of more than SIZE_TEXT_BITS bits is written as the power of ten
+    that its bit length puts below it."""
 
     def __init__(self, what, size, bound, unit="basis elements"):
-        super().__init__(f"{what} needs {size} {unit}, above the "
+        text = size
+        if isinstance(size, int) and size.bit_length() > SIZE_TEXT_BITS:
+            # 0.30102 < log10(2): size >= 2 ** (bits - 1) > 10 ** digits
+            digits = (size.bit_length() - 1) * 30102 // 100000
+            text = f"more than 10^{digits}"
+        super().__init__(f"{what} needs {text} {unit}, above the "
                          f"bound {bound}")
         self.size = size
         self.bound = bound
@@ -296,10 +310,15 @@ class GlElement(LinearCombination):
     @classmethod
     def from_json(cls, space, doc):
         """The element of triples [a, b, "scalar"], a and b JSON integers
-        in range(dim), none coerced."""
-        return cls(space, {cls._unit(space, _json_int(a, "index"),
-                                     _json_int(b, "index")): Scalar.parse(s)
-                           for a, b, s in doc})
+        in range(dim), none coerced, and no pair (a, b) given twice."""
+        terms = {}
+        for a, b, s in doc:
+            unit = cls._unit(space, _json_int(a, "index"),
+                             _json_int(b, "index"))
+            if unit in terms:
+                raise ValueError(f"the index pair {unit} is given twice")
+            terms[unit] = Scalar.parse(s)
+        return cls(space, terms)
 
 
 def _unit_bracket(pairs, a, b, c, d):

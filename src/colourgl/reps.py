@@ -5,11 +5,19 @@ The contravariant-form machinery realises the parabolically induced module
 U(vbar) x L0 concretely (odd lowering words, sorted by grading._merge on
 sign pairs, over explicit sl2 strings per parity block) and computes Gram
 matrices by moving *-conjugated operators across with the graded
-commutation relations.  Gram blocks and their inertia run on ints after
-one positive rescaling; Fractions enter only where lambda has a
-non-integral coordinate.  Dual weights are closed form: the Kac-module
-lowest weight for a typical lambda, the Berele-Regev transpose for an
-atypical a*E + mu#; no module is built for either.  casimir_defect runs
+commutation relations.  The strings are one table, KacModule._strings,
+(f, lambda_f - lambda_{f+1}) per parity block f, f+1 of size 2, which
+the string lengths n_plus and n_minus, weight, _act_l0 and _l0_norm
+read.  Gram blocks and their inertia run on ints after one positive
+rescaling; Fractions enter only where lambda has a non-integral
+coordinate.  The decomposition lambda = a*E + mu# - b*E+ is stated
+once, in _decompose, for both branches of classify_unitarisable (b lifts
+a typical lambda_1 - a to an integer, and is 0 on an atypical weight)
+and for dual_weight (b = 0).  Dual weights are closed form: the
+Kac-module lowest weight for a typical lambda, the Berele-Regev
+transpose for an atypical a*E + mu#; no module is built for either.
+The tensor power of casimir_defect is refused by
+tensor.check_tensor_power, as in schur_weyl_table.  casimir_defect runs
 on the integer witness of tensor._witness: the Casimir by tensor._act,
 summed by gl._add_ints, and one Scalar per word at the end, by
 gl._to_scalars.  KacModule.act takes the bracket of E_ab with a lowering
@@ -30,7 +38,7 @@ from .grading import _Record, _merge
 from .partitions import (_hook_shape, _in_hook, _sharp, _transpose,
                          check_partition)
 from .scalars import Scalar
-from .tensor import WORD_CAP, TensorVector, _act, _witness
+from .tensor import TensorVector, _act, _witness, check_tensor_power
 
 # most basis elements of a Kac module (2^(M+ M-) n+ n-, n+- the lengths of
 # the sl2 strings of L0) that KacModule accepts.  A Gram entry holds a
@@ -137,10 +145,10 @@ def casimir_defect(space, lam):
     """Omega v - (lambda# + 2 rho, lambda#) v on the highest weight vector
     of a hook partition; zero because the central element Omega acts on a
     highest weight module by exactly that scalar.  V^(tensor |lambda|) is
-    refused past tensor.WORD_CAP words, before the hook class is checked."""
+    refused by tensor.check_tensor_power, before the hook class is
+    checked."""
     lam = check_partition(lam)
-    ResourceBoundExceeded.check("tensor power", space.dim ** sum(lam),
-                                WORD_CAP)
+    check_tensor_power(space, sum(lam))
     lam = _hook_shape(lam, space.m_plus, space.m_minus)
     return _casimir_defect(space, lam, _witness(space, lam))
 
@@ -175,12 +183,6 @@ class UnitarisableVerdict(_Record):
         self.certificate = {} if certificate is None else certificate
 
 
-def _script_e(space):
-    """The weight E = sum eps_i - sum eps_rbar."""
-    return tuple(Fraction(1) if a < space.m_plus else Fraction(-1)
-                 for a in range(space.dim))
-
-
 def _sharp_to_partition(space, sharp):
     """Reconstruct the hook partition mu with mu# = sharp, or None.  sharp
     is a uniform shift of a dominant weight in each parity block, so each
@@ -207,6 +209,18 @@ def _sharp_to_partition(space, sharp):
     return mu
 
 
+def _decompose(space, lam, b):
+    """(a, mu) with lambda = a*E + mu# - b*E+, mu a hook partition, or
+    (a, None) when no mu fits: E = sum eps_i - sum eps_rbar, E+ = sum eps_i,
+    and a = -lambda_{M-bar}, which makes mu#'s last coordinate 0.  The one
+    statement of the decomposition, for both branches of
+    classify_unitarisable and for dual_weight."""
+    mp, t = space.m_plus, lam[-1]
+    return -t, _sharp_to_partition(
+        space, tuple(x + t + b for x in lam[:mp]) +
+        tuple(x - t for x in lam[mp:]))
+
+
 def classify_unitarisable(space, lam, star_type="I"):
     """Classification against the compact *-structures.
 
@@ -214,7 +228,8 @@ def classify_unitarisable(space, lam, star_type="I"):
     (lambda+rho, eps_{M+} - eps_{M-bar}) > 0, or atypical with some r
     satisfying (lambda+rho, eps_{M+} - eps_rbar) = 0 and
     lambda_rbar = lambda_{M-bar}.  The certificate carries the
-    a*E + mu# - b*E+ decomposition when unitarisable.
+    a*E + mu# - b*E+ decomposition when unitarisable: b lifts lambda_1 - a
+    to an integer on a typical weight and is 0 on an atypical one.
 
     Type II: holds iff the dual weight lambda* passes type I."""
     if not space.factor.is_sign_valued():
@@ -238,10 +253,8 @@ def classify_unitarisable(space, lam, star_type="I"):
         return UnitarisableVerdict(
             True, "I", "colour algebra: every dominant real weight works",
             {"branch": "colour"})
-    r = rho(space)
-    shifted = tuple(x + y for x, y in zip(lam, r))
+    shifted = tuple(x + y for x, y in zip(lam, rho(space)))
     typical, chi = typicality(space, lam)
-    escript = _script_e(space)
     if typical:
         edge = shifted[mp - 1] + shifted[-1]
         if edge <= 0:
@@ -249,35 +262,27 @@ def classify_unitarisable(space, lam, star_type="I"):
                 False, "I",
                 "typical with (lambda+rho, eps_{M+}-eps_{M-bar}) <= 0",
                 {"edge": edge, "chi": chi})
-        t = lam[-1]
-        ring = tuple(x + t * e for x, e in zip(lam, escript))
-        b = Fraction(math.ceil(ring[0])) - ring[0]
-        sharp = tuple(x + b for x in ring[:mp]) + ring[mp:]
-        mu = _sharp_to_partition(space, sharp)
-        if mu is None:
-            raise AssertionError(
-                f"typical unitarisable weight {_weight_text(lam)} "
-                "produced no partition")
-        return UnitarisableVerdict(
-            True, "I", "typical with positive edge product",
-            {"branch": "typical", "a": -t, "mu": mu, "b": b, "chi": chi})
-    for ridx in range(mm):
-        rb = mp + ridx
-        if shifted[mp - 1] + shifted[rb] == 0 and lam[rb] == lam[-1]:
-            t = lam[rb]
-            ring = tuple(x + t * e for x, e in zip(lam, escript))
-            mu = _sharp_to_partition(space, ring)
-            if mu is None:
-                raise AssertionError(
-                    f"atypical unitarisable weight {_weight_text(lam)} "
-                    "gave no partition")
+        top = lam[0] + lam[-1]
+        b = math.ceil(top) - top
+        reason = "typical with positive edge product"
+        cert = {"branch": "typical", "chi": chi}
+    else:
+        ridx = next((ridx for ridx in range(mm)
+                     if shifted[mp - 1] + shifted[mp + ridx] == 0
+                     and lam[mp + ridx] == lam[-1]), None)
+        if ridx is None:
             return UnitarisableVerdict(
-                True, "I", f"atypical with vanishing root r={ridx + 1}",
-                {"branch": "atypical", "r": ridx + 1, "a": -t, "mu": mu,
-                 "b": Fraction(0)})
-    return UnitarisableVerdict(
-        False, "I", "atypical with no admissible vanishing odd root",
-        {"chi": chi})
+                False, "I", "atypical with no admissible vanishing odd root",
+                {"chi": chi})
+        b = Fraction(0)
+        reason = f"atypical with vanishing root r={ridx + 1}"
+        cert = {"branch": "atypical", "r": ridx + 1}
+    a, mu = _decompose(space, lam, b)
+    if mu is None:
+        raise AssertionError(f"{cert['branch']} unitarisable weight "
+                             f"{_weight_text(lam)} produced no partition")
+    cert.update(a=a, mu=mu, b=b)
+    return UnitarisableVerdict(True, "I", reason, cert)
 
 
 # -- dual weights -------------------------------------------------------------
@@ -301,23 +306,20 @@ def dual_weight(space, lam):
         plus, minus = _blocks(space, lam)
         return tuple(mm - x for x in reversed(plus)) + \
             tuple(-mp - x for x in reversed(minus))
-    t = lam[-1]
-    escript = _script_e(space)
-    ring = tuple(x + t * e for x, e in zip(lam, escript))
-    mu = _sharp_to_partition(space, ring)
+    a, mu = _decompose(space, lam, 0)
     if mu is None:
         raise DualWeightUnsupported(
             f"{_weight_text(lam)} is atypical and not of the form "
             "a*E + mu#")
-    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#).  mu' is
-    # in the M-|M+ hook as mu is in the M+|M- one, and its sharp is the
+    # lowest(a*E + mu#) = a*E + lowest(mu#), and lambda* is minus that.  mu'
+    # is in the M-|M+ hook as mu is in the M+|M- one, and its sharp is the
     # first M- column lengths of mu, then mu's first M+ rows past column
     # M-: mu is transposed only within its first M- columns
     cols = _transpose(tuple(min(p, mm) for p in mu))
     rows = tuple(max(p - mm, 0) for p in mu[:mp])
     low = (rows + (0,) * (mp - len(rows)))[::-1] + \
         (cols + (0,) * (mm - len(cols)))[::-1]
-    return tuple(t * e - x for e, x in zip(escript, low))
+    return tuple(-a - x for x in low[:mp]) + tuple(a - x for x in low[mp:])
 
 
 # -- the contravariant form on parabolically induced modules ------------------
@@ -347,8 +349,18 @@ class KacModule:
         self.mp, self.mm = mp, mm
         self.pairs = [(i, rb) for i in range(mp)
                       for rb in range(mp, space.dim)]
-        self.n_plus = int(lam[0] - lam[1]) + 1 if mp == 2 else 1
-        self.n_minus = int(lam[mp] - lam[mp + 1]) + 1 if mm == 2 else 1
+        # the sl2 string of each parity block, even then odd: (f, d) with
+        # d = lambda_f - lambda_{f+1} for a block f, f+1 of size 2, None
+        # for a block of size 0 or 1, whose string has length 1.  Position
+        # k = 0..d along it has weight lambda - k (eps_f - eps_{f+1}),
+        # E_{f,f+1} takes it to k - 1 with coefficient k (d - k + 1), and
+        # E_{f+1,f} to k + 1 with coefficient 1
+        self._strings = tuple((f, self.lam[f] - self.lam[f + 1])
+                              if size == 2 else None
+                              for f, size in ((0, mp), (mp, mm)))
+        self.n_plus, self.n_minus = (1 if string is None else
+                                     int(string[1]) + 1
+                                     for string in self._strings)
         size = 2 ** len(self.pairs) * self.n_plus * self.n_minus
         ResourceBoundExceeded.check("the Kac module", size, GRAM_BASIS_CAP)
         # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
@@ -376,12 +388,10 @@ class KacModule:
             i, rb = self.pairs[sid]
             coords[i] -= 1
             coords[rb] += 1
-        if self.mp == 2:
-            coords[0] -= kp
-            coords[1] += kp
-        if self.mm == 2:
-            coords[self.mp] -= km
-            coords[self.mp + 1] += km
+        for string, k in zip(self._strings, (kp, km)):
+            if k:  # k > 0 only on a block of size 2
+                coords[string[0]] -= k
+                coords[string[0] + 1] += k
         return tuple(coords)
 
     def _prepend_pair(self, sid, vec):
@@ -396,38 +406,31 @@ class KacModule:
         return out
 
     def _act_l0(self, a, b, kp, km):
-        """The k-action on the L0 basis vector (kp, km)."""
-        mp = self.mp
-        lam = self.lam
+        """The k-action on the L0 basis vector (kp, km): E_aa by the
+        weight, and E_ab, a != b of one parity (act sends the others
+        elsewhere), along the string of its block."""
         out = {}
         if a == b:
             coords = self.weight(((), kp, km))
             if coords[a]:
                 out[((), kp, km)] = coords[a]
             return out
-        if a < mp and b < mp:
-            if (a, b) == (0, 1):  # raising in the even block
-                if kp:
-                    out[((), kp - 1, km)] = kp * (lam[0] - lam[1] - kp + 1)
-            else:  # lowering
-                if kp + 1 < self.n_plus:
-                    out[((), kp + 1, km)] = 1
-            return out
-        if a >= mp and b >= mp:
-            phi = 1
-            if kp % 2:  # kp > 0 only when mp == 2
-                # omega(g_a - g_b, g_1 - g_0) ** kp
-                if _bracket_pair(self.space._omega_pairs, a, b, 1, 0)[0]:
-                    phi = -1
-            if (a, b) == (mp, mp + 1):
-                if km:
-                    out[((), kp, km - 1)] = phi * km * (
-                        lam[mp] - lam[mp + 1] - km + 1)
-            else:
-                if km + 1 < self.n_minus:
-                    out[((), kp, km + 1)] = phi
-            return out
-        raise AssertionError("mixed-parity generator reached the L0 action")
+        odd = int(a >= self.mp)
+        f, d = self._strings[odd]
+        # phi = omega(g_a - g_b, g_1 - g_0) ** kp on the odd block; kp > 0
+        # only when mp == 2
+        phi = -1 if odd and kp % 2 and _bracket_pair(
+            self.space._omega_pairs, a, b, 1, 0)[0] else 1
+        ks = [kp, km]
+        k = ks[odd]
+        if a == f:  # raising
+            if k:
+                ks[odd] = k - 1
+                out[((), *ks)] = phi * k * (d - k + 1)
+        elif k < d:  # lowering, to the string's end at k = d
+            ks[odd] = k + 1
+            out[((), *ks)] = phi
+        return out
 
     def act(self, a, b, el):
         """E_ab applied to a basis element; returns {element: coefficient},
@@ -481,14 +484,11 @@ class KacModule:
         value = self._norm_memo.get((kp, km))
         if value is not None:
             return value
+        # the product of the raising coefficients down each string
         value = 1
-        if self.mp == 2:
-            for t in range(1, kp + 1):
-                value *= t * (self.lam[0] - self.lam[1] - t + 1)
-        if self.mm == 2:
-            for t in range(1, km + 1):
-                value *= t * (self.lam[self.mp] - self.lam[self.mp + 1]
-                              - t + 1)
+        for string, k in zip(self._strings, (kp, km)):
+            for t in range(1, k + 1):
+                value *= t * (string[1] - t + 1)
         self._norm_memo[(kp, km)] = value
         return value
 

@@ -28,7 +28,9 @@ the block sums, each word taking the pair Psi(seed) / Psi(word)
 (_young_terms); it drops what cancels, so a witness is killed exactly when
 its image is empty.  gl_act_tensor runs it on Scalar coefficients.  A
 TensorVector is built only where a public function returns one, by
-gl._to_scalars.
+gl._to_scalars.  check_tensor_power is the one bound on the dim V ** r
+words of V^(tensor r), for schur_weyl_table and reps.casimir_defect,
+decided from r and the bits of dim V before the power is formed.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gl import (LinearCombination, ResourceBoundExceeded, SpaceMismatch,
-                 _add_into, _dual_pair, _to_scalars)
+from .gl import (SIZE_TEXT_BITS, LinearCombination, ResourceBoundExceeded,
+                 SpaceMismatch, _add_into, _dual_pair, _to_scalars)
 from .grading import _merge
 from .partitions import _hook_shape, check_partition, hook_table
 from .scalars import ONE, omega_scalar
@@ -404,12 +406,24 @@ def _check_witness(space, lam, sharp, terms):
                 raise AssertionError(f"hwv({lam}) is not annihilated by n+")
 
 
+def check_tensor_power(space, r):
+    """ResourceBoundExceeded.check on the dim V ** r words of V^(tensor r),
+    for schur_weyl_table and reps.casimir_defect, decided before the power
+    is formed: dim V ** r >= 2 ** low for low = r (bits of dim V - 1), so
+    past low = SIZE_TEXT_BITS the power is past WORD_CAP and too long to
+    write out, and 2 ** SIZE_TEXT_BITS, below it, is refused in its
+    place.  Up to there the power has at most 2 low bits."""
+    low = r * (space.dim.bit_length() - 1)
+    size = space.dim ** r if low <= SIZE_TEXT_BITS else 1 << SIZE_TEXT_BITS
+    ResourceBoundExceeded.check("tensor power", size, WORD_CAP)
+
+
 def schur_weyl_table(space, r):
     """The rows of partitions.hook_table over all lambda of r in the hook
     class; checks sum k*f = (dim V)^r and witnesses each lambda#
     by an explicit highest weight vector, checked on its integer terms.
     V^r is refused past WORD_CAP words before any row is built."""
-    ResourceBoundExceeded.check("tensor power", space.dim ** r, WORD_CAP)
+    check_tensor_power(space, r)
     rows = list(hook_table(space.m_plus, space.m_minus, r))
     for row in rows:
         lam = row["partition"]

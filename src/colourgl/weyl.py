@@ -57,11 +57,13 @@ row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
 Each step negates the row's pivot-column entry once and skips the pivot
 column, whose sum is exactly zero.
 
-Three bounds refuse a computation before it starts, each by one call to
+Three bounds refuse a computation before it starts, each by calls to
 gl.ResourceBoundExceeded.check: MONOMIAL_CAP on the monomials of a Howe
 sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
 and on each degree's zero-weight basis (_invariant_basis_bounds), and
-GLQ_COMMUTATOR_CAP on the commutators of glq_relations_check.
+COMMUTATOR_CAP on the commutators that glq_relations_check and
+fft-check's two gl(V) checks, verify_dual_pair and
+invariant_generators_check, form.
 """
 
 from __future__ import annotations
@@ -84,9 +86,11 @@ MONOMIAL_CAP = 10 ** 6
 # most x- times xbar-monomials of degree d that invariant_dimension reduces,
 # and most generators x(a, r), xbar(a, s) that it lists
 INVARIANT_BASIS_CAP = 20000
-# most commutators glq_relations_check forms: about 0.5 s and 50 MB on a
-# 2-vCPU machine, where the largest benchmark job forms 36
-GLQ_COMMUTATOR_CAP = 30000
+# most commutators that glq_relations_check, verify_dual_pair or
+# invariant_generators_check forms: about 0.5 s and 50 MB for glq on a
+# 2-vCPU machine, where the largest benchmark job forms 36; it admits
+# verify_dual_pair on dim V <= 13 at N <= 2
+COMMUTATOR_CAP = 30000
 
 
 def _count_monomials(even, odd, total):
@@ -276,7 +280,12 @@ def verify_dual_pair(space, copies):
     an Ecal is ONE, so their words are all that enters.  The abstract
     bracket is gl._bracket_ints on the two matrix units, each term n q^e
     E_ij of it read as n q^e times every word of gens[i, j]; the words of
-    two units differ, so no two terms meet."""
+    two units differ, so no two terms meet.  It forms N^4 + dim V^4 +
+    N^2 dim V^2 commutators, refused before the first past
+    COMMUTATOR_CAP."""
+    ResourceBoundExceeded.check(
+        "the dual-pair check", copies ** 4 + space.dim ** 4
+        + copies ** 2 * space.dim ** 2, COMMUTATOR_CAP, "commutators")
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
@@ -653,7 +662,14 @@ def invariant_dimension(space, copies, dual_copies, degree):
 
 def invariant_generators_check(space, copies):
     """Filtration-level-1 check: the ad(gl_N)-invariants in the (1,1)
-    component of the Weyl algebra are exactly span{Ecal} + C."""
+    component of the Weyl algebra are exactly span{Ecal} + C.  Each of the
+    N^2 E's meets each of the (dim V N)^2 words and each of the dim V^2
+    Ecal's: N^2 dim V^2 (N^2 + 1) commutators, refused before the first
+    past COMMUTATOR_CAP."""
+    ResourceBoundExceeded.check(
+        "the filtration-level-1 check",
+        copies ** 2 * space.dim ** 2 * (copies ** 2 + 1), COMMUTATOR_CAP,
+        "commutators")
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     gens = range(space.dim * copies)
@@ -689,10 +705,10 @@ def glq_relations_check(m, n, copies, max_degree=4):
     relation come from the gl_q(m|n) presentation, not from the space's
     omega table, so the check does not take the table it tests on trust.
     It forms 3 commutators per pair i <= j of the m + n indices and pair
-    of copies, and is refused before it starts past GLQ_COMMUTATOR_CAP."""
+    of copies, and is refused before it starts past COMMUTATOR_CAP."""
     ResourceBoundExceeded.check(
-        "glq-check", comb(m + n + 1, 2) * copies ** 2 * 3,
-        GLQ_COMMUTATOR_CAP, "commutators")
+        "glq-check", comb(m + n + 1, 2) * copies ** 2 * 3, COMMUTATOR_CAP,
+        "commutators")
     space = glq_space(m, n)
     alg = fock_algebra(space, copies)
     products = {}

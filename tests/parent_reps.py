@@ -1,14 +1,28 @@
-"""kac_dimension as it was before it took the Weyl dimension formula
-directly, kept verbatim as the oracle of tests/test_rules_once.py: it
-shifted each parity block to a partition and called dim_glN, which forms
-the factorials of the coordinates, so a coordinate of 10^6 ran for over a minute.
-The helpers it calls are unchanged and imported from the package.  Only
-its refusal's text changed since, to print the weight as the CLI reads it,
-as the package's refusals do."""
+"""Parent routines of colourgl.reps, kept verbatim as oracles.
 
-from colourgl.partitions import dim_glN
-from colourgl.reps import (_as_weight, _blocks, _weight_text,
-                           is_finite_dimensional)
+kac_dimension as it was before it took the Weyl dimension formula
+directly, the oracle of tests/test_rules_once.py: it shifted each parity
+block to a partition and called dim_glN, which forms the factorials of
+the coordinates, so a coordinate of 10^6 ran for over a minute.  Only its
+refusal's text changed since, to print the weight as the CLI reads it,
+as the package's refusals do.
+
+classify_unitarisable and dual_weight as they were before reps stated the
+decomposition lambda = a*E + mu# - b*E+ once, with the weight E of
+_script_e, the oracles of tests/test_unitarity_oracle.py: each branch wrote
+out the decomposition itself.
+
+The helpers they call are unchanged and imported from the package."""
+
+import math
+from fractions import Fraction
+
+from colourgl.gl import rho
+from colourgl.partitions import _transpose, dim_glN
+from colourgl.reps import (DualWeightUnsupported, UnitarisableVerdict,
+                           UnsupportedFactor, _as_weight, _blocks,
+                           _sharp_to_partition, _weight_text,
+                           is_finite_dimensional, typicality)
 
 
 def kac_dimension(space, lam):
@@ -25,3 +39,120 @@ def kac_dimension(space, lam):
         part = tuple(p for p in shifted if p)
         total *= dim_glN(part, len(block)) if part else 1
     return total
+
+
+def _script_e(space):
+    """The weight E = sum eps_i - sum eps_rbar."""
+    return tuple(Fraction(1) if a < space.m_plus else Fraction(-1)
+                 for a in range(space.dim))
+
+
+def classify_unitarisable(space, lam, star_type="I"):
+    """Classification against the compact *-structures.
+
+    Type I: dominant real weight, and either typical with
+    (lambda+rho, eps_{M+} - eps_{M-bar}) > 0, or atypical with some r
+    satisfying (lambda+rho, eps_{M+} - eps_rbar) = 0 and
+    lambda_rbar = lambda_{M-bar}.  The certificate carries the
+    a*E + mu# - b*E+ decomposition when unitarisable.
+
+    Type II: holds iff the dual weight lambda* passes type I."""
+    if not space.factor.is_sign_valued():
+        raise UnsupportedFactor(
+            "unitarisability needs a sign-valued commutative factor")
+    if star_type not in ("I", "II"):
+        raise ValueError(f"unknown *-structure type {star_type!r}")
+    lam = _as_weight(space, lam)
+    if star_type == "II":
+        dual = dual_weight(space, lam)
+        inner = classify_unitarisable(space, dual, "I")
+        cert = dict(inner.certificate)
+        cert["dual_weight"] = dual
+        return UnitarisableVerdict(inner.unitarisable, "II",
+                                   f"dual weight: {inner.reason}", cert)
+
+    if not is_finite_dimensional(space, lam):
+        return UnitarisableVerdict(False, "I", "weight is not dominant")
+    mp, mm = space.m_plus, space.m_minus
+    if mp == 0 or mm == 0:
+        return UnitarisableVerdict(
+            True, "I", "colour algebra: every dominant real weight works",
+            {"branch": "colour"})
+    r = rho(space)
+    shifted = tuple(x + y for x, y in zip(lam, r))
+    typical, chi = typicality(space, lam)
+    escript = _script_e(space)
+    if typical:
+        edge = shifted[mp - 1] + shifted[-1]
+        if edge <= 0:
+            return UnitarisableVerdict(
+                False, "I",
+                "typical with (lambda+rho, eps_{M+}-eps_{M-bar}) <= 0",
+                {"edge": edge, "chi": chi})
+        t = lam[-1]
+        ring = tuple(x + t * e for x, e in zip(lam, escript))
+        b = Fraction(math.ceil(ring[0])) - ring[0]
+        sharp = tuple(x + b for x in ring[:mp]) + ring[mp:]
+        mu = _sharp_to_partition(space, sharp)
+        if mu is None:
+            raise AssertionError(
+                f"typical unitarisable weight {_weight_text(lam)} "
+                "produced no partition")
+        return UnitarisableVerdict(
+            True, "I", "typical with positive edge product",
+            {"branch": "typical", "a": -t, "mu": mu, "b": b, "chi": chi})
+    for ridx in range(mm):
+        rb = mp + ridx
+        if shifted[mp - 1] + shifted[rb] == 0 and lam[rb] == lam[-1]:
+            t = lam[rb]
+            ring = tuple(x + t * e for x, e in zip(lam, escript))
+            mu = _sharp_to_partition(space, ring)
+            if mu is None:
+                raise AssertionError(
+                    f"atypical unitarisable weight {_weight_text(lam)} "
+                    "gave no partition")
+            return UnitarisableVerdict(
+                True, "I", f"atypical with vanishing root r={ridx + 1}",
+                {"branch": "atypical", "r": ridx + 1, "a": -t, "mu": mu,
+                 "b": Fraction(0)})
+    return UnitarisableVerdict(
+        False, "I", "atypical with no admissible vanishing odd root",
+        {"chi": chi})
+
+
+def dual_weight(space, lam):
+    """The highest weight of the dual module L_lambda^*: minus the lowest
+    weight of L_lambda.
+
+    Typical lambda: exact through the Kac-module lowest weight.  Otherwise
+    lambda must be a*E + mu# for a hook partition mu, and the lowest weight
+    of L_{mu#} is closed form: L_{mu#} has the hook Schur character
+    hs_mu(x/y) = hs_mu'(y/x) (Berele-Regev), so its lowest weight is mu'#
+    for the Borel with the odd block first, reversed within each block.
+    Anything else raises DualWeightUnsupported."""
+    lam = _as_weight(space, lam)
+    if not is_finite_dimensional(space, lam):
+        raise DualWeightUnsupported(f"{_weight_text(lam)} is not dominant")
+    mp, mm = space.m_plus, space.m_minus
+    typical, _ = typicality(space, lam)
+    if typical:
+        plus, minus = _blocks(space, lam)
+        return tuple(mm - x for x in reversed(plus)) + \
+            tuple(-mp - x for x in reversed(minus))
+    t = lam[-1]
+    escript = _script_e(space)
+    ring = tuple(x + t * e for x, e in zip(lam, escript))
+    mu = _sharp_to_partition(space, ring)
+    if mu is None:
+        raise DualWeightUnsupported(
+            f"{_weight_text(lam)} is atypical and not of the form "
+            "a*E + mu#")
+    # lambda = -t*E + mu#, so lowest(lambda) = -t*E + lowest(mu#).  mu' is
+    # in the M-|M+ hook as mu is in the M+|M- one, and its sharp is the
+    # first M- column lengths of mu, then mu's first M+ rows past column
+    # M-: mu is transposed only within its first M- columns
+    cols = _transpose(tuple(min(p, mm) for p in mu))
+    rows = tuple(max(p - mm, 0) for p in mu[:mp])
+    low = (rows + (0,) * (mp - len(rows)))[::-1] + \
+        (cols + (0,) * (mm - len(cols)))[::-1]
+    return tuple(t * e - x for e, x in zip(escript, low))

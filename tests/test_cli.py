@@ -233,10 +233,10 @@ def test_glq_guard_exit_2_fast(capsys, m, n, copies):
 
 def test_glq_guard_counts_the_commutators_it_forms(monkeypatch):
     # gl_q(0|2) on 2 copies: 3 index pairs, 4 copy pairs, 3 relations
-    monkeypatch.setattr(weyl, "GLQ_COMMUTATOR_CAP", 36)
+    monkeypatch.setattr(weyl, "COMMUTATOR_CAP", 36)
     result = weyl.glq_relations_check(0, 2, 2, 1)
     assert result["relations_hold"] and result["sweep_ok"]
-    monkeypatch.setattr(weyl, "GLQ_COMMUTATOR_CAP", 35)
+    monkeypatch.setattr(weyl, "COMMUTATOR_CAP", 35)
     with pytest.raises(weyl.ResourceBoundExceeded, match="36 commutators"):
         weyl.glq_relations_check(0, 2, 2, 1)
 

@@ -216,6 +216,15 @@ def test_gl_element_from_json_refuses_an_index_out_of_range(super11, a, b):
         GlElement.from_json(super11, [[0, 0, "1"], [a, b, "q"]])
 
 
+@pytest.mark.parametrize("doc", [[[0, 1, "1"], [0, 1, "q"]],
+                                 [[0, 1, "1"], [1, 0, "q"], [0, 1, "0"]]])
+def test_gl_element_from_json_refuses_a_repeated_index_pair(super11, doc):
+    # the last of two triples on (0, 1) was kept and the other dropped
+    with pytest.raises(ValueError, match=r"index pair \(0, 1\) is given "
+                                         "twice"):
+        GlElement.from_json(super11, doc)
+
+
 @pytest.mark.parametrize("a, b", [(7, 9), (2, 0), (0, 2), (-1, 1)])
 def test_matrix_unit_refuses_an_index_out_of_range(super11, a, b):
     # E[7,9] on super(1|1) was built, and only its degree() raised

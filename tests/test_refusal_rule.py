@@ -3,13 +3,21 @@ gl.ResourceBoundExceeded.check, made before the work of that size starts:
 no module builds a ResourceBoundExceeded itself except gl's check and the
 CLI's _too_long, the one bound on report text; no module but gl defines a
 class of that name; every *_CAP of the library is the bound of a check
-call; and the CLI keeps no bound on a computation.  The tensor power of
-schur_weyl_table and casimir_defect is the library's, refused before any
-witness is built, and in casimir_defect after the partition check and
-before the hook check, the order the CLI applied it in."""
+call; no check call forms a power of a variable exponent as its size; and
+the CLI keeps no bound on a computation.  The tensor power of
+schur_weyl_table and casimir_defect is the library's, one
+tensor.check_tensor_power refused from r and the bits of dim V before the
+power is formed, and in casimir_defect after the partition check and
+before the hook check, the order the CLI applied it in.  A size too long
+to print is written as a bound on its digits.  fft-check's two gl(V)
+checks share glq-check's commutator bound."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,7 +95,7 @@ def test_every_library_cap_is_the_bound_of_a_check_call():
                 checked.add(node.args[2].id)
     library = set().union(*(c for m, c in caps.items() if m != "cli.py"))
     assert library == {"WORD_CAP", "MONOMIAL_CAP", "INVARIANT_BASIS_CAP",
-                       "GLQ_COMMUTATOR_CAP", "CERTIFICATE_PARTS_CAP",
+                       "COMMUTATOR_CAP", "CERTIFICATE_PARTS_CAP",
                        "GRAM_BASIS_CAP"}
     assert library <= checked
     # the CLI's bounds are on text alone
@@ -153,3 +161,134 @@ def test_the_cli_reports_the_library_bound(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"kind": "error", "ok": False,
                        "error": TENSOR_POWER_20}, argv
+
+
+def variable_powers(node):
+    """The ** operations under node whose exponent is not a constant."""
+    return [sub for sub in ast.walk(node)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+            and not isinstance(sub.right, ast.Constant)]
+
+
+def check_sizes(tree):
+    """The size argument of every check call in a module."""
+    return [node.args[1] if len(node.args) > 1 else
+            next(k.value for k in node.keywords if k.arg == "size")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called_name(node) == "check"]
+
+
+def test_no_check_forms_a_power_of_a_variable_exponent():
+    # a size such as dim V ** r is formed in full before check compares
+    # it: at r = 30000000 that took 20 s, for a refusal
+    sample = ast.parse("R.check('x', d ** r * 2, CAP)\n"
+                       "R.check('y', n ** 2, CAP, unit='u')\n"
+                       "R.check('z', size=(a ** b), bound=CAP)")
+    assert [len(variable_powers(size)) for size in check_sizes(sample)] \
+        == [1, 0, 1]
+    found = {module: [ast.unparse(power) for size in check_sizes(tree)
+                      for power in variable_powers(size)]
+             for module, tree in trees().items()}
+    assert found == {module: [] for module in found}
+
+
+def test_a_size_too_long_to_print_is_written_as_a_bound_on_its_digits():
+    bits = gl.SIZE_TEXT_BITS
+    # at the bound the size is written in full, one bit more and it is not
+    top = (1 << bits) - 1
+    with pytest.raises(ResourceBoundExceeded) as exc:
+        ResourceBoundExceeded.check("a job", top, 10)
+    assert str(exc.value) == f"a job needs {top} basis elements, above " \
+        "the bound 10"
+    # the bound is a lower one: 10^5000 has 16610 bits, and 0.30102 per
+    # bit puts it past 10^4999 only
+    for size, digits in ((1 << bits, 3913), (10 ** 5000, 4999),
+                         (9 * 10 ** 5000, 5000), (10 ** 5000 - 1, 4999)):
+        with pytest.raises(ResourceBoundExceeded) as exc:
+            ResourceBoundExceeded.check("a job", size, 10, "rows")
+        assert str(exc.value) == f"a job needs more than 10^{digits} " \
+            "rows, above the bound 10"
+        # a true bound: the size has more digits than the power of ten
+        assert size > 10 ** digits and exc.value.size == size
+
+
+def test_one_tensor_power_check_serves_both_callers():
+    names = {alias.name for node in ast.walk(trees()["reps.py"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "check_tensor_power" in names and "WORD_CAP" not in names
+    assert calls_by_function(trees()["tensor.py"], "check") == [
+        "check_tensor_power"]
+    assert sorted(where for module in ("tensor.py", "reps.py")
+                  for where in calls_by_function(trees()[module],
+                                                 "check_tensor_power")) \
+        == ["casimir_defect", "schur_weyl_table"]
+
+
+@pytest.mark.parametrize("power, text", [
+    (13, "1594323"), (8000, str(3 ** 8000)), (20000, "more than 10^3913"),
+    (10 ** 30, "more than 10^3913")], ids=["13", "8000", "20000", "1e30"])
+def test_the_tensor_power_is_refused_before_it_is_formed(power, text):
+    # 3^8000 has 12680 bits and is written out; past 13000 bits of the
+    # lower bound 2^r the power is not formed, 3^(10^30) included
+    space = super_space(2, 1)
+    assert tensor.check_tensor_power(space, 12) is None
+    with pytest.raises(ResourceBoundExceeded) as exc:
+        tensor.check_tensor_power(space, power)
+    assert str(exc.value) == f"tensor power needs {text} basis elements, " \
+        "above the bound 1000000"
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "colourgl", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, json.loads(proc.stdout), \
+        time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("schur-weyl", "--space", "super(2|1)", "--power", "20000"),
+     "tensor power needs more than 10^3913 basis elements, above the bound "
+     "1000000"),
+    (("schur-weyl", "--space", "super(2|1)", "--power", "30000000"),
+     "tensor power needs more than 10^3913 basis elements, above the bound "
+     "1000000"),
+    (("casimir", "--space", "super(2|1)", "--partition", "30000000"),
+     "tensor power needs more than 10^3913 basis elements, above the bound "
+     "1000000"),
+    (("glq-check", "--m", "1", "--n", "1", "--copies", "1" + "0" * 2500),
+     "glq-check needs more than 10^5000 commutators, above the bound 30000"),
+    (("fft-check", "--space", "super(14|14)", "--copies", "1",
+      "--dual-copies", "1", "--max-degree", "0"),
+     "the dual-pair check needs 615441 commutators, above the bound 30000")])
+def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
+    # each exited 2 with Python's 4300-digit error, or after 8-20 s, or
+    # (fft-check) ran to exit 0 in 8 s
+    code, doc, seconds = run_module(*argv)
+    assert (code, doc["error"]) == (2, error)
+    assert seconds < 2
+
+
+def test_fft_check_just_under_the_commutator_bound_runs():
+    # dim V = 13 at N = 1: 1 + 13^4 + 13^2 = 28731 commutators
+    code, doc, _ = run_module("fft-check", "--space", "super(7|6)",
+                              "--copies", "1", "--dual-copies", "1",
+                              "--max-degree", "0")
+    assert code == 0 and doc["ok"] is True
+    assert doc["results"]["invariant_dimensions"] == {"0": 1}
+
+
+@pytest.mark.parametrize("check, size", [
+    (weyl.verify_dual_pair, 2 ** 4 + 2 ** 4 + 2 ** 2 * 2 ** 2),
+    (weyl.invariant_generators_check, 2 ** 2 * 2 ** 2 * (2 ** 2 + 1))])
+def test_the_gl_v_checks_count_the_commutators_they_form(monkeypatch, check,
+                                                         size):
+    # super(1|1) at N = 2: exactly at the bound they run, one below it not
+    monkeypatch.setattr(weyl, "COMMUTATOR_CAP", size)
+    assert check(super_space(1, 1), 2) is True
+    monkeypatch.setattr(weyl, "COMMUTATOR_CAP", size - 1)
+    with pytest.raises(ResourceBoundExceeded,
+                       match=f"needs {size} commutators"):
+        check(super_space(1, 1), 2)
