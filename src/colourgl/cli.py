@@ -17,9 +17,17 @@ Every subcommand emits one JSON report (sorted keys); tableaux, whose
 report is nothing but its rows, takes --format tsv to write them as TSV
 instead.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
-with `kind` the subcommand name, and it exits 1 when ok is false.  `main`
-parses with one parser per process and calls the handler by its name,
-`cmd_` plus the subcommand, at call time.
+with `kind` the subcommand name, and it exits 1 when ok is false.  The
+table SUBCOMMANDS is the one statement of the grammar: each subcommand's
+help and options, each option's type or choices, default or REQUIRED,
+and help.  `main` reads argv by it in one pass of _parse, with argparse's
+rules (--opt value and --opt=value, a unique prefix, the last of a
+repeated option, a leading - only on a negative number) and its exit
+codes (2 for bad argv, 0 after -h/--help, which is written from the
+table), and calls the handler by its name, `cmd_` plus the subcommand, at
+call time.  load_space keeps the spaces it builds, one per preset name and
+one per (path, file text), the SPACES_KEPT most recently used, so that
+the jobs of a process share each space and its lazy omega and Fock tables.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  A reader that closes stdout
@@ -30,15 +38,16 @@ via --timing so the default report stays stable.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import presets
 from .gl import GradedSpace, ResourceBoundExceeded
@@ -47,9 +56,10 @@ from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
 from .tensor import schur_weyl_table
-from .weyl import (glq_relations_check, glvv_decomposition,
-                   howe_dimension_sweep, invariant_dimensions,
-                   invariant_generators_check, verify_dual_pair)
+from .weyl import (check_fft_bounds, glq_relations_check,
+                   glvv_decomposition, howe_dimension_sweep,
+                   invariant_dimensions, invariant_generators_check,
+                   verify_dual_pair)
 from .verify import require_dimension, run_verification
 
 # most digits of a weight coordinate, the value of its exponent counted as
@@ -59,6 +69,8 @@ WEIGHT_DIGITS_CAP = 1000
 # each: Python converts at most 4300 digits of an int to text by default
 REPORT_DIGITS_CAP = 4000
 _TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
+# most spaces that load_space keeps built, the least recently used dropped
+SPACES_KEPT = 32
 # integer options that count something: negative values are bad input
 COUNT_OPTIONS = ("power", "size", "copies", "dual_copies", "max_degree", "m",
                  "n")
@@ -69,14 +81,26 @@ class InputError(ValueError):
 
 
 def load_space(spec):
-    """A --space value: a preset name like super(2|1) or a JSON file path."""
+    """A --space value: a preset name like super(2|1) or a JSON file path.
+    A process builds one space per preset name and one per (path, file
+    text), so the jobs of a process share it and its lazy tables, and an
+    edited file gives a new space."""
     if presets.is_preset_name(spec):
-        return presets.preset_space(spec)
+        return _space(spec, None)
     path = Path(spec)
     if not path.exists():
         raise InputError(f"{spec!r} is neither a preset nor a file")
+    return _space(spec, path.read_text())
+
+
+@functools.lru_cache(maxsize=SPACES_KEPT)
+def _space(spec, text):
+    """The space of a preset name (text None) or of a file's text; a
+    refusal is raised again on each call, as lru_cache keeps no exception."""
+    if text is None:
+        return presets.preset_space(spec)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {spec}: {exc}") from exc
     try:
@@ -225,14 +249,17 @@ def cmd_howe_sweep(args):
 def cmd_fft_check(args):
     space = load_space(args.space)
     require_dimension(space, "fft-check")
+    gl_copies = min(args.copies, 2)
+    check_fft_bounds(space, args.copies, args.dual_copies, args.max_degree,
+                     gl_copies)
     dims = invariant_dimensions(space, args.copies, args.dual_copies,
                                 args.max_degree)
     results = {
         "invariant_dimensions": {str(d): n for d, n in dims.items()},
         "z_span_verified": True,
-        "dual_pair_ok": verify_dual_pair(space, min(args.copies, 2)),
-        "filtration_level_1_ok": invariant_generators_check(
-            space, min(args.copies, 2)),
+        "dual_pair_ok": verify_dual_pair(space, gl_copies),
+        "filtration_level_1_ok": invariant_generators_check(space,
+                                                             gl_copies),
     }
     ok = results["dual_pair_ok"] and results["filtration_level_1_ok"]
     return results, ok
@@ -313,91 +340,186 @@ def cmd_presets(args):
     return {"catalog": presets.builtin_spaces()}, True
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="colourgl",
-        description="Exact colour gl(V) computations: dualities, Fock "
-                    "spaces, typicality and unitarisability.")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the report")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add = sub.add_parser
+# -- the grammar: one table, read in one pass ---------------------------------
 
-    p = add("verify", help="run the invariant suites")
-    p.add_argument("--space", required=True)
-    p.add_argument("--level", choices=("quick", "full"), default="full")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("schur-weyl", help="decomposition of V^r")
-    p.add_argument("--space", required=True)
-    p.add_argument("--power", type=int, required=True)
-
-    p = add("howe-sweep",
-            help="Fock space dimension sweep against the module sum")
-    p.add_argument("--space", required=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = add("fft-check", help="invariant dimensions and z-span verification")
-    p.add_argument("--space", required=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--dual-copies", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=2)
-
-    p = add("glq-check", help="gl_q(m|n) relation families")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--copies", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=4)
-
-    p = add("typicality", help="chi(lambda) and typicality")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight", required=True)
-
-    p = add("kac-dim", help="dimension of the Kac module")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight", required=True)
-
-    p = add("casimir", help="Casimir eigenvalue / tensor-action defect")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight")
-    p.add_argument("--partition")
-
-    p = add("unitarisable", help="classify against a compact *-structure")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--type", choices=("I", "II"), default="I")
-
-    p = add("gram", help="contravariant Gram matrices")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, default=None)
-
-    p = add("tableaux", help="hook tableaux table")
-    p.add_argument("--space", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--copies", type=int, default=0)
-    # the report is its rows alone, so TSV loses nothing of it
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    p = add("glvv", help="Howe duality for a pair of spaces")
-    p.add_argument("--space", required=True)
-    p.add_argument("--other-space", required=True)
-    p.add_argument("--max-degree", type=int, default=2)
-
-    add("presets", help="list built-in spaces")
-    return parser
+REQUIRED = object()  # the default of an option that has to be given
+_SPACE = (str, REQUIRED, "a preset like super(2|1), or a JSON space file")
+_WEIGHT = (str, REQUIRED, "the coordinates, comma separated")
+_COPIES = (int, REQUIRED, "copies of V")
+_DEGREE = (int, 2, "the highest degree")
+# subcommand -> (help, {option: (kind, default, help)}), with kind int, str
+# or the tuple of its choices, and default REQUIRED when it has to be given
+SUBCOMMANDS = {
+    "verify": ("run the invariant suites", {
+        "--space": _SPACE,
+        "--level": (("quick", "full"), "full", "the suites to run"),
+        "--seed": (int, 0, "seed of the sampled checks")}),
+    "schur-weyl": ("decomposition of V^r", {
+        "--space": _SPACE, "--power": (int, REQUIRED, "the power r")}),
+    "howe-sweep": ("Fock space dimension sweep against the module sum", {
+        "--space": _SPACE, "--copies": _COPIES,
+        "--max-degree": (int, REQUIRED, _DEGREE[2])}),
+    "fft-check": ("invariant dimensions and z-span verification", {
+        "--space": _SPACE, "--copies": _COPIES, "--max-degree": _DEGREE,
+        "--dual-copies": (int, REQUIRED, "copies of the dual of V")}),
+    "glq-check": ("gl_q(m|n) relation families", {
+        "--m": (int, REQUIRED, "the even dimension"),
+        "--n": (int, REQUIRED, "the odd dimension"),
+        "--copies": (int, 1, _COPIES[2]),
+        "--max-degree": (int, 4, _DEGREE[2])}),
+    "typicality": ("chi(lambda) and typicality",
+                   {"--space": _SPACE, "--weight": _WEIGHT}),
+    "kac-dim": ("dimension of the Kac module",
+                {"--space": _SPACE, "--weight": _WEIGHT}),
+    "casimir": ("Casimir eigenvalue / tensor-action defect", {
+        "--space": _SPACE, "--weight": (str, None, _WEIGHT[2]),
+        "--partition": (str, None, "the parts, comma separated")}),
+    "unitarisable": ("classify against a compact *-structure", {
+        "--space": _SPACE, "--weight": _WEIGHT,
+        "--type": (("I", "II"), "I", "the compact *-structure")}),
+    "gram": ("contravariant Gram matrices", {
+        "--space": _SPACE, "--weight": _WEIGHT,
+        "--depth": (int, None, "the last level, all by default")}),
+    "tableaux": ("hook tableaux table", {
+        "--space": _SPACE, "--size": (int, REQUIRED, "the number of boxes"),
+        "--copies": (int, 0, "copies of V for dim_glN, 0 for none"),
+        # the report is its rows alone, so TSV loses nothing of it
+        "--format": (("json", "tsv"), "json", "the report's format")}),
+    "glvv": ("Howe duality for a pair of spaces", {
+        "--space": _SPACE, "--other-space": (str, REQUIRED, "W, as --space"),
+        "--max-degree": _DEGREE}),
+    "presets": ("list built-in spaces", {}),
+}
+# the grammar before the subcommand, in the same form
+_TOP = ("Exact colour gl(V) computations: dualities, Fock spaces, typicality "
+        "and unitarisability.",
+        {"--timing": (bool, False, "include wall-clock timing in the report")})
+_HELP = (None, None, "show this help and exit")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number
 
 
-@functools.cache
-def _parser():
-    """The parser of this process, built on the first call to main: every
-    parse_args starts from a fresh namespace, so it is reused as is."""
-    return build_parser()
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _flags(command):
+    """The options of command, or of the top level when None, and -h/--help."""
+    options = SUBCOMMANDS.get(command, _TOP)[1]
+    return {**options, "-h": _HELP, "--help": _HELP}
+
+
+def _word(flag, kind):
+    """An option as usage writes it: --timing, --power POWER, --type {I,II}."""
+    return flag if kind is bool else f"{flag} " + (
+        "{%s}" % ",".join(kind) if isinstance(kind, tuple)
+        else _dest(flag).upper())
+
+
+def _usage(command):
+    words = [f"usage: colourgl {command or ''}".rstrip(), "[-h]"] + [
+        _word(flag, kind) if default is REQUIRED else f"[{_word(flag, kind)}]"
+        for flag, (kind, default, _) in SUBCOMMANDS.get(command, _TOP)[1]
+        .items()]
+    return " ".join(words if command else
+                    [*words, "{%s} ..." % ",".join(SUBCOMMANDS)])
+
+
+def _fail(command, message):
+    print(f"{_usage(command)}\ncolourgl: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command):
+    """Write the help of command, or of the top level when None, and exit
+    0: its usage, what it does, and a line for each option and, at the top
+    level, for each subcommand."""
+    about, options = SUBCOMMANDS.get(command, _TOP)
+    rows = [("-h, --help", _HELP[2])] + [
+        (_word(flag, kind), what) for flag, (kind, _, what) in options.items()
+    ] + [(name, what) for name, (what, _) in SUBCOMMANDS.items()
+         if command is None]
+    width = max(len(word) for word, _ in rows) + 2
+    print(_usage(command), "", about, "",
+          *(f"  {word:<{width}}{what}" for word, what in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _option(arg, flags, command):
+    """(flag, the text after = or None) of an arg read as an option, flag
+    None for an unknown one, or None for an arg read as a value, as argparse
+    reads them: a unique prefix of a --flag stands for it."""
+    name, eq, value = arg.partition("=")
+    found = [name] if name in flags else [
+        flag for flag in flags
+        if name.startswith("--") and arg != "--" and flag.startswith(name)]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match "
+                       f"{', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    if arg.startswith("-") and arg != "-" and not _NEGATIVE.match(arg) \
+            and " " not in arg:
+        return None, None
+    return None
+
+
+def _parse(argv):
+    """The namespace of argv (sys.argv[1:] when None) by the grammar of
+    SUBCOMMANDS: timing, command and every option of the subcommand, with
+    its default where it is not given.  As with argparse, the last of a
+    repeated option wins, a bad value fails at once and an unknown option
+    at the end, with exit 2 after a usage line on stderr; -h/--help exits
+    0 after the help."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns, unknown, command, flags = {"timing": False}, [], None, _flags(None)
+    # each arg with its reading, redone by the subcommand's flags past it
+    rest = [(arg, _option(arg, flags, None)) for arg in argv]
+    while rest:
+        arg, read = rest.pop(0)
+        if read is None and command is None:  # the subcommand
+            if arg not in SUBCOMMANDS:
+                _fail(None, f"argument command: invalid choice: {arg!r}")
+            command = ns["command"] = arg
+            flags, options = _flags(command), SUBCOMMANDS[command][1]
+            ns.update((_dest(flag), spec[1]) for flag, spec in options.items())
+            rest = [(arg, _option(arg, flags, command)) for arg, _ in rest]
+            continue
+        flag, value = read or (None, None)
+        if flag is None:
+            unknown.append(arg)
+            continue
+        kind = flags[flag][0]
+        if kind in (None, bool):  # -h/--help and --timing take no value
+            if value is not None:
+                _fail(command, f"argument {flag}: ignored explicit argument "
+                               f"{value!r}")
+            if kind is None:
+                _help(command)
+            ns[_dest(flag)] = True
+            continue
+        if value is None:
+            if not rest or rest[0][1] is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value = rest.pop(0)[0]
+        try:
+            ns[_dest(flag)] = int(value) if kind is int else value
+        except ValueError:
+            _fail(command, f"argument {flag}: invalid int value: {value!r}")
+        if kind not in (int, str) and value not in kind:
+            _fail(command, f"argument {flag}: invalid choice: {value!r}")
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [flag for flag in options if ns[_dest(flag)] is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: "
+                       f"{', '.join(missing)}")
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     start = time.time()
     code = 3
     try:

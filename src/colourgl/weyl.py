@@ -63,7 +63,8 @@ sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
 and on each degree's zero-weight basis (_invariant_basis_bounds), and
 COMMUTATOR_CAP on the commutators that glq_relations_check and
 fft-check's two gl(V) checks, verify_dual_pair and
-invariant_generators_check, form.
+invariant_generators_check, form.  check_fft_bounds applies all of
+fft-check's bounds before the first degree is computed.
 """
 
 from __future__ import annotations
@@ -273,6 +274,30 @@ def dual_pair_generators(space, copies):
     return E, Ecal
 
 
+def _dual_pair_bound(space, copies):
+    ResourceBoundExceeded.check(
+        "the dual-pair check", copies ** 4 + space.dim ** 4
+        + copies ** 2 * space.dim ** 2, COMMUTATOR_CAP, "commutators")
+
+
+def _filtration_bound(space, copies):
+    ResourceBoundExceeded.check(
+        "the filtration-level-1 check",
+        copies ** 2 * space.dim ** 2 * (copies ** 2 + 1), COMMUTATOR_CAP,
+        "commutators")
+
+
+def check_fft_bounds(space, copies, dual_copies, max_degree, gl_copies):
+    """Refuse an fft-check job before any of its work starts, by the bounds
+    of its parts in the order it runs them, so that a refusal reads as the
+    part's own: invariant_dimensions' bases, then verify_dual_pair's and
+    invariant_generators_check's commutators at gl_copies copies."""
+    _invariant_basis_bounds(space, copies, dual_copies,
+                            range(max_degree + 1))
+    _dual_pair_bound(space, gl_copies)
+    _filtration_bound(space, gl_copies)
+
+
 def verify_dual_pair(space, copies):
     """Exhaustively check eq. families for the dual pair: the E's and the
     Ecal's satisfy the abstract brackets of gl_N = gl(N|0) and of gl(V),
@@ -283,9 +308,7 @@ def verify_dual_pair(space, copies):
     two units differ, so no two terms meet.  It forms N^4 + dim V^4 +
     N^2 dim V^2 commutators, refused before the first past
     COMMUTATOR_CAP."""
-    ResourceBoundExceeded.check(
-        "the dual-pair check", copies ** 4 + space.dim ** 4
-        + copies ** 2 * space.dim ** 2, COMMUTATOR_CAP, "commutators")
+    _dual_pair_bound(space, copies)
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
@@ -666,10 +689,7 @@ def invariant_generators_check(space, copies):
     N^2 E's meets each of the (dim V N)^2 words and each of the dim V^2
     Ecal's: N^2 dim V^2 (N^2 + 1) commutators, refused before the first
     past COMMUTATOR_CAP."""
-    ResourceBoundExceeded.check(
-        "the filtration-level-1 check",
-        copies ** 2 * space.dim ** 2 * (copies ** 2 + 1), COMMUTATOR_CAP,
-        "commutators")
+    _filtration_bound(space, copies)
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     gens = range(space.dim * copies)

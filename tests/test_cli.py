@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import shlex
@@ -54,8 +53,9 @@ def test_deterministic_output(capsys):
 
 
 def test_one_parser_serves_successive_jobs(capsys):
-    # the parser is built once per process; a second job must not see the
-    # options of the first (tableaux's --copies defaults to 0)
+    # the jobs of one process share the grammar table and the spaces; a
+    # second job must not see the options of the first (tableaux's
+    # --copies defaults to 0)
     jobs = (["howe-sweep", "--space", "super(1|1)", "--copies", "2",
              "--max-degree", "3"],
             ["tableaux", "--space", "super(2|1)", "--size", "3"])
@@ -347,10 +347,8 @@ CONTRACT_JOBS = {
 
 
 def test_every_subcommand_keeps_the_report_contract(capsys, monkeypatch):
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
     # a subcommand added without a job here fails the test
-    assert set(subparsers.choices) == set(CONTRACT_JOBS)
+    assert set(cli.SUBCOMMANDS) == set(CONTRACT_JOBS)
     for name, argv in CONTRACT_JOBS.items():
         code, doc = run_json(capsys, name, *argv)
         assert doc["kind"] == name, name
@@ -385,6 +383,52 @@ def test_space_file_input(capsys, tmp_path):
     code, report = run_json(capsys, "schur-weyl", "--space", str(path),
                             "--power", "2")
     assert code == 0 and report["results"]["checksum"] == 4
+
+
+def test_jobs_share_one_space_per_preset_and_per_file_text(capsys, tmp_path,
+                                                          monkeypatch):
+    seen, real = [], cli.kac_dimension
+    monkeypatch.setattr(cli, "kac_dimension", lambda space, lam: (
+        seen.append(space), real(space, lam))[1])
+    path = tmp_path / "space.json"
+
+    def job(spec, weight):
+        code, doc = run_json(capsys, "kac-dim", "--space", spec,
+                             "--weight", weight)
+        assert code == 0, doc
+        return seen[-1], doc["results"]["kac_dimension"]
+
+    assert job("super(2|1)", "2,1,0")[0] is job("super(2|1)", "1,0,0")[0]
+    doc = cli.presets.super_space(1, 1).to_json()
+    path.write_text(json.dumps(doc))
+    first, dim = job(str(path), "1,0")
+    assert job(str(path), "1,0") == (first, dim)
+    # the same text written again is the same space; an edited file is not
+    path.write_text(json.dumps(doc))
+    assert job(str(path), "1,0")[0] is first
+    path.write_text(json.dumps(cli.presets.super_space(2, 1).to_json()))
+    edited, _ = job(str(path), "2,1,0")
+    assert edited is not first and edited.dim == 3
+    assert cli._space.cache_info().maxsize == cli.SPACES_KEPT
+
+
+def test_a_warm_process_reports_as_a_fresh_one(capsys):
+    # every job runs once to warm the shared space and its Fock and omega
+    # tables, then again; each second report equals a fresh process's
+    jobs = (["fft-check", "--space", "super(1|1)", "--copies", "2",
+             "--dual-copies", "1", "--max-degree", "2"],
+            ["howe-sweep", "--space", "super(1|1)", "--copies", "2",
+             "--max-degree", "3"],
+            ["verify", "--space", "super(1|1)", "--level", "quick"])
+    for argv in jobs:
+        run_cli(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in jobs:
+        warm = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "colourgl", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert warm == (fresh.returncode, fresh.stdout), argv
 
 
 def test_howe_sweep_and_tsv(capsys):
@@ -495,11 +539,9 @@ def test_format_belongs_to_the_table_subcommands():
     # --format acts only where the report is nothing but its rows, so that
     # TSV drops no field (schur-weyl's checksum, howe-sweep's dual_rows,
     # glvv's pairs and every ok would be lost); elsewhere it is an unknown
-    # option, which argparse refuses with exit 2
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    with_format = {name for name, p in sub.choices.items()
-                   if any("--format" in a.option_strings for a in p._actions)}
+    # option, which the parser refuses with exit 2
+    with_format = {name for name, (_, options) in cli.SUBCOMMANDS.items()
+                   if "--format" in options}
     assert with_format == {"tableaux"}
     for argv in (["verify", "--space", "super(1|1)"],
                  ["schur-weyl", "--space", "super(1|1)", "--power", "2"]):

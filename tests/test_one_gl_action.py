@@ -9,18 +9,27 @@ the sorting costs.  Under that map the coproduct rule of tensor._act is
 the CCR walk of weyl._word_on_monomial with E_ab acting as Ecal_ab =
 sum_t x(a, t) d(b, t): the package's two statements of the gl(V) action
 agree word by word, and every Schur-Weyl witness maps to a nonzero Fock
-vector that each raising Ecal_ab, a < b, kills."""
+vector that each raising Ecal_ab, a < b, kills.  On the S_r side the
+braiding tensor._swap at slot i is the exchange of copies i and i + 1:
+the algebra automorphism x(a, i) <-> x(a, i + 1) of fock_algebra(space,
+r), which keeps degrees, so that it is well defined, and whose sorting
+of the exchanged product gives the braiding factor."""
 
 import itertools
 
 from colourgl.gl import _add_ints
 from colourgl.grading import _merge
 from colourgl.partitions import hook_partitions
-from colourgl.tensor import _act, _witness
+from colourgl.presets import glq_space, green_space, super_space, z2z2_space
+from colourgl.tensor import _act, _swap, _witness
 from colourgl.weyl import _word_on_monomial, fock_algebra
 from test_laurent_kernels import small_presets
 
 POWERS = (1, 2, 3)
+# dimension-3 presets of each grading, for r = 4
+PRESETS_AT_4 = {"super(1|2)": super_space(1, 2), "glq(2|1)": glq_space(2, 1),
+                "green(3)": green_space(3),
+                "z2z2(1,1,1,0)": z2z2_space((1, 1, 1, 0))}
 
 
 def to_fock(alg, r, terms):
@@ -79,3 +88,37 @@ def test_every_schur_weyl_witness_is_a_fock_highest_weight_vector():
                     assert not ecal(alg, r, a, b, fock), (name, lam, a, b)
                 witnesses += 1
     assert witnesses == 288
+
+
+def exchange(alg, r, i, vec):
+    """The exchange of copies i and i + 1, x(a, i) <-> x(a, i + 1), on the
+    Fock vector vec: each monomial's generators are relabelled in place,
+    and the product re-sorted by _merge, which adds its (s, e) pair."""
+    odd, om = alg._tables
+    swap = {i: i + 1, i + 1: i}
+    out = {}
+    for (mono, e), n in vec.items():
+        image = tuple(g - g % r + swap.get(g % r, g % r) for g in mono)
+        s, e2, word = _merge((), image, odd, om)
+        _add_ints(out, {(word, e + e2): 1}, -n if s else n, 0)
+    return {key: n for key, n in out.items() if n}
+
+
+def test_the_braiding_is_the_exchange_of_two_copies():
+    checks = 0
+    cases = [(name, space, r) for name, space in small_presets().items()
+             for r in POWERS] + [(name, space, 4)
+                                 for name, space in PRESETS_AT_4.items()]
+    for name, space, r in cases:
+        pairs = space._omega_pairs
+        alg = fock_algebra(space, r)
+        for word in itertools.product(range(space.dim), repeat=r):
+            fock = to_fock(alg, r, {(word, 0): 1})
+            for i in range(r - 1):
+                s, e, swapped = _swap(pairs, i, (0, 0, word))
+                assert to_fock(alg, r, {(swapped, e): -1 if s else 1}) == \
+                    exchange(alg, r, i, fock), (name, word, i)
+                checks += 1
+    # dim^r (r - 1) summed over the presets: 2194 at r = 2, 3 and
+    # 4 * 3^4 * 3 = 972 at r = 4
+    assert checks == 3166

@@ -10,7 +10,8 @@ tensor.check_tensor_power refused from r and the bits of dim V before the
 power is formed, and in casimir_defect after the partition check and
 before the hook check, the order the CLI applied it in.  A size too long
 to print is written as a bound on its digits.  fft-check's two gl(V)
-checks share glq-check's commutator bound."""
+checks share glq-check's commutator bound, and an fft-check job meets
+every bound of its parts before its first degree is computed."""
 
 import ast
 import json
@@ -262,13 +263,37 @@ def run_module(*argv):
      "glq-check needs more than 10^5000 commutators, above the bound 30000"),
     (("fft-check", "--space", "super(14|14)", "--copies", "1",
       "--dual-copies", "1", "--max-degree", "0"),
-     "the dual-pair check needs 615441 commutators, above the bound 30000")])
+     "the dual-pair check needs 615441 commutators, above the bound 30000"),
+    (("fft-check", "--space", "super(40|40)", "--copies", "1",
+      "--dual-copies", "1", "--max-degree", "1"),
+     "the dual-pair check needs 40966401 commutators, above the bound "
+     "30000")])
 def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     # each exited 2 with Python's 4300-digit error, or after 8-20 s, or
-    # (fft-check) ran to exit 0 in 8 s
+    # (fft-check super(14|14)) ran to exit 0 in 8 s, or (super(40|40) at
+    # degree 1) computed the degree-1 invariants for 1.1 s before its
+    # refusal
     code, doc, seconds = run_module(*argv)
     assert (code, doc["error"]) == (2, error)
     assert seconds < 2
+
+
+@pytest.mark.parametrize("space, copies, degree, error", [
+    ("super(40|40)", 1, 1, "the dual-pair check needs 40966401 commutators"),
+    # past both bounds: the degree's basis is refused first, as before
+    ("super(14|14)", 2, 5, "invariant_dimension needs 614656 basis "
+                           "elements")])
+def test_fft_check_meets_every_bound_before_its_first_degree(
+        capsys, monkeypatch, space, copies, degree, error):
+    monkeypatch.setattr(cli, "invariant_dimensions", refuse_to_compute)
+    monkeypatch.setattr(weyl, "fock_algebra", refuse_to_compute)
+    assert cli.main(["fft-check", "--space", space, "--copies", str(copies),
+                     "--dual-copies", "1", "--max-degree", str(degree)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(error)
+
+
+def refuse_to_compute(*args):
+    raise AssertionError("fft-check started its work before its bounds")
 
 
 def test_fft_check_just_under_the_commutator_bound_runs():
