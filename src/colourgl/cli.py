@@ -81,16 +81,21 @@ class InputError(ValueError):
 
 
 def load_space(spec):
-    """A --space value: a preset name like super(2|1) or a JSON file path.
-    A process builds one space per preset name and one per (path, file
-    text), so the jobs of a process share it and its lazy tables, and an
-    edited file gives a new space."""
+    """A --space value: a preset name like super(2|1) or a JSON file path;
+    a path that cannot be read as a file is bad input.  A process builds
+    one space per preset name and one per (path, file text), so the jobs
+    of a process share it and its lazy tables, and an edited file gives a
+    new space."""
     if presets.is_preset_name(spec):
         return _space(spec, None)
     path = Path(spec)
     if not path.exists():
         raise InputError(f"{spec!r} is neither a preset nor a file")
-    return _space(spec, path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:  # a directory or an unreadable file
+        raise InputError(f"cannot read {spec}: {exc}") from exc
+    return _space(spec, text)
 
 
 @functools.lru_cache(maxsize=SPACES_KEPT)

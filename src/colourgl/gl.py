@@ -37,6 +37,11 @@ Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
 one bridge from them to Scalars, for tensor, reps and weyl.
 
+_Kept is the package's one bounded memo: it keeps entries up to a bound
+on their summed sizes, the least recently used dropped first.  A space
+keeps its Fock algebras in one (weyl.fock_algebra), and tensor its Young
+tables and arrangements in another.
+
 ResourceBoundExceeded.check is the package's one refusal rule: every
 bound on the size of a computation, in tensor, weyl and reps, is a call
 to it, made before the work of that size starts.  Its message writes a
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property
 
@@ -62,6 +68,47 @@ class SpaceMismatch(ValueError):
 # most bits of a size that ResourceBoundExceeded writes out, at most 3914
 # digits: Python writes no int of more than 4300 digits as text
 SIZE_TEXT_BITS = 13000
+
+
+# most Fock algebras that a space keeps built for weyl.fock_algebra, the
+# least recently used dropped first: an fft-check job builds three, for
+# (N, N'), (N, 0) and (0, N')
+FOCK_ALGEBRAS_KEPT = 16
+
+
+class _Kept:
+    """A memo that keeps its entries up to a bound on their summed sizes,
+    the least recently used dropped first.  get(key) is the value kept
+    under key, or None, and marks it used; put(key, value, size) keeps
+    value, unless its size alone is past the bound, drops the oldest
+    entries until the sizes fit and returns value."""
+
+    __slots__ = ("bound", "held", "_entries")
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.held = 0  # the summed sizes of the entries
+        self._entries = OrderedDict()  # key -> (value, size), oldest first
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key):
+        found = self._entries.get(key)
+        if found is None:
+            return None
+        self._entries.move_to_end(key)
+        return found[0]
+
+    def put(self, key, value, size=1):
+        if size <= self.bound:
+            old = self._entries.pop(key, None)
+            self.held += size - (old[1] if old else 0)
+            self._entries[key] = value, size
+            while self.held > self.bound:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.held -= dropped
+        return value
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -113,7 +160,8 @@ class GradedSpace:
         self.degrees = tuple(degree for degree, mult in self.components
                              for _ in range(mult))  # flat index -> Degree
         self.parities = tuple(factor.parity(d) for d in self.degrees)
-        self._fock_algebras = {}  # weyl.fock_algebra's cache
+        # weyl.fock_algebra's cache, by (copies, dual_copies)
+        self._fock_algebras = _Kept(FOCK_ALGEBRAS_KEPT)
 
     def omega(self, a, b):
         return self.factor.omega(a, b)

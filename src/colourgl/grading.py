@@ -18,7 +18,9 @@ pairs.  CommutativeFactor._table is the one builder of such tables, for
 the basis of a graded space and for the generators of an algebra alike,
 scalars.omega_scalar the one place a pair becomes a Scalar factor
 (CommutativeFactor.omega applies it), and _merge the one place a
-reordering of a graded word becomes a pair.
+reordering of a graded word becomes a pair.  _inversion_pair is the same
+pair read from the word's letter-pair inversion counts instead of a
+sort: tensor weights its Young tables, which keep the counts, by it.
 
 _Record gives equality and repr by its fields to a class whose fields are
 its __slots__ and then those of its bases: the groups, degrees and
@@ -52,6 +54,22 @@ def _merge(w1, w2, odd, om):
             e += eh
         word = word[:pos] + (g,) + word[pos:]
     return s, e, word
+
+
+def _inversion_pair(letter_pairs, counts, om):
+    """The pair sum_i counts[i] om[h][g] over the letter pairs (h, g) of
+    letter_pairs: the sign the parity of the counted signs, the exponent
+    their sum.  On the inversion counts inv_hg(w) = #{i < j : w_i = h >
+    w_j = g} of a word w over every pair h > g of its letters it is the
+    (s, e) of _merge((), w, (), om), each letter g passing every larger
+    letter h before it once; omega being a bicharacter, counts may be
+    differences of such counts, giving the pair of a quotient."""
+    s = e = 0
+    for (h, g), k in zip(letter_pairs, counts):
+        sh, eh = om[h][g]
+        s ^= k & sh
+        e += k * eh
+    return s, e
 
 
 class ShapeError(ValueError):

@@ -8,7 +8,8 @@ That product is the one every reduced word of the permutation multiplies
 out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
 relations exactly and the action is well defined.  These products and the
 coproduct factors of the gl(V)-action are sums of omega pairs (s, e); the
-pair over the inversions of a word is that of sorting it by grading._merge.
+pair over the inversions of a word is that of sorting it by grading._merge,
+and that of its letter-pair inversion counts by grading._inversion_pair.
 
 The Young symmetriser C_lambda = B_lambda A_lambda is applied to a word
 block by block: A_lambda row by row, then B_lambda column by column.  The
@@ -18,13 +19,20 @@ block sum is zero when a repeated letter has the wrong parity (omega(a, a)
 = -1 in a row, +1 in a column), and otherwise prod_a m_a! times a sum over
 the distinct arrangements of the block's letters, each taken by one
 permutation acting with the omega product over the inversions of the whole
-slot permutation (young_symmetrize).
+slot permutation (young_symmetrize).  The block sums read nothing of omega
+but the parity bits of the letters, so the spaces of one parity pattern
+share them: _young_table keeps, per (parity bits, lambda, word), each
+result word with its integer and its letter-pair inversion counts, and
+each space weights it by Psi(word) / Psi(w), the pair of those counts
+(grading._inversion_pair), with no sort.  The tables and the arrangements
+of _arrangements live in one process-wide memo, _KEPT, which holds at most
+TERMS_KEPT terms, the least recently used dropped first.
 
 The gl(V)-action through the iterated coproduct is stated once, in _act:
 E_ab on {(word, e): n}, the terms n q^e word, with the prefix pairs read
 from the rows _omega_pairs[a] and [b] and the sign folded into n.  The
 Schur-Weyl and Casimir checks run it on the integer witness of C_lambda,
-the block sums, each word taking the pair Psi(seed) / Psi(word)
+the Young table, each word taking the pair Psi(seed) / Psi(word)
 (_young_terms); it drops what cancels, so a witness is killed exactly when
 its image is empty.  gl_act_tensor runs it on Scalar coefficients.  A
 TensorVector is built only where a public function returns one, by
@@ -40,14 +48,22 @@ import math
 from fractions import Fraction
 
 from .gl import (SIZE_TEXT_BITS, LinearCombination, ResourceBoundExceeded,
-                 SpaceMismatch, _add_into, _dual_pair, _to_scalars)
-from .grading import _merge
+                 SpaceMismatch, _add_into, _dual_pair, _Kept, _to_scalars)
+from .grading import _inversion_pair
 from .partitions import _hook_shape, check_partition, hook_table
 from .scalars import ONE, omega_scalar
 
 # most basis words of V^(tensor r) that schur_weyl_table and
 # reps.casimir_defect accept, dim V ** r, before any witness is built
 WORD_CAP = 10 ** 6
+# most terms that the Young tables and the arrangements kept in _KEPT hold
+# together, the least recently used dropped first: those of every parity
+# pattern of dim V <= 3 at r <= 6 fit together (1159), and 2048 words of
+# 15 letters, with their counts, take about 0.6 MB.  Arrangements are kept
+# under tuples of letters and tables under (odd, lam, word), which never
+# meet.
+TERMS_KEPT = 2048
+_KEPT = _Kept(TERMS_KEPT)
 
 
 class TensorVector(LinearCombination):
@@ -217,30 +233,31 @@ def _seed_word(space, lam):
     return tuple(word)
 
 
-def _arrangements(letters, memo):
+def _arrangements(letters):
     """The distinct arrangements of a sorted tuple of letters, each with
-    the parity of its number of inversions, memoised in memo.  They grow
-    one position at a time, in lexicographic order: each distinct letter
-    x left adds the parity of the k letters left below it, so that no
-    call recurses."""
-    found = memo.get(letters)
+    the parity of its number of inversions, kept in _KEPT under letters
+    with their number as size.  They grow one position at a time, in
+    lexicographic order: each distinct letter x left adds the parity of
+    the k letters left below it, so that no call recurses."""
+    found = _KEPT.get(letters)
     if found is None:
         grown = [((), letters, 0)]  # (word so far, letters left, parity)
         for _ in letters:
             grown = [(word + (x,), left[:k] + left[k + 1:], k & 1 ^ par)
                      for word, left, par in grown
                      for k, x in enumerate(left) if not k or left[k - 1] != x]
-        found = memo[letters] = [(word, par) for word, _, par in grown]
+        found = _KEPT.put(letters, [(word, par) for word, _, par in grown],
+                          len(grown))
     return found
 
 
-def _block_sums(pairs, blocks, terms, column, memo):
+def _block_sums(odd, blocks, terms, column):
     """The row sums (column False) or the signed column sums (column True)
     of the blocks, one block after the other, on the integer coefficients
-    of Psi-normalised words (see young_symmetrize)."""
-    odd = [row[a][0] for a, row in enumerate(pairs)]
+    of Psi-normalised words (see young_symmetrize).  odd[a] is the parity
+    bit of omega(a, a), the only part of omega that they read."""
     column = int(column)
-    factors = {}
+    factors = {}  # sorted letters -> (prod m_a! or 0, their arrangements)
     for block in blocks:
         if len(block) < 2:
             continue
@@ -249,14 +266,15 @@ def _block_sums(pairs, blocks, terms, column, memo):
         for word, coef in terms.items():
             letters = tuple(word[s] for s in block)
             key = tuple(sorted(letters))
-            mult = factors.get(key)
-            if mult is None:
+            found = factors.get(key)
+            if found is None:
                 mult = 1
                 for a, run in itertools.groupby(key):
                     m = len(tuple(run))
                     if m > 1:
                         mult *= math.factorial(m) if odd[a] == column else 0
-                factors[key] = mult
+                found = factors[key] = mult, mult and _arrangements(key)
+            mult, arranged = found
             if not mult:
                 continue
             # crossing[t][a]: the parity of the odd letters a outside the
@@ -271,12 +289,12 @@ def _block_sums(pairs, blocks, terms, column, memo):
                     crossing.append(tuple(seen))
                 elif odd[a]:
                     seen[a] ^= 1
-            flip = column & sum(a > b for p, b in enumerate(letters)
-                                for a in letters[:p])
+            flip = column and sum(a > b for p, b in enumerate(letters)
+                                  for a in letters[:p]) & 1
             for c, x in zip(crossing, letters):
                 flip ^= c[x]
             base = list(word)
-            for u, par in _arrangements(key, memo):
+            for u, par in arranged:
                 sign = flip ^ par & column
                 for s, x, c in zip(block, u, crossing):
                     base[s] = x
@@ -286,6 +304,50 @@ def _block_sums(pairs, blocks, terms, column, memo):
                                           else mult * coef)
         terms = {w: c for w, c in out.items() if c}
     return terms
+
+
+def _letter_pairs(word):
+    """The pairs (h, g), h > g, of the distinct letters of word."""
+    letters = sorted(set(word))
+    return [(h, g) for i, h in enumerate(letters) for g in letters[:i]]
+
+
+def _inversions(letter_pairs, word):
+    """The letter-pair inversion counts inv_hg(word) = #{i < j : word_i =
+    h > word_j = g}, one per pair (h, g) of letter_pairs, in their order:
+    each g adds the number of h's before it."""
+    out = []
+    for h, g in letter_pairs:
+        seen = count = 0
+        for x in word:
+            if x == h:
+                seen += 1
+            elif x == g:
+                count += seen
+        out.append(count)
+    return tuple(out)
+
+
+def _young_table(odd, lam, word):
+    """C_lambda on word over the parity bits odd of the letters alone, kept
+    in _KEPT under (odd, lam, word) with its number of terms as size: the
+    block sums read no other part of omega, so the spaces of one parity
+    pattern share it.  It is (letter_pairs, inv, terms): the pairs (h, g),
+    h > g, of the letters of word; its inversion counts over them
+    (_inversions); and, in the order of the block sums, each result word w
+    with its integer n and its inversion counts."""
+    key = odd, lam, word
+    table = _KEPT.get(key)
+    if table is None:
+        rows, cols = _rows_and_columns(lam)
+        terms = _block_sums(odd, rows, {word: 1}, False)
+        terms = _block_sums(odd, cols, terms, True)
+        letter_pairs = _letter_pairs(word)
+        table = _KEPT.put(key, (
+            letter_pairs, _inversions(letter_pairs, word),
+            [(w, n, _inversions(letter_pairs, w))
+             for w, n in terms.items()]), len(terms))
+    return table
 
 
 def young_symmetrize(space, lam, word):
@@ -325,19 +387,16 @@ def young_symmetrize(space, lam, word):
 
 def _young_terms(space, lam, word):
     """C_lambda on word as an integer witness {(w, e): n}, the term
-    n q^e w: the block sums, then Psi(word) / Psi(w) on each word w, its
-    sign folded into n."""
+    n q^e w: the Young table of the space's parity bits, then Psi(word) /
+    Psi(w) on each word w, its sign folded into n, Psi being the pair of
+    the inversion counts (grading._inversion_pair)."""
     pairs = space._omega_pairs
-    rows, cols = _rows_and_columns(lam)
-    memo = {}
-    terms = _block_sums(pairs, rows, {word: 1}, False, memo)
-    terms = _block_sums(pairs, cols, terms, True, memo)
-    # Psi(w) is the pair of sorting w, with no letter odd to _merge: words
-    # of V^(tensor r) may repeat odd letters
-    s0, e0, _ = _merge((), word, (), pairs)
+    letter_pairs, inv, terms = _young_table(
+        tuple(row[a][0] for a, row in enumerate(pairs)), lam, word)
+    s0, e0 = _inversion_pair(letter_pairs, inv, pairs)
     out = {}
-    for w, n in terms.items():
-        s, e, _ = _merge((), w, (), pairs)
+    for w, n, inv in terms:
+        s, e = _inversion_pair(letter_pairs, inv, pairs)
         out[w, e0 - e] = -n if s0 ^ s else n
     return out
 

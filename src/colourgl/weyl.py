@@ -386,15 +386,16 @@ class OmegaPolyAlgebra:
 
 def fock_algebra(space, copies, dual_copies=0):
     """S_omega(V^N + Vbar^N'), N = copies, N' = dual_copies, cached on the
-    space.  Its generators are x(a, r) = a*N + r of degree gamma_a, which
-    sorts like (a, r), then xbar(a, s) = dim*N + a*N' + s of degree
-    -gamma_a.  Weyl words number x(a, r) and d(a, r) alike."""
+    space, which keeps the gl.FOCK_ALGEBRAS_KEPT most recently used.  Its
+    generators are x(a, r) = a*N + r of degree gamma_a, which sorts like
+    (a, r), then xbar(a, s) = dim*N + a*N' + s of degree -gamma_a.  Weyl
+    words number x(a, r) and d(a, r) alike."""
     alg = space._fock_algebras.get((copies, dual_copies))
     if alg is None:
         degrees = [g for g in space.degrees for _ in range(copies)] + [
             -g for g in space.degrees for _ in range(dual_copies)]
-        alg = space._fock_algebras[copies, dual_copies] = OmegaPolyAlgebra(
-            space.factor, degrees)
+        alg = space._fock_algebras.put((copies, dual_copies),
+                                       OmegaPolyAlgebra(space.factor, degrees))
     return alg
 
 

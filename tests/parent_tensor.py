@@ -8,10 +8,15 @@ is_highest_weight, which applies every upper E_ab through gl_act_tensor,
 and casimir_defect applied casimir_apply, gl_act_tensor twice per (a, b),
 and subtracted the eigenvalue times v as Scalars.  gl_act_tensor is the
 package's Scalar prefix walk from before it ran through tensor._act, so
-that comparing _act with it stays a comparison of two walks.  The other
+that comparing _act with it stays a comparison of two walks, and
+_block_sums and _arrangements are the package's block sums from before
+they ran on parity bits into a process-wide Young table, so that the
+witness too stays a comparison of two implementations.  The other
 helpers they call are unchanged and imported from the package.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from colourgl.gl import GlElement, SpaceMismatch, _add_into
@@ -20,8 +25,7 @@ from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
                                  _sharp, hook_partitions)
 from colourgl.reps import casimir_eigenvalue
 from colourgl.scalars import ONE, Scalar, omega_scalar
-from colourgl.tensor import (TensorVector, _block_sums, _rows_and_columns,
-                             _seed_word)
+from colourgl.tensor import TensorVector, _rows_and_columns, _seed_word
 
 
 def gl_act_tensor(x, v):
@@ -49,6 +53,77 @@ def gl_act_tensor(x, v):
                 s ^= sa ^ sb
                 e += ea - eb
     return TensorVector(v.space, v.power, terms)
+
+
+def _arrangements(letters, memo):
+    """The distinct arrangements of a sorted tuple of letters, each with
+    the parity of its number of inversions, memoised in memo.  They grow
+    one position at a time, in lexicographic order: each distinct letter
+    x left adds the parity of the k letters left below it, so that no
+    call recurses."""
+    found = memo.get(letters)
+    if found is None:
+        grown = [((), letters, 0)]  # (word so far, letters left, parity)
+        for _ in letters:
+            grown = [(word + (x,), left[:k] + left[k + 1:], k & 1 ^ par)
+                     for word, left, par in grown
+                     for k, x in enumerate(left) if not k or left[k - 1] != x]
+        found = memo[letters] = [(word, par) for word, _, par in grown]
+    return found
+
+
+def _block_sums(pairs, blocks, terms, column, memo):
+    """The row sums (column False) or the signed column sums (column True)
+    of the blocks, one block after the other, on the integer coefficients
+    of Psi-normalised words (see young_symmetrize)."""
+    odd = [row[a][0] for a, row in enumerate(pairs)]
+    column = int(column)
+    factors = {}
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        inside = set(block)
+        out = {}
+        for word, coef in terms.items():
+            letters = tuple(word[s] for s in block)
+            key = tuple(sorted(letters))
+            mult = factors.get(key)
+            if mult is None:
+                mult = 1
+                for a, run in itertools.groupby(key):
+                    m = len(tuple(run))
+                    if m > 1:
+                        mult *= math.factorial(m) if odd[a] == column else 0
+                factors[key] = mult
+            if not mult:
+                continue
+            # crossing[t][a]: the parity of the odd letters a outside the
+            # block before its t-th slot.  The block's a's jump the outside
+            # a's between their slots in w and in w', each jump a factor
+            # omega(a, a) = -1, so the sign of w -> w' is the sign bits of
+            # w (flip: crossings, and inversions in a column) XOR those of
+            # w'.
+            crossing, seen = [], [0] * len(odd)
+            for i, a in enumerate(word):
+                if i in inside:
+                    crossing.append(tuple(seen))
+                elif odd[a]:
+                    seen[a] ^= 1
+            flip = column & sum(a > b for p, b in enumerate(letters)
+                                for a in letters[:p])
+            for c, x in zip(crossing, letters):
+                flip ^= c[x]
+            base = list(word)
+            for u, par in _arrangements(key, memo):
+                sign = flip ^ par & column
+                for s, x, c in zip(block, u, crossing):
+                    base[s] = x
+                    sign ^= c[x]
+                w = tuple(base)
+                out[w] = out.get(w, 0) + (-mult * coef if sign & 1
+                                          else mult * coef)
+        terms = {w: c for w, c in out.items() if c}
+    return terms
 
 
 def _young_symmetrize(space, lam, word):

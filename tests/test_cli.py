@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from colourgl import cli, reps, weyl
+from colourgl import cli, gl, reps, weyl
 from colourgl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,6 +88,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, doc = run_json(capsys, "verify", "--space", str(bad))
     assert code == 2 and "JSON" in doc["error"]
+    # a path that exists but cannot be read as a file
+    code, doc = run_json(capsys, "verify", "--space", str(tmp_path))
+    assert code == 2 and doc["kind"] == "error"
+    assert doc["error"].startswith(f"cannot read {tmp_path}")
     code, doc = run_json(capsys, "kac-dim", "--space", "super(2|0)",
                          "--weight", "0,1")
     assert code == 2
@@ -429,6 +433,35 @@ def test_a_warm_process_reports_as_a_fresh_one(capsys):
                                capture_output=True, text=True, env=env,
                                timeout=60)
         assert warm == (fresh.returncode, fresh.stdout), argv
+
+
+def test_a_space_keeps_a_bounded_set_of_fock_algebras(capsys, monkeypatch):
+    # 40 shapes leave the FOCK_ALGEBRAS_KEPT most recently used
+    space = cli.presets.super_space(2, 2)
+    for copies in range(1, 41):
+        weyl.fock_algebra(space, copies, 1)
+    assert len(space._fock_algebras) == gl.FOCK_ALGEBRAS_KEPT
+    assert [key for key in space._fock_algebras._entries] == [
+        (copies, 1) for copies in range(41 - gl.FOCK_ALGEBRAS_KEPT, 41)]
+    # the jobs that build Fock algebras report the same when a space keeps
+    # one algebra only, so that a job's second shape drops its first
+    jobs = (["fft-check", "--space", "super(1|1)", "--copies", "2",
+             "--dual-copies", "1", "--max-degree", "2"],
+            ["fft-check", "--space", "super(2|1)", "--copies", "1",
+             "--dual-copies", "1", "--max-degree", "2"],
+            ["howe-sweep", "--space", "super(1|1)", "--copies", "2",
+             "--max-degree", "3"],
+            ["glvv", "--space", "super(1|1)", "--other-space", "super(0|1)",
+             "--max-degree", "3"],
+            ["verify", "--space", "super(1|1)", "--level", "quick"])
+    kept = [run_cli(capsys, *argv) for argv in jobs]
+    monkeypatch.setattr(gl, "FOCK_ALGEBRAS_KEPT", 1)
+    cli._space.cache_clear()
+    try:
+        assert [run_cli(capsys, *argv) for argv in jobs] == kept
+        assert len(cli.load_space("super(1|1)")._fock_algebras) <= 1
+    finally:
+        cli._space.cache_clear()
 
 
 def test_howe_sweep_and_tsv(capsys):

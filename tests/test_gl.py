@@ -9,7 +9,8 @@ import pytest
 from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch, basis_weight,
                          bilinear_form, bracket, jacobi_defect,
                          pbw_dimension_nilradical, positive_roots, rho,
-                         skew_defect, supertrace, weight_inner, weyl_orbit)
+                         skew_defect, supertrace, weight_inner, weyl_orbit,
+                         _Kept)
 from colourgl.presets import preset_space, super_space
 from colourgl.scalars import ONE, Scalar
 from oracles import homogeneous_parts
@@ -264,3 +265,19 @@ def test_duplicate_degree_rejected(super11):
     with pytest.raises(ValueError):
         GradedSpace(super11.factor,
                     [(super11.degrees[0], 1), (super11.degrees[0], 2)])
+
+
+def test_kept_drops_the_least_recently_used_past_its_bound():
+    kept = _Kept(5)
+    kept.put("a", 1, 2)
+    kept.put("b", 2, 2)
+    assert kept.get("a") == 1  # a is now the most recently used
+    assert kept.put("c", 3, 2) == 3  # 6 > 5: b, the oldest, is dropped
+    assert (kept.get("b"), kept.get("a"), kept.get("c")) == (None, 1, 3)
+    assert (len(kept), kept.held) == (2, 4)
+    # an entry past the bound alone is returned and not kept
+    assert kept.put("d", 4, 6) == 4
+    assert (kept.get("d"), len(kept), kept.held) == (None, 2, 4)
+    # a key put again counts its new size only
+    kept.put("a", 5, 1)
+    assert (kept.get("a"), len(kept), kept.held) == (5, 2, 3)
