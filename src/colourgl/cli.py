@@ -13,9 +13,9 @@ library's, raised by gl.ResourceBoundExceeded.check; both kinds exit 2.
 The rows of partitions.hook_table, which schur-weyl and tableaux both
 report, are written by _table_rows, and reps' UnitarisableVerdict and
 GramReport by _verdict_json and _gram_json.
-Every subcommand emits one JSON report (sorted keys); tableaux, whose
-report is nothing but its rows, takes --format tsv to write them as TSV
-instead.
+emit writes every report, a job's or an error's, as one line of JSON
+with sorted keys, by json's C encoder; tableaux, whose report is nothing
+but its rows, takes --format tsv to write them as TSV instead.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  The
 table SUBCOMMANDS is the one statement of the grammar: each subcommand's
@@ -189,7 +189,9 @@ def _gram_json(report):
                        for level, wt, mat, inertia in report.blocks]}
 
 
-def emit(report, args):
+def emit(report, args=None):
+    """Write a job's report, or with no args an error's: one JSON line
+    (json's C encoder runs only without indent), or TSV rows."""
     if getattr(args, "format", "json") == "tsv":
         rows = report["results"]["rows"]
         if rows:
@@ -198,7 +200,7 @@ def emit(report, args):
             for row in rows:
                 print("\t".join(str(row[c]) for c in cols))
         return
-    print(json.dumps(report, sort_keys=True, indent=2, default=str))
+    print(json.dumps(report, sort_keys=True, default=str))
 
 
 def make_report(args, results, ok):
@@ -542,18 +544,16 @@ def main(argv=None):
             raise
         except (ValueError, KeyError, ResourceBoundExceeded) as exc:
             code = 2
-            print(json.dumps({"kind": "error", "ok": False,
-                              "error": str(exc)}, sort_keys=True, indent=2))
+            emit({"kind": "error", "ok": False, "error": str(exc)})
         except AssertionError as exc:
             # an internal invariant defect: the computation disproved itself
             code = 1
-            print(json.dumps({"kind": "verification-failure", "ok": False,
-                              "error": str(exc)}, sort_keys=True, indent=2))
+            emit({"kind": "verification-failure", "ok": False,
+                  "error": str(exc)})
         except Exception as exc:  # the CLI boundary: a defect, not bad input
             code = 3
-            print(json.dumps({"kind": "internal-error", "ok": False,
-                              "error": f"{type(exc).__name__}: {exc}"},
-                             sort_keys=True, indent=2))
+            emit({"kind": "internal-error", "ok": False,
+                  "error": f"{type(exc).__name__}: {exc}"})
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: the job's code stands, and stdout goes

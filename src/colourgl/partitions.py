@@ -35,6 +35,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
+# the hook counts and dimension series kept by _count_hook and _series, the
+# least recently used dropped first: a round of the hook benchmark counts
+# about 300 shapes over about 40 series
+COUNT_HOOK_KEPT = 1024
+SERIES_KEPT = 128
+
 
 def is_partition(parts):
     parts = tuple(parts)
@@ -215,7 +221,7 @@ def count_hook_tableaux(lam, m_plus, m_minus):
     return _count_hook(check_partition(lam), m_plus, m_minus)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COUNT_HOOK_KEPT)
 def _count_hook(lam, m_plus, m_minus):
     """Giambelli's determinant det[hs_(a_i + 1, 1^b_k)] over the Durfee
     square of lambda, a_i = lambda_i - i - 1 and b_k = lambda'_k - k - 1
@@ -231,7 +237,7 @@ def _count_hook(lam, m_plus, m_minus):
                       for j in range(b + 1)) for b in legs] for a in arms])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_KEPT)
 def _series(even, odd, n):
     """(dim S^k for k <= n) of a space with `even` even and `odd` odd basis
     vectors: the coefficients c_k of F = prod_even (1 - t)^-1 prod_odd

@@ -350,19 +350,35 @@ CONTRACT_JOBS = {
 }
 
 
+def one_sorted_line(capsys, *argv):
+    """(exit code, report) of a job whose stdout is its report as one line
+    of JSON with sorted keys and json's default separators."""
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True) + "\n", argv
+    return code, doc
+
+
 def test_every_subcommand_keeps_the_report_contract(capsys, monkeypatch):
     # a subcommand added without a job here fails the test
     assert set(cli.SUBCOMMANDS) == set(CONTRACT_JOBS)
     for name, argv in CONTRACT_JOBS.items():
-        code, doc = run_json(capsys, name, *argv)
+        code, doc = one_sorted_line(capsys, name, *argv)
         assert doc["kind"] == name, name
         assert code == (0 if doc["ok"] else 1), name
+    # the error reports are written the same way
+    code, doc = one_sorted_line(capsys, "kac-dim", "--space", "super(2|1)",
+                                "--weight", "0,1,0")
+    assert (code, doc["kind"]) == (2, "error")
     # a handler's ok = False reaches the exit code through main alone
     monkeypatch.setattr(cli, "cmd_presets", lambda args: ({}, False))
-    code, doc = run_json(capsys, "presets")
+    code, doc = one_sorted_line(capsys, "presets")
     assert code == 1
     assert doc == {"kind": "presets", "inputs": {"command": "presets"},
                    "ok": False, "results": {}}
+    monkeypatch.setattr(cli, "cmd_presets", lambda args: 1 / 0)
+    code, doc = one_sorted_line(capsys, "presets")
+    assert (code, doc["kind"]) == (3, "internal-error")
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):

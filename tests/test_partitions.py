@@ -4,7 +4,9 @@ from math import factorial
 
 import pytest
 
-from colourgl.partitions import (_count_hook, _count_standard, _series,
+from colourgl import cli
+from colourgl.partitions import (COUNT_HOOK_KEPT, SERIES_KEPT, _count_hook,
+                                 _count_standard, _series,
                                  check_partition, count_hook_tableaux,
                                  count_standard_tableaux, dim_glN,
                                  dim_glN_floor_bits, hooks, hook_partitions,
@@ -216,6 +218,28 @@ def test_a_shape_of_360_cells_counts_at_once():
     start = time.perf_counter()
     assert count_hook_tableaux((60,) * 3 + (3,) * 60, 3, 3) == 512
     assert time.perf_counter() - start < 0.1
+
+
+def test_tableaux_jobs_of_one_process_keep_the_memos_bounded(capsys):
+    # sizes 1..20 over eight hook spaces per size: more shapes and series
+    # than either memo keeps, so both drop entries and neither grows past
+    # its bound; what they drop changes no report
+    _count_hook.cache_clear()
+    _series.cache_clear()
+    for size in range(1, 21):
+        for m in range(8):
+            argv = ["tableaux", "--space", f"super({m}|{1 + (size + m) % 7})",
+                    "--size", str(size)]
+            assert cli.main(argv) == 0
+            last = capsys.readouterr().out
+        assert _count_hook.cache_info().currsize <= COUNT_HOOK_KEPT
+        assert _series.cache_info().currsize <= SERIES_KEPT
+    assert _count_hook.cache_info().misses > COUNT_HOOK_KEPT
+    assert _series.cache_info().misses > SERIES_KEPT
+    _count_hook.cache_clear()
+    _series.cache_clear()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == last
 
 
 def skew_diagram_sharp(lam, m_plus, m_minus):
