@@ -27,7 +27,8 @@ codes (2 for bad argv, 0 after -h/--help, which is written from the
 table), and calls the handler by its name, `cmd_` plus the subcommand, at
 call time.  load_space keeps the spaces it builds, one per preset name and
 one per (path, file text), the SPACES_KEPT most recently used, so that
-the jobs of a process share each space and its lazy omega and Fock tables.
+the jobs of a process share each space and its lazy omega table; the Fock
+algebras are weyl.fock_algebra's, shared by equal spaces.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  A reader that closes stdout
@@ -84,8 +85,8 @@ def load_space(spec):
     """A --space value: a preset name like super(2|1) or a JSON file path;
     a path that cannot be read as a file is bad input.  A process builds
     one space per preset name and one per (path, file text), so the jobs
-    of a process share it and its lazy tables, and an edited file gives a
-    new space."""
+    of a process share it and its lazy omega table, and an edited file
+    gives a new space."""
     if presets.is_preset_name(spec):
         return _space(spec, None)
     path = Path(spec)

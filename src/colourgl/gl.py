@@ -37,10 +37,11 @@ Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
 one bridge from them to Scalars, for tensor, reps and weyl.
 
-_Kept is the package's one bounded memo: it keeps entries up to a bound
-on their summed sizes, the least recently used dropped first.  A space
-keeps its Fock algebras in one (weyl.fock_algebra), and tensor its Young
-tables and arrangements in another.
+A process memo is bounded one of two ways, the least recently used entry
+dropped first: _Kept bounds a memo by the summed sizes of its entries
+(tensor's Young tables and arrangements), and functools.lru_cache, on the
+one function it serves, bounds a memo by its number of entries.  A
+GradedSpace is a plain value and keeps no memo but its lazy omega table.
 
 ResourceBoundExceeded.check is the package's one refusal rule: every
 bound on the size of a computation, in tensor, weyl and reps, is a call
@@ -68,12 +69,6 @@ class SpaceMismatch(ValueError):
 # most bits of a size that ResourceBoundExceeded writes out, at most 3914
 # digits: Python writes no int of more than 4300 digits as text
 SIZE_TEXT_BITS = 13000
-
-
-# most Fock algebras that a space keeps built for weyl.fock_algebra, the
-# least recently used dropped first: an fft-check job builds three, for
-# (N, N'), (N, 0) and (0, N')
-FOCK_ALGEBRAS_KEPT = 16
 
 
 class _Kept:
@@ -160,8 +155,6 @@ class GradedSpace:
         self.degrees = tuple(degree for degree, mult in self.components
                              for _ in range(mult))  # flat index -> Degree
         self.parities = tuple(factor.parity(d) for d in self.degrees)
-        # weyl.fock_algebra's cache, by (copies, dual_copies)
-        self._fock_algebras = _Kept(FOCK_ALGEBRAS_KEPT)
 
     def omega(self, a, b):
         return self.factor.omega(a, b)

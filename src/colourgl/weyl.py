@@ -57,6 +57,11 @@ row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
 Each step negates the row's pivot-column entry once and skips the pivot
 column, whose sum is exactly zero.
 
+fock_algebra keeps the module's one process memo: an lru_cache of the
+FOCK_ALGEBRAS_KEPT most recently used algebras, keyed by the space's
+value and (N, N'), so that equal spaces share them and no space carries
+them.
+
 Three bounds refuse a computation before it starts, each by calls to
 gl.ResourceBoundExceeded.check: MONOMIAL_CAP on the monomials of a Howe
 sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
@@ -70,7 +75,7 @@ fft-check's bounds before the first degree is computed.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .gl import (LinearCombination, ResourceBoundExceeded, SpaceMismatch,
@@ -92,6 +97,9 @@ INVARIANT_BASIS_CAP = 20000
 # 2-vCPU machine, where the largest benchmark job forms 36; it admits
 # verify_dual_pair on dim V <= 13 at N <= 2
 COMMUTATOR_CAP = 30000
+# most Fock algebras that fock_algebra keeps built in a process, the least
+# recently used dropped first: a round of the weyl benchmark uses 11-15
+FOCK_ALGEBRAS_KEPT = 16
 
 
 def _count_monomials(even, odd, total):
@@ -385,18 +393,22 @@ class OmegaPolyAlgebra:
 # -- Howe duality dimension sweeps -------------------------------------------
 
 def fock_algebra(space, copies, dual_copies=0):
-    """S_omega(V^N + Vbar^N'), N = copies, N' = dual_copies, cached on the
-    space, which keeps the gl.FOCK_ALGEBRAS_KEPT most recently used.  Its
+    """S_omega(V^N + Vbar^N'), N = copies, N' = dual_copies.  Its
     generators are x(a, r) = a*N + r of degree gamma_a, which sorts like
     (a, r), then xbar(a, s) = dim*N + a*N' + s of degree -gamma_a.  Weyl
-    words number x(a, r) and d(a, r) alike."""
-    alg = space._fock_algebras.get((copies, dual_copies))
-    if alg is None:
-        degrees = [g for g in space.degrees for _ in range(copies)] + [
-            -g for g in space.degrees for _ in range(dual_copies)]
-        alg = space._fock_algebras.put((copies, dual_copies),
-                                       OmegaPolyAlgebra(space.factor, degrees))
-    return alg
+    words number x(a, r) and d(a, r) alike.  The process keeps the
+    FOCK_ALGEBRAS_KEPT most recently used, one per value of the space and
+    (N, N'), so equal spaces share them; every argument is passed on
+    positionally, so that fock_algebra(space, N) and fock_algebra(space,
+    N, 0) are one entry of the memo."""
+    return _fock_algebra(space, copies, dual_copies)
+
+
+@lru_cache(maxsize=FOCK_ALGEBRAS_KEPT)
+def _fock_algebra(space, copies, dual_copies):
+    degrees = [g for g in space.degrees for _ in range(copies)] + [
+        -g for g in space.degrees for _ in range(dual_copies)]
+    return OmegaPolyAlgebra(space.factor, degrees)
 
 
 def _checked_counts(factor, degrees, copies, max_degree):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from colourgl import cli, gl, reps, weyl
+from colourgl import cli, reps, weyl
 from colourgl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -451,16 +452,48 @@ def test_a_warm_process_reports_as_a_fresh_one(capsys):
         assert warm == (fresh.returncode, fresh.stdout), argv
 
 
-def test_a_space_keeps_a_bounded_set_of_fock_algebras(capsys, monkeypatch):
-    # 40 shapes leave the FOCK_ALGEBRAS_KEPT most recently used
+def test_the_process_keeps_the_most_recent_fock_algebras():
+    # 40 shapes leave the FOCK_ALGEBRAS_KEPT most recently used, whatever
+    # space they were asked for
     space = cli.presets.super_space(2, 2)
-    for copies in range(1, 41):
-        weyl.fock_algebra(space, copies, 1)
-    assert len(space._fock_algebras) == gl.FOCK_ALGEBRAS_KEPT
-    assert [key for key in space._fock_algebras._entries] == [
-        (copies, 1) for copies in range(41 - gl.FOCK_ALGEBRAS_KEPT, 41)]
-    # the jobs that build Fock algebras report the same when a space keeps
-    # one algebra only, so that a job's second shape drops its first
+    weyl._fock_algebra.cache_clear()
+    built = {copies: weyl.fock_algebra(space, copies, 1)
+             for copies in range(1, 41)}
+    info = weyl._fock_algebra.cache_info()
+    assert info.currsize == info.maxsize == weyl.FOCK_ALGEBRAS_KEPT
+    kept = range(41 - weyl.FOCK_ALGEBRAS_KEPT, 41)
+    assert all(weyl.fock_algebra(space, copies, 1) is built[copies]
+               for copies in kept)
+    assert weyl._fock_algebra.cache_info().misses == info.misses
+    assert weyl.fock_algebra(space, kept[0] - 1, 1) is not built[kept[0] - 1]
+
+
+def test_an_omitted_dual_copies_is_the_same_fock_algebra():
+    space = cli.presets.super_space(1, 1)
+    alg = weyl.fock_algebra(space, 3)
+    assert weyl.fock_algebra(space, 3, 0) is alg
+    assert weyl.fock_algebra(space, copies=3, dual_copies=0) is alg
+
+
+def test_a_preset_and_a_file_of_the_same_space_share_one_fock_algebra(
+        capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(cli.presets.super_space(2, 1).to_json()))
+    preset, from_file = cli.load_space("super(2|1)"), cli.load_space(str(path))
+    assert preset is not from_file and preset == from_file
+    assert weyl.fock_algebra(preset, 2, 1) is weyl.fock_algebra(from_file, 2, 1)
+    argv = ["fft-check", "--copies", "1", "--dual-copies", "1",
+            "--max-degree", "2"]
+    run_cli(capsys, *argv, "--space", "super(2|1)")
+    misses = weyl._fock_algebra.cache_info().misses
+    code, doc = run_json(capsys, *argv, "--space", str(path))
+    assert code == 0 and doc["ok"] is True
+    assert weyl._fock_algebra.cache_info().misses == misses
+
+
+def test_the_fock_jobs_report_the_same_with_a_one_entry_memo(capsys,
+                                                             monkeypatch):
+    # with one algebra kept, a job's second shape drops its first
     jobs = (["fft-check", "--space", "super(1|1)", "--copies", "2",
              "--dual-copies", "1", "--max-degree", "2"],
             ["fft-check", "--space", "super(2|1)", "--copies", "1",
@@ -471,13 +504,38 @@ def test_a_space_keeps_a_bounded_set_of_fock_algebras(capsys, monkeypatch):
              "--max-degree", "3"],
             ["verify", "--space", "super(1|1)", "--level", "quick"])
     kept = [run_cli(capsys, *argv) for argv in jobs]
-    monkeypatch.setattr(gl, "FOCK_ALGEBRAS_KEPT", 1)
-    cli._space.cache_clear()
-    try:
-        assert [run_cli(capsys, *argv) for argv in jobs] == kept
-        assert len(cli.load_space("super(1|1)")._fock_algebras) <= 1
-    finally:
-        cli._space.cache_clear()
+    one = functools.lru_cache(maxsize=1)(weyl._fock_algebra.__wrapped__)
+    monkeypatch.setattr(weyl, "_fock_algebra", one)
+    assert [run_cli(capsys, *argv) for argv in jobs] == kept
+    assert one.cache_info().currsize == 1 and one.cache_info().misses > 1
+
+
+def test_a_fresh_process_keeps_its_fock_algebras_bounded():
+    # 32 kept spaces times 16 shapes (N, N), N = 32..47: the spaces hold no
+    # algebra, so peak RSS grows by the FOCK_ALGEBRAS_KEPT algebras alone,
+    # about 1.3 MB on Linux; keeping all 512 algebras takes about 18 MB
+    script = """if True:
+        import itertools, resource
+        from colourgl import cli, weyl
+        names = [f"{kind}({m}|{n})" for kind in ("super", "glq")
+                 for m, n in itertools.product(range(4), repeat=2) if m + n]
+        spaces = [cli.load_space(name)
+                  for name in names + ["green(1)", "green(2)"]]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        for space in spaces:
+            for copies in range(32, 48):
+                weyl.fock_algebra(space, copies, copies)._tables
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(len(spaces), weyl._fock_algebra.cache_info().currsize, grown)
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    spaces, kept, grown_kb = map(int, done.stdout.split())
+    assert spaces == cli.SPACES_KEPT
+    assert kept <= weyl.FOCK_ALGEBRAS_KEPT
+    assert grown_kb < 5 * 1024
 
 
 def test_howe_sweep_and_tsv(capsys):

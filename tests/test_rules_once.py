@@ -9,8 +9,13 @@ applies to Scalars, and the Laurent polynomials of the integer kernels
 become Scalars by Scalar.from_laurent.  The hook table is built once, by
 partitions.hook_table: the Schur-Weyl table is its rows, and its counts
 are those of the public functions.  The Kac module takes the bracket of
-two matrix units from gl._unit_bracket."""
+two matrix units from gl._unit_bracket.  Each process memo is owned by the
+code that fills it: an lru_cache on the one function it serves, bounded by
+its number of entries, or tensor's _Kept, bounded by summed sizes; a
+GradedSpace keeps none but its lazy omega table."""
 
+import ast
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -19,8 +24,9 @@ import pytest
 
 import parent_reps
 import parent_weyl
-from colourgl import reps
-from colourgl.gl import GlElement, SpaceMismatch, _dual_pair, _unit_bracket
+from colourgl import cli, grading, partitions, reps, tensor, weyl
+from colourgl.gl import (GlElement, SpaceMismatch, _dual_pair, _Kept,
+                         _unit_bracket)
 from colourgl.partitions import (count_hook_tableaux, count_standard_tableaux,
                                  dim_glN, hook_partitions, hook_table,
                                  lambda_sharp)
@@ -30,6 +36,7 @@ from colourgl.scalars import ZERO, Scalar, omega_scalar
 from colourgl.tensor import dual_act, schur_weyl_table
 from colourgl.weyl import glvv_decomposition
 from test_laurent_kernels import small_presets
+from test_refusal_rule import calls_by_function, trees
 
 
 def outcome(f, *args):
@@ -150,3 +157,43 @@ def test_the_kac_module_takes_its_bracket_from_gl(monkeypatch):
     monkeypatch.setattr(reps, "_unit_bracket", counted)
     assert gram_report(space, (2, 1, 0)) == before
     assert calls
+
+
+def test_the_process_memos_are_the_lru_caches_and_tensors_kept():
+    cached = set()
+    for module, tree in trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    if isinstance(decorator, ast.Call):
+                        decorator = decorator.func
+                    if getattr(decorator, "id", getattr(
+                            decorator, "attr", None)) in ("lru_cache", "cache"):
+                        cached.add((module, node.name))
+    assert cached == {("cli.py", "_space"), ("weyl.py", "_fock_algebra"),
+                      ("partitions.py", "_count_hook"),
+                      ("partitions.py", "_series"),
+                      ("grading.py", "superalgebra_factor")}
+    # each is bounded by a number of entries, but the one factor of a
+    # function of no argument
+    for memo in (cli._space, weyl._fock_algebra, partitions._count_hook,
+                 partitions._series):
+        assert isinstance(memo.cache_info().maxsize, int), memo
+    assert grading.superalgebra_factor.cache_info().maxsize is None
+    assert not inspect.signature(grading.superalgebra_factor).parameters
+    # one _Kept, built at module level in tensor
+    built = [(module, where) for module, tree in trees().items()
+             for where in calls_by_function(tree, "_Kept")]
+    assert built == [("tensor.py", None)]
+    assert isinstance(tensor._KEPT, _Kept)
+
+
+def test_a_space_holds_its_fields_and_its_omega_table_only(capsys):
+    for argv in (["fft-check", "--space", "super(1|1)", "--copies", "2",
+                  "--dual-copies", "1", "--max-degree", "2"],
+                 ["verify", "--space", "super(1|1)", "--level", "quick"]):
+        assert cli.main(argv) == 0, capsys.readouterr().out
+    capsys.readouterr()
+    assert set(vars(cli.load_space("super(1|1)"))) == {
+        "factor", "components", "m_plus", "m_minus", "dim", "degrees",
+        "parities", "_omega_pairs"}
