@@ -20,15 +20,19 @@ Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  The
 table SUBCOMMANDS is the one statement of the grammar: each subcommand's
 help and options, each option's type or choices, default or REQUIRED,
-and help.  `main` reads argv by it in one pass of _parse, with argparse's
-rules (--opt value and --opt=value, a unique prefix, the last of a
-repeated option, a leading - only on a negative number) and its exit
-codes (2 for bad argv, 0 after -h/--help, which is written from the
-table), and calls the handler by its name, `cmd_` plus the subcommand, at
-call time.  load_space keeps the spaces it builds, one per preset name and
-one per (path, file text), the SPACES_KEPT most recently used, so that
-the jobs of a process share each space and its lazy omega table; the Fock
-algebras are weyl.fock_algebra's, shared by equal spaces.
+and help.  `main` reads argv by it with _parse.  An argv that one short
+pass of _read can read outright, --timing, the subcommand and its exact
+flags as --opt value or --opt=value, imports no argparse; every other
+argv, a prefix, -h/--help, a value that starts with -, or bad argv, goes
+to _argparse, an argparse tree built from the same table at that call.
+It exits 2 after a one-line usage and argparse's message, as `colourgl
+tableaux: error: ...`, or 0 after the help.  `main` calls the handler by
+its name, `cmd_` plus the subcommand, at call time.
+load_space keeps the spaces it builds, one per preset name and one per
+(path, file text), the SPACES_KEPT most recently used, so that the jobs
+of a process share each space and its lazy omega table; the Fock
+algebras are weyl.fock_algebra's, shared by equal spaces.  A path that
+is not a regular file is refused before it is opened.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  A reader that closes stdout
@@ -83,18 +87,21 @@ class InputError(ValueError):
 
 def load_space(spec):
     """A --space value: a preset name like super(2|1) or a JSON file path;
-    a path that cannot be read as a file is bad input.  A process builds
-    one space per preset name and one per (path, file text), so the jobs
-    of a process share it and its lazy omega table, and an edited file
-    gives a new space."""
+    a path that is not a regular file, a directory, a device or a FIFO,
+    is bad input before it is opened, as is a file that cannot be read.  A
+    process builds one space per preset name and one per (path, file
+    text), so the jobs of a process share it and its lazy omega table, and
+    an edited file gives a new space."""
     if presets.is_preset_name(spec):
         return _space(spec, None)
     path = Path(spec)
     if not path.exists():
         raise InputError(f"{spec!r} is neither a preset nor a file")
+    if not path.is_file():
+        raise InputError(f"cannot read {spec}: not a regular file")
     try:
         text = path.read_text()
-    except OSError as exc:  # a directory or an unreadable file
+    except OSError as exc:  # an unreadable file
         raise InputError(f"cannot read {spec}: {exc}") from exc
     return _space(spec, text)
 
@@ -348,7 +355,7 @@ def cmd_presets(args):
     return {"catalog": presets.builtin_spaces()}, True
 
 
-# -- the grammar: one table, read in one pass ---------------------------------
+# -- the grammar: one table, read in one pass or by argparse ------------------
 
 REQUIRED = object()  # the default of an option that has to be given
 _SPACE = (str, REQUIRED, "a preset like super(2|1), or a JSON space file")
@@ -402,7 +409,6 @@ SUBCOMMANDS = {
 _TOP = ("Exact colour gl(V) computations: dualities, Fock spaces, typicality "
         "and unitarisability.",
         {"--timing": (bool, False, "include wall-clock timing in the report")})
-_HELP = (None, None, "show this help and exit")
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number
 
 
@@ -410,120 +416,74 @@ def _dest(flag):
     return flag[2:].replace("-", "_")
 
 
-def _flags(command):
-    """The options of command, or of the top level when None, and -h/--help."""
-    options = SUBCOMMANDS.get(command, _TOP)[1]
-    return {**options, "-h": _HELP, "--help": _HELP}
-
-
-def _word(flag, kind):
-    """An option as usage writes it: --timing, --power POWER, --type {I,II}."""
-    return flag if kind is bool else f"{flag} " + (
-        "{%s}" % ",".join(kind) if isinstance(kind, tuple)
-        else _dest(flag).upper())
-
-
-def _usage(command):
-    words = [f"usage: colourgl {command or ''}".rstrip(), "[-h]"] + [
-        _word(flag, kind) if default is REQUIRED else f"[{_word(flag, kind)}]"
-        for flag, (kind, default, _) in SUBCOMMANDS.get(command, _TOP)[1]
-        .items()]
-    return " ".join(words if command else
-                    [*words, "{%s} ..." % ",".join(SUBCOMMANDS)])
-
-
-def _fail(command, message):
-    print(f"{_usage(command)}\ncolourgl: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _help(command):
-    """Write the help of command, or of the top level when None, and exit
-    0: its usage, what it does, and a line for each option and, at the top
-    level, for each subcommand."""
-    about, options = SUBCOMMANDS.get(command, _TOP)
-    rows = [("-h, --help", _HELP[2])] + [
-        (_word(flag, kind), what) for flag, (kind, _, what) in options.items()
-    ] + [(name, what) for name, (what, _) in SUBCOMMANDS.items()
-         if command is None]
-    width = max(len(word) for word, _ in rows) + 2
-    print(_usage(command), "", about, "",
-          *(f"  {word:<{width}}{what}" for word, what in rows), sep="\n")
-    raise SystemExit(0)
-
-
-def _option(arg, flags, command):
-    """(flag, the text after = or None) of an arg read as an option, flag
-    None for an unknown one, or None for an arg read as a value, as argparse
-    reads them: a unique prefix of a --flag stands for it."""
-    name, eq, value = arg.partition("=")
-    found = [name] if name in flags else [
-        flag for flag in flags
-        if name.startswith("--") and arg != "--" and flag.startswith(name)]
-    if len(found) > 1:
-        _fail(command, f"ambiguous option: {arg} could match "
-                       f"{', '.join(found)}")
-    if found:
-        return found[0], value if eq else None
-    if arg.startswith("-") and arg != "-" and not _NEGATIVE.match(arg) \
-            and " " not in arg:
-        return None, None
-    return None
-
-
 def _parse(argv):
     """The namespace of argv (sys.argv[1:] when None) by the grammar of
-    SUBCOMMANDS: timing, command and every option of the subcommand, with
-    its default where it is not given.  As with argparse, the last of a
-    repeated option wins, a bad value fails at once and an unknown option
-    at the end, with exit 2 after a usage line on stderr; -h/--help exits
-    0 after the help."""
+    SUBCOMMANDS: read by _read when it can, by _argparse otherwise."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns, unknown, command, flags = {"timing": False}, [], None, _flags(None)
-    # each arg with its reading, redone by the subcommand's flags past it
-    rest = [(arg, _option(arg, flags, None)) for arg in argv]
+    return _read(argv) or _argparse(argv)
+
+
+def _read(argv):
+    """The namespace of an argv that one pass reads outright, or None: the
+    flag --timing, the subcommand, then its exact flags, each --flag=value
+    or --flag value with a value that does not start with -, every int
+    and choice valid and every REQUIRED option given, the last of a
+    repeated option winning."""
+    timing = 0
+    while argv[timing:timing + 1] == ["--timing"]:
+        timing += 1
+    command, *rest = argv[timing:] or [None]
+    if command not in SUBCOMMANDS:
+        return None
+    options = SUBCOMMANDS[command][1]
+    ns = {"timing": timing > 0, "command": command,
+          **{_dest(flag): spec[1] for flag, spec in options.items()}}
+    rest.reverse()
     while rest:
-        arg, read = rest.pop(0)
-        if read is None and command is None:  # the subcommand
-            if arg not in SUBCOMMANDS:
-                _fail(None, f"argument command: invalid choice: {arg!r}")
-            command = ns["command"] = arg
-            flags, options = _flags(command), SUBCOMMANDS[command][1]
-            ns.update((_dest(flag), spec[1]) for flag, spec in options.items())
-            rest = [(arg, _option(arg, flags, command)) for arg, _ in rest]
-            continue
-        flag, value = read or (None, None)
-        if flag is None:
-            unknown.append(arg)
-            continue
-        kind = flags[flag][0]
-        if kind in (None, bool):  # -h/--help and --timing take no value
-            if value is not None:
-                _fail(command, f"argument {flag}: ignored explicit argument "
-                               f"{value!r}")
-            if kind is None:
-                _help(command)
-            ns[_dest(flag)] = True
-            continue
-        if value is None:
-            if not rest or rest[0][1] is not None:
-                _fail(command, f"argument {flag}: expected one argument")
-            value = rest.pop(0)[0]
-        try:
-            ns[_dest(flag)] = int(value) if kind is int else value
-        except ValueError:
-            _fail(command, f"argument {flag}: invalid int value: {value!r}")
-        if kind not in (int, str) and value not in kind:
-            _fail(command, f"argument {flag}: invalid choice: {value!r}")
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    missing = [flag for flag in options if ns[_dest(flag)] is REQUIRED]
-    if missing:
-        _fail(command, f"the following arguments are required: "
-                       f"{', '.join(missing)}")
-    if unknown:
-        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(**ns)
+        flag, eq, value = rest.pop().partition("=")
+        if flag not in options or not (eq or rest and rest[-1][:1] != "-"):
+            return None
+        kind, value = options[flag][0], value if eq else rest.pop()
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        ns[_dest(flag)] = value
+    return None if REQUIRED in ns.values() else SimpleNamespace(**ns)
+
+
+def _argparse(argv):
+    """argv read by an argparse tree built from _TOP and SUBCOMMANDS, for
+    every argv that _read leaves: a prefix of a flag, -h/--help, a value
+    that starts with -, and bad argv, which exits 2 after a one-line usage
+    and argparse's message, such as `colourgl tableaux: error: ...`.  A
+    value that starts with - is a value when _NEGATIVE, argparse's pattern
+    up to Python 3.12, reads it as a negative number."""
+    import argparse
+
+    def tree(about, options, add=argparse.ArgumentParser, **names):
+        parser = add(description=about, **names, formatter_class=(
+            functools.partial(argparse.HelpFormatter, width=sys.maxsize)))
+        parser._negative_number_matcher = _NEGATIVE
+        for flag, (kind, default, what) in options.items():
+            if kind is bool:
+                parser.add_argument(flag, action="store_true", help=what)
+            else:
+                parser.add_argument(
+                    flag, type=int if kind is int else None,
+                    choices=None if kind in (int, str) else kind,
+                    default=default, required=default is REQUIRED,
+                    help=what)
+        return parser
+
+    top = tree(*_TOP, prog="colourgl")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (about, options) in SUBCOMMANDS.items():
+        tree(about, options, sub.add_parser, name=name, help=about)
+    return SimpleNamespace(**vars(top.parse_args(argv)))
 
 
 def main(argv=None):

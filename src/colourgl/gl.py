@@ -44,8 +44,10 @@ one function it serves, bounds a memo by its number of entries.  A
 GradedSpace is a plain value and keeps no memo but its lazy omega table.
 
 ResourceBoundExceeded.check is the package's one refusal rule: every
-bound on the size of a computation, in tensor, weyl and reps, is a call
-to it, made before the work of that size starts.  Its message writes a
+bound on the size of a computation, in gl, tensor, weyl and reps, is a
+call to it, made before the work of that size starts; check_dimension
+bounds a graded space by DIM_CAP before its degrees, or a unit preset's
+forms, are built.  Its message writes a
 size too long to print, past SIZE_TEXT_BITS bits, as a bound on its
 digits.
 """
@@ -69,6 +71,10 @@ class SpaceMismatch(ValueError):
 # most bits of a size that ResourceBoundExceeded writes out, at most 3914
 # digits: Python writes no int of more than 4300 digits as text
 SIZE_TEXT_BITS = 13000
+# most basis vectors of a graded space: a space stores a degree and a
+# parity per basis vector, and a green(n) or glq(m|n) preset n x n forms,
+# about a second's work at n = 1000
+DIM_CAP = 1000
 
 
 class _Kept:
@@ -130,6 +136,13 @@ class ResourceBoundExceeded(RuntimeError):
             raise cls(what, size, bound, unit)
 
 
+def check_dimension(dim):
+    """Refuse a graded space of more than DIM_CAP basis vectors before
+    anything of its size is built."""
+    ResourceBoundExceeded.check("a graded space", dim, DIM_CAP,
+                                "basis vectors")
+
+
 class GradedSpace:
     """A graded vector space with its commutative factor, in the
     distinguished order (even components before odd ones)."""
@@ -145,16 +158,18 @@ class GradedSpace:
         if len(set(seen)) != len(seen):
             raise ValueError("component degrees must be pairwise distinct")
         # stable partition by parity keeps the user's order within each class
-        even = [(d, m) for d, m in comps if factor.parity(d) == 1]
-        odd = [(d, m) for d, m in comps if factor.parity(d) == -1]
+        parity = [factor.parity(d) for d in seen]
+        even = [c for c, p in zip(comps, parity) if p == 1]
+        odd = [c for c, p in zip(comps, parity) if p == -1]
         self.factor = factor
         self.components = tuple(even + odd)
         self.m_plus = sum(m for _, m in even)
         self.m_minus = sum(m for _, m in odd)
         self.dim = self.m_plus + self.m_minus
+        check_dimension(self.dim)
         self.degrees = tuple(degree for degree, mult in self.components
                              for _ in range(mult))  # flat index -> Degree
-        self.parities = tuple(factor.parity(d) for d in self.degrees)
+        self.parities = (1,) * self.m_plus + (-1,) * self.m_minus
 
     def omega(self, a, b):
         return self.factor.omega(a, b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .gl import GradedSpace
+from .gl import GradedSpace, check_dimension
 from .grading import CommutativeFactor, GradingGroup, superalgebra_factor
 
 
@@ -33,29 +33,26 @@ def z2z2_space(dims=(1, 1, 1, 1)):
     return GradedSpace(factor, comps)
 
 
-def _unit_space(sign, exp):
-    """Z^n, n = len(sign), with the factor of the forms sign and exp and one
-    basis vector of each unit degree."""
-    n = len(sign)
+def _unit_space(n, sign, exp):
+    """Z^n with one basis vector of each unit degree and the factor of the
+    n x n forms with entries sign(i, j) and exp(i, j), refused past
+    DIM_CAP before the forms are built."""
+    check_dimension(n)
     group = GradingGroup(n, 0)
     comps = [(group.degree(*(int(j == i) for j in range(n))), 1)
              for i in range(n)]
-    return GradedSpace(CommutativeFactor(group, sign, exp), comps)
+    forms = (tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+             for entry in (sign, exp))
+    return GradedSpace(CommutativeFactor(group, *forms), comps)
 
 
 def glq_space(m, n):
-    total = m + n
-    sign = tuple(tuple(1 if (i >= m and j >= m) else 0
-                       for j in range(total)) for i in range(total))
-    exp = tuple(tuple((j > i) - (j < i) for j in range(total))
-                for i in range(total))
-    return _unit_space(sign, exp)
+    return _unit_space(m + n, lambda i, j: int(i >= m and j >= m),
+                       lambda i, j: (j > i) - (j < i))
 
 
 def green_space(n):
-    sign = tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
-    return _unit_space(sign, ((0,) * n,) * n)
+    return _unit_space(n, lambda i, j: int(i == j), lambda i, j: 0)
 
 
 _PRESET_RE = re.compile(
@@ -89,11 +86,9 @@ def preset_space(name):
     if kind == "z2z2":
         dims = tuple(int(x) for x in args.split(",")) if args else (1, 1, 1, 1)
         return z2z2_space(dims)
-    if kind == "green":
-        if not args:
-            raise KeyError("green preset needs (n)")
-        return green_space(int(args))
-    raise KeyError(f"unknown preset {name!r}")
+    if not args:  # green, the last kind of _PRESET_RE
+        raise KeyError("green preset needs (n)")
+    return green_space(int(args))
 
 
 def is_preset_name(name):

@@ -406,8 +406,9 @@ def fock_algebra(space, copies, dual_copies=0):
 
 @lru_cache(maxsize=FOCK_ALGEBRAS_KEPT)
 def _fock_algebra(space, copies, dual_copies):
+    dual = [-g for g in space.degrees]  # negated once, not once per copy
     degrees = [g for g in space.degrees for _ in range(copies)] + [
-        -g for g in space.degrees for _ in range(dual_copies)]
+        g for g in dual for _ in range(dual_copies)]
     return OmegaPolyAlgebra(space.factor, degrees)
 
 

@@ -93,6 +93,17 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "verify", "--space", str(tmp_path))
     assert code == 2 and doc["kind"] == "error"
     assert doc["error"].startswith(f"cannot read {tmp_path}")
+    # a device or a FIFO is refused before it is opened: /dev/zero was
+    # read until memory ran out, and a FIFO with no writer blocks its open
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for path in ("/dev/zero", str(fifo)):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "verify", "--space", path,
+                             "--level", "quick")
+        assert time.perf_counter() - start < 1, path
+        assert (code, doc["error"]) == (
+            2, f"cannot read {path}: not a regular file"), path
     code, doc = run_json(capsys, "kac-dim", "--space", "super(2|0)",
                          "--weight", "0,1")
     assert code == 2

@@ -1,17 +1,24 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from colourgl import cli
 from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch, basis_weight,
                          bilinear_form, bracket, jacobi_defect,
                          pbw_dimension_nilradical, positive_roots, rho,
                          skew_defect, supertrace, weight_inner, weyl_orbit,
                          _Kept)
+from colourgl.grading import (CommutativeFactor, GradingGroup, ShapeError,
+                              superalgebra_factor)
 from colourgl.presets import preset_space, super_space
+from colourgl.reps import classify_unitarisable
+from colourgl.tensor import TensorVector
+from colourgl.weyl import WeylElement
 from colourgl.scalars import ONE, Scalar
 from oracles import homogeneous_parts
 
@@ -281,3 +288,50 @@ def test_kept_drops_the_least_recently_used_past_its_bound():
     # a key put again counts its new size only
     kept.put("a", 5, 1)
     assert (kept.get("a"), len(kept), kept.held) == (5, 2, 3)
+
+
+def space_file_of_dim_0(tmp_path):
+    doc = super_space(1, 0).to_json()
+    doc["components"][0]["dim"] = 0
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    return cli.load_space(str(path))
+
+
+S11 = super_space(1, 1)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (space_file_of_dim_0, cli.InputError,
+     "component multiplicities must be positive"),
+    (lambda _: CommutativeFactor(GradingGroup(2, 0), ((0, 0),),
+                                 ((0, 0), (0, 0))),
+     ShapeError, "sign_form must be a 2x2 integer matrix"),
+    (lambda _: GradingGroup(1, 0).degree(1) + GradingGroup(2, 0).degree(1, 0),
+     ShapeError, "degrees belong to different grading groups"),
+    (lambda _: delattr(superalgebra_factor(), "group"), AttributeError,
+     "cannot delete field 'group'"),
+    (lambda _: weight_inner(S11, (1,), (1, 0)), ValueError,
+     "weight length does not match dim V"),
+    (lambda _: skew_defect(GlElement.matrix_unit(S11, 0, 0)
+                           + GlElement.matrix_unit(S11, 0, 1),
+                           GlElement.matrix_unit(S11, 1, 1)),
+     ValueError, "skew_defect needs Gamma-homogeneous inputs"),
+    (lambda _: classify_unitarisable(S11, (1, 0), "III"), ValueError,
+     "unknown *-structure type 'III'"),
+    (lambda _: WeylElement.x_gen(S11, 1, 2, 0), IndexError,
+     "generator (2,0) out of range"),
+    (lambda _: TensorVector.basis_word(S11, (0, 2)), IndexError,
+     "word letter out of range"),
+    (lambda _: preset_space("green"), KeyError, "green preset needs (n)"),
+    (lambda _: repr(S11), None, "GradedSpace(1|1; (0,):1,(1,):1)")],
+    ids=["dim-0-file", "non-square-form", "two-groups", "del-field",
+         "weight-length", "inhomogeneous", "star-type-III", "x-gen-range",
+         "word-range", "green-without-n", "space-repr"])
+def test_each_bad_argument_is_refused_by_name(tmp_path, call, error, text):
+    # refusals that no other in-process test reached, and the repr
+    if error is None:
+        assert call(tmp_path) == text
+        return
+    with pytest.raises(error, match=re.escape(text)):
+        call(tmp_path)

@@ -11,7 +11,9 @@ power is formed, and in casimir_defect after the partition check and
 before the hook check, the order the CLI applied it in.  A size too long
 to print is written as a bound on its digits.  fft-check's two gl(V)
 checks share glq-check's commutator bound, and an fft-check job meets
-every bound of its parts before its first degree is computed."""
+every bound of its parts before its first degree is computed.  A graded
+space of more than gl.DIM_CAP basis vectors, a preset or a file, is
+refused before its degrees, or a unit preset's forms, are built."""
 
 import ast
 import json
@@ -23,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from colourgl import ResourceBoundExceeded, cli, gl, reps, tensor, weyl
+from colourgl import (ResourceBoundExceeded, cli, gl, presets, reps, tensor,
+                      weyl)
 from colourgl.presets import super_space
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "colourgl"
@@ -97,7 +100,7 @@ def test_every_library_cap_is_the_bound_of_a_check_call():
     library = set().union(*(c for m, c in caps.items() if m != "cli.py"))
     assert library == {"WORD_CAP", "MONOMIAL_CAP", "INVARIANT_BASIS_CAP",
                        "COMMUTATOR_CAP", "CERTIFICATE_PARTS_CAP",
-                       "GRAM_BASIS_CAP"}
+                       "GRAM_BASIS_CAP", "DIM_CAP"}
     assert library <= checked
     # the CLI's bounds are on text alone
     assert caps["cli.py"] == {"WEIGHT_DIGITS_CAP", "REPORT_DIGITS_CAP"}
@@ -267,14 +270,52 @@ def run_module(*argv):
     (("fft-check", "--space", "super(40|40)", "--copies", "1",
       "--dual-copies", "1", "--max-degree", "1"),
      "the dual-pair check needs 40966401 commutators, above the bound "
-     "30000")])
+     "30000"),
+    (("kac-dim", "--space", "super(3000000|0)", "--weight", "0"),
+     "a graded space needs 3000000 basis vectors, above the bound 1000"),
+    (("kac-dim", "--space", "super(100000000|0)", "--weight", "0"),
+     "a graded space needs 100000000 basis vectors, above the bound 1000"),
+    (("kac-dim", "--space", "green(2000)", "--weight", "0"),
+     "a graded space needs 2000 basis vectors, above the bound 1000"),
+    (("typicality", "--space", "glq(3000|1)", "--weight", "0"),
+     "a graded space needs 3001 basis vectors, above the bound 1000"),
+    (("verify", "--space", "glq(600|600)", "--level", "quick"),
+     "a graded space needs 1200 basis vectors, above the bound 1000")])
 def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     # each exited 2 with Python's 4300-digit error, or after 8-20 s, or
     # (fft-check super(14|14)) ran to exit 0 in 8 s, or (super(40|40) at
     # degree 1) computed the degree-1 invariants for 1.1 s before its
-    # refusal
+    # refusal; a space past DIM_CAP was built in full first, for 2.1 s
+    # (super(3000000|0)) or 3.1 s (green(2000)) on a 2-vCPU machine, or
+    # until memory ran out
     code, doc, seconds = run_module(*argv)
     assert (code, doc["error"]) == (2, error)
+    assert seconds < 2
+
+
+def test_a_space_past_the_dimension_bound_is_refused_unbuilt():
+    # a space at the bound is built; one basis vector more is refused
+    # before its degrees, or a unit preset's forms, are built
+    assert super_space(gl.DIM_CAP, 0).dim == gl.DIM_CAP
+    past = gl.DIM_CAP + 1
+    for build in (lambda n: super_space(0, n), presets.green_space,
+                  lambda n: presets.glq_space(n - 1, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBoundExceeded,
+                           match=f"needs {past} basis vectors"):
+            build(past)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_a_space_file_past_the_dimension_bound_exits_2_fast(tmp_path):
+    doc = super_space(1, 0).to_json()
+    doc["components"][0]["dim"] = 10 ** 12
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, doc, seconds = run_module("verify", "--space", str(path))
+    assert (code, doc["error"]) == (
+        2, "a graded space needs 1000000000000 basis vectors, above the "
+           "bound 1000")
     assert seconds < 2
 
 

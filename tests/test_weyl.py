@@ -282,6 +282,16 @@ def test_fock_tables_take_one_pairing_per_pair_of_degrees(monkeypatch):
     assert odd == {g for g, p in enumerate(alg.parities) if p == -1}
 
 
+def test_fock_degrees_negate_each_basis_degree_once():
+    # the dual copies repeat dim V negated degrees, not dim V * N' new ones
+    space = glq_space(3, 3)
+    alg = fock_algebra(space, 5, 5)
+    assert len(alg.degrees) == 2 * 5 * space.dim
+    assert len({id(g) for g in alg.degrees}) <= 2 * space.dim
+    assert alg.degrees[5 * space.dim:] == [
+        -g for g in space.degrees for _ in range(5)]
+
+
 @pytest.mark.parametrize("space", [super_space(2, 1), glq_space(2, 1)],
                          ids=["super21", "glq21"])
 def test_x_generators_act_as_the_fock_algebra_product(space):
