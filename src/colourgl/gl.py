@@ -3,6 +3,12 @@
 V is a finite dimensional graded vector space with homogeneous components
 (degree alpha, multiplicity m_alpha).  Basis vectors carry a flat index
 a = 0..dim-1 in the distinguished order: all even-parity degrees first.
+Parity has two owners.  GradedSpace.__init__ takes it once per component
+and orders the basis by it, so that basis vector a is odd exactly when
+a >= M+; every count, bound and listing on V reads it from m_plus,
+m_minus or that order.  weyl.OmegaPolyAlgebra.__init__ takes it once per
+distinct degree of its generators.  No other routine calls
+CommutativeFactor.parity.
 Matrix units E_ab relative to this basis span gl(V), with bracket
 
     [E_ab, E_cd] = delta_bc E_ad - omega(g_a - g_b, g_c - g_d) delta_da E_cb

@@ -120,11 +120,13 @@ def kac_dimension(space, lam):
     Weyl dimension formula prod_{i<j} (lambda_i - lambda_j + j - i)/(j - i),
     as two int products and one exact division (the differences are
     integers on a dominant weight); no factorial of a coordinate is
-    formed."""
+    formed.  A pair with lambda_i = lambda_j has the factor 1 and is left
+    out of both products."""
     lam = _dominant_weight(space, lam)
     total = 2 ** (space.m_plus * space.m_minus)
     for block in _blocks(space, lam):
-        ij = list(itertools.combinations(range(len(block)), 2))
+        ij = [(i, j) for i, j in itertools.combinations(range(len(block)), 2)
+              if block[i] != block[j]]
         value, rem = divmod(
             math.prod(int(block[i] - block[j]) + j - i for i, j in ij),
             math.prod(j - i for i, j in ij))

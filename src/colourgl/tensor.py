@@ -387,12 +387,13 @@ def young_symmetrize(space, lam, word):
 
 def _young_terms(space, lam, word):
     """C_lambda on word as an integer witness {(w, e): n}, the term
-    n q^e w: the Young table of the space's parity bits, then Psi(word) /
+    n q^e w: the Young table of the space's parity bits, 0 on its first
+    M+ letters and 1 on the rest by the space's order, then Psi(word) /
     Psi(w) on each word w, its sign folded into n, Psi being the pair of
     the inversion counts (grading._inversion_pair)."""
     pairs = space._omega_pairs
     letter_pairs, inv, terms = _young_table(
-        tuple(row[a][0] for a, row in enumerate(pairs)), lam, word)
+        (0,) * space.m_plus + (1,) * space.m_minus, lam, word)
     s0, e0 = _inversion_pair(letter_pairs, inv, pairs)
     out = {}
     for w, n, inv in terms:

@@ -17,6 +17,10 @@ fock-module and dual-pair compare the integer walk of weyl, dual-pair
 against the abstract brackets of gl._bracket_ints.  A Scalar still
 enters in scalar-field, which tests Scalar arithmetic itself, and in
 forms-roots (bracket, the supertrace form and Fraction root data).
+
+jacobi-skew checks skew symmetry on all dim V ** 4 ordered pairs of
+matrix units, at either level, so run_verification refuses a space past
+SKEW_PAIRS_CAP of them before any suite runs.
 """
 
 from __future__ import annotations
@@ -25,13 +29,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from .gl import (GlElement, _add_ints, _bracket_ints, bilinear_form,
-                 bracket, positive_roots, rho, supertrace,
+from .gl import (GlElement, ResourceBoundExceeded, _add_ints, _bracket_ints,
+                 bilinear_form, bracket, positive_roots, rho, supertrace,
                  pbw_dimension_nilradical, weight_inner)
 from .scalars import Scalar
 from .tensor import _act, _swap
 from .weyl import (_word_on_monomial, _word_product, fock_algebra,
                    verify_dual_pair)
+
+# most ordered pairs of matrix units, dim V ** 4, whose skew symmetry the
+# jacobi-skew suite checks at either level: it admits dim V <= 20, where
+# verify on green(20) takes about 5 s on a 2-vCPU machine
+SKEW_PAIRS_CAP = 20 ** 4
 
 
 def _random_degree(group, rng, span=5):
@@ -259,7 +268,11 @@ def require_dimension(space, job):
 
 
 def run_verification(space, level="full", rng=None):
+    """Run every suite on space, refused before the first one when the
+    skew pairs of jacobi-skew number more than SKEW_PAIRS_CAP."""
     require_dimension(space, "verify")
+    ResourceBoundExceeded.check("the jacobi-skew suite", space.dim ** 4,
+                                SKEW_PAIRS_CAP, "pairs of matrix units")
     rng = rng or random.Random(0)
     full = level == "full"
     plan = [

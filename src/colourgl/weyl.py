@@ -48,9 +48,17 @@ output word, and in
 OmegaPolyAlgebra.multiply and derivation_apply, once per term by
 scalars.omega_scalar; no routine of the package calls those two.
 gl._to_scalars builds its Scalars by Scalar.from_laurent, so no routine
-here reads or builds a Scalar's stored form.  The Howe sweep of V* is
-that of V: omega(-g, -g) = omega(g, g), so V* has V's parities, and
-the sweeps read nothing else.
+here reads or builds a Scalar's stored form.
+
+The Howe sweeps read only how many generators are even and how many
+are odd, the two numbers that _checked_counts takes.  For S_omega(V^N)
+they are (M+ N, M- N).  The generator E_vw of S_omega(V* x W) has degree
+g_w - g_v, and omega(g - h, g - h) = omega(g, g) omega(h, h) for a
+commutative factor, so E_vw is odd exactly when one of v and w is: the
+numbers are (vp wp + vm wm, vp wm + vm wp).  Vbar has V's parities, as
+omega(-g, -g) = omega(g, g).  So fft-check lists its xbar-monomials on
+fock_algebra(space, N'), whose generators have the xbar's parities and
+their ids less dim V N, and builds no Fock algebra without a copy of V.
 
 Exact elimination over Q(q) is one step, _reduce, which inserts a sparse
 row into an echelon dict keyed by pivot column; rank_of_rows runs on it.
@@ -344,7 +352,8 @@ class OmegaPolyAlgebra:
     def __init__(self, factor, degrees):
         self.factor = factor
         self.degrees = list(degrees)
-        self.parities = [factor.parity(d) for d in self.degrees]
+        parity = {d: factor.parity(d) for d in set(self.degrees)}
+        self.parities = [parity[d] for d in self.degrees]
 
     def monomials(self, total):
         """Sorted degree-`total` monomials, odd generators square-free, in
@@ -412,16 +421,13 @@ def _fock_algebra(space, copies, dual_copies):
     return OmegaPolyAlgebra(space.factor, degrees)
 
 
-def _checked_counts(factor, degrees, copies, max_degree):
-    """[dim S^d for d <= max_degree] of S_omega on `copies` copies of
-    generators of the given degrees, from the generating series
-    partitions._series, each cross-checked against the closed form
-    _count_monomials.  Both read only the numbers of even and odd
-    generators, so no generator is listed.  A sweep whose monomials of
-    degree <= max_degree number more than MONOMIAL_CAP is refused, by the
-    closed forms, before the series is built."""
-    odd = sum(factor.parity(g) == -1 for g in degrees) * copies
-    even = len(degrees) * copies - odd
+def _checked_counts(even, odd, max_degree):
+    """[dim S^d for d <= max_degree] of S_omega on `even` even and `odd`
+    odd generators, from the generating series partitions._series, each
+    cross-checked against the closed form _count_monomials.  Both read
+    only these two numbers, so no generator or degree is listed.  A sweep
+    whose monomials of degree <= max_degree number more than MONOMIAL_CAP
+    is refused, by the closed forms, before the series is built."""
     forms, size = [], 0
     for d in range(max_degree + 1):
         forms.append(_count_monomials(even, odd, d))
@@ -440,10 +446,10 @@ def howe_dimension_sweep(space, copies, max_degree):
     """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
     dim S^d is counted, not listed: the coefficient of t^d in the
     generating series of the Fock algebra S_omega(V^N), cross-checked
-    against the closed form, both from the parities of V."""
+    against the closed form, both from (M+ N, M- N)."""
     rows = []
-    for d, count in enumerate(_checked_counts(space.factor, space.degrees,
-                                              copies, max_degree)):
+    for d, count in enumerate(_checked_counts(
+            space.m_plus * copies, space.m_minus * copies, max_degree)):
         total = sum(_count_hook(lam, space.m_plus, space.m_minus)
                     * _dim_glN(lam, copies)
                     for lam in hook_partitions(space.m_plus, space.m_minus,
@@ -459,15 +465,15 @@ def glvv_decomposition(space_v, space_w, max_degree):
     paired-weight table for |lambda| <= max_degree.  The dimension is
     counted as in howe_dimension_sweep.  One walk over the hook shapes of
     V per degree gives both: lambda is in the hook of W exactly when
-    k_W(lambda) is nonzero, as hs_lambda vanishes off the hook."""
+    k_W(lambda) is nonzero, as hs_lambda vanishes off the hook.  E_vw is
+    odd exactly when one of v and w is odd."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
-    degrees = [dw - dv for dv in space_v.degrees for dw in space_w.degrees]
     vp, vm, wp, wm = (space_v.m_plus, space_v.m_minus, space_w.m_plus,
                       space_w.m_minus)
     rows, pairs = [], []
-    for d, count in enumerate(_checked_counts(space_v.factor, degrees, 1,
-                                              max_degree)):
+    for d, count in enumerate(_checked_counts(
+            vp * wp + vm * wm, vp * wm + vm * wp, max_degree)):
         total = 0
         for lam in hook_partitions(vp, vm, d, d):
             k_w = _count_hook(lam, wp, wm)
@@ -560,8 +566,8 @@ def _gl_images(space, copies, dual_copies, monos):
 
 def _invariant_basis_bounds(space, copies, dual_copies, degrees):
     """The number of x- times xbar-monomials of each of `degrees`, a bound
-    on its zero-weight basis, by the closed forms on the parities of V
-    before any generator is listed; refused at the first degree past
+    on its zero-weight basis, by the closed forms on (M+, M-) before any
+    generator is listed; refused at the first degree past
     INVARIANT_BASIS_CAP.  xbar(a, s) has degree -gamma_a, whose parity
     omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
     x(a, r).  Its dim V (N + N') generators are bounded by the same cap
@@ -570,10 +576,10 @@ def _invariant_basis_bounds(space, copies, dual_copies, degrees):
     ResourceBoundExceeded.check(
         "invariant_dimension", space.dim * (copies + dual_copies),
         INVARIANT_BASIS_CAP, "generators")
-    odd = space.parities.count(-1)
     sizes = []
     for d in degrees:
-        sizes.append(prod(_count_monomials((space.dim - odd) * n, odd * n, d)
+        sizes.append(prod(_count_monomials(space.m_plus * n,
+                                           space.m_minus * n, d)
                           for n in (copies, dual_copies)))
         ResourceBoundExceeded.check("invariant_dimension", sizes[-1],
                                     INVARIANT_BASIS_CAP)
@@ -634,9 +640,11 @@ def invariant_dimension(space, copies, dual_copies, degree):
     alg = fock_algebra(space, copies, dual_copies)
 
     # zero-weight basis: x-part and dual-part use each basis index equally,
-    # and g // copies lists a monomial's indices in order.  Every x id is
-    # below every xbar id, so xm + xb is sorted as it stands.  When one
-    # side has no monomial of this degree, neither is listed.
+    # and g // copies lists a monomial's indices in order.  The xbar-
+    # monomials are those of fock_algebra(space, N'), ids shifted by
+    # dim N: xbar(a, s) has the id and the parity of x(a, s) there.  Every
+    # x id is below every xbar id, so xm + xb is sorted as it stands.  When
+    # one side has no monomial of this degree, neither is listed.
     basis = []
     if bound:
         by_type = {}
@@ -645,7 +653,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
                                []).append(mono)
         basis = sorted(xm + tuple(g + n * copies for g in mono)
                        for mono in fock_algebra(
-                           space, 0, dual_copies).monomials(degree)
+                           space, dual_copies).monomials(degree)
                        for xm in by_type.get(
                            tuple(g // dual_copies for g in mono), ()))
     index = {mono: i for i, mono in enumerate(basis)}

@@ -113,15 +113,37 @@ def test_random_spaces_weyl_module_axiom():
 
 def test_dual_degrees_keep_their_parity():
     # omega(-g, -g) = omega(g, g): V* has the parities of V, so the Howe
-    # sweep of V* is that of V (howe-sweep reports it as its dual_rows)
+    # sweep of V* is that of V (howe-sweep reports it as its dual_rows).
+    # Basis vector a is odd exactly when a >= M+: the Young tables take
+    # their parity bits from that order, the diagonal of the omega table
     rng = random.Random(4242)
     spaces = list(small_presets().values()) + [
         glq_space(m, n) for m in range(5) for n in range(5) if m + n] + [
         green_space(n) for n in range(1, 7)] + [
         random_space(rng, max_dim=4) for _ in range(60)]
     for space in spaces:
-        for g, parity in zip(space.degrees, space.parities):
+        for a, (g, parity) in enumerate(zip(space.degrees, space.parities)):
             assert space.factor.parity(-g) == parity, (space, g)
+            assert space.factor.parity(g) == parity == (
+                -1 if a >= space.m_plus else 1), (space, g)
+            assert space._omega_pairs[a][a][0] == (a >= space.m_plus)
+
+
+def test_difference_degrees_multiply_parities():
+    # omega(g - h, g - h) = omega(g, g) omega(h, h): the generator E_vw of
+    # S_omega(V* x W), of degree g_w - g_v, is odd exactly when one of v
+    # and w is, so glvv counts its parities from (M+, M-) of V and W
+    rng = random.Random(3939)
+    spaces = list(small_presets().values())
+    pairs = [(v, w) for v in spaces for w in spaces if v.factor == w.factor]
+    pairs += [(space, space) for space in (
+        random_space(rng, max_dim=4) for _ in range(60))]
+    assert len(pairs) > 60
+    for v, w in pairs:
+        parity = v.factor.parity
+        for dv in v.degrees:
+            for dw in w.degrees:
+                assert parity(dw - dv) == parity(dv) * parity(dw), (v, w)
 
 
 def test_random_spaces_dual_pair_and_howe():

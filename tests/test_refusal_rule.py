@@ -18,6 +18,7 @@ refused before its degrees, or a unit preset's forms, are built."""
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -100,7 +101,7 @@ def test_every_library_cap_is_the_bound_of_a_check_call():
     library = set().union(*(c for m, c in caps.items() if m != "cli.py"))
     assert library == {"WORD_CAP", "MONOMIAL_CAP", "INVARIANT_BASIS_CAP",
                        "COMMUTATOR_CAP", "CERTIFICATE_PARTS_CAP",
-                       "GRAM_BASIS_CAP", "DIM_CAP"}
+                       "GRAM_BASIS_CAP", "DIM_CAP", "SKEW_PAIRS_CAP"}
     assert library <= checked
     # the CLI's bounds are on text alone
     assert caps["cli.py"] == {"WEIGHT_DIGITS_CAP", "REPORT_DIGITS_CAP"}
@@ -242,12 +243,22 @@ def test_the_tensor_power_is_refused_before_it_is_formed(power, text):
         "above the bound 1000000"
 
 
+# the address space of a run_module child: a regression on an input that
+# should be refused fails its test instead of taking the machine's memory
+CHILD_ADDRESS_SPACE = 3 << 30
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
 def run_module(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "colourgl", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=60)
+                          timeout=60, preexec_fn=limit_address_space)
     return proc.returncode, json.loads(proc.stdout), \
         time.perf_counter() - start
 
@@ -280,17 +291,51 @@ def run_module(*argv):
     (("typicality", "--space", "glq(3000|1)", "--weight", "0"),
      "a graded space needs 3001 basis vectors, above the bound 1000"),
     (("verify", "--space", "glq(600|600)", "--level", "quick"),
-     "a graded space needs 1200 basis vectors, above the bound 1000")])
+     "a graded space needs 1200 basis vectors, above the bound 1000"),
+    (("glvv", "--space", "super(500|500)", "--other-space", "super(500|500)",
+      "--max-degree", "1"),
+     "the sweep to degree 1 needs 1000001 basis elements, above the bound "
+     "1000000"),
+    (("kac-dim", "--space", "super(500|500)", "--weight", ",".join(
+        ["0"] * 1000)),
+     "a number of the report needs more than 4000 digits, above the bound "
+     "4000"),
+    (("verify", "--space", "green(21)", "--level", "quick"),
+     "the jacobi-skew suite needs 194481 pairs of matrix units, above the "
+     "bound 160000")])
 def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     # each exited 2 with Python's 4300-digit error, or after 8-20 s, or
     # (fft-check super(14|14)) ran to exit 0 in 8 s, or (super(40|40) at
     # degree 1) computed the degree-1 invariants for 1.1 s before its
     # refusal; a space past DIM_CAP was built in full first, for 2.1 s
     # (super(3000000|0)) or 3.1 s (green(2000)) on a 2-vCPU machine, or
-    # until memory ran out
+    # until memory ran out.  glvv listed dim V dim W degrees before its
+    # bound (4.4 s for super(500|500)), kac-dim formed the C(n, 2)
+    # products of equal coordinates (11.3 s) and verify bracketed every
+    # pair of matrix units (green(200) ran past 60 s)
     code, doc, seconds = run_module(*argv)
     assert (code, doc["error"]) == (2, error)
     assert seconds < 2
+
+
+@pytest.mark.parametrize("degree, code", [(0, 0), (1, 2)])
+def test_glvv_of_the_largest_colour_space_counts_without_listing(degree,
+                                                                 code):
+    # green(1000) against itself has 10^6 generators E_vw; the sweep reads
+    # their parities from (M+, M-) alone, where it listed their degrees
+    # first: that job was stopped by hand after 2 min 51 s at 7.2 GB
+    code_seen, doc, seconds = run_module(
+        "glvv", "--space", "green(1000)", "--other-space", "green(1000)",
+        "--max-degree", str(degree))
+    assert code_seen == code, doc
+    if code:
+        assert doc["error"] == ("the sweep to degree 1 needs 1000001 basis "
+                                "elements, above the bound 1000000")
+    else:
+        assert doc["results"]["rows"] == [{
+            "algebra_dimension": 1, "degree": 0, "equal": True,
+            "module_sum": 1}]
+    assert seconds < 3
 
 
 def test_a_space_past_the_dimension_bound_is_refused_unbuilt():
