@@ -461,7 +461,10 @@ def _argparse(argv):
     that starts with -, and bad argv, which exits 2 after a one-line usage
     and argparse's message, such as `colourgl tableaux: error: ...`.  A
     value that starts with - is a value when _NEGATIVE, argparse's pattern
-    up to Python 3.12, reads it as a negative number."""
+    up to Python 3.12, reads it as a negative number.  Every subcommand
+    gets a parser, for the choices and the top-level help, but only the
+    one argv invokes, the first of its items that names a subcommand,
+    gets its options and -h: the others are never parsed."""
     import argparse
 
     def tree(about, options, add=argparse.ArgumentParser, **names):
@@ -481,8 +484,12 @@ def _argparse(argv):
 
     top = tree(*_TOP, prog="colourgl")
     sub = top.add_subparsers(dest="command", required=True)
+    invoked = next((item for item in argv if item in SUBCOMMANDS), None)
     for name, (about, options) in SUBCOMMANDS.items():
-        tree(about, options, sub.add_parser, name=name, help=about)
+        if name == invoked:
+            tree(about, options, sub.add_parser, name=name, help=about)
+        else:
+            sub.add_parser(name, help=about, add_help=False)
     return SimpleNamespace(**vars(top.parse_args(argv)))
 
 

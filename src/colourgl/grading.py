@@ -22,6 +22,14 @@ reordering of a graded word becomes a pair.  _inversion_pair is the same
 pair read from the word's letter-pair inversion counts instead of a
 sort: tensor weights its Young tables, which keep the counts, by it.
 
+A Degree is checked and reduced where it is made from outside, by
+Degree(group, coords) or group.degree; its sums, differences and negatives
+work on whole coordinate tuples and are built by _degree, which sets the
+two slots unchecked.  _table reads each distinct degree once, as the row
+pair (a^T S, a^T B), and forms each pair over the other degree's nonzero
+coordinates, so a table over unit degrees costs O(1) an entry, not the
+O(rank) of _pairings.
+
 _Record gives equality and repr by its fields to a class whose fields are
 its __slots__ and then those of its bases: the groups, degrees and
 factors here, the report records of reps and the sparse containers of
@@ -31,9 +39,12 @@ gl.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
+from itertools import count, repeat
+from operator import add, attrgetter, getitem, mul, neg, sub
 
 from .scalars import omega_scalar
+
+_BIT = (1).__and__  # c & 1, the residue of an int c mod 2
 
 
 def _merge(w1, w2, odd, om):
@@ -137,53 +148,82 @@ class GradingGroup(_FrozenRecord):
 
     def degree(self, *coords):
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
+            coords = coords[0]
+        return _degree(self, self._checked(coords))
+
+    def zero(self):
+        return _degree(self, (0,) * self.rank)
+
+    def _checked(self, coords):
+        """The reduced int tuple of a degree with the given coordinates, or
+        a ShapeError when they are not rank many."""
+        coords = tuple(map(int, coords))
         if len(coords) != self.rank:
             raise ShapeError(
                 f"degree needs {self.rank} coordinates, got {len(coords)}")
-        return Degree(self, self._reduce(coords))
-
-    def zero(self):
-        return self.degree(*(0,) * self.rank)
+        return self._reduce(coords)
 
     def _reduce(self, coords):
+        """The tuple of int coords with each torsion coordinate taken & 1,
+        its residue mod 2."""
         k = self.free_rank
-        return tuple(int(c) if i < k else int(c) % 2
-                     for i, c in enumerate(coords))
+        if self.torsion2_rank:
+            return coords[:k] + tuple(map(_BIT, coords[k:]))
+        return coords
 
 
 class Degree(_FrozenRecord):
-    """An element of a grading group; torsion coordinates live mod 2."""
+    """An element of a grading group; torsion coordinates live mod 2.
+    Degree(group, coords) and group.degree(...) check and reduce coords;
+    group.degree and the arithmetic build their reduced results by
+    _degree, unchecked."""
 
     __slots__ = ("group", "coords")
 
     def __init__(self, group, coords):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", group._checked(coords))
 
-    def _check(self, other):
-        if not isinstance(other, Degree) or other.group != self.group:
+    def _group(self, other):
+        """The group of self and other, or a ShapeError."""
+        group = self.group
+        if not isinstance(other, Degree) or (
+                other.group is not group and other.group != group):
             raise ShapeError("degrees belong to different grading groups")
+        return group
 
     def __add__(self, other):
-        self._check(other)
-        return Degree(self.group, self.group._reduce(
-            tuple(a + b for a, b in zip(self.coords, other.coords))))
+        group = self._group(other)
+        return _degree(group, group._reduce(
+            tuple(map(add, self.coords, other.coords))))
 
     def __sub__(self, other):
-        self._check(other)
-        return Degree(self.group, self.group._reduce(
-            tuple(a - b for a, b in zip(self.coords, other.coords))))
+        group = self._group(other)
+        return _degree(group, group._reduce(
+            tuple(map(sub, self.coords, other.coords))))
 
     def __neg__(self):
-        return Degree(self.group, self.group._reduce(
-            tuple(-a for a in self.coords)))
+        # -c = c mod 2, so the torsion coordinates stay as they are
+        k = self.group.free_rank
+        coords = self.coords
+        return _degree(self.group, tuple(map(neg, coords[:k])) + coords[k:])
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __repr__(self):
         return f"Degree{self.coords}"
+
+
+def _degree(group, coords, new=object.__new__,
+            set_group=Degree.group.__set__, set_coords=Degree.coords.__set__):
+    """The Degree of group with the reduced int tuple coords, its two slots
+    set directly: the one constructor behind group.degree, zero and the
+    degree arithmetic, which neither checks nor reduces."""
+    degree = new(Degree)
+    set_group(degree, group)
+    set_coords(degree, coords)
+    return degree
 
 
 def _json_int(value, field):
@@ -202,8 +242,18 @@ def _json_list(value, field, read=_json_int):
     return tuple(read(x, field) for x in value)
 
 
+def _combination(rows, support, width):
+    """The sum of c * rows[j] over the (j, c) of support, a tuple of width
+    ints."""
+    out = None
+    for j, c in support:
+        row = rows[j] if c == 1 else tuple(map(mul, rows[j], repeat(c)))
+        out = row if out is None else tuple(map(add, out, row))
+    return (0,) * width if out is None else out
+
+
 def _as_matrix(rows, rank, name):
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple(tuple(map(int, row)) for row in rows)
     if len(mat) != rank or any(len(row) != rank for row in mat):
         raise ShapeError(f"{name} must be a {rank}x{rank} integer matrix")
     return mat
@@ -227,18 +277,21 @@ class CommutativeFactor(_FrozenRecord):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "sign_form", S)
         object.__setattr__(self, "exp_form", B)
-        for i in range(r):
-            for j in range(r):
-                if (S[i][j] - S[j][i]) % 2:
-                    raise ValueError("sign_form must be symmetric mod 2")
-                if B[i][j] != -B[j][i]:
-                    raise ValueError("exp_form must be skew-symmetric")
+        # S mod 2 against its transpose and B against minus its transpose,
+        # a whole row at a time; entry by entry only in a row that differs,
+        # so the first fault in row order is the one reported
+        S2 = tuple(tuple(map(_BIT, row)) for row in S)
+        for rows in zip(S2, zip(*S2), B,
+                        (tuple(map(neg, column)) for column in zip(*B))):
+            if rows[0] != rows[1] or rows[2] != rows[3]:
+                for s, s_t, b, minus_b_t in zip(*rows):
+                    if s != s_t:
+                        raise ValueError("sign_form must be symmetric mod 2")
+                    if b != minus_b_t:
+                        raise ValueError("exp_form must be skew-symmetric")
         k = group.free_rank
-        for i in range(r):
-            for j in range(k, r):
-                if B[i][j] or B[j][i]:
-                    raise ValueError(
-                        "exp_form must vanish on torsion coordinates")
+        if any(any(row[k:]) for row in B):  # B skew: its rows >= k too
+            raise ValueError("exp_form must vanish on torsion coordinates")
 
     @classmethod
     def trivial(cls, group):
@@ -263,24 +316,47 @@ class CommutativeFactor(_FrozenRecord):
     def _table(self, degrees):
         """(odd, om) for _merge over generators of the given degrees: the
         set of odd generators, and om[g][h] = the pair (s, e) of
-        omega(degrees[g], degrees[h]).  It takes one _pairings call per
-        pair of distinct degrees and shares one row per distinct degree;
-        it is the one builder of the omega tables of the package."""
+        omega(degrees[g], degrees[h]).  Each distinct degree a is read once,
+        as the row pair (a^T S, a^T B); the pair of (a, b) is the dot
+        product of a's rows with b over b's nonzero coordinates, formed a
+        column b at a time over every a: O(k^2 nnz) for k distinct
+        degrees.  It is the one builder of the omega tables of the
+        package."""
         index = {}
         kinds = [index.setdefault(d, len(index)) for d in degrees]
-        pairs = [[self._pairings(d, e) for e in index] for d in index]
-        rows = [tuple(row[k] for k in kinds) for row in pairs]
+        group = self.group
+        for d in index:
+            if d.group is not group and d.group != group:
+                raise ShapeError(
+                    "degree does not belong to this factor's group")
+        r = group.rank
+        supports = [[(j, c) for j, c in enumerate(d.coords) if c]
+                    for d in index]
+        # row j of S_T is column j of the rows a^T S over every a
+        S_T, B_T = (tuple(zip(*(_combination(form, support, r)
+                                 for support in supports)))
+                    for form in (self.sign_form, self.exp_form))
+        width = len(index)
+        columns = [zip(map(_BIT, _combination(S_T, support, width)),
+                       _combination(B_T, support, width))
+                   for support in supports]
+        pairs = list(zip(*columns))  # pairs[a][b]
+        rows = [tuple(map(row.__getitem__, kinds)) for row in pairs]
         return (frozenset(g for g, k in enumerate(kinds) if pairs[k][k][0]),
-                tuple(rows[k] for k in kinds))
+                tuple(map(rows.__getitem__, kinds)))
 
     def omega(self, a, b):
         """omega(a, b) as an exact Scalar."""
         return omega_scalar(*self._pairings(a, b))
 
     def parity(self, a):
-        """omega(a, a) as an integer sign, +1 or -1."""
-        s, _ = self._pairings(a, a)
-        return -1 if s else 1
+        """omega(a, a) as an integer sign, +1 or -1: (-1)^(a^T S a), read
+        from the diagonal of S alone, as a^T S a = sum_i a_i S_ii mod 2:
+        a_i^2 = a_i mod 2, and S_ij + S_ji is even for i != j."""
+        if a.group is not self.group and a.group != self.group:
+            raise ShapeError("degree does not belong to this factor's group")
+        diagonal = map(getitem, self.sign_form, count())
+        return -1 if sum(map(mul, diagonal, a.coords)) & 1 else 1
 
     def is_sign_valued(self):
         """True iff the q-exponent form vanishes, the factors for which

@@ -33,26 +33,33 @@ def z2z2_space(dims=(1, 1, 1, 1)):
     return GradedSpace(factor, comps)
 
 
-def _unit_space(n, sign, exp):
+def _unit_space(n, sign_row, exp_row):
     """Z^n with one basis vector of each unit degree and the factor of the
-    n x n forms with entries sign(i, j) and exp(i, j), refused past
-    DIM_CAP before the forms are built."""
+    n x n forms whose rows i are sign_row(i) and exp_row(i), int tuples
+    built a whole row at a time, refused past DIM_CAP before the forms
+    are built."""
     check_dimension(n)
     group = GradingGroup(n, 0)
-    comps = [(group.degree(*(int(j == i) for j in range(n))), 1)
-             for i in range(n)]
-    forms = (tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
-             for entry in (sign, exp))
+    comps = [(group.degree(_row(n, i, 0, 1, 0)), 1) for i in range(n)]
+    forms = (tuple(map(row, range(n))) for row in (sign_row, exp_row))
     return GradedSpace(CommutativeFactor(group, *forms), comps)
 
 
+def _row(n, i, before, at, after):
+    """The n ints: i of before, then at, then after."""
+    return (before,) * i + (at,) + (after,) * (n - 1 - i)
+
+
 def glq_space(m, n):
-    return _unit_space(m + n, lambda i, j: int(i >= m and j >= m),
-                       lambda i, j: (j > i) - (j < i))
+    odd = (0,) * m + (1,) * n
+    return _unit_space(m + n,
+                       lambda i: odd if i >= m else (0,) * (m + n),
+                       lambda i: _row(m + n, i, -1, 0, 1))
 
 
 def green_space(n):
-    return _unit_space(n, lambda i, j: int(i == j), lambda i, j: 0)
+    return _unit_space(n, lambda i: _row(n, i, 0, 1, 0),
+                       lambda i: (0,) * n)
 
 
 _PRESET_RE = re.compile(

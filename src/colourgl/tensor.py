@@ -408,13 +408,17 @@ def _act(pairs, a, b, terms):
     b at slot j by a, with the factor omega(g_a - g_b, d(prefix)): over
     the prefix letters c, the pairs pairs[a][c] - pairs[b][c], the sign
     folded into n.  n is an int or a Scalar (gl_act_tensor).  Zero
-    coefficients are dropped, so the image is zero iff empty."""
-    step = [(sa ^ sb, ea - eb)
-            for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
+    coefficients are dropped, so the image is zero iff empty.  The O(dim)
+    list of those pairs is built on the first word that holds b, so an
+    E_ab whose b occurs in no word costs one scan of the words."""
+    step = None
     out = {}
     for (word, e), n in terms.items():
         if b not in word:
             continue
+        if step is None:
+            step = [(sa ^ sb, ea - eb)
+                    for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
         s = 0
         for j, letter in enumerate(word):
             if letter == b:

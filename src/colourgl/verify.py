@@ -50,9 +50,9 @@ def _random_degree(group, rng, span=5):
 
 
 def _random_scalar(rng):
-    num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
-    if all(c == 0 for c in num):
-        num[0] = Fraction(1)
+    num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    if not any(num):
+        num[0] = 1
     return Scalar(rng.randint(-2, 2), tuple(num))
 
 

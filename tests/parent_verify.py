@@ -1,6 +1,7 @@
 """The bicharacter, jacobi-skew, coxeter-braid and gl-equivariance suites
-of verify as they were before they ran on integer omega pairs, kept
-verbatim as oracles for tests/test_integer_suites.py.
+of verify as they were before they ran on integer omega pairs, and the
+scalar-field suite as it was before its random scalars had int
+coefficients, kept verbatim as oracles for tests/test_integer_suites.py.
 
 suite_bicharacter multiplies factor.omega Scalars, suite_jacobi takes
 jacobi_defect and skew_defect of GlElements, suite_coxeter compares
@@ -8,11 +9,15 @@ braiding_apply images of TensorVectors, and suite_equivariance commutes
 braiding_apply with gl_act_tensor on TensorVectors, the Scalar prefix
 walk that parent_tensor keeps.  They draw from their rng through
 verify's unchanged _random_degree, as the package's suites do.
+_random_scalar built Fraction coefficients, which the Scalar constructor
+cleared to ints.
 """
 
 import itertools
+from fractions import Fraction
 
 from colourgl.gl import GlElement, jacobi_defect, skew_defect
+from colourgl.scalars import Scalar
 from colourgl.tensor import TensorVector, braiding_apply
 from colourgl.verify import _random_degree
 from parent_tensor import gl_act_tensor
@@ -32,6 +37,23 @@ def suite_bicharacter(space, rng, samples):
         if not (factor.omega(a, a) ** 2).is_one():
             return False, f"parity not a sign at {a}"
     return True, f"{samples} random triples"
+
+
+def _random_scalar(rng):
+    num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+    if all(c == 0 for c in num):
+        num[0] = Fraction(1)
+    return Scalar(rng.randint(-2, 2), tuple(num))
+
+
+def suite_scalar_field(space, rng, samples):
+    for _ in range(samples):
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        if not ((x / y) * (y / x)).is_one():
+            return False, f"(x/y)(y/x) != 1 for {x}, {y}"
+        if Scalar.parse(str(x)) != x:
+            return False, f"string round trip failed for {x}"
+    return True, f"{samples} random scalars"
 
 
 def suite_jacobi(space, rng, exhaustive):

@@ -13,6 +13,7 @@ import pytest
 
 from colourgl import cli, reps, weyl
 from colourgl.cli import main
+from test_refusal_rule import run_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -948,3 +949,20 @@ def test_every_readme_cli_line_runs(capsys, monkeypatch):
         code, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert reports.pop()["kind"] == argv[0], argv
+
+
+@pytest.mark.parametrize("argv, results", [
+    (("casimir", "--space", "green(400)", "--partition", "2"),
+     {"defect_zero": True, "partition": [2]}),
+    (("schur-weyl", "--space", "green(300)", "--power", "2"),
+     {"checksum": 90000, "dimension": 90000})])
+def test_tensor_jobs_near_the_dimension_bound_end_fast(argv, results):
+    # the omega table of a space of unit degrees was built by one
+    # _pairings call per pair of degrees, O(dim V) each, and every E_ab
+    # built an O(dim V) step list before it looked for b in the words:
+    # the casimir job took 18-19 s and schur-weyl 3.9-4.5 s on a 2-vCPU
+    # machine
+    code, doc, seconds = run_module(*argv)
+    assert code == 0 and doc["ok"] is True
+    assert results.items() <= doc["results"].items()
+    assert seconds < 3

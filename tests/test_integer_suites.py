@@ -1,6 +1,7 @@
 """The bicharacter, jacobi-skew, coxeter-braid and gl-equivariance suites
-of verify run on integer omega pairs.  They agree with the Scalar suites
-they replaced, which parent_verify keeps verbatim: the same verdict and
+of verify run on integer omega pairs, and the scalar-field suite on
+random scalars with int coefficients.  They agree with the suites they
+replaced, which parent_verify keeps verbatim: the same verdict and
 detail, and the same rng state after each suite, on every preset of
 dim V <= 3 at both levels and seeds 0-2.  Both versions refuse a space
 whose omega table or whose factor is wrong, and gl-equivariance refuses
@@ -18,8 +19,9 @@ from test_laurent_kernels import small_presets
 
 PRESETS = small_presets()
 # suite name, its argument at level full, at level quick
-SUITES = (("suite_bicharacter", 200, 50), ("suite_jacobi", True, False),
-          ("suite_coxeter", 5, 3), ("suite_equivariance", 40, 10))
+SUITES = (("suite_bicharacter", 200, 50), ("suite_scalar_field", 100, 25),
+          ("suite_jacobi", True, False), ("suite_coxeter", 5, 3),
+          ("suite_equivariance", 40, 10))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
