@@ -20,10 +20,10 @@ from .tensor import (SymGroupElement, TensorVector, apply_permutation,
                      braiding_apply, dual_act, gl_act_tensor,
                      highest_weight_vector, schur_weyl_table)
 from .weyl import (FockVector, WeylElement, dual_pair_generators,
-                   fock_apply, glq_relations_check, glvv_decomposition,
-                   howe_dimension_sweep, invariant_dimension,
-                   invariant_dimensions, verify_dual_pair, weyl_bracket,
-                   weyl_multiply)
+                   fft_check, fock_apply, glq_relations_check,
+                   glvv_decomposition, howe_dimension_sweep,
+                   invariant_dimension, invariant_dimensions,
+                   verify_dual_pair, weyl_bracket, weyl_multiply)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -61,11 +61,9 @@ from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
                    gram_report, is_finite_dimensional, kac_dimension,
                    typicality)
 from .tensor import schur_weyl_table
-from .weyl import (check_fft_bounds, glq_relations_check,
-                   glvv_decomposition, howe_dimension_sweep,
-                   invariant_dimensions, invariant_generators_check,
-                   verify_dual_pair)
-from .verify import require_dimension, run_verification
+from .weyl import (fft_check, glq_relations_check, glvv_decomposition,
+                   howe_dimension_sweep)
+from .verify import run_verification
 
 # most digits of a weight coordinate, the value of its exponent counted as
 # digits: Fraction builds 10^k for an exponent k
@@ -262,22 +260,10 @@ def cmd_howe_sweep(args):
 
 
 def cmd_fft_check(args):
-    space = load_space(args.space)
-    require_dimension(space, "fft-check")
-    gl_copies = min(args.copies, 2)
-    check_fft_bounds(space, args.copies, args.dual_copies, args.max_degree,
-                     gl_copies)
-    dims = invariant_dimensions(space, args.copies, args.dual_copies,
-                                args.max_degree)
-    results = {
-        "invariant_dimensions": {str(d): n for d, n in dims.items()},
-        "z_span_verified": True,
-        "dual_pair_ok": verify_dual_pair(space, gl_copies),
-        "filtration_level_1_ok": invariant_generators_check(space,
-                                                             gl_copies),
-    }
-    ok = results["dual_pair_ok"] and results["filtration_level_1_ok"]
-    return results, ok
+    results = fft_check(load_space(args.space), args.copies,
+                        args.dual_copies, args.max_degree)
+    return results, (results["dual_pair_ok"]
+                     and results["filtration_level_1_ok"])
 
 
 def cmd_glq_check(args):

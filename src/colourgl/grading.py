@@ -300,7 +300,9 @@ class CommutativeFactor(_FrozenRecord):
         return cls(group, zero, zero)
 
     def _pairings(self, a, b):
-        if a.group != self.group or b.group != self.group:
+        group = self.group
+        if (a.group is not group and a.group != group
+                or b.group is not group and b.group != group):
             raise ShapeError("degree does not belong to this factor's group")
         s = e = 0
         for i, ai in enumerate(a.coords):

@@ -158,13 +158,15 @@ def casimir_defect(space, lam):
 def _casimir_defect(space, lam, terms):
     """casimir_defect on the integer witness {(word, e): n} of v: with the
     eigenvalue N/D, D Omega v - N v on ints, Omega = sum_ab omega(g_b, g_b)
-    E_ab E_ba applied by tensor._act, then divided by D as Scalars."""
+    E_ab E_ba applied by tensor._act, then divided by D as Scalars.  Only
+    the a that are letters of the witness give a nonzero E_ba v, so a runs
+    over those alone: |letters| dim V pairs, not dim V ** 2."""
     sharp = _sharp(lam, space.m_plus, space.m_minus)
     value = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
     num, den = value.numerator, value.denominator
     pairs = space._omega_pairs
     out = {key: -num * n for key, n in terms.items()}
-    for a in range(space.dim):
+    for a in sorted({g for word, _ in terms for g in word}):
         for b in range(space.dim):
             _add_ints(out, _act(pairs, a, b, _act(pairs, b, a, terms)),
                       -den if space.parities[b] == -1 else den)

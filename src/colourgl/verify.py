@@ -21,6 +21,17 @@ forms-roots (bracket, the supertrace form and Fraction root data).
 jacobi-skew checks skew symmetry on all dim V ** 4 ordered pairs of
 matrix units, at either level, so run_verification refuses a space past
 SKEW_PAIRS_CAP of them before any suite runs.
+
+_random_degree and _random_scalar draw each integer in a..b as
+rng.choice(range(a, b + 1)), over ranges built once.  choice(seq) is
+seq[rng._randbelow(len(seq))] and randint(a, b) is a + rng._randbelow(b -
+a + 1): one _randbelow call of the same width each, so the values and the
+rng state after each suite are those of rng.randint(a, b), on Python 3.10
+to 3.13 alike, with two Python frames fewer per draw.  _random_degree's
+draws are reduced already, so it builds its degree by grading._degree,
+unchecked.  fock-module keeps one table per word, {monomial: image},
+lists the images of each v over the monomials once, and takes each
+product u v once per pair.
 """
 
 from __future__ import annotations
@@ -32,10 +43,11 @@ from fractions import Fraction
 from .gl import (GlElement, ResourceBoundExceeded, _add_ints, _bracket_ints,
                  bilinear_form, bracket, positive_roots, rho, supertrace,
                  pbw_dimension_nilradical, weight_inner)
+from .grading import _degree
 from .scalars import Scalar
 from .tensor import _act, _swap
 from .weyl import (_word_on_monomial, _word_product, fock_algebra,
-                   verify_dual_pair)
+                   require_dimension, verify_dual_pair)
 
 # most ordered pairs of matrix units, dim V ** 4, whose skew symmetry the
 # jacobi-skew suite checks at either level: it admits dim V <= 20, where
@@ -43,17 +55,25 @@ from .weyl import (_word_on_monomial, _word_product, fock_algebra,
 SKEW_PAIRS_CAP = 20 ** 4
 
 
-def _random_degree(group, rng, span=5):
-    coords = [rng.randint(-span, span) for _ in range(group.free_rank)]
-    coords += [rng.randint(0, 1) for _ in range(group.torsion2_rank)]
-    return group.degree(*coords)
+# the values of a free and of a torsion coordinate of _random_degree, and of
+# a coefficient, an exponent and a length of _random_scalar
+_FREE, _TORSION = range(-5, 6), range(2)
+_COEF, _SHIFT, _LENGTH = range(-4, 5), range(-2, 3), range(1, 4)
+
+
+def _random_degree(group, rng):
+    """A degree of group with free coordinates in -5..5 and torsion ones in
+    0..1, drawn in coordinate order."""
+    return _degree(group, tuple(map(rng.choice, (_FREE,) * group.free_rank
+                                    + (_TORSION,) * group.torsion2_rank)))
 
 
 def _random_scalar(rng):
-    num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    draw = rng.choice
+    num = [draw(_COEF) for _ in range(draw(_LENGTH))]
     if not any(num):
         num[0] = 1
-    return Scalar(rng.randint(-2, 2), tuple(num))
+    return Scalar(draw(_SHIFT), tuple(num))
 
 
 def suite_bicharacter(space, rng, samples):
@@ -222,6 +242,21 @@ def suite_forms(space, rng, samples):
     return True, f"{samples} random triples + root data"
 
 
+class _Images(dict):
+    """{monomial: its image} under one word of alg, each image taken by
+    _word_on_monomial on its first lookup."""
+
+    __slots__ = ("alg", "word")
+
+    def __init__(self, alg, word):
+        super().__init__()
+        self.alg, self.word = alg, word
+
+    def __missing__(self, mono):
+        img = self[mono] = _word_on_monomial(self.alg, *self.word, mono)
+        return img
+
+
 def suite_fock(space, rng, copies):
     if space.dim > 4:
         return None, "skipped (dim V too big)"
@@ -229,25 +264,29 @@ def suite_fock(space, rng, copies):
     n = space.dim * copies
     gens = [((g,), ()) for g in range(n)] + [((), (g,)) for g in range(n)]
     monos = [m for d in range(4) for m in alg.monomials(d)]
-    images = {}  # (word, monomial) -> its image, for this call only
+    tables = {}  # word -> its _Images, for this call only
 
-    def image(word, mono):
-        img = images.get((word, mono))
-        if img is None:
-            img = images[word, mono] = _word_on_monomial(alg, *word, mono)
-        return img
+    def table(word):
+        found = tables.get(word)
+        if found is None:
+            found = tables[word] = _Images(alg, word)
+        return found
 
-    for u, v in itertools.product(gens, repeat=2):
-        prod = _word_product(alg, *u, *v)
-        for mono in monos:
+    listed = {v: list(map(table(v).__getitem__, monos)) for v in gens}
+    for u in gens:
+        u_images = table(u)
+        for v in gens:
             # u (v f) - (u v) f for f = mono
-            defect = {}
-            for (m, e), c in image(v, mono).items():
-                _add_ints(defect, image(u, m), c, e)
-            for (w, e), c in prod.items():
-                _add_ints(defect, image(w, mono), -c, e)
-            if any(defect.values()):
-                return False, "module axiom failed"
+            prod = [(table(w), c, e)
+                    for (w, e), c in _word_product(alg, *u, *v).items()]
+            for mono, v_image in zip(monos, listed[v]):
+                defect = {}
+                for (m, e), c in v_image.items():
+                    _add_ints(defect, u_images[m], c, e)
+                for w_images, c, e in prod:
+                    _add_ints(defect, w_images[mono], -c, e)
+                if any(defect.values()):
+                    return False, "module axiom failed"
     return True, f"all generator pairs on {len(monos)} monomials"
 
 
@@ -256,15 +295,6 @@ def suite_dual_pair(space, rng, copies):
         return None, "skipped (dim V too big)"
     ok = verify_dual_pair(space, copies)
     return ok, f"N = {copies} exhaustive brackets"
-
-
-def require_dimension(space, job):
-    """Refuse dim V = 0 for a job that checks relations on V (verify and
-    fft-check): with no basis vector, each of its checks passes on
-    nothing."""
-    if space.dim == 0:
-        raise ValueError(f"{job} needs a space of dimension at least 1; "
-                         "this one has dim V = 0")
 
 
 def run_verification(space, level="full", rng=None):

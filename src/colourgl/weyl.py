@@ -41,8 +41,10 @@ xbar-monomials are none, by the closed form _count_monomials, lists
 neither side.  _z_products walks the z-products depth first over sorted
 keys, in the order of combinations_with_replacement: each prefix product
 is formed once, and a zero prefix prunes every extension.
-invariant_dimensions, fft-check's one call, refuses every degree by the
-basis bound before it computes any.  Otherwise a Scalar enters in
+invariant_dimensions refuses every degree by the basis bound before it
+computes any.  fft_check is fft-check's one call: its two gl(V) checks
+share one memo of word products, which each forms afresh when called
+alone.  Otherwise a Scalar enters in
 weyl_multiply and fock_apply, one product per pair of input terms and
 output word, and in
 OmegaPolyAlgebra.multiply and derivation_apply, once per term by
@@ -76,8 +78,8 @@ sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
 and on each degree's zero-weight basis (_invariant_basis_bounds), and
 COMMUTATOR_CAP on the commutators that glq_relations_check and
 fft-check's two gl(V) checks, verify_dual_pair and
-invariant_generators_check, form.  check_fft_bounds applies all of
-fft-check's bounds before the first degree is computed.
+invariant_generators_check, form.  fft_check applies all of fft-check's
+bounds before the first degree is computed.
 """
 
 from __future__ import annotations
@@ -303,15 +305,40 @@ def _filtration_bound(space, copies):
         "commutators")
 
 
-def check_fft_bounds(space, copies, dual_copies, max_degree, gl_copies):
-    """Refuse an fft-check job before any of its work starts, by the bounds
-    of its parts in the order it runs them, so that a refusal reads as the
-    part's own: invariant_dimensions' bases, then verify_dual_pair's and
-    invariant_generators_check's commutators at gl_copies copies."""
+def require_dimension(space, job):
+    """Refuse dim V = 0 for a job that checks relations on V (verify and
+    fft-check): with no basis vector, each of its checks passes on
+    nothing."""
+    if space.dim == 0:
+        raise ValueError(f"{job} needs a space of dimension at least 1; "
+                         "this one has dim V = 0")
+
+
+def fft_check(space, copies, dual_copies, max_degree):
+    """The fft-check job as one call: the invariant dimensions of
+    S_omega(V^N + Vbar^N') up to max_degree, N = copies, N' = dual_copies,
+    each checked against the second fundamental theorem and spanned by the
+    z-products, then verify_dual_pair and invariant_generators_check at
+    min(N, 2) copies.  Every bound is checked first, in the order the parts
+    run, so a refusal reads as the part's own.  The two gl(V) checks run on
+    one Fock algebra and share one memo of its word products, which a
+    separate call of either forms afresh.  Returns the report's fields;
+    the job passes when dual_pair_ok and filtration_level_1_ok both hold."""
+    require_dimension(space, "fft-check")
+    gl_copies = min(copies, 2)
     _invariant_basis_bounds(space, copies, dual_copies,
                             range(max_degree + 1))
     _dual_pair_bound(space, gl_copies)
     _filtration_bound(space, gl_copies)
+    dims = invariant_dimensions(space, copies, dual_copies, max_degree)
+    products = {}  # (word, word) -> their product, for this call only
+    return {
+        "invariant_dimensions": {str(d): n for d, n in dims.items()},
+        "z_span_verified": True,
+        "dual_pair_ok": _dual_pair_holds(space, gl_copies, products),
+        "filtration_level_1_ok": _filtration_holds(space, gl_copies,
+                                                   products),
+    }
 
 
 def verify_dual_pair(space, copies):
@@ -325,10 +352,15 @@ def verify_dual_pair(space, copies):
     N^2 dim V^2 commutators, refused before the first past
     COMMUTATOR_CAP."""
     _dual_pair_bound(space, copies)
+    return _dual_pair_holds(space, copies, {})
+
+
+def _dual_pair_holds(space, copies, products):
+    """verify_dual_pair, unbounded, on the memo products of
+    fock_algebra(space, copies)'s word products."""
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     E = {(r, s): x for r, row in enumerate(E) for s, x in enumerate(row)}
-    products = {}  # (word, word) -> their product, for this call only
     for gl, gens in ((super_space(copies, 0), E), (space, Ecal)):
         pairs = gl._omega_pairs
         for a, b, c, d in itertools.product(range(gl.dim), repeat=4):
@@ -712,12 +744,17 @@ def invariant_generators_check(space, copies):
     Ecal's: N^2 dim V^2 (N^2 + 1) commutators, refused before the first
     past COMMUTATOR_CAP."""
     _filtration_bound(space, copies)
+    return _filtration_holds(space, copies, {})
+
+
+def _filtration_holds(space, copies, products):
+    """invariant_generators_check, unbounded, on the memo products of
+    fock_algebra(space, copies)'s word products."""
     alg = fock_algebra(space, copies)
     E, Ecal = dual_pair_generators(space, copies)
     gens = range(space.dim * copies)
     words = [((g,), (h,)) for g in gens for h in gens]
     windex = {w: i for i, w in enumerate(words)}
-    products = {}
     rows = []
     for x in itertools.chain.from_iterable(E):
         images = {}

@@ -12,17 +12,23 @@ decomposition lambda = a*E + mu# - b*E+ once, with the weight E of
 _script_e, the oracles of tests/test_unitarity_oracle.py: each branch wrote
 out the decomposition itself.
 
+_casimir_defect as it was before it ran a over the letters of the
+witness alone: it applied E_ab E_ba over all dim V ** 2 ordered pairs.
+
 The helpers they call are unchanged and imported from the package."""
 
 import math
 from fractions import Fraction
 
-from colourgl.gl import rho
-from colourgl.partitions import _transpose, dim_glN
+from colourgl.gl import _add_ints, _to_scalars, rho
+from colourgl.partitions import _sharp, _transpose, dim_glN
 from colourgl.reps import (DualWeightUnsupported, UnitarisableVerdict,
                            UnsupportedFactor, _as_weight, _blocks,
                            _sharp_to_partition, _weight_text,
-                           is_finite_dimensional, typicality)
+                           casimir_eigenvalue, is_finite_dimensional,
+                           typicality)
+from colourgl.scalars import Scalar
+from colourgl.tensor import TensorVector, _act
 
 
 def kac_dimension(space, lam):
@@ -156,3 +162,21 @@ def dual_weight(space, lam):
     low = (rows + (0,) * (mp - len(rows)))[::-1] + \
         (cols + (0,) * (mm - len(cols)))[::-1]
     return tuple(t * e - x for e, x in zip(escript, low))
+
+
+def _casimir_defect(space, lam, terms):
+    """casimir_defect on the integer witness {(word, e): n} of v: with the
+    eigenvalue N/D, D Omega v - N v on ints, Omega = sum_ab omega(g_b, g_b)
+    E_ab E_ba applied by tensor._act, then divided by D as Scalars."""
+    sharp = _sharp(lam, space.m_plus, space.m_minus)
+    value = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
+    num, den = value.numerator, value.denominator
+    pairs = space._omega_pairs
+    out = {key: -num * n for key, n in terms.items()}
+    for a in range(space.dim):
+        for b in range(space.dim):
+            _add_ints(out, _act(pairs, a, b, _act(pairs, b, a, terms)),
+                      -den if space.parities[b] == -1 else den)
+    return TensorVector(space, sum(lam), _to_scalars(
+        [(Scalar.from_rational(Fraction(1, den)),
+          {key: n for key, n in out.items() if n})]))

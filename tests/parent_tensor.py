@@ -11,8 +11,13 @@ package's Scalar prefix walk from before it ran through tensor._act, so
 that comparing _act with it stays a comparison of two walks, and
 _block_sums and _arrangements are the package's block sums from before
 they ran on parity bits into a process-wide Young table, so that the
-witness too stays a comparison of two implementations.  The other
-helpers they call are unchanged and imported from the package.
+witness too stays a comparison of two implementations.
+
+_check_witness is the integer witness check as it was before it applied
+only the E_ab whose b is a letter of the seed: it ran over all
+dim V (dim V - 1) / 2 strictly upper matrix units.
+
+The other helpers they call are unchanged and imported from the package.
 """
 
 import itertools
@@ -25,7 +30,8 @@ from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
                                  _sharp, hook_partitions)
 from colourgl.reps import casimir_eigenvalue
 from colourgl.scalars import ONE, Scalar, omega_scalar
-from colourgl.tensor import TensorVector, _rows_and_columns, _seed_word
+from colourgl.tensor import (TensorVector, _act, _rows_and_columns,
+                             _seed_word)
 
 
 def gl_act_tensor(x, v):
@@ -208,3 +214,24 @@ def casimir_defect(space, lam):
     sharp = _sharp(lam, space.m_plus, space.m_minus)
     scalar = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
     return casimir_apply(space, v) - v.scale(Scalar.from_rational(scalar))
+
+
+def _check_witness(space, lam, sharp, terms):
+    """The checks of schur_weyl_table on the integer witness of lam: it is
+    nonzero, every word has the letters of the seed word, whose letter
+    counts are lambda#, and every strictly upper E_ab kills it."""
+    if not terms:
+        raise AssertionError(f"highest weight vector vanished: {lam}")
+    seed = _seed_word(space, lam)
+    letters = sorted(seed)
+    if any(sorted(w) != letters for w, _ in terms):
+        raise AssertionError(f"hwv({lam}) has words of more than one weight")
+    counts = tuple(map(seed.count, range(space.dim)))
+    if counts != sharp:
+        raise AssertionError(
+            f"weight of hwv({lam}) is {counts}, expected {sharp}")
+    pairs = space._omega_pairs
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            if _act(pairs, a, b, terms):
+                raise AssertionError(f"hwv({lam}) is not annihilated by n+")

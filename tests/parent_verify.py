@@ -7,20 +7,39 @@ suite_bicharacter multiplies factor.omega Scalars, suite_jacobi takes
 jacobi_defect and skew_defect of GlElements, suite_coxeter compares
 braiding_apply images of TensorVectors, and suite_equivariance commutes
 braiding_apply with gl_act_tensor on TensorVectors, the Scalar prefix
-walk that parent_tensor keeps.  They draw from their rng through
-verify's unchanged _random_degree, as the package's suites do.
-_random_scalar built Fraction coefficients, which the Scalar constructor
-cleared to ints.
+walk that parent_tensor keeps.  _random_scalar built Fraction
+coefficients, which the Scalar constructor cleared to ints.
+
+_random_degree and _random_int_scalar are verify's draws as they were
+before they drew by rng.choice over constant ranges: each value came from
+rng.randint, and a degree was built through group.degree, checked and
+reduced.  suite_bicharacter draws through this _random_degree.
+suite_fock is the fock-module suite as it was before it kept one image
+table per word: it memoised each image under its (word, monomial) key
+and took the images of v over every monomial once per pair (u, v).
 """
 
 import itertools
 from fractions import Fraction
 
-from colourgl.gl import GlElement, jacobi_defect, skew_defect
+from colourgl.gl import GlElement, _add_ints, jacobi_defect, skew_defect
 from colourgl.scalars import Scalar
 from colourgl.tensor import TensorVector, braiding_apply
-from colourgl.verify import _random_degree
+from colourgl.weyl import _word_on_monomial, _word_product, fock_algebra
 from parent_tensor import gl_act_tensor
+
+
+def _random_degree(group, rng, span=5):
+    coords = [rng.randint(-span, span) for _ in range(group.free_rank)]
+    coords += [rng.randint(0, 1) for _ in range(group.torsion2_rank)]
+    return group.degree(*coords)
+
+
+def _random_int_scalar(rng):
+    num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    if not any(num):
+        num[0] = 1
+    return Scalar(rng.randint(-2, 2), tuple(num))
 
 
 def suite_bicharacter(space, rng, samples):
@@ -117,3 +136,32 @@ def suite_equivariance(space, rng, samples):
             if lhs != rhs:
                 return False, f"[gl, sigma_{i}] != 0 on {word}"
     return True, f"{samples} random words, r = {r}"
+
+
+def suite_fock(space, rng, copies):
+    if space.dim > 4:
+        return None, "skipped (dim V too big)"
+    alg = fock_algebra(space, copies)
+    n = space.dim * copies
+    gens = [((g,), ()) for g in range(n)] + [((), (g,)) for g in range(n)]
+    monos = [m for d in range(4) for m in alg.monomials(d)]
+    images = {}  # (word, monomial) -> its image, for this call only
+
+    def image(word, mono):
+        img = images.get((word, mono))
+        if img is None:
+            img = images[word, mono] = _word_on_monomial(alg, *word, mono)
+        return img
+
+    for u, v in itertools.product(gens, repeat=2):
+        prod = _word_product(alg, *u, *v)
+        for mono in monos:
+            # u (v f) - (u v) f for f = mono
+            defect = {}
+            for (m, e), c in image(v, mono).items():
+                _add_ints(defect, image(u, m), c, e)
+            for (w, e), c in prod.items():
+                _add_ints(defect, image(w, mono), -c, e)
+            if any(defect.values()):
+                return False, "module axiom failed"
+    return True, f"all generator pairs on {len(monos)} monomials"

@@ -94,3 +94,18 @@ def test_the_benchmark_gate_runs_every_workload():
         (ROOT / "BENCHMARK.json").read_text())["workloads"]]
     loop, = gate_loops(WORKFLOW.read_text())
     assert sorted(loop) == sorted(declared)
+
+
+def steps(text):
+    """The text of each step of the workflow, from its `- name:` line to
+    the next step's."""
+    return re.split(r"\n(?=\s*- name:)", text)[1:]
+
+
+def test_the_stdlib_replay_runs_on_every_matrix_version():
+    # report bytes may depend on the interpreter: the replay runs under
+    # every version of the matrix, not only one
+    step, = [s for s in steps(WORKFLOW.read_text())
+             if "tests/replay_pool.py" in s]
+    assert "if:" not in step
+    assert "PYTHONHASHSEED" in step

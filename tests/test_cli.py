@@ -630,8 +630,8 @@ def test_fft_check_with_an_empty_side_ends_fast():
 
 
 def test_fft_check_failed_flag_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "invariant_generators_check",
-                        lambda space, copies: False)
+    monkeypatch.setattr(weyl, "_filtration_holds",
+                        lambda space, copies, products: False)
     code, doc = run_json(capsys, "fft-check", "--space", "super(1|1)",
                          "--copies", "1", "--dual-copies", "1",
                          "--max-degree", "1")
@@ -955,13 +955,17 @@ def test_every_readme_cli_line_runs(capsys, monkeypatch):
     (("casimir", "--space", "green(400)", "--partition", "2"),
      {"defect_zero": True, "partition": [2]}),
     (("schur-weyl", "--space", "green(300)", "--power", "2"),
-     {"checksum": 90000, "dimension": 90000})])
+     {"checksum": 90000, "dimension": 90000}),
+    (("casimir", "--space", "green(1000)", "--partition", "2"),
+     {"defect_zero": True, "partition": [2]})])
 def test_tensor_jobs_near_the_dimension_bound_end_fast(argv, results):
     # the omega table of a space of unit degrees was built by one
     # _pairings call per pair of degrees, O(dim V) each, and every E_ab
     # built an O(dim V) step list before it looked for b in the words:
     # the casimir job took 18-19 s and schur-weyl 3.9-4.5 s on a 2-vCPU
-    # machine
+    # machine.  The Casimir applied E_ab E_ba over all dim V ** 2 pairs,
+    # where only the a of the witness's letters move it: on green(1000),
+    # 2 * 10^6 _act calls, 3.7 s
     code, doc, seconds = run_module(*argv)
     assert code == 0 and doc["ok"] is True
     assert results.items() <= doc["results"].items()

@@ -140,3 +140,22 @@ def test_report_records_compare_by_fields_and_are_unhashable():
     for record in (verdict, report):
         with pytest.raises(TypeError):
             hash(record)
+
+
+def test_pairings_take_an_equal_group_and_refuse_another():
+    # the groups are compared by identity first, then by value
+    group = GradingGroup(2, 1)
+    factor = CommutativeFactor(group, ((1, 0, 0), (0, 0, 1), (0, 1, 1)),
+                               ((0, 2, 0), (-2, 0, 0), (0, 0, 0)))
+    twin = GradingGroup(2, 1)
+    assert twin is not group and twin == group
+    a, b = group.degree(1, -1, 1), group.degree(2, 3, 0)
+    pair = factor._pairings(a, b)
+    assert pair == (1, 10)  # 2 + 3 odd, 1*2*3 + (-1)(-2)2
+    for x, y in ((twin.degree(1, -1, 1), b), (a, twin.degree(2, 3, 0)),
+                 (twin.degree(1, -1, 1), twin.degree(2, 3, 0))):
+        assert factor._pairings(x, y) == pair
+    other = GradingGroup(3, 0).degree(1, -1, 1)
+    for x, y in ((other, b), (a, other), (other, other)):
+        with pytest.raises(ShapeError, match="this factor's group"):
+            factor._pairings(x, y)

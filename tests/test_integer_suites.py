@@ -1,11 +1,14 @@
 """The bicharacter, jacobi-skew, coxeter-braid and gl-equivariance suites
-of verify run on integer omega pairs, and the scalar-field suite on
-random scalars with int coefficients.  They agree with the suites they
-replaced, which parent_verify keeps verbatim: the same verdict and
-detail, and the same rng state after each suite, on every preset of
-dim V <= 3 at both levels and seeds 0-2.  Both versions refuse a space
-whose omega table or whose factor is wrong, and gl-equivariance refuses
-an E_ab kernel that drops its prefix signs."""
+of verify run on integer omega pairs, the scalar-field suite on random
+scalars with int coefficients, and the fock-module suite on one image
+table per word.  They agree with the suites they replaced, which
+parent_verify keeps verbatim: the same verdict and detail, and the same
+rng state after each suite, on every preset of dim V <= 3 and on 12
+seeded random colour spaces, at both levels and seeds 0-2.  verify's
+draws by rng.choice give the values and the rng states of the parent's
+rng.randint draws.  Both versions refuse a space whose omega table or
+whose factor is wrong, and gl-equivariance refuses an E_ab kernel that
+drops its prefix signs."""
 
 import random
 
@@ -13,20 +16,21 @@ import pytest
 
 import parent_verify as parent
 from colourgl import tensor, verify
-from colourgl.grading import CommutativeFactor
+from colourgl.grading import CommutativeFactor, GradingGroup
 from colourgl.presets import preset_space
 from test_laurent_kernels import small_presets
+from test_random_spaces import random_space
 
 PRESETS = small_presets()
+_rng = random.Random(4141)
+RANDOM_SPACES = {f"random {i}": random_space(_rng) for i in range(12)}
 # suite name, its argument at level full, at level quick
 SUITES = (("suite_bicharacter", 200, 50), ("suite_scalar_field", 100, 25),
           ("suite_jacobi", True, False), ("suite_coxeter", 5, 3),
-          ("suite_equivariance", 40, 10))
+          ("suite_equivariance", 40, 10), ("suite_fock", 2, 1))
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_integer_suites_match_the_scalar_suites(name):
-    space = PRESETS[name]
+def assert_suites_match(space):
     for level in range(2):
         seedless = set()  # suites that drew nothing from rng at seed 0
         for seed in range(3):
@@ -42,6 +46,35 @@ def test_integer_suites_match_the_scalar_suites(name):
                     (suite, level, seed)
                 if seed == 0 and new_rng.getstate() == before:
                     seedless.add(suite)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_integer_suites_match_the_scalar_suites(name):
+    assert_suites_match(PRESETS[name])
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_SPACES))
+def test_integer_suites_match_on_random_colour_spaces(name):
+    assert_suites_match(RANDOM_SPACES[name])
+
+
+GROUPS = sorted({space.factor.group for space in [*PRESETS.values(),
+                                                  *RANDOM_SPACES.values()]}
+                | {GradingGroup(3, 2), GradingGroup(0, 0)},
+                key=lambda group: (group.free_rank, group.torsion2_rank))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_draws_by_choice_are_the_randint_draws(seed):
+    for group in GROUPS:
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            new, old = (verify._random_degree(group, new_rng),
+                        parent._random_degree(group, old_rng))
+            assert new == old and new.group is group, group
+            assert verify._random_scalar(new_rng) == \
+                parent._random_int_scalar(old_rng)
+            assert new_rng.getstate() == old_rng.getstate()
 
 
 def with_wrong_pair(space, flip_sign, shift):

@@ -371,7 +371,7 @@ def test_a_space_file_past_the_dimension_bound_exits_2_fast(tmp_path):
                            "elements")])
 def test_fft_check_meets_every_bound_before_its_first_degree(
         capsys, monkeypatch, space, copies, degree, error):
-    monkeypatch.setattr(cli, "invariant_dimensions", refuse_to_compute)
+    monkeypatch.setattr(weyl, "invariant_dimensions", refuse_to_compute)
     monkeypatch.setattr(weyl, "fock_algebra", refuse_to_compute)
     assert cli.main(["fft-check", "--space", space, "--copies", str(copies),
                      "--dual-copies", "1", "--max-degree", str(degree)]) == 2
