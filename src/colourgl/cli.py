@@ -282,6 +282,11 @@ def cmd_typicality(args):
 
 def cmd_kac_dim(args):
     space, lam = _space_and_weight(args)
+    # 2**(M+ M-) divides the dimension of a dominant weight, so past
+    # _TOO_LONG's bits it is refused unbuilt; kac_dimension names the rest
+    if space.m_plus * space.m_minus >= _TOO_LONG.bit_length() and \
+            is_finite_dimensional(space, lam):
+        raise _too_long()
     return {"weight": [str(x) for x in lam],
             "kac_dimension": _printable(kac_dimension(space, lam))}, True
 

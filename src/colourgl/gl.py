@@ -523,5 +523,7 @@ def pbw_dimension_nilradical(space):
     gens = [(r, i) for r in range(space.m_plus, space.dim)
             for i in range(space.m_plus)]
     count = sum(math.comb(len(gens), k) for k in range(len(gens) + 1))
-    assert count == 2 ** (space.m_plus * space.m_minus)
+    if count != 2 ** (space.m_plus * space.m_minus):
+        raise AssertionError(f"the square-free words in {len(gens)} odd "
+                             "generators do not number 2^(M+ M-)")
     return count

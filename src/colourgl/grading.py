@@ -15,12 +15,13 @@ As omega is a bicharacter, omega between sums and differences of degrees
 is the pair of XOR-ed signs and summed (or subtracted) exponents, so the
 graded space keeps one pair per two basis indices and the algorithms sum
 pairs.  CommutativeFactor._table is the one builder of such tables, for
-the basis of a graded space and for the generators of an algebra alike,
-scalars.omega_scalar the one place a pair becomes a Scalar factor
-(CommutativeFactor.omega applies it), and _merge the one place a
-reordering of a graded word becomes a pair.  _inversion_pair is the same
-pair read from the word's letter-pair inversion counts instead of a
-sort: tensor weights its Young tables, which keep the counts, by it.
+the basis of a graded space, the generators of an algebra and the
+lowering pairs of a Kac module alike, scalars.omega_scalar the one place
+a pair becomes a Scalar factor (CommutativeFactor.omega applies it), and
+_merge the one place a reordering of a graded word becomes a pair.
+_inversion_pair is the same pair read from the word's letter-pair
+inversion counts instead of a sort: tensor weights its Young tables,
+which keep the counts, by it.
 
 A Degree is checked and reduced where it is made from outside, by
 Degree(group, coords) or group.degree; its sums, differences and negatives

@@ -180,7 +180,9 @@ def count_standard_tableaux(lam):
 
 def _count_standard(lam):
     value, rem = divmod(factorial(sum(lam)), prod(map(prod, _hooks(lam))))
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"the hook length formula of {lam} leaves a "
+                             "remainder")
     return value
 
 
@@ -209,7 +211,8 @@ def _dim_glN(lam, n):
         return 0
     contents = prod(prod(range(n - i, n - i + p)) for i, p in enumerate(lam))
     value, rem = divmod(contents, prod(map(prod, _hooks(lam))))
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"dim_glN({lam}, {n}) leaves a remainder")
     return value
 
 

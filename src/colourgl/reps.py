@@ -3,15 +3,17 @@
 Everything here works with exact rational weights in the flat eps-basis.
 The contravariant-form machinery realises the parabolically induced module
 U(vbar) x L0 concretely (odd lowering words, sorted by grading._merge on
-sign pairs, over explicit sl2 strings per parity block) and computes Gram
-matrices by moving *-conjugated operators across with the graded
-commutation relations.  The strings are one table, KacModule._strings,
-(f, lambda_f - lambda_{f+1}) per parity block f, f+1 of size 2, which
-the string lengths n_plus and n_minus, weight, _act_l0 and _l0_norm
-read.  Gram blocks and their inertia run on ints after one positive
-rescaling; Fractions enter only where lambda has a non-integral
-coordinate.  The decomposition lambda = a*E + mu# - b*E+ is stated
-once, in _decompose, for both branches of classify_unitarisable (b lifts
+the odd set and omega pairs that CommutativeFactor._table builds over the
+degrees g_rb - g_i of the lowering pairs, over explicit sl2 strings per
+parity block) and computes Gram matrices by moving *-conjugated
+operators across with the graded commutation relations.  The strings
+are one table, KacModule._strings, (f, lambda_f - lambda_{f+1}) per
+parity block f, f+1 of size 2, which the string lengths n_plus and
+n_minus, weight, _act_l0 and _l0_norm read.  Gram blocks and their
+inertia run on ints after one positive rescaling; Fractions enter only
+where lambda has a non-integral coordinate.  The decomposition
+lambda = a*E + mu# - b*E+ is stated once, in _decompose, for both
+branches of classify_unitarisable (b lifts
 a typical lambda_1 - a to an integer, and is 0 on an atypical weight)
 and for dual_weight (b = 0).  Dual weights are closed form: the
 Kac-module lowest weight for a typical lambda, the Berele-Regev
@@ -130,7 +132,10 @@ def kac_dimension(space, lam):
         value, rem = divmod(
             math.prod(int(block[i] - block[j]) + j - i for i, j in ij),
             math.prod(j - i for i, j in ij))
-        assert rem == 0
+        if rem:
+            raise AssertionError(
+                f"the Weyl dimension of {_weight_text(block)} leaves a "
+                "remainder")
         total *= value
     return total
 
@@ -367,10 +372,11 @@ class KacModule:
                                      for string in self._strings)
         size = 2 ** len(self.pairs) * self.n_plus * self.n_minus
         ResourceBoundExceeded.check("the Kac module", size, GRAM_BASIS_CAP)
-        # _pair_om[s][t] = the pair (sign bit, 0) of omega(deg F_s, deg F_t)
-        self._pair_om = [
-            [(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)
-             for i2, rb2 in self.pairs] for i, rb in self.pairs]
+        # (odd, om) for _merge over the lowering pairs F_s of degree
+        # g_rb - g_i: every F_s is odd, so F_s F_S = 0 when s is in S
+        degrees = space.degrees
+        self._odd, self._om = space.factor._table(
+            [degrees[rb] - degrees[i] for i, rb in self.pairs])
         # act and _l0_norm results by argument; callers never mutate them
         self._act_memo = {}
         self._norm_memo = {}
@@ -401,9 +407,8 @@ class KacModule:
     def _prepend_pair(self, sid, vec):
         """Left multiplication by F_{sid} on a coefficient vector."""
         out = {}
-        odd = range(len(self.pairs))  # F_sid F_S = 0 when sid is in S
         for (S, kp, km), coef in vec.items():
-            merged = _merge((sid,), S, odd, self._pair_om)
+            merged = _merge((sid,), S, self._odd, self._om)
             if merged is not None:
                 s, _, word = merged
                 _add_into(out, (word, kp, km), -coef if s else coef)

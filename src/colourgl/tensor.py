@@ -29,8 +29,9 @@ of _arrangements live in one process-wide memo, _KEPT, which holds at most
 TERMS_KEPT terms, the least recently used dropped first.
 
 The gl(V)-action through the iterated coproduct is stated once, in _act:
-E_ab on {(word, e): n}, the terms n q^e word, with the prefix pairs read
-from the rows _omega_pairs[a] and [b] and the sign folded into n.  The
+E_ab on {(word, e): n}, the terms n q^e word, with the pair of each
+prefix letter read from the rows _omega_pairs[a] and [b], as
+gl._bracket_pair reads its pairs, and the sign folded into n.  The
 Schur-Weyl and Casimir checks run it on the integer witness of C_lambda,
 the Young table, each word taking the pair Psi(seed) / Psi(word)
 (_young_terms); it drops what cancels, so a witness is killed exactly when
@@ -408,25 +409,21 @@ def _act(pairs, a, b, terms):
     b at slot j by a, with the factor omega(g_a - g_b, d(prefix)): over
     the prefix letters c, the pairs pairs[a][c] - pairs[b][c], the sign
     folded into n.  n is an int or a Scalar (gl_act_tensor).  Zero
-    coefficients are dropped, so the image is zero iff empty.  The O(dim)
-    list of those pairs is built on the first word that holds b, so an
-    E_ab whose b occurs in no word costs one scan of the words."""
-    step = None
+    coefficients are dropped, so the image is zero iff empty.  Only the
+    pairs of the letters of the words that hold b are read."""
+    row_a, row_b = pairs[a], pairs[b]
     out = {}
     for (word, e), n in terms.items():
         if b not in word:
             continue
-        if step is None:
-            step = [(sa ^ sb, ea - eb)
-                    for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
         s = 0
         for j, letter in enumerate(word):
             if letter == b:
                 key = word[:j] + (a,) + word[j + 1:], e
                 out[key] = out.get(key, 0) + (-n if s else n)
-            ds, de = step[letter]
-            s ^= ds
-            e += de
+            (sa, ea), (sb, eb) = row_a[letter], row_b[letter]
+            s ^= sa ^ sb
+            e += ea - eb
     return {key: n for key, n in out.items() if n}
 
 

@@ -15,12 +15,16 @@ out the decomposition itself.
 _casimir_defect as it was before it ran a over the letters of the
 witness alone: it applied E_ab E_ba over all dim V ** 2 ordered pairs.
 
+kac_pair_table is the (odd, om) that KacModule passed to _merge before it
+took both from CommutativeFactor._table over the degrees of its lowering
+pairs: every pair counted odd, and the pairs built from gl._bracket_pair.
+
 The helpers they call are unchanged and imported from the package."""
 
 import math
 from fractions import Fraction
 
-from colourgl.gl import _add_ints, _to_scalars, rho
+from colourgl.gl import _add_ints, _bracket_pair, _to_scalars, rho
 from colourgl.partitions import _sharp, _transpose, dim_glN
 from colourgl.reps import (DualWeightUnsupported, UnitarisableVerdict,
                            UnsupportedFactor, _as_weight, _blocks,
@@ -180,3 +184,13 @@ def _casimir_defect(space, lam, terms):
     return TensorVector(space, sum(lam), _to_scalars(
         [(Scalar.from_rational(Fraction(1, den)),
           {key: n for key, n in out.items() if n})]))
+
+
+def kac_pair_table(space, pairs):
+    """(odd, om) for _merge over the lowering pairs (i, rb) of a Kac
+    module: F_sid F_S = 0 when sid is in S, and om[s][t] = the pair (sign
+    bit, 0) of omega(deg F_s, deg F_t)."""
+    odd = range(len(pairs))
+    om = [[(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)
+           for i2, rb2 in pairs] for i, rb in pairs]
+    return odd, om

@@ -17,6 +17,11 @@ _check_witness is the integer witness check as it was before it applied
 only the E_ab whose b is a letter of the seed: it ran over all
 dim V (dim V - 1) / 2 strictly upper matrix units.
 
+_act is the integer prefix walk as it was before it read the pairs of
+each letter it passes from the rows pairs[a] and pairs[b]: on the first
+word that holds b it built the list of the dim V pair differences
+pairs[a][c] - pairs[b][c] over every c.  _check_witness applies it.
+
 The other helpers they call are unchanged and imported from the package.
 """
 
@@ -30,8 +35,7 @@ from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
                                  _sharp, hook_partitions)
 from colourgl.reps import casimir_eigenvalue
 from colourgl.scalars import ONE, Scalar, omega_scalar
-from colourgl.tensor import (TensorVector, _act, _rows_and_columns,
-                             _seed_word)
+from colourgl.tensor import TensorVector, _rows_and_columns, _seed_word
 
 
 def gl_act_tensor(x, v):
@@ -235,3 +239,31 @@ def _check_witness(space, lam, sharp, terms):
         for b in range(a + 1, space.dim):
             if _act(pairs, a, b, terms):
                 raise AssertionError(f"hwv({lam}) is not annihilated by n+")
+
+
+def _act(pairs, a, b, terms):
+    """E_ab on {(word, e): n}, the terms n q^e word, through the iterated
+    coproduct: the package's one statement of it.  E_ab replaces a letter
+    b at slot j by a, with the factor omega(g_a - g_b, d(prefix)): over
+    the prefix letters c, the pairs pairs[a][c] - pairs[b][c], the sign
+    folded into n.  n is an int or a Scalar (gl_act_tensor).  Zero
+    coefficients are dropped, so the image is zero iff empty.  The O(dim)
+    list of those pairs is built on the first word that holds b, so an
+    E_ab whose b occurs in no word costs one scan of the words."""
+    step = None
+    out = {}
+    for (word, e), n in terms.items():
+        if b not in word:
+            continue
+        if step is None:
+            step = [(sa ^ sb, ea - eb)
+                    for (sa, ea), (sb, eb) in zip(pairs[a], pairs[b])]
+        s = 0
+        for j, letter in enumerate(word):
+            if letter == b:
+                key = word[:j] + (a,) + word[j + 1:], e
+                out[key] = out.get(key, 0) + (-n if s else n)
+            ds, de = step[letter]
+            s ^= ds
+            e += de
+    return {key: n for key, n in out.items() if n}

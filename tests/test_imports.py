@@ -7,7 +7,9 @@ of them.  Importing the CLI loads neither dataclasses nor inspect, which
 with ast, dis and tokenize are most of a cold start's import time.  No
 module but scalars imports a private name of scalars.  The CLI imports no
 private name of the package: it calls the public library, one call per
-job."""
+job.  No module holds an assert statement: a self-check raises
+AssertionError itself, so that python -O keeps it and exit 1 keeps its
+meaning."""
 
 import ast
 import os
@@ -126,3 +128,11 @@ def test_cli_imports_no_private_name_of_the_package():
             private += [alias.name for alias in node.names
                         if alias.name.startswith("_")]
     assert not private
+
+
+def test_no_module_holds_an_assert_statement():
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert not asserts

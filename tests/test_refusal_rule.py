@@ -318,6 +318,25 @@ def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     assert seconds < 2
 
 
+@pytest.mark.parametrize("weight, error", [
+    (",".join(["0"] * 1000),
+     "a number of the report needs more than 4000 digits, above the bound "
+     "4000"),
+    (",".join(["0"] * 999 + ["1"]),
+     ",".join(["0"] * 999 + ["1"]) + " is not dominant")],
+    ids=["dominant", "not dominant"])
+def test_kac_dim_refuses_an_unprintable_dimension_before_computing_it(
+        weight, error):
+    # 2^(M+ M-) divides the dimension, so M+ M- = 250000 decides the
+    # refusal of a dominant weight; kac_dimension compared the C(500, 2)
+    # coordinate pairs of each parity block first.  A weight that is not
+    # dominant is still named as such
+    code, doc, seconds = run_module("kac-dim", "--space", "super(500|500)",
+                                    "--weight", weight)
+    assert (code, doc["error"]) == (2, error)
+    assert seconds < 1
+
+
 @pytest.mark.parametrize("degree, code", [(0, 0), (1, 2)])
 def test_glvv_of_the_largest_colour_space_counts_without_listing(degree,
                                                                  code):
