@@ -58,8 +58,8 @@ from . import presets
 from .gl import GradedSpace, ResourceBoundExceeded
 from .partitions import check_partition, dim_glN_floor_bits, hook_table
 from .reps import (casimir_defect, casimir_eigenvalue, classify_unitarisable,
-                   gram_report, is_finite_dimensional, kac_dimension,
-                   typicality)
+                   gram_report, is_finite_dimensional,
+                   kac_dimension_floors, typicality)
 from .tensor import schur_weyl_table
 from .weyl import (fft_check, glq_relations_check, glvv_decomposition,
                    howe_dimension_sweep)
@@ -282,13 +282,11 @@ def cmd_typicality(args):
 
 def cmd_kac_dim(args):
     space, lam = _space_and_weight(args)
-    # 2**(M+ M-) divides the dimension of a dominant weight, so past
-    # _TOO_LONG's bits it is refused unbuilt; kac_dimension names the rest
-    if space.m_plus * space.m_minus >= _TOO_LONG.bit_length() and \
-            is_finite_dimensional(space, lam):
-        raise _too_long()
-    return {"weight": [str(x) for x in lam],
-            "kac_dimension": _printable(kac_dimension(space, lam))}, True
+    # no floor exceeds the dimension, so the first one too long to write
+    # refuses the job before the rest of the product is formed
+    for dim in kac_dimension_floors(space, lam):
+        _printable(dim)
+    return {"weight": [str(x) for x in lam], "kac_dimension": dim}, True
 
 
 def cmd_casimir(args):

@@ -118,26 +118,42 @@ def typicality(space, lam):
 
 
 def kac_dimension(space, lam):
-    """2^(M+ M-) * dim L0(lambda), the L0 factor of each parity block by the
-    Weyl dimension formula prod_{i<j} (lambda_i - lambda_j + j - i)/(j - i),
-    as two int products and one exact division (the differences are
-    integers on a dominant weight); no factorial of a coordinate is
-    formed.  A pair with lambda_i = lambda_j has the factor 1 and is left
-    out of both products."""
+    """2^(M+ M-) * dim L0(lambda), the last of kac_dimension_floors."""
+    for dim in kac_dimension_floors(space, lam):
+        pass
+    return dim
+
+
+def kac_dimension_floors(space, lam):
+    """Lower bounds of kac_dimension, none less than the one before, the
+    last of them the dimension: 2^(M+ M-), then that times each parity
+    block's L0 factor column by column.  Over its first m coordinates b a
+    block's factor is dim L(b_1..b_m) of gl_m by the Weyl dimension
+    formula prod_{i<j<=m} (b_i - b_j + j - i)/(j - i), an integer that by
+    the branching rule never decreases in m; each is formed from the one
+    before with one exact division.  A pair with b_i = b_j has the factor
+    1 and is left out: those i are the run of equal coordinates that ends
+    at j, so a column whose run starts the block is not yielded."""
     lam = _dominant_weight(space, lam)
     total = 2 ** (space.m_plus * space.m_minus)
+    yield total
     for block in _blocks(space, lam):
-        ij = [(i, j) for i, j in itertools.combinations(range(len(block)), 2)
-              if block[i] != block[j]]
-        value, rem = divmod(
-            math.prod(int(block[i] - block[j]) + j - i for i, j in ij),
-            math.prod(j - i for i, j in ij))
-        if rem:
-            raise AssertionError(
-                f"the Weyl dimension of {_weight_text(block)} leaves a "
-                "remainder")
-        total *= value
-    return total
+        # ints: the coordinates of a dominant block differ by integers
+        b = [int(x - block[-1]) for x in block]
+        dim, run = 1, 0
+        for j in range(1, len(b)):
+            if b[j] != b[j - 1]:
+                run = j
+            if run:
+                dim, rem = divmod(
+                    dim * math.prod(b[i] - b[j] + j - i for i in range(run)),
+                    math.perm(j, run))
+                if rem:
+                    raise AssertionError(
+                        f"the Weyl dimension of {_weight_text(block)} "
+                        "leaves a remainder")
+                yield total * dim
+        total *= dim
 
 
 def casimir_eigenvalue(space, lam):

@@ -16,10 +16,11 @@ g = gcd(b, d), only gcd(numerator, g) can cancel, so coprime dens cost one
 gcd of b and d and none of the sum.  Raw constructor input of ints goes
 straight to that cancellation; only Fraction coefficients are cleared to
 ints first.  Polynomial gcds are primitive remainder sequences (Knuth,
-4.6.1).  Fraction appears only where rationals enter or leave: from_rational,
-as_fraction, raw input with Fraction coefficients (parsed a/b among them)
-and the read-only num and den views, which give the value over a monic
-denominator.
+4.6.1): a divisor with a lead of +-1 divides exactly, with no integer gcd
+per step, and a constant remainder ends the sequence.  Fraction appears
+only where rationals enter or leave: from_rational, as_fraction, raw input
+with Fraction coefficients (parsed a/b among them) and the read-only num
+and den views, which give the value over a monic denominator.
 
 No other module reads or builds the stored form.  Two helpers here build
 it without arithmetic: omega_scalar multiplies by an omega pair (s, e),
@@ -89,17 +90,22 @@ def _clear(p):
 
 def _prem(a, b):
     """A nonzero integer multiple of the remainder of a by b in Q[q], for
-    integer lists with len(a) >= len(b) > 1; untrimmed, of length len(b)-1."""
+    integer lists with len(a) >= len(b) > 1; untrimmed, of length len(b)-1.
+    When b's lead is +-1 the division is exact: the remainder itself."""
     r = list(a)
     db, lb = len(b) - 1, b[-1]
+    unit = lb == 1 or lb == -1
     for k in range(len(a) - 1 - db, -1, -1):
         c = r[k + db]
         if c:
-            g = gcd(c, lb)
-            m, c = lb // g, c // g
-            if m != 1:
-                for i in range(k + db):
-                    r[i] *= m
+            if unit:
+                c *= lb
+            else:
+                g = gcd(c, lb)
+                m, c = lb // g, c // g
+                if m != 1:
+                    for i in range(k + db):
+                        r[i] *= m
             for j in range(db):
                 r[k + j] -= c * b[j]
     return r[:db]
@@ -109,7 +115,8 @@ def _gcd(a, b):
     """gcd(a, b) in Z[q] for primitive nonzero integer lists: primitive,
     with a positive leading coefficient.  A primitive polynomial remainder
     sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided
-    by its content, so the coefficients stay small."""
+    by its content, so the coefficients stay small; a constant remainder
+    means a and b are coprime."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -119,8 +126,10 @@ def _gcd(a, b):
             n -= 1
         if not n:
             return b if b[-1] > 0 else [-x for x in b]
+        if n == 1:
+            return [1]
         g = gcd(*r[:n])
-        a, b = b, [x // g for x in r[:n]]
+        a, b = b, [x // g for x in r[:n]] if g != 1 else r[:n]
     return [1]
 
 
@@ -170,9 +179,12 @@ class Scalar:
     def __init__(self, shift=0, num=_ZERO_POLY, den=_ONE_POLY):
         if not any(den):
             raise ZeroDivisionError("scalar with zero denominator")
-        if not all(type(c) is int for c in (*num, *den)):
-            ints = _clear((*num, *den))[0]
-            num, den = ints[:len(num)], ints[len(num):]
+        raw = (*num, *den)
+        for c in raw:
+            if type(c) is not int:
+                ints = _clear(raw)[0]
+                num, den = ints[:len(num)], ints[len(num):]
+                break
         n, d = _trim(num), _trim(den)
         u = 0
         while not d[u]:
@@ -440,7 +452,8 @@ def _coerce(value):
 
 def _paren(rendered):
     """A rendered polynomial of more than one term, in parentheses."""
-    if any(ch in rendered[1:] for ch in "+-"):
+    tail = rendered[1:]
+    if "+" in tail or "-" in tail:
         return f"({rendered})"
     return rendered
 

@@ -1,14 +1,21 @@
 """The general path of the Scalar kernel as it was before the Henrici sum,
 the int constructor and the one-pass parse, kept verbatim as oracles for
-tests/test_scalar_general_path.py.
+tests/test_scalar_general_path.py, and the remainder sequence, the int
+constructor and the printer as they were before a unit lead divided
+exactly, a constant remainder ended the sequence and the constructor and
+_paren lost their generators, kept verbatim as oracles for
+tests/test_scalar_kernels.py.
 
 Scalar.__init__ cleared every raw input by _clear, Scalar.__add__ of two
 different denominators took one gcd of the whole sum against b * d, and
-the parser scanned its text one character at a time.  _exquo, _cancel and
-_lowest are here as they were, so that the oracles share no changed code
-with the package; the unchanged helpers are imported below.  The
-methods are module functions: init(shift, num, den) and parse(text) give
-the stored (shift, n, d) triple, add(x, y) a Scalar.
+the parser scanned its text one character at a time.  Then
+Scalar.__init__ cleared only input that is not all ints (construct), and
+_prem took gcd(c, lb) at every step.  _prem, _gcd, _exquo, _cancel,
+_lowest and _paren are here as they were, so that the oracles share no
+changed code with the package; the unchanged helpers are imported below.
+The methods are module functions: init(shift, num, den),
+construct(shift, num, den) and parse(text) give the stored (shift, n, d)
+triple, add(x, y) a Scalar and text(x) its str.
 """
 
 import re
@@ -16,8 +23,52 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-from colourgl.scalars import (ZERO, _ONE_POLY, _coeffs, _coerce, _gcd,
-                              _clear, _make, _padd, _pmul, _pneg, _trim)
+from colourgl.scalars import (ZERO, _ONE_POLY, _coeffs, _coerce, _clear,
+                              _make, _padd, _pmul, _pneg, _poly_str, _trim)
+
+
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b in Q[q], for
+    integer lists with len(a) >= len(b) > 1; untrimmed, of length len(b)-1."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db]
+        if c:
+            g = gcd(c, lb)
+            m, c = lb // g, c // g
+            if m != 1:
+                for i in range(k + db):
+                    r[i] *= m
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return r[:db]
+
+
+def _gcd(a, b):
+    """gcd(a, b) in Z[q] for primitive nonzero integer lists: primitive,
+    with a positive leading coefficient.  A primitive polynomial remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided
+    by its content, so the coefficients stay small."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        n = len(r)
+        while n and not r[n - 1]:
+            n -= 1
+        if not n:
+            return b if b[-1] > 0 else [-x for x in b]
+        g = gcd(*r[:n])
+        a, b = b, [x // g for x in r[:n]]
+    return [1]
+
+
+def _paren(rendered):
+    """A rendered polynomial of more than one term, in parentheses."""
+    if any(ch in rendered[1:] for ch in "+-"):
+        return f"({rendered})"
+    return rendered
 
 
 def _exquo(a, b):
@@ -79,6 +130,30 @@ def init(shift=0, num=(0,), den=_ONE_POLY):
     u = next(i for i, c in enumerate(d) if c)
     x = _lowest(index(shift) - u, n, d[u:])
     return x.shift, x.n, x.d
+
+
+def construct(shift=0, num=(0,), den=_ONE_POLY):
+    """Scalar.__init__ with the int test: the stored (shift, n, d)."""
+    if not any(den):
+        raise ZeroDivisionError("scalar with zero denominator")
+    if not all(type(c) is int for c in (*num, *den)):
+        ints = _clear((*num, *den))[0]
+        num, den = ints[:len(num)], ints[len(num):]
+    n, d = _trim(num), _trim(den)
+    u = 0
+    while not d[u]:
+        u += 1
+    x = _lowest(index(shift) - u, n, d[u:])
+    return x.shift, x.n, x.d
+
+
+def text(self):
+    """Scalar.__str__."""
+    shift = self.shift
+    s = _poly_str(self.n, max(shift, 0))
+    if shift >= 0 and self.d == _ONE_POLY:
+        return s
+    return f"{_paren(s)}/{_paren(_poly_str(self.d, max(-shift, 0)))}"
 
 
 def add(self, other):

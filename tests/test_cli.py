@@ -420,8 +420,8 @@ def test_space_file_input(capsys, tmp_path):
 
 def test_jobs_share_one_space_per_preset_and_per_file_text(capsys, tmp_path,
                                                           monkeypatch):
-    seen, real = [], cli.kac_dimension
-    monkeypatch.setattr(cli, "kac_dimension", lambda space, lam: (
+    seen, real = [], cli.kac_dimension_floors
+    monkeypatch.setattr(cli, "kac_dimension_floors", lambda space, lam: (
         seen.append(space), real(space, lam))[1])
     path = tmp_path / "space.json"
 

@@ -302,7 +302,15 @@ def run_module(*argv):
      "4000"),
     (("verify", "--space", "green(21)", "--level", "quick"),
      "the jacobi-skew suite needs 194481 pairs of matrix units, above the "
-     "bound 160000")])
+     "bound 160000"),
+    (("kac-dim", "--space", "super(600|0)", "--weight", ",".join(
+        str(600 - i) for i in range(600))),
+     "a number of the report needs more than 4000 digits, above the bound "
+     "4000"),
+    (("kac-dim", "--space", "super(1000|0)", "--weight", ",".join(
+        str(1000 - i) for i in range(1000))),
+     "a number of the report needs more than 4000 digits, above the bound "
+     "4000")])
 def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     # each exited 2 with Python's 4300-digit error, or after 8-20 s, or
     # (fft-check super(14|14)) ran to exit 0 in 8 s, or (super(40|40) at
@@ -311,8 +319,10 @@ def test_an_oversized_request_exits_2_fast_naming_the_bound(argv, error):
     # (super(3000000|0)) or 3.1 s (green(2000)) on a 2-vCPU machine, or
     # until memory ran out.  glvv listed dim V dim W degrees before its
     # bound (4.4 s for super(500|500)), kac-dim formed the C(n, 2)
-    # products of equal coordinates (11.3 s) and verify bracketed every
-    # pair of matrix units (green(200) ran past 60 s)
+    # products of equal coordinates (11.3 s), or the whole Weyl product
+    # of (m, m-1, ..., 1) before its digits were checked (10.1 s for
+    # super(600|0), about 100 s for super(1000|0)), and verify bracketed
+    # every pair of matrix units (green(200) ran past 60 s)
     code, doc, seconds = run_module(*argv)
     assert (code, doc["error"]) == (2, error)
     assert seconds < 2
