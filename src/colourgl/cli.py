@@ -68,6 +68,8 @@ from .verify import run_verification
 # most digits of a weight coordinate, the value of its exponent counted as
 # digits: Fraction builds 10^k for an exponent k
 WEIGHT_DIGITS_CAP = 1000
+# an underscore between two digits of a number (PEP 515)
+_DIGIT_UNDERSCORE = re.compile(r"(?<=\d)_(?=\d)")
 # most digits of a number that a report writes, numerator and denominator
 # each: Python converts at most 4300 digits of an int to text by default
 REPORT_DIGITS_CAP = 4000
@@ -122,7 +124,9 @@ def _space(spec, text):
 
 def _coordinate(text):
     """Fraction(text), refused before it is built when it has more than
-    WEIGHT_DIGITS_CAP digits, the value of its exponent included."""
+    WEIGHT_DIGITS_CAP digits, the value of its exponent included.  An
+    underscore between two digits is read on Python 3.10 too, as Fraction
+    reads it from 3.11 on; an error names the text as it was given."""
     mantissa, _, exponent = text.lower().partition("e")
     shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
     size = sum(c.isdecimal() for c in mantissa)
@@ -134,7 +138,10 @@ def _coordinate(text):
                          f"{WEIGHT_DIGITS_CAP} digits, its exponent "
                          "included")
     try:
-        return Fraction(text)
+        try:
+            return Fraction(_DIGIT_UNDERSCORE.sub("", text))
+        except ValueError:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad weight coordinate: {exc}") from exc
 

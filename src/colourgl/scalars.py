@@ -7,10 +7,10 @@ and a positive leading coefficient of d; zero is (0, (0,), (1,)).  The form
 is unique, so equality is syntactic.  q is never specialised: identities
 proved here hold at every q != 0.
 
-All arithmetic runs on ints.  A monomial factor (p/r) q^s rescales the other
-factor after two small integer gcds, Laurent polynomials over constant dens
-multiply with one gcd over ints, an inverse swaps n and d, and a product of
-fractions cancels only its two cross gcds.  A sum over two different dens b
+All arithmetic runs on ints.  A product takes one of two branches: Laurent
+polynomials over constant dens multiply with one gcd over ints, and any
+other product cancels only its two cross gcds, integer gcds when a factor
+is a monomial.  An inverse swaps n and d.  A sum over two different dens b
 and d follows Henrici (J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): with
 g = gcd(b, d), only gcd(numerator, g) can cancel, so coprime dens cost one
 gcd of b and d and none of the sum.  Raw constructor input of ints goes
@@ -137,8 +137,6 @@ def _exquo(a, b):
     """a / b as a tuple, for integer sequences a and b when b divides a in
     Z[q]."""
     db, lb = len(b) - 1, b[-1]
-    if not db:
-        return tuple(x // lb for x in a)
     r = list(a)
     out = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
@@ -304,11 +302,6 @@ class Scalar:
         if not a[0] or not c[0]:
             return ZERO
         shift = self.shift + other.shift
-        # a monomial factor (p/r) q^s keeps the other factor in lowest terms
-        if len(c) == 1 and len(d) == 1:
-            return _scaled(shift, a, b, c[0], d[0])
-        if len(a) == 1 and len(b) == 1:
-            return _scaled(shift, c, d, a[0], b[0])
         if len(b) == 1 and len(d) == 1:
             # Laurent polynomials over constants: only a content cancels
             return _lowest(shift, _pmul(a, c), (b[0] * d[0],))
@@ -421,25 +414,6 @@ def _lowest(shift, n, d):
         if d[-1] < 0:
             n, d = _pneg(n), _pneg(d)
     return _make(shift + t, n, d)
-
-
-def _scaled(shift, n, d, p, r):
-    """q^shift * (p/r) * n/d for canonical n/d and a nonzero rational p/r in
-    lowest terms with r > 0: gcd(p, content d) and gcd(r, content n) are
-    the only common factors, so no polynomial gcd is taken."""
-    if p != 1:
-        g = gcd(p, *d)
-        if g != 1:
-            p, d = p // g, tuple(x // g for x in d)
-        if p != 1:
-            n = tuple(p * x for x in n)
-    if r != 1:
-        g = gcd(r, *n)
-        if g != 1:
-            r, n = r // g, tuple(x // g for x in n)
-        if r != 1:
-            d = tuple(r * x for x in d)
-    return _make(shift, n, d)
 
 
 def _coerce(value):

@@ -778,17 +778,19 @@ def _filtration_holds(space, copies, products):
 
 
 def glq_relations_check(m, n, copies, max_degree=4):
-    """Instantiate gl_q(m|n) on Z^(m+n) and verify the four defining
-    relation families of its Weyl algebra as Laurent-polynomial identities,
-    then run the Howe dimension sweep.  The sign and q-power of each
-    relation come from the gl_q(m|n) presentation, not from the space's
-    omega table, so the check does not take the table it tests on trust.
-    It forms 3 commutators per pair i <= j of the m + n indices and pair
-    of copies, and is refused before it starts past COMMUTATOR_CAP."""
+    """Instantiate gl_q(m|n) on Z^(m+n), run the Howe dimension sweep and
+    verify the four defining relation families of its Weyl algebra as
+    Laurent-polynomial identities.  The sign and q-power of each relation
+    come from the gl_q(m|n) presentation, not from the space's omega
+    table, so the check does not take the table it tests on trust.  It
+    forms 3 commutators per pair i <= j of the m + n indices and pair of
+    copies, and is refused before it starts past COMMUTATOR_CAP; the sweep
+    runs first, so its MONOMIAL_CAP too refuses before any commutator."""
     ResourceBoundExceeded.check(
         "glq-check", comb(m + n + 1, 2) * copies ** 2 * 3, COMMUTATOR_CAP,
         "commutators")
     space = glq_space(m, n)
+    sweep = howe_dimension_sweep(space, copies, max_degree)
     alg = fock_algebra(space, copies)
     products = {}
     relations_ok = True
@@ -805,7 +807,6 @@ def glq_relations_check(m, n, copies, max_degree=4):
                 and not _commutator(alg, (di,), (dj,), products, s, e)
                 and _commutator(alg, (di,), (xj,), products, s, -e)
                 == ({(((), ()), 0): 1} if (i, r) == (j, t) else {}))
-    sweep = howe_dimension_sweep(space, copies, max_degree)
     return {
         "m": m, "n": n, "copies": copies,
         "relations_hold": bool(relations_ok),

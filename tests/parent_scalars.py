@@ -3,19 +3,24 @@ the int constructor and the one-pass parse, kept verbatim as oracles for
 tests/test_scalar_general_path.py, and the remainder sequence, the int
 constructor and the printer as they were before a unit lead divided
 exactly, a constant remainder ended the sequence and the constructor and
-_paren lost their generators, kept verbatim as oracles for
-tests/test_scalar_kernels.py.
+_paren lost their generators, and the product as it was before its
+monomial branches and _exquo's constant-divisor shortcut went, all kept
+verbatim as oracles for tests/test_scalar_kernels.py.
 
 Scalar.__init__ cleared every raw input by _clear, Scalar.__add__ of two
 different denominators took one gcd of the whole sum against b * d, and
 the parser scanned its text one character at a time.  Then
 Scalar.__init__ cleared only input that is not all ints (construct), and
-_prem took gcd(c, lb) at every step.  _prem, _gcd, _exquo, _cancel,
-_lowest and _paren are here as they were, so that the oracles share no
-changed code with the package; the unchanged helpers are imported below.
-The methods are module functions: init(shift, num, den),
-construct(shift, num, den) and parse(text) give the stored (shift, n, d)
-triple, add(x, y) a Scalar and text(x) its str.
+_prem took gcd(c, lb) at every step.  Then Scalar.__mul__ rescaled the
+other factor of a monomial (p/r) q^s by _scaled, and _exquo divided by a
+constant divisor at once.  _prem, _gcd, _exquo, _cancel, _lowest and
+_paren are here as they were, so that the oracles share no changed code
+with the package; the unchanged helpers are imported below.  The later
+_exquo, _cancel and _common that the product took are _tuple_exquo,
+_common_cancel and _common here.  The methods are module functions:
+init(shift, num, den), construct(shift, num, den) and parse(text) give the
+stored (shift, n, d) triple, add(x, y) and mul(x, y) a Scalar and text(x)
+its str.
 """
 
 import re
@@ -240,3 +245,84 @@ def _parse_poly(text):
     if not out:
         raise ValueError(f"empty scalar expression {text!r}")
     return out
+
+
+def _tuple_exquo(a, b):
+    """a / b as a tuple, for integer sequences a and b when b divides a in
+    Z[q]."""
+    db, lb = len(b) - 1, b[-1]
+    if not db:
+        return tuple(x // lb for x in a)
+    r = list(a)
+    out = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db] // lb
+        if c:
+            out[k] = c
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return tuple(out)
+
+
+def _common(a, b):
+    """gcd(a, b) in Z[q] for nonzero integer tuples a and b, content
+    included and with a positive lead, as a tuple; an integer gcd when
+    either is a constant."""
+    if len(a) > 1 and len(b) > 1:
+        ca, cb = gcd(*a), gcd(*b)
+        g = _gcd([x // ca for x in a] if ca != 1 else a,
+                 [x // cb for x in b] if cb != 1 else b)
+        c = gcd(ca, cb)
+        return tuple(c * x for x in g) if c != 1 else tuple(g)
+    return (gcd(*a, *b),)
+
+
+def _common_cancel(a, b):
+    """a / g and b / g as integer tuples, for g = _common(a, b)."""
+    g = _common(a, b)
+    if g == _ONE_POLY:
+        return tuple(a), tuple(b)
+    return _tuple_exquo(a, g), _tuple_exquo(b, g)
+
+
+def _scaled(shift, n, d, p, r):
+    """q^shift * (p/r) * n/d for canonical n/d and a nonzero rational p/r in
+    lowest terms with r > 0: gcd(p, content d) and gcd(r, content n) are
+    the only common factors, so no polynomial gcd is taken."""
+    if p != 1:
+        g = gcd(p, *d)
+        if g != 1:
+            p, d = p // g, tuple(x // g for x in d)
+        if p != 1:
+            n = tuple(p * x for x in n)
+    if r != 1:
+        g = gcd(r, *n)
+        if g != 1:
+            r, n = r // g, tuple(x // g for x in n)
+        if r != 1:
+            d = tuple(r * x for x in d)
+    return _make(shift, n, d)
+
+
+def mul(self, other):
+    """Scalar.__mul__."""
+    other = _coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    a, b, c, d = self.n, self.d, other.n, other.d
+    if not a[0] or not c[0]:
+        return ZERO
+    shift = self.shift + other.shift
+    # a monomial factor (p/r) q^s keeps the other factor in lowest terms
+    if len(c) == 1 and len(d) == 1:
+        return _scaled(shift, a, b, c[0], d[0])
+    if len(a) == 1 and len(b) == 1:
+        return _scaled(shift, c, d, a[0], b[0])
+    if len(b) == 1 and len(d) == 1:
+        # Laurent polynomials over constants: only a content cancels
+        return _lowest(shift, _pmul(a, c), (b[0] * d[0],))
+    # a/b * c/d: gcd(a, b) = gcd(c, d) = 1, so only the cross gcds can
+    # cancel; they have positive leads, and so keep b's and d's.
+    a, d = _common_cancel(a, d)
+    c, b = _common_cancel(c, b)
+    return _make(shift, _pmul(a, c), _pmul(b, d))

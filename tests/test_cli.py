@@ -13,6 +13,7 @@ import pytest
 
 from colourgl import cli, reps, weyl
 from colourgl.cli import main
+from coordinate_table import COORDINATES, reading
 from test_refusal_rule import run_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -752,6 +753,14 @@ def test_a_weight_coordinate_past_the_digit_bound_exits_2_fast(
     assert doc["error"] == (f"a weight coordinate has more than "
                             f"{cli.WEIGHT_DIGITS_CAP} digits, its exponent "
                             "included")
+
+
+@pytest.mark.parametrize("text, want", COORDINATES,
+                         ids=[text for text, _ in COORDINATES])
+def test_a_weight_coordinate_reads_alike_on_every_python(text, want):
+    # Fraction reads PEP 515 underscores only from 3.11 on; 3.10 refused
+    # 1_0 with "Invalid literal for Fraction: '1_0'"
+    assert reading(text) == want
 
 
 def test_a_weight_coordinate_at_the_digit_bound_is_read():

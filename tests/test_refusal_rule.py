@@ -11,7 +11,8 @@ power is formed, and in casimir_defect after the partition check and
 before the hook check, the order the CLI applied it in.  A size too long
 to print is written as a bound on its digits.  fft-check's two gl(V)
 checks share glq-check's commutator bound, and an fft-check job meets
-every bound of its parts before its first degree is computed.  A graded
+every bound of its parts before its first degree is computed, as a
+glq-check job meets its sweep's bound before its first commutator.  A graded
 space of more than gl.DIM_CAP basis vectors, a preset or a file, is
 refused before its degrees, or a unit preset's forms, are built."""
 
@@ -408,7 +409,19 @@ def test_fft_check_meets_every_bound_before_its_first_degree(
 
 
 def refuse_to_compute(*args):
-    raise AssertionError("fft-check started its work before its bounds")
+    raise AssertionError("a job started its work before its bounds")
+
+
+def test_glq_check_meets_the_sweep_bound_before_its_first_commutator(
+        capsys, monkeypatch):
+    # the relations admit 3 * 50^2 commutators; the sweep refuses degree 4.
+    # The commutators were formed first, for 0.17-0.39 s
+    monkeypatch.setattr(weyl, "_commutator", refuse_to_compute)
+    assert cli.main(["glq-check", "--m", "1", "--n", "1", "--copies", "50",
+                     "--max-degree", "40"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "the sweep to degree 4 needs 4341801 basis elements, above the "
+        "bound 1000000")
 
 
 def test_fft_check_just_under_the_commutator_bound_runs():

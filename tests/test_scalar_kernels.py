@@ -171,3 +171,83 @@ def test_str_is_the_parent_text():
             fractional += "/" in str(z)
             assert str(z) == parent.text(z), _triple(z)
     assert fractional > 1000
+
+
+SHAPES = ("monomial", "Laurent polynomial", "constant den", "fraction")
+
+
+def _shape(x):
+    if len(x.d) > 1:
+        return "fraction"
+    if len(x.n) == 1:
+        return "monomial"
+    return "Laurent polynomial" if x.d == (1,) else "constant den"
+
+
+def _operand(rng, shape):
+    """A random nonzero Scalar of the given shape, with a random sign,
+    content and shift; a den's content is kept only when the numerator
+    does not share it."""
+    while True:
+        shift = rng.randint(-5, 5)
+        sign = rng.choice((1, -1))
+        content = rng.choice((1, 2, 3, 4, 6, 10, 12))
+        if shape == "monomial":
+            num, den = [sign * content], [rng.choice((1, 2, 3, 5, 6, 12))]
+        else:
+            num = [sign * content * c
+                   for c in _poly(rng, rng.randint(1, 3), rng.choice(LEADS))]
+            num[0] = num[0] or sign * content
+            den = {"Laurent polynomial": [1],
+                   "constant den": [rng.choice((2, 3, 4, 6, 12))],
+                   "fraction": [rng.choice((1, 2, 3)) * c for c in _poly(
+                       rng, rng.randint(1, 3), rng.choice(LEADS))]}[shape]
+        if den[0]:
+            x = Scalar(shift, num, den)
+            if _shape(x) == shape:
+                return x
+
+
+@pytest.mark.parametrize("left", SHAPES)
+@pytest.mark.parametrize("right", SHAPES)
+def test_the_product_gives_the_parent_triple(left, right):
+    rng = random.Random(f"{left} {right}")
+    cancelled = 0
+    for _ in range(250):
+        x, y = _operand(rng, left), _operand(rng, right)
+        for a, b in ((x, y), (y, x)):
+            got = a * b
+            assert _triple(got) == _triple(parent.mul(a, b)), \
+                (_triple(a), _triple(b))
+            assert got * b.inverse() == a
+        # the cross gcds of a monomial factor: gcd(p, content of the other
+        # den) and gcd(r, content of the other numerator)
+        cancelled += math.gcd(x.n[0], *y.d) != 1 or \
+            math.gcd(x.d[0], *y.n) != 1
+    if left == "monomial":
+        assert cancelled >= 50
+
+
+def test_a_product_with_a_rational_gives_the_parent_triple():
+    rng = random.Random(11)
+    for shape in SHAPES:
+        for _ in range(100):
+            x = _operand(rng, shape)
+            r = rng.choice((0, 1, -1, 6, -4, Fraction(-3, 8), Fraction(5, 6)))
+            assert _triple(x * r) == _triple(r * x) == \
+                _triple(parent.mul(x, r)), (_triple(x), r)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_exquo_matches_the_parent_on_constant_and_polynomial_divisors(
+        degree):
+    rng = random.Random(degree)
+    for _ in range(300):
+        b = _poly(rng, degree, rng.choice(LEADS))
+        b[0] = b[0] or 1
+        quotient = _poly(rng, rng.randint(0, 4), rng.choice(LEADS))
+        a = _mul(b, quotient)
+        for a_in, b_in in ((a, b), (tuple(a), tuple(b))):
+            got = scalars._exquo(a_in, b_in)
+            assert got == parent._tuple_exquo(a_in, b_in) == \
+                tuple(quotient), (a, b)
