@@ -20,11 +20,13 @@ Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  The
 table SUBCOMMANDS is the one statement of the grammar: each subcommand's
 help and options, each option's type or choices, default or REQUIRED,
-and help.  `main` reads argv by it with _parse.  An argv that one short
-pass of _read can read outright, --timing, the subcommand and its exact
-flags as --opt value or --opt=value, imports no argparse; every other
-argv, a prefix, -h/--help, a value that starts with -, or bad argv, goes
-to _argparse, an argparse tree built from the same table at that call.
+and help, and the least value of an option that counts something, which
+check_counts reads.  `main` reads argv by it with _parse.  An argv that
+one short pass of _read can read outright, --timing, the subcommand and
+its exact flags as --opt value or --opt=value, imports no argparse; every
+other argv, a prefix, -h/--help, a value that starts with -, or bad argv,
+goes to _argparse, an argparse tree built from the same table at that
+call.
 It exits 2 after a one-line usage and argparse's message, as `colourgl
 tableaux: error: ...`, or 0 after the help.  `main` calls the handler by
 its name, `cmd_` plus the subcommand, at call time.
@@ -40,8 +42,6 @@ early changes no exit code: the job's code stands and nothing goes to
 stderr.  Output is byte-deterministic for a given job; timing is opt-in
 via --timing so the default report stays stable.
 """
-
-from __future__ import annotations
 
 import functools
 import json
@@ -76,9 +76,6 @@ REPORT_DIGITS_CAP = 4000
 _TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
 # most spaces that load_space keeps built, the least recently used dropped
 SPACES_KEPT = 32
-# integer options that count something: negative values are bad input
-COUNT_OPTIONS = ("power", "size", "copies", "dual_copies", "max_degree", "m",
-                 "n")
 
 
 class InputError(ValueError):
@@ -125,8 +122,11 @@ def _space(spec, text):
 def _coordinate(text):
     """Fraction(text), refused before it is built when it has more than
     WEIGHT_DIGITS_CAP digits, the value of its exponent included.  An
-    underscore between two digits is read on Python 3.10 too, as Fraction
-    reads it from 3.11 on; an error names the text as it was given."""
+    underscore between two digits is taken out first, so Python 3.10 reads
+    it as Fraction does from 3.11 on.  Every text that Fraction refuses
+    gets one error line, which names the text as it was given: Fraction's
+    own message differs by version (3.11 and 3.12 read a letter d after
+    the point, then fail in int())."""
     mantissa, _, exponent = text.lower().partition("e")
     shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
     size = sum(c.isdecimal() for c in mantissa)
@@ -138,11 +138,11 @@ def _coordinate(text):
                          f"{WEIGHT_DIGITS_CAP} digits, its exponent "
                          "included")
     try:
-        try:
-            return Fraction(_DIGIT_UNDERSCORE.sub("", text))
-        except ValueError:
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(_DIGIT_UNDERSCORE.sub("", text))
+    except ValueError as exc:
+        raise InputError("bad weight coordinate: Invalid literal for "
+                         f"Fraction: {text!r}") from exc
+    except ZeroDivisionError as exc:
         raise InputError(f"bad weight coordinate: {exc}") from exc
 
 
@@ -224,20 +224,15 @@ def make_report(args, results, ok):
 
 
 def check_counts(args):
-    """Refuse a negative count, a count of copies of V or of its dual
-    below 1 (except tableaux's --copies, where 0 leaves out dim_glN), and
-    glq-check without a basis vector: each would report a check that
+    """Refuse a count below the least value that its option's SUBCOMMANDS
+    entry states, in the table's order: a negative count, or no copy of V
+    or of its dual where a check needs one, would report a check that
     tested no relation."""
-    for name in COUNT_OPTIONS:
-        value = getattr(args, name, None)
-        least = int(name in ("copies", "dual_copies")
-                    and args.command != "tableaux")
-        if value is not None and value < least:
-            raise InputError(f"--{name.replace('_', '-')} must be at least "
-                             f"{least}, got {value}")
-    if args.command == "glq-check" and args.m + args.n < 1:
-        raise InputError(f"--m + --n must be at least 1, got "
-                         f"{args.m + args.n}")
+    for flag, (_, _, _, *least) in SUBCOMMANDS[args.command][1].items():
+        value = getattr(args, _dest(flag))
+        if least and value < least[0]:
+            raise InputError(f"{flag} must be at least {least[0]}, got "
+                             f"{value}")
 
 
 # -- subcommand handlers: each returns (results, ok) ---------------------------
@@ -356,28 +351,29 @@ def cmd_presets(args):
 REQUIRED = object()  # the default of an option that has to be given
 _SPACE = (str, REQUIRED, "a preset like super(2|1), or a JSON space file")
 _WEIGHT = (str, REQUIRED, "the coordinates, comma separated")
-_COPIES = (int, REQUIRED, "copies of V")
-_DEGREE = (int, 2, "the highest degree")
-# subcommand -> (help, {option: (kind, default, help)}), with kind int, str
-# or the tuple of its choices, and default REQUIRED when it has to be given
+_COPIES = (int, REQUIRED, "copies of V", 1)
+_DEGREE = (int, 2, "the highest degree", 0)
+# subcommand -> (help, {option: (kind, default, help[, least])}), with kind
+# int, str or the tuple of its choices, default REQUIRED when it has to be
+# given, and least the smallest value of an option that counts something
 SUBCOMMANDS = {
     "verify": ("run the invariant suites", {
         "--space": _SPACE,
         "--level": (("quick", "full"), "full", "the suites to run"),
         "--seed": (int, 0, "seed of the sampled checks")}),
     "schur-weyl": ("decomposition of V^r", {
-        "--space": _SPACE, "--power": (int, REQUIRED, "the power r")}),
+        "--space": _SPACE, "--power": (int, REQUIRED, "the power r", 0)}),
     "howe-sweep": ("Fock space dimension sweep against the module sum", {
         "--space": _SPACE, "--copies": _COPIES,
-        "--max-degree": (int, REQUIRED, _DEGREE[2])}),
+        "--max-degree": (int, REQUIRED, _DEGREE[2], 0)}),
     "fft-check": ("invariant dimensions and z-span verification", {
         "--space": _SPACE, "--copies": _COPIES, "--max-degree": _DEGREE,
-        "--dual-copies": (int, REQUIRED, "copies of the dual of V")}),
+        "--dual-copies": (int, REQUIRED, "copies of the dual of V", 1)}),
     "glq-check": ("gl_q(m|n) relation families", {
-        "--m": (int, REQUIRED, "the even dimension"),
-        "--n": (int, REQUIRED, "the odd dimension"),
-        "--copies": (int, 1, _COPIES[2]),
-        "--max-degree": (int, 4, _DEGREE[2])}),
+        "--m": (int, REQUIRED, "the even dimension", 0),
+        "--n": (int, REQUIRED, "the odd dimension", 0),
+        "--copies": (int, 1, _COPIES[2], 1),
+        "--max-degree": (int, 4, _DEGREE[2], 0)}),
     "typicality": ("chi(lambda) and typicality",
                    {"--space": _SPACE, "--weight": _WEIGHT}),
     "kac-dim": ("dimension of the Kac module",
@@ -392,8 +388,9 @@ SUBCOMMANDS = {
         "--space": _SPACE, "--weight": _WEIGHT,
         "--depth": (int, None, "the last level, all by default")}),
     "tableaux": ("hook tableaux table", {
-        "--space": _SPACE, "--size": (int, REQUIRED, "the number of boxes"),
-        "--copies": (int, 0, "copies of V for dim_glN, 0 for none"),
+        "--space": _SPACE,
+        "--size": (int, REQUIRED, "the number of boxes", 0),
+        "--copies": (int, 0, "copies of V for dim_glN, 0 for none", 0),
         # the report is its rows alone, so TSV loses nothing of it
         "--format": (("json", "tsv"), "json", "the report's format")}),
     "glvv": ("Howe duality for a pair of spaces", {
@@ -467,7 +464,7 @@ def _argparse(argv):
         parser = add(description=about, **names, formatter_class=(
             functools.partial(argparse.HelpFormatter, width=sys.maxsize)))
         parser._negative_number_matcher = _NEGATIVE
-        for flag, (kind, default, what) in options.items():
+        for flag, (kind, default, what, *_) in options.items():
             if kind is bool:
                 parser.add_argument(flag, action="store_true", help=what)
             else:

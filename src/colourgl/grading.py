@@ -37,8 +37,6 @@ factors here, the report records of reps and the sparse containers of
 gl.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import count, repeat
 from operator import add, attrgetter, getitem, mul, neg, sub

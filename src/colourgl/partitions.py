@@ -30,8 +30,6 @@ A caller that already holds canonical shapes, as the shapes of
 hook_partitions are, calls the kernels.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial, prod
 

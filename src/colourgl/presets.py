@@ -9,8 +9,6 @@ Names accepted by the CLI:
     green(n)        Z^n with omega(a,b) = (-1)^(sum a_i b_i)
 """
 
-from __future__ import annotations
-
 import re
 
 from .gl import GradedSpace, check_dimension

@@ -28,8 +28,6 @@ UnitarisableVerdict and GramReport hold exact values, and the CLI turns
 them into text.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

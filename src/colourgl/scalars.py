@@ -28,8 +28,6 @@ meaning (-1)^s q^e, and Scalar.from_laurent turns an integer Laurent
 polynomial {e: c} into a Scalar.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import gcd, lcm

@@ -42,8 +42,6 @@ words of V^(tensor r), for schur_weyl_table and reps.casimir_defect,
 decided from r and the bits of dim V before the power is formed.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -17,6 +17,9 @@ fock-module and dual-pair compare the integer walk of weyl, dual-pair
 against the abstract brackets of gl._bracket_ints.  A Scalar still
 enters in scalar-field, which tests Scalar arithmetic itself, and in
 forms-roots (bracket, the supertrace form and Fraction root data).
+forms-roots leaves out gl.pbw_dimension_nilradical: 2^(M+ M-) is a
+closed form, and the count of square-free words it stands for equals it
+by the binomial theorem, so no check of it could fail.
 
 jacobi-skew checks skew symmetry on all dim V ** 4 ordered pairs of
 matrix units, at either level, so run_verification refuses a space past
@@ -34,15 +37,13 @@ lists the images of each v over the monomials once, and takes each
 product u v once per pair.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction
 
 from .gl import (GlElement, ResourceBoundExceeded, _add_ints, _bracket_ints,
                  bilinear_form, bracket, positive_roots, rho, supertrace,
-                 pbw_dimension_nilradical, weight_inner)
+                 weight_inner)
 from .grading import _degree
 from .scalars import Scalar
 from .tensor import _act, _swap
@@ -238,7 +239,6 @@ def suite_forms(space, rng, samples):
     if len(even) != mp * (mp - 1) // 2 + mm * (mm - 1) // 2 or \
             len(odd) != mp * mm:
         return False, "positive root counts wrong"
-    pbw_dimension_nilradical(space)
     return True, f"{samples} random triples + root data"
 
 

@@ -82,8 +82,6 @@ invariant_generators_check, form.  fft_check applies all of fft-check's
 bounds before the first degree is computed.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cached_property, lru_cache
 from math import comb, prod
@@ -306,9 +304,9 @@ def _filtration_bound(space, copies):
 
 
 def require_dimension(space, job):
-    """Refuse dim V = 0 for a job that checks relations on V (verify and
-    fft-check): with no basis vector, each of its checks passes on
-    nothing."""
+    """Refuse dim V = 0 for a job that checks relations on V (verify,
+    fft-check and glq-check): with no basis vector, each of its checks
+    passes on nothing."""
     if space.dim == 0:
         raise ValueError(f"{job} needs a space of dimension at least 1; "
                          "this one has dim V = 0")
@@ -785,11 +783,14 @@ def glq_relations_check(m, n, copies, max_degree=4):
     table, so the check does not take the table it tests on trust.  It
     forms 3 commutators per pair i <= j of the m + n indices and pair of
     copies, and is refused before it starts past COMMUTATOR_CAP; the sweep
-    runs first, so its MONOMIAL_CAP too refuses before any commutator."""
+    runs first, so its MONOMIAL_CAP too refuses before any commutator.
+    gl_q(0|0) is refused by require_dimension, as verify and fft-check
+    refuse an empty space."""
     ResourceBoundExceeded.check(
         "glq-check", comb(m + n + 1, 2) * copies ** 2 * 3, COMMUTATOR_CAP,
         "commutators")
     space = glq_space(m, n)
+    require_dimension(space, "glq-check")
     sweep = howe_dimension_sweep(space, copies, max_degree)
     alg = fock_algebra(space, copies)
     products = {}

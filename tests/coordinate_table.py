@@ -1,9 +1,11 @@
 """Weight coordinates with PEP 515 underscores, valid and not, and how
 cli._coordinate reads each: a Fraction, or the error line.  The readings
 are the same on every Python that colourgl supports; Fraction reads an
-underscore between two digits itself only from 3.11 on.  tests/test_cli.py
-checks the table under pytest.  To check it on an interpreter that has no
-pytest, run
+underscore between two digits itself only from 3.11 on, and on 3.11 and
+3.12 its pattern reads a run of the letter d after the point (a `d*` in
+place of a run of digits), so that its own error for 2.d comes from int()
+there.  tests/test_cli.py checks the table under pytest.  To check it on
+an interpreter that has no pytest, run
 
     PYTHONPATH=src python tests/coordinate_table.py
 
@@ -44,6 +46,11 @@ COORDINATES = [
     ("1/_2", BAD + "'1/_2'"),
     ("1_0x", BAD + "'1_0x'"),
     ("1_0/2_", BAD + "'1_0/2_'"),
+    # a letter d after the point, or alone
+    ("2.d", BAD + "'2.d'"),
+    ("2.dd", BAD + "'2.dd'"),
+    ("1.d5", BAD + "'1.d5'"),
+    ("d", BAD + "'d'"),
 ]
 
 

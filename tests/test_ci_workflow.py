@@ -3,7 +3,9 @@ gate runs every workload of BENCHMARK.json.  The workflow runs only on
 the hosted runners, so a renamed script or test, or a workload left out
 of the gate, would otherwise first show there; here it fails in the
 tier-1 suite.  The run commands are read with regular expressions, both
-the one-line `run: cmd` form and the lines of a `run: |` block."""
+the one-line `run: cmd` form and the lines of a `run: |` block.  The
+stdlib-only pool replay and coordinate table run on every matrix
+version: their steps have no `if:`."""
 
 import itertools
 import json
@@ -109,3 +111,11 @@ def test_the_stdlib_replay_runs_on_every_matrix_version():
              if "tests/replay_pool.py" in s]
     assert "if:" not in step
     assert "PYTHONHASHSEED" in step
+
+
+def test_the_stdlib_coordinate_table_runs_on_every_matrix_version():
+    # Fraction's reading of a weight coordinate differs by version, so the
+    # table of _coordinate's readings runs under every version too
+    step, = [s for s in steps(WORKFLOW.read_text())
+             if "tests/coordinate_table.py" in s]
+    assert "if:" not in step

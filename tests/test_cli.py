@@ -113,38 +113,50 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
                          "--weight", "1/0,2")
     assert code == 2 and "bad weight coordinate" in doc["error"]
     # negative counts, fft-check, glq-check or howe-sweep without a copy,
-    # fft-check without a dual copy, and glq-check on an empty space are
-    # bad input
+    # and fft-check without a dual copy are bad input; the one bad count
+    # of each argv is its last two items
     for argv in (
             ("schur-weyl", "--space", "super(1|1)", "--power", "-1"),
             ("tableaux", "--space", "super(1|1)", "--size", "-1"),
             ("tableaux", "--space", "super(1|1)", "--size", "2",
              "--copies", "-1"),
-            ("howe-sweep", "--space", "super(1|1)", "--copies", "-1",
-             "--max-degree", "2"),
+            ("howe-sweep", "--space", "super(1|1)", "--max-degree", "2",
+             "--copies", "-1"),
             ("howe-sweep", "--space", "super(1|1)", "--copies", "1",
              "--max-degree", "-1"),
-            ("fft-check", "--space", "super(1|1)", "--copies", "-1",
-             "--dual-copies", "1"),
-            ("fft-check", "--space", "super(1|1)", "--copies", "0",
-             "--dual-copies", "1"),
+            ("fft-check", "--space", "super(1|1)", "--dual-copies", "1",
+             "--copies", "-1"),
+            ("fft-check", "--space", "super(1|1)", "--dual-copies", "1",
+             "--copies", "0"),
             ("fft-check", "--space", "super(1|1)", "--copies", "1",
              "--dual-copies", "-1"),
             ("fft-check", "--space", "super(1|1)", "--copies", "1",
              "--dual-copies", "0"),
-            ("howe-sweep", "--space", "super(1|1)", "--copies", "0",
-             "--max-degree", "2"),
-            ("glq-check", "--m", "-1", "--n", "1"),
+            ("howe-sweep", "--space", "super(1|1)", "--max-degree", "2",
+             "--copies", "0"),
+            ("glq-check", "--n", "1", "--m", "-1"),
             ("glq-check", "--m", "1", "--n", "-1"),
             ("glq-check", "--m", "1", "--n", "1", "--copies", "0"),
-            ("glq-check", "--m", "0", "--n", "0"),
             ("glvv", "--space", "super(1|1)", "--other-space", "super(1|1)",
              "--max-degree", "-1")):
         code, doc = run_json(capsys, *argv)
-        assert code == 2 and doc["kind"] == "error", argv
-        assert "must be at least" in doc["error"], argv
+        least = int(argv[-2] in ("--copies", "--dual-copies")
+                    and argv[0] != "tableaux")
+        assert (code, doc["kind"], doc["error"]) == (
+            2, "error", f"{argv[-2]} must be at least {least}, got "
+                        f"{argv[-1]}"), argv
+    # of several bad counts, the first in the order of the subcommand's
+    # options in cli.SUBCOMMANDS is reported
+    code, doc = run_json(capsys, "fft-check", "--space", "super(1|1)",
+                         "--copies", "1", "--dual-copies", "0",
+                         "--max-degree", "-1")
+    assert (code, doc["error"]) == (2, "--max-degree must be at least 0, "
+                                       "got -1")
+    code, doc = run_json(capsys, "glq-check", "--m", "-1", "--n", "0",
+                         "--copies", "0")
+    assert (code, doc["error"]) == (2, "--m must be at least 0, got -1")
     # a 0-dimensional space is refused before any suite or check runs:
-    # verify and fft-check would pass on no basis vector
+    # verify, fft-check and glq-check would pass on no basis vector
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({
         "factor": {"free_rank": 0, "torsion2_rank": 1,
@@ -157,6 +169,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
             code, doc = run_json(capsys, job[0], "--space", space, *job[1:])
             assert code == 2 and doc["kind"] == "error", (space, job)
             assert "dimension at least 1" in doc["error"], (space, job)
+    code, doc = run_json(capsys, "glq-check", "--m", "0", "--n", "0")
+    assert (code, doc["kind"], doc["error"]) == (
+        2, "error", "glq-check needs a space of dimension at least 1; this "
+                    "one has dim V = 0")
     # --copies 0 is the tableaux default: no dim_glN column
     code, doc = run_json(capsys, "tableaux", "--space", "super(1|1)",
                          "--size", "2", "--copies", "0")

@@ -1,5 +1,8 @@
 """No module of colourgl imports a name it never uses: a refactor that
-moves work elsewhere must take the imports it left behind with it.  No
+moves work elsewhere must take the imports it left behind with it.  A
+__future__ import counts as a name too: `annotations` is used only by a
+module that holds an annotation, and every other feature is in force on
+every Python that colourgl supports.  No
 private module-level function goes unreferenced in the package: a helper
 whose last caller moved away goes with it.  No module writes an f-string
 without a placeholder: a message meant to name its inputs that names none
@@ -17,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "colourgl"
 
 
@@ -25,23 +30,49 @@ def imported_names(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.asname or alias.name
+
+
+def used_names(tree):
+    """Every name tree reads, and `annotations` when it holds an
+    annotation, the one thing that the __future__ import of that name acts
+    on."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if any(getattr(node, "annotation", None) or getattr(node, "returns", None)
+           for node in ast.walk(tree)):
+        used.add("annotations")
+    return used
+
+
+def unused_imports(text):
+    tree = ast.parse(text)
+    used = used_names(tree)
+    return [name for name in imported_names(tree) if name not in used]
+
+
+@pytest.mark.parametrize("text, unused", [
+    ("from __future__ import annotations\nx = 1\n", ["annotations"]),
+    ("from __future__ import annotations\ndef f(a: int): pass\n", []),
+    ("from __future__ import annotations\ndef f() -> int: pass\n", []),
+    ("from __future__ import annotations\nx: int = 1\n", []),
+    ("from __future__ import division\n", ["division"]),
+    ("import os, re\nos.sep\n", ["re"])],
+    ids=["no-annotation", "argument", "return", "variable", "division",
+         "plain"])
+def test_an_import_is_unused_without_a_use(text, unused):
+    assert unused_imports(text) == unused
 
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        used = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-        for name in imported_names(tree):
+        for name in unused_imports(path.read_text()):
             # the package __init__ re-exports every public name it imports
             if path.name == "__init__.py" and not name.startswith("_"):
                 continue
-            if name not in used:
-                unused.append(f"{path.name}: {name}")
+            unused.append(f"{path.name}: {name}")
     assert not unused
 
 

@@ -12,7 +12,11 @@ are those of the public functions.  The Kac module takes the bracket of
 two matrix units from gl._unit_bracket.  Each process memo is owned by the
 code that fills it: an lru_cache on the one function it serves, bounded by
 its number of entries, or tensor's _Kept, bounded by summed sizes; a
-GradedSpace keeps none but its lazy omega table."""
+GradedSpace keeps none but its lazy omega table.  Each option of the CLI
+that counts something states its least value in its own SUBCOMMANDS
+entry, and cli.check_counts reads them there, naming no option itself.
+An empty space is refused by weyl.require_dimension alone, for verify,
+fft-check and glq-check."""
 
 import ast
 import inspect
@@ -197,3 +201,54 @@ def test_a_space_holds_its_fields_and_its_omega_table_only(capsys):
     assert set(vars(cli.load_space("super(1|1)"))) == {
         "factor", "components", "m_plus", "m_minus", "dim", "degrees",
         "parities", "_omega_pairs"}
+
+
+# (subcommand, option) -> the least value that cli.check_counts admits
+LEAST = {("schur-weyl", "--power"): 0,
+         ("howe-sweep", "--copies"): 1, ("howe-sweep", "--max-degree"): 0,
+         ("fft-check", "--copies"): 1, ("fft-check", "--max-degree"): 0,
+         ("fft-check", "--dual-copies"): 1,
+         ("glq-check", "--m"): 0, ("glq-check", "--n"): 0,
+         ("glq-check", "--copies"): 1, ("glq-check", "--max-degree"): 0,
+         ("tableaux", "--size"): 0, ("tableaux", "--copies"): 0,
+         ("glvv", "--max-degree"): 0}
+
+
+def test_each_count_states_its_least_value_in_the_table():
+    stated = {(command, flag): spec[3]
+              for command, (_, options) in cli.SUBCOMMANDS.items()
+              for flag, spec in options.items() if len(spec) > 3}
+    assert stated == LEAST
+    # the int options that count nothing: a seed, and gram's last level
+    assert {(command, flag)
+            for command, (_, options) in cli.SUBCOMMANDS.items()
+            for flag, spec in options.items()
+            if spec[0] is int and len(spec) == 3} == {
+        ("verify", "--seed"), ("gram", "--depth")}
+    # check_counts names no option and no subcommand: it reads the table
+    check, = [node for node in trees()["cli.py"].body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "check_counts"]
+    names = {command for command in cli.SUBCOMMANDS} | {
+        text for _, flag in LEAST for text in (flag, flag[2:],
+                                                cli._dest(flag))}
+    texts = {node.value for node in ast.walk(check)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    read = {node.attr for node in ast.walk(check)
+            if isinstance(node, ast.Attribute)}
+    assert not (texts | read) & names
+    assert [node.attr for node in ast.walk(check)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "args"] == ["command"]
+
+
+def test_an_empty_space_is_refused_by_require_dimension_alone():
+    found = sorted((module, where) for module, tree in trees().items()
+                   for where in calls_by_function(tree, "require_dimension"))
+    assert found == [("verify.py", "run_verification"),
+                     ("weyl.py", "fft_check"),
+                     ("weyl.py", "glq_relations_check")]
+    with pytest.raises(ValueError) as exc:
+        weyl.glq_relations_check(0, 0, 1)
+    assert str(exc.value) == ("glq-check needs a space of dimension at "
+                              "least 1; this one has dim V = 0")
