@@ -10,6 +10,8 @@ past WEIGHT_DIGITS_CAP digits (_coordinate), and a number of the report
 past REPORT_DIGITS_CAP digits (_printable, _too_long).  Every bound on a
 computation, the tensor power of schur-weyl and casimir included, is the
 library's, raised by gl.ResourceBoundExceeded.check; both kinds exit 2.
+_coordinate reads an integral weight coordinate as an int and any other
+as a Fraction, so the library's weight layer stays on ints for them.
 The rows of partitions.hook_table, which schur-weyl and tableaux both
 report, are written by _table_rows, and reps' UnitarisableVerdict and
 GramReport by _verdict_json and _gram_json.
@@ -120,13 +122,16 @@ def _space(spec, text):
 
 
 def _coordinate(text):
-    """Fraction(text), refused before it is built when it has more than
-    WEIGHT_DIGITS_CAP digits, the value of its exponent included.  An
-    underscore between two digits is taken out first, so Python 3.10 reads
-    it as Fraction does from 3.11 on.  Every text that Fraction refuses
-    gets one error line, which names the text as it was given: Fraction's
-    own message differs by version (3.11 and 3.12 read a letter d after
-    the point, then fail in int())."""
+    """The number text names: an int when int() reads it, Fraction(text)
+    otherwise, its numerator when that is integral, so that the weight
+    layer computes on ints wherever a coordinate is integral.  It is
+    refused before it is built when it has more than WEIGHT_DIGITS_CAP
+    digits, the value of its exponent included.  An underscore between two
+    digits is taken out first, so Python 3.10 reads it as Fraction does
+    from 3.11 on.  Every text that Fraction refuses gets one error line,
+    which names the text as it was given: Fraction's own message differs
+    by version (3.11 and 3.12 read a letter d after the point, then fail
+    in int())."""
     mantissa, _, exponent = text.lower().partition("e")
     shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
     size = sum(c.isdecimal() for c in mantissa)
@@ -137,13 +142,19 @@ def _coordinate(text):
         raise InputError(f"a weight coordinate has more than "
                          f"{WEIGHT_DIGITS_CAP} digits, its exponent "
                          "included")
+    plain = _DIGIT_UNDERSCORE.sub("", text)
     try:
-        return Fraction(_DIGIT_UNDERSCORE.sub("", text))
+        return int(plain)
+    except ValueError:
+        pass
+    try:
+        value = Fraction(plain)
     except ValueError as exc:
         raise InputError("bad weight coordinate: Invalid literal for "
                          f"Fraction: {text!r}") from exc
     except ZeroDivisionError as exc:
         raise InputError(f"bad weight coordinate: {exc}") from exc
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_weight(text, dim):

@@ -10,8 +10,13 @@ operators across with the graded commutation relations.  The strings
 are one table, KacModule._strings, (f, lambda_f - lambda_{f+1}) per
 parity block f, f+1 of size 2, which the string lengths n_plus and
 n_minus, weight, _act_l0 and _l0_norm read.  Gram blocks and their
-inertia run on ints after one positive rescaling; Fractions enter only
-where lambda has a non-integral coordinate.  The decomposition
+inertia run on ints after one positive rescaling.  A weight is read by
+_as_weight: an integral coordinate as an int, any other as a Fraction,
+so Fractions enter only where lambda has a non-integral coordinate.  rho
+enters only through integers, (lambda + rho, eps_i - eps_rbar) by
+_odd_root and 2 rho by casimir_eigenvalue; chi, the Casimir eigenvalue,
+the dual weight and the numbers of a certificate are Fractions, each
+converted once where it is returned.  The decomposition
 lambda = a*E + mu# - b*E+ is stated once, in _decompose, for both
 branches of classify_unitarisable (b lifts
 a typical lambda_1 - a to an integer, and is 0 on an atypical weight)
@@ -33,7 +38,7 @@ import math
 from fractions import Fraction
 
 from .gl import (ResourceBoundExceeded, _add_ints, _add_into, _bracket_pair,
-                 _to_scalars, _unit_bracket, rho, weight_inner)
+                 _to_scalars, _unit_bracket)
 from .grading import _Record, _merge
 from .partitions import (_hook_shape, _in_hook, _sharp, _transpose,
                          check_partition)
@@ -69,11 +74,30 @@ def _weight_text(lam):
     return ",".join(map(str, lam))
 
 
+def _rational(x):
+    """A weight coordinate: an int as it is, anything else as Fraction(x),
+    its numerator when that is integral; a float is refused, as it is not
+    exact."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"not an int or a Fraction: {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _as_weight(space, lam):
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(map(_rational, lam))
     if len(lam) != space.dim:
         raise ValueError(f"weight needs {space.dim} coordinates")
     return lam
+
+
+def _odd_root(space, lam, i, rb):
+    """(lambda + rho, eps_i - eps_rbar) for the indices i < M+ <= rb of
+    lam, on the integer rho_i + rho_rbar = M+ - i - r + 1 of the 1-based
+    i and r, which is 2 M+ - i - rb - 1 for these 0-based indices."""
+    return lam[i] + lam[rb] + 2 * space.m_plus - i - rb - 1
 
 
 def _blocks(space, lam):
@@ -104,14 +128,13 @@ def is_finite_dimensional(space, lam):
 
 def typicality(space, lam):
     """(is_typical, chi) with chi = prod over odd positive roots of
-    (lambda + rho, eps_i - eps_rbar)."""
+    (lambda + rho, eps_i - eps_rbar), each factor the integer form
+    lambda_i + lambda_rbar + M+ - i - r + 1 of _odd_root; chi is a
+    Fraction."""
     lam = _as_weight(space, lam)
-    r = rho(space)
-    shifted = tuple(x + y for x, y in zip(lam, r))
-    chi = Fraction(1)
-    for i in range(space.m_plus):
-        for rb in range(space.m_plus, space.dim):
-            chi *= shifted[i] + shifted[rb]
+    mp = space.m_plus
+    chi = Fraction(math.prod(_odd_root(space, lam, i, rb) for i in range(mp)
+                             for rb in range(mp, space.dim)))
     return chi != 0, chi
 
 
@@ -155,11 +178,15 @@ def kac_dimension_floors(space, lam):
 
 
 def casimir_eigenvalue(space, lam):
-    """(lambda + 2 rho, lambda) under the signed inner product."""
+    """(lambda + 2 rho, lambda) under the signed inner product, a Fraction.
+    2 rho is integral: M+ - M- - 2i + 1 on the even block and
+    M+ + M- - 2r + 1 on the odd block, for the 1-based i and r."""
     lam = _as_weight(space, lam)
-    r = rho(space)
-    shifted = tuple(x + 2 * y for x, y in zip(lam, r))
-    return weight_inner(space, shifted, lam)
+    mp, mm = space.m_plus, space.m_minus
+    plus, minus = _blocks(space, lam)
+    return Fraction(
+        sum((x + mp - mm - 2 * i - 1) * x for i, x in enumerate(plus)) -
+        sum((x + mp + mm - 2 * r - 1) * x for r, x in enumerate(minus)))
 
 
 def casimir_defect(space, lam):
@@ -181,7 +208,7 @@ def _casimir_defect(space, lam, terms):
     the a that are letters of the witness give a nonzero E_ba v, so a runs
     over those alone: |letters| dim V pairs, not dim V ** 2."""
     sharp = _sharp(lam, space.m_plus, space.m_minus)
-    value = casimir_eigenvalue(space, tuple(Fraction(c) for c in sharp))
+    value = casimir_eigenvalue(space, sharp)
     num, den = value.numerator, value.denominator
     pairs = space._omega_pairs
     out = {key: -num * n for key, n in terms.items()}
@@ -276,35 +303,34 @@ def classify_unitarisable(space, lam, star_type="I"):
         return UnitarisableVerdict(
             True, "I", "colour algebra: every dominant real weight works",
             {"branch": "colour"})
-    shifted = tuple(x + y for x, y in zip(lam, rho(space)))
     typical, chi = typicality(space, lam)
     if typical:
-        edge = shifted[mp - 1] + shifted[-1]
+        edge = _odd_root(space, lam, mp - 1, space.dim - 1)
         if edge <= 0:
             return UnitarisableVerdict(
                 False, "I",
                 "typical with (lambda+rho, eps_{M+}-eps_{M-bar}) <= 0",
-                {"edge": edge, "chi": chi})
+                {"edge": Fraction(edge), "chi": chi})
         top = lam[0] + lam[-1]
         b = math.ceil(top) - top
         reason = "typical with positive edge product"
         cert = {"branch": "typical", "chi": chi}
     else:
         ridx = next((ridx for ridx in range(mm)
-                     if shifted[mp - 1] + shifted[mp + ridx] == 0
+                     if _odd_root(space, lam, mp - 1, mp + ridx) == 0
                      and lam[mp + ridx] == lam[-1]), None)
         if ridx is None:
             return UnitarisableVerdict(
                 False, "I", "atypical with no admissible vanishing odd root",
                 {"chi": chi})
-        b = Fraction(0)
+        b = 0
         reason = f"atypical with vanishing root r={ridx + 1}"
         cert = {"branch": "atypical", "r": ridx + 1}
     a, mu = _decompose(space, lam, b)
     if mu is None:
         raise AssertionError(f"{cert['branch']} unitarisable weight "
                              f"{_weight_text(lam)} produced no partition")
-    cert.update(a=a, mu=mu, b=b)
+    cert.update(a=Fraction(a), mu=mu, b=Fraction(b))
     return UnitarisableVerdict(True, "I", reason, cert)
 
 
@@ -327,8 +353,8 @@ def dual_weight(space, lam):
     typical, _ = typicality(space, lam)
     if typical:
         plus, minus = _blocks(space, lam)
-        return tuple(mm - x for x in reversed(plus)) + \
-            tuple(-mp - x for x in reversed(minus))
+        return tuple(Fraction(mm - x) for x in reversed(plus)) + \
+            tuple(Fraction(-mp - x) for x in reversed(minus))
     a, mu = _decompose(space, lam, 0)
     if mu is None:
         raise DualWeightUnsupported(
@@ -342,7 +368,8 @@ def dual_weight(space, lam):
     rows = tuple(max(p - mm, 0) for p in mu[:mp])
     low = (rows + (0,) * (mp - len(rows)))[::-1] + \
         (cols + (0,) * (mm - len(cols)))[::-1]
-    return tuple(-a - x for x in low[:mp]) + tuple(a - x for x in low[mp:])
+    return tuple(Fraction(-a - x) for x in low[:mp]) + \
+        tuple(Fraction(a - x) for x in low[mp:])
 
 
 # -- the contravariant form on parabolically induced modules ------------------
@@ -362,12 +389,10 @@ class KacModule:
         if space.m_plus > 2 or space.m_minus > 2:
             raise UnsupportedSpace(
                 "gram machinery supports parity blocks of size <= 2")
-        lam = _dominant_weight(space, lam)
         self.space = space
-        # integral coordinates as ints, so that the action and the form
+        # integral coordinates are ints, so that the action and the form
         # stay on ints wherever lambda allows it
-        self.lam = tuple(x.numerator if x.denominator == 1 else x
-                         for x in lam)
+        self.lam = _dominant_weight(space, lam)
         mp, mm = space.m_plus, space.m_minus
         self.mp, self.mm = mp, mm
         self.pairs = [(i, rb) for i in range(mp)
@@ -636,4 +661,4 @@ def gram_report(space, lam, depth=None):
         verdict = "positive-semidefinite"
     else:
         verdict = "positive-definite"
-    return GramReport(tuple(_as_weight(space, lam)), depth, blocks, verdict)
+    return GramReport(module.lam, depth, blocks, verdict)

@@ -19,20 +19,66 @@ kac_pair_table is the (odd, om) that KacModule passed to _merge before it
 took both from CommutativeFactor._table over the degrees of its lowering
 pairs: every pair counted odd, and the pairs built from gl._bracket_pair.
 
-The helpers they call are unchanged and imported from the package."""
+_as_weight, is_finite_dimensional, typicality and casimir_eigenvalue as
+they were before reps kept integral coordinates on ints: every coordinate
+a Fraction, and rho entering as half-integral Fractions through gl.rho
+and gl.weight_inner.  The routines above call these copies, so that the
+oracles stay the parent's when the package's weight layer changes.
+
+The other helpers they call are unchanged and imported from the package."""
 
 import math
 from fractions import Fraction
 
-from colourgl.gl import _add_ints, _bracket_pair, _to_scalars, rho
+from colourgl.gl import (_add_ints, _bracket_pair, _to_scalars, rho,
+                         weight_inner)
 from colourgl.partitions import _sharp, _transpose, dim_glN
 from colourgl.reps import (DualWeightUnsupported, UnitarisableVerdict,
-                           UnsupportedFactor, _as_weight, _blocks,
-                           _sharp_to_partition, _weight_text,
-                           casimir_eigenvalue, is_finite_dimensional,
-                           typicality)
+                           UnsupportedFactor, _blocks, _sharp_to_partition,
+                           _weight_text)
 from colourgl.scalars import Scalar
 from colourgl.tensor import TensorVector, _act
+
+
+def _as_weight(space, lam):
+    lam = tuple(Fraction(x) for x in lam)
+    if len(lam) != space.dim:
+        raise ValueError(f"weight needs {space.dim} coordinates")
+    return lam
+
+
+def is_finite_dimensional(space, lam):
+    """Dominance: within each parity block, consecutive coordinate
+    differences are non-negative integers (the odd/even blocks are not
+    compared with each other)."""
+    lam = _as_weight(space, lam)
+    for block in _blocks(space, lam):
+        for x, y in zip(block, block[1:]):
+            d = x - y
+            if d < 0 or d.denominator != 1:
+                return False
+    return True
+
+
+def typicality(space, lam):
+    """(is_typical, chi) with chi = prod over odd positive roots of
+    (lambda + rho, eps_i - eps_rbar)."""
+    lam = _as_weight(space, lam)
+    r = rho(space)
+    shifted = tuple(x + y for x, y in zip(lam, r))
+    chi = Fraction(1)
+    for i in range(space.m_plus):
+        for rb in range(space.m_plus, space.dim):
+            chi *= shifted[i] + shifted[rb]
+    return chi != 0, chi
+
+
+def casimir_eigenvalue(space, lam):
+    """(lambda + 2 rho, lambda) under the signed inner product."""
+    lam = _as_weight(space, lam)
+    r = rho(space)
+    shifted = tuple(x + 2 * y for x, y in zip(lam, r))
+    return weight_inner(space, shifted, lam)
 
 
 def kac_dimension(space, lam):

@@ -13,7 +13,7 @@ import pytest
 
 from colourgl import cli, reps, weyl
 from colourgl.cli import main
-from coordinate_table import COORDINATES, reading
+from coordinate_table import COORDINATES, expected, reading, sweep
 from test_refusal_rule import run_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -775,8 +775,16 @@ def test_a_weight_coordinate_past_the_digit_bound_exits_2_fast(
                          ids=[text for text, _ in COORDINATES])
 def test_a_weight_coordinate_reads_alike_on_every_python(text, want):
     # Fraction reads PEP 515 underscores only from 3.11 on; 3.10 refused
-    # 1_0 with "Invalid literal for Fraction: '1_0'"
-    assert reading(text) == want
+    # 1_0 with "Invalid literal for Fraction: '1_0'".  The type counts
+    # too: an integral coordinate is an int, which the library computes on
+    assert reading(text) == expected(want)
+
+
+def test_int_and_fraction_read_every_short_text_alike():
+    # _coordinate returns int(text) where int() reads text, in place of
+    # the Fraction it made before: the two must never differ
+    count, wrong = sweep()
+    assert count == 41370 and wrong == []
 
 
 def test_a_weight_coordinate_at_the_digit_bound_is_read():
