@@ -25,6 +25,9 @@ reps.KacModule.act to a Kac module's basis.
 _dual_pair states the factor of E_ab on the dual space V* once, for
 tensor.dual_act and weyl's fft-check.  Weights live in the basis
 eps_0..eps_{dim-1} of h* with (eps_a, eps_b) = parity(g_a) delta_ab.
+rho is stated once, as the integral 2 rho of _two_rho: rho halves it, and
+reps reads it, so the forms-roots suite of verify checks the rho of every
+weight job.
 
 Every sparse container of the package (GlElement here; TensorVector,
 SymGroupElement, WeylElement and FockVector elsewhere) is a
@@ -444,11 +447,6 @@ def skew_defect(x, y):
 
 # -- weights ----------------------------------------------------------------
 
-def basis_weight(space, a):
-    """eps_a as a coordinate vector."""
-    return tuple(Fraction(int(i == a)) for i in range(space.dim))
-
-
 def weight_inner(space, lam, mu):
     """Signed inner product sum_a parity(a) lam_a mu_a on h*."""
     if len(lam) != space.dim or len(mu) != space.dim:
@@ -471,17 +469,19 @@ def positive_roots(space):
     return even, odd
 
 
-def rho(space):
-    """The half-sum rho = rho_0 - rho_1 in coordinates:
-    rho_i = (M+ - M- - 2i + 1)/2 on the even block (i = 1..M+),
-    rho_r = (M+ + M- - 2r + 1)/2 on the odd block (r = 1..M-)."""
+def _two_rho(space):
+    """2 rho, which is integral: M+ - M- - 2i + 1 on the even block
+    (i = 1..M+) and M+ + M- - 2r + 1 on the odd block (r = 1..M-).  The
+    one statement of rho: rho halves it, and reps reads it for typicality,
+    the classification and the Casimir eigenvalue."""
     mp, mm = space.m_plus, space.m_minus
-    coords = []
-    for i in range(1, mp + 1):
-        coords.append(Fraction(mp - mm - 2 * i + 1, 2))
-    for r in range(1, mm + 1):
-        coords.append(Fraction(mp + mm - 2 * r + 1, 2))
-    return tuple(coords)
+    return (*range(mp - mm - 1, -mp - mm - 1, -2),
+            *range(mp + mm - 1, mp - mm - 1, -2))
+
+
+def rho(space):
+    """The half-sum rho = rho_0 - rho_1 in coordinates, half of _two_rho."""
+    return tuple(Fraction(x, 2) for x in _two_rho(space))
 
 
 def weyl_orbit(space, lam):

@@ -292,12 +292,6 @@ class CommutativeFactor(_FrozenRecord):
         if any(any(row[k:]) for row in B):  # B skew: its rows >= k too
             raise ValueError("exp_form must vanish on torsion coordinates")
 
-    @classmethod
-    def trivial(cls, group):
-        r = group.rank
-        zero = tuple((0,) * r for _ in range(r))
-        return cls(group, zero, zero)
-
     def _pairings(self, a, b):
         group = self.group
         if (a.group is not group and a.group != group

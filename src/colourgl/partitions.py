@@ -40,16 +40,13 @@ COUNT_HOOK_KEPT = 1024
 SERIES_KEPT = 128
 
 
-def is_partition(parts):
-    parts = tuple(parts)
-    return all(isinstance(p, int) and p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 def check_partition(parts):
     """The canonical tuple of a partition given as ints, trailing zeros
     dropped; any other input, an interior zero or a part that is not an
-    int included, is a ValueError."""
+    int included, is a ValueError.  Each part is checked once: its type,
+    then its order against the next part.  With the trailing zeros
+    dropped, a weakly decreasing tuple is positive when its last part is
+    not negative."""
     parts = tuple(parts)
     if not all(isinstance(p, int) for p in parts):
         raise ValueError(f"{parts} is not a partition")
@@ -57,7 +54,7 @@ def check_partition(parts):
     while end and not parts[end - 1]:
         end -= 1
     lam = tuple(map(int, parts[:end]))
-    if not is_partition(lam):
+    if lam and lam[-1] < 0 or any(x < y for x, y in zip(lam, lam[1:])):
         raise ValueError(f"{lam} is not a partition")
     return lam
 

@@ -8,15 +8,21 @@ degrees g_rb - g_i of the lowering pairs, over explicit sl2 strings per
 parity block) and computes Gram matrices by moving *-conjugated
 operators across with the graded commutation relations.  The strings
 are one table, KacModule._strings, (f, lambda_f - lambda_{f+1}) per
-parity block f, f+1 of size 2, which the string lengths n_plus and
-n_minus, weight, _act_l0 and _l0_norm read.  Gram blocks and their
-inertia run on ints after one positive rescaling.  A weight is read by
-_as_weight: an integral coordinate as an int, any other as a Fraction,
-so Fractions enter only where lambda has a non-integral coordinate.  rho
-enters only through integers, (lambda + rho, eps_i - eps_rbar) by
-_odd_root and 2 rho by casimir_eigenvalue; chi, the Casimir eigenvalue,
-the dual weight and the numbers of a certificate are Fractions, each
-converted once where it is returned.  The decomposition
+parity block f, f+1 of size 2, the difference an int, which the string
+lengths n_plus and n_minus, weight, _act_l0 and _l0_norm read.  Gram
+blocks and their inertia run on ints after one positive rescaling.
+
+Each public weight function reads its weight once, by _as_weight: an
+integral coordinate as an int, any other as a Fraction, so Fractions
+enter only where lambda has a non-integral coordinate.  It then runs
+private kernels on that tuple, as partitions does for shapes: _dominant,
+_chi, _casimir and _dual_weight, which call no public weight function.
+Type II classifies lambda* through one more _as_weight, lambda* being
+another weight.  rho enters only through gl._two_rho, the integral 2 rho,
+taken once per call: (lambda + rho, eps_i - eps_rbar) by _odd_root and
+the Casimir eigenvalue by _casimir.  chi, the Casimir eigenvalue, the dual
+weight and the numbers of a certificate are Fractions, each converted
+once where it is returned.  The decomposition
 lambda = a*E + mu# - b*E+ is stated once, in _decompose, for both
 branches of classify_unitarisable (b lifts
 a typical lambda_1 - a to an integer, and is 0 on an atypical weight)
@@ -38,7 +44,7 @@ import math
 from fractions import Fraction
 
 from .gl import (ResourceBoundExceeded, _add_ints, _add_into, _bracket_pair,
-                 _to_scalars, _unit_bracket)
+                 _to_scalars, _two_rho, _unit_bracket)
 from .grading import _Record, _merge
 from .partitions import (_hook_shape, _in_hook, _sharp, _transpose,
                          check_partition)
@@ -93,11 +99,11 @@ def _as_weight(space, lam):
     return lam
 
 
-def _odd_root(space, lam, i, rb):
+def _odd_root(lam, two_rho, i, rb):
     """(lambda + rho, eps_i - eps_rbar) for the indices i < M+ <= rb of
-    lam, on the integer rho_i + rho_rbar = M+ - i - r + 1 of the 1-based
-    i and r, which is 2 M+ - i - rb - 1 for these 0-based indices."""
-    return lam[i] + lam[rb] + 2 * space.m_plus - i - rb - 1
+    lam, with the integer rho_i + rho_rbar halved from two_rho, the
+    space's gl._two_rho."""
+    return lam[i] + lam[rb] + (two_rho[i] + two_rho[rb]) // 2
 
 
 def _blocks(space, lam):
@@ -108,7 +114,7 @@ def _blocks(space, lam):
 def _dominant_weight(space, lam):
     """lam as a weight of space; a ValueError when it is not dominant."""
     lam = _as_weight(space, lam)
-    if not is_finite_dimensional(space, lam):
+    if not _dominant(space, lam):
         raise ValueError(f"{_weight_text(lam)} is not dominant")
     return lam
 
@@ -117,7 +123,10 @@ def is_finite_dimensional(space, lam):
     """Dominance: within each parity block, consecutive coordinate
     differences are non-negative integers (the odd/even blocks are not
     compared with each other)."""
-    lam = _as_weight(space, lam)
+    return _dominant(space, _as_weight(space, lam))
+
+
+def _dominant(space, lam):
     for block in _blocks(space, lam):
         for x, y in zip(block, block[1:]):
             d = x - y
@@ -128,14 +137,17 @@ def is_finite_dimensional(space, lam):
 
 def typicality(space, lam):
     """(is_typical, chi) with chi = prod over odd positive roots of
-    (lambda + rho, eps_i - eps_rbar), each factor the integer form
-    lambda_i + lambda_rbar + M+ - i - r + 1 of _odd_root; chi is a
-    Fraction."""
-    lam = _as_weight(space, lam)
-    mp = space.m_plus
-    chi = Fraction(math.prod(_odd_root(space, lam, i, rb) for i in range(mp)
-                             for rb in range(mp, space.dim)))
+    (lambda + rho, eps_i - eps_rbar), each factor taken by _odd_root; chi
+    is a Fraction."""
+    chi = _chi(space, _as_weight(space, lam), _two_rho(space))
     return chi != 0, chi
+
+
+def _chi(space, lam, two_rho):
+    mp = space.m_plus
+    return Fraction(math.prod(_odd_root(lam, two_rho, i, rb)
+                              for i in range(mp)
+                              for rb in range(mp, space.dim)))
 
 
 def kac_dimension(space, lam):
@@ -178,15 +190,14 @@ def kac_dimension_floors(space, lam):
 
 
 def casimir_eigenvalue(space, lam):
-    """(lambda + 2 rho, lambda) under the signed inner product, a Fraction.
-    2 rho is integral: M+ - M- - 2i + 1 on the even block and
-    M+ + M- - 2r + 1 on the odd block, for the 1-based i and r."""
-    lam = _as_weight(space, lam)
-    mp, mm = space.m_plus, space.m_minus
-    plus, minus = _blocks(space, lam)
-    return Fraction(
-        sum((x + mp - mm - 2 * i - 1) * x for i, x in enumerate(plus)) -
-        sum((x + mp + mm - 2 * r - 1) * x for r, x in enumerate(minus)))
+    """(lambda + 2 rho, lambda) under the signed inner product, a Fraction,
+    on the integral 2 rho of gl._two_rho."""
+    return _casimir(space, _as_weight(space, lam))
+
+
+def _casimir(space, lam):
+    return Fraction(sum(s * (x + t) * x for s, x, t in zip(
+        space.parities, lam, _two_rho(space))))
 
 
 def casimir_defect(space, lam):
@@ -207,8 +218,7 @@ def _casimir_defect(space, lam, terms):
     E_ab E_ba applied by tensor._act, then divided by D as Scalars.  Only
     the a that are letters of the witness give a nonzero E_ba v, so a runs
     over those alone: |letters| dim V pairs, not dim V ** 2."""
-    sharp = _sharp(lam, space.m_plus, space.m_minus)
-    value = casimir_eigenvalue(space, sharp)
+    value = _casimir(space, _sharp(lam, space.m_plus, space.m_minus))
     num, den = value.numerator, value.denominator
     pairs = space._omega_pairs
     out = {key: -num * n for key, n in terms.items()}
@@ -289,23 +299,25 @@ def classify_unitarisable(space, lam, star_type="I"):
         raise ValueError(f"unknown *-structure type {star_type!r}")
     lam = _as_weight(space, lam)
     if star_type == "II":
-        dual = dual_weight(space, lam)
+        # lambda* is another weight, read by one more _as_weight
+        dual = _dual_weight(space, lam)
         inner = classify_unitarisable(space, dual, "I")
         cert = dict(inner.certificate)
         cert["dual_weight"] = dual
         return UnitarisableVerdict(inner.unitarisable, "II",
                                    f"dual weight: {inner.reason}", cert)
 
-    if not is_finite_dimensional(space, lam):
+    if not _dominant(space, lam):
         return UnitarisableVerdict(False, "I", "weight is not dominant")
     mp, mm = space.m_plus, space.m_minus
     if mp == 0 or mm == 0:
         return UnitarisableVerdict(
             True, "I", "colour algebra: every dominant real weight works",
             {"branch": "colour"})
-    typical, chi = typicality(space, lam)
-    if typical:
-        edge = _odd_root(space, lam, mp - 1, space.dim - 1)
+    two_rho = _two_rho(space)
+    chi = _chi(space, lam, two_rho)
+    if chi:
+        edge = _odd_root(lam, two_rho, mp - 1, space.dim - 1)
         if edge <= 0:
             return UnitarisableVerdict(
                 False, "I",
@@ -317,7 +329,7 @@ def classify_unitarisable(space, lam, star_type="I"):
         cert = {"branch": "typical", "chi": chi}
     else:
         ridx = next((ridx for ridx in range(mm)
-                     if _odd_root(space, lam, mp - 1, mp + ridx) == 0
+                     if _odd_root(lam, two_rho, mp - 1, mp + ridx) == 0
                      and lam[mp + ridx] == lam[-1]), None)
         if ridx is None:
             return UnitarisableVerdict(
@@ -346,12 +358,14 @@ def dual_weight(space, lam):
     hs_mu(x/y) = hs_mu'(y/x) (Berele-Regev), so its lowest weight is mu'#
     for the Borel with the odd block first, reversed within each block.
     Anything else raises DualWeightUnsupported."""
-    lam = _as_weight(space, lam)
-    if not is_finite_dimensional(space, lam):
+    return _dual_weight(space, _as_weight(space, lam))
+
+
+def _dual_weight(space, lam):
+    if not _dominant(space, lam):
         raise DualWeightUnsupported(f"{_weight_text(lam)} is not dominant")
     mp, mm = space.m_plus, space.m_minus
-    typical, _ = typicality(space, lam)
-    if typical:
+    if _chi(space, lam, _two_rho(space)):
         plus, minus = _blocks(space, lam)
         return tuple(Fraction(mm - x) for x in reversed(plus)) + \
             tuple(Fraction(-mp - x) for x in reversed(minus))
@@ -398,16 +412,16 @@ class KacModule:
         self.pairs = [(i, rb) for i in range(mp)
                       for rb in range(mp, space.dim)]
         # the sl2 string of each parity block, even then odd: (f, d) with
-        # d = lambda_f - lambda_{f+1} for a block f, f+1 of size 2, None
-        # for a block of size 0 or 1, whose string has length 1.  Position
-        # k = 0..d along it has weight lambda - k (eps_f - eps_{f+1}),
-        # E_{f,f+1} takes it to k - 1 with coefficient k (d - k + 1), and
-        # E_{f+1,f} to k + 1 with coefficient 1
-        self._strings = tuple((f, self.lam[f] - self.lam[f + 1])
+        # d = lambda_f - lambda_{f+1}, an int as lambda is dominant, for a
+        # block f, f+1 of size 2, None for a block of size 0 or 1, whose
+        # string has length 1.  Position k = 0..d along it has weight
+        # lambda - k (eps_f - eps_{f+1}), E_{f,f+1} takes it to k - 1 with
+        # coefficient k (d - k + 1), and E_{f+1,f} to k + 1 with
+        # coefficient 1
+        self._strings = tuple((f, int(self.lam[f] - self.lam[f + 1]))
                               if size == 2 else None
                               for f, size in ((0, mp), (mp, mm)))
-        self.n_plus, self.n_minus = (1 if string is None else
-                                     int(string[1]) + 1
+        self.n_plus, self.n_minus = (1 if string is None else string[1] + 1
                                      for string in self._strings)
         size = 2 ** len(self.pairs) * self.n_plus * self.n_minus
         ResourceBoundExceeded.check("the Kac module", size, GRAM_BASIS_CAP)
@@ -569,11 +583,6 @@ class GramReport(_Record):
     @property
     def unitarisable(self):
         return self.verdict != "indefinite"
-
-    @property
-    def degenerate(self):
-        """True iff some Gram block has a nontrivial radical."""
-        return any(inertia[2] for _, _, _, inertia in self.blocks)
 
 
 def symmetric_inertia(mat):

@@ -213,13 +213,9 @@ def gl_act_tensor(x, v):
     return TensorVector(v.space, v.power, terms)
 
 
-def seed_word(space, lam):
+def _seed_word(space, lam):
     """The canonical filling: row i <= M+ gets b_i repeated lambda_i times,
     each lower row gets the leading odd vectors b_1bar, b_2bar, ..."""
-    return _seed_word(space, check_partition(lam))
-
-
-def _seed_word(space, lam):
     mp = space.m_plus
     word = []
     for i, part in enumerate(lam):

@@ -16,7 +16,13 @@ casimir jobs run) with sigma_i (tensor._swap) on integer terms, and
 fock-module and dual-pair compare the integer walk of weyl, dual-pair
 against the abstract brackets of gl._bracket_ints.  A Scalar still
 enters in scalar-field, which tests Scalar arithmetic itself, and in
-forms-roots (bracket, the supertrace form and Fraction root data).
+forms-roots (bracket and the supertrace form).  forms-roots checks
+gl.rho on the roots of gl.positive_roots: (rho, eps_i - eps_sbar) on each
+odd root, and rho against its definition, half the sum of the even
+positive roots less half that of the odd ones.  gl.rho halves
+gl._two_rho, the 2 rho that typicality, the classification and the
+Casimir eigenvalue of reps read, so this checks the rho of every weight
+job.
 forms-roots leaves out gl.pbw_dimension_nilradical: 2^(M+ M-) is a
 closed form, and the count of square-free words it stands for equals it
 by the binomial theorem, so no check of it could fail.
@@ -39,7 +45,6 @@ product u v once per pair.
 
 import itertools
 import random
-from fractions import Fraction
 
 from .gl import (GlElement, ResourceBoundExceeded, _add_ints, _bracket_ints,
                  bilinear_form, bracket, positive_roots, rho, supertrace,
@@ -228,17 +233,21 @@ def suite_forms(space, rng, samples):
             return False, "supertrace of a bracket is nonzero"
     mp, mm = space.m_plus, space.m_minus
     r = rho(space)
-    for i in range(1, mp + 1):
-        for s in range(1, mm + 1):
-            root = tuple(
-                Fraction(int(a == i - 1)) - Fraction(int(a == mp + s - 1))
-                for a in range(space.dim))
-            if weight_inner(space, r, root) != mp - s - i + 1:
-                return False, f"(rho, eps_{i}-eps_{s}bar) wrong"
     even, odd = positive_roots(space)
+    for root in odd:
+        # eps_i - eps_sbar, for the 1-based i <= M+ and s <= M-
+        i, s = root.index(1) + 1, root.index(-1) - mp + 1
+        if weight_inner(space, r, root) != mp - s - i + 1:
+            return False, f"(rho, eps_{i}-eps_{s}bar) wrong"
     if len(even) != mp * (mp - 1) // 2 + mm * (mm - 1) // 2 or \
             len(odd) != mp * mm:
         return False, "positive root counts wrong"
+    # rho = rho_0 - rho_1, the half-sums of the even and the odd positive
+    # roots: this pins every coordinate, where the pairings above leave a
+    # shift by c on the even block and -c on the odd one free
+    if any(2 * x != sum(e[a] for e in even) - sum(o[a] for o in odd)
+           for a, x in enumerate(r)):
+        return False, "rho is not the half-sum rho_0 - rho_1"
     return True, f"{samples} random triples + root data"
 
 

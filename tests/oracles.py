@@ -10,8 +10,9 @@ and the split of an operator into its homogeneous parts.
 """
 
 import itertools
+from fractions import Fraction
 
-from colourgl.gl import GlElement, basis_weight
+from colourgl.gl import GlElement
 from colourgl.partitions import check_partition
 from colourgl.scalars import ONE, ZERO
 from colourgl.tensor import SymGroupElement, _rows_and_columns
@@ -94,7 +95,7 @@ def dual_pairing(wbar, v):
 
 def dual_weight_vector(space, a):
     """The weight of ebar_a, namely -eps_a."""
-    return tuple(-x for x in basis_weight(space, a))
+    return tuple(-Fraction(int(i == a)) for i in range(space.dim))
 
 
 def homogeneous_parts(x):

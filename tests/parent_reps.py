@@ -21,8 +21,10 @@ pairs: every pair counted odd, and the pairs built from gl._bracket_pair.
 
 _as_weight, is_finite_dimensional, typicality and casimir_eigenvalue as
 they were before reps kept integral coordinates on ints: every coordinate
-a Fraction, and rho entering as half-integral Fractions through gl.rho
-and gl.weight_inner.  The routines above call these copies, so that the
+a Fraction, and rho entering as half-integral Fractions through rho and
+gl.weight_inner.  rho as gl had it before it halved gl._two_rho, the one
+statement of 2 rho that the package's weight layer reads: the coordinates
+written out one by one.  The routines above call these copies, so that the
 oracles stay the parent's when the package's weight layer changes.
 
 The other helpers they call are unchanged and imported from the package."""
@@ -30,14 +32,26 @@ The other helpers they call are unchanged and imported from the package."""
 import math
 from fractions import Fraction
 
-from colourgl.gl import (_add_ints, _bracket_pair, _to_scalars, rho,
-                         weight_inner)
+from colourgl.gl import _add_ints, _bracket_pair, _to_scalars, weight_inner
 from colourgl.partitions import _sharp, _transpose, dim_glN
 from colourgl.reps import (DualWeightUnsupported, UnitarisableVerdict,
                            UnsupportedFactor, _blocks, _sharp_to_partition,
                            _weight_text)
 from colourgl.scalars import Scalar
 from colourgl.tensor import TensorVector, _act
+
+
+def rho(space):
+    """The half-sum rho = rho_0 - rho_1 in coordinates:
+    rho_i = (M+ - M- - 2i + 1)/2 on the even block (i = 1..M+),
+    rho_r = (M+ + M- - 2r + 1)/2 on the odd block (r = 1..M-)."""
+    mp, mm = space.m_plus, space.m_minus
+    coords = []
+    for i in range(1, mp + 1):
+        coords.append(Fraction(mp - mm - 2 * i + 1, 2))
+    for r in range(1, mm + 1):
+        coords.append(Fraction(mp + mm - 2 * r + 1, 2))
+    return tuple(coords)
 
 
 def _as_weight(space, lam):

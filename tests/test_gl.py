@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from colourgl import cli
-from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch, basis_weight,
+from colourgl.gl import (GlElement, GradedSpace, SpaceMismatch,
                          bilinear_form, bracket, jacobi_defect,
                          pbw_dimension_nilradical, positive_roots, rho,
                          skew_defect, supertrace, weight_inner, weyl_orbit,
@@ -119,8 +119,7 @@ def test_rho(super11, super21):
 
 
 def test_weight_inner(super11):
-    e0 = basis_weight(super11, 0)
-    e1 = basis_weight(super11, 1)
+    e0, e1 = (1, 0), (0, 1)
     assert weight_inner(super11, e0, e0) == 1
     assert weight_inner(super11, e1, e1) == -1
     assert weight_inner(super11, e0, e1) == 0

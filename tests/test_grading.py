@@ -39,7 +39,7 @@ def test_unit_modulus_property():
     assert CommutativeFactor(group, signs, zero).is_sign_valued()
     skew = ((0, 1), (-1, 0))
     assert not CommutativeFactor(group, zero, skew).is_sign_valued()
-    trivial = CommutativeFactor.trivial(GradingGroup(0, 0))
+    trivial = CommutativeFactor(GradingGroup(0, 0), (), ())
     assert trivial.is_sign_valued()
 
 
