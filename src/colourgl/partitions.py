@@ -23,11 +23,12 @@ dim_glN_floor_bits bounds every dim_glN of one size from below by bit
 lengths, so that a count too long to print is refused unbuilt.
 
 Each public function checks its shape once, by check_partition (and
-hook membership once, by _hook_shape), and runs a private kernel on the
-canonical tuple: _transpose, _in_hook, _sharp, _hooks, _count_standard,
-_dim_glN and _count_hook.  Kernels check nothing and call only kernels.
-A caller that already holds canonical shapes, as the shapes of
-hook_partitions are, calls the kernels.
+hook membership once, by _hook_shape, or _check_hook on a checked
+shape), and runs a private kernel on the canonical tuple: _transpose,
+_in_hook, _sharp, _hooks, _count_standard, _dim_glN and _count_hook.
+Kernels check nothing and call only kernels.  A caller that already
+holds canonical shapes, as the shapes of hook_partitions are, calls the
+kernels.
 """
 
 from functools import lru_cache
@@ -136,7 +137,12 @@ def hook_table(m_plus, m_minus, size, copies=0):
 def _hook_shape(lam, m_plus, m_minus):
     """The canonical tuple of a partition in P_{M+|M-}; a ValueError for
     any other input."""
-    lam = check_partition(lam)
+    return _check_hook(check_partition(lam), m_plus, m_minus)
+
+
+def _check_hook(lam, m_plus, m_minus):
+    """The canonical partition lam, if it is in P_{M+|M-}; else a
+    ValueError."""
     if not _in_hook(lam, m_plus, m_minus):
         raise ValueError(f"{lam} is not in the {m_plus}|{m_minus} hook class")
     return lam

@@ -46,7 +46,7 @@ from fractions import Fraction
 from .gl import (ResourceBoundExceeded, _add_ints, _add_into, _bracket_pair,
                  _to_scalars, _two_rho, _unit_bracket)
 from .grading import _Record, _merge
-from .partitions import (_hook_shape, _in_hook, _sharp, _transpose,
+from .partitions import (_check_hook, _in_hook, _sharp, _transpose,
                          check_partition)
 from .scalars import Scalar
 from .tensor import TensorVector, _act, _witness, check_tensor_power
@@ -208,7 +208,7 @@ def casimir_defect(space, lam):
     checked."""
     lam = check_partition(lam)
     check_tensor_power(space, sum(lam))
-    lam = _hook_shape(lam, space.m_plus, space.m_minus)
+    lam = _check_hook(lam, space.m_plus, space.m_minus)
     return _casimir_defect(space, lam, _witness(space, lam))
 
 

@@ -19,7 +19,7 @@ import pytest
 
 import parent_partitions as parent
 import parent_weyl
-from colourgl import cli, partitions, tensor
+from colourgl import cli, partitions, reps, tensor
 from colourgl.partitions import (_count_hook, _count_standard, _det,
                                  _dim_glN, _hooks, _in_hook, _series, _sharp,
                                  _transpose, count_hook_tableaux,
@@ -161,6 +161,7 @@ def check_calls(monkeypatch):
     lambda lam: count_hook_tableaux(lam, 2, 1),
     lambda lam: tensor.young_symmetrize(SPACE, lam, WORD),
     lambda lam: tensor.highest_weight_vector(SPACE, lam),
+    lambda lam: reps.casimir_defect(SPACE, lam),
 ])
 def test_a_public_call_checks_its_shape_once(check_calls, call):
     call((3, 2, 1))

@@ -128,7 +128,7 @@ def refuse_to_build(monkeypatch):
     def built(*args):
         raise AssertionError("a witness or a row was built")
     for module, name in ((tensor, "_witness"), (tensor, "hook_table"),
-                         (reps, "_witness"), (reps, "_hook_shape")):
+                         (reps, "_witness"), (reps, "_check_hook")):
         monkeypatch.setattr(module, name, built)
 
 
