@@ -35,7 +35,8 @@ LinearCombination: a dict of nonzero coefficients plus its shape, with
 one addition, negation, scaling and common degree or weight.  It is a
 grading._Record whose fields are the shape, named by a container's own
 __slots__, and then the terms, so that equality and repr are the
-record's, and a container writes only its constructor.
+record's, and LinearCombination.__init__ is the one constructor: a
+container writes only its __slots__.
 Sums taken term by term into a dict that must stay free of zeros go
 through _add_into, which drops a key whose sum is zero: the containers'
 arithmetic, bracket and _bracket_ints here, and the Kac module's action
@@ -278,16 +279,22 @@ def _to_scalars(products):
 class LinearCombination(_Record):
     """A sparse linear combination: terms maps keys to nonzero coefficients.
 
-    A subclass is a record whose own __slots__ are its shape, in the order
-    of its constructor's leading arguments, which takes the terms last:
-    its fields are the shape and then the terms, and equality and repr
-    come from _Record.  Operands of one type and shape combine, anything
-    else raises SpaceMismatch."""
+    A subclass is a record whose own __slots__ are its shape and writes
+    nothing else: its fields are the shape and then the terms, the
+    constructor takes them in that order, the terms optional, and
+    equality and repr come from _Record.  Operands of one type and shape
+    combine, anything else raises SpaceMismatch."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+    def __init__(self, *fields):
+        """The fields in the order of _names, the terms last and empty when
+        left out; zero coefficients are dropped."""
+        if not 0 <= len(self._names) - len(fields) <= 1:
+            raise TypeError(f"{type(self).__name__} takes {self._names}")
+        for name, value in zip(self._names, fields + (None,)):
+            setattr(self, name, value)
+        self.terms = {k: c for k, c in (self.terms or {}).items() if c}
 
     def _shape(self):
         """The shape: every field but the terms, which come last."""
@@ -313,8 +320,6 @@ class LinearCombination(_Record):
         return self + (-other)
 
     def scale(self, coef):
-        if not coef:
-            return type(self)(*self._shape())
         return type(self)(*self._shape(),
                           {k: coef * c for k, c in self.terms.items()})
 
@@ -334,10 +339,6 @@ class GlElement(LinearCombination):
     """A Scalar-linear combination of matrix units E_ab."""
 
     __slots__ = ("space",)
-
-    def __init__(self, space, terms=None):
-        self.space = space
-        super().__init__(terms)
 
     @classmethod
     def matrix_unit(cls, space, a, b, coef=ONE):

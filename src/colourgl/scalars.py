@@ -254,7 +254,10 @@ class Scalar:
         d = g d', the sum is (a d' + q^k c b') / (g b' d').  A prime p | b'
         that divides the numerator divides a d', against gcd(a, b) =
         gcd(b', d') = 1; for p | d' likewise, and p does not divide q since
-        d[0] != 0.  So only gcd(numerator, g) can cancel; g = 1 takes none."""
+        d[0] != 0.  So only gcd(numerator, g) can cancel; g = 1 takes none.
+        Nor is such a sum zero: the canonical form is unique, so x + y = 0
+        stores y as -x, with x's den, and that case takes the b == d
+        branch."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -271,8 +274,6 @@ class Scalar:
         if g != _ONE_POLY:
             b, d = _exquo(b, g), _exquo(d, g)
         x = _lowest(lo.shift, _padd(_pmul(a, d), _pmul(c, b), k), g)
-        if not x.n[0]:
-            return x
         return _make(x.shift, x.n, _pmul(x.d, _pmul(b, d)))
 
     __radd__ = __add__

@@ -2,11 +2,14 @@
 
 Basis words of V^(tensor r) are tuples of flat indices.  The adjacent
 transposition s_i acts by swapping slots i, i+1 with the braiding factor
-omega(d(v_i), d(v_{i+1})).  A general permutation sends a basis word to one
-word times the product of omega(d(v_i), d(v_j)) over its inversions i < j.
-That product is the one every reduced word of the permutation multiplies
-out to: omega is a commutative factor, so the sigma_i satisfy the Coxeter
-relations exactly and the action is well defined.  These products and the
+omega(d(v_i), d(v_{i+1})), and _swap is the one statement of that rule.
+A general permutation acts by a reduced word in the sigma_i, which sends
+a basis word to one word times the product of omega(d(v_i), d(v_j)) over
+its inversions i < j: omega is a commutative factor, so the sigma_i
+satisfy the Coxeter relations exactly and the action is well defined.
+braiding_apply, apply_permutation and SymGroupElement.apply fold _swap
+over a sigma word (_apply_sigmas), and verify's coxeter-braid suite
+follows one term through a sigma word with it.  These products and the
 coproduct factors of the gl(V)-action are sums of omega pairs (s, e); the
 pair over the inversions of a word is that of sorting it by grading._merge,
 and that of its letter-pair inversion counts by grading._inversion_pair.
@@ -70,11 +73,6 @@ class TensorVector(LinearCombination):
 
     __slots__ = ("space", "power")
 
-    def __init__(self, space, power, terms=None):
-        self.space = space
-        self.power = power
-        super().__init__(terms)
-
     @classmethod
     def basis_word(cls, space, word, coef=ONE):
         word = tuple(word)
@@ -98,12 +96,33 @@ def _swap(pairs, i, term):
     """sigma_i on the term (s, e, word), the basis word times (-1)^s q^e:
     slots i, i+1 swapped and the pair of omega(d(w_i), d(w_{i+1})) from a
     space's _omega_pairs added on.  This is the one swap rule:
-    braiding_apply applies it to Scalar coefficients, and the
-    coxeter-braid suite follows one term through a sigma word with it."""
+    _apply_sigmas folds it over a sigma word for braiding_apply,
+    apply_permutation and SymGroupElement.apply, and the coxeter-braid
+    suite follows one term through a sigma word with it."""
     s, e, word = term
     a, b = word[i], word[i + 1]
     sab, eab = pairs[a][b]
     return s ^ sab, e + eab, word[:i] + (b, a) + word[i + 2:]
+
+
+def _apply_sigmas(sigmas, v):
+    """The sigma word sigmas, its letters acting in order, on v: each
+    word of v checked once, then _swap folded over sigmas on the term
+    (0, 0, word) and its pair applied to the coefficient.  A word that is
+    not r letters of range(dim V) raises ValueError."""
+    r, dim = v.power, v.space.dim
+    pairs = v.space._omega_pairs
+    terms = {}
+    for word, coef in v.terms.items():
+        if len(word) != r or (r and (min(word) < 0 or max(word) >= dim)):
+            raise ValueError(f"{word} is not a word of {r} letters in "
+                             f"range({dim})")
+        term = 0, 0, word
+        for i in sigmas:
+            term = _swap(pairs, i, term)
+        s, e, swapped = term
+        _add_into(terms, swapped, omega_scalar(s, e, coef))
+    return TensorVector(v.space, r, terms)
 
 
 def braiding_apply(i, v):
@@ -111,53 +130,34 @@ def braiding_apply(i, v):
     braiding factor omega(d(v_i), d(v_{i+1}))."""
     if not 0 <= i < v.power - 1:
         raise IndexError(f"sigma_{i} undefined on {v.power} tensor factors")
-    pairs = v.space._omega_pairs
-    terms = {}
-    for word, coef in v.terms.items():
-        s, e, swapped = _swap(pairs, i, (0, 0, word))
-        _add_into(terms, swapped, omega_scalar(s, e, coef))
-    return TensorVector(v.space, v.power, terms)
+    return _apply_sigmas((i,), v)
 
 
 def apply_permutation(perm, v):
     """nu_r(perm): the braided action of a permutation on a tensor vector.
 
     perm is a tuple with perm[i] the image of slot i: the letter in
-    slot i moves to slot perm[i].  Each word picks up omega(d(w_i), d(w_j))
-    over the inversions i < j, perm[i] > perm[j], summed as integer
-    (sign, exponent) pairs into one factor (-1)^s q^e.  A word that is not
-    r letters of range(dim V) raises ValueError."""
-    r, dim = v.power, v.space.dim
+    slot i moves to slot perm[i].  It acts by a reduced sigma word, the
+    exchanges of a bubble sort of the targets perm: each inverted pair of
+    slots i < j, perm[i] > perm[j], is exchanged once with the letter of
+    slot i on the left, so each word picks up omega(d(w_i), d(w_j)) over
+    the inversions of perm."""
+    r = v.power
     if sorted(perm) != list(range(r)):
         raise ValueError(f"{perm} is not a permutation of {r} slots")
-    inversions = [(i, j) for i in range(r) for j in range(i + 1, r)
-                  if perm[i] > perm[j]]
-    pairs = v.space._omega_pairs
-    terms = {}
-    for word, coef in v.terms.items():
-        if len(word) != r or (r and (min(word) < 0 or max(word) >= dim)):
-            raise ValueError(f"{word} is not a word of {r} letters in "
-                             f"range({dim})")
-        out = [0] * r
-        for i, a in enumerate(word):
-            out[perm[i]] = a
-        s = e = 0
-        for i, j in inversions:
-            si, ei = pairs[word[i]][word[j]]
-            s ^= si
-            e += ei
-        _add_into(terms, tuple(out), omega_scalar(s, e, coef))
-    return TensorVector(v.space, r, terms)
+    targets, sigmas = list(perm), []
+    for end in range(r - 1, 0, -1):
+        for i in range(end):
+            if targets[i] > targets[i + 1]:
+                targets[i], targets[i + 1] = targets[i + 1], targets[i]
+                sigmas.append(i)
+    return _apply_sigmas(sigmas, v)
 
 
 class SymGroupElement(LinearCombination):
     """A formal Scalar-linear combination of permutations of r slots."""
 
     __slots__ = ("power",)
-
-    def __init__(self, power, terms=None):
-        self.power = power
-        super().__init__(terms)
 
     def __mul__(self, other):
         """Product in the group algebra: (p*q) acts as p after q."""
@@ -214,16 +214,15 @@ def gl_act_tensor(x, v):
 
 
 def _seed_word(space, lam):
-    """The canonical filling: row i <= M+ gets b_i repeated lambda_i times,
-    each lower row gets the leading odd vectors b_1bar, b_2bar, ..."""
+    """The canonical filling of the hook shape lam: row i <= M+ gets b_i
+    repeated lambda_i times, each lower row gets the leading odd vectors
+    b_1bar, b_2bar, ..."""
     mp = space.m_plus
     word = []
     for i, part in enumerate(lam):
         if i < mp:
             word.extend([i] * part)
         else:
-            if part > space.m_minus:
-                raise ValueError(f"{lam} does not fit the hook of {space}")
             word.extend(mp + j for j in range(part))
     return tuple(word)
 

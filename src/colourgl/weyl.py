@@ -125,11 +125,6 @@ class WeylElement(LinearCombination):
 
     __slots__ = ("space", "copies")
 
-    def __init__(self, space, copies, terms=None):
-        self.space = space
-        self.copies = copies
-        super().__init__(terms)
-
     @classmethod
     def one(cls, space, copies):
         return cls(space, copies, {((), ()): ONE})
@@ -254,11 +249,6 @@ class FockVector(LinearCombination):
     x-monomials of flat generator ids."""
 
     __slots__ = ("space", "copies")
-
-    def __init__(self, space, copies, terms=None):
-        self.space = space
-        self.copies = copies
-        super().__init__(terms)
 
     @classmethod
     def vacuum(cls, space, copies):

@@ -22,6 +22,12 @@ each letter it passes from the rows pairs[a] and pairs[b]: on the first
 word that holds b it built the list of the dim V pair differences
 pairs[a][c] - pairs[b][c] over every c.  _check_witness applies it.
 
+braiding_apply and apply_permutation are the braided action nu_r as it was
+before both became sigma words folded through tensor._swap:
+apply_permutation formed the omega product over the inversions of perm in
+a loop of its own, and braiding_apply checked no word.  They are kept for
+tests/test_one_swap_rule.py.
+
 The other helpers they call are unchanged and imported from the package.
 """
 
@@ -35,7 +41,8 @@ from colourgl.partitions import (_count_hook, _count_standard, _hook_shape,
                                  _sharp, hook_partitions)
 from colourgl.reps import casimir_eigenvalue
 from colourgl.scalars import ONE, Scalar, omega_scalar
-from colourgl.tensor import TensorVector, _rows_and_columns, _seed_word
+from colourgl.tensor import (TensorVector, _rows_and_columns, _seed_word,
+                             _swap)
 
 
 def gl_act_tensor(x, v):
@@ -267,3 +274,47 @@ def _act(pairs, a, b, terms):
             s ^= ds
             e += de
     return {key: n for key, n in out.items() if n}
+
+
+def braiding_apply(i, v):
+    """sigma_i on V^(tensor r): swap slots i, i+1 (0-based) with the
+    braiding factor omega(d(v_i), d(v_{i+1}))."""
+    if not 0 <= i < v.power - 1:
+        raise IndexError(f"sigma_{i} undefined on {v.power} tensor factors")
+    pairs = v.space._omega_pairs
+    terms = {}
+    for word, coef in v.terms.items():
+        s, e, swapped = _swap(pairs, i, (0, 0, word))
+        _add_into(terms, swapped, omega_scalar(s, e, coef))
+    return TensorVector(v.space, v.power, terms)
+
+
+def apply_permutation(perm, v):
+    """nu_r(perm): the braided action of a permutation on a tensor vector.
+
+    perm is a tuple with perm[i] the image of slot i: the letter in
+    slot i moves to slot perm[i].  Each word picks up omega(d(w_i), d(w_j))
+    over the inversions i < j, perm[i] > perm[j], summed as integer
+    (sign, exponent) pairs into one factor (-1)^s q^e.  A word that is not
+    r letters of range(dim V) raises ValueError."""
+    r, dim = v.power, v.space.dim
+    if sorted(perm) != list(range(r)):
+        raise ValueError(f"{perm} is not a permutation of {r} slots")
+    inversions = [(i, j) for i in range(r) for j in range(i + 1, r)
+                  if perm[i] > perm[j]]
+    pairs = v.space._omega_pairs
+    terms = {}
+    for word, coef in v.terms.items():
+        if len(word) != r or (r and (min(word) < 0 or max(word) >= dim)):
+            raise ValueError(f"{word} is not a word of {r} letters in "
+                             f"range({dim})")
+        out = [0] * r
+        for i, a in enumerate(word):
+            out[perm[i]] = a
+        s = e = 0
+        for i, j in inversions:
+            si, ei = pairs[word[i]][word[j]]
+            s ^= si
+            e += ei
+        _add_into(terms, tuple(out), omega_scalar(s, e, coef))
+    return TensorVector(v.space, r, terms)

@@ -179,6 +179,21 @@ def test_sums_match_sympy_cancel(case, data):
     _check(x - y, _sym(rx) - _sym(ry))
 
 
+@pytest.mark.parametrize("case", CASES)
+@SAMPLE
+@given(data=st.data())
+def test_sums_over_different_dens_are_never_zero(case, data):
+    # the canonical form is unique, so a zero sum x + y stores y as -x,
+    # over x's den: Scalar.__add__ reads no zero after Henrici's sum
+    rx, ry = data.draw(raw_pair(case))
+    x, y = Scalar(*rx), Scalar(*ry)
+    assume(x.d != y.d)
+    for total, expr in ((x + y, _sym(rx) + _sym(ry)),
+                        (x - y, _sym(rx) - _sym(ry))):
+        assert not total.is_zero()
+        _check(total, expr)
+
+
 def test_common_is_the_gcd_with_content():
     assert scalars._common((1, 1), (2, 1)) == (1,)
     assert scalars._common((2, 2), (3, 6)) == (1,)
