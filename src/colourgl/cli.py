@@ -16,8 +16,9 @@ The rows of partitions.hook_table, which schur-weyl and tableaux both
 report, are written by _table_rows, and reps' UnitarisableVerdict and
 GramReport by _verdict_json and _gram_json.
 emit writes every report, a job's or an error's, as one line of JSON
-with sorted keys, by json's C encoder; tableaux, whose report is nothing
-but its rows, takes --format tsv to write them as TSV instead.
+with sorted keys, by json's C encoder, built once at import; tableaux,
+whose report is nothing but its rows, takes --format tsv to write them
+as TSV instead.
 Each handler `cmd_*` returns (results, ok); only `main` builds the report,
 with `kind` the subcommand name, and it exits 1 when ok is false.  The
 table SUBCOMMANDS is the one statement of the grammar: each subcommand's
@@ -32,11 +33,12 @@ call.
 It exits 2 after a one-line usage and argparse's message, as `colourgl
 tableaux: error: ...`, or 0 after the help.  `main` calls the handler by
 its name, `cmd_` plus the subcommand, at call time.
-load_space keeps the spaces it builds, one per preset name and one per
-(path, file text), the SPACES_KEPT most recently used, so that the jobs
-of a process share each space and its lazy omega table; the Fock
-algebras are weyl.fock_algebra's, shared by equal spaces.  A path that
-is not a regular file is refused before it is opened.
+load_space reads a space file with one stat and one raw read to end of
+file on every call, and keeps the spaces it builds, one per preset name
+and one per (path, file bytes), the SPACES_KEPT most recently used, so
+that the jobs of a process share each space and its lazy omega table;
+the Fock algebras are weyl.fock_algebra's, shared by equal spaces.  A
+path that is not a regular file is refused before it is opened.
 Exit codes: 0 success, 1 a verification failed, 2 bad input or an
 unsupported/over-budget request, 3 an internal error (any other exception,
 reported as JSON rather than a traceback).  A reader that closes stdout
@@ -50,10 +52,10 @@ import json
 import os
 import random
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import presets
@@ -78,6 +80,9 @@ REPORT_DIGITS_CAP = 4000
 _TOO_LONG = 10 ** REPORT_DIGITS_CAP  # built once: it takes about 50 us
 # most spaces that load_space keeps built, the least recently used dropped
 SPACES_KEPT = 32
+# the encoder of every JSON report, built once: json.dumps with these
+# arguments builds a new one per call
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 class InputError(ValueError):
@@ -85,34 +90,46 @@ class InputError(ValueError):
 
 
 def load_space(spec):
-    """A --space value: a preset name like super(2|1) or a JSON file path;
-    a path that is not a regular file, a directory, a device or a FIFO,
-    is bad input before it is opened, as is a file that cannot be read.  A
+    """A --space value: a preset name like super(2|1) or a JSON file path.
+    A path is read with one stat and then, when it names a regular file,
+    its bytes to end of file, which json.loads decodes: UTF-8 with or
+    without a BOM, UTF-16 or UTF-32.  It resolves as open() resolves it,
+    so a path that cannot be stat'ed for any reason, '' and a file name
+    followed by / included, is neither a preset nor a file; a path that is
+    not a regular file, a directory, a device or a FIFO, is refused before
+    it is opened, and a file that cannot be read is bad input too.  A
     process builds one space per preset name and one per (path, file
-    text), so the jobs of a process share it and its lazy omega table, and
-    an edited file gives a new space."""
+    bytes), so the jobs of a process share it and its lazy omega table,
+    and an edited file gives a new space: the file is read on every call."""
     if presets.is_preset_name(spec):
         return _space(spec, None)
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"{spec!r} is neither a preset nor a file")
-    if not path.is_file():
+    try:
+        mode = os.stat(spec).st_mode
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise InputError(f"{spec!r} is neither a preset nor a file") from exc
+    if not stat.S_ISREG(mode):
         raise InputError(f"cannot read {spec}: not a regular file")
     try:
-        text = path.read_text()
+        fd = os.open(spec, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:  # an unreadable file
         raise InputError(f"cannot read {spec}: {exc}") from exc
-    return _space(spec, text)
+    return _space(spec, b"".join(chunks))
 
 
 @functools.lru_cache(maxsize=SPACES_KEPT)
-def _space(spec, text):
-    """The space of a preset name (text None) or of a file's text; a
+def _space(spec, data):
+    """The space of a preset name (data None) or of a file's bytes; a
     refusal is raised again on each call, as lru_cache keeps no exception."""
-    if text is None:
+    if data is None:
         return presets.preset_space(spec)
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {spec}: {exc}") from exc
     try:
@@ -126,29 +143,31 @@ def _coordinate(text):
     otherwise, its numerator when that is integral, so that the weight
     layer computes on ints wherever a coordinate is integral.  It is
     refused before it is built when it has more than WEIGHT_DIGITS_CAP
-    digits, the value of its exponent included.  An underscore between two
-    digits is taken out first, so Python 3.10 reads it as Fraction does
-    from 3.11 on.  Every text that Fraction refuses gets one error line,
-    which names the text as it was given: Fraction's own message differs
-    by version (3.11 and 3.12 read a letter d after the point, then fail
-    in int())."""
-    mantissa, _, exponent = text.lower().partition("e")
-    shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    size = sum(c.isdecimal() for c in mantissa)
-    if shift.isdecimal():
-        # an exponent of nine digits is past the bound already
-        size += int(shift[:9])
-    if size > WEIGHT_DIGITS_CAP:
-        raise InputError(f"a weight coordinate has more than "
-                         f"{WEIGHT_DIGITS_CAP} digits, its exponent "
-                         "included")
-    plain = _DIGIT_UNDERSCORE.sub("", text)
+    digits, the value of its exponent included; a text of at most that
+    many characters with no e or E cannot be, so its digits go uncounted
+    (no other character lower-cases to an e).  int() reads an underscore
+    between two digits itself; for Fraction it is taken out first, so
+    Python 3.10 reads it as Fraction does from 3.11 on.  Every text that
+    Fraction refuses gets one error line, which names the text as it was
+    given: Fraction's own message differs by version (3.11 and 3.12 read
+    a letter d after the point, then fail in int())."""
+    if len(text) > WEIGHT_DIGITS_CAP or "e" in text or "E" in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        size = sum(c.isdecimal() for c in mantissa)
+        if shift.isdecimal():
+            # an exponent of nine digits is past the bound already
+            size += int(shift[:9])
+        if size > WEIGHT_DIGITS_CAP:
+            raise InputError(f"a weight coordinate has more than "
+                             f"{WEIGHT_DIGITS_CAP} digits, its exponent "
+                             "included")
     try:
-        return int(plain)
+        return int(text)
     except ValueError:
         pass
     try:
-        value = Fraction(plain)
+        value = Fraction(_DIGIT_UNDERSCORE.sub("", text))
     except ValueError as exc:
         raise InputError("bad weight coordinate: Invalid literal for "
                          f"Fraction: {text!r}") from exc
@@ -224,7 +243,7 @@ def emit(report, args=None):
             for row in rows:
                 print("\t".join(str(row[c]) for c in cols))
         return
-    print(json.dumps(report, sort_keys=True, default=str))
+    print(_encode(report))
 
 
 def make_report(args, results, ok):

@@ -8,6 +8,11 @@ reads an underscore between two digits itself only from 3.11 on, and on
 `d*` in place of a run of digits), so that its own error for 2.d comes
 from int() there.
 
+Rows at WEIGHT_DIGITS_CAP digits and one past it, with and without
+signs, underscores and an exponent, pin where the bound refuses: a text
+of at most that many characters with no exponent has its digits left
+uncounted, so these rows show that it still refuses exactly there.
+
 sweep() backs the int read: over every text of up to four characters
 from ALPHABET, with its digit underscores taken out as _coordinate takes
 them out, wherever int() reads it Fraction reads the same number.
@@ -27,6 +32,9 @@ from fractions import Fraction
 from colourgl import cli
 
 BAD = "bad weight coordinate: Invalid literal for Fraction: "
+CAP = cli.WEIGHT_DIGITS_CAP
+TOO_MANY = (f"a weight coordinate has more than {CAP} digits, its exponent "
+            "included")
 
 COORDINATES = [
     ("1_0", 10),
@@ -50,8 +58,7 @@ COORDINATES = [
     ("3.0", 3),
     ("3e0", 3),
     ("1_0/0", "bad weight coordinate: Fraction(10, 0)"),
-    ("1e1_001", "a weight coordinate has more than 1000 digits, its "
-                "exponent included"),
+    ("1e1_001", TOO_MANY),
     ("_1", BAD + "'_1'"),
     ("1_", BAD + "'1_'"),
     ("1__0", BAD + "'1__0'"),
@@ -71,6 +78,25 @@ COORDINATES = [
     ("2.dd", BAD + "'2.dd'"),
     ("1.d5", BAD + "'1.d5'"),
     ("d", BAD + "'d'"),
+    # at the digit bound and one past it: a text of at most CAP characters
+    # with no exponent is not counted, every other text is
+    ("9" * CAP, int("9" * CAP)),
+    ("9" * (CAP + 1), TOO_MANY),
+    ("-" + "9" * (CAP - 1), -int("9" * (CAP - 1))),
+    ("-" + "9" * CAP, -int("9" * CAP)),
+    ("+" + "9" * (CAP + 1), TOO_MANY),
+    ("1" + "_0" * (CAP - 1), 10 ** (CAP - 1)),
+    ("1" + "_0" * CAP, TOO_MANY),
+    ("-1" + "_0" * (CAP - 1), -10 ** (CAP - 1)),
+    ("+1" + "_0" * CAP, TOO_MANY),
+    ("1/" + "3" * (CAP - 1), Fraction(1, int("3" * (CAP - 1)))),
+    ("1/" + "3" * CAP, TOO_MANY),
+    ("1e999", 10 ** 999),
+    ("-1E999", -10 ** 999),
+    ("1e1000", TOO_MANY),
+    ("1E+1000", TOO_MANY),
+    ("1e-999", Fraction(1, 10 ** 999)),
+    ("1e-1000", TOO_MANY),
 ]
 
 
@@ -94,22 +120,28 @@ def expected(want):
     return want if isinstance(want, str) else (type(want).__name__, want)
 
 
+def texts(length=4):
+    """Every text of 1 to length characters from ALPHABET."""
+    for n in range(1, length + 1):
+        for chars in itertools.product(ALPHABET, repeat=n):
+            yield "".join(chars)
+
+
 def sweep(length=4):
     """(texts tried, [each text where int() and Fraction disagree])."""
     count, wrong = 0, []
-    for n in range(1, length + 1):
-        for chars in itertools.product(ALPHABET, repeat=n):
-            count += 1
-            text = cli._DIGIT_UNDERSCORE.sub("", "".join(chars))
-            try:
-                value = int(text)
-            except ValueError:
-                continue
-            try:
-                if Fraction(text) != value:
-                    wrong.append(text)
-            except ValueError:
+    for text in texts(length):
+        count += 1
+        text = cli._DIGIT_UNDERSCORE.sub("", text)
+        try:
+            value = int(text)
+        except ValueError:
+            continue
+        try:
+            if Fraction(text) != value:
                 wrong.append(text)
+        except ValueError:
+            wrong.append(text)
     return count, wrong
 
 

@@ -1,4 +1,6 @@
+import errno
 import functools
+import itertools
 import json
 import os
 import shlex
@@ -13,8 +15,10 @@ import pytest
 
 from colourgl import cli, reps, weyl
 from colourgl.cli import main
-from coordinate_table import COORDINATES, expected, reading, sweep
+from coordinate_table import COORDINATES, expected, reading, sweep, texts
 from test_refusal_rule import run_module
+
+import parent_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -771,8 +775,9 @@ def test_a_weight_coordinate_past_the_digit_bound_exits_2_fast(
                             "included")
 
 
-@pytest.mark.parametrize("text, want", COORDINATES,
-                         ids=[text for text, _ in COORDINATES])
+@pytest.mark.parametrize("text, want", COORDINATES, ids=[
+    text if len(text) < 20 else f"{text[:6]}...{len(text)}-chars"
+    for text, _ in COORDINATES])
 def test_a_weight_coordinate_reads_alike_on_every_python(text, want):
     # Fraction reads PEP 515 underscores only from 3.11 on; 3.10 refused
     # 1_0 with "Invalid literal for Fraction: '1_0'".  The type counts
@@ -1003,3 +1008,239 @@ def test_tensor_jobs_near_the_dimension_bound_end_fast(argv, results):
     assert code == 0 and doc["ok"] is True
     assert results.items() <= doc["results"].items()
     assert seconds < 3
+
+
+# -- a space file: one stat, then its bytes to end of file --------------------
+
+def _refusal(capsys, spec):
+    """(exit code, kind, error line) of a job whose --space is spec."""
+    code, doc = run_json(capsys, "kac-dim", "--space", spec, "--weight", "0")
+    return code, doc["kind"], doc.get("error")
+
+
+def _space_file(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(GOOD_SPACE))
+    return path
+
+
+def test_a_path_that_cannot_be_stated_is_neither_a_preset_nor_a_file(
+        capsys, tmp_path):
+    # Path.exists() swallowed only ENOENT, ENOTDIR, EBADF and ELOOP, so a
+    # name too long to stat exited 3 as internal-error
+    path = _space_file(tmp_path)
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    for spec, why in (("a" * 300, errno.ENAMETOOLONG),
+                      (f"{path}/x", errno.ENOTDIR),
+                      (f"{path}/", errno.ENOTDIR),
+                      (f"{path}/.", errno.ENOTDIR),
+                      (str(loop), errno.ELOOP),
+                      ("", errno.ENOENT),
+                      (str(tmp_path / "nosuch.json"), errno.ENOENT)):
+        with pytest.raises(OSError) as exc:
+            os.stat(spec)
+        assert exc.value.errno == why, spec
+        assert _refusal(capsys, spec) == (
+            2, "error", f"{spec!r} is neither a preset nor a file"), spec
+    assert _refusal(capsys, "a\0b") == (
+        2, "error", "'a\\x00b' is neither a preset nor a file")
+
+
+def test_a_file_that_cannot_be_read_is_bad_input(capsys, tmp_path,
+                                                 monkeypatch):
+    # root reads a file whatever its mode, so the refusals are planted
+    path = _space_file(tmp_path)
+    real_open, real_close, closed = os.open, os.close, []
+
+    def refuse_open(name, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+
+    def refuse_read(fd, size):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "open", refuse_open)
+    assert _refusal(capsys, str(path)) == (
+        2, "error", f"cannot read {path}: [Errno 13] Permission denied: "
+                    f"{str(path)!r}")
+    monkeypatch.setattr(os, "open", real_open)
+    monkeypatch.setattr(os, "read", refuse_read)
+    monkeypatch.setattr(os, "close", lambda fd: (closed.append(fd),
+                                                 real_close(fd)))
+    assert _refusal(capsys, str(path)) == (
+        2, "error", f"cannot read {path}: [Errno 5] Input/output error")
+    assert len(closed) == 1  # the file is closed after a failed read
+
+
+def test_an_edit_that_keeps_the_size_and_mtime_gives_a_new_space(tmp_path):
+    # the bytes are read on every call: nothing is keyed on the stat
+    first_doc = json.dumps(cli.presets.super_space(2, 1).to_json())
+    second_doc = json.dumps(cli.presets.super_space(1, 2).to_json())
+    assert len(first_doc) == len(second_doc) and first_doc != second_doc
+    path = tmp_path / "space.json"
+    path.write_text(first_doc)
+    before = os.stat(path)
+    first = cli.load_space(str(path))
+    path.write_text(second_doc)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                  before.st_mtime_ns)
+    second = cli.load_space(str(path))
+    assert (first.m_plus, first.m_minus) == (2, 1)
+    assert (second.m_plus, second.m_minus) == (1, 2)
+
+
+def test_a_file_job_makes_one_stat_and_one_open(capsys, tmp_path,
+                                                monkeypatch):
+    path = _space_file(tmp_path)
+    calls = {}
+
+    def counted(name):
+        real = getattr(os, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("stat", "open", "read", "close"):
+        monkeypatch.setattr(os, name, counted(name))
+    for _ in range(2):  # the first job builds the space, the second not
+        calls.clear()
+        code, _ = run_json(capsys, "kac-dim", "--space", str(path),
+                           "--weight", "1,0,0")
+        assert code == 0
+        # one read of the bytes, one that finds the end of the file
+        assert calls == {"stat": 1, "open": 1, "read": 2, "close": 1}
+
+
+def test_the_cli_imports_no_pathlib():
+    # without site, which may import pathlib itself
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import colourgl.cli; print('pathlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def _outcome(capsys, load, spec):
+    """("space", the space) that load builds from spec, or the exit code
+    and report line of a job whose space load refuses."""
+    try:
+        return "space", load(spec)
+    except Exception:
+        pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_space", load)
+        return run_cli(capsys, "schur-weyl", "--space", spec, "--power", "0")
+
+
+def test_every_pool_space_and_preset_loads_as_the_parent_loaded_it(
+        capsys, tmp_path, monkeypatch):
+    pool = json.loads((SRC.parent / "perfbench" / "pool.json").read_text())
+    specs = sorted({argv[i + 1] for slots in pool["workloads"].values()
+                    for slot in slots for job in slot["jobs"]
+                    for argv in [job["argv"]] for i, a in enumerate(argv)
+                    if a in ("--space", "--other-space")
+                    and not argv[i + 1].startswith("@space:")})
+    assert len(specs) > 10
+    for name, doc in pool["spaces"].items():
+        # as the benchmark writes them
+        with open(tmp_path / f"{name}.json", "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        specs.append(str(tmp_path / f"{name}.json"))
+    good = _space_file(tmp_path)
+    (tmp_path / "link.json").symlink_to(good)
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    (tmp_path / "float.json").write_text(json.dumps(
+        dict(GOOD_SPACE, components=[{"degree": [0, 0], "dim": 1.5}])))
+    (tmp_path / "sub").mkdir()
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.chdir(tmp_path)
+    specs += ["space.json", "./space.json", "sub/../space.json",
+              str(tmp_path / "link.json"), "bad.json", "list.json",
+              "empty.json", "latin1.json", "float.json", "nosuch.json",
+              "green(3)", "z2z2(1,1,1,1)", "nosuch(9)", "super(1|", "sub",
+              "/dev/zero", "fifo",
+              "space.json/x", "loop", "a\0b"]
+    for spec in specs:
+        assert (_outcome(capsys, cli.load_space, spec)
+                == _outcome(capsys, parent_cli.load_space, spec)), spec
+
+
+def test_the_space_files_read_otherwise_than_the_parent_read_them(
+        capsys, tmp_path, monkeypatch):
+    # pathlib dropped a trailing / or /. and read '' as the directory '.';
+    # a name too long to stat exited 3; a text read took no BOM and no
+    # UTF-16, and turned CR LF into LF before json.loads counted chars
+    good = _space_file(tmp_path)
+    text = json.dumps(GOOD_SPACE)
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    (tmp_path / "utf16.json").write_bytes(text.encode("utf-16"))
+    (tmp_path / "crlf.json").write_bytes(b'{\r\n"a": }')
+    monkeypatch.chdir(tmp_path)
+    space = ("space", cli.GradedSpace.from_json(GOOD_SPACE))
+
+    def refusal(line):
+        return 2, json.dumps({"error": line, "kind": "error",
+                              "ok": False}) + "\n"
+
+    neither = "{!r} is neither a preset nor a file".format
+    cases = [
+        (f"{good}/", space, refusal(neither(f"{good}/"))),
+        ("space.json/.", space, refusal(neither("space.json/."))),
+        ("", refusal("cannot read : not a regular file"),
+         refusal(neither(""))),
+        ("a" * 300, (3, "internal-error"), refusal(neither("a" * 300))),
+        ("bom.json", refusal(
+            "malformed JSON in bom.json: Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0)"), space),
+        ("utf16.json", None, space),
+        ("crlf.json", refusal(
+            "malformed JSON in crlf.json: Expecting value: line 2 column 6 "
+            "(char 7)"), refusal("malformed JSON in crlf.json: Expecting "
+                                 "value: line 2 column 6 (char 8)"))]
+    for spec, parent, new in cases:
+        was = _outcome(capsys, parent_cli.load_space, spec)
+        if parent and parent[1] == "internal-error":
+            assert was[0] == 3 and json.loads(was[1])["kind"] == parent[1]
+        elif parent:
+            assert was == parent, spec
+        assert was != new and _outcome(capsys, cli.load_space, spec) == new, (
+            spec)
+
+
+def _read_with(coordinate, text):
+    try:
+        value = coordinate(text)
+    except cli.InputError as exc:
+        return str(exc)
+    return type(value).__name__, value
+
+
+def test_every_coordinate_reads_as_the_parent_read_it():
+    # a short text with no exponent goes uncounted, and int() reads the
+    # text before the PEP 515 substitution: neither changes a reading
+    for text in itertools.chain((text for text, _ in COORDINATES), texts(),
+                                ("1e30000000", "1" * 1001, "1e" + "9" * 99)):
+        assert (_read_with(cli._coordinate, text)
+                == _read_with(parent_cli._coordinate, text)), text
+
+
+def test_reports_are_written_by_one_encoder(capsys, monkeypatch):
+    # json.dumps with sort_keys and default builds an encoder per call
+    built = []
+    real = json.JSONEncoder.__init__
+    monkeypatch.setattr(json.JSONEncoder, "__init__", lambda self, **kw: (
+        built.append(kw), real(self, **kw))[1])
+    code, out = run_cli(capsys, "typicality", "--space", "super(2|1)",
+                        "--weight", "1/2,-1/2,-3/2")
+    assert code == 0 and built == []
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
