@@ -93,7 +93,8 @@ def load_space(spec):
     """A --space value: a preset name like super(2|1) or a JSON file path.
     A path is read with one stat and then, when it names a regular file,
     its bytes to end of file, which json.loads decodes: UTF-8 with or
-    without a BOM, UTF-16 or UTF-32.  It resolves as open() resolves it,
+    without a BOM, UTF-16 or UTF-32; other bytes are malformed JSON, as a
+    syntax error is.  It resolves as open() resolves it,
     so a path that cannot be stat'ed for any reason, '' and a file name
     followed by / included, is neither a preset nor a file; a path that is
     not a regular file, a directory, a device or a FIFO, is refused before
@@ -130,7 +131,7 @@ def _space(spec, data):
         return presets.preset_space(spec)
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed JSON in {spec}: {exc}") from exc
     try:
         return GradedSpace.from_json(doc)

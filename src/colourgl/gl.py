@@ -47,7 +47,12 @@ Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
 one bridge from them to Scalars, for tensor, reps and weyl.
 
-A process memo is bounded one of two ways, the least recently used entry
+A cache that its computation reads in full is built whole, as a table,
+before it is read: verify.suite_jacobi's unit brackets and omegas, and
+reps.KacModule._norms.  A per-call cache that is read only in part fills
+on lookup: KacModule.act's memo, weyl._commutator's products,
+verify.suite_fock's _Images and tensor._block_sums' factors.  A process
+memo is bounded one of two ways, the least recently used entry
 dropped first: _Kept bounds a memo by the summed sizes of its entries
 (tensor's Young tables and arrangements), and functools.lru_cache, on the
 one function it serves, bounds a memo by its number of entries.  A

@@ -9,8 +9,11 @@ parity block) and computes Gram matrices by moving *-conjugated
 operators across with the graded commutation relations.  The strings
 are one table, KacModule._strings, (f, lambda_f - lambda_{f+1}) per
 parity block f, f+1 of size 2, the difference an int, which the string
-lengths n_plus and n_minus, weight, _act_l0 and _l0_norm read.  Gram
-blocks and their inertia run on ints after one positive rescaling.
+lengths n_plus and n_minus, weight, _act_l0 and _norms read.  _norms,
+the L0 norm of each (k+, k-) from two prefix products along the strings,
+is built whole with the module, as level 0 of a Gram report reads every
+entry.  Gram blocks and their inertia run on ints after one positive
+rescaling.
 
 Each public weight function reads its weight once, by _as_weight: an
 integral coordinate as an int, any other as a Fraction, so Fractions
@@ -41,6 +44,7 @@ them into text.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .gl import (ResourceBoundExceeded, _add_ints, _add_into, _bracket_pair,
@@ -430,9 +434,17 @@ class KacModule:
         degrees = space.degrees
         self._odd, self._om = space.factor._table(
             [degrees[rb] - degrees[i] for i, rb in self.pairs])
-        # act and _l0_norm results by argument; callers never mutate them
+        # act results by argument; callers never mutate them
         self._act_memo = {}
-        self._norm_memo = {}
+        # the L0 norm of (kp, km), _norms[kp][km]: the product of the
+        # raising coefficients t (d - t + 1), t = 1..k, down each string,
+        # read whole by level 0 of every Gram report
+        plus, minus = (
+            list(itertools.accumulate(
+                (t * (string[1] - t + 1) for t in range(1, n)),
+                operator.mul, initial=1))
+            for string, n in zip(self._strings, (self.n_plus, self.n_minus)))
+        self._norms = [[p * m for m in minus] for p in plus]
 
     def basis(self, max_level=None):
         top = len(self.pairs) if max_level is None else max_level
@@ -542,18 +554,6 @@ class KacModule:
                 _add_into(out, key, coef * c)
         return out
 
-    def _l0_norm(self, kp, km):
-        value = self._norm_memo.get((kp, km))
-        if value is not None:
-            return value
-        # the product of the raising coefficients down each string
-        value = 1
-        for string, k in zip(self._strings, (kp, km)):
-            for t in range(1, k + 1):
-                value *= t * (string[1] - t + 1)
-        self._norm_memo[(kp, km)] = value
-        return value
-
     def form(self, el1, el2):
         """The contravariant form <F_S w, F_T w'> for the type I compact
         *-structure, by applying *(F_S) = E_{s_k}..E_{s_1} to el2."""
@@ -567,7 +567,7 @@ class KacModule:
         total = 0
         for (T, lp, lm), coef in vec.items():
             if not T and (lp, lm) == (kp, km):
-                total += coef * self._l0_norm(kp, km)
+                total += coef * self._norms[kp][km]
         return total
 
 

@@ -8,8 +8,10 @@ On matrix units and basis words every structure constant is some
 (-1)^s q^e, so most suites check their identities on exact integers:
 bicharacter compares the pairs (s, e) of CommutativeFactor._pairings,
 jacobi-skew brackets matrix units with integer Laurent coefficients
-(gl._bracket_ints) and takes omega(d(X), d(Y)) from the factor rather
-than from the _omega_pairs table the brackets read, coxeter-braid follows
+(gl._bracket_ints), each ordered pair of units once, into a table built
+whole before its loops, as its skew loop reads every pair, and takes
+omega(d(X), d(Y)), a second such table, from the factor rather than from
+the _omega_pairs table the brackets read, coxeter-braid follows
 one term (s, e, word) through each sigma word (tensor._swap),
 gl-equivariance commutes E_ab (tensor._act, the kernel the schur-weyl and
 casimir jobs run) with sigma_i (tensor._swap) on integer terms, and
@@ -126,42 +128,29 @@ def suite_jacobi(space, rng, exhaustive):
         label = "60 random basis triples"
     pairs, degrees = space._omega_pairs, space.degrees
     pairing = space.factor._pairings
-    brackets, omegas = {}, {}  # by pair of units, for this call only
-
-    def ints(x):
-        return {(x, 0): 1}
-
-    def unit_bracket(x, y):
-        found = brackets.get((x, y))
-        if found is None:
-            found = brackets[x, y] = _bracket_ints(pairs, ints(x), ints(y))
-        return found
-
-    def omega(x, y):
-        # omega(d(E_x), d(E_y)) from the factor, not from _omega_pairs,
-        # which the brackets read: the check stays independent of the table
-        found = omegas.get((x, y))
-        if found is None:
-            (a, b), (c, d) = x, y
-            found = omegas[x, y] = pairing(degrees[a] - degrees[b],
-                                           degrees[c] - degrees[d])
-        return found
-
+    # the skew loop reads every ordered pair of units, so each table is
+    # built whole, every unit bracket once; omega(d(E_x), d(E_y)) comes
+    # from the factor, not from _omega_pairs, which the brackets read: the
+    # check stays independent of the table
+    ints = {x: {(x, 0): 1} for x in units}
+    brackets = {(x, y): _bracket_ints(pairs, ints[x], ints[y])
+                for x in units for y in units}
+    omegas = {(x, y): pairing(degrees[x[0]] - degrees[x[1]],
+                              degrees[y[0]] - degrees[y[1]])
+              for x in units for y in units}
     for x, y, z in triples:
         # [X,[Y,Z]] - [[X,Y],Z] - omega(d(X),d(Y)) [Y,[X,Z]]
-        s, e = omega(x, y)
-        defect = _bracket_ints(pairs, ints(x), unit_bracket(y, z))
-        _add_ints(defect, _bracket_ints(pairs, unit_bracket(x, y), ints(z)),
-                  -1)
-        _add_ints(defect, _bracket_ints(pairs, ints(y), unit_bracket(x, z)),
+        s, e = omegas[x, y]
+        defect = _bracket_ints(pairs, ints[x], brackets[y, z])
+        _add_ints(defect, _bracket_ints(pairs, brackets[x, y], ints[z]), -1)
+        _add_ints(defect, _bracket_ints(pairs, ints[y], brackets[x, z]),
                   1 if s else -1, e)
         if any(defect.values()):
             return False, "jacobi defect nonzero"
-    for x, y in itertools.product(units, repeat=2):
-        # [X,Y] + omega(d(X),d(Y)) [Y,X]
-        s, e = omega(x, y)
-        defect = dict(unit_bracket(x, y))
-        _add_ints(defect, unit_bracket(y, x), -1 if s else 1, e)
+    for (x, y), (s, e) in omegas.items():
+        # [X,Y] + omega(d(X),d(Y)) [Y,X], the pairs in the order of units
+        defect = dict(brackets[x, y])
+        _add_ints(defect, brackets[y, x], -1 if s else 1, e)
         if any(defect.values()):
             return False, "skew defect nonzero"
     return True, label

@@ -19,6 +19,12 @@ kac_pair_table is the (odd, om) that KacModule passed to _merge before it
 took both from CommutativeFactor._table over the degrees of its lowering
 pairs: every pair counted odd, and the pairs built from gl._bracket_pair.
 
+l0_norm is the loop of KacModule._l0_norm before the module built its L0
+norms whole as the table _norms: for each (k+, k-) on its first read, the
+product of the raising coefficients t (d - t + 1), t = 1..k, down each
+string, one factor at a time.  It reads the module's _strings, as the
+method did.
+
 _as_weight, is_finite_dimensional, typicality and casimir_eigenvalue as
 they were before reps kept integral coordinates on ints: every coordinate
 a Fraction, and rho entering as half-integral Fractions through rho and
@@ -254,3 +260,12 @@ def kac_pair_table(space, pairs):
     om = [[(_bracket_pair(space._omega_pairs, rb, i, rb2, i2)[0], 0)
            for i2, rb2 in pairs] for i, rb in pairs]
     return odd, om
+
+
+def l0_norm(module, kp, km):
+    # the product of the raising coefficients down each string
+    value = 1
+    for string, k in zip(module._strings, (kp, km)):
+        for t in range(1, k + 1):
+            value *= t * (string[1] - t + 1)
+    return value

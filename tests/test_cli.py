@@ -1115,6 +1115,26 @@ def test_a_file_job_makes_one_stat_and_one_open(capsys, tmp_path,
         assert calls == {"stat": 1, "open": 1, "read": 2, "close": 1}
 
 
+def test_a_space_file_that_is_not_unicode_text_is_malformed_json(
+        capsys, tmp_path, monkeypatch):
+    # json.loads decodes bytes as UTF-8, -16 or -32 and raises the codec's
+    # UnicodeDecodeError, which is not a JSONDecodeError, on any other
+    # bytes: the refusal names the file as a JSON syntax error does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ff.json").write_bytes(b"\xff")
+    (tmp_path / "cut.json").write_bytes(b'{"a": "\xe9"}')
+    for name, byte, position, reason in (
+            ("ff.json", "0xff", 0, "invalid start byte"),
+            ("cut.json", "0xe9", 7, "invalid continuation byte")):
+        code, out = run_cli(capsys, "schur-weyl", "--space", name,
+                            "--power", "0")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"malformed JSON in {name}: 'utf-8' codec can't decode "
+                     f"byte {byte} in position {position}: {reason}",
+            "kind": "error", "ok": False}
+
+
 def test_the_cli_imports_no_pathlib():
     # without site, which may import pathlib itself
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -1155,7 +1175,6 @@ def test_every_pool_space_and_preset_loads_as_the_parent_loaded_it(
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "empty.json").write_text("")
-    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
     (tmp_path / "float.json").write_text(json.dumps(
         dict(GOOD_SPACE, components=[{"degree": [0, 0], "dim": 1.5}])))
     (tmp_path / "sub").mkdir()
@@ -1166,7 +1185,7 @@ def test_every_pool_space_and_preset_loads_as_the_parent_loaded_it(
     monkeypatch.chdir(tmp_path)
     specs += ["space.json", "./space.json", "sub/../space.json",
               str(tmp_path / "link.json"), "bad.json", "list.json",
-              "empty.json", "latin1.json", "float.json", "nosuch.json",
+              "empty.json", "float.json", "nosuch.json",
               "green(3)", "z2z2(1,1,1,1)", "nosuch(9)", "super(1|", "sub",
               "/dev/zero", "fifo",
               "space.json/x", "loop", "a\0b"]
@@ -1175,16 +1194,22 @@ def test_every_pool_space_and_preset_loads_as_the_parent_loaded_it(
                 == _outcome(capsys, parent_cli.load_space, spec)), spec
 
 
+NOT_UTF8 = ("'utf-8' codec can't decode byte 0xff in position 0: invalid "
+            "start byte")
+
+
 def test_the_space_files_read_otherwise_than_the_parent_read_them(
         capsys, tmp_path, monkeypatch):
     # pathlib dropped a trailing / or /. and read '' as the directory '.';
     # a name too long to stat exited 3; a text read took no BOM and no
-    # UTF-16, and turned CR LF into LF before json.loads counted chars
+    # UTF-16, and turned CR LF into LF before json.loads counted chars; a
+    # byte that is not UTF-8 was refused with the codec's bare line
     good = _space_file(tmp_path)
     text = json.dumps(GOOD_SPACE)
     (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + text.encode())
     (tmp_path / "utf16.json").write_bytes(text.encode("utf-16"))
     (tmp_path / "crlf.json").write_bytes(b'{\r\n"a": }')
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
     monkeypatch.chdir(tmp_path)
     space = ("space", cli.GradedSpace.from_json(GOOD_SPACE))
 
@@ -1206,7 +1231,9 @@ def test_the_space_files_read_otherwise_than_the_parent_read_them(
         ("crlf.json", refusal(
             "malformed JSON in crlf.json: Expecting value: line 2 column 6 "
             "(char 7)"), refusal("malformed JSON in crlf.json: Expecting "
-                                 "value: line 2 column 6 (char 8)"))]
+                                 "value: line 2 column 6 (char 8)")),
+        ("latin1.json", refusal(NOT_UTF8),
+         refusal(f"malformed JSON in latin1.json: {NOT_UTF8}"))]
     for spec, parent, new in cases:
         was = _outcome(capsys, parent_cli.load_space, spec)
         if parent and parent[1] == "internal-error":
