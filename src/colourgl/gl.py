@@ -47,11 +47,16 @@ Their integer Laurent dicts {(word, e): n}, the terms n q^e word, are
 summed by _add_ints and turned into {word: Scalar} by _to_scalars, the
 one bridge from them to Scalars, for tensor, reps and weyl.
 
-A cache that its computation reads in full is built whole, as a table,
-before it is read: verify.suite_jacobi's unit brackets and omegas, and
-reps.KacModule._norms.  A per-call cache that is read only in part fills
-on lookup: KacModule.act's memo, weyl._commutator's products,
-verify.suite_fock's _Images and tensor._block_sums' factors.  A process
+A cache whose keys are known before its check starts, and which the
+check reads in full, is a table built whole before it is read:
+verify.suite_jacobi's unit brackets and omegas, verify.suite_fock's
+products and images, and reps.KacModule._norms.  A cache whose keys are
+found while the work goes is a plain dict filled on lookup: the keys of
+KacModule.act's memo are found by its recursion, those of
+tensor._block_sums' factors are the letters of each word as it comes, and
+weyl._commutator's products serve both gl(V) checks of fft-check, the
+dual pair on pairs of E and Ecal and the filtration on E x W and W x E,
+whose key sets differ from each other and from their union.  A process
 memo is bounded one of two ways, the least recently used entry
 dropped first: _Kept bounds a memo by the summed sizes of its entries
 (tensor's Young tables and arrangements), and functools.lru_cache, on the
@@ -70,9 +75,10 @@ digits.
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
-from .grading import CommutativeFactor, _Record, _json_int, _json_list
+from .grading import (CommutativeFactor, _json_int, _json_list, _json_object,
+                      _Record)
 from .scalars import ONE, Scalar, ZERO, omega_scalar
 
 
@@ -223,13 +229,22 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, doc):
-        """The space of a JSON document: each component's degree a list of
-        JSON integers and its dim a JSON integer, none coerced."""
-        factor = CommutativeFactor.from_json(doc["factor"])
-        comps = [(factor.group.degree(_json_list(c["degree"], "degree")),
-                  _json_int(c["dim"], "dim"))
-                 for c in doc["components"]]
-        return cls(factor, comps)
+        """The space of a JSON document: an object whose factor is an
+        object and whose components are a list of objects, each with a
+        degree, a list of JSON integers, and a dim, a JSON integer, none
+        coerced.  A missing field, or a value of another JSON type, is a
+        ValueError that names it."""
+        factor, comps = _json_object(
+            doc, "space document", factor=CommutativeFactor.from_json,
+            components=partial(_json_list, read=_component))
+        return cls(factor, [(factor.group.degree(degree), dim)
+                            for degree, dim in comps])
+
+
+def _component(doc, _):
+    """The degree, a tuple of JSON integers, and the dim, a JSON integer,
+    of a component document."""
+    return _json_object(doc, "component", degree=_json_list, dim=_json_int)
 
 
 def _bracket_pair(pairs, a, b, c, d):

@@ -23,13 +23,18 @@ _inversion_pair is the same pair read from the word's letter-pair
 inversion counts instead of a sort: tensor weights its Young tables,
 which keep the counts, by it.
 
-A Degree is checked and reduced where it is made from outside, by
-Degree(group, coords) or group.degree; its sums, differences and negatives
-work on whole coordinate tuples and are built by _degree, which sets the
-two slots unchecked.  _table reads each distinct degree once, as the row
-pair (a^T S, a^T B), and forms each pair over the other degree's nonzero
-coordinates, so a table over unit degrees costs O(1) an entry, not the
-O(rank) of _pairings.
+A Degree is made by one constructor, _degree, which sets its two slots
+unchecked: group.degree checks and reduces the coordinates it is given
+first, and the sums, differences and negatives work on whole reduced
+coordinate tuples.  Degree itself takes no arguments.  _table reads each
+distinct degree once, as the row pair (a^T S, a^T B), and forms each pair
+over the other degree's nonzero coordinates, so a table over unit degrees
+costs O(1) an entry, not the O(rank) of _pairings.
+
+A JSON document is read by _json_object, field by field, each value by
+its reader: _json_int, _json_list, _json_rows or a document's own, such
+as CommutativeFactor.from_json; a missing field, or a value of another
+JSON type, is refused by a line that names it, and no value is coerced.
 
 _Record gives equality and repr by its fields to a class whose fields are
 its __slots__ and then those of its bases: the groups, degrees and
@@ -173,15 +178,11 @@ class GradingGroup(_FrozenRecord):
 
 class Degree(_FrozenRecord):
     """An element of a grading group; torsion coordinates live mod 2.
-    Degree(group, coords) and group.degree(...) check and reduce coords;
-    group.degree and the arithmetic build their reduced results by
-    _degree, unchecked."""
+    Made from outside by group.degree(...), which checks and reduces the
+    coordinates; group.degree and the arithmetic build their reduced
+    results by _degree, unchecked."""
 
     __slots__ = ("group", "coords")
-
-    def __init__(self, group, coords):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", group._checked(coords))
 
     def _group(self, other):
         """The group of self and other, or a ShapeError."""
@@ -233,12 +234,30 @@ def _json_int(value, field):
     return value
 
 
+def _json_object(doc, name, **readers):
+    """The fields of doc, the JSON object called name, in the order of
+    readers, each value read by readers[field](value, field); a ValueError
+    naming name when doc is not a JSON object, or naming the first field
+    of readers that it lacks."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    for field in readers:
+        if field not in doc:
+            raise ValueError(f"{name} missing field {field!r}")
+    return [read(doc[field], field) for field, read in readers.items()]
+
+
 def _json_list(value, field, read=_json_int):
     """A JSON list as a tuple, each entry read by read(entry, field); a
     ValueError naming field for anything else."""
     if not isinstance(value, list):
         raise ValueError(f"{field}: {value!r} is not a JSON list")
     return tuple(read(x, field) for x in value)
+
+
+def _json_rows(value, field):
+    """A JSON list of JSON lists of JSON integers, as a tuple of tuples."""
+    return _json_list(value, field, _json_list)
 
 
 def _combination(rows, support, width):
@@ -370,17 +389,14 @@ class CommutativeFactor(_FrozenRecord):
         }
 
     @classmethod
-    def from_json(cls, doc):
-        """The factor of a JSON document, which must hold JSON integers
-        where the constructor takes ints: no value is coerced."""
-        try:
-            group = GradingGroup(
-                *(_json_int(doc[name], name)
-                  for name in ("free_rank", "torsion2_rank")))
-            return cls(group, *(_json_list(doc[name], name, _json_list)
-                                for name in ("sign_form", "exp_form")))
-        except KeyError as exc:
-            raise ValueError(f"factor document missing field {exc}") from exc
+    def from_json(cls, doc, name="factor"):
+        """The factor of the JSON object doc, called name in a refusal,
+        which must hold JSON integers where the constructor takes ints: no
+        value is coerced."""
+        free, torsion, *forms = _json_object(
+            doc, name, free_rank=_json_int, torsion2_rank=_json_int,
+            sign_form=_json_rows, exp_form=_json_rows)
+        return cls(GradingGroup(free, torsion), *forms)
 
 
 @lru_cache(maxsize=None)

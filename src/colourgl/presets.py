@@ -1,12 +1,18 @@
 """Built-in grading/space presets.
 
-Names accepted by the CLI:
+Names accepted by the CLI, m, n and each d a run of decimal digits:
     super(m|n)      Z_2 grading, omega(a,b) = (-1)^(ab)
-    z2z2(d1,d2,..)  Z_2 x Z_2 grading, omega(a,b) = (-1)^(a1 b2 + a2 b1),
-                    dims for the degrees (0,0),(0,1),(1,0),(1,1) in order
+    z2z2(d1,..,dk)  Z_2 x Z_2 grading, omega(a,b) = (-1)^(a1 b2 + a2 b1),
+                    k <= 4 dims for the degrees (0,0),(0,1),(1,0),(1,1) in
+                    order; z2z2 and z2z2() are z2z2(1,1,1,1)
     glq(m|n)        Z^(m+n) with the sign form on the odd block and the
                     skew exponent form J (J_ij = 1 for i < j)
     green(n)        Z^n with omega(a,b) = (-1)^(sum a_i b_i)
+Each family has one pattern, which is_preset_name and preset_space both
+read: a text outside it is no preset name, so the CLI reads it as a file
+path.  A count has at most 4300 digits, leading zeros included, the most
+that int() reads by default, so int() reads every count the pattern
+admits.
 """
 
 import re
@@ -60,9 +66,19 @@ def green_space(n):
                        lambda i: (0,) * n)
 
 
-_PRESET_RE = re.compile(
-    r"^(?P<name>super|glq|z2z2|green)"
-    r"(?:\((?P<args>[\d|,]*)\))?$")
+# a count: int() reads at most 4300 digits by default, and a count past
+# DIM_CAP is refused by its value when its space is built
+_N = r"\d{1,4300}"
+# one pattern per family, which both recognises a name and places its
+# counts: the runs of digits after the family word
+_FAMILIES = {
+    "super": (rf"super\({_N}\|{_N}\)", "(m|n)", super_space),
+    "glq": (rf"glq\({_N}\|{_N}\)", "(m|n)", glq_space),
+    "z2z2": (rf"z2z2(?:\((?:{_N}(?:,{_N}){{0,3}})?\))?",
+             "(d1,..,dk), k <= 4",
+             lambda *dims: z2z2_space(dims) if dims else z2z2_space()),
+    "green": (rf"green\({_N}\)", "(n)", green_space),
+}
 
 
 def builtin_spaces():
@@ -77,24 +93,22 @@ def builtin_spaces():
 
 
 def preset_space(name):
-    """Build a GradedSpace from a preset name, or raise KeyError."""
-    m = _PRESET_RE.match(name.strip())
-    if not m:
+    """The GradedSpace of a preset name, leading and trailing white space
+    aside, or a KeyError naming the text for a name outside the grammar:
+    int() reads only counts that the pattern of their family admits."""
+    text = name.strip()
+    family = text.partition("(")[0]
+    if family not in _FAMILIES:
         raise KeyError(f"unknown preset {name!r}")
-    kind, args = m.group("name"), m.group("args")
-    if kind in ("super", "glq"):
-        if not args or "|" not in args:
-            raise KeyError(f"{kind} preset needs (m|n), got {name!r}")
-        mm, nn = args.split("|")
-        builder = super_space if kind == "super" else glq_space
-        return builder(int(mm), int(nn))
-    if kind == "z2z2":
-        dims = tuple(int(x) for x in args.split(",")) if args else (1, 1, 1, 1)
-        return z2z2_space(dims)
-    if not args:  # green, the last kind of _PRESET_RE
-        raise KeyError("green preset needs (n)")
-    return green_space(int(args))
+    pattern, shape, build = _FAMILIES[family]
+    if not re.fullmatch(pattern, text):
+        raise KeyError(f"{family} preset needs {shape}, got {name!r}")
+    return build(*map(int, re.findall(r"\d+", text[len(family):])))
 
 
 def is_preset_name(name):
-    return bool(_PRESET_RE.match(name.strip()))
+    """True when name, leading and trailing white space aside, is in the
+    grammar of its family."""
+    text = name.strip()
+    found = _FAMILIES.get(text.partition("(")[0])
+    return bool(found and re.fullmatch(found[0], text))

@@ -40,9 +40,11 @@ a + 1): one _randbelow call of the same width each, so the values and the
 rng state after each suite are those of rng.randint(a, b), on Python 3.10
 to 3.13 alike, with two Python frames fewer per draw.  _random_degree's
 draws are reduced already, so it builds its degree by grading._degree,
-unchecked.  fock-module keeps one table per word, {monomial: image},
-lists the images of each v over the monomials once, and takes each
-product u v once per pair.
+unchecked.  fock-module reads every product u v of two generators and
+every image it needs in full, so it builds both as tables before its
+loops: each product once, and one table {monomial: image} per distinct
+word, a generator's over the monomials of degree <= 4 and a product
+word's over those of degree < 4, each image formed once.
 """
 
 import itertools
@@ -240,21 +242,6 @@ def suite_forms(space, rng, samples):
     return True, f"{samples} random triples + root data"
 
 
-class _Images(dict):
-    """{monomial: its image} under one word of alg, each image taken by
-    _word_on_monomial on its first lookup."""
-
-    __slots__ = ("alg", "word")
-
-    def __init__(self, alg, word):
-        super().__init__()
-        self.alg, self.word = alg, word
-
-    def __missing__(self, mono):
-        img = self[mono] = _word_on_monomial(self.alg, *self.word, mono)
-        return img
-
-
 def suite_fock(space, rng, copies):
     if space.dim > 4:
         return None, "skipped (dim V too big)"
@@ -262,24 +249,27 @@ def suite_fock(space, rng, copies):
     n = space.dim * copies
     gens = [((g,), ()) for g in range(n)] + [((), (g,)) for g in range(n)]
     monos = [m for d in range(4) for m in alg.monomials(d)]
-    tables = {}  # word -> its _Images, for this call only
-
-    def table(word):
-        found = tables.get(word)
-        if found is None:
-            found = tables[word] = _Images(alg, word)
-        return found
-
-    listed = {v: list(map(table(v).__getitem__, monos)) for v in gens}
+    # every product u v, and the image of every word the loops read on
+    # every monomial they read it on, each formed once before the loops: a
+    # generator u on the monomials of v f, of degree <= 4, and a product
+    # word on f; no product word is one letter long, so no word is in both
+    products = {(u, v): _word_product(alg, *u, *v)
+                for u in gens for v in gens}
+    reads = {**dict.fromkeys(gens, monos + alg.monomials(4)),
+             **dict.fromkeys((w for prod in products.values()
+                              for w, _ in prod), monos)}
+    images = {word: {m: _word_on_monomial(alg, *word, m) for m in on}
+              for word, on in reads.items()}
     for u in gens:
-        u_images = table(u)
+        u_images = images[u]
         for v in gens:
             # u (v f) - (u v) f for f = mono
-            prod = [(table(w), c, e)
-                    for (w, e), c in _word_product(alg, *u, *v).items()]
-            for mono, v_image in zip(monos, listed[v]):
+            v_images = images[v]
+            prod = [(images[w], c, e)
+                    for (w, e), c in products[u, v].items()]
+            for mono in monos:
                 defect = {}
-                for (m, e), c in v_image.items():
+                for (m, e), c in v_images[mono].items():
                     _add_ints(defect, u_images[m], c, e)
                 for w_images, c, e in prod:
                     _add_ints(defect, w_images[mono], -c, e)

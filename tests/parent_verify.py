@@ -17,6 +17,11 @@ reduced.  suite_bicharacter draws through this _random_degree.
 suite_fock is the fock-module suite as it was before it kept one image
 table per word: it memoised each image under its (word, monomial) key
 and took the images of v over every monomial once per pair (u, v).
+suite_fock_images is the suite as it was before it built its products
+and images as tables before its loops: each word's _Images, a dict that
+formed an image on its first lookup, and each product u v formed inside
+the loop over u and v.  tests/test_fock_tables.py runs it beside
+verify.suite_fock.
 """
 
 import itertools
@@ -164,4 +169,52 @@ def suite_fock(space, rng, copies):
                 _add_ints(defect, image(w, mono), -c, e)
             if any(defect.values()):
                 return False, "module axiom failed"
+    return True, f"all generator pairs on {len(monos)} monomials"
+
+
+class _Images(dict):
+    """{monomial: its image} under one word of alg, each image taken by
+    _word_on_monomial on its first lookup."""
+
+    __slots__ = ("alg", "word")
+
+    def __init__(self, alg, word):
+        super().__init__()
+        self.alg, self.word = alg, word
+
+    def __missing__(self, mono):
+        img = self[mono] = _word_on_monomial(self.alg, *self.word, mono)
+        return img
+
+
+def suite_fock_images(space, rng, copies):
+    if space.dim > 4:
+        return None, "skipped (dim V too big)"
+    alg = fock_algebra(space, copies)
+    n = space.dim * copies
+    gens = [((g,), ()) for g in range(n)] + [((), (g,)) for g in range(n)]
+    monos = [m for d in range(4) for m in alg.monomials(d)]
+    tables = {}  # word -> its _Images, for this call only
+
+    def table(word):
+        found = tables.get(word)
+        if found is None:
+            found = tables[word] = _Images(alg, word)
+        return found
+
+    listed = {v: list(map(table(v).__getitem__, monos)) for v in gens}
+    for u in gens:
+        u_images = table(u)
+        for v in gens:
+            # u (v f) - (u v) f for f = mono
+            prod = [(table(w), c, e)
+                    for (w, e), c in _word_product(alg, *u, *v).items()]
+            for mono, v_image in zip(monos, listed[v]):
+                defect = {}
+                for (m, e), c in v_image.items():
+                    _add_ints(defect, u_images[m], c, e)
+                for w_images, c, e in prod:
+                    _add_ints(defect, w_images[mono], -c, e)
+                if any(defect.values()):
+                    return False, "module axiom failed"
     return True, f"all generator pairs on {len(monos)} monomials"

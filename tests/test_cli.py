@@ -964,6 +964,38 @@ def test_a_checked_space_document_still_loads(capsys, tmp_path):
     assert code == 0 and report["results"]["checksum"] == 9
 
 
+@pytest.mark.parametrize("doc, line", [
+    ({"factor": GOOD_SPACE["factor"]},
+     "space document missing field 'components'"),
+    (dict(GOOD_SPACE, components={"degree": [0, 0], "dim": 2}),
+     "components: {'degree': [0, 0], 'dim': 2} is not a JSON list"),
+    ([GOOD_SPACE], "space document is not a JSON object"),
+    ("super(1|1)", "space document is not a JSON object"),
+    ({"components": GOOD_SPACE["components"]},
+     "space document missing field 'factor'"),
+    (dict(GOOD_SPACE, factor=[1, 1]), "factor is not a JSON object"),
+    (dict(GOOD_SPACE, factor={"free_rank": 1, "torsion2_rank": 1}),
+     "factor missing field 'sign_form'"),
+    (dict(GOOD_SPACE, components=[[[0, 0], 2]]),
+     "component is not a JSON object"),
+    (dict(GOOD_SPACE, components=[{"degree": [0, 0]}]),
+     "component missing field 'dim'")],
+    ids=["no-components", "components-object", "document-list",
+         "document-string", "no-factor", "factor-list", "no-sign-form",
+         "component-list", "no-dim"])
+def test_a_space_document_of_the_wrong_shape_is_refused_by_field(
+        capsys, tmp_path, doc, line):
+    # the parent's lines were Python's: "'components'", "string indices
+    # must be integers", "list indices must be integers or slices, not
+    # str", "factor document missing field 'sign_form'"
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify", "--space", str(path),
+                            "--level", "quick")
+    assert (code, report["kind"], report["error"]) == (
+        2, "error", f"bad space document {path}: {line}")
+
+
 def readme_cli_lines():
     """The argv of every `colourgl ...` line of README's CLI examples."""
     text = (SRC.parent / "README.md").read_text()
@@ -1192,6 +1224,27 @@ def test_every_pool_space_and_preset_loads_as_the_parent_loaded_it(
     for spec in specs:
         assert (_outcome(capsys, cli.load_space, spec)
                 == _outcome(capsys, parent_cli.load_space, spec)), spec
+
+
+def test_a_z2z2_of_five_dims_is_refused(capsys):
+    # the parent zipped the four degrees against the dims and exited 0
+    # with "dimension": 4
+    code, doc = run_json(capsys, "schur-weyl", "--space", "z2z2(1,1,1,1,1)",
+                         "--power", "1")
+    assert (code, doc["kind"], doc["error"]) == (
+        2, "error", "'z2z2(1,1,1,1,1)' is neither a preset nor a file")
+
+
+@pytest.mark.parametrize("spec", [
+    "super(1|1|1)", "z2z2(1,,1)", "glq(|1)", "green(1|2)",
+    "green(" + "7" * 5000 + ")"],
+    ids=["three-counts", "empty-dim", "empty-m", "two-counts", "5000-digits"])
+def test_a_malformed_preset_name_is_refused_naming_it(capsys, spec):
+    # the parent's lines were "too many values to unpack (expected 2)",
+    # "invalid literal for int() with base 10: ..." and Python's
+    # int-string limit, which name no spec and differ by version
+    assert _refusal(capsys, spec) == (
+        2, "error", f"{spec!r} is neither a preset nor a file")
 
 
 NOT_UTF8 = ("'utf-8' codec can't decode byte 0xff in position 0: invalid "
