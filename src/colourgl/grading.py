@@ -34,7 +34,8 @@ costs O(1) an entry, not the O(rank) of _pairings.
 A JSON document is read by _json_object, field by field, each value by
 its reader: _json_int, _json_list, _json_rows or a document's own, such
 as CommutativeFactor.from_json; a missing field, or a value of another
-JSON type, is refused by a line that names it, and no value is coerced.
+JSON type, is refused by a line that names the field and the type found
+(_json_refusal), never the value, and no value is coerced.
 
 _Record gives equality and repr by its fields to a class whose fields are
 its __slots__ and then those of its bases: the groups, degrees and
@@ -226,11 +227,25 @@ def _degree(group, coords, new=object.__new__,
     return degree
 
 
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list",
+               int: "a JSON integer", str: "a JSON string",
+               float: "a JSON float", bool: "a JSON boolean",
+               type(None): "JSON null"}
+
+
+def _json_refusal(value, field, wanted):
+    """The ValueError for a value of field that is not a JSON wanted.  It
+    names the type found, never the value, so the line is short however
+    long the value."""
+    found = _JSON_TYPES.get(type(value), f"a Python {type(value).__name__}")
+    return ValueError(f"{field}: {found} is not a JSON {wanted}")
+
+
 def _json_int(value, field):
     """value when it is a JSON integer; a ValueError naming field for a
     float, a bool, a string or anything else, which int() would coerce."""
     if type(value) is not int:
-        raise ValueError(f"{field}: {value!r} is not a JSON integer")
+        raise _json_refusal(value, field, "integer")
     return value
 
 
@@ -251,7 +266,7 @@ def _json_list(value, field, read=_json_int):
     """A JSON list as a tuple, each entry read by read(entry, field); a
     ValueError naming field for anything else."""
     if not isinstance(value, list):
-        raise ValueError(f"{field}: {value!r} is not a JSON list")
+        raise _json_refusal(value, field, "list")
     return tuple(read(x, field) for x in value)
 
 

@@ -15,17 +15,25 @@ the series _series of dim S^n of the M+|M- and M-|M+ spaces; the Howe
 sweeps of weyl count dim S^n by the same series.  A shape in the hook has
 a Durfee square of side at most max(M+, M-), so the determinant, taken
 by Bareiss elimination in _det, stays small however long the arm or leg.
-hook_partitions lists the shapes of one size directly, without recursion;
-partitions_of is its case M+ = 0.  hook_table is the one builder of the
-hook table, a row of (lambda, lambda#, k, f and dim_glN) per shape: the
-Schur-Weyl table of tensor and the CLI's tableaux report both read it.
-dim_glN_floor_bits bounds every dim_glN of one size from below by bit
-lengths, so that a count too long to print is refused unbuilt.
+
+k(lambda) is the one tableau count, for gl(V) and gl_N alike.  gl_N is
+gl(C^N), C^N the space of N even and no odd basis vectors, whose
+tableaux are the semistandard ones, so
+
+    dim L_lambda(gl_N) = k_{N|0}(lambda) = _count_hook(lambda, N, 0),
+
+which vanishes on a shape deeper than N.  hook_partitions lists the
+shapes of one size directly, without recursion; partitions_of is its
+case M+ = 0.  hook_table is the one builder of the hook table, a row of
+(lambda, lambda#, k, f and dim_glN) per shape: the Schur-Weyl table of
+tensor and the CLI's tableaux report both read it.  dim_glN_floor_bits
+bounds every dim_glN of one size from below by bit lengths, so that a
+count too long to print is refused unbuilt.
 
 Each public function checks its shape once, by check_partition (and
 hook membership once, by _hook_shape, or _check_hook on a checked
 shape), and runs a private kernel on the canonical tuple: _transpose,
-_in_hook, _sharp, _hooks, _count_standard, _dim_glN and _count_hook.
+_in_hook, _sharp, _hooks, _count_standard and _count_hook.
 Kernels check nothing and call only kernels.  A caller that already
 holds canonical shapes, as the shapes of hook_partitions are, calls the
 kernels.
@@ -36,7 +44,9 @@ from math import factorial, prod
 
 # the hook counts and dimension series kept by _count_hook and _series, the
 # least recently used dropped first: a round of the hook benchmark counts
-# about 300 shapes over about 40 series
+# about 300 to 500 keys, the gl_N ones (lambda, N, 0) included, over about
+# 45 series.  Keys are typed, so that a float count (3.0) never answers
+# for the int one, whose values must stay ints.
 COUNT_HOOK_KEPT = 1024
 SERIES_KEPT = 128
 
@@ -129,8 +139,9 @@ def hook_table(m_plus, m_minus, size, copies=0):
         row = {"partition": lam, "sharp": _sharp(lam, m_plus, m_minus),
                "k": _count_hook(lam, m_plus, m_minus),
                "f": _count_standard(lam)}
-        if copies > 0:
-            row["dim_glN"] = _dim_glN(lam, copies)
+        if copies > 0:  # no shape deeper than N has a gl_N module
+            row["dim_glN"] = 0 if len(lam) > copies else _count_hook(
+                lam, copies, 0)
         yield row
 
 
@@ -188,9 +199,10 @@ def _count_standard(lam):
 
 
 def dim_glN(lam, n):
-    """Dimension of the simple polynomial gl_N module:
-    prod (N + j - i)/hook(i, j); zero when depth(lambda) > N."""
-    return _dim_glN(check_partition(lam), n)
+    """Dimension of the simple polynomial gl_N module: k(lambda) of the
+    N|0 space; zero when depth(lambda) > N, for every N < 0 too."""
+    lam = check_partition(lam)
+    return 0 if len(lam) > n else _count_hook(lam, n, 0)
 
 
 def dim_glN_floor_bits(size, n):
@@ -204,19 +216,6 @@ def dim_glN_floor_bits(size, n):
                0)
 
 
-def _dim_glN(lam, n):
-    """The contents' product over the hooks' product, as two ints and one
-    exact division: row i contributes N - i, ..., N - i + lambda_i - 1,
-    all positive once depth(lambda) <= N."""
-    if len(lam) > n:
-        return 0
-    contents = prod(prod(range(n - i, n - i + p)) for i, p in enumerate(lam))
-    value, rem = divmod(contents, prod(map(prod, _hooks(lam))))
-    if rem:
-        raise AssertionError(f"dim_glN({lam}, {n}) leaves a remainder")
-    return value
-
-
 def count_hook_tableaux(lam, m_plus, m_minus):
     """k(lambda): the number of semistandard (M+, M-)-tableaux of shape
     lambda.  It is the hook Schur function hs_lambda(1^M+ / 1^M-)
@@ -225,7 +224,7 @@ def count_hook_tableaux(lam, m_plus, m_minus):
     return _count_hook(check_partition(lam), m_plus, m_minus)
 
 
-@lru_cache(maxsize=COUNT_HOOK_KEPT)
+@lru_cache(maxsize=COUNT_HOOK_KEPT, typed=True)
 def _count_hook(lam, m_plus, m_minus):
     """Giambelli's determinant det[hs_(a_i + 1, 1^b_k)] over the Durfee
     square of lambda, a_i = lambda_i - i - 1 and b_k = lambda'_k - k - 1
@@ -241,7 +240,7 @@ def _count_hook(lam, m_plus, m_minus):
                       for j in range(b + 1)) for b in legs] for a in arms])
 
 
-@lru_cache(maxsize=SERIES_KEPT)
+@lru_cache(maxsize=SERIES_KEPT, typed=True)
 def _series(even, odd, n):
     """(dim S^k for k <= n) of a space with `even` even and `odd` odd basis
     vectors: the coefficients c_k of F = prod_even (1 - t)^-1 prod_odd

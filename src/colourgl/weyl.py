@@ -53,11 +53,14 @@ gl._to_scalars builds its Scalars by Scalar.from_laurent, so no routine
 here reads or builds a Scalar's stored form.
 
 The Howe sweeps read only how many generators are even and how many
-are odd, the two numbers that _checked_counts takes.  For S_omega(V^N)
-they are (M+ N, M- N).  The generator E_vw of S_omega(V* x W) has degree
-g_w - g_v, and omega(g - h, g - h) = omega(g, g) omega(h, h) for a
-commutative factor, so E_vw is odd exactly when one of v and w is: the
-numbers are (vp wp + vm wm, vp wm + vm wp).  Vbar has V's parities, as
+are odd, the two numbers that _checked_counts takes.  The generator E_vw
+of S_omega(V* x W) has degree g_w - g_v, and omega(g - h, g - h) =
+omega(g, g) omega(h, h) for a commutative factor, so E_vw is odd exactly
+when one of v and w is: the numbers are (vp wp + vm wm, vp wm + vm wp).
+S_omega(V^N) is the case W = C^N, N even basis vectors and no odd one,
+where they are (M+ N, M- N) and k_W(lambda) = dim L_lambda(gl_N); so
+howe_dimension_sweep and glvv_decomposition read one walk, _howe_walk,
+at (M+, M-, N, 0) and at (vp, vm, wp, wm).  Vbar has V's parities, as
 omega(-g, -g) = omega(g, g).  So fft-check lists its xbar-monomials on
 fock_algebra(space, N'), whose generators have the xbar's parities and
 their ids less dim V N, and builds no Fock algebra without a copy of V.
@@ -90,8 +93,7 @@ from .gl import (LinearCombination, ResourceBoundExceeded, SpaceMismatch,
                  _add_ints, _add_into, _bracket_ints, _bracket_pair,
                  _dual_pair, _to_scalars)
 from .grading import _merge
-from .partitions import (_count_hook, _dim_glN, _series, _sharp,
-                         hook_partitions)
+from .partitions import _count_hook, _series, _sharp, hook_partitions
 from .presets import glq_space, super_space
 from .scalars import ONE, omega_scalar
 
@@ -462,48 +464,53 @@ def _checked_counts(even, odd, max_degree):
     return counts
 
 
+def _howe_walk(vp, vm, wp, wm, max_degree):
+    """(d, dim S^d, sum_lambda k_V(lambda) k_W(lambda), the shapes lambda
+    with k_W(lambda) nonzero) per degree d <= max_degree of S_omega(V* x
+    W), V of vp even and vm odd basis vectors and W of wp and wm.  E_vw is
+    odd exactly when one of v and w is, so dim S^d is counted from (vp wp
+    + vm wm, vp wm + vm wp).  One walk over the hook shapes of V per
+    degree gives the sum and the shapes: lambda is in the hook of W
+    exactly when k_W(lambda) is nonzero, as hs_lambda vanishes off the
+    hook, so with wm = 0 no shape deeper than wp counts and the walk stops
+    at depth wp."""
+    for d, count in enumerate(_checked_counts(
+            vp * wp + vm * wm, vp * wm + vm * wp, max_degree)):
+        total, shapes = 0, []
+        for lam in hook_partitions(vp, vm, d if wm else wp, d):
+            k_w = _count_hook(lam, wp, wm)
+            total += _count_hook(lam, vp, vm) * k_w
+            if k_w:
+                shapes.append(lam)
+        yield d, count, total, shapes
+
+
 def howe_dimension_sweep(space, copies, max_degree):
     """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
-    dim S^d is counted, not listed: the coefficient of t^d in the
-    generating series of the Fock algebra S_omega(V^N), cross-checked
-    against the closed form, both from (M+ N, M- N)."""
-    rows = []
-    for d, count in enumerate(_checked_counts(
-            space.m_plus * copies, space.m_minus * copies, max_degree)):
-        total = sum(_count_hook(lam, space.m_plus, space.m_minus)
-                    * _dim_glN(lam, copies)
-                    for lam in hook_partitions(space.m_plus, space.m_minus,
-                                               copies, d))
-        rows.append({"degree": d, "fock_dimension": count,
-                     "module_sum": total, "equal": count == total})
-    return rows
+    S_omega(V^N) is S_omega(V* x W) at W = C^N, purely even, and
+    dim L_lambda(gl_N) is k(lambda) of C^N, so the sweep is the glvv walk
+    at (M+, M-, N, 0); dim S^d is counted, not listed, from (M+ N, M- N)."""
+    return [{"degree": d, "fock_dimension": count, "module_sum": total,
+             "equal": count == total}
+            for d, count, total, _ in _howe_walk(
+                space.m_plus, space.m_minus, copies, 0, max_degree)]
 
 
 def glvv_decomposition(space_v, space_w, max_degree):
     """Howe duality for a pair of graded spaces: per-degree dimension of
     S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
-    paired-weight table for |lambda| <= max_degree.  The dimension is
-    counted as in howe_dimension_sweep.  One walk over the hook shapes of
-    V per degree gives both: lambda is in the hook of W exactly when
-    k_W(lambda) is nonzero, as hs_lambda vanishes off the hook.  E_vw is
-    odd exactly when one of v and w is odd."""
+    paired-weight table for |lambda| <= max_degree, all read off the one
+    walk _howe_walk."""
     if space_v.factor != space_w.factor:
         raise SpaceMismatch("spaces must share one commutative factor")
     vp, vm, wp, wm = (space_v.m_plus, space_v.m_minus, space_w.m_plus,
                       space_w.m_minus)
     rows, pairs = [], []
-    for d, count in enumerate(_checked_counts(
-            vp * wp + vm * wm, vp * wm + vm * wp, max_degree)):
-        total = 0
-        for lam in hook_partitions(vp, vm, d, d):
-            k_w = _count_hook(lam, wp, wm)
-            total += _count_hook(lam, vp, vm) * k_w
-            if k_w:
-                pairs.append({"partition": lam,
-                              "sharp_v": _sharp(lam, vp, vm),
-                              "sharp_w": _sharp(lam, wp, wm)})
+    for d, count, total, shapes in _howe_walk(vp, vm, wp, wm, max_degree):
         rows.append({"degree": d, "algebra_dimension": count,
                      "module_sum": total, "equal": count == total})
+        pairs.extend({"partition": lam, "sharp_v": _sharp(lam, vp, vm),
+                      "sharp_w": _sharp(lam, wp, wm)} for lam in shapes)
     return rows, pairs
 
 
@@ -651,8 +658,10 @@ def invariant_dimension(space, copies, dual_copies, degree):
     of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
 
     Verifies the count against the second fundamental theorem sum
-    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N') and that degree-d
-    products of the quadratic invariants z_rs span the kernel.  The E_ab
+    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N'), each the k(lambda)
+    of C^N or C^N', over the shapes no deeper than min(N, N'), as a deeper
+    one has no gl_N or no gl_N' module, and that degree-d products of the
+    quadratic invariants z_rs span the kernel.  The E_ab
     images, the z-products and their invariance defects are integer
     Laurent dicts; a Scalar is built only in the rows for rank_of_rows."""
     bound, = _invariant_basis_bounds(space, copies, dual_copies, (degree,))
@@ -694,9 +703,11 @@ def invariant_dimension(space, copies, dual_copies, degree):
         rows.extend(_to_scalars([(ONE, col)]) for col in columns.values())
     nullity = len(basis) - rank_of_rows(rows)
 
-    expected = sum(_dim_glN(lam, copies) * _dim_glN(lam, dual_copies)
-                   for lam in hook_partitions(space.m_plus, space.m_minus,
-                                              degree, degree))
+    expected = sum(_count_hook(lam, copies, 0)
+                   * _count_hook(lam, dual_copies, 0)
+                   for lam in hook_partitions(
+                       space.m_plus, space.m_minus,
+                       min(copies, dual_copies), degree))
     if nullity != expected:
         raise AssertionError(
             f"invariant dimension {nullity} != structure sum {expected}")

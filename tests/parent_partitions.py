@@ -9,12 +9,19 @@ too: check_partition truncated non-int parts and dropped every zero.
 k(lambda) was read from the strip table, _strip_table and _grow_strip,
 kept here verbatim as the oracle of the package's Giambelli determinant
 and shape generator in tests/test_partition_kernels.py.
+
+_dim_glN is the later integer kernel, the contents' product over the
+hooks' product, kept verbatim: the package now reads dim L_lambda(gl_N)
+as the hook count k(lambda) of the N|0 space, and tests/parent_weyl.py
+and tests/test_partition_kernels.py read this one as its oracle.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
+from math import factorial, prod
+
+from colourgl.partitions import _hooks
 
 
 def is_partition(parts):
@@ -109,6 +116,19 @@ def dim_glN(lam, n):
             value *= Fraction(n + j - i, h)
     assert value.denominator == 1
     return int(value)
+
+
+def _dim_glN(lam, n):
+    """The contents' product over the hooks' product, as two ints and one
+    exact division: row i contributes N - i, ..., N - i + lambda_i - 1,
+    all positive once depth(lambda) <= N."""
+    if len(lam) > n:
+        return 0
+    contents = prod(prod(range(n - i, n - i + p)) for i, p in enumerate(lam))
+    value, rem = divmod(contents, prod(map(prod, _hooks(lam))))
+    if rem:
+        raise AssertionError(f"dim_glN({lam}, {n}) leaves a remainder")
+    return value
 
 
 def count_hook_tableaux(lam, m_plus, m_minus):

@@ -26,6 +26,15 @@ staged walk replaced: the product reduces each term depth first, and the
 action runs its own stages of d's on the monomial.  They are the oracles
 of the walk in tests/test_laurent_kernels.py.
 
+howe_dimension_sweep and glvv_decomposition_depth_d are the sweeps as
+they were before both read one walk: the first multiplies k(lambda) by
+_dim_glN, the contents over the hooks, and the second walks V's hook
+shapes to depth d even when W is purely even.  Their bodies are verbatim
+but for one name: they call the package's unchanged _checked_counts, on
+the numbers of even and odd generators, as _checked_parity_counts, since
+_checked_counts here is the older one on an algebra.  glq_relations_check
+here runs this howe_dimension_sweep.
+
 invariant_dimension_by_combinations is the later, integer-kernel
 invariant_dimension, with its guard _guard_invariant_basis: it lists both
 sides of the zero-weight basis at every degree, even when one side has
@@ -39,16 +48,17 @@ from math import comb, prod
 from colourgl.gl import (GlElement, SpaceMismatch, _add_ints, _add_into,
                          _to_scalars, bracket)
 from colourgl.grading import _merge
-from colourgl.partitions import (_count_hook, _dim_glN, _in_hook, _sharp,
-                                  dim_glN, hook_partitions)
+from colourgl.partitions import (_count_hook, _in_hook, _sharp, dim_glN,
+                                  hook_partitions)
 from colourgl.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from colourgl.tensor import dual_act
 from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
                            MONOMIAL_CAP, OmegaPolyAlgebra,
                            ResourceBoundExceeded, WeylElement,
                            _count_monomials, _derive, _gl_images,
-                           dual_pair_generators, fock_algebra,
-                           howe_dimension_sweep)
+                           dual_pair_generators, fock_algebra)
+from colourgl.weyl import _checked_counts as _checked_parity_counts
+from parent_partitions import _dim_glN
 
 # the verbatim bodies below call fock_algebra by its former private name
 _fock_algebra = fock_algebra
@@ -489,6 +499,51 @@ def glvv_decomposition(space_v, space_w, max_degree):
                     "sharp_v": _sharp(lam, space_v.m_plus, space_v.m_minus),
                     "sharp_w": _sharp(lam, space_w.m_plus, space_w.m_minus),
                 })
+    return rows, pairs
+
+
+def howe_dimension_sweep(space, copies, max_degree):
+    """Per degree d: dim S^d against sum_lambda k(lambda) dim L_lambda(gl_N).
+    dim S^d is counted, not listed: the coefficient of t^d in the
+    generating series of the Fock algebra S_omega(V^N), cross-checked
+    against the closed form, both from (M+ N, M- N)."""
+    rows = []
+    for d, count in enumerate(_checked_parity_counts(
+            space.m_plus * copies, space.m_minus * copies, max_degree)):
+        total = sum(_count_hook(lam, space.m_plus, space.m_minus)
+                    * _dim_glN(lam, copies)
+                    for lam in hook_partitions(space.m_plus, space.m_minus,
+                                               copies, d))
+        rows.append({"degree": d, "fock_dimension": count,
+                     "module_sum": total, "equal": count == total})
+    return rows
+
+
+def glvv_decomposition_depth_d(space_v, space_w, max_degree):
+    """Howe duality for a pair of graded spaces: per-degree dimension of
+    S_omega(V* x W) against sum_lambda k_V(lambda) k_W(lambda), plus the
+    paired-weight table for |lambda| <= max_degree.  The dimension is
+    counted as in howe_dimension_sweep.  One walk over the hook shapes of
+    V per degree gives both: lambda is in the hook of W exactly when
+    k_W(lambda) is nonzero, as hs_lambda vanishes off the hook.  E_vw is
+    odd exactly when one of v and w is odd."""
+    if space_v.factor != space_w.factor:
+        raise SpaceMismatch("spaces must share one commutative factor")
+    vp, vm, wp, wm = (space_v.m_plus, space_v.m_minus, space_w.m_plus,
+                      space_w.m_minus)
+    rows, pairs = [], []
+    for d, count in enumerate(_checked_parity_counts(
+            vp * wp + vm * wm, vp * wm + vm * wp, max_degree)):
+        total = 0
+        for lam in hook_partitions(vp, vm, d, d):
+            k_w = _count_hook(lam, wp, wm)
+            total += _count_hook(lam, vp, vm) * k_w
+            if k_w:
+                pairs.append({"partition": lam,
+                              "sharp_v": _sharp(lam, vp, vm),
+                              "sharp_w": _sharp(lam, wp, wm)})
+        rows.append({"degree": d, "algebra_dimension": count,
+                     "module_sum": total, "equal": count == total})
     return rows, pairs
 
 

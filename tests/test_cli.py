@@ -968,7 +968,7 @@ def test_a_checked_space_document_still_loads(capsys, tmp_path):
     ({"factor": GOOD_SPACE["factor"]},
      "space document missing field 'components'"),
     (dict(GOOD_SPACE, components={"degree": [0, 0], "dim": 2}),
-     "components: {'degree': [0, 0], 'dim': 2} is not a JSON list"),
+     "components: a JSON object is not a JSON list"),
     ([GOOD_SPACE], "space document is not a JSON object"),
     ("super(1|1)", "space document is not a JSON object"),
     ({"components": GOOD_SPACE["components"]},
@@ -994,6 +994,24 @@ def test_a_space_document_of_the_wrong_shape_is_refused_by_field(
                             "--level", "quick")
     assert (code, report["kind"], report["error"]) == (
         2, "error", f"bad space document {path}: {line}")
+
+
+@pytest.mark.parametrize("dim, found", [
+    ({"degree": [0, 0], "dim": 2}, "a JSON object"), (2.5, "a JSON float"),
+    (True, "a JSON boolean"), ("7" * 100000, "a JSON string")],
+    ids=["object", "float", "bool", "long-string"])
+def test_a_refused_value_is_named_by_its_type_not_echoed(capsys, tmp_path,
+                                                         dim, found):
+    # the parent wrote the value's Python repr, in full, into the line
+    doc = json.loads(json.dumps(GOOD_SPACE))
+    doc["components"][0]["dim"] = dim
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", "--space", str(path),
+                        "--level", "quick")
+    assert code == 2 and len(out.strip()) < 200
+    assert json.loads(out)["error"] == (
+        f"bad space document {path}: dim: {found} is not a JSON integer")
 
 
 def readme_cli_lines():

@@ -21,12 +21,13 @@ import parent_partitions as parent
 import parent_weyl
 from colourgl import cli, partitions, reps, tensor
 from colourgl.partitions import (_count_hook, _count_standard, _det,
-                                 _dim_glN, _hooks, _in_hook, _series, _sharp,
+                                 _hooks, _in_hook, _series, _sharp,
                                  _transpose, count_hook_tableaux,
                                  count_standard_tableaux, dim_glN,
                                  hook_partitions, hooks, in_hook,
                                  lambda_sharp, partitions_of, transpose)
 from colourgl.presets import super_space
+from parent_partitions import _dim_glN
 
 SHAPES = [lam for n in range(15) for lam in parent.partitions_of(n)]
 HOOK_CLASSES = list(itertools.product(range(4), repeat=2))

@@ -2,7 +2,8 @@
 
 glvv_decomposition walks the hook shapes of each degree once and takes a
 paired weight exactly where k_W is nonzero; parent_weyl keeps the version
-that walked them twice.  kac_dimension applies the Weyl dimension formula
+that walked them twice, and glvv_decomposition_depth_d, which walked them
+once but to depth d even when W is purely even.  kac_dimension applies the Weyl dimension formula
 to each parity block; parent_reps keeps the version that went through
 dim_glN.  The factor of E_ab on V* is gl._dual_pair, which dual_act
 applies to Scalars, and the Laurent polynomials of the integer kernels
@@ -62,7 +63,8 @@ def test_glvv_matches_the_parent_on_every_pair_of_small_presets():
             continue
         shared += 1
         assert glvv_decomposition(v, w, 4) == \
-            parent_weyl.glvv_decomposition(v, w, 4), (v_name, w_name)
+            parent_weyl.glvv_decomposition(v, w, 4) == \
+            parent_weyl.glvv_decomposition_depth_d(v, w, 4), (v_name, w_name)
     assert shared > 100
 
 
