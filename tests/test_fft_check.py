@@ -3,15 +3,18 @@ checks on one memo of word products.  Its fields must equal those of
 separate calls, each of which forms its products afresh:
 invariant_dimension per degree, verify_dual_pair and
 invariant_generators_check at min(N, 2) copies, on presets and seeded
-random colour spaces, and also when one check is made to fail."""
+random colour spaces, and also when one check is made to fail.  Degree 0
+forms no z-product, so it lists no z-word: thousands of copies run in a
+fraction of a second, where listing the N N' z-words ran out of memory."""
 
 import random
 
 import pytest
 
 from colourgl import weyl
-from colourgl.presets import preset_space
+from colourgl.presets import preset_space, super_space
 from test_random_spaces import random_space
+from test_refusal_rule import run_module
 
 _rng = random.Random(4242)
 SPACES = {name: preset_space(name) for name in (
@@ -87,3 +90,17 @@ def test_each_public_check_forms_its_own_products(monkeypatch):
     weyl.fft_check(space, 1, 1, 0)
     shared = counts[-1]
     assert max(counts[:2]) <= shared < counts[0] + counts[1]
+
+
+def test_degree_0_lists_no_z_word():
+    # the parent listed all 9 * 10^6 z-words of 3000 x 3000 copies at
+    # degree 0, where no product is formed, and ended in MemoryError
+    # (exit 3) after about 22 s in the child's 3 GB address space
+    code, doc, seconds = run_module(
+        "fft-check", "--space", "super(1|0)", "--copies", "3000",
+        "--dual-copies", "3000", "--max-degree", "0")
+    assert code == 0, doc
+    assert doc["results"]["invariant_dimensions"] == {"0": 1}
+    assert seconds < 2
+    assert weyl.invariant_dimension(super_space(1, 0), 10 ** 4,
+                                    10 ** 4 - 1, 0) == 1

@@ -6,14 +6,18 @@ the hooks) and tests/parent_weyl.py (howe_dimension_sweep and
 glvv_decomposition_depth_d, which walked V's hook shapes to depth d
 even when W is purely even): on every small preset, on seeded random
 colour spaces and on purely even spaces W.  glvv_decomposition meets the
-parent's on every pair of small presets in tests/test_rules_once.py."""
+parent's on every pair of small presets in tests/test_rules_once.py.
+The walk keeps the shapes of V's hook that lie in W's hook, by
+partitions._in_hook, and counts only those: every _count_hook call it
+makes is on a shape inside the hook it counts."""
 
+import itertools
 import random
 
 import pytest
 
 import parent_weyl
-from colourgl import partitions
+from colourgl import partitions, weyl
 from colourgl.gl import GradedSpace, ResourceBoundExceeded, SpaceMismatch
 from colourgl.partitions import (count_hook_tableaux, dim_glN, hook_table,
                                  partitions_of)
@@ -152,3 +156,48 @@ def test_no_second_gl_N_dimension_formula():
     names = {node.name for module in trees().values()
              for node in module.body if hasattr(node, "name")}
     assert "_dim_glN" not in names
+
+
+def hook_count_calls(monkeypatch):
+    """The (shape, M+, M-) of every _count_hook call that weyl makes."""
+    calls = []
+
+    def record(lam, m_plus, m_minus):
+        calls.append((lam, m_plus, m_minus))
+        return partitions._count_hook(lam, m_plus, m_minus)
+
+    monkeypatch.setattr(weyl, "_count_hook", record)
+    return calls
+
+
+def test_the_walk_counts_only_shapes_inside_both_hooks(monkeypatch):
+    calls = hook_count_calls(monkeypatch)
+    spaces = small_presets()
+    for v, w in itertools.product(spaces.values(), repeat=2):
+        if v.factor == w.factor:
+            assert glvv_decomposition(v, w, 4) == \
+                parent_weyl.glvv_decomposition_depth_d(v, w, 4), (v, w)
+    for space in spaces.values():
+        howe_dimension_sweep(space, 3, 4)
+    assert calls
+    assert all(partitions._in_hook(*call) for call in calls)
+
+
+@pytest.mark.parametrize("v, w", [((3, 3), (1, 1)), ((2, 0), (0, 2)),
+                                  ((0, 2), (2, 0))])
+def test_the_walk_counts_inside_both_hooks_to_degree_8(monkeypatch, v, w):
+    space_v, space_w = super_space(*v), super_space(*w)
+    expected = parent_weyl.glvv_decomposition_depth_d(space_v, space_w, 8)
+    calls = hook_count_calls(monkeypatch)
+    assert glvv_decomposition(space_v, space_w, 8) == expected
+    assert calls and all(partitions._in_hook(*call) for call in calls)
+
+
+def test_glvv_of_super_3_3_and_super_1_1_makes_158_hook_counts(monkeypatch):
+    # 193 of V's 272 hook shapes to degree 12 are off W's hook, and the
+    # parent counted k_V and k_W on each of all 272 shapes: 544 calls
+    space_v, space_w = super_space(3, 3), super_space(1, 1)
+    expected = parent_weyl.glvv_decomposition_depth_d(space_v, space_w, 12)
+    calls = hook_count_calls(monkeypatch)
+    assert glvv_decomposition(space_v, space_w, 12) == expected
+    assert len(calls) == 158

@@ -23,15 +23,22 @@ or GradedSpace._omega_pairs, which every other oracle shares:
   twisted product.
 
 Factors are read as integer pairs (s, e) for (-1)^s q^e: a product XORs
-the signs and sums the exponents."""
+the signs and sums the exponents.
+
+At report level, the twist changes no number that a computing subcommand
+writes: each job on a colour preset reports what it reports on the super
+preset super(M+|M-) of the same parities, `inputs` aside."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+from colourgl.cli import main
 from colourgl.gl import GradedSpace, _bracket_ints
 from colourgl.grading import CommutativeFactor, _merge
+from colourgl.presets import preset_space
 from colourgl.weyl import fock_algebra
 from test_laurent_kernels import small_presets
 from test_random_spaces import random_space
@@ -150,3 +157,37 @@ def test_the_bracket_of_matrix_units_is_the_twins_twisted():
             assert _bracket_ints(pairs, x, y) == expected, (name, a, b, c, d)
             checked += 1
     assert checked > 1000
+
+
+# each computing subcommand's options; OTHER stands for the space itself
+TWIN_JOBS = (
+    ("fft-check", "--copies", "2", "--dual-copies", "1", "--max-degree", "2"),
+    ("howe-sweep", "--copies", "2", "--max-degree", "4"),
+    ("glvv", "--other-space", "OTHER", "--max-degree", "4"),
+    ("verify", "--level", "full"),
+    ("schur-weyl", "--power", "3"),
+    ("tableaux", "--size", "4", "--copies", "2"),
+    ("casimir", "--partition", "2,1"))
+
+
+def report_without_inputs(capsys, command, space, *options):
+    code = main([command, "--space", space,
+                 *(space if x == "OTHER" else x for x in options)])
+    doc = json.loads(capsys.readouterr().out)
+    del doc["inputs"]
+    return code, doc
+
+
+# every colour space of the benchmark pool, and five more
+@pytest.mark.parametrize("name", [
+    "glq(1|1)", "glq(2|1)", "glq(1|2)", "glq(2|0)", "glq(0|2)", "glq(2|2)",
+    "green(2)", "green(3)", "z2z2(1,1,0,0)", "z2z2(1,0,1,1)",
+    "z2z2(1,1,1,0)", "z2z2(1,1,1,1)"])
+def test_every_report_is_the_super_twins(capsys, name):
+    space = preset_space(name)
+    twin = f"super({space.m_plus}|{space.m_minus})"
+    for job in TWIN_JOBS:
+        colour = report_without_inputs(capsys, job[0], name, *job[1:])
+        assert colour[0] == 0, (name, job, colour)
+        assert colour == report_without_inputs(capsys, job[0], twin,
+                                               *job[1:]), (name, job)
