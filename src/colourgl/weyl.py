@@ -39,7 +39,8 @@ multiplies the z_rs by _merge, all on ints; a Scalar enters only in the
 rows it passes to rank_of_rows.  A degree where the x- or the
 xbar-monomials are none, by the closed form _count_monomials, lists
 neither side.  The N N' z-words are listed only at a degree d >= 1, which
-forms a product; degree 0 yields the empty product alone.  _z_products
+forms a product; degree 0 yields the empty product alone, and a negative
+degree, with an empty basis, yields none and reads 0.  _z_products
 walks the z-products depth first over sorted keys, in the order of
 combinations_with_replacement: each prefix product is formed once, and a
 zero prefix prunes every extension.
@@ -85,11 +86,13 @@ them.
 Three bounds refuse a computation before it starts, each by calls to
 gl.ResourceBoundExceeded.check: MONOMIAL_CAP on the monomials of a Howe
 sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
-and on each degree's zero-weight basis (_invariant_basis_bounds), and
-COMMUTATOR_CAP on the commutators that glq_relations_check and
-fft-check's two gl(V) checks, verify_dual_pair and
-invariant_generators_check, form.  fft_check applies all of fft-check's
-bounds before the first degree is computed.
+and on the zero-weight basis of every degree up to the last that a call
+computes (_invariant_basis_bounds, one rule for fft_check,
+invariant_dimensions and invariant_dimension alike), and COMMUTATOR_CAP
+on the commutators that glq_relations_check and fft-check's two gl(V)
+checks, verify_dual_pair and invariant_generators_check, form.
+fft_check applies all of fft-check's bounds before the first degree is
+computed.
 """
 
 import itertools
@@ -324,8 +327,7 @@ def fft_check(space, copies, dual_copies, max_degree):
     the job passes when dual_pair_ok and filtration_level_1_ok both hold."""
     require_dimension(space, "fft-check")
     gl_copies = min(copies, 2)
-    _invariant_basis_bounds(space, copies, dual_copies,
-                            range(max_degree + 1))
+    _invariant_basis_bounds(space, copies, dual_copies, max_degree)
     _dual_pair_bound(space, gl_copies)
     _filtration_bound(space, gl_copies)
     dims = invariant_dimensions(space, copies, dual_copies, max_degree)
@@ -600,30 +602,30 @@ def _gl_images(space, copies, dual_copies, monos):
     return images
 
 
-def _invariant_basis_bounds(space, copies, dual_copies, degrees):
-    """The number of x- times xbar-monomials of each of `degrees`, a bound
-    on its zero-weight basis, by the closed forms on (M+, M-) before any
-    generator is listed; refused at the first degree past
-    INVARIANT_BASIS_CAP.  xbar(a, s) has degree -gamma_a, whose parity
+def _invariant_basis_bounds(space, copies, dual_copies, max_degree):
+    """The number of x- times xbar-monomials of degree max_degree, a bound
+    on its zero-weight basis, or 0 when max_degree < 0.  Every degree up
+    to max_degree is counted by the closed forms on (M+, M-) before any
+    generator is listed and refused past INVARIANT_BASIS_CAP, so every
+    entry point passes its last degree and bounds the degrees below it as
+    well.  xbar(a, s) has degree -gamma_a, whose parity
     omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
     x(a, r).  Its dim V (N + N') generators, which fock_algebra and
     _gl_images list at every degree, degree 0 included, are bounded by the
     same cap first; for dim V >= 2 that refuses no degree d >= 1 that the
     basis bound allows.  The dim V N N' letters of the z-words, listed
     only at d >= 1, are at most the (dim V)^2 N N' that degree 1's basis
-    bound allows; invariant_dimensions and fft_check bound degree 1 with
-    the others, while invariant_dimension alone bounds only its own."""
+    bound allows."""
     ResourceBoundExceeded.check(
         "invariant_dimension", space.dim * (copies + dual_copies),
         INVARIANT_BASIS_CAP, "generators")
-    sizes = []
-    for d in degrees:
-        sizes.append(prod(_count_monomials(space.m_plus * n,
-                                           space.m_minus * n, d)
-                          for n in (copies, dual_copies)))
-        ResourceBoundExceeded.check("invariant_dimension", sizes[-1],
+    size = 0
+    for d in range(max_degree + 1):
+        size = prod(_count_monomials(space.m_plus * n, space.m_minus * n, d)
+                    for n in (copies, dual_copies))
+        ResourceBoundExceeded.check("invariant_dimension", size,
                                     INVARIANT_BASIS_CAP)
-    return sizes
+    return size
 
 
 def _z_products(z_words, degree, odd, om):
@@ -660,10 +662,9 @@ def invariant_dimensions(space, copies, dual_copies, max_degree):
     """{d: invariant_dimension(space, copies, dual_copies, d)} for d <=
     max_degree, every degree refused by the basis bound before any is
     computed."""
-    degrees = range(max_degree + 1)
-    _invariant_basis_bounds(space, copies, dual_copies, degrees)
+    _invariant_basis_bounds(space, copies, dual_copies, max_degree)
     return {d: invariant_dimension(space, copies, dual_copies, d)
-            for d in degrees}
+            for d in range(max_degree + 1)}
 
 
 def invariant_dimension(space, copies, dual_copies, degree):
@@ -677,9 +678,11 @@ def invariant_dimension(space, copies, dual_copies, degree):
     quadratic invariants z_rs span the kernel.  The E_ab
     images, the z-products and their invariance defects are integer
     Laurent dicts; a Scalar is built only in the rows for rank_of_rows.
-    The N N' z-words are listed only at d >= 1: degree 0 forms no
-    product, and its one z-product is the empty one."""
-    bound, = _invariant_basis_bounds(space, copies, dual_copies, (degree,))
+    Every degree up to d is refused by the basis bound first, as in every
+    entry point.  The N N' z-words are listed only at d >= 1: degree 0
+    forms no product, and its one z-product is the empty one; a negative
+    degree has no basis element and no z-product, and reads 0."""
+    bound = _invariant_basis_bounds(space, copies, dual_copies, degree)
     n = space.dim
     alg = fock_algebra(space, copies, dual_copies)
 
@@ -730,7 +733,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
     # z_rs = sum_a x(a,r) xbar(a,s), listed only where a product is formed
     z_words = {(r, s): [(a * copies + r, n * copies + a * dual_copies + s)
                         for a in range(n)] for r in range(copies)
-               for s in range(dual_copies)} if degree else {}
+               for s in range(dual_copies)} if degree > 0 else {}
     span_rows = []
     for combo, vec in _z_products(z_words, degree, *alg._tables):
         if not {mono for mono, _ in vec} <= index.keys():

@@ -5,16 +5,23 @@ invariant_dimension per degree, verify_dual_pair and
 invariant_generators_check at min(N, 2) copies, on presets and seeded
 random colour spaces, and also when one check is made to fail.  Degree 0
 forms no z-product, so it lists no z-word: thousands of copies run in a
-fraction of a second, where listing the N N' z-words ran out of memory."""
+fraction of a second, where listing the N N' z-words ran out of memory.
+Every entry point bounds every degree up to its last, invariant_dimension
+called alone too, and a negative degree reads 0; each such call runs in a
+child process with a timeout, as a walk with no bound never returns."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from colourgl import weyl
 from colourgl.presets import preset_space, super_space
 from test_random_spaces import random_space
-from test_refusal_rule import run_module
+from test_refusal_rule import SRC, limit_address_space, run_module
 
 _rng = random.Random(4242)
 SPACES = {name: preset_space(name) for name in (
@@ -104,3 +111,57 @@ def test_degree_0_lists_no_z_word():
     assert seconds < 2
     assert weyl.invariant_dimension(super_space(1, 0), 10 ** 4,
                                     10 ** 4 - 1, 0) == 1
+
+
+def run_child(code):
+    """What `code`, run by a fresh interpreter with the package on its
+    path and run_module's address-space limit, prints as JSON; a call
+    that does not return within 10 s fails by the timeout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_invariant_dimension_bounds_the_degrees_below_its_own():
+    # degree 13's basis on super(0|1) is empty, so its own bound reads 0:
+    # bounded by that alone, the walk took the products of 144 z's past
+    # 20 s, where fft-check refuses degree 3's C(12, 3)^2 = 48400 basis
+    # elements
+    code, doc, _ = run_module(
+        "fft-check", "--space", "super(0|1)", "--copies", "12",
+        "--dual-copies", "12", "--max-degree", "13")
+    assert code == 2 and doc["kind"] == "error"
+    error, seconds = run_child("""if True:
+        import json, time
+        from colourgl import ResourceBoundExceeded, weyl
+        from colourgl.presets import super_space
+        start = time.perf_counter()
+        try:
+            weyl.invariant_dimension(super_space(0, 1), 12, 12, 13)
+            error = None
+        except ResourceBoundExceeded as exc:
+            error = str(exc)
+        print(json.dumps([error, time.perf_counter() - start]))""")
+    assert error == doc["error"] == ("invariant_dimension needs 48400 basis "
+                                     "elements, above the bound 20000")
+    assert seconds < 2
+
+
+def test_a_negative_degree_reads_0():
+    # with the z-words listed at a negative degree, their walk never ends:
+    # no product has a negative number of factors
+    dims, seconds = run_child("""if True:
+        import json, time
+        from colourgl import weyl
+        from colourgl.presets import preset_space
+        start = time.perf_counter()
+        dims = [weyl.invariant_dimension(preset_space(name), n, n2, d)
+                for name in ("super(1|0)", "super(2|1)", "glq(1|1)")
+                for n, n2 in ((1, 1), (2, 1)) for d in (-1, -3)]
+        print(json.dumps([dims, time.perf_counter() - start]))""")
+    assert dims == [0] * 12
+    assert seconds < 2
+    assert weyl.invariant_dimensions(super_space(1, 0), 1, 1, -1) == {}
