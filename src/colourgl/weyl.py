@@ -32,20 +32,23 @@ glq_relations_check compare its dicts and build no Scalar.
 invariant_generators_check turns each into Scalars by gl._to_scalars
 only for rank_of_rows, and finds every Ecal killed by each ad(E[r][s])
 as an empty _commutator dict.  The fock-module suite compares
-_word_on_monomial dicts.  invariant_dimension (fft-check) applies each
+_word_on_monomial dicts.  fft-check's invariants are computed by one
+unbounded kernel, _invariant_dimension, at one degree: it applies each
 E_ab of gl(V) by its dual-pair words, x(a,r) d(b,r) and xbar(b,s)
 dbar(a,s), through _derive and _merge as _word_on_monomial does, and
 multiplies the z_rs by _merge, all on ints; a Scalar enters only in the
 rows it passes to rank_of_rows.  A degree where the x- or the
-xbar-monomials are none, by the closed form _count_monomials, lists
-neither side.  The N N' z-words are listed only at a degree d >= 1, which
-forms a product; degree 0 yields the empty product alone, and a negative
-degree, with an empty basis, yields none and reads 0.  _z_products
-walks the z-products depth first over sorted keys, in the order of
-combinations_with_replacement: each prefix product is formed once, and a
-zero prefix prunes every extension.
-invariant_dimensions refuses every degree by the basis bound before it
-computes any.  fft_check is fft-check's one call: its two gl(V) checks
+xbar-monomials are none, a size of 0 by the closed form
+_count_monomials, lists neither side.  The N N' z-words are listed only
+at a degree d >= 1, which forms a product; degree 0 yields the empty
+product alone.  _z_products walks the z-products depth first over
+sorted keys, in the order of combinations_with_replacement: each prefix
+product is formed once, and a zero prefix prunes every extension.
+invariant_dimension and invariant_dimensions each make one bound pass,
+_invariant_basis_bounds, which lists the size of every degree up to
+the last and refuses before any is computed, and then run the kernel at
+each degree with its size; a negative degree has an empty pass and
+reads 0.  fft_check is fft-check's one call: its two gl(V) checks
 share one memo of word products, which each forms afresh when called
 alone.  Otherwise a Scalar enters in
 weyl_multiply and fock_apply, one product per pair of input terms and
@@ -87,7 +90,7 @@ Three bounds refuse a computation before it starts, each by calls to
 gl.ResourceBoundExceeded.check: MONOMIAL_CAP on the monomials of a Howe
 sweep (_checked_counts), INVARIANT_BASIS_CAP on fft-check's generators
 and on the zero-weight basis of every degree up to the last that a call
-computes (_invariant_basis_bounds, one rule for fft_check,
+computes (_invariant_basis_bounds, one linear pass per call of fft_check,
 invariant_dimensions and invariant_dimension alike), and COMMUTATOR_CAP
 on the commutators that glq_relations_check and fft-check's two gl(V)
 checks, verify_dual_pair and invariant_generators_check, form.
@@ -603,12 +606,13 @@ def _gl_images(space, copies, dual_copies, monos):
 
 
 def _invariant_basis_bounds(space, copies, dual_copies, max_degree):
-    """The number of x- times xbar-monomials of degree max_degree, a bound
-    on its zero-weight basis, or 0 when max_degree < 0.  Every degree up
-    to max_degree is counted by the closed forms on (M+, M-) before any
-    generator is listed and refused past INVARIANT_BASIS_CAP, so every
-    entry point passes its last degree and bounds the degrees below it as
-    well.  xbar(a, s) has degree -gamma_a, whose parity
+    """The number of x- times xbar-monomials of each degree 0..max_degree,
+    a bound on its zero-weight basis, as a list: empty when max_degree < 0.
+    Each degree is counted by the closed forms on (M+, M-) and refused past
+    INVARIANT_BASIS_CAP before the next is counted and before any generator
+    is listed, so one pass bounds every degree that a call computes, and the
+    kernel _invariant_dimension takes its degree's size from it.
+    xbar(a, s) has degree -gamma_a, whose parity
     omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
     x(a, r).  Its dim V (N + N') generators, which fock_algebra and
     _gl_images list at every degree, degree 0 included, are bounded by the
@@ -619,13 +623,14 @@ def _invariant_basis_bounds(space, copies, dual_copies, max_degree):
     ResourceBoundExceeded.check(
         "invariant_dimension", space.dim * (copies + dual_copies),
         INVARIANT_BASIS_CAP, "generators")
-    size = 0
+    sizes = []
     for d in range(max_degree + 1):
-        size = prod(_count_monomials(space.m_plus * n, space.m_minus * n, d)
-                    for n in (copies, dual_copies))
-        ResourceBoundExceeded.check("invariant_dimension", size,
+        sizes.append(prod(_count_monomials(space.m_plus * n,
+                                           space.m_minus * n, d)
+                          for n in (copies, dual_copies)))
+        ResourceBoundExceeded.check("invariant_dimension", sizes[-1],
                                     INVARIANT_BASIS_CAP)
-    return size
+    return sizes
 
 
 def _z_products(z_words, degree, odd, om):
@@ -660,11 +665,11 @@ def _z_products(z_words, degree, odd, om):
 
 def invariant_dimensions(space, copies, dual_copies, max_degree):
     """{d: invariant_dimension(space, copies, dual_copies, d)} for d <=
-    max_degree, every degree refused by the basis bound before any is
-    computed."""
-    _invariant_basis_bounds(space, copies, dual_copies, max_degree)
-    return {d: invariant_dimension(space, copies, dual_copies, d)
-            for d in range(max_degree + 1)}
+    max_degree, by one bound pass over every degree before any is
+    computed, and then the kernel at each degree; {} when max_degree < 0."""
+    sizes = _invariant_basis_bounds(space, copies, dual_copies, max_degree)
+    return {d: _invariant_dimension(space, copies, dual_copies, d, size)
+            for d, size in enumerate(sizes)}
 
 
 def invariant_dimension(space, copies, dual_copies, degree):
@@ -675,14 +680,23 @@ def invariant_dimension(space, copies, dual_copies, degree):
     sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N'), each the k(lambda)
     of C^N or C^N', over the shapes no deeper than min(N, N'), as a deeper
     one has no gl_N or no gl_N' module, and that degree-d products of the
-    quadratic invariants z_rs span the kernel.  The E_ab
-    images, the z-products and their invariance defects are integer
-    Laurent dicts; a Scalar is built only in the rows for rank_of_rows.
-    Every degree up to d is refused by the basis bound first, as in every
-    entry point.  The N N' z-words are listed only at d >= 1: degree 0
-    forms no product, and its one z-product is the empty one; a negative
-    degree has no basis element and no z-product, and reads 0."""
-    bound = _invariant_basis_bounds(space, copies, dual_copies, degree)
+    quadratic invariants z_rs span the kernel.  One bound pass refuses
+    every degree up to d first, as in every entry point, and then the
+    kernel _invariant_dimension runs at d alone.  A negative degree has an
+    empty pass, no basis element and no z-product, and reads 0."""
+    sizes = _invariant_basis_bounds(space, copies, dual_copies, degree)
+    return _invariant_dimension(space, copies, dual_copies, degree,
+                                sizes[-1]) if sizes else 0
+
+
+def _invariant_dimension(space, copies, dual_copies, degree, size):
+    """invariant_dimension at a degree d >= 0, unbounded: size is d's basis
+    bound from _invariant_basis_bounds, 0 when the x- or the
+    xbar-monomials of degree d are none, so that neither side is listed.
+    The E_ab images, the z-products and their invariance defects are
+    integer Laurent dicts; a Scalar is built only in the rows for
+    rank_of_rows.  The N N' z-words are listed only at d >= 1: degree 0
+    forms no product, and its one z-product is the empty one."""
     n = space.dim
     alg = fock_algebra(space, copies, dual_copies)
 
@@ -693,7 +707,7 @@ def invariant_dimension(space, copies, dual_copies, degree):
     # x id is below every xbar id, so xm + xb is sorted as it stands.  When
     # one side has no monomial of this degree, neither is listed.
     basis = []
-    if bound:
+    if size:
         by_type = {}
         for mono in fock_algebra(space, copies).monomials(degree):
             by_type.setdefault(tuple(g // copies for g in mono),

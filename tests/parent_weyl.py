@@ -40,6 +40,16 @@ invariant_dimension, with its guard _guard_invariant_basis: it lists both
 sides of the zero-weight basis at every degree, even when one side has
 no monomial, and multiplies out each combination of z's from the start,
 so it is the oracle of the basis and of the z-product rows.
+
+_invariant_basis_bounds, invariant_dimensions and
+invariant_dimension_nested_bounds are the entry points as they were
+before one bound pass per call: the bound pass returned only the last
+degree's size, or 0, and invariant_dimensions, after its own pass,
+called invariant_dimension at each degree, which bounded degrees 0..d
+again, so that a sweep to degree D made about D^2 / 2 closed-form
+counts.  They are verbatim but for one name: invariant_dimension, which
+names the older oracle above, is invariant_dimension_nested_bounds here.
+They call the package's unchanged _z_products.
 """
 
 import itertools
@@ -56,7 +66,7 @@ from colourgl.weyl import (INVARIANT_BASIS_CAP, FockVector,
                            MONOMIAL_CAP, OmegaPolyAlgebra,
                            ResourceBoundExceeded, WeylElement,
                            _count_monomials, _derive, _gl_images,
-                           dual_pair_generators, fock_algebra)
+                           _z_products, dual_pair_generators, fock_algebra)
 from colourgl.weyl import _checked_counts as _checked_parity_counts
 from parent_partitions import _dim_glN
 
@@ -710,3 +720,125 @@ def _word_on_monomial(alg, xs, ds, mono):
             key = (word, e + e2)
             out[key] = out.get(key, 0) + (-c if s else c)
     return {key: c for key, c in out.items() if c}
+
+
+def _invariant_basis_bounds(space, copies, dual_copies, max_degree):
+    """The number of x- times xbar-monomials of degree max_degree, a bound
+    on its zero-weight basis, or 0 when max_degree < 0.  Every degree up
+    to max_degree is counted by the closed forms on (M+, M-) before any
+    generator is listed and refused past INVARIANT_BASIS_CAP, so every
+    entry point passes its last degree and bounds the degrees below it as
+    well.  xbar(a, s) has degree -gamma_a, whose parity
+    omega(-gamma_a, -gamma_a) = omega(gamma_a, gamma_a) is that of
+    x(a, r).  Its dim V (N + N') generators, which fock_algebra and
+    _gl_images list at every degree, degree 0 included, are bounded by the
+    same cap first; for dim V >= 2 that refuses no degree d >= 1 that the
+    basis bound allows.  The dim V N N' letters of the z-words, listed
+    only at d >= 1, are at most the (dim V)^2 N N' that degree 1's basis
+    bound allows."""
+    ResourceBoundExceeded.check(
+        "invariant_dimension", space.dim * (copies + dual_copies),
+        INVARIANT_BASIS_CAP, "generators")
+    size = 0
+    for d in range(max_degree + 1):
+        size = prod(_count_monomials(space.m_plus * n, space.m_minus * n, d)
+                    for n in (copies, dual_copies))
+        ResourceBoundExceeded.check("invariant_dimension", size,
+                                    INVARIANT_BASIS_CAP)
+    return size
+
+
+def invariant_dimensions(space, copies, dual_copies, max_degree):
+    """{d: invariant_dimension(space, copies, dual_copies, d)} for d <=
+    max_degree, every degree refused by the basis bound before any is
+    computed."""
+    _invariant_basis_bounds(space, copies, dual_copies, max_degree)
+    return {d: invariant_dimension_nested_bounds(space, copies, dual_copies, d)
+            for d in range(max_degree + 1)}
+
+
+def invariant_dimension_nested_bounds(space, copies, dual_copies, degree):
+    """Dimension of the gl(V)-invariants in the bidegree (d, d) component
+    of S_omega(V^N + Vbar^N'), by exact nullspace over Q(q).
+
+    Verifies the count against the second fundamental theorem sum
+    sum_lambda dim L_lambda(gl_N) dim L_lambda(gl_N'), each the k(lambda)
+    of C^N or C^N', over the shapes no deeper than min(N, N'), as a deeper
+    one has no gl_N or no gl_N' module, and that degree-d products of the
+    quadratic invariants z_rs span the kernel.  The E_ab
+    images, the z-products and their invariance defects are integer
+    Laurent dicts; a Scalar is built only in the rows for rank_of_rows.
+    Every degree up to d is refused by the basis bound first, as in every
+    entry point.  The N N' z-words are listed only at d >= 1: degree 0
+    forms no product, and its one z-product is the empty one; a negative
+    degree has no basis element and no z-product, and reads 0."""
+    bound = _invariant_basis_bounds(space, copies, dual_copies, degree)
+    n = space.dim
+    alg = fock_algebra(space, copies, dual_copies)
+
+    # zero-weight basis: x-part and dual-part use each basis index equally,
+    # and g // copies lists a monomial's indices in order.  The xbar-
+    # monomials are those of fock_algebra(space, N'), ids shifted by
+    # dim N: xbar(a, s) has the id and the parity of x(a, s) there.  Every
+    # x id is below every xbar id, so xm + xb is sorted as it stands.  When
+    # one side has no monomial of this degree, neither is listed.
+    basis = []
+    if bound:
+        by_type = {}
+        for mono in fock_algebra(space, copies).monomials(degree):
+            by_type.setdefault(tuple(g // copies for g in mono),
+                               []).append(mono)
+        basis = sorted(xm + tuple(g + n * copies for g in mono)
+                       for mono in fock_algebra(
+                           space, dual_copies).monomials(degree)
+                       for xm in by_type.get(
+                           tuple(g // dual_copies for g in mono), ()))
+    index = {mono: i for i, mono in enumerate(basis)}
+
+    # the image of every E_ab on every basis element, computed once
+    images = _gl_images(space, copies, dual_copies, basis)
+    rows = []
+    for (a, b), imgs in images.items():
+        if a == b:
+            if imgs:
+                raise AssertionError(
+                    f"E[{a},{a}] does not vanish on the zero-weight basis")
+            continue
+        columns = {}
+        for i, img in imgs.items():
+            for (target, e), c in img.items():
+                columns.setdefault(target, {})[i, e] = c
+        rows.extend(_to_scalars([(ONE, col)]) for col in columns.values())
+    nullity = len(basis) - rank_of_rows(rows)
+
+    expected = sum(_count_hook(lam, copies, 0)
+                   * _count_hook(lam, dual_copies, 0)
+                   for lam in hook_partitions(
+                       space.m_plus, space.m_minus,
+                       min(copies, dual_copies), degree))
+    if nullity != expected:
+        raise AssertionError(
+            f"invariant dimension {nullity} != structure sum {expected}")
+
+    # z_rs = sum_a x(a,r) xbar(a,s), listed only where a product is formed
+    z_words = {(r, s): [(a * copies + r, n * copies + a * dual_copies + s)
+                        for a in range(n)] for r in range(copies)
+               for s in range(dual_copies)} if degree > 0 else {}
+    span_rows = []
+    for combo, vec in _z_products(z_words, degree, *alg._tables):
+        if not {mono for mono, _ in vec} <= index.keys():
+            raise AssertionError(
+                f"a product of z's leaves the zero-weight basis: {combo}")
+        row = {(index[mono], e): c for (mono, e), c in vec.items()}
+        # each product must be killed by every generator
+        for (a, b), imgs in images.items():
+            defect = {}
+            for (i, e), c in row.items():
+                _add_ints(defect, imgs.get(i, {}), c, e)
+            if any(defect.values()):
+                raise AssertionError(
+                    f"z-monomial not invariant under E[{a},{b}]")
+        span_rows.append(_to_scalars([(ONE, row)]))
+    if rank_of_rows(span_rows) != nullity:
+        raise AssertionError("z-monomials do not span the invariants")
+    return nullity

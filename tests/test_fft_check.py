@@ -8,18 +8,26 @@ forms no z-product, so it lists no z-word: thousands of copies run in a
 fraction of a second, where listing the N N' z-words ran out of memory.
 Every entry point bounds every degree up to its last, invariant_dimension
 called alone too, and a negative degree reads 0; each such call runs in a
-child process with a timeout, as a walk with no bound never returns."""
+child process with a timeout, as a walk with no bound never returns.
+Each call makes one bound pass and then runs the unbounded kernel
+_invariant_dimension, where invariant_dimensions once bounded degrees
+0..d again inside each degree d; both entry points match those parent
+copies, kept verbatim in tests/parent_weyl.py, values and refusals."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
+import parent_weyl as parent
 from colourgl import weyl
+from colourgl.gl import ResourceBoundExceeded
 from colourgl.presets import preset_space, super_space
+from test_laurent_kernels import COPY_PAIRS, small_presets
 from test_random_spaces import random_space
 from test_refusal_rule import SRC, limit_address_space, run_module
 
@@ -165,3 +173,96 @@ def test_a_negative_degree_reads_0():
     assert dims == [0] * 12
     assert seconds < 2
     assert weyl.invariant_dimensions(super_space(1, 0), 1, 1, -1) == {}
+
+
+def test_each_call_makes_one_bound_pass(monkeypatch):
+    # the parent bounded degrees 0..d again inside each degree d of
+    # invariant_dimensions: about 41000 closed-form counts to degree 200
+    counted = []
+    right = weyl._count_monomials
+
+    def counting(*args):
+        counted[-1] += 1
+        return right(*args)
+
+    monkeypatch.setattr(weyl, "_count_monomials", counting)
+    for entry in (weyl.fft_check, weyl.invariant_dimensions):
+        counted.append(0)
+        entry(super_space(0, 1), 1, 1, 200)
+    assert max(counted) <= 4 * 201, counted
+
+
+def test_a_long_sweep_is_linear_in_its_degree():
+    # 27.3 s at the parent, one subprocess run: every degree re-bounded
+    # the degrees below it
+    code, doc, seconds = run_module(
+        "fft-check", "--space", "super(0|1)", "--copies", "1",
+        "--dual-copies", "1", "--max-degree", "4000")
+    assert code == 0, doc
+    assert doc["results"]["invariant_dimensions"] == {
+        str(d): int(d <= 1) for d in range(4001)}
+    assert seconds < 2
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the refusal it raised."""
+    try:
+        return f(*args)
+    except ResourceBoundExceeded as exc:
+        return type(exc).__name__, str(exc)
+
+
+def entry_points_match_the_parent(space, copies, dual_copies, degrees):
+    """Both entry points against the parent copies at each of `degrees`;
+    the parent's sweep to the last degree answers invariant_dimension at
+    each degree >= 0, as it calls the parent's invariant_dimension there."""
+    args = (space, copies, dual_copies)
+    want = outcome(parent.invariant_dimensions, *args, degrees[-1])
+    assert outcome(weyl.invariant_dimensions, *args, degrees[-1]) == want
+    for d in degrees:
+        got = outcome(weyl.invariant_dimension, *args, d)
+        if d < 0:
+            assert got == outcome(parent.invariant_dimension_nested_bounds,
+                                  *args, d) == 0
+            assert weyl.invariant_dimensions(*args, d) == \
+                parent.invariant_dimensions(*args, d) == {}
+        else:
+            assert got == want[d]
+
+
+@pytest.fixture
+def one_kernel_run(monkeypatch):
+    """The kernel with one run per argument tuple, so that the two entry
+    points share each degree's run: the kernel is a function of its
+    arguments, and a wrong degree or size in either entry point is a new
+    tuple, run afresh."""
+    monkeypatch.setattr(weyl, "_invariant_dimension",
+                        lru_cache(maxsize=None)(weyl._invariant_dimension))
+
+
+def test_both_entry_points_match_the_parent_on_every_small_preset(
+        one_kernel_run):
+    for name, space in small_presets().items():
+        for pair in COPY_PAIRS:
+            entry_points_match_the_parent(space, *pair, range(-3, 4))
+
+
+def test_both_entry_points_match_the_parent_on_random_spaces(
+        one_kernel_run):
+    rng = random.Random(5555)
+    for _ in range(16):
+        space = random_space(rng)
+        for pair in COPY_PAIRS:
+            entry_points_match_the_parent(space, *pair, range(-3, 3))
+
+
+@pytest.mark.parametrize("space, copies, dual_copies, degree", [
+    ("super(0|1)", 12, 12, 13), ("super(14|14)", 2, 1, 5)])
+def test_both_entry_points_refuse_as_the_parent(space, copies, dual_copies,
+                                                degree):
+    args = (preset_space(space), copies, dual_copies, degree)
+    want = outcome(parent.invariant_dimension_nested_bounds, *args)
+    assert want[0] == "ResourceBoundExceeded"
+    assert outcome(weyl.invariant_dimension, *args) == want
+    assert outcome(weyl.invariant_dimensions, *args) == \
+        outcome(parent.invariant_dimensions, *args) == want

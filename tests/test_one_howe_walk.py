@@ -146,7 +146,7 @@ def test_glvv_at_an_even_W_is_the_howe_sweep():
 def test_one_walk_lists_the_hook_shapes_of_both_sweeps():
     tree = trees()
     assert sorted(calls_by_function(tree["weyl.py"], "hook_partitions")) \
-        == ["_howe_walk", "invariant_dimension"]
+        == ["_howe_walk", "_invariant_dimension"]
     assert sorted(calls_by_function(tree["weyl.py"], "_howe_walk")) == [
         "glvv_decomposition", "howe_dimension_sweep"]
 
