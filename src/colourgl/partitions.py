@@ -40,6 +40,7 @@ kernels.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, prod
 
 # the hook counts and dimension series kept by _count_hook and _series, the
@@ -186,15 +187,29 @@ def _hooks(lam):
 
 
 def count_standard_tableaux(lam):
-    """f^lambda by the hook length formula."""
+    """f^lambda by Frobenius's formula or the hook length formula."""
     return _count_standard(check_partition(lam))
 
 
 def _count_standard(lam):
-    value, rem = divmod(factorial(sum(lam)), prod(map(prod, _hooks(lam))))
+    """n! over a denominator, by the cheaper of two formulas.  Frobenius's,
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i! over the r rows of the shorter
+    of lambda and lambda' (f^lambda = f^lambda'), l_i = lambda_i + r - 1 -
+    i, makes r(r - 1)/2 products and r factorials, so a long row costs one
+    factorial; the hook length formula makes n products, fewer for a shape
+    with many rows and many columns."""
+    n = sum(lam)
+    rows = _transpose(lam) if lam and lam[0] < len(lam) else lam
+    r = len(rows)
+    if r * (r - 1) // 2 < n:
+        ls = [p + r - 1 - i for i, p in enumerate(rows)]
+        num = factorial(n) * prod(a - b for a, b in combinations(ls, 2))
+        den = prod(map(factorial, ls))
+    else:
+        num, den = factorial(n), prod(map(prod, _hooks(lam)))
+    value, rem = divmod(num, den)
     if rem:
-        raise AssertionError(f"the hook length formula of {lam} leaves a "
-                             "remainder")
+        raise AssertionError(f"the formula for f^{lam} leaves a remainder")
     return value
 
 

@@ -12,8 +12,12 @@ parity block f, f+1 of size 2, the difference an int, which the string
 lengths n_plus and n_minus, weight, _act_l0 and _norms read.  _norms,
 the L0 norm of each (k+, k-) from two prefix products along the strings,
 is built whole with the module, as level 0 of a Gram report reads every
-entry.  Gram blocks and their inertia run on ints after one positive
-rescaling.
+entry.  KacModule.gram_blocks builds each level of a Gram report from the
+level below, <F_s F_S' w, v> = <F_S' w, E_s v>: an entry is one memoised
+act of the raising E_s on v, dotted with the built row of (S', k+, k-).
+KacModule.form, the whole E-chain of *(F_S) applied at once, is the
+independent route.  act applies a Cartan E_aa by the element's weight.
+Gram blocks and their inertia run on ints after one positive rescaling.
 
 Each public weight function reads its weight once, by _as_weight: an
 integral coordinate as an int, any other as a Fraction, so Fractions
@@ -434,6 +438,8 @@ class KacModule:
         degrees = space.degrees
         self._odd, self._om = space.factor._table(
             [degrees[rb] - degrees[i] for i, rb in self.pairs])
+        # the index of each lowering pair (i, rb), read by act
+        self._sids = {pair: sid for sid, pair in enumerate(self.pairs)}
         # act results by argument; callers never mutate them
         self._act_memo = {}
         # the L0 norm of (kp, km), _norms[kp][km]: the product of the
@@ -480,15 +486,10 @@ class KacModule:
         return out
 
     def _act_l0(self, a, b, kp, km):
-        """The k-action on the L0 basis vector (kp, km): E_aa by the
-        weight, and E_ab, a != b of one parity (act sends the others
-        elsewhere), along the string of its block."""
+        """The k-action on the L0 basis vector (kp, km) of E_ab, a != b of
+        one parity (act sends the others elsewhere), along the string of
+        its block."""
         out = {}
-        if a == b:
-            coords = self.weight(((), kp, km))
-            if coords[a]:
-                out[((), kp, km)] = coords[a]
-            return out
         odd = int(a >= self.mp)
         f, d = self._strings[odd]
         # phi = omega(g_a - g_b, g_1 - g_0) ** kp on the odd block; kp > 0
@@ -517,12 +518,14 @@ class KacModule:
             return out
         S, kp, km = el
         mp = self.mp
-        if not S:
-            if a < mp <= b:
+        if a == b or not S:
+            if a == b:  # every basis element is a weight vector
+                coord = self.weight(el)[a]
+                out = {el: coord} if coord else {}
+            elif a < mp <= b:
                 out = {}
             elif b < mp <= a:
-                sid = self.pairs.index((b, a))
-                out = self._prepend_pair(sid, {((), kp, km): 1})
+                out = self._prepend_pair(self._sids[b, a], {((), kp, km): 1})
             else:
                 out = self._act_l0(a, b, kp, km)
             self._act_memo[key] = out
@@ -569,6 +572,39 @@ class KacModule:
             if not T and (lp, lm) == (kp, km):
                 total += coef * self._norms[kp][km]
         return total
+
+    def gram_blocks(self, depth):
+        """[(level, weight, els, mat)], one per (level, weight) block of the
+        basis to the given level, sorted: mat[i][j] = form(els[i], els[j]),
+        built level by level.  Level 0 is the diagonal of _norms.  At level
+        k > 0, <F_s F_S' w, v> = <F_S' w, E_s v> for s = S[0] and E_s the
+        raising E_{i rb} of the pair s: one act on v, dotted with the level
+        k - 1 row of (S', k+, k-), whose block holds every term of E_s v."""
+        groups = {}
+        for el in self.basis(max_level=depth):
+            groups.setdefault((len(el[0]), self.weight(el)), []).append(el)
+        pos = {}  # el: its index in its block's els
+        rows = {}  # el: its row of its block's mat, read by the level above
+        blocks = []
+        for (level, wt), els in sorted(groups.items()):
+            pos.update((el, j) for j, el in enumerate(els))
+            mat = []
+            for e1 in els:
+                S, kp, km = e1
+                if S:
+                    i, rb = self.pairs[S[0]]
+                    below = rows[S[1:], kp, km]
+                    # int 0 where the terms cancel, as the E-chain of form
+                    row = [sum(c * below[pos[el]]
+                               for el, c in self.act(i, rb, e2).items()) or 0
+                           for e2 in els]
+                else:
+                    row = [self._norms[kp][km] if e2 == e1 else 0
+                           for e2 in els]
+                rows[e1] = row
+                mat.append(row)
+            blocks.append((level, wt, els, mat))
+        return blocks
 
 
 class GramReport(_Record):
@@ -645,15 +681,10 @@ def gram_report(space, lam, depth=None):
         depth = d_max
     if not 0 <= depth <= d_max:
         raise ValueError(f"depth must lie in 0..{d_max}")
-    groups = {}
-    for el in module.basis(max_level=depth):
-        key = (len(el[0]), module.weight(el))
-        groups.setdefault(key, []).append(el)
     blocks = []
     worst_pos = True
     singular = False
-    for (level, wt), els in sorted(groups.items()):
-        mat = [[module.form(e1, e2) for e2 in els] for e1 in els]
+    for level, wt, els, mat in module.gram_blocks(depth):
         for i in range(len(els)):
             for j in range(len(els)):
                 if mat[i][j] != mat[j][i]:

@@ -249,13 +249,9 @@ def test_gram_pass_leaves_every_cached_action_unchanged(spec, weight):
     oracle = OracleAction(module)
     args = _all_args(module)
     held = {key: module.act(*key) for key in args}
-    groups = {}
-    for el in module.basis():
-        groups.setdefault((len(el[0]), module.weight(el)), []).append(el)
-    for els in groups.values():
-        for e1 in els:
-            for e2 in els:
-                module.form(e1, e2)
+    # the pass gram_report makes, each entry from one act and a row of the
+    # level below
+    module.gram_blocks(len(module.pairs))
     for key, value in held.items():
         assert module.act(*key) is value
         assert value == oracle.act(*key), key

@@ -1,9 +1,10 @@
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+import parent_partitions
 from colourgl import cli
 from colourgl.partitions import (COUNT_HOOK_KEPT, SERIES_KEPT, _count_hook,
                                  _count_standard, _series,
@@ -105,6 +106,41 @@ def test_standard_tableaux_against_brute_force():
         for lam in partitions_of(n):
             assert count_standard_tableaux(lam) == \
                 brute_force_standard_tableaux(lam)
+
+
+def test_a_long_row_counts_by_factorials_not_hooks(monkeypatch):
+    # Frobenius's formula over the shorter of lambda and lambda': a row or
+    # a column of 20000 cells is r = 1, and (n - 1, 1) has n - 1 tableaux
+    # either way round; no hook length is listed
+    monkeypatch.setattr("colourgl.partitions._hooks", None)
+    n = 20000
+    assert count_standard_tableaux((n,)) == 1
+    assert count_standard_tableaux((1,) * n) == 1
+    assert count_standard_tableaux((n - 1, 1)) == n - 1
+    assert count_standard_tableaux((2,) + (1,) * (n - 2)) == n - 1
+    # (m, m): the Catalan number, by rows and by columns
+    for m in range(1, 30):
+        catalan = factorial(2 * m) // (factorial(m) * factorial(m + 1))
+        assert count_standard_tableaux((m, m)) == catalan
+        assert count_standard_tableaux((2,) * m) == catalan
+
+
+def test_a_balanced_hook_counts_by_hooks():
+    # (a, 1^(n - a)) has min(a, n - a + 1) rows in the shorter of lambda
+    # and lambda': near a = n/2, Frobenius's formula would make about n^2/8
+    # products (40 s for (1000, 1^1000)), the hook length formula n; f is
+    # C(n - 1, n - a), and the parent's hook length formula agrees
+    n = 2000
+    start = time.perf_counter()
+    for a in [1, 2, 3, 62, 63, 64, 500, 999, 1000, 1001, 1500, 1998, 2000]:
+        lam = (a,) + (1,) * (n - a)
+        assert count_standard_tableaux(lam) == comb(n - 1, n - a) == \
+            parent_partitions.count_standard_tableaux(lam)
+    assert time.perf_counter() - start < 1
+    # squares: r(r - 1)/2 < n, so by Frobenius; the parent by hooks
+    for m in (1, 2, 10, 45):
+        assert count_standard_tableaux((m,) * m) == \
+            parent_partitions.count_standard_tableaux((m,) * m)
 
 
 def test_specht_dimension_identity():
